@@ -5,11 +5,11 @@ reproduction's shapes depend on: index probe ≪ scan, hash join ≪ nested
 loop, lineage tracking ≈ small multiple of plain execution (the paper's
 "provenance costs about a query").
 
-The ``TestRowVsVectorized`` class times identical queries on all three
-execution disciplines (``engine="row"``, ``"vectorized"``,
-``"columnar"``), asserts the speedup floors — columnar join/group must
-beat the row engine ≥10× and the vectorized engine ≥2× at full scale —
-and publishes ``results/BENCH_engine.json`` for the CI smoke lane.
+The ``TestRowVsColumnar`` class times identical queries on both
+execution disciplines (``engine="row"``, ``"columnar"``), asserts the
+speedup floors — columnar join/group must beat the row engine ≥10× at
+full scale — and publishes ``results/BENCH_engine.json`` for the CI
+smoke lane.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ def test_parse_and_plan(benchmark, engine):
     benchmark(plan_fresh)
 
 
-# -- row vs. vectorized vs. columnar -----------------------------------------
+# -- row vs. columnar ---------------------------------------------------------
 
-#: (name, SQL) pairs timed on every discipline. ``join`` and ``group``
+#: (name, SQL) pairs timed on both disciplines. ``join`` and ``group``
 #: are the headline lanes (probe and group-loop throughput, free of
 #: result-materialization cost); ``join_rows``/``group_sum`` keep the
 #: materializing variants honest, and ``prune`` isolates zone-map chunk
@@ -127,26 +127,15 @@ COMPARISON_QUERIES = [
     ("prune", "SELECT COUNT(*) FROM big WHERE id >= 500 AND id < 1500"),
 ]
 
-#: Vectorized-over-row floors (the PR-8 acceptance criterion, kept):
-#: scan/filter/join_rows must hold 2x at full scale; every other lane
-#: must at least break even. The quick smoke lane only checks the path
-#: works and still wins.
-VEC_SPEEDUP_FLOOR = 2.0
-VEC_QUICK_SPEEDUP_FLOOR = 1.05
-VEC_FLOOR_QUERIES = ("scan", "filter", "join_rows")
-
-#: Columnar floors (this PR's acceptance criterion): join and group must
-#: beat the row engine >=10x and the vectorized engine >=2x at full
-#: scale; the 2x-over-vectorized floor is asserted in --quick too.
-#: Non-headline lanes must not fall behind the vectorized engine.
+#: Columnar-over-row floors: join and group must beat the row engine
+#: >=10x at full scale (>=2x in the --quick smoke lane); every other
+#: lane must at least not fall behind the reference.
 COLUMNAR_FLOOR_QUERIES = ("join", "group")
 COLUMNAR_ROW_FLOOR = 10.0
 COLUMNAR_ROW_QUICK_FLOOR = 2.0
-COLUMNAR_VEC_FLOOR = 2.0
-COLUMNAR_BREAKEVEN = 0.9
-COLUMNAR_QUICK_BREAKEVEN = 0.75
+COLUMNAR_BREAKEVEN = 1.0
 
-ENGINE_LABELS = ("row", "vectorized", "columnar")
+ENGINE_LABELS = ("row", "columnar")
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -158,11 +147,11 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-class TestRowVsVectorized:
+class TestRowVsColumnar:
     @pytest.fixture(scope="class")
     def comparison(self, request):
         """Seconds per (query, engine), best of three, warm plans and
-        warm join-build caches on every side."""
+        warm join-build caches on both sides."""
         db = build_database()
         engines = [(label, Engine(db, label)) for label in ENGINE_LABELS]
         results = {}
@@ -182,68 +171,31 @@ class TestRowVsVectorized:
         return results, quick
 
     @pytest.mark.parametrize("name", [n for n, _ in COMPARISON_QUERIES])
-    def test_vectorized_not_slower(self, comparison, name):
-        results, quick = comparison
-        speedup = results[(name, "row")] / results[(name, "vectorized")]
-        floor = (
-            (VEC_QUICK_SPEEDUP_FLOOR if quick else VEC_SPEEDUP_FLOOR)
-            if name in VEC_FLOOR_QUERIES
-            else 0.9  # the batch path must at least break even
-        )
-        assert speedup >= floor, (
-            f"{name}: vectorized speedup {speedup:.2f}x under floor {floor}x"
-        )
-
-    @pytest.mark.parametrize("name", [n for n, _ in COMPARISON_QUERIES])
     def test_columnar_floors(self, comparison, name):
         results, quick = comparison
         vs_row = results[(name, "row")] / results[(name, "columnar")]
-        vs_vec = results[(name, "vectorized")] / results[(name, "columnar")]
         if name in COLUMNAR_FLOOR_QUERIES:
-            row_floor = (
-                COLUMNAR_ROW_QUICK_FLOOR if quick else COLUMNAR_ROW_FLOOR
-            )
-            assert vs_row >= row_floor, (
-                f"{name}: columnar {vs_row:.2f}x over row, "
-                f"floor {row_floor}x"
-            )
-            assert vs_vec >= COLUMNAR_VEC_FLOOR, (
-                f"{name}: columnar {vs_vec:.2f}x over vectorized, "
-                f"floor {COLUMNAR_VEC_FLOOR}x"
-            )
+            floor = COLUMNAR_ROW_QUICK_FLOOR if quick else COLUMNAR_ROW_FLOOR
         else:
-            floor = COLUMNAR_QUICK_BREAKEVEN if quick else COLUMNAR_BREAKEVEN
-            assert vs_vec >= floor, (
-                f"{name}: columnar {vs_vec:.2f}x over vectorized, "
-                f"floor {floor}x"
-            )
+            floor = COLUMNAR_BREAKEVEN
+        assert vs_row >= floor, (
+            f"{name}: columnar {vs_row:.2f}x over row, floor {floor}x"
+        )
 
 
 def _publish_comparison(results, quick: bool) -> None:
-    names = [name for name, _ in COMPARISON_QUERIES]
     table_rows = []
     payload = {"rows": ROWS, "quick": quick, "queries": {}}
-    for name in names:
+    for name, _ in COMPARISON_QUERIES:
         row_s = results[(name, "row")]
-        vec_s = results[(name, "vectorized")]
         col_s = results[(name, "columnar")]
         table_rows.append(
-            [
-                name,
-                row_s * 1000,
-                vec_s * 1000,
-                col_s * 1000,
-                f"{row_s / col_s:.1f}x",
-                f"{vec_s / col_s:.1f}x",
-            ]
+            [name, row_s * 1000, col_s * 1000, f"{row_s / col_s:.1f}x"]
         )
         payload["queries"][name] = {
             "row_ms": row_s * 1000,
-            "vectorized_ms": vec_s * 1000,
             "columnar_ms": col_s * 1000,
-            "speedup": row_s / vec_s,
             "columnar_over_row": row_s / col_s,
-            "columnar_over_vectorized": vec_s / col_s,
         }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_engine.json").write_text(
@@ -253,15 +205,8 @@ def _publish_comparison(results, quick: bool) -> None:
         None,
         "BENCH_engine",
         format_table(
-            f"Row vs. vectorized vs. columnar execution ({ROWS} rows)",
-            [
-                "query",
-                "row ms",
-                "vectorized ms",
-                "columnar ms",
-                "col/row",
-                "col/vec",
-            ],
+            f"Row vs. columnar execution ({ROWS} rows)",
+            ["query", "row ms", "columnar ms", "col/row"],
             table_rows,
             note="Identical results asserted per query; JSON artifact in "
             "results/BENCH_engine.json.",

@@ -28,7 +28,7 @@ from figutil import format_table, ms, publish, scaled
 # comparison needs enough batches (and queries per batch) for NoOpt's
 # log-proportional cost to actually grow between the two windows. The
 # horizon must also reach past the NoOpt/DataLawyer crossover: the
-# vectorized engine scans the log fast enough that NoOpt stays ahead of
+# columnar engine scans the log fast enough that NoOpt stays ahead of
 # DataLawyer's flat per-query cost for the first few hundred log entries.
 BATCH = scaled(60, minimum=48)
 BATCHES = scaled(20, minimum=16)
@@ -113,7 +113,7 @@ def test_fig1_overhead_growth(
     assert inc_tail < inc_head * 2 + 0.5, (inc_head, inc_tail)
 
     # And DataLawyer ends below NoOpt. The smoke lane's shortened horizon
-    # stops before the crossover (NoOpt's vectorized log scans stay ahead
+    # stops before the crossover (NoOpt's columnar log scans stay ahead
     # of DataLawyer's flat cost for the first few hundred entries), so
     # this endpoint comparison is asserted at full scale only.
     if not request.config.getoption("--quick", default=False):

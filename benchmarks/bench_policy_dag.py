@@ -19,7 +19,7 @@ the whole heap, which shows up as log-proportional noise either way.
 Equivalence is verified separately on a shorter stream with thresholds
 lowered so policies actually fire: per-submission decisions, violations,
 and the final state of every table must be bit-identical across the
-row, vectorized, and columnar engines for each strategy — and decisions
+row and columnar engines for each strategy — and decisions
 plus table state must also match between the two strategies (violation
 *reports* legitimately differ: the union statement labels each firing
 ``policy-set``, the DAG short-circuits and names the firing member).
@@ -31,6 +31,7 @@ import gc
 import json
 
 from repro.core import Enforcer, EnforcerOptions
+from repro.engine import ENGINES
 from repro.log import SimulatedClock
 from repro.workloads import (
     PolicyParams,
@@ -48,7 +49,6 @@ from figutil import RESULTS_DIR, format_table, ms, publish
 SPEEDUP_FLOOR = 2.0
 QUICK_FLOOR = 1.5
 
-ENGINES = ("row", "vectorized", "columnar")
 
 STRATEGIES = {
     # Branch-at-a-time: one UNION statement, every branch planned and
@@ -220,7 +220,7 @@ def test_policy_dag_speedup(capsys, bench_config, _bench_template):
                 f"lane); {dag_enforcer.engine.dag_shared_nodes} shared "
                 f"nodes, {dag_enforcer.engine.dag_saved_execs} saved "
                 "executions. Decisions, violations, and table state "
-                "verified bit-identical across row/vectorized/columnar; "
+                "verified bit-identical across row/columnar; "
                 "JSON artifact in results/BENCH_policy_dag.json."
             ),
         ),

@@ -3,13 +3,15 @@
 Each machine-readable bench drops a ``results/BENCH_<name>.json``
 snapshot of its headline numbers. This script merges every such file
 into ``results/BENCH_trajectory.json``, keyed by commit, so the perf
-trajectory across the PR sequence stays machine-readable:
+trajectory across the PR sequence — and the size of the code that
+produced it — stays machine-readable in one file:
 
     {
       "<short-sha>": {
         "commit": "<short-sha>",
         "subject": "<commit subject>",
         "date": "<committer date, ISO>",
+        "src_loc": <physical lines under src/repro>,
         "benchmarks": {"engine": {...}, "policy_dag": {...}, ...}
       },
       ...
@@ -33,6 +35,7 @@ import sys
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
+SOURCE_DIR = Path(__file__).parent.parent / "src" / "repro"
 TRAJECTORY = RESULTS_DIR / "BENCH_trajectory.json"
 
 
@@ -52,6 +55,13 @@ def git_describe() -> dict:
         "subject": line("log", "-1", "--format=%s"),
         "date": line("log", "-1", "--format=%cI"),
     }
+
+
+def src_loc() -> int:
+    """Physical lines of Python under ``src/repro`` (what ``wc -l`` says)."""
+    return sum(
+        path.read_bytes().count(b"\n") for path in SOURCE_DIR.rglob("*.py")
+    )
 
 
 def collect() -> dict:
@@ -88,7 +98,7 @@ def main(argv=None) -> int:
     history = {}
     if TRAJECTORY.exists():
         history = json.loads(TRAJECTORY.read_text(encoding="utf-8"))
-    history[key] = {**identity, "benchmarks": benchmarks}
+    history[key] = {**identity, "src_loc": src_loc(), "benchmarks": benchmarks}
     TRAJECTORY.write_text(
         json.dumps(history, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

@@ -104,10 +104,8 @@ def connect(
             engine="columnar",
         )
 
-    ``engine`` picks the execution discipline (``"row"``,
-    ``"vectorized"``, or ``"columnar"`` — the default); the legacy
-    ``vectorized=`` boolean still works but raises
-    :class:`DeprecationWarning`.
+    ``engine`` picks the execution discipline (``"row"`` or
+    ``"columnar"`` — the default).
     """
     return Enforcer(
         database,

@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import Enforcer, EnforcerOptions, Policy, explain_decision
-from .deprecation import warn_deprecated
 from .engine import ENGINES, Database, SqlValue
 from .errors import ReproError
 from .log import SimulatedClock
@@ -92,16 +91,6 @@ def build_enforcer(
     )
 
 
-def _engine_from_args(args) -> Optional[str]:
-    """The ``--engine`` selection, honoring deprecated ``--no-vectorized``."""
-    engine = getattr(args, "engine", None)
-    if getattr(args, "no_vectorized", False):
-        warn_deprecated("--no-vectorized is deprecated; use --engine row")
-        if engine is None:
-            engine = "row"
-    return engine
-
-
 def _print_decision(decision, out) -> None:
     if decision.allowed:
         result = decision.result
@@ -119,9 +108,7 @@ def _print_decision(decision, out) -> None:
 
 
 def cmd_check(args, out=sys.stdout) -> int:
-    enforcer = build_enforcer(
-        args.data, args.policy, engine=_engine_from_args(args)
-    )
+    enforcer = build_enforcer(args.data, args.policy, engine=args.engine)
     if args.query:
         queries = [args.query]
     else:
@@ -296,7 +283,7 @@ def cmd_explain(args, out=sys.stdout) -> int:
         database = Database()
         for spec in args.data:
             load_csv_table(database, Path(spec))
-    engine = Engine(database, _engine_from_args(args))
+    engine = Engine(database, args.engine)
     try:
         print(engine.explain(args.query, analyze=args.analyze), file=out)
     except ReproError as error:
@@ -336,12 +323,10 @@ def build_server(args):
             build_marketplace_database(config),
             contract,
             clock=SimulatedClock(default_step_ms=10),
-            options=EnforcerOptions.datalawyer(engine=_engine_from_args(args)),
+            options=EnforcerOptions.datalawyer(engine=args.engine),
         )
     else:
-        enforcer = build_enforcer(
-            args.data, args.policy, engine=_engine_from_args(args)
-        )
+        enforcer = build_enforcer(args.data, args.policy, engine=args.engine)
     return serve(
         enforcer,
         host=args.host,
@@ -360,7 +345,7 @@ def build_server(args):
             tracing=not args.no_tracing,
             slow_query_seconds=args.slow_query_ms / 1000.0,
             global_tier=args.global_tier,
-            engine=_engine_from_args(args),
+            engine=args.engine,
         ),
     )
 
@@ -498,10 +483,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="execution engine (default: columnar; results are identical "
         "under every engine)",
     )
-    check.add_argument(
-        "--no-vectorized", action="store_true",
-        help="deprecated alias for --engine row",
-    )
     group = check.add_mutually_exclusive_group(required=True)
     group.add_argument("--query", help="one SQL query")
     group.add_argument("--query-file", help="file of ';'-separated queries")
@@ -538,10 +519,6 @@ def make_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--engine", choices=ENGINES, default=None,
         help="execution engine to plan/ANALYZE under (default: columnar)",
-    )
-    explain.add_argument(
-        "--no-vectorized", action="store_true",
-        help="deprecated alias for --engine row",
     )
     explain.set_defaults(func=cmd_explain)
 
@@ -621,10 +598,6 @@ def make_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--engine", choices=ENGINES, default=None,
         help="execution engine for shard enforcers (default: columnar)",
-    )
-    serve.add_argument(
-        "--no-vectorized", action="store_true",
-        help="deprecated alias for --engine row",
     )
     serve.add_argument(
         "--slow-query-ms", type=float, default=0.0,

@@ -35,8 +35,7 @@ from ..analysis import (
     witness_queries,
 )
 from ..analysis.unification import _CONST_ALIAS, UnifiedGroup
-from ..deprecation import warn_deprecated
-from ..engine import DEFAULT_ENGINE, ENGINES, Database, Engine, Result
+from ..engine import Database, Engine, Result, resolve_engine
 from ..engine.dag import PolicyDag
 from ..errors import ReproError
 from ..incremental import (
@@ -105,16 +104,11 @@ class EnforcerOptions:
     #: bare perf counters.
     tracing: bool = True
     #: Execution engine for policy checks and user queries when lineage
-    #: is off: ``"row"``, ``"vectorized"``, or ``"columnar"``; ``None``
-    #: selects the engine default (columnar). Pure execution strategy —
-    #: decisions and results are bit-identical under every engine — but
+    #: is off: ``"row"`` or ``"columnar"``; ``None`` selects the engine
+    #: default (columnar). Pure execution strategy — decisions and
+    #: results are bit-identical under either engine — but
     #: exposed so the equivalence suite can hold it as an ablation.
     engine: Optional[str] = None
-    #: Deprecated pre-columnar spelling (``True`` → the vectorized
-    #: engine, ``False`` → the row engine). Normalized into ``engine``
-    #: (which wins when both are given) with a :class:`DeprecationWarning`
-    #: at construction; reads back as ``None`` afterwards.
-    vectorized: Optional[bool] = None
     #: Memoize whole-check verdicts across queries (see
     #: :mod:`repro.core.decision_cache`). Off by default at this layer so
     #: the paper's ablation benchmarks measure what they claim to; the
@@ -134,26 +128,12 @@ class EnforcerOptions:
     incremental_max_entries: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.vectorized is not None:
-            warn_deprecated(
-                "EnforcerOptions.vectorized is deprecated; use "
-                "engine='vectorized' or engine='row'"
-            )
-            if self.engine is None:
-                object.__setattr__(
-                    self, "engine", "vectorized" if self.vectorized else "row"
-                )
-            object.__setattr__(self, "vectorized", None)
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; "
-                f"expected one of {', '.join(ENGINES)}"
-            )
+        resolve_engine(self.engine)  # unknown names raise ValueError
 
     @property
     def engine_name(self) -> str:
         """The effective engine (defaults applied)."""
-        return self.engine or DEFAULT_ENGINE
+        return resolve_engine(self.engine)
 
     @classmethod
     def datalawyer(cls, **overrides) -> "EnforcerOptions":

@@ -22,12 +22,6 @@ class Accumulator:
     def add(self, row: tuple) -> None:
         raise NotImplementedError
 
-    def add_batch(self, rows: list) -> None:
-        """Fold a whole chunk of rows (batch execution path)."""
-        add = self.add
-        for row in rows:
-            add(row)
-
     def result(self) -> SqlValue:
         raise NotImplementedError
 
@@ -38,9 +32,6 @@ class _CountStar(Accumulator):
 
     def add(self, row: tuple) -> None:
         self._count += 1
-
-    def add_batch(self, rows: list) -> None:
-        self._count += len(rows)
 
     def result(self) -> SqlValue:
         return self._count

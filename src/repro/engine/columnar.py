@@ -1,9 +1,9 @@
 """Columnar storage and execution primitives.
 
-The third execution discipline (``engine="columnar"``) moves data between
-operators as :class:`ColumnBatch` objects — one Python list per column —
-instead of lists of row tuples. Three things make that faster than the
-batch path:
+The columnar execution discipline (``engine="columnar"``) moves data
+between operators as :class:`ColumnBatch` objects — one Python list per
+column — instead of row tuples. Three things make that faster than the
+row interpreter:
 
 - **No per-row tuple construction.** Scans hand out the table's own
   column lists (zero copy); projections of plain columns are list
@@ -20,7 +20,9 @@ batch path:
   filtering every row (see :class:`ZoneEntry` and :func:`chunk_can_skip`).
 
 Semantics are bit-identical to the row engine by construction: emitted
-kernels call the same helpers from :mod:`repro.engine.types`, and the
+kernels call the same helpers from :mod:`repro.engine.types` (same NULL
+propagation, same type errors, same non-short-circuiting ``AND``/``OR``
+— only the per-row closure dispatch is gone), and the
 aggregate reducers replicate the exact accumulation order (and error
 text) of :mod:`repro.engine.aggregates`. Zone-map pruning is only applied
 where the pruning decision provably matches the comparison helpers'
@@ -35,10 +37,23 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
 from ..sql import ast
-from . import vector
+from .types import (
+    arithmetic,
+    compare_eq,
+    compare_ge,
+    compare_gt,
+    compare_le,
+    compare_lt,
+    compare_ne,
+    like,
+    negate,
+    sql_and,
+    sql_not,
+    sql_or,
+)
 
-#: Rows per zone-map chunk. Matches the batch size so the two disciplines
-#: amortize per-chunk overhead identically.
+#: Rows per zone-map chunk, and per batch of operators that emit their
+#: output in pieces.
 CHUNK_SIZE = 1024
 
 #: Minimum table size before a filter consults a sorted range index
@@ -504,6 +519,92 @@ FLIPPED_OPS = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 # ---------------------------------------------------------------------------
 
 
+#: Resolves a column ref to a Python source fragment (a loop variable),
+#: or ``None`` when the ref cannot be resolved positionally.
+SourceResolver = Callable[[ast.ColumnRef], Optional[str]]
+
+#: The namespace emitted kernel source is compiled in.
+_HELPERS = {
+    "_cmp_eq": compare_eq,
+    "_cmp_ne": compare_ne,
+    "_cmp_lt": compare_lt,
+    "_cmp_le": compare_le,
+    "_cmp_gt": compare_gt,
+    "_cmp_ge": compare_ge,
+    "_and": sql_and,
+    "_or": sql_or,
+    "_not": sql_not,
+    "_arith": arithmetic,
+    "_neg": negate,
+    "_like": like,
+}
+
+#: Comparison operators map to per-op helper functions so the emitted
+#: code skips ``compare``'s operator dispatch on every row.
+_COMPARISONS = {
+    "=": "_cmp_eq",
+    "<>": "_cmp_ne",
+    "<": "_cmp_lt",
+    "<=": "_cmp_le",
+    ">": "_cmp_gt",
+    ">=": "_cmp_ge",
+}
+_ARITHMETIC = frozenset({"+", "-", "*", "/", "%", "||"})
+
+
+def emit(expr: ast.Expr, resolve_column: SourceResolver) -> Optional[str]:
+    """Emit ``expr`` as a Python source fragment.
+
+    Returns ``None`` when the expression (or any sub-expression) has no
+    source form; callers then fall back to the compiled closure.
+    """
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+        if value is None or isinstance(value, (bool, int, float, str)):
+            return repr(value)
+        return None
+
+    if isinstance(expr, ast.ColumnRef):
+        return resolve_column(expr)
+
+    if isinstance(expr, ast.UnaryOp):
+        operand = emit(expr.operand, resolve_column)
+        if operand is None:
+            return None
+        if expr.op == "not":
+            return f"_not({operand})"
+        if expr.op == "-":
+            return f"_neg({operand})"
+        return None
+
+    if isinstance(expr, ast.BinaryOp):
+        left = emit(expr.left, resolve_column)
+        right = emit(expr.right, resolve_column)
+        if left is None or right is None:
+            return None
+        op = expr.op
+        if op == "and":
+            return f"_and({left}, {right})"
+        if op == "or":
+            return f"_or({left}, {right})"
+        if op == "like":
+            return f"_like({left}, {right})"
+        if op in _COMPARISONS:
+            return f"{_COMPARISONS[op]}({left}, {right})"
+        if op in _ARITHMETIC:
+            return f"_arith({op!r}, {left}, {right})"
+        return None
+
+    if isinstance(expr, ast.IsNull):
+        operand = emit(expr.operand, resolve_column)
+        if operand is None:
+            return None
+        test = "is not None" if expr.negated else "is None"
+        return f"(({operand}) {test})"
+
+    return None  # IN lists, CASE, function calls: closure fallback
+
+
 def _emit_over_columns(
     expr: ast.Expr, resolve_position: PositionResolver
 ) -> Optional[Tuple[str, List[int]]]:
@@ -523,7 +624,7 @@ def _emit_over_columns(
         name = used.setdefault(position, f"_v{position}")
         return name
 
-    source = vector.emit(expr, resolve)
+    source = emit(expr, resolve)
     if source is None:
         return None
     return source, sorted(used)
@@ -544,8 +645,7 @@ def _loop_head(positions: List[int]) -> Tuple[str, str]:
 
 
 def _compile(source: str):
-    namespace = dict(vector._HELPERS)
-    return eval(compile(source, "<columnar-kernel>", "eval"), namespace)
+    return eval(compile(source, "<columnar-kernel>", "eval"), dict(_HELPERS))
 
 
 def selection_kernel(

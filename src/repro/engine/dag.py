@@ -42,7 +42,6 @@ import copy
 import time
 from typing import Optional
 
-from .columnar import ColumnBatch
 from .operators import (
     DistinctOp,
     FilterOp,
@@ -182,42 +181,15 @@ class SharedNode(Operator):
         #: Number of branch plans referencing this node (EXPLAIN shows it
         #: as ``[shared=N]``).
         self.consumers = 1
+        #: Discipline → (table versions, materialized output).
         self._memo: dict[str, tuple[tuple, list]] = {}
 
-    def _versions(self, database) -> tuple:
-        return tuple(database.table(name).version for name in self.tables)
-
-    #: Memo conversions between the engine disciplines: a fresh memo in
-    #: the source discipline is transposed instead of re-executing the
-    #: subtree. Matters when consumers mix disciplines — a columnar
-    #: pipeline whose parent nested-loop runs batch-wise would otherwise
-    #: rebuild the shared join once per discipline per check.
-    _CONVERSIONS = {
-        "batch": (
-            "columnar",
-            lambda out: [rows for rows in (cb.to_rows() for cb in out) if rows],
-        ),
-        "columnar": (
-            "batch",
-            lambda out: [ColumnBatch.from_rows(rows) for rows in out if rows],
-        ),
-    }
-
     def _materialize(self, discipline: str, database, produce) -> list:
-        versions = self._versions(database)
+        versions = tuple(database.table(name).version for name in self.tables)
         memo = self._memo.get(discipline)
         if memo is not None and memo[0] == versions:
             self.engine.dag_saved_execs += 1
             return memo[1]
-        conversion = self._CONVERSIONS.get(discipline)
-        if conversion is not None:
-            source, convert = conversion
-            other = self._memo.get(source)
-            if other is not None and other[0] == versions:
-                output = convert(other[1])
-                self._memo[discipline] = (versions, output)
-                self.engine.dag_saved_execs += 1
-                return output
         output = list(produce())
         self._memo[discipline] = (versions, output)
         return output
@@ -226,11 +198,6 @@ class SharedNode(Operator):
         discipline = "lineage" if lineage else "row"
         yield from self._materialize(
             discipline, database, lambda: self.child.execute(database, lineage)
-        )
-
-    def execute_batch(self, database):
-        yield from self._materialize(
-            "batch", database, lambda: self.child.execute_batch(database)
         )
 
     def execute_columnar(self, database):

@@ -19,7 +19,6 @@ import copy
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..deprecation import warn_deprecated
 from ..errors import LexError
 from ..obs import TraceContext
 from ..sql import ast, canonical_sql, parse
@@ -116,31 +115,14 @@ def _wrap(op: Operator, trace: TraceContext, parent) -> Operator:
 
 
 #: The selectable execution disciplines, slowest (reference) first.
-ENGINES = ("row", "vectorized", "columnar")
+ENGINES = ("row", "columnar")
 
 #: The engine used when nothing selects one explicitly.
 DEFAULT_ENGINE = "columnar"
 
 
-def resolve_engine(
-    engine: Optional[str],
-    vectorized: Optional[bool] = None,
-    *,
-    owner: str = "Engine",
-) -> str:
-    """Normalize the engine selection, honoring the deprecated boolean.
-
-    ``vectorized`` is the pre-columnar spelling (``True`` → the batch
-    engine, ``False`` → the row engine); passing it warns. An explicit
-    ``engine`` always wins over the legacy knob.
-    """
-    if vectorized is not None:
-        warn_deprecated(
-            f"{owner}(vectorized=...) is deprecated; use "
-            f"engine='vectorized' or engine='row'"
-        )
-        if engine is None:
-            engine = "vectorized" if vectorized else "row"
+def resolve_engine(engine: Optional[str]) -> str:
+    """Normalize the engine selection (``None`` → the default)."""
     if engine is None:
         return DEFAULT_ENGINE
     if engine not in ENGINES:
@@ -156,27 +138,18 @@ class Engine:
     ``engine`` selects the execution discipline for non-lineage queries:
 
     - ``"row"`` — tuple-at-a-time interpretation; the semantic reference.
-    - ``"vectorized"`` — batch-at-a-time over row chunks with compiled
-      kernels (see :mod:`repro.engine.vector`).
     - ``"columnar"`` (default) — column-at-a-time over
       :class:`~repro.engine.columnar.ColumnBatch` with zone-map chunk
       pruning (see :mod:`repro.engine.columnar`).
 
     Lineage executions always take the row path, which is the only one
-    that threads provenance. All disciplines produce bit-identical
-    results. The pre-columnar ``vectorized=True/False`` boolean is still
-    accepted but deprecated.
+    that threads provenance. Both disciplines produce bit-identical
+    results.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        engine: Optional[str] = None,
-        *,
-        vectorized: Optional[bool] = None,
-    ):
+    def __init__(self, database: Database, engine: Optional[str] = None):
         self.database = database
-        self.engine_name = resolve_engine(engine, vectorized)
+        self.engine_name = resolve_engine(engine)
         #: Canonical text → plan. Keying on the canonical form (not the
         #: raw string) lets ``select * from t`` and ``SELECT * FROM t``
         #: share one slot instead of planning twice.
@@ -191,9 +164,6 @@ class Engine:
         self._ast_plan_cache: dict[ast.Query, Plan] = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        #: Batch-path volume counters (``/metrics``).
-        self.vector_batches = 0
-        self.vector_rows = 0
         #: Columnar-path volume counters (``/metrics``).
         self.columnar_batches = 0
         self.columnar_rows = 0
@@ -206,11 +176,6 @@ class Engine:
         #: by replaying a memoized node.
         self.dag_shared_nodes = 0
         self.dag_saved_execs = 0
-
-    @property
-    def vectorized(self) -> bool:
-        """Deprecated alias: True for any batched engine (not ``"row"``)."""
-        return self.engine_name != "row"
 
     def _canonical_key(self, text: str) -> str:
         """The cache key for a textual query; raw text when unlexable
@@ -278,13 +243,6 @@ class Engine:
                 self.columnar_rows += cbatch.length
                 rows.extend(cbatch.to_rows())
             return Result(columns=list(plan.columns), rows=rows)
-        if not lineage and self.engine_name == "vectorized":
-            rows = []
-            for batch in op.execute_batch(self.database):
-                self.vector_batches += 1
-                self.vector_rows += len(batch)
-                rows.extend(batch)
-            return Result(columns=list(plan.columns), rows=rows)
         rows: list[Row] = []
         lineages: Optional[list[frozenset]] = [] if lineage else None
         for row, lin in op.execute(self.database, lineage):
@@ -310,12 +268,6 @@ class Engine:
                 self.columnar_rows += cbatch.length
                 return False
             return True
-        if self.engine_name == "vectorized":
-            for batch in op.execute_batch(self.database):
-                self.vector_batches += 1
-                self.vector_rows += len(batch)
-                return False
-            return True
         for _ in op.execute(self.database, False):
             return False
         return True
@@ -338,9 +290,6 @@ class Engine:
         traced = instrument_plan(plan.op, trace, parent=trace.root)
         if self.engine_name == "columnar":
             for _ in traced.execute_columnar(self.database):
-                pass
-        elif self.engine_name == "vectorized":
-            for _ in traced.execute_batch(self.database):
                 pass
         else:
             for _ in traced.execute(self.database, False):

@@ -1,6 +1,6 @@
 """Physical operators.
 
-Every operator supports three execution disciplines:
+Every operator supports two execution disciplines:
 
 - **Row-at-a-time** (:meth:`Operator.execute`): an iterator of
   ``(row, lineage)`` pairs. ``row`` is a tuple of SQL values; ``lineage``
@@ -10,24 +10,19 @@ Every operator supports three execution disciplines:
   adopts from Cui/Widom lineage ([43] in the paper). This path is the
   semantic reference and the only one that tracks provenance.
 
-- **Batch-at-a-time** (:meth:`Operator.execute_batch`): an iterator of
-  row chunks (plain lists, at most :data:`~repro.engine.vector.BATCH_SIZE`
-  rows each, never empty), used when lineage is off. Operators process a
-  chunk per call — compiled kernels replace per-row closure dispatch and
-  the per-row generator hops — and must emit rows in exactly the order the
-  row path would (the sqlite-differential and equivalence suites hold the
-  two paths bit-identical).
-
 - **Column-at-a-time** (:meth:`Operator.execute_columnar`): an iterator
   of :class:`~repro.engine.columnar.ColumnBatch` chunks (never empty),
-  used by ``engine="columnar"``. Scans hand out the table's own column
-  lists (zero copy), filters run selection kernels with zone-map chunk
-  pruning, joins probe with ``map(buckets.get, key_column)`` and gather
-  per column, and group-by reduces gathered value lists. Operators
-  without a columnar specialization fall back to an adapter over the
-  batch path, so every plan runs under every discipline; rows must again
-  come out in exactly the row-path order (the four-way equivalence suite
-  holds all disciplines bit-identical).
+  used by ``engine="columnar"`` when lineage is off. Scans hand out the
+  table's own column lists (zero copy), filters run selection kernels
+  with zone-map chunk pruning, joins probe with
+  ``map(buckets.get, key_column)`` and gather per column, and group-by
+  reduces gathered value lists. Operators whose work is inherently
+  row-wise (nested loops, outer joins, sorts, set operations) do it
+  inside the operator over rows drained from their children's columnar
+  streams (:meth:`Operator._columnar_rows`), so the subtree beneath them
+  never leaves the columnar path. Rows must come out in exactly the
+  row-path order (the equivalence and sqlite-differential suites hold
+  the two disciplines bit-identical).
 
 Lineage combination rules:
 
@@ -47,6 +42,7 @@ keeps alive across evaluations; hit/miss tallies accumulate on the
 
 from __future__ import annotations
 
+import copy
 import itertools
 import time
 from collections import Counter
@@ -54,6 +50,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .aggregates import AccumulatorFactory
 from .columnar import (
+    CHUNK_SIZE,
     OMITTED,
     RANGE_INDEX_MIN_ROWS,
     AggSpec,
@@ -69,12 +66,9 @@ from .database import Database
 from .expressions import RowFn
 from .table import Table
 from .types import SqlValue, sort_key
-from .vector import BATCH_SIZE, BatchFn, chunked, join_probe_kernel
 
 Lineage = Optional[frozenset]
 Stream = Iterator[tuple[tuple, Lineage]]
-#: A batch stream: non-empty lists of plain row tuples.
-BatchStream = Iterator[list]
 #: A columnar stream: non-empty column batches.
 ColumnStream = Iterator[ColumnBatch]
 PredFn = Callable[[tuple], bool]
@@ -90,39 +84,36 @@ class Operator:
     def execute(self, database: Database, lineage: bool) -> Stream:
         raise NotImplementedError
 
-    def execute_batch(self, database: Database) -> BatchStream:
-        """Generic adapter: drain the row path into chunks.
-
-        Specialized operators override this; the adapter guarantees every
-        operator (including future ones) works under the batch discipline.
-        """
-        batch: list = []
-        for row, _ in self.execute(database, False):
-            batch.append(row)
-            if len(batch) >= BATCH_SIZE:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
     def execute_columnar(self, database: Database) -> ColumnStream:
-        """Generic adapter: transpose the batch path into column batches.
-
-        Specialized operators override this to keep data columnar end to
-        end; the adapter guarantees every operator works under the
-        columnar discipline (its whole subtree then runs batch-wise).
-        """
-        for batch in self.execute_batch(database):
-            yield ColumnBatch.from_rows(batch)
+        raise NotImplementedError
 
     def _columnar_rows(self, database: Database) -> Iterator[tuple]:
-        """Row tuples drained from the child-facing columnar stream.
+        """Row tuples drained from this operator's columnar stream.
 
-        Row-wise fallbacks inside specialized operators use this instead
-        of ``execute_batch`` so the subtree *below* stays columnar.
+        How row-wise work inside a parent operator pulls its children,
+        so the subtree *below* stays columnar.
         """
         for cbatch in self.execute_columnar(database):
             yield from cbatch.to_rows()
+
+    def _row_loop_columnar(self, database: Database) -> ColumnStream:
+        """Run this operator's own ``execute(lineage=False)`` loop over
+        its children's *columnar* streams.
+
+        The fallback for operators whose columnar kernels do not cover
+        some plan shape: the row loop is shared with the reference path
+        rather than written a second time, and only this one operator
+        goes row-wise.
+        """
+        clone = copy.copy(self)
+        for attr in ("child", "left", "right"):
+            inner = getattr(clone, attr, None)
+            if isinstance(inner, Operator):
+                rows = inner._columnar_rows(database)
+                setattr(clone, attr, _Wrapped((row, None) for row in rows))
+        out = [row for row, _ in clone.execute(database, False)]
+        if out:
+            yield ColumnBatch.from_rows(out)
 
 
 class ScanOp(Operator):
@@ -140,9 +131,6 @@ class ScanOp(Operator):
         else:
             for row in table.rows():
                 yield row, None
-
-    def execute_batch(self, database: Database) -> BatchStream:
-        yield from chunked(database.table(self.table_name).rows())
 
     def execute_columnar(self, database: Database) -> ColumnStream:
         # One whole-table batch sharing the table's decoded column lists:
@@ -178,13 +166,6 @@ class IndexScanOp(Operator):
             for _, row in matches:
                 yield row, None
 
-    def execute_batch(self, database: Database) -> BatchStream:
-        table = database.table(self.table_name)
-        value = self.value_fn(())
-        matches = table.index_probe(self.column, value)
-        if matches:
-            yield from chunked([row for _, row in matches])
-
     def execute_columnar(self, database: Database) -> ColumnStream:
         table = database.table(self.table_name)
         value = self.value_fn(())
@@ -214,9 +195,6 @@ class MaterializedScanOp(Operator):
             for row in self.table.rows():
                 yield row, None
 
-    def execute_batch(self, database: Database) -> BatchStream:
-        yield from chunked(self.table.rows())
-
     def execute_columnar(self, database: Database) -> ColumnStream:
         table = self.table
         if len(table):
@@ -228,10 +206,8 @@ class MaterializedScanOp(Operator):
 class FilterOp(Operator):
     """Keeps rows satisfying a compiled predicate.
 
-    ``kernel`` is the optional batch form (rows → kept rows, see
-    :func:`repro.engine.vector.filter_kernel`); ``pushed`` counts WHERE
-    conjuncts the planner pushed beneath a join to get here (0 for
-    filters that sit where the SQL put them).
+    ``pushed`` counts WHERE conjuncts the planner pushed beneath a join
+    to get here (0 for filters that sit where the SQL put them).
 
     On the columnar path, ``selection`` is the column-form kernel
     (``(columns, n) → kept positions``). When the filter sits directly on
@@ -259,7 +235,6 @@ class FilterOp(Operator):
         self,
         child: Operator,
         predicate: PredFn,
-        kernel: Optional[BatchFn] = None,
         pushed: int = 0,
         selection: Optional[SelectionKernel] = None,
         prune_table: Optional[str] = None,
@@ -269,7 +244,6 @@ class FilterOp(Operator):
     ):
         self.child = child
         self.predicate = predicate
-        self.kernel = kernel
         self.pushed = pushed
         self.selection = selection
         self.prune_table = prune_table
@@ -288,20 +262,6 @@ class FilterOp(Operator):
         for row, lin in self.child.execute(database, lineage):
             if predicate(row):
                 yield row, lin
-
-    def execute_batch(self, database: Database) -> BatchStream:
-        kernel = self.kernel
-        if kernel is None:
-            predicate = self.predicate
-            for batch in self.child.execute_batch(database):
-                kept = [row for row in batch if predicate(row)]
-                if kept:
-                    yield kept
-        else:
-            for batch in self.child.execute_batch(database):
-                kept = kernel(batch)
-                if kept:
-                    yield kept
 
     def _select_batch(self, cbatch: ColumnBatch) -> Optional[ColumnBatch]:
         """Apply the filter to one column batch (None when nothing passes)."""
@@ -454,38 +414,24 @@ class FilterOp(Operator):
 class ProjectOp(Operator):
     """Row-wise projection through compiled expressions.
 
-    ``kernel`` is the optional batch form (rows → projected rows, see
-    :func:`repro.engine.vector.project_kernel`); ``slots`` the optional
-    columnar form — per output column either a zero-copy input-column
-    pick or a compiled value kernel.
+    ``slots`` is the optional columnar form — per output column either
+    a zero-copy input-column pick or a compiled value kernel.
     """
 
     def __init__(
         self,
         child: Operator,
         exprs: Sequence[RowFn],
-        kernel: Optional[BatchFn] = None,
         slots: Optional[Sequence[Slot]] = None,
     ):
         self.child = child
         self.exprs = list(exprs)
-        self.kernel = kernel
         self.slots = list(slots) if slots is not None else None
 
     def execute(self, database: Database, lineage: bool) -> Stream:
         exprs = self.exprs
         for row, lin in self.child.execute(database, lineage):
             yield tuple(fn(row) for fn in exprs), lin
-
-    def execute_batch(self, database: Database) -> BatchStream:
-        kernel = self.kernel
-        if kernel is None:
-            exprs = self.exprs
-            for batch in self.child.execute_batch(database):
-                yield [tuple(fn(row) for fn in exprs) for row in batch]
-        else:
-            for batch in self.child.execute_batch(database):
-                yield kernel(batch)
 
     def execute_columnar(self, database: Database) -> ColumnStream:
         slots = self.slots
@@ -517,9 +463,10 @@ class HashJoinOp(Operator):
 
     ``left_tuple_fn``/``right_tuple_fn`` are optional single-call key
     extractors (``row → key tuple``); without them the per-key closure
-    lists are used. ``left_positions`` (probe-key column positions, when
-    the keys are plain columns) additionally enables a compiled probe
-    kernel on the batch path. When the build side is a base-table
+    lists are used. ``left_positions``/``right_positions`` (key column
+    positions, when the keys are plain columns) enable the columnar
+    probe; joins on key *expressions* run their row loop over columnar
+    children instead. When the build side is a base-table
     :class:`ScanOp`, the bucket map is cached on the operator keyed by
     the table's mutation version — static relations build once per plan
     lifetime.
@@ -545,9 +492,6 @@ class HashJoinOp(Operator):
         self.left_positions = list(left_positions) if left_positions else None
         self.right_positions = (
             list(right_positions) if right_positions else None
-        )
-        self._probe_kernel = (
-            join_probe_kernel(left_positions) if left_positions else None
         )
         #: Output columns some ancestor reads (None = all); set by the
         #: plan narrowing pass. Unread columns are emitted as OMITTED
@@ -617,12 +561,11 @@ class HashJoinOp(Operator):
                     continue  # NULL never equi-joins
                 buckets.setdefault(key, []).append((row, lin))
         else:
-            for batch in self.right.execute_batch(database):
-                for row in batch:
-                    key = right_key(row)
-                    if None in key:
-                        continue
-                    buckets.setdefault(key, []).append(row)
+            for row, _ in self.right.execute(database, False):
+                key = right_key(row)
+                if None in key:
+                    continue
+                buckets.setdefault(key, []).append(row)
         if table is not None:
             self._build_cache[lineage] = (table, version, buckets)
         return buckets
@@ -665,42 +608,6 @@ class HashJoinOp(Operator):
                     continue
                 for right_row in matches:
                     yield row + right_row, None
-
-    def execute_batch(self, database: Database) -> BatchStream:
-        # Probe-first lazy build (see execute()).
-        left_batches = self.left.execute_batch(database)
-        first = next(left_batches, None)
-        if first is None:
-            return
-        left_batches = itertools.chain((first,), left_batches)
-        buckets = self._right_buckets(database, False)
-        if not buckets:
-            return
-        get = buckets.get
-        probe = self._probe_kernel
-        out: list = []
-        if probe is not None:
-            for batch in left_batches:
-                out += probe(batch, get)
-                if len(out) >= BATCH_SIZE:
-                    yield out
-                    out = []
-        else:
-            # No NULL-key check needed on the probe side: build sides
-            # never admit keys containing NULL, so a NULL key misses.
-            left_key = self._key_fn(self.left_tuple_fn, self.left_keys)
-            empty: tuple = ()
-            for batch in left_batches:
-                out += [
-                    row + right_row
-                    for row in batch
-                    for right_row in get(left_key(row), empty)
-                ]
-                if len(out) >= BATCH_SIZE:
-                    yield out
-                    out = []
-        if out:
-            yield out
 
     # -- columnar path ------------------------------------------------------
 
@@ -785,7 +692,7 @@ class HashJoinOp(Operator):
 
     def execute_columnar(self, database: Database) -> ColumnStream:
         if self.left_positions is None or self.right_positions is None:
-            yield from Operator.execute_columnar(self, database)
+            yield from self._row_loop_columnar(database)
             return
         # Probe-first lazy build (see execute()).
         left_cbatches = self.left.execute_columnar(database)
@@ -902,26 +809,25 @@ class NestedLoopOp(Operator):
                 else:
                     yield combined, None
 
-    def execute_batch(self, database: Database) -> BatchStream:
-        right_rows = [
-            row
-            for batch in self.right.execute_batch(database)
-            for row in batch
-        ]
+    def execute_columnar(self, database: Database) -> ColumnStream:
+        right_rows = list(self.right._columnar_rows(database))
         predicate = self.predicate
         out: list = []
-        for batch in self.left.execute_batch(database):
-            for row in batch:
+        for row in self.left._columnar_rows(database):
+            if predicate is None:
+                out += [row + right_row for right_row in right_rows]
+            else:
                 for right_row in right_rows:
                     combined = row + right_row
-                    if predicate is not None and not predicate(combined):
-                        continue
-                    out.append(combined)
-            if len(out) >= BATCH_SIZE:
-                yield out
+                    if predicate(combined):
+                        out.append(combined)
+            # Chunked: a product can dwarf its inputs, and emptiness
+            # probes stop at the first batch.
+            if len(out) >= CHUNK_SIZE:
+                yield ColumnBatch.from_rows(out)
                 out = []
         if out:
-            yield out
+            yield ColumnBatch.from_rows(out)
 
 
 class LeftJoinOp(Operator):
@@ -962,30 +868,25 @@ class LeftJoinOp(Operator):
             if not matched:
                 yield row + padding, lin
 
-    def execute_batch(self, database: Database) -> BatchStream:
-        right_rows = [
-            row
-            for batch in self.right.execute_batch(database)
-            for row in batch
-        ]
+    def execute_columnar(self, database: Database) -> ColumnStream:
+        right_rows = list(self.right._columnar_rows(database))
         padding = (None,) * self.right_width
         predicate = self.predicate
         out: list = []
-        for batch in self.left.execute_batch(database):
-            for row in batch:
-                matched = False
-                for right_row in right_rows:
-                    combined = row + right_row
-                    if predicate(combined):
-                        matched = True
-                        out.append(combined)
-                if not matched:
-                    out.append(row + padding)
-            if len(out) >= BATCH_SIZE:
-                yield out
+        for row in self.left._columnar_rows(database):
+            matched = False
+            for right_row in right_rows:
+                combined = row + right_row
+                if predicate(combined):
+                    matched = True
+                    out.append(combined)
+            if not matched:
+                out.append(row + padding)
+            if len(out) >= CHUNK_SIZE:
+                yield ColumnBatch.from_rows(out)
                 out = []
         if out:
-            yield out
+            yield ColumnBatch.from_rows(out)
 
 
 class GroupOp(Operator):
@@ -994,8 +895,7 @@ class GroupOp(Operator):
     Emits *group rows* of shape ``key_values + aggregate_results``; the
     planner compiles HAVING and the select list against that layout. When
     ``key_fns`` is empty, a single group is emitted even for empty input
-    (standard scalar-aggregate semantics). ``key_tuple_fn`` is an optional
-    single-call key extractor for the batch path.
+    (standard scalar-aggregate semantics).
     """
 
     def __init__(
@@ -1003,17 +903,15 @@ class GroupOp(Operator):
         child: Operator,
         key_fns: Sequence[RowFn],
         agg_factories: Sequence[AccumulatorFactory],
-        key_tuple_fn: Optional[RowFn] = None,
         key_slots: Optional[Sequence[Slot]] = None,
         agg_specs: Optional[Sequence[AggSpec]] = None,
     ):
         self.child = child
         self.key_fns = list(key_fns)
         self.agg_factories = list(agg_factories)
-        self.key_tuple_fn = key_tuple_fn
         #: Columnar forms: one slot per grouping key, one compiled spec
-        #: per aggregate. ``None`` (any key/aggregate unsupported) falls
-        #: back to the batch discipline for the whole subtree.
+        #: per aggregate. ``None`` (any key/aggregate unsupported) runs
+        #: the accumulator row loop over the columnar child instead.
         self.key_slots = list(key_slots) if key_slots is not None else None
         self.agg_specs = list(agg_specs) if agg_specs is not None else None
         #: Planner-recorded canonical identity for cross-plan sharing
@@ -1047,43 +945,11 @@ class GroupOp(Operator):
             results = tuple(acc.result() for acc in accumulators)
             yield key + results, lin
 
-    def execute_batch(self, database: Database) -> BatchStream:
-        if not self.key_fns:
-            # Scalar aggregation: one group, accumulators sweep each
-            # chunk back-to-back (accumulators are independent, so the
-            # per-accumulator order is unobservable).
-            accumulators = [factory() for factory in self.agg_factories]
-            for batch in self.child.execute_batch(database):
-                for accumulator in accumulators:
-                    accumulator.add_batch(batch)
-            yield [tuple(acc.result() for acc in accumulators)]
-            return
-
-        key_of = self.key_tuple_fn or (
-            lambda row: tuple(fn(row) for fn in self.key_fns)
-        )
-        groups: dict[tuple, list] = {}
-        order: list[tuple] = []
-        for batch in self.child.execute_batch(database):
-            for row in batch:
-                key = key_of(row)
-                state = groups.get(key)
-                if state is None:
-                    state = [factory() for factory in self.agg_factories]
-                    groups[key] = state
-                    order.append(key)
-                for accumulator in state:
-                    accumulator.add(row)
-        out = [
-            key + tuple(acc.result() for acc in groups[key]) for key in order
-        ]
-        yield from chunked(out)
-
     def execute_columnar(self, database: Database) -> ColumnStream:
         key_slots = self.key_slots
         agg_specs = self.agg_specs
         if key_slots is None or agg_specs is None:
-            yield from Operator.execute_columnar(self, database)
+            yield from self._row_loop_columnar(database)
             return
 
         # Materialize the input columns (group-by is a pipeline breaker
@@ -1197,21 +1063,6 @@ class DistinctOp(Operator):
         for row in order:
             yield row, merged[row]
 
-    def execute_batch(self, database: Database) -> BatchStream:
-        seen: set = set()
-        add = seen.add
-        out: list = []
-        for batch in self.child.execute_batch(database):
-            for row in batch:
-                if row not in seen:
-                    add(row)
-                    out.append(row)
-            if len(out) >= BATCH_SIZE:
-                yield out
-                out = []
-        if out:
-            yield out
-
     def execute_columnar(self, database: Database) -> ColumnStream:
         seen: set = set()
         add = seen.add
@@ -1249,23 +1100,19 @@ class DistinctOnOp(Operator):
             seen.add(key)
             yield tuple(fn(row) for fn in self.out_fns), lin
 
-    def execute_batch(self, database: Database) -> BatchStream:
+    def execute_columnar(self, database: Database) -> ColumnStream:
         seen: set = set()
         key_fns = self.key_fns
         out_fns = self.out_fns
         out: list = []
-        for batch in self.child.execute_batch(database):
-            for row in batch:
-                key = tuple(fn(row) for fn in key_fns)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(tuple(fn(row) for fn in out_fns))
-            if len(out) >= BATCH_SIZE:
-                yield out
-                out = []
+        for row in self.child._columnar_rows(database):
+            key = tuple(fn(row) for fn in key_fns)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(tuple(fn(row) for fn in out_fns))
         if out:
-            yield out
+            yield ColumnBatch.from_rows(out)
 
 
 class UnionOp(Operator):
@@ -1286,25 +1133,6 @@ class UnionOp(Operator):
         else:
             yield from DistinctOp(_Wrapped(chained())).execute(database, lineage)
 
-    def execute_batch(self, database: Database) -> BatchStream:
-        if self.all_rows:
-            yield from self.left.execute_batch(database)
-            yield from self.right.execute_batch(database)
-            return
-        seen: set = set()
-        out: list = []
-        for source in (self.left, self.right):
-            for batch in source.execute_batch(database):
-                for row in batch:
-                    if row not in seen:
-                        seen.add(row)
-                        out.append(row)
-                if len(out) >= BATCH_SIZE:
-                    yield out
-                    out = []
-        if out:
-            yield out
-
     def execute_columnar(self, database: Database) -> ColumnStream:
         if self.all_rows:
             yield from self.left.execute_columnar(database)
@@ -1319,6 +1147,23 @@ class UnionOp(Operator):
                     out.append(row)
         if out:
             yield ColumnBatch.from_rows(out)
+
+
+def _distinct_left_rows(
+    op: Operator, database: Database, keep_in_right: bool
+) -> ColumnStream:
+    """Columnar EXCEPT/INTERSECT: distinct left rows whose membership in
+    the right input equals ``keep_in_right``, in left order."""
+    right = set(op.right._columnar_rows(database))
+    emitted: set = set()
+    out: list = []
+    for row in op.left._columnar_rows(database):
+        if (row in right) is not keep_in_right or row in emitted:
+            continue
+        emitted.add(row)
+        out.append(row)
+    if out:
+        yield ColumnBatch.from_rows(out)
 
 
 class ExceptOp(Operator):
@@ -1337,23 +1182,8 @@ class ExceptOp(Operator):
             emitted.add(row)
             yield row, lin
 
-    def execute_batch(self, database: Database) -> BatchStream:
-        removed: set = set()
-        for batch in self.right.execute_batch(database):
-            removed.update(batch)
-        emitted: set = set()
-        out: list = []
-        for batch in self.left.execute_batch(database):
-            for row in batch:
-                if row in removed or row in emitted:
-                    continue
-                emitted.add(row)
-                out.append(row)
-            if len(out) >= BATCH_SIZE:
-                yield out
-                out = []
-        if out:
-            yield out
+    def execute_columnar(self, database: Database) -> ColumnStream:
+        return _distinct_left_rows(self, database, keep_in_right=False)
 
 
 class IntersectOp(Operator):
@@ -1372,23 +1202,8 @@ class IntersectOp(Operator):
             emitted.add(row)
             yield row, lin
 
-    def execute_batch(self, database: Database) -> BatchStream:
-        keep: set = set()
-        for batch in self.right.execute_batch(database):
-            keep.update(batch)
-        emitted: set = set()
-        out: list = []
-        for batch in self.left.execute_batch(database):
-            for row in batch:
-                if row not in keep or row in emitted:
-                    continue
-                emitted.add(row)
-                out.append(row)
-            if len(out) >= BATCH_SIZE:
-                yield out
-                out = []
-        if out:
-            yield out
+    def execute_columnar(self, database: Database) -> ColumnStream:
+        return _distinct_left_rows(self, database, keep_in_right=True)
 
 
 class OrderOp(Operator):
@@ -1407,16 +1222,6 @@ class OrderOp(Operator):
         for fn, desc in reversed(list(zip(self.key_fns, self.descending))):
             rows.sort(key=lambda pair: sort_key(fn(pair[0])), reverse=desc)
         yield from rows
-
-    def execute_batch(self, database: Database) -> BatchStream:
-        rows = [
-            row
-            for batch in self.child.execute_batch(database)
-            for row in batch
-        ]
-        for fn, desc in reversed(list(zip(self.key_fns, self.descending))):
-            rows.sort(key=lambda row: sort_key(fn(row)), reverse=desc)
-        yield from chunked(rows)
 
     def execute_columnar(self, database: Database) -> ColumnStream:
         rows = list(self.child._columnar_rows(database))
@@ -1441,18 +1246,6 @@ class LimitOp(Operator):
             yield row, lin
             remaining -= 1
             if remaining == 0:
-                return
-
-    def execute_batch(self, database: Database) -> BatchStream:
-        remaining = self.limit
-        if remaining <= 0:
-            return
-        for batch in self.child.execute_batch(database):
-            if len(batch) < remaining:
-                remaining -= len(batch)
-                yield batch
-            else:
-                yield batch[:remaining]
                 return
 
     def execute_columnar(self, database: Database) -> ColumnStream:
@@ -1482,9 +1275,6 @@ class ValuesOp(Operator):
         for row in self.rows:
             yield row, (frozenset() if lineage else None)
 
-    def execute_batch(self, database: Database) -> BatchStream:
-        yield from chunked(self.rows)
-
     def execute_columnar(self, database: Database) -> ColumnStream:
         if self.rows:
             yield ColumnBatch.from_rows(self.rows)
@@ -1508,7 +1298,7 @@ class TracedOp(Operator):
     from its stream, so ``span.seconds`` is the node's *inclusive* wall
     time — time inside its subtree, like ``actual time`` in PostgreSQL's
     ``EXPLAIN ANALYZE`` — and ``span.counters["rows"]`` is rows emitted.
-    Under batch execution each pull is one chunk; rows still count rows.
+    Under columnar execution each pull is one batch; rows still count rows.
     """
 
     def __init__(self, inner: Operator, span) -> None:
@@ -1534,25 +1324,6 @@ class TracedOp(Operator):
         finally:
             # Abandoned early (LIMIT upstream, is_empty probes): the rows
             # pulled so far still count.
-            span.counters["rows"] = span.counters.get("rows", 0) + rows
-
-    def execute_batch(self, database: Database) -> BatchStream:
-        span = self.span
-        counter = time.perf_counter
-        stream = self.inner.execute_batch(database)
-        rows = 0
-        try:
-            while True:
-                started = counter()
-                try:
-                    batch = next(stream)
-                except StopIteration:
-                    span.seconds += counter() - started
-                    return
-                span.seconds += counter() - started
-                rows += len(batch)
-                yield batch
-        finally:
             span.counters["rows"] = span.counters.get("rows", 0) + rows
 
     def execute_columnar(self, database: Database) -> ColumnStream:

@@ -19,20 +19,20 @@ Planning decisions, in order:
    PostgreSQL, which is what the paper's witness queries (Lemma 4.2) rely
    on.
 
-Alongside each compiled closure the planner emits batch *kernels* (see
-:mod:`repro.engine.vector`) for filters, projections, and join/group key
-extraction, and columnar forms (see :mod:`repro.engine.columnar`) —
-selection kernels, projection/key slots, aggregate specs — wherever the
-expression shapes allow; the row path never touches either. Filters that
-sit directly on a base-table scan additionally carry a *prune spec*: the
-``column <op> constant`` conjuncts with plan-time-evaluable constants,
-against which the columnar scan consults the table's zone maps (and, for
-a lone range conjunct, its sorted range index) to skip chunks outright.
+Alongside each compiled closure the planner emits columnar forms (see
+:mod:`repro.engine.columnar`) — selection kernels, projection/key slots,
+aggregate specs — wherever the expression shapes allow; the row path
+never touches them. Filters that sit directly on a base-table scan
+additionally carry a *prune spec*: the ``column <op> constant`` conjuncts
+with plan-time-evaluable constants, against which the columnar scan
+consults the table's zone maps (and, for a lone range conjunct, its
+sorted range index) to skip chunks outright.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from ..errors import BindError
@@ -65,7 +65,6 @@ from .operators import (
     UnionOp,
     ValuesOp,
 )
-from . import vector
 
 
 @dataclass
@@ -137,23 +136,12 @@ class Layout:
         index = self.resolve_position(ref)
         return lambda row: row[index]
 
-    def source_resolver(self, base: int = 0) -> vector.SourceResolver:
-        """A kernel-emission resolver: ref → ``row[i]`` source, or None.
+    def position_resolver(self, base: int = 0) -> columnar.PositionResolver:
+        """Columnar-kernel resolver: ref → column position, or None.
 
         ``base`` rebases positions for operators that see a sub-span of
         the concatenated row (unit-level pushed filters).
         """
-
-        def resolve(ref: ast.ColumnRef) -> Optional[str]:
-            try:
-                return f"row[{self.resolve_position(ref) - base}]"
-            except BindError:
-                return None
-
-        return resolve
-
-    def position_resolver(self, base: int = 0) -> columnar.PositionResolver:
-        """Columnar-kernel resolver: ref → column position, or None."""
 
         def resolve(ref: ast.ColumnRef) -> Optional[int]:
             try:
@@ -354,8 +342,8 @@ class Planner:
                     op,
                     left_keys,
                     right_keys,
-                    left_tuple_fn=vector.tuple_fn(left_positions),
-                    right_tuple_fn=vector.tuple_fn(right_positions),
+                    left_tuple_fn=_tuple_fn(left_positions),
+                    right_tuple_fn=_tuple_fn(right_positions),
                     left_positions=left_positions,
                     right_positions=right_positions,
                 )
@@ -395,8 +383,8 @@ class Planner:
         pushed: int = 0,
         prune: Optional[tuple] = None,
     ) -> FilterOp:
-        """A FilterOp with the closure predicate, a batch kernel, and a
-        columnar selection kernel; ``prune`` optionally carries
+        """A FilterOp with the closure predicate and a columnar
+        selection kernel; ``prune`` optionally carries
         ``(table_name, spec, range_probe)`` for zone-map chunk skipping
         over a base-table scan."""
 
@@ -405,9 +393,6 @@ class Planner:
             return lambda row: row[index]
 
         predicate = compile_predicate(expr, column_fn)
-        kernel = vector.filter_kernel(
-            predicate, expr, layout.source_resolver(base)
-        )
         selection = columnar.selection_kernel(
             expr, layout.position_resolver(base)
         )
@@ -420,7 +405,6 @@ class Planner:
         filter_op = FilterOp(
             child,
             predicate,
-            kernel=kernel,
             pushed=pushed,
             selection=selection,
             prune_table=prune_table,
@@ -676,7 +660,7 @@ class Planner:
     def _plan_plain(
         self, select: ast.Select, layout: Layout, child: Operator
     ) -> Plan:
-        out_fns, out_names, out_sources, out_slots = self._output_exprs(
+        out_fns, out_names, out_slots = self._output_exprs(
             select, layout, grouped=False
         )
 
@@ -694,12 +678,7 @@ class Planner:
             ]
             op: Operator = DistinctOnOp(child, on_fns, out_fns)
         else:
-            op = ProjectOp(
-                child,
-                out_fns,
-                kernel=vector.project_kernel(out_fns, sources=out_sources),
-                slots=out_slots,
-            )
+            op = ProjectOp(child, out_fns, slots=out_slots)
             if select.distinct:
                 op = DistinctOp(op)
 
@@ -759,22 +738,16 @@ class Planner:
 
     def _output_exprs(
         self, select: ast.Select, layout: Layout, grouped: bool
-    ) -> tuple[
-        list[RowFn], list[str], list[Optional[str]], Optional[list]
-    ]:
+    ) -> tuple[list[RowFn], list[str], Optional[list]]:
         """Compile the select list (non-grouped path) and name the output.
 
-        The third return is per-slot kernel source (``row[i]`` / emitted
-        expression / None for closure-only slots), feeding the projection
-        kernel; the fourth is the columnar slot list (None when any slot
+        The third return is the columnar slot list (None when any slot
         has no columnar form, sending the projection down its row-wise
         fallback).
         """
         fns: list[RowFn] = []
         names: list[str] = []
-        sources: list[Optional[str]] = []
         slots: list = []
-        emit_source = layout.source_resolver()
         resolve_position = layout.position_resolver()
         for position, item in enumerate(select.items):
             if isinstance(item.expr, ast.Star):
@@ -790,15 +763,13 @@ class Planner:
                         index = binding.offset + column_index
                         fns.append(lambda row, i=index: row[i])
                         names.append(column)
-                        sources.append(f"row[{index}]")
                         slots.append(("col", index))
                 continue
             fns.append(compile_expr(item.expr, layout.column_fn))
             names.append(self._output_name(item, position))
-            sources.append(vector.emit(item.expr, emit_source))
             slots.append(columnar.value_slot(item.expr, resolve_position))
         usable = None if any(slot is None for slot in slots) else slots
-        return fns, names, sources, usable
+        return fns, names, usable
 
     @staticmethod
     def _output_name(item: ast.SelectItem, position: int) -> str:
@@ -818,11 +789,6 @@ class Planner:
         key_exprs = [normalize_expr(e, layout) for e in select.group_by]
         key_index = {expr: i for i, expr in enumerate(key_exprs)}
         key_fns = [compile_expr(e, layout.column_fn) for e in key_exprs]
-        key_tuple = (
-            vector.key_tuple_fn(key_fns, key_exprs, layout.source_resolver())
-            if key_exprs
-            else None
-        )
 
         # Collect distinct aggregate calls across all post-agg expressions.
         agg_order: list[ast.FuncCall] = []
@@ -894,12 +860,7 @@ class Planner:
             return compile_expr(expr, grouped_column, resolve_special)
 
         op: Operator = GroupOp(
-            child,
-            key_fns,
-            factories,
-            key_tuple_fn=key_tuple,
-            key_slots=key_slots,
-            agg_specs=agg_specs,
+            child, key_fns, factories, key_slots=key_slots, agg_specs=agg_specs
         )
         # Sharing identity: normalized keys and aggregates plus the input
         # positions they resolve to (positions disambiguate self-joins
@@ -963,6 +924,14 @@ def _no_columns(ref: ast.ColumnRef) -> RowFn:
     raise BindError(f"unexpected column reference {ref} in constant expression")
 
 
+def _tuple_fn(positions: list[int]) -> RowFn:
+    """``row → (row[i], …)`` in one call (hash-join key extraction)."""
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (row[position],)
+    return itemgetter(*positions)
+
+
 def _slots_needed(slots) -> Optional[frozenset]:
     """Union of input positions the slots read (None = unknown → keep all)."""
     if slots is None:
@@ -989,8 +958,8 @@ def narrow_plan(op: Operator, needed: Optional[frozenset] = None) -> None:
     a join under a two-column projection gathers two output columns
     instead of the full concatenated row.
 
-    The annotation only affects the columnar discipline; the row and
-    batch paths never consult it.
+    The annotation only affects the columnar discipline; the row path
+    never consults it.
     """
     if isinstance(op, ProjectOp):
         narrow_plan(op.child, _slots_needed(op.slots))

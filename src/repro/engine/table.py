@@ -113,9 +113,8 @@ class Table:
            New engine operators must not materialize rows; use
            :meth:`column`, :meth:`column_values`, :meth:`chunks`, and
            :meth:`null_mask` instead. ``rows()`` remains supported for
-           the row/batch execution disciplines and bulk persistence
-           (snapshot/WAL serialization), where whole-tuple access is
-           the point.
+           the row reference engine and bulk persistence (snapshot/WAL
+           serialization), where whole-tuple access is the point.
         """
         cache = self._rows_cache
         if cache is None:

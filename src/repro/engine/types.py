@@ -92,12 +92,12 @@ def compare(op: str, left: SqlValue, right: SqlValue) -> SqlBool:
 
 
 # Per-operator specializations of :func:`compare`, emitted by the
-# vectorized kernel compiler (:mod:`repro.engine.vector`) to skip the
+# columnar kernel compiler (:func:`repro.engine.columnar.emit`) to skip the
 # operator-string dispatch on every row. Each must mirror the matching
 # branch of ``compare`` exactly: same NULL propagation, same cross-family
 # results, same error text. The ``int``/``int`` fast paths are semantic
 # no-ops (``_comparable`` is always True there; ``bool`` has its own
-# ``__class__`` so it never takes them). ``test_vectorized`` holds each
+# ``__class__`` so it never takes them). ``test_columnar`` holds each
 # specialization bit-identical to ``compare`` over a value matrix.
 
 

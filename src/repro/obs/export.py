@@ -34,8 +34,12 @@ Metric names and labels (all prefixed ``repro_``):
 ``repro_plan_cache_misses_total``     counter    ``{shard}``
 ``repro_join_build_cache_hits_total``  counter   ``{shard}``
 ``repro_join_build_cache_misses_total``  counter  ``{shard}``
-``repro_vector_batches_total``        counter    ``{shard}``
-``repro_vector_rows_total``           counter    ``{shard}``
+``repro_engine_info``                 gauge      ``{shard,engine}`` always 1
+``repro_columnar_batches_total``      counter    ``{shard}``
+``repro_columnar_rows_total``         counter    ``{shard}``
+``repro_engine_chunks_scanned_total``  counter   ``{shard}`` zone-map scans
+``repro_engine_chunks_skipped_total``  counter   ``{shard}`` zone-map skips
+``repro_engine_range_probes_total``   counter    ``{shard}``
 ``repro_dag_shared_nodes``            gauge      ``{shard}`` merged subtrees
 ``repro_dag_saved_execs_total``       counter    ``{shard}`` memo replays
 ``repro_policy_eval_seconds``         histogram  ``{shard,policy}``
@@ -179,14 +183,6 @@ def collect_service(service) -> "list[MetricFamily]":
         "repro_join_build_cache_misses_total", "counter",
         "Hash-join build sides (re)built over a base table.",
     )
-    vector_batches = MetricFamily(
-        "repro_vector_batches_total", "counter",
-        "Row chunks produced by vectorized plan roots.",
-    )
-    vector_rows = MetricFamily(
-        "repro_vector_rows_total", "counter",
-        "Rows delivered through the vectorized path.",
-    )
     engine_info = MetricFamily(
         "repro_engine_info", "gauge",
         "Execution engine per shard (value is always 1; the engine "
@@ -306,8 +302,6 @@ def collect_service(service) -> "list[MetricFamily]":
         plan_misses.add(label, engine["plan_misses"])
         build_hits.add(label, engine["build_hits"])
         build_misses.add(label, engine["build_misses"])
-        vector_batches.add(label, engine["vector_batches"])
-        vector_rows.add(label, engine["vector_rows"])
         engine_info.add(
             {"shard": str(shard.index), "engine": engine.get("name", "")},
             1,
@@ -406,7 +400,7 @@ def collect_service(service) -> "list[MetricFamily]":
         cache_hits, cache_misses, cache_invalidations, cache_entries,
         inc_hits, inc_fallbacks, inc_folds, inc_entries,
         plan_hits, plan_misses,
-        build_hits, build_misses, vector_batches, vector_rows,
+        build_hits, build_misses,
         engine_info, columnar_batches, columnar_rows,
         chunks_scanned, chunks_skipped, range_probes,
         dag_shared, dag_saved,

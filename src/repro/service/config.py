@@ -88,10 +88,10 @@ class ServiceConfig:
       An enabled tier requires ``workers=1``: coordinator-assigned
       timestamps must apply on each shard in admission order, which a
       single worker's FIFO guarantees.
-    - ``engine`` — execution engine for every shard enforcer (``"row"``,
-      ``"vectorized"``, or ``"columnar"``); ``None`` (default) inherits
-      the seed enforcer's :attr:`~repro.core.EnforcerOptions.engine`.
-      Decisions are bit-identical under every engine.
+    - ``engine`` — execution engine for every shard enforcer (``"row"``
+      or ``"columnar"``); ``None`` (default) inherits the seed enforcer's
+      :attr:`~repro.core.EnforcerOptions.engine`. Decisions are
+      bit-identical under either engine.
     """
 
     shards: int = 1

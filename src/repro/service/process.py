@@ -598,7 +598,6 @@ def _empty_export_state() -> dict:
             "name": "",
             "plan_hits": 0, "plan_misses": 0,
             "build_hits": 0, "build_misses": 0,
-            "vector_batches": 0, "vector_rows": 0,
             "columnar_batches": 0, "columnar_rows": 0,
             "chunks_scanned": 0, "chunks_skipped": 0,
             "range_probes": 0,

@@ -298,8 +298,6 @@ class Shard:
             "plan_misses": engine.plan_cache_misses,
             "build_hits": engine.database.join_build_hits,
             "build_misses": engine.database.join_build_misses,
-            "vector_batches": engine.vector_batches,
-            "vector_rows": engine.vector_rows,
             "columnar_batches": engine.columnar_batches,
             "columnar_rows": engine.columnar_rows,
             "chunks_scanned": engine.database.zone_chunks_scanned,

@@ -69,14 +69,12 @@ CONFIGS = {
     "no-preemptive": EnforcerOptions.datalawyer(preemptive_compaction=False),
     "improved-partial": EnforcerOptions.datalawyer(improved_partial=True),
     "everything-off-but-compaction": EnforcerOptions.noopt(log_compaction=True),
-    # Execution engines: the baseline runs the default (columnar); every
-    # explicit discipline — row-at-a-time, vectorized batches, columnar
-    # vectors — must be invisible in the decision stream, with and
-    # without the other optimizations.
+    # Execution engines: the baseline runs the default (columnar); both
+    # explicit disciplines — row-at-a-time and columnar vectors — must
+    # be invisible in the decision stream, with and without the other
+    # optimizations.
     "row-engine": EnforcerOptions.datalawyer(engine="row"),
     "row-engine-noopt": EnforcerOptions.noopt(engine="row"),
-    "vectorized-engine": EnforcerOptions.datalawyer(engine="vectorized"),
-    "vectorized-engine-noopt": EnforcerOptions.noopt(engine="vectorized"),
     "columnar-engine": EnforcerOptions.datalawyer(engine="columnar"),
     "columnar-engine-noopt": EnforcerOptions.noopt(engine="columnar"),
 }

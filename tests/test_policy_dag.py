@@ -1,7 +1,7 @@
 """Shared-subplan DAG execution: sharing is invisible to users.
 
 Covers the :mod:`repro.engine.dag` executor end to end: memoization and
-cross-discipline reuse of :class:`SharedNode`, DAG construction over the
+invalidation of :class:`SharedNode`, DAG construction over the
 mimic P1-P6 set, EXPLAIN annotations, per-member metric attribution for
 unified union groups, and a randomized equivalence property where
 unified groups run under ``engine="columnar"`` with policies added and
@@ -31,7 +31,7 @@ from repro.workloads import (
 
 
 # ---------------------------------------------------------------------------
-# SharedNode: memoization, invalidation, cross-discipline reuse
+# SharedNode: memoization, invalidation, replay
 # ---------------------------------------------------------------------------
 
 
@@ -46,10 +46,6 @@ class CountingOp(Operator):
         self.execs += 1
         for row in database.table(self.table_name).rows():
             yield row, None
-
-    def execute_batch(self, database):
-        self.execs += 1
-        yield list(database.table(self.table_name).rows())
 
     def execute_columnar(self, database):
         self.execs += 1
@@ -83,23 +79,20 @@ def test_shared_node_invalidates_on_table_mutation(shared_setup):
     assert child.execs == 2
 
 
-def test_shared_node_converts_across_disciplines(shared_setup):
-    """A batch consumer reuses a fresh columnar memo (and vice versa)
-    instead of re-executing the subtree — the nested-loop operators run
-    on the batch path, and without conversion they would rebuild every
-    shared join a second time per check."""
+def test_second_consumer_replays_the_columnar_memo(shared_setup):
+    """Row-wise consumers (nested loops, outer joins) pull a shared
+    child through ``_columnar_rows``: they replay the memo the columnar
+    consumer filled instead of executing the subtree a second time."""
     db, engine, child, node = shared_setup
     columnar = list(node.execute_columnar(db))
-    batches = list(node.execute_batch(db))
+    rows = list(node._columnar_rows(db))
     assert child.execs == 1
-    assert [row for batch in batches for row in batch] == [
-        row for cb in columnar for row in cb.to_rows()
-    ]
+    assert rows == [row for cb in columnar for row in cb.to_rows()]
     assert engine.dag_saved_execs == 1
 
-    # And batch -> columnar after an invalidating mutation.
+    # And the other way round after an invalidating mutation.
     db.table("t").insert((3,))
-    list(node.execute_batch(db))
+    assert list(node._columnar_rows(db)) == [(1,), (2,), (3,)]
     assert child.execs == 2
     rebuilt = list(node.execute_columnar(db))
     assert child.execs == 2

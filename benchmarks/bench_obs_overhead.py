@@ -4,7 +4,7 @@ Two gates for :mod:`repro.obs`:
 
 1. **Tracing is not the hot path.** The same concurrent marketplace
    stream runs through the gateway with per-query spans on and off
-   (same modeled dispatch as :mod:`bench_service_throughput`); the
+   (a modeled backend round trip comparable to the check); the
    traced run must keep at least 95% of the untraced throughput.
 2. **The exposition survives contact with a real scrape.** A live HTTP
    server handles queries, ``GET /metrics`` is fetched like Prometheus

@@ -21,8 +21,8 @@ lowered so policies actually fire: per-submission decisions, violations,
 and the final state of every table must be bit-identical across the
 row and columnar engines for each strategy — and decisions
 plus table state must also match between the two strategies (violation
-*reports* legitimately differ: the union statement labels each firing
-``policy-set``, the DAG short-circuits and names the firing member).
+*reports* legitimately differ: the literal UNION statement can only
+label a firing ``policy-set``, the DAG names every violated policy).
 """
 
 from __future__ import annotations

@@ -14,23 +14,12 @@ The floor is asserted when the machine has >= 4 usable CPUs (CI runners
 do); on smaller boxes the bench still runs and still proves decision
 equivalence, but reports the speedup without failing — one core cannot
 scale wall-clock no matter the architecture.
-
-DEPRECATED — modeled dispatch: the original PR 1 version of this bench
-"scaled" thread shards by sleeping a modeled backend round trip in each
-worker (sleeps release the GIL, so any shard count "scales"). That
-measured the model, not the middleware. It survives behind the
-``--modeled`` flag strictly as a regression check on the thread-mode
-admission machinery; its numbers must never be quoted as scaling
-results.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
-
-import pytest
 
 from repro.core import Enforcer, EnforcerOptions
 from repro.log import SimulatedClock
@@ -45,7 +34,7 @@ from repro.workloads import (
     split_by_uid,
 )
 
-from figutil import RESULTS_DIR, format_table, ms, publish, scaled
+from figutil import RESULTS_DIR, format_table, publish, scaled
 
 CONFIG = MarketplaceConfig(
     n_subscribers=16,
@@ -66,9 +55,6 @@ SHARD_COUNTS = (1, 4)
 #: Wall-clock floor for 4 process shards vs 1 — real parallel checking,
 #: not modeled sleeps. Only asserted with >= 4 usable CPUs.
 SPEEDUP_FLOOR = 2.5
-
-#: Floor for the deprecated modeled thread-mode lane (--modeled).
-MODELED_SPEEDUP_FLOOR = 2.0
 
 
 def usable_cpus() -> int:
@@ -240,77 +226,3 @@ def test_process_sharding_scales_wall_clock(capsys):
             f"4-process-shard wall-clock speedup {speedup:.2f}x below "
             f"{SPEEDUP_FLOOR}x on {cpus} CPUs"
         )
-
-
-def measure_check_seconds() -> float:
-    """Mean in-process enforcement time over one round of the workload."""
-    enforcer = make_enforcer()
-    workload = make_marketplace_workload(CONFIG)
-    samples = []
-    for repeat in range(3):
-        for uid, sql in enumerate(workload.all().values(), start=1):
-            start = time.perf_counter()
-            enforcer.submit(sql, uid=uid)
-            samples.append(time.perf_counter() - start)
-    return sum(samples) / len(samples)
-
-
-def test_modeled_dispatch_legacy(capsys, request):
-    """DEPRECATED thread-mode lane: scaling here comes from modeled
-    dispatch sleeps, not from parallel checking. Kept only to regress
-    the thread-mode admission machinery; run with ``--modeled``."""
-    if not request.config.getoption("--modeled"):
-        pytest.skip(
-            "modeled-dispatch lane is deprecated (sleep-based pseudo-"
-            "scaling); pass --modeled to run it anyway"
-        )
-
-    check_seconds = measure_check_seconds()
-    dispatch = check_seconds * 5
-    stream = make_stream()
-
-    runs = {}
-    for shards in SHARD_COUNTS:
-        service = ShardedEnforcerService(
-            make_enforcer(),
-            ServiceConfig(
-                shards=shards,
-                queue_depth=max(64, len(stream)),
-                dispatch_seconds=dispatch,
-                routing="modulo",
-            ),
-        )
-        runs[shards] = run_service_stream(
-            service, stream, client_threads=CLIENT_THREADS
-        )
-        service.drain()
-
-    assert_decisions_match_baseline(stream, runs)
-
-    single, sharded = runs[SHARD_COUNTS[0]], runs[SHARD_COUNTS[-1]]
-    assert single.total == sharded.total == len(stream)
-    speedup = sharded.qps / single.qps
-    publish(
-        capsys,
-        "service_throughput_modeled",
-        format_table(
-            "[DEPRECATED] Modeled-dispatch thread-shard lane",
-            ["shards", "queries", "qps", "elapsed s"],
-            [
-                [
-                    shards,
-                    runs[shards].total,
-                    round(runs[shards].qps, 1),
-                    round(runs[shards].elapsed, 2),
-                ]
-                for shards in SHARD_COUNTS
-            ],
-            note=(
-                f"modeled dispatch {ms(dispatch):.2f} ms/query sleeps — "
-                "NOT a scaling result; see "
-                "test_process_sharding_scales_wall_clock for the real "
-                f"wall-clock numbers. speedup {speedup:.2f}x"
-            ),
-        ),
-    )
-    assert speedup >= MODELED_SPEEDUP_FLOOR

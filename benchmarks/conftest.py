@@ -30,14 +30,6 @@ def pytest_addoption(parser):
         help="bench smoke mode: shrink workloads so the suite runs in "
         "seconds (CI); numbers are not comparable to full runs",
     )
-    parser.addoption(
-        "--modeled",
-        action="store_true",
-        default=False,
-        help="DEPRECATED: also run the modeled-dispatch thread-shard "
-        "lane of bench_service_throughput (sleep-based pseudo-scaling; "
-        "numbers are not wall-clock scaling results)",
-    )
 
 
 def pytest_configure(config):

@@ -82,6 +82,16 @@ class PolicyStructure:
     def references_clock(self) -> bool:
         return bool(self.clock_aliases)
 
+    def window_limiting(self) -> bool:
+        """True when every clock predicate shrinks (or fixes) the matched
+        window as time passes (``c.ts </≤/= bound``), so no violation can
+        appear without a new increment — what §4.3's improved partials
+        and uid-pinned shard placement both rely on."""
+        return self.clock_predicates is not None and all(
+            predicate.op in ("<", "<=", "=")
+            for predicate in self.clock_predicates
+        )
+
 
 def referenced_log_relations(query: ast.Query, registry: LogRegistry) -> set[str]:
     """All log relations referenced anywhere in a query (incl. subqueries)."""

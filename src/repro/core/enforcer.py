@@ -7,17 +7,19 @@ toggles each optimization independently so the benchmarks can ablate them:
   generate logs that policies mention, stage increments in memory and flush
   on success, evaluate the policies as one UNION query. No compaction — the
   log grows without bound.
-- ``DataLawyer`` (§4.4): offline, unify same-shape policies and rewrite
-  time-independent ones; online, interleaved evaluation over partial
-  policies (Algorithm 3), full evaluation of the non-interleavable rest,
-  then log compaction (mark via absolute-witness queries, delete, insert)
-  with preemptive pruning, and finally the user's query.
+- ``DataLawyer`` (§4.4): offline, unify same-shape policies, rewrite
+  time-independent ones and give every policy its checkpoints (the
+  partial-policy chain, or just the full query); online, one round over
+  those checkpoints (Algorithm 3) through one set evaluator, then log
+  compaction (mark via absolute-witness queries, delete, insert) with
+  preemptive pruning, and finally the user's query.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from ..analysis import (
@@ -79,16 +81,18 @@ class EnforcerOptions:
     #: §4.3 improved partial policies (lineage-based increment-dependence
     #: test). Off by default, matching the paper's main configuration.
     improved_partial: bool = False
-    #: Policy evaluation strategy when ``interleaved`` is off:
-    #: "serial" (one statement per policy) or "union" (one big statement).
+    #: How the policy set is evaluated: "serial" (every policy its own
+    #: statement) or "union" (the set as one statement — see
+    #: ``plan_sharing`` for the two forms that takes).
     eval_strategy: str = "union"
-    #: Evaluate the "union" strategy through a cross-policy shared-subplan
-    #: DAG (see :mod:`repro.engine.dag`): identical scans, pushed-filter
-    #: scans, join builds, and group-bys across policy branches execute
-    #: once per check, branches run cheapest-first, and the check
-    #: short-circuits on the first firing policy. Decisions and the usage
-    #: log are bit-identical either way. Off in the NoOpt baseline, which
-    #: models the paper's branch-at-a-time UNION statement.
+    #: Merge the subtrees the policy set's checkpoints share in the DAG
+    #: that evaluates them (see :mod:`repro.engine.dag`): identical scans,
+    #: pushed-filter scans, join builds, and group-bys execute once per
+    #: check, across policies and stages. Applies to the "union" strategy
+    #: only; decisions and the usage log are bit-identical either way.
+    #: Off in the NoOpt baseline, where — with ``interleaved`` off too —
+    #: the set runs as the paper's one literal UNION statement (whose
+    #: violations can only be named ``policy-set``).
     plan_sharing: bool = True
     #: Run the mark/delete phases only every k-th query (§5.2: "DataLawyer
     #: could compact the log less frequently or whenever the system has
@@ -157,6 +161,27 @@ class EnforcerOptions:
         return cls(**defaults)
 
 
+@dataclass(frozen=True, eq=False)
+class Checkpoint:
+    """One emptiness test on a policy's way to a verdict (Algorithm 3).
+
+    A policy's checkpoints run in order as their stage comes due. An
+    empty one prunes the policy (Lemma 4.4: π ⇒ π_S); a non-empty one
+    lets the round continue, unless it is ``decisive`` — it holds the
+    full policy — and the policy is violated.
+    """
+
+    #: The log relations generated (or skipped) before this runs — a
+    #: prefix of the registry order. ``None``: after the walk, once
+    #: every relation the policy mentions has been generated.
+    stage: Optional[frozenset]
+    query: ast.Select
+    decisive: bool
+    #: §4.3 improved partial: run with lineage, and count the answer
+    #: only when it depends on the current increment.
+    lineage: bool = False
+
+
 @dataclass
 class RuntimePolicy:
     """A policy after the offline phase: rewrites and evaluation artifacts."""
@@ -169,11 +194,16 @@ class RuntimePolicy:
     log_relations: set[str] = field(default_factory=set)
     time_independent: bool = False
     monotone: bool = False
-    interleavable: bool = False
-    #: Stage set → partial policy; only stages where the partial changes.
-    chain_map: dict[frozenset, Optional[ast.Select]] = field(default_factory=dict)
+    #: The partial-policy chain (stages where the partial changes) when
+    #: the policy is evaluated interleaved, else one decisive checkpoint
+    #: after the walk. The last one always holds the full query.
+    checkpoints: list[Checkpoint] = field(default_factory=list)
     witness: Optional[WitnessSet] = None
-    improved_partial_safe: bool = False
+    #: (witness relation, template, log relations the template reads),
+    #: flattened from ``witness.per_relation`` for the mark phase.
+    witness_templates: list[tuple[str, ast.Select, frozenset]] = field(
+        default_factory=list
+    )
     #: For unified groups: the names of the original member policies.
     member_names: list[str] = field(default_factory=list)
     #: For unified groups: whitespace-normalized violation message → the
@@ -251,17 +281,15 @@ class Enforcer:
         #: log rows its cross-shard aggregates fold, and the commit
         #: observer keeps streaming them.
         self.extra_persist_relations: set[str] = set()
-        self._union_select: Optional[ast.Query] = None
         self._const_tables: list[str] = []
         self._queries_since_compaction = 0
         self._decision_cache: Optional[DecisionCache] = None
         self._cache_plan = None
         self._incremental: Optional[IncrementalMaintainer] = None
-        self._union_residual: Optional[ast.Query] = None
-        #: Branch-name tuple → (plan epoch, PolicyDag). Rebuilt whenever
-        #: the engine's plan epoch moves past the cached one, so
-        #: ``invalidate_plans()`` also drops every memoized DAG node.
-        self._policy_dags: dict[tuple, tuple[int, PolicyDag]] = {}
+        #: The set evaluator over every checkpoint of the installed
+        #: policies; built on first use, rebuilt when the engine or its
+        #: plan epoch moves on (see :meth:`_policy_dag`).
+        self._dag: Optional[PolicyDag] = None
         self.store.attach_observer(self)
         self._prepare()
 
@@ -349,8 +377,6 @@ class Enforcer:
             self._analyze(runtime)
 
         self._runtime = effective
-        self._policy_dags = {}
-        self.engine.dag_shared_nodes = 0
         self._persist_relations = set()
         for runtime in effective:
             if self.options.log_compaction:
@@ -359,25 +385,9 @@ class Enforcer:
             elif not (self.options.time_independent and runtime.time_independent):
                 self._persist_relations |= runtime.log_relations
 
-        self._union_select = None
-        if effective:
-            union: ast.Query = effective[0].select
-            for runtime in effective[1:]:
-                union = ast.SetOp("union", union, runtime.select)
-            self._union_select = union
-
         # Any policy-set change invalidates the incremental maintainer;
         # it is rebuilt lazily (and folds resume) on the next check.
         self._incremental = None
-        self._union_residual = None
-        residual = [r for r in effective if r.incremental_plan is None]
-        if residual:
-            residual_union: ast.Query = residual[0].select
-            for runtime in residual[1:]:
-                residual_union = ast.SetOp(
-                    "union", residual_union, runtime.select
-                )
-            self._union_residual = residual_union
 
         # Any policy-set change is an epoch bump for the decision cache:
         # every memoized verdict predates the new set.
@@ -399,28 +409,7 @@ class Enforcer:
         runtime.select = select
 
         runtime.monotone = is_monotone(select)
-        runtime.interleavable = can_interleave(select)
-        if self.options.interleaved and runtime.interleavable:
-            chain = partial_chain(
-                select,
-                self.registry,
-                self.database,
-                keep_having=runtime.monotone,
-            )
-            runtime.chain_map = dict(chain)
-
-        skip_compaction = (
-            self.options.time_independent and runtime.time_independent
-        )
-        if self.options.log_compaction and not skip_compaction:
-            runtime.witness = witness_queries(select, self.registry, self.database)
-
-        runtime.cache_profile = profile_policy(
-            select,
-            self.registry,
-            self.database,
-            stable=skip_compaction,
-        )
+        structure = analyze_structure(select, self.registry, self.database)
 
         # §4.3 improved partial policies are sound only when (a) the policy
         # is monotone, (b) every clock predicate is window-limiting (the
@@ -428,22 +417,60 @@ class Enforcer:
         # occurrences share one timestamp-equivalence class — then any
         # current-time violation must involve the current increment, so a
         # lineage test on a partial that contains at least one log atom is
-        # conclusive.
-        structure = analyze_structure(select, self.registry, self.database)
+        # conclusive (and the final full evaluation is always decisive on
+        # its own).
         occurrences = list(structure.log_occurrences)
-        one_component = bool(occurrences) and set(occurrences) == (
-            structure.ts_components.get(occurrences[0], {occurrences[0]})
-            if occurrences
-            else set()
+        improved_partial = (
+            self.options.improved_partial
+            and runtime.monotone
+            and bool(occurrences)
+            and set(occurrences) == structure.ts_components[occurrences[0]]
+            and structure.window_limiting()
         )
-        runtime.improved_partial_safe = (
-            runtime.monotone
-            and one_component
-            and structure.clock_predicates is not None
-            and all(
-                predicate.op in ("<", "<=", "=")
-                for predicate in structure.clock_predicates
+
+        if self.options.interleaved and can_interleave(select):
+            chain = partial_chain(
+                select,
+                self.registry,
+                self.database,
+                keep_having=runtime.monotone,
             )
+            # A degenerate (None) partial has nothing useful to check.
+            runtime.checkpoints = [
+                Checkpoint(
+                    stage,
+                    partial,
+                    decisive=partial == select,
+                    lineage=improved_partial
+                    and partial != select
+                    and bool(referenced_log_relations(partial, self.registry)),
+                )
+                for stage, partial in chain
+                if partial is not None
+            ]
+        else:
+            runtime.checkpoints = [Checkpoint(None, select, decisive=True)]
+
+        skip_compaction = (
+            self.options.time_independent and runtime.time_independent
+        )
+        if self.options.log_compaction and not skip_compaction:
+            runtime.witness = witness_queries(select, self.registry, self.database)
+            runtime.witness_templates = [
+                (
+                    relation,
+                    template,
+                    frozenset(referenced_log_relations(template, self.registry)),
+                )
+                for relation, templates in runtime.witness.per_relation.items()
+                for template in templates
+            ]
+
+        runtime.cache_profile = profile_policy(
+            select,
+            self.registry,
+            self.database,
+            stable=skip_compaction,
         )
 
         # Classify for incremental maintenance regardless of the toggle —
@@ -510,6 +537,7 @@ class Enforcer:
                 generated.add(name)
                 eval_order.append(name)
 
+            entry_payload = None
             if cached is not None:
                 # Replay the exact ordered increments the original check
                 # staged during evaluation; the memoized verdict stands
@@ -517,13 +545,8 @@ class Enforcer:
                 for name in cached.generated:
                     ensure_log(name)
                 violations = list(cached.violations)
-                entry_payload = None
             else:
-                if self.options.interleaved:
-                    violations = self._interleaved_round(metrics, ensure_log)
-                else:
-                    violations = self._direct_round(metrics, ensure_log)
-                entry_payload = None
+                violations = self._round(metrics, ensure_log)
                 if (
                     cache is not None
                     and key is not None
@@ -713,232 +736,155 @@ class Enforcer:
 
     # -- policy evaluation ------------------------------------------------
 
-    def _interleaved_round(
+    def _round(
         self,
         metrics: QueryMetrics,
         ensure_log: Callable[[str], None],
     ) -> list[Violation]:
-        """Algorithm 3 over the interleavable policies, then the rest."""
-        violations: list[Violation] = []
+        """Algorithm 3: one walk over the log functions, settling every
+        policy's checkpoints as their stage comes due.
+
+        A log increment is generated only when a policy still live in
+        the walk mentions it. Policies with a single after-the-walk
+        checkpoint (not interleaved, or routed to the incremental
+        maintainer — whose staging is then identical whether the state
+        check or the full fallback answers, which keeps warm and cold
+        runs bit-identical) are settled together at the end.
+        """
         maintainer = self._incremental_handle()
-        active = [
-            r
-            for r in self._runtime
-            if r.interleavable
-            and r.chain_map
-            and not (maintainer is not None and r.incremental_plan is not None)
-        ]
-        active_ids = {id(r) for r in active}
-        deferred = [r for r in self._runtime if id(r) not in active_ids]
+        violations: list[Violation] = []
+        active: list[RuntimePolicy] = []
+        final: list[tuple[RuntimePolicy, Checkpoint]] = []
+        for runtime in self._runtime:
+            routed = maintainer is not None and runtime.incremental_plan is not None
+            if routed or runtime.checkpoints[0].stage is None:
+                final.append((runtime, runtime.checkpoints[-1]))
+            else:
+                active.append(runtime)
 
         stage: set[str] = set()
-        still_active: list[RuntimePolicy] = []
-        for runtime in active:
-            verdict = self._eval_stage(runtime, frozenset(), metrics)
-            if verdict == "violation":
-                violations.append(self._violation_for(runtime, metrics))
-            elif verdict == "keep":
-                still_active.append(runtime)
-        active = still_active
-
-        for function in self.registry.ordered():
+        for function in (None, *self.registry.ordered()):
             if not active:
                 break
-            name = function.name
-            if any(name in runtime.log_relations for runtime in active):
-                ensure_log(name)
-            stage.add(name)
-            frozen = frozenset(stage)
-            still_active = []
-            for runtime in active:
-                verdict = self._eval_stage(runtime, frozen, metrics)
-                if verdict == "violation":
-                    violations.append(self._violation_for(runtime, metrics))
-                elif verdict == "keep":
-                    still_active.append(runtime)
-            active = still_active
+            if function is not None:
+                name = function.name
+                if any(name in runtime.log_relations for runtime in active):
+                    ensure_log(name)
+                stage.add(name)
+            due = [
+                (runtime, checkpoint)
+                for runtime in active
+                for checkpoint in runtime.checkpoints
+                if checkpoint.stage == stage
+            ]
+            settled = self._settle(due, metrics, maintainer, violations)
+            active = [r for r in active if id(r) not in settled]
 
-        # Anything that cannot interleave is evaluated in full (§4.4 step 2).
-        # Incrementally routed policies land here too: their staging is
-        # identical whether the state check or the full fallback answers,
-        # which is what keeps warm and cold runs bit-identical.
-        for runtime in deferred:
+        for runtime, _ in final:
             for name in sorted(runtime.log_relations):
                 ensure_log(name)
+        self._settle(final, metrics, maintainer, violations)
+        return violations
+
+    def _settle(
+        self,
+        due: list[tuple[RuntimePolicy, Checkpoint]],
+        metrics: QueryMetrics,
+        maintainer: Optional[IncrementalMaintainer],
+        violations: list[Violation],
+    ) -> set[int]:
+        """The one set evaluator: answer every due checkpoint.
+
+        Appends a violation per decisive checkpoint that fired and
+        returns the ids of the policies that leave the walk (pruned or
+        decided). Incrementally routed policies ask the maintainer
+        first, lineage checkpoints execute on their own, the rest go
+        through the shared-subplan DAG in one call.
+        """
+        answers: dict[Checkpoint, tuple[bool, Optional[float]]] = {}
+        for runtime, checkpoint in due:
             if maintainer is not None and runtime.incremental_plan is not None:
                 verdict = maintainer.check(runtime.name)
                 if verdict is not None:
-                    if verdict:
-                        violations.append(
-                            self._violation_for(runtime, metrics)
-                        )
-                    continue
-            started = time.perf_counter()
-            empty = self.engine.is_empty(runtime.select)
-            self._attribute_policy_seconds(
-                metrics, runtime, time.perf_counter() - started
+                    answers[checkpoint] = (verdict, None)
+            elif checkpoint.lineage:
+                started = time.perf_counter()
+                result = self.engine.execute(checkpoint.query, lineage=True)
+                elapsed = time.perf_counter() - started
+                # §4.3: a non-empty answer that predates this query's
+                # increment held before — the policy still holds.
+                fired = bool(result.rows) and self._depends_on_increment(result)
+                answers[checkpoint] = (fired, elapsed)
+        rest = [c for _, c in due if c not in answers]
+        options = self.options
+        if (
+            rest
+            and options.eval_strategy == "union"
+            and not options.plan_sharing
+            and not options.interleaved
+        ):
+            # The paper's NoOpt / Figure 5 baseline: literally one UNION
+            # statement, which cannot say which branch produced a row.
+            union = reduce(
+                lambda left, right: ast.SetOp("union", left, right),
+                (checkpoint.query for checkpoint in rest),
             )
+            with metrics.timed(PHASE_POLICY, span="policy:union"):
+                result = self.engine.execute(union)
             metrics.add_count("statements")
-            if not empty:
+            for row in result.rows:
+                message = row[0] if row and isinstance(row[0], str) else "violated"
+                violations.append(
+                    Violation("policy-set", " ".join(message.split()))
+                )
+            answers.update((checkpoint, (False, None)) for checkpoint in rest)
+        elif rest:
+            answers.update(self._policy_dag().evaluate(rest))
+
+        settled: set[int] = set()
+        for runtime, checkpoint in due:
+            fired, elapsed = answers[checkpoint]
+            if elapsed is not None:
+                self._attribute_policy_seconds(metrics, runtime, elapsed)
+                metrics.add_count("statements")
+            if fired and checkpoint.decisive:
                 violations.append(self._violation_for(runtime, metrics))
-        return violations
-
-    def _eval_stage(
-        self,
-        runtime: RuntimePolicy,
-        stage: frozenset,
-        metrics: QueryMetrics,
-    ) -> str:
-        """Evaluate one partial; returns 'pruned', 'keep' or 'violation'."""
-        if stage not in runtime.chain_map:
-            return "keep"  # partial unchanged at this stage
-        partial = runtime.chain_map[stage]
-        if partial is None:
-            return "keep"  # degenerate partial: nothing useful to check
-        is_full = partial == runtime.select
-
-        # The lineage-based dependence test is only conclusive when the
-        # partial contains a log atom (see _analyze); and the final full
-        # evaluation is always decisive on its own.
-        use_lineage = (
-            self.options.improved_partial
-            and runtime.improved_partial_safe
-            and not is_full
-            and bool(referenced_log_relations(partial, self.registry))
-        )
-        started = time.perf_counter()
-        if use_lineage:
-            result = self.engine.execute(partial, lineage=True)
-            empty = not result.rows
-        else:
-            result = None
-            empty = self.engine.is_empty(partial)
-        self._attribute_policy_seconds(
-            metrics, runtime, time.perf_counter() - started
-        )
-        metrics.add_count("statements")
-
-        if empty:
-            return "pruned"
-        if use_lineage and result is not None:
-            if not self._depends_on_increment(result):
-                # §4.3: the non-empty answer predates this query's increment,
-                # and the policy held before — it still holds.
-                return "pruned"
-        return "violation" if is_full else "keep"
+            if checkpoint.decisive or not fired:
+                settled.add(id(runtime))
+        return settled
 
     def _depends_on_increment(self, result: Result) -> bool:
         assert result.lineages is not None
-        staged: dict[str, set[int]] = {
-            name: set(self.store.staged_tids(name))
+        staged = {
+            (name, tid)
             for name in self.store.staged_relations()
+            for tid in self.store.staged_tids(name)
         }
-        for lineage in result.lineages:
-            for table, tid in lineage:
-                if tid in staged.get(table, ()):
-                    return True
-        return False
+        return any(not staged.isdisjoint(lineage) for lineage in result.lineages)
 
-    def _direct_round(
-        self,
-        metrics: QueryMetrics,
-        ensure_log: Callable[[str], None],
-    ) -> list[Violation]:
-        """Non-interleaved evaluation: one UNION statement or serial."""
-        maintainer = self._incremental_handle()
-        needed: set[str] = set()
-        for runtime in self._runtime:
-            needed |= runtime.log_relations
-        for name in self.registry.names():
-            if name in needed:
-                ensure_log(name)
+    def _policy_dag(self) -> PolicyDag:
+        """The shared-subplan DAG over every installed checkpoint.
 
-        if maintainer is not None:
-            residual = [
-                r for r in self._runtime if r.incremental_plan is None
-            ]
-            union_query = self._union_residual
-        else:
-            residual = list(self._runtime)
-            union_query = self._union_select
-
-        violations: list[Violation] = []
-        if (
-            self.options.eval_strategy == "union"
-            and union_query is not None
-            and residual
-        ):
-            if self.options.plan_sharing:
-                # Shared-subplan DAG: one pass over the log for the whole
-                # residual set, cheapest branches first, stopping at the
-                # first firing policy. Counted as one statement, like the
-                # UNION form it replaces.
-                dag = self._policy_dag(residual)
-                fired, timings = dag.evaluate()
-                for runtime, seconds in timings:
-                    self._attribute_policy_seconds(metrics, runtime, seconds)
-                metrics.add_count("statements")
-                if fired is not None:
-                    violations.append(self._violation_for(fired, metrics))
-            else:
-                with metrics.timed(PHASE_POLICY, span="policy:union"):
-                    result = self.engine.execute(union_query)
-                metrics.add_count("statements")
-                for row in result.rows:
-                    message = (
-                        row[0] if row and isinstance(row[0], str) else "violated"
-                    )
-                    violations.append(
-                        Violation("policy-set", " ".join(message.split()))
-                    )
-        else:
-            for runtime in residual:
-                started = time.perf_counter()
-                empty = self.engine.is_empty(runtime.select)
-                self._attribute_policy_seconds(
-                    metrics, runtime, time.perf_counter() - started
-                )
-                metrics.add_count("statements")
-                if not empty:
-                    violations.append(self._violation_for(runtime, metrics))
-
-        if maintainer is not None:
-            for runtime in self._runtime:
-                if runtime.incremental_plan is None:
-                    continue
-                verdict = maintainer.check(runtime.name)
-                if verdict is None:
-                    started = time.perf_counter()
-                    empty = self.engine.is_empty(runtime.select)
-                    self._attribute_policy_seconds(
-                        metrics, runtime, time.perf_counter() - started
-                    )
-                    metrics.add_count("statements")
-                    verdict = not empty
-                if verdict:
-                    violations.append(self._violation_for(runtime, metrics))
-        return violations
-
-    def _policy_dag(self, residual: list[RuntimePolicy]) -> PolicyDag:
-        """The shared-subplan DAG for this branch set, epoch-checked.
-
-        Keyed by the branch names; an entry whose recorded plan epoch
-        trails the engine's is stale — ``invalidate_plans()`` bumped the
-        epoch, so both the cached branch plans and every memoized
-        :class:`~repro.engine.dag.SharedNode` batch must be dropped.
+        Built once per plan epoch: ``invalidate_plans()`` (every policy-
+        set change calls it) retires the branch plans and every memoized
+        :class:`~repro.engine.dag.SharedNode` batch with them. The
+        service swaps ``self.engine`` after construction, hence the
+        identity check.
         """
-        key = tuple(runtime.name for runtime in residual)
-        cached = self._policy_dags.get(key)
-        if cached is not None and cached[0] == self.engine.plan_epoch:
-            return cached[1]
-        branches = [
-            (runtime, self.engine.plan(runtime.select)) for runtime in residual
-        ]
-        dag = PolicyDag(self.engine, branches)
-        self._policy_dags[key] = (self.engine.plan_epoch, dag)
-        self.engine.dag_shared_nodes = sum(
-            entry.shared_count for _, entry in self._policy_dags.values()
-        )
+        dag = self._dag
+        engine = self.engine
+        if dag is None or dag.engine is not engine or dag.epoch != engine.plan_epoch:
+            options = self.options
+            dag = self._dag = PolicyDag(
+                engine,
+                [
+                    (checkpoint, engine.plan(checkpoint.query))
+                    for runtime in self._runtime
+                    for checkpoint in runtime.checkpoints
+                    if not checkpoint.lineage
+                ],
+                share=options.plan_sharing and options.eval_strategy == "union",
+            )
         return dag
 
     def _attribute_policy_seconds(
@@ -1005,7 +951,7 @@ class Enforcer:
             for runtime in self._runtime:
                 if runtime.witness is not None:
                     self._mark_policy(
-                        runtime.witness, metrics, ensure_log, generated, timestamp, marks
+                        runtime, metrics, ensure_log, generated, timestamp, marks
                     )
             # Extra relations are retained in full — the global tier
             # rebuilds aggregator state exactly from shard disk images, so
@@ -1046,43 +992,38 @@ class Enforcer:
 
     def _mark_policy(
         self,
-        witness: WitnessSet,
+        runtime: RuntimePolicy,
         metrics: QueryMetrics,
         ensure_log: Callable[[str], None],
         generated: set[str],
         timestamp: int,
         marks: dict[str, set[int]],
     ) -> None:
-        for relation, templates in witness.per_relation.items():
+        for relation, template, reads in runtime.witness_templates:
             collected = marks.setdefault(relation, set())
-            for template in templates:
-                missing = (
-                    referenced_log_relations(template, self.registry) - generated
-                )
-                if missing and self.options.preemptive_compaction:
-                    probe = partial_witness_probe(
-                        template, generated, self.registry
-                    )
-                    if probe is not None:
-                        instantiated = substitute_current_time(probe, timestamp)
-                        with metrics.timed(PHASE_MARK):
-                            probe_empty = self.engine.is_empty(instantiated)
-                        metrics.add_count("statements")
-                        if probe_empty:
-                            continue  # the full witness is provably empty
-                for name in sorted(missing):
-                    ensure_log(name)
-                    generated.add(name)
-                instantiated = substitute_current_time(template, timestamp)
-                with metrics.timed(PHASE_MARK):
-                    result = self.engine.execute(instantiated, lineage=True)
-                metrics.add_count("statements")
-                assert result.lineages is not None
-                for lineage in result.lineages:
-                    for table, tid in lineage:
-                        if table == relation:
-                            collected.add(tid)
-        for relation in witness.retain_all:
+            missing = reads - generated
+            if missing and self.options.preemptive_compaction:
+                probe = partial_witness_probe(template, generated, self.registry)
+                if probe is not None:
+                    instantiated = substitute_current_time(probe, timestamp)
+                    with metrics.timed(PHASE_MARK):
+                        probe_empty = self.engine.is_empty(instantiated)
+                    metrics.add_count("statements")
+                    if probe_empty:
+                        continue  # the full witness is provably empty
+            for name in sorted(missing):
+                ensure_log(name)
+                generated.add(name)
+            instantiated = substitute_current_time(template, timestamp)
+            with metrics.timed(PHASE_MARK):
+                result = self.engine.execute(instantiated, lineage=True)
+            metrics.add_count("statements")
+            assert result.lineages is not None
+            for lineage in result.lineages:
+                for table, tid in lineage:
+                    if table == relation:
+                        collected.add(tid)
+        for relation in runtime.witness.retain_all:
             with metrics.timed(PHASE_MARK):
                 marks.setdefault(relation, set()).update(
                     self.database.table(relation).tids()

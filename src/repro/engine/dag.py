@@ -31,9 +31,10 @@ single DAG:
    mutates — the enforcer bumps the clock and log tables every check,
    while genuinely static subtrees stay warm across checks.
 
-:meth:`PolicyDag.evaluate` additionally orders branches cheapest-first
-(estimated by base-table rows plus operator count, deterministic across
-engines) and short-circuits the check on the first firing policy.
+The branches are the enforcer's *checkpoints* — every partial policy of
+every staged policy plus every full policy — so sharing spans policies
+and stages alike. :meth:`PolicyDag.evaluate` answers, for the branches
+due at one step of the round, which are non-empty.
 """
 
 from __future__ import annotations
@@ -135,10 +136,6 @@ def base_tables(op: Operator) -> frozenset:
     stack = [op]
     while stack:
         node = stack.pop()
-        inner = getattr(node, "inner", None)  # TracedOp wrapper
-        if isinstance(inner, Operator):
-            stack.append(inner)
-            continue
         if isinstance(node, (ScanOp, IndexScanOp)):
             tables.add(node.table_name)
         for attr in _CHILD_ATTRS:
@@ -146,20 +143,6 @@ def base_tables(op: Operator) -> frozenset:
             if isinstance(child, Operator):
                 stack.append(child)
     return frozenset(tables)
-
-
-def operator_count(op: Operator) -> int:
-    """Number of operators under (and including) ``op``."""
-    count = 0
-    stack = [op]
-    while stack:
-        node = stack.pop()
-        count += 1
-        for attr in _CHILD_ATTRS:
-            child = getattr(node, attr, None)
-            if isinstance(child, Operator):
-                stack.append(child)
-    return count
 
 
 class SharedNode(Operator):
@@ -206,49 +189,35 @@ class SharedNode(Operator):
         )
 
 
-class _Branch:
-    """One policy branch of a :class:`PolicyDag`."""
-
-    __slots__ = ("key", "root", "tables", "op_count", "index")
-
-    def __init__(self, key, root, tables, op_count, index):
-        self.key = key
-        self.root = root
-        self.tables = tables
-        self.op_count = op_count
-        self.index = index
-
-
 class PolicyDag:
-    """The full policy set as one DAG of (partially shared) branch plans.
+    """A set of branch plans as one DAG of (partially shared) subtrees.
 
     ``branches`` is a list of ``(key, plan)`` pairs — the key is opaque
-    to this module (the enforcer passes its runtime policy records).
-    Plans are rewritten via shallow clones; the originals (typically the
-    engine's cached plans) are never mutated.
+    to this module (the enforcer passes its checkpoint records). Plans
+    are rewritten via shallow clones; the originals (typically the
+    engine's cached plans) are never mutated. ``share=False`` builds the
+    same structure with nothing merged: every branch runs its own
+    subtrees, as independently planned statements would.
     """
 
-    def __init__(self, engine, branches):
+    def __init__(self, engine, branches, share: bool = True):
         self.engine = engine
+        #: The plan epoch the branch plans belong to; a holder compares
+        #: it with the engine's to decide whether this DAG is stale.
+        self.epoch = engine.plan_epoch
         self.nodes: dict = {}
         fp_memo: dict = {}
         counts: dict = {}
         needed: dict = {}
-        for _, plan in branches:
-            self._collect(plan.op, fp_memo, counts, needed)
-        self.entries: list[_Branch] = []
-        for index, (key, plan) in enumerate(branches):
-            root = self._rewrite(plan.op, fp_memo, counts, needed)
-            self.entries.append(
-                _Branch(
-                    key,
-                    root,
-                    base_tables(plan.op),
-                    operator_count(plan.op),
-                    index,
-                )
-            )
-        self.shared_count = len(self.nodes)
+        if share:
+            for _, plan in branches:
+                self._collect(plan.op, fp_memo, counts, needed)
+        #: Branch key → rewritten plan root.
+        self.roots = {
+            key: self._rewrite(plan.op, fp_memo, counts, needed)
+            for key, plan in branches
+        }
+        engine.dag_shared_nodes = len(self.nodes)
 
     def _collect(self, op, fp_memo, counts, needed):
         fp = fingerprint(op, fp_memo)
@@ -293,27 +262,16 @@ class PolicyDag:
         self.nodes[fp] = node
         return node
 
-    def evaluate(self):
-        """Check all branches, cheapest first, short-circuiting.
+    def evaluate(self, keys) -> dict:
+        """Which of the due branches are non-empty.
 
-        Returns ``(fired_key_or_None, timings)`` where ``timings`` is
-        ``[(key, seconds), ...]`` for the branches actually evaluated,
-        in evaluation order. The cost estimate (base-table rows plus
-        operator count, original order as tie-break) depends only on
-        table sizes, so the evaluation order — and therefore which
-        firing policy is reported — is deterministic across engines.
+        Returns ``{key: (non_empty, seconds)}`` for every key in
+        ``keys``, evaluated in the order given; subtrees the branches
+        share execute once and are replayed from their memo.
         """
-        database = self.engine.database
-
-        def cost(entry):
-            rows = sum(len(database.table(name)) for name in entry.tables)
-            return (rows + entry.op_count, entry.index)
-
-        timings: list[tuple] = []
-        for entry in sorted(self.entries, key=cost):
+        outcomes = {}
+        for key in keys:
             started = time.perf_counter()
-            empty = self.engine.plan_is_empty(entry.root)
-            timings.append((entry.key, time.perf_counter() - started))
-            if not empty:
-                return entry.key, timings
-        return None, timings
+            empty = self.engine.plan_is_empty(self.roots[key])
+            outcomes[key] = (not empty, time.perf_counter() - started)
+        return outcomes

@@ -168,12 +168,13 @@ class Engine:
         self.columnar_batches = 0
         self.columnar_rows = 0
         #: Bumped by :meth:`invalidate_plans`; holders of derived plan
-        #: structures (the enforcer's shared-subplan DAGs) compare it to
+        #: structures (the enforcer's shared-subplan DAG) compare it to
         #: decide whether their rewrites are stale.
         self.plan_epoch = 0
-        #: Shared-subplan DAG gauges/counters (``/metrics``): nodes
-        #: merged in the current DAG set, and subtree executions avoided
-        #: by replaying a memoized node.
+        #: Shared-subplan DAG gauge/counter (``/metrics``): subtrees
+        #: merged in the live :class:`~repro.engine.dag.PolicyDag` (it
+        #: sets the gauge when built; :meth:`invalidate_plans` zeroes
+        #: it), and subtree executions avoided by replaying a memo.
         self.dag_shared_nodes = 0
         self.dag_saved_execs = 0
 
@@ -217,13 +218,14 @@ class Engine:
         """Drop cached plans (after schema changes); counters persist.
 
         The epoch bump also retires every structure *derived* from those
-        plans — in particular the enforcer's shared-subplan DAGs and the
-        batches their :class:`~repro.engine.dag.SharedNode`\\ s memoized.
+        plans — in particular the enforcer's shared-subplan DAG and the
+        batches its :class:`~repro.engine.dag.SharedNode`\\ s memoized.
         """
         self._plan_cache.clear()
         self._canonical_memo.clear()
         self._ast_plan_cache.clear()
         self.plan_epoch += 1
+        self.dag_shared_nodes = 0
 
     def execute(
         self,

@@ -144,7 +144,7 @@ def classify_policy(
     components = {
         frozenset(component) for component in structure.ts_components.values()
     }
-    limiting = _window_limiting(structure)
+    limiting = structure.window_limiting()
 
     # Shape 2: every component pinned to the same uid constant.
     if (
@@ -258,19 +258,6 @@ def _pin_pair(
         ):
             return alias, other.value
     return None
-
-
-def _window_limiting(structure: PolicyStructure) -> bool:
-    """True when every clock predicate shrinks (or fixes) the matched
-    window as time passes — the same condition §4.3's improved partials
-    need, for the same reason: no violation can appear without a new
-    increment."""
-    if structure.clock_predicates is None:
-        return False
-    return all(
-        predicate.op in ("<", "<=", "=")
-        for predicate in structure.clock_predicates
-    )
 
 
 def _groups_by_log_ts(

@@ -235,10 +235,9 @@ class TestServiceEquivalence:
             ]
             for thread in threads:
                 thread.start()
-            wait_until(
-                lambda: shard.queue_depth() + shard.busy_workers()
-                >= len(self.UIDS)
-            )
+            # Count admitted jobs, not busy workers: the stalled worker
+            # may already hold several of them in one drained batch.
+            wait_until(lambda: shard.counters.admitted >= len(self.UIDS))
         for thread in threads:
             thread.join(timeout=10)
         return service, decisions

@@ -18,7 +18,7 @@ from repro.core import Enforcer, EnforcerOptions, Policy
 from repro.engine import Database, Engine
 from repro.engine.columnar import ColumnBatch
 from repro.engine.dag import SharedNode
-from repro.engine.explain import describe
+from repro.engine.explain import describe, explain_plan
 from repro.engine.operators import Operator
 from repro.log import SimulatedClock
 from repro.workloads import (
@@ -114,9 +114,17 @@ def test_shared_node_explain_annotation(shared_setup):
 # ---------------------------------------------------------------------------
 
 
-def make_mimic_enforcer(**option_overrides):
+#: The lane ``bench_policy_dag`` times (every policy one after-the-walk
+#: checkpoint) and the product defaults (``repro serve``: staged partial
+#: chains, where sharing spans stages as well as policies).
+MIMIC_LANES = {
+    "direct": EnforcerOptions.noopt(plan_sharing=True),
+    "defaults": EnforcerOptions.datalawyer(),
+}
+
+
+def make_mimic_enforcer(options=MIMIC_LANES["direct"]):
     config = MimicConfig(n_patients=20)
-    options = EnforcerOptions.noopt(plan_sharing=True, **option_overrides)
     return (
         Enforcer(
             build_mimic_database(config),
@@ -128,8 +136,9 @@ def make_mimic_enforcer(**option_overrides):
     )
 
 
-def test_dag_merges_mimic_subplans_and_replays_memos():
-    enforcer, workload = make_mimic_enforcer()
+@pytest.mark.parametrize("lane", sorted(MIMIC_LANES))
+def test_dag_merges_mimic_subplans_and_replays_memos(lane):
+    enforcer, workload = make_mimic_enforcer(MIMIC_LANES[lane])
     enforcer.submit(workload["W1"], uid=1)
     # P1-P6 share the clock scan, the restricted-user index scan, the
     # users-provenance join, and the windowed nested loop.
@@ -138,27 +147,45 @@ def test_dag_merges_mimic_subplans_and_replays_memos():
     assert saved > 0
     enforcer.submit(workload["W1"], uid=2)
     assert enforcer.engine.dag_saved_execs > saved
+    plans = "\n".join(
+        explain_plan(root, []) for root in enforcer._dag.roots.values()
+    )
+    assert "[shared=" in plans
+
+
+def test_staged_round_generates_increments_lazily():
+    """P2-P6 are pruned at the ``users`` stage for an unrestricted uid,
+    so nothing later in the walk is generated — the staged checkpoints
+    keep Algorithm 3's laziness while sharing one evaluator."""
+    enforcer, workload = make_mimic_enforcer(MIMIC_LANES["defaults"])
+    decision = enforcer.submit(workload["W1"], uid=0)
+    assert decision.allowed
+    generated = {k for k in decision.metrics.seconds if k.startswith("log:")}
+    assert generated == {"log:users"}
+    assert enforcer.store.staged_relations() == []
+    assert len(enforcer.database.table("provenance")) == 0
 
 
 def test_invalidate_plans_drops_memoized_dag_nodes():
     enforcer, workload = make_mimic_enforcer()
     enforcer.submit(workload["W1"], uid=1)
-    (epoch, dag), = enforcer._policy_dags.values()
+    dag = enforcer._dag
     assert any(node._memo for node in dag.nodes.values())
 
     enforcer.engine.invalidate_plans()
-    assert enforcer.engine.plan_epoch > epoch
+    assert enforcer.engine.plan_epoch > dag.epoch
+    assert enforcer.engine.dag_shared_nodes == 0
     enforcer.submit(workload["W1"], uid=2)
-    (_, rebuilt), = enforcer._policy_dags.values()
     # A stale epoch rebuilds the DAG from scratch: fresh SharedNodes,
     # no memo carried over from before the invalidation.
-    assert rebuilt is not dag
+    assert enforcer._dag is not dag
+    assert enforcer.engine.dag_shared_nodes == len(enforcer._dag.nodes)
 
 
-def test_policy_add_remove_resets_dag_cache():
+def test_policy_add_remove_retires_the_dag():
     enforcer, workload = make_mimic_enforcer()
     enforcer.submit(workload["W1"], uid=1)
-    assert enforcer._policy_dags
+    before = enforcer._dag
     enforcer.add_policy(
         Policy.from_sql(
             "P7",
@@ -166,11 +193,14 @@ def test_policy_add_remove_resets_dag_cache():
             "WHERE u.uid = 9 HAVING COUNT(DISTINCT u.ts) > 100000",
         )
     )
-    assert enforcer._policy_dags == {}
+    assert enforcer.engine.plan_epoch > before.epoch
     enforcer.submit(workload["W1"], uid=1)
-    assert enforcer._policy_dags
+    with_p7 = enforcer._dag
+    assert with_p7 is not before
+    assert len(with_p7.roots) == len(before.roots) + 1
     enforcer.remove_policy("P7")
-    assert enforcer._policy_dags == {}
+    enforcer.submit(workload["W1"], uid=1)
+    assert len(enforcer._dag.roots) == len(before.roots)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ loop, lineage tracking ≈ small multiple of plain execution (the paper's
 The ``TestRowVsColumnar`` class times identical queries on both
 execution disciplines (``engine="row"``, ``"columnar"``), asserts the
 speedup floors — columnar join/group must beat the row engine ≥10× at
-full scale — and publishes ``results/BENCH_engine.json`` for the CI
-smoke lane.
+full scale, and ≥2× with ``lineage=True`` when the reader is the
+compaction mark phase — and publishes ``results/BENCH_engine.json`` for
+the CI smoke lane.
 """
 
 from __future__ import annotations
@@ -135,6 +136,30 @@ COLUMNAR_ROW_FLOOR = 10.0
 COLUMNAR_ROW_QUICK_FLOOR = 2.0
 COLUMNAR_BREAKEVEN = 1.0
 
+#: The lineage lane: the same comparison with ``lineage=True``, timed
+#: through each of the two ways a result's lineage is read — ``marks``
+#: (``Result.lineage_tids``: the compaction mark phase, which on the
+#: columnar path never builds a per-row set) and ``sets``
+#: (``Result.lineages``: what ``fProvenance`` reads, one frozenset per
+#: row on either path).
+LINEAGE_QUERIES = [
+    ("join", "SELECT b.id, d.name FROM big b, dims d WHERE b.grp = d.grp"),
+    ("group", "SELECT grp, COUNT(*), SUM(val) FROM big GROUP BY grp"),
+    (
+        "distinct_join",
+        "SELECT DISTINCT b.grp, d.name FROM big b, dims d "
+        "WHERE b.grp = d.grp AND b.val > 2",
+    ),
+]
+LINEAGE_READERS = {
+    "marks": lambda result: result.lineage_tids("big"),
+    "sets": lambda result: result.lineages,
+}
+#: Columnar-over-row floors for the ``marks`` reader (``sets`` must at
+#: least break even: building the sets is most of its time).
+LINEAGE_ROW_FLOOR = 2.0
+LINEAGE_ROW_QUICK_FLOOR = 1.2
+
 ENGINE_LABELS = ("row", "columnar")
 
 
@@ -166,6 +191,21 @@ class TestRowVsColumnar:
                 results[(name, label)] = _best_of(
                     lambda engine=engine: engine.execute(sql)
                 )
+        for name, sql in LINEAGE_QUERIES:
+            reference = None
+            for label, engine in engines:
+                result = engine.execute(sql, lineage=True)
+                answer = (result.rows, result.lineages)
+                if reference is None:
+                    reference = answer
+                else:
+                    assert answer == reference, f"{name}: {label} disagrees"
+                for reader, read in LINEAGE_READERS.items():
+                    results[(f"lineage_{name}_{reader}", label)] = _best_of(
+                        lambda engine=engine, read=read: read(
+                            engine.execute(sql, lineage=True)
+                        )
+                    )
         quick = request.config.getoption("--quick", default=False)
         _publish_comparison(results, quick)
         return results, quick
@@ -182,11 +222,30 @@ class TestRowVsColumnar:
             f"{name}: columnar {vs_row:.2f}x over row, floor {floor}x"
         )
 
+    @pytest.mark.parametrize("reader", sorted(LINEAGE_READERS))
+    @pytest.mark.parametrize("name", [n for n, _ in LINEAGE_QUERIES])
+    def test_lineage_floors(self, comparison, name, reader):
+        results, quick = comparison
+        lane = f"lineage_{name}_{reader}"
+        vs_row = results[(lane, "row")] / results[(lane, "columnar")]
+        if reader == "marks":
+            floor = LINEAGE_ROW_QUICK_FLOOR if quick else LINEAGE_ROW_FLOOR
+        else:
+            floor = COLUMNAR_BREAKEVEN
+        assert vs_row >= floor, (
+            f"{lane}: columnar {vs_row:.2f}x over row, floor {floor}x"
+        )
+
 
 def _publish_comparison(results, quick: bool) -> None:
     table_rows = []
     payload = {"rows": ROWS, "quick": quick, "queries": {}}
-    for name, _ in COMPARISON_QUERIES:
+    lanes = [name for name, _ in COMPARISON_QUERIES] + [
+        f"lineage_{name}_{reader}"
+        for name, _ in LINEAGE_QUERIES
+        for reader in LINEAGE_READERS
+    ]
+    for name in lanes:
         row_s = results[(name, "row")]
         col_s = results[(name, "columnar")]
         table_rows.append(

@@ -239,11 +239,7 @@ def evaluate_witness_marks(
         for template in selects:
             query = substitute_current_time(template, now)
             result = engine.execute(query, lineage=True)
-            assert result.lineages is not None
-            for lineage in result.lineages:
-                for table, tid in lineage:
-                    if table == relation:
-                        collected.add(tid)
+            collected.update(result.lineage_tids(relation))
     for relation in witness.retain_all:
         marks.setdefault(relation, set()).update(
             engine.database.table(relation).tids()

@@ -854,13 +854,11 @@ class Enforcer:
         return settled
 
     def _depends_on_increment(self, result: Result) -> bool:
-        assert result.lineages is not None
-        staged = {
-            (name, tid)
-            for name in self.store.staged_relations()
-            for tid in self.store.staged_tids(name)
-        }
-        return any(not staged.isdisjoint(lineage) for lineage in result.lineages)
+        store = self.store
+        return any(
+            not result.lineage_tids(name).isdisjoint(store.staged_tids(name))
+            for name in store.staged_relations()
+        )
 
     def _policy_dag(self) -> PolicyDag:
         """The shared-subplan DAG over every installed checkpoint.
@@ -1018,11 +1016,7 @@ class Enforcer:
             with metrics.timed(PHASE_MARK):
                 result = self.engine.execute(instantiated, lineage=True)
             metrics.add_count("statements")
-            assert result.lineages is not None
-            for lineage in result.lineages:
-                for table, tid in lineage:
-                    if table == relation:
-                        collected.add(tid)
+            collected.update(result.lineage_tids(relation))
         for relation in runtime.witness.retain_all:
             with metrics.timed(PHASE_MARK):
                 marks.setdefault(relation, set()).update(

@@ -79,14 +79,10 @@ def _explain_one(
         message=violation.message,
         policy_sql=print_query(runtime.select),
     )
-    seen: set = set()
-    assert result.lineages is not None
-    for lineage in result.lineages:
-        for relation, tid in sorted(lineage):
-            if relation == "clock" or (relation, tid) in seen:
-                continue
-            seen.add((relation, tid))
-            table = database.table(relation)
+    for relation in sorted(result.lineage_tables() - {"clock"}):
+        table = database.table(relation)
+        current = current_tids.get(relation, set())
+        for tid in sorted(result.lineage_tids(relation)):
             try:
                 row = table.row_for_tid(tid)
             except Exception:  # tuple gone (e.g. clock refresh) — skip
@@ -96,7 +92,7 @@ def _explain_one(
                     relation=relation,
                     tid=tid,
                     values=dict(zip(table.schema.column_names, row)),
-                    from_current_query=tid in current_tids.get(relation, set()),
+                    from_current_query=tid in current,
                 )
             )
     return explanation

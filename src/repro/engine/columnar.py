@@ -33,6 +33,7 @@ are always scanned to let the error surface.
 from __future__ import annotations
 
 from array import array
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
@@ -355,6 +356,190 @@ class _OmittedColumn(tuple):
 OMITTED = _OmittedColumn()
 
 
+_NO_LINEAGE: frozenset = frozenset()
+
+
+class LineageColumns:
+    """The lineage of a batch's rows, kept column-wise beside the values.
+
+    The paper ran on Perm, which returns provenance as extra *columns*
+    of the result; this is that shape. ``atoms`` holds one ``(table,
+    tids)`` pair per scanned relation occurrence: ``tids[i]`` is the tid
+    of that relation's tuple behind entry ``i`` (``None`` where an outer
+    join padded). Scans seed a vector with the table's own tid list,
+    filters and joins gather it with the position vectors that move the
+    values, and a join's output carries both sides' atoms side by side —
+    no per-row set is built on the way. An atom whose table is ``None``
+    holds one already-merged frozenset of ``(table, tid)`` pairs per
+    entry instead (the row-loop fallback produces those). Merging
+    operators (group-by, DISTINCT, UNION) union nothing either: they
+    record ``groups`` — per output row, the entries whose lineage it
+    merges — and the union is built only if someone asks for per-row
+    sets.
+
+    ``length`` counts entries. A scan's vector aliases ``Table._tids``,
+    which appends extend in place (structural mutations replace it), so
+    whole-vector readers clip to ``length``.
+    """
+
+    __slots__ = ("atoms", "length", "groups", "_sets")
+
+    def __init__(
+        self,
+        atoms: List[Tuple[Optional[str], list]],
+        length: int,
+        groups: Optional[list] = None,
+    ):
+        self.atoms = atoms
+        self.length = length
+        self.groups = groups
+        self._sets: Optional[list] = None  # row_sets(), once built
+
+    @classmethod
+    def of_sets(cls, sets: List[frozenset]) -> "LineageColumns":
+        """Lineage that already exists as one merged set per row."""
+        return cls([(None, sets)], len(sets))
+
+    def blank(self) -> "LineageColumns":
+        """One row nothing contributed to, in this lineage's layout (what
+        an outer join pads with)."""
+        atoms = self.flat().atoms
+        return LineageColumns([(t, [None if t else _NO_LINEAGE]) for t, _ in atoms], 1)
+
+    def take(self, positions: Sequence[int]) -> "LineageColumns":
+        """The lineage of the rows at ``positions`` (in order)."""
+        groups = self.groups
+        if groups is not None:
+            return LineageColumns(
+                self.atoms, self.length, [groups[p] for p in positions]
+            )
+        return LineageColumns(
+            [(table, [col[p] for p in positions]) for table, col in self.atoms],
+            len(positions),
+        )
+
+    def merged(self, groups: list) -> "LineageColumns":
+        """One row per group: the union of the rows at ``groups[i]``."""
+        own = self.groups
+        if own is not None:
+            groups = [[e for row in group for e in own[row]] for group in groups]
+        return LineageColumns(self.atoms, self.length, groups)
+
+    def flat(self) -> "LineageColumns":
+        """The same lineage with one entry per row (pending groups are
+        unioned into per-row sets)."""
+        return self if self.groups is None else self.of_sets(self.row_sets())
+
+    def joined(
+        self,
+        left_index: Optional[Sequence[int]],
+        right: "LineageColumns",
+        right_index: Sequence[int],
+    ) -> "LineageColumns":
+        """Join output lineage: this side's row ``left_index[k]`` beside
+        ``right``'s row ``right_index[k]`` (``left_index`` None: this
+        side passes through whole)."""
+        left = self.flat()
+        if left_index is not None:
+            left = left.take(left_index)
+        right = right.flat().take(right_index)
+        return LineageColumns(left.atoms + right.atoms, right.length)
+
+    @staticmethod
+    def concat(parts: "List[LineageColumns]") -> "LineageColumns":
+        """The lineage of several batches' rows, one after the other."""
+        if len(parts) == 1:
+            return parts[0]
+        layout = [table for table, _ in parts[0].atoms] if parts else []
+        if any(
+            part.groups is not None
+            or [table for table, _ in part.atoms] != layout
+            for part in parts
+        ):
+            # Differently shaped inputs (UNION ALL branches, merged
+            # rows) have no common columns: per-row sets.
+            return LineageColumns.of_sets(
+                [row for part in parts for row in part.row_sets()]
+            )
+        return LineageColumns(
+            [
+                (
+                    table,
+                    [
+                        item
+                        for part in parts
+                        for item in islice(part.atoms[index][1], part.length)
+                    ],
+                )
+                for index, table in enumerate(layout)
+            ],
+            sum(part.length for part in parts),
+        )
+
+    def row_sets(self) -> List[frozenset]:
+        """One frozenset of ``(table, tid)`` pairs per row (the
+        ``Result.lineages`` shape; built once)."""
+        if self._sets is not None:
+            return self._sets
+        n = self.length
+        pairs = [
+            list(zip(repeat(table, n), tids))
+            for table, tids in self.atoms
+            if table is not None
+        ]
+        merged = [sets for table, sets in self.atoms if table is None]
+        groups = self.groups
+        if groups is not None:
+            out = [
+                _NO_LINEAGE.union(
+                    *[[column[e] for e in group] for column in pairs],
+                    *[sets[e] for sets in merged for e in group],
+                )
+                for group in groups
+            ]
+        elif not pairs and len(merged) == 1:
+            out = merged[0]
+        else:
+            out = (
+                list(map(frozenset, zip(*pairs))) if pairs else [_NO_LINEAGE] * n
+            )
+            for sets in merged:
+                out = [a | b for a, b in zip(out, sets)]
+        if any(table is not None and None in tids for table, tids in self.atoms):
+            padding = {(table, None) for table, _ in self.atoms}
+            out = [row - padding for row in out]
+        self._sets = out
+        return out
+
+    def table_tids(self, table: str) -> set:
+        """Tids of ``table`` in any row's lineage — what the compaction
+        mark phase retains — read straight off the columns."""
+        n = self.length
+        entries = None
+        if self.groups is not None:
+            entries = set(chain.from_iterable(self.groups))
+            if len(entries) == n:
+                entries = None  # every entry belongs to some row
+        out: set = set()
+        for name, column in self.atoms:
+            if name is not None and name != table:
+                continue
+            column = (
+                islice(column, n)
+                if entries is None
+                else [column[e] for e in entries]
+            )
+            if name is None:
+                column = [tid for row in column for t, tid in row if t == table]
+            out.update(column)
+        out.discard(None)
+        return out
+
+    def tables(self) -> set:
+        """Every table with a tuple in some row's lineage."""
+        return {table for row in self.row_sets() for table, _ in row}
+
+
 class ColumnBatch:
     """A chunk of rows stored column-wise.
 
@@ -362,32 +547,59 @@ class ColumnBatch:
     count (kept explicitly so zero-arity relations work). ``clean`` marks
     columns known to be NULL-free exact numerics (propagated from table
     vectors through pass-through operators), unlocking C-built-in
-    aggregate reductions.
+    aggregate reductions. ``lineage`` is the rows' :class:`LineageColumns`
+    when the execution tracks lineage, else ``None``; it is moved by the
+    same position vectors as the values.
 
     Columns may alias a table's decoded caches — consumers must never
     mutate them in place.
     """
 
-    __slots__ = ("columns", "length", "clean")
+    __slots__ = ("columns", "length", "clean", "lineage")
 
     def __init__(
         self,
         columns: List[list],
         length: int,
         clean: Optional[List[bool]] = None,
+        lineage: Optional[LineageColumns] = None,
     ):
         self.columns = columns
         self.length = length
         self.clean = clean if clean is not None else [False] * len(columns)
+        self.lineage = lineage
 
     @property
     def width(self) -> int:
         return len(self.columns)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[tuple]) -> "ColumnBatch":
+    def from_rows(
+        cls, rows: Sequence[tuple], lineage: Optional[LineageColumns] = None
+    ) -> "ColumnBatch":
         """Transpose a non-empty list of row tuples."""
-        return cls([list(col) for col in zip(*rows)], len(rows))
+        return cls([list(col) for col in zip(*rows)], len(rows), lineage=lineage)
+
+    @classmethod
+    def concat(cls, batches: "Iterable[ColumnBatch]") -> "Optional[ColumnBatch]":
+        """One batch holding every row of ``batches`` (``None`` for no
+        batches). A single batch — a whole-table scan — passes through
+        zero-copy; otherwise the columns are copied before extending
+        (they may alias table caches)."""
+        batches = list(batches)
+        if len(batches) <= 1:
+            return batches[0] if batches else None
+        first = batches[0]
+        columns = [list(col) for col in first.columns]
+        clean = list(first.clean)
+        for cbatch in batches[1:]:
+            for index, col in enumerate(cbatch.columns):
+                columns[index].extend(col)
+            clean = [a and b for a, b in zip(clean, cbatch.clean)]
+        lineage = None
+        if first.lineage is not None:
+            lineage = LineageColumns.concat([b.lineage for b in batches])
+        return cls(columns, sum(b.length for b in batches), clean, lineage)
 
     def to_rows(self) -> list:
         if not self.columns:
@@ -404,6 +616,7 @@ class ColumnBatch:
         read downstream — limits the gather to those columns; the rest
         become :data:`OMITTED` placeholders.
         """
+        lineage = self.lineage
         return ColumnBatch(
             [
                 [col[p] for p in positions]
@@ -413,6 +626,17 @@ class ColumnBatch:
             ],
             len(positions),
             clean=list(self.clean),
+            lineage=None if lineage is None else lineage.take(positions),
+        )
+
+    def slice(self, start: int, end: int) -> "ColumnBatch":
+        """Rows ``start`` to ``end`` (a chunk of a scan, a LIMIT prefix)."""
+        lineage = self.lineage
+        return ColumnBatch(
+            [col[start:end] for col in self.columns],
+            end - start,
+            clean=list(self.clean),
+            lineage=None if lineage is None else lineage.take(range(start, end)),
         )
 
 
@@ -552,12 +776,43 @@ _COMPARISONS = {
 _ARITHMETIC = frozenset({"+", "-", "*", "/", "%", "||"})
 
 
+def _constant(expr: ast.Expr) -> Optional[ast.Literal]:
+    """The literal an arithmetic expression over literals evaluates to.
+
+    Witness filters compare a column against ``now ± window`` with
+    ``now`` substituted as a literal; emitted as written, the constant
+    side is recomputed for every row. ``None`` when ``expr`` is not
+    constant — or raises, which is left to raise per row, as before.
+    """
+    if isinstance(expr, ast.Literal):
+        return expr
+    try:
+        if isinstance(expr, ast.UnaryOp) and expr.op == "-":
+            operand = _constant(expr.operand)
+            if operand is None:
+                return None
+            value = negate(operand.value)
+        elif isinstance(expr, ast.BinaryOp) and expr.op in _ARITHMETIC:
+            left, right = _constant(expr.left), _constant(expr.right)
+            if left is None or right is None:
+                return None
+            value = arithmetic(expr.op, left.value, right.value)
+        else:
+            return None
+    except ExecutionError:
+        return None
+    if value is None or type(value) in (int, str):
+        return ast.Literal(value)
+    return None
+
+
 def emit(expr: ast.Expr, resolve_column: SourceResolver) -> Optional[str]:
     """Emit ``expr`` as a Python source fragment.
 
     Returns ``None`` when the expression (or any sub-expression) has no
     source form; callers then fall back to the compiled closure.
     """
+    expr = _constant(expr) or expr
     if isinstance(expr, ast.Literal):
         value = expr.value
         if value is None or isinstance(value, (bool, int, float, str)):

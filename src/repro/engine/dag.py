@@ -155,6 +155,8 @@ class SharedNode(Operator):
     consumer. Memos are keyed by the mutation versions of the base
     tables underneath, so any table change (the enforcer touches the
     clock and staged logs every check) invalidates them automatically.
+    Each discipline — row or columnar, with or without lineage — keeps
+    its own memo: a lineage-free consumer never pays for tid vectors.
     """
 
     def __init__(self, child: Operator, engine, tables: frozenset):
@@ -183,9 +185,11 @@ class SharedNode(Operator):
             discipline, database, lambda: self.child.execute(database, lineage)
         )
 
-    def execute_columnar(self, database):
+    def execute_columnar(self, database, lineage):
         yield from self._materialize(
-            "columnar", database, lambda: self.child.execute_columnar(database)
+            "columnar+lineage" if lineage else "columnar",
+            database,
+            lambda: self.child.execute_columnar(database, lineage),
         )
 
 

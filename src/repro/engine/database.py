@@ -32,6 +32,9 @@ class Database:
         self.zone_chunks_scanned = 0
         self.zone_chunks_skipped = 0
         self.range_probes = 0
+        #: Times a columnar operator ran its row loop instead
+        #: (:meth:`~repro.engine.operators.Operator._row_loop_columnar`).
+        self.row_fallbacks = 0
 
     @staticmethod
     def _key(name: str) -> str:

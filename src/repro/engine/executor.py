@@ -4,7 +4,9 @@
 :class:`~repro.engine.database.Database` and returns a :class:`Result`.
 Passing ``lineage=True`` makes every result row carry the set of
 ``(table, tid)`` base tuples that contributed to it — the mechanism behind
-the ``Provenance`` usage log and the §4.3 improved-partial-policy check.
+the ``Provenance`` usage log, the compaction mark phase and the §4.3
+improved-partial-policy check. It rides through whichever engine runs the
+query as :class:`~repro.engine.columnar.LineageColumns`.
 
 Passing ``trace=`` (a :class:`~repro.obs.TraceContext`) attaches one span
 per physical operator under the caller's current span, each accounting
@@ -22,6 +24,7 @@ from typing import Optional, Union
 from ..errors import LexError
 from ..obs import TraceContext
 from ..sql import ast, canonical_sql, parse
+from .columnar import LineageColumns
 from .database import Database
 from .explain import describe, explain_plan, render_analyzed
 from .operators import Operator, TracedOp
@@ -35,9 +38,20 @@ class Result:
 
     columns: list[str]
     rows: list[Row]
-    lineages: Optional[list[frozenset]] = None
+    #: The rows' lineage, column-wise (``None``: tracking was off).
+    lineage: Optional[LineageColumns] = None
     #: Number of base-table rows read while executing (cost accounting).
     statements: int = 1
+
+    @property
+    def lineages(self) -> Optional[list[frozenset]]:
+        """Per row, the frozenset of contributing ``(table, tid)`` pairs
+        (built on first use; ``None`` when tracking was off)."""
+        return None if self.lineage is None else self.lineage.row_sets()
+
+    def lineage_tids(self, table: str) -> set[int]:
+        """Tids of ``table`` that contributed to any row."""
+        return set() if self.lineage is None else self.lineage.table_tids(table)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -77,12 +91,7 @@ class Result:
 
     def lineage_tables(self) -> set[str]:
         """All base tables mentioned in any row's lineage."""
-        if self.lineages is None:
-            return set()
-        tables: set[str] = set()
-        for lineage in self.lineages:
-            tables.update(table for table, _ in lineage)
-        return tables
+        return set() if self.lineage is None else self.lineage.tables()
 
 
 def instrument_plan(
@@ -114,6 +123,27 @@ def _wrap(op: Operator, trace: TraceContext, parent) -> Operator:
     return TracedOp(clone, span)
 
 
+class _LruCache(dict):
+    """A bounded dict: admitting into a full cache evicts the entry
+    looked up least recently (a full cache that refused newcomers would
+    re-plan every later query on every use)."""
+
+    def __init__(self, capacity: int):
+        super().__init__()
+        self.capacity = capacity
+
+    def lookup(self, key):
+        value = self.pop(key, None)
+        if value is not None:
+            self[key] = value  # re-inserted last: most recently used
+        return value
+
+    def admit(self, key, value) -> None:
+        if len(self) >= self.capacity:
+            del self[next(iter(self))]
+        self[key] = value
+
+
 #: The selectable execution disciplines, slowest (reference) first.
 ENGINES = ("row", "columnar")
 
@@ -135,16 +165,15 @@ def resolve_engine(engine: Optional[str]) -> str:
 class Engine:
     """Plans and executes queries against one database.
 
-    ``engine`` selects the execution discipline for non-lineage queries:
+    ``engine`` selects the execution discipline:
 
     - ``"row"`` — tuple-at-a-time interpretation; the semantic reference.
     - ``"columnar"`` (default) — column-at-a-time over
       :class:`~repro.engine.columnar.ColumnBatch` with zone-map chunk
       pruning (see :mod:`repro.engine.columnar`).
 
-    Lineage executions always take the row path, which is the only one
-    that threads provenance. Both disciplines produce bit-identical
-    results.
+    Both disciplines track lineage on request and produce bit-identical
+    rows and lineages.
     """
 
     def __init__(self, database: Database, engine: Optional[str] = None):
@@ -153,20 +182,23 @@ class Engine:
         #: Canonical text → plan. Keying on the canonical form (not the
         #: raw string) lets ``select * from t`` and ``SELECT * FROM t``
         #: share one slot instead of planning twice.
-        self._plan_cache: dict[str, Plan] = {}
+        self._plan_cache: dict[str, Plan] = _LruCache(256)
         #: Raw text → canonical text memo, so repeated hot queries skip
         #: even the re-lex.
-        self._canonical_memo: dict[str, str] = {}
+        self._canonical_memo: dict[str, str] = _LruCache(1024)
         #: AST → plan. The enforcer's policy loop executes pre-parsed
         #: ASTs (frozen, hashable dataclasses); caching them keeps the
         #: operator objects — and the hash-join build caches they carry —
         #: alive across policy evaluations.
-        self._ast_plan_cache: dict[ast.Query, Plan] = {}
+        self._ast_plan_cache: dict[ast.Query, Plan] = _LruCache(256)
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         #: Columnar-path volume counters (``/metrics``).
         self.columnar_batches = 0
         self.columnar_rows = 0
+        #: Lineage-tracking executions and the rows they returned.
+        self.lineage_executions = 0
+        self.lineage_rows = 0
         #: Bumped by :meth:`invalidate_plans`; holders of derived plan
         #: structures (the enforcer's shared-subplan DAG) compare it to
         #: decide whether their rewrites are stale.
@@ -181,37 +213,34 @@ class Engine:
     def _canonical_key(self, text: str) -> str:
         """The cache key for a textual query; raw text when unlexable
         (the planner's parse will raise the real error)."""
-        key = self._canonical_memo.get(text)
+        key = self._canonical_memo.lookup(text)
         if key is None:
             try:
                 key = canonical_sql(text)
             except LexError:
                 key = text
-            if len(self._canonical_memo) < 1024:
-                self._canonical_memo[text] = key
+            self._canonical_memo.admit(text, key)
         return key
 
     def plan(self, query: Union[str, ast.Query]) -> Plan:
         """Plan a query; both textual and AST queries get a tiny plan cache."""
         if isinstance(query, str):
             key = self._canonical_key(query)
-            cached = self._plan_cache.get(key)
+            cached = self._plan_cache.lookup(key)
             if cached is not None:
                 self.plan_cache_hits += 1
                 return cached
             self.plan_cache_misses += 1
             plan = plan_query(parse(query), self.database)
-            if len(self._plan_cache) < 256:
-                self._plan_cache[key] = plan
+            self._plan_cache.admit(key, plan)
             return plan
-        cached = self._ast_plan_cache.get(query)
+        cached = self._ast_plan_cache.lookup(query)
         if cached is not None:
             self.plan_cache_hits += 1
             return cached
         self.plan_cache_misses += 1
         plan = plan_query(query, self.database)
-        if len(self._ast_plan_cache) < 256:
-            self._ast_plan_cache[query] = plan
+        self._ast_plan_cache.admit(query, plan)
         return plan
 
     def invalidate_plans(self) -> None:
@@ -238,21 +267,28 @@ class Engine:
         op = plan.op
         if trace is not None:
             op = instrument_plan(op, trace)
-        if not lineage and self.engine_name == "columnar":
-            rows = []
-            for cbatch in op.execute_columnar(self.database):
+        rows: list[Row] = []
+        tracked = None
+        if self.engine_name == "columnar":
+            parts = []
+            for cbatch in op.execute_columnar(self.database, lineage):
                 self.columnar_batches += 1
                 self.columnar_rows += cbatch.length
                 rows.extend(cbatch.to_rows())
-            return Result(columns=list(plan.columns), rows=rows)
-        rows: list[Row] = []
-        lineages: Optional[list[frozenset]] = [] if lineage else None
-        for row, lin in op.execute(self.database, lineage):
-            rows.append(row)
+                parts.append(cbatch.lineage)
             if lineage:
-                assert lineages is not None
-                lineages.append(lin or frozenset())
-        return Result(columns=list(plan.columns), rows=rows, lineages=lineages)
+                tracked = LineageColumns.concat(parts)
+        else:
+            pairs = list(op.execute(self.database, lineage))
+            rows = [row for row, _ in pairs]
+            if lineage:
+                tracked = LineageColumns.of_sets(
+                    [lin or frozenset() for _, lin in pairs]
+                )
+        if lineage:
+            self.lineage_executions += 1
+            self.lineage_rows += len(rows)
+        return Result(columns=list(plan.columns), rows=rows, lineage=tracked)
 
     def is_empty(self, query: Union[str, ast.Query]) -> bool:
         """True if the query returns no rows (stops at the first chunk)."""
@@ -265,7 +301,7 @@ class Engine:
         rewritten branch roots never pass through the plan caches.
         """
         if self.engine_name == "columnar":
-            for cbatch in op.execute_columnar(self.database):
+            for cbatch in op.execute_columnar(self.database, False):
                 self.columnar_batches += 1
                 self.columnar_rows += cbatch.length
                 return False
@@ -291,7 +327,7 @@ class Engine:
         )
         traced = instrument_plan(plan.op, trace, parent=trace.root)
         if self.engine_name == "columnar":
-            for _ in traced.execute_columnar(self.database):
+            for _ in traced.execute_columnar(self.database, False):
                 pass
         else:
             for _ in traced.execute(self.database, False):

@@ -8,28 +8,33 @@ Every operator supports two execution disciplines:
   ``(table_name, tid)`` pairs identifying the base tuples that contributed
   to the row — the *set of contributing tuples* provenance the paper
   adopts from Cui/Widom lineage ([43] in the paper). This path is the
-  semantic reference and the only one that tracks provenance.
+  semantic reference (``engine="row"``).
 
 - **Column-at-a-time** (:meth:`Operator.execute_columnar`): an iterator
   of :class:`~repro.engine.columnar.ColumnBatch` chunks (never empty),
-  used by ``engine="columnar"`` when lineage is off. Scans hand out the
-  table's own column lists (zero copy), filters run selection kernels
-  with zone-map chunk pruning, joins probe with
-  ``map(buckets.get, key_column)`` and gather per column, and group-by
-  reduces gathered value lists. Operators whose work is inherently
-  row-wise (nested loops, outer joins, sorts, set operations) do it
-  inside the operator over rows drained from their children's columnar
-  streams (:meth:`Operator._columnar_rows`), so the subtree beneath them
-  never leaves the columnar path. Rows must come out in exactly the
-  row-path order (the equivalence and sqlite-differential suites hold
-  the two disciplines bit-identical).
+  used by ``engine="columnar"``. Scans hand out the table's own column
+  lists (zero copy), filters run selection kernels with zone-map chunk
+  pruning, joins probe with ``map(buckets.get, key_column)`` and gather
+  per column, and group-by reduces gathered value lists. Operators whose
+  work is inherently row-wise (nested loops, outer joins, sorts, set
+  operations) do it inside the operator over their children's batches
+  and emit by position, so the subtree beneath them never leaves the
+  columnar path. With ``lineage`` set every batch carries its rows'
+  :class:`~repro.engine.columnar.LineageColumns`, moved by the same
+  position vectors as the values. Rows *and* lineages must come out
+  exactly as on the row path (the equivalence and sqlite-differential
+  suites hold the two disciplines bit-identical).
 
-Lineage combination rules:
+Lineage combination rules (row path: per-row frozensets; columnar path:
+the same sets, built only when someone reads them per row):
 
-- scan: each base row carries its own ``{(table, tid)}``;
-- join/product: union of the two sides;
+- scan: each base row carries its own ``{(table, tid)}`` — columnar: the
+  table's tid vector;
+- join/product: union of the two sides — columnar: both sides' tid
+  vectors side by side;
 - group-by: union over every row in the group;
-- distinct / set-union: union over all duplicates merged into one output.
+- distinct / set-union: union over all duplicates merged into one output
+  — columnar: the merged positions are recorded, nothing is unioned.
 
 Hash joins additionally cache their build side when it is a base-table
 scan, keyed on the table's monotone mutation version (see
@@ -55,6 +60,7 @@ from .columnar import (
     RANGE_INDEX_MIN_ROWS,
     AggSpec,
     ColumnBatch,
+    LineageColumns,
     SelectionKernel,
     Slot,
     chunk_can_skip,
@@ -84,7 +90,7 @@ class Operator:
     def execute(self, database: Database, lineage: bool) -> Stream:
         raise NotImplementedError
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         raise NotImplementedError
 
     def _columnar_rows(self, database: Database) -> Iterator[tuple]:
@@ -93,27 +99,56 @@ class Operator:
         How row-wise work inside a parent operator pulls its children,
         so the subtree *below* stays columnar.
         """
-        for cbatch in self.execute_columnar(database):
+        for cbatch in self.execute_columnar(database, False):
             yield from cbatch.to_rows()
 
-    def _row_loop_columnar(self, database: Database) -> ColumnStream:
-        """Run this operator's own ``execute(lineage=False)`` loop over
-        its children's *columnar* streams.
+    def _row_loop_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+        """Run this operator's own ``execute`` loop over its children's
+        *columnar* streams.
 
         The fallback for operators whose columnar kernels do not cover
         some plan shape: the row loop is shared with the reference path
         rather than written a second time, and only this one operator
-        goes row-wise.
+        goes row-wise (per-row lineage sets included). Tallied on
+        ``database.row_fallbacks``.
         """
+        database.row_fallbacks += 1
         clone = copy.copy(self)
         for attr in ("child", "left", "right"):
             inner = getattr(clone, attr, None)
             if isinstance(inner, Operator):
-                rows = inner._columnar_rows(database)
-                setattr(clone, attr, _Wrapped((row, None) for row in rows))
-        out = [row for row, _ in clone.execute(database, False)]
-        if out:
-            yield ColumnBatch.from_rows(out)
+                setattr(clone, attr, _Wrapped(_pairs(inner, database, lineage)))
+        pairs = list(clone.execute(database, lineage))
+        if pairs:
+            sets = [lin for _, lin in pairs]
+            yield ColumnBatch.from_rows(
+                [row for row, _ in pairs],
+                LineageColumns.of_sets(sets) if lineage else None,
+            )
+
+
+def _pairs(op: Operator, database: Database, lineage: bool) -> Stream:
+    """``op``'s columnar stream as the row path's ``(row, lineage)`` pairs."""
+    for cbatch in op.execute_columnar(database, lineage):
+        yield from zip(
+            cbatch.to_rows(),
+            cbatch.lineage.row_sets() if lineage else itertools.repeat(None),
+        )
+
+
+def _table_batch(table: Table, label: Optional[str] = None) -> ColumnBatch:
+    """The whole table as one batch sharing its decoded column lists:
+    zero copies, zero tuple construction. ``label`` (lineage executions)
+    adds the lineage column: the table's own tid vector."""
+    length = len(table)
+    return ColumnBatch(
+        table.columns_decoded(),
+        length,
+        clean=table.clean_flags(),
+        lineage=None
+        if label is None
+        else LineageColumns([(label, table.tids())], length),
+    )
 
 
 class ScanOp(Operator):
@@ -132,14 +167,10 @@ class ScanOp(Operator):
             for row in table.rows():
                 yield row, None
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
-        # One whole-table batch sharing the table's decoded column lists:
-        # zero copies, zero tuple construction.
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         table = database.table(self.table_name)
         if len(table):
-            yield ColumnBatch(
-                table.columns_decoded(), len(table), clean=table.clean_flags()
-            )
+            yield _table_batch(table, table.name if lineage else None)
 
 
 class IndexScanOp(Operator):
@@ -166,12 +197,12 @@ class IndexScanOp(Operator):
             for _, row in matches:
                 yield row, None
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         table = database.table(self.table_name)
-        value = self.value_fn(())
-        matches = table.index_probe(self.column, value)
-        if matches:
-            yield ColumnBatch.from_rows([row for _, row in matches])
+        positions = table.index_positions(self.column, self.value_fn(()))
+        if positions:
+            whole = _table_batch(table, table.name if lineage else None)
+            yield whole.take(positions)
 
 
 class MaterializedScanOp(Operator):
@@ -195,12 +226,9 @@ class MaterializedScanOp(Operator):
             for row in self.table.rows():
                 yield row, None
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
-        table = self.table
-        if len(table):
-            yield ColumnBatch(
-                table.columns_decoded(), len(table), clean=table.clean_flags()
-            )
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+        if len(self.table):
+            yield _table_batch(self.table, self.label if lineage else None)
 
 
 class FilterOp(Operator):
@@ -268,31 +296,32 @@ class FilterOp(Operator):
         selection = self.selection
         if selection is None:
             predicate = self.predicate
-            kept = [row for row in cbatch.to_rows() if predicate(row)]
-            if not kept:
-                return None
-            return ColumnBatch.from_rows(kept)
-        positions = selection(cbatch.columns, cbatch.length)
+            positions = [
+                i for i, row in enumerate(cbatch.to_rows()) if predicate(row)
+            ]
+        else:
+            positions = selection(cbatch.columns, cbatch.length)
         if not positions:
             return None
         if len(positions) == cbatch.length:
             return cbatch
         return cbatch.take(positions, self.out_needed)
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         if self.prune_table is not None and (self.prune_spec or self.range_probe):
-            yield from self._pruned_scan(database)
+            yield from self._pruned_scan(database, lineage)
             return
-        for cbatch in self.child.execute_columnar(database):
+        for cbatch in self.child.execute_columnar(database, lineage):
             kept = self._select_batch(cbatch)
             if kept is not None:
                 yield kept
 
-    def _pruned_scan(self, database: Database) -> ColumnStream:
+    def _pruned_scan(self, database: Database, lineage: bool) -> ColumnStream:
         """Scan the base table chunk-wise, skipping chunks via zone maps."""
         table = database.table(self.prune_table)
         if not len(table):
             return
+        whole = _table_batch(table, table.name if lineage else None)
         probe = self.range_probe
         if probe is not None and (
             table.has_fresh_range_index(probe[0])
@@ -305,11 +334,6 @@ class FilterOp(Operator):
                 # filters), so the matched rows need no re-filtering.
                 database.range_probes += 1
                 if positions:
-                    whole = ColumnBatch(
-                        table.columns_decoded(),
-                        len(table),
-                        clean=table.clean_flags(),
-                    )
                     yield whole.take(positions, self.out_needed)
                 return
         spec = [
@@ -317,8 +341,7 @@ class FilterOp(Operator):
             for position, op, const in self.prune_spec
         ]
         zones = {position: table.zone_map(position) for position, _, _, _ in spec}
-        decoded = table.columns_decoded()
-        clean = table.clean_flags()
+        decoded = whole.columns
         inline = self._prepare_inline(table, spec)
         matched: Optional[list] = [] if inline is not None else None
         for chunk_index, (start, end) in enumerate(table.chunk_spans()):
@@ -341,18 +364,12 @@ class FilterOp(Operator):
                     *consts,
                 )
                 continue
-            cbatch = ColumnBatch(
-                [col[start:end] for col in decoded],
-                end - start,
-                clean=list(clean),
-            )
-            kept = self._select_batch(cbatch)
+            kept = self._select_batch(whole.slice(start, end))
             if kept is not None:
                 yield kept
         if matched:
             # Inline path: one gather over the whole table (or the table
             # itself, zero-copy, when every row qualified).
-            whole = ColumnBatch(decoded, len(table), clean=list(clean))
             if len(matched) == len(table):
                 yield whole
             else:
@@ -433,18 +450,19 @@ class ProjectOp(Operator):
         for row, lin in self.child.execute(database, lineage):
             yield tuple(fn(row) for fn in exprs), lin
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         slots = self.slots
         if slots is None:
             # Row-wise fallback (group-context projections and exotic
             # expressions); the child subtree stays columnar.
             exprs = self.exprs
-            for cbatch in self.child.execute_columnar(database):
+            for cbatch in self.child.execute_columnar(database, lineage):
                 yield ColumnBatch.from_rows(
-                    [tuple(fn(row) for fn in exprs) for row in cbatch.to_rows()]
+                    [tuple(fn(row) for fn in exprs) for row in cbatch.to_rows()],
+                    cbatch.lineage,
                 )
             return
-        for cbatch in self.child.execute_columnar(database):
+        for cbatch in self.child.execute_columnar(database, lineage):
             columns = cbatch.columns
             length = cbatch.length
             clean = cbatch.clean
@@ -452,6 +470,7 @@ class ProjectOp(Operator):
                 [slot_values(slot, columns, length) for slot in slots],
                 length,
                 clean=[slot_is_clean(slot, clean) for slot in slots],
+                lineage=cbatch.lineage,
             )
 
 
@@ -497,9 +516,9 @@ class HashJoinOp(Operator):
         #: plan narrowing pass. Unread columns are emitted as OMITTED
         #: placeholders instead of being gathered.
         self.out_needed: Optional[frozenset] = None
-        #: lineage flag → (build table, version built at, buckets).
+        #: Row path: lineage flag → (build table, version built at, buckets).
         self._build_cache: dict[bool, tuple] = {}
-        #: (build table, version, (right columns, buckets, unique map)).
+        #: (build table, version, right batch, buckets, unique map).
         self._columnar_cache: Optional[tuple] = None
 
     # -- build side ---------------------------------------------------------
@@ -617,47 +636,42 @@ class HashJoinOp(Operator):
             return columns[positions[0]]
         return list(zip(*(columns[p] for p in positions)))
 
-    def _columnar_build(self, database: Database) -> tuple:
-        """``(right columns, buckets, unique map)`` for the build side.
+    def _columnar_build(self, database: Database, lineage: bool) -> tuple:
+        """``(right batch, buckets, unique map)`` for the build side.
 
         Buckets map key → right-row *positions* (the gather indexes);
         when every key is unique, ``unique map`` (key → single position)
         enables the ``map(get, key_column)`` probe with no per-row Python
-        dispatch at all.
+        dispatch at all. A base-table build side is cached by table
+        version whether or not the execution tracks lineage: its lineage
+        column is the table's own tid vector, attached per execution.
         """
         table = self._build_table(database)
-        if table is not None:
-            entry = self._columnar_cache
-            if (
-                entry is not None
-                and entry[0] is table
-                and entry[1] == table.version
-            ):
-                database.join_build_hits += 1
-                return entry[2]
-            database.join_build_misses += 1
+        entry = self._columnar_cache
+        if (
+            table is not None
+            and entry is not None
+            and entry[0] is table
+            and entry[1] == table.version
+        ):
+            database.join_build_hits += 1
+            right, buckets, unique_map = entry[2:]
+        else:
+            right = ColumnBatch.concat(
+                self.right.execute_columnar(database, lineage and table is None)
+            )
+            buckets, unique_map = built = self._buckets(right)
+            if table is not None:
+                database.join_build_misses += 1
+                self._columnar_cache = (table, table.version, right, *built)
+        if lineage and table is not None:
+            right = _table_batch(table, table.name)
+        return right, buckets, unique_map
 
-        # Concatenate the build input's column batches. The single-batch
-        # case (a base-table scan) stays zero-copy; with several batches
-        # the first is copied before extending (batch columns may alias
-        # table caches and must never be mutated).
-        right_columns: list = []
-        length = 0
-        owned = False
-        for cbatch in self.right.execute_columnar(database):
-            if length == 0:
-                right_columns = cbatch.columns
-            else:
-                if not owned:
-                    right_columns = [list(col) for col in right_columns]
-                    owned = True
-                for index, col in enumerate(cbatch.columns):
-                    right_columns[index].extend(col)
-            length += cbatch.length
-
+    def _buckets(self, right: Optional[ColumnBatch]) -> tuple:
         positions = self.right_positions
         single = len(positions) == 1
-        keys = self._key_column(right_columns, positions) if length else []
+        keys = self._key_column(right.columns, positions) if right is not None else []
         buckets: dict = {}
         unique = True
         if single:
@@ -685,25 +699,23 @@ class HashJoinOp(Operator):
             if unique and buckets
             else None
         )
-        built = (right_columns, buckets, unique_map)
-        if table is not None:
-            self._columnar_cache = (table, table.version, built)
-        return built
+        return buckets, unique_map
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         if self.left_positions is None or self.right_positions is None:
-            yield from self._row_loop_columnar(database)
+            yield from self._row_loop_columnar(database, lineage)
             return
         # Probe-first lazy build (see execute()).
-        left_cbatches = self.left.execute_columnar(database)
+        left_cbatches = self.left.execute_columnar(database, lineage)
         first = next(left_cbatches, None)
         if first is None:
             return
         left_cbatches = itertools.chain((first,), left_cbatches)
-        right_columns, buckets, unique_map = self._columnar_build(database)
+        right, buckets, unique_map = self._columnar_build(database, lineage)
         if not buckets:
             return
         left_positions = self.left_positions
+        needed = self.out_needed
         for cbatch in left_cbatches:
             columns = cbatch.columns
             keys = self._key_column(columns, left_positions)
@@ -713,9 +725,7 @@ class HashJoinOp(Operator):
                     # Every probe key matched a unique build row: the
                     # match list *is* the right gather index and the left
                     # side passes through zero-copy.
-                    yield self._emit_batch(
-                        cbatch, None, matches, right_columns
-                    )
+                    yield _join_batch(cbatch, None, right, matches, needed)
                     continue
                 left_index = [
                     i for i, match in enumerate(matches) if match is not None
@@ -739,51 +749,53 @@ class HashJoinOp(Operator):
                         right_index.extend(bucket)
                 if not left_index:
                     continue
-            yield self._emit_batch(
-                cbatch, left_index, right_index, right_columns
-            )
+            yield _join_batch(cbatch, left_index, right, right_index, needed)
 
-    def _emit_batch(
-        self,
-        cbatch: ColumnBatch,
-        left_index: Optional[list],
-        right_index: list,
-        right_columns: list,
-    ) -> ColumnBatch:
-        """Assemble one join output batch.
 
-        ``left_index`` is ``None`` when every left row matched exactly
-        once (the left columns pass through zero-copy). Columns outside
-        ``out_needed`` become OMITTED placeholders — no gather at all.
-        """
-        needed = self.out_needed
-        left_width = len(cbatch.columns)
-        out_columns: list = []
-        out_clean: list = []
-        for position, col in enumerate(cbatch.columns):
-            if (needed is not None and position not in needed) or (
-                col is OMITTED
-            ):
-                out_columns.append(OMITTED)
-                out_clean.append(False)
-            elif left_index is None:
-                out_columns.append(col)
-                out_clean.append(cbatch.clean[position])
-            else:
-                out_columns.append([col[i] for i in left_index])
-                out_clean.append(cbatch.clean[position])
-        for offset, col in enumerate(right_columns):
-            if needed is not None and left_width + offset not in needed:
-                out_columns.append(OMITTED)
-                out_clean.append(False)
-            else:
-                out_columns.append([col[j] for j in right_index])
-                out_clean.append(False)
-        return ColumnBatch(
-            out_columns,
-            len(right_index) if left_index is None else len(left_index),
-            clean=out_clean,
-        )
+def _join_batch(
+    left: ColumnBatch,
+    left_index: Optional[list],
+    right: ColumnBatch,
+    right_index: list,
+    needed: Optional[frozenset] = None,
+) -> ColumnBatch:
+    """Assemble one join output batch: left row ``left_index[k]`` beside
+    right row ``right_index[k]``, values and lineage gathered alike.
+
+    ``left_index`` is ``None`` when every left row matched exactly once
+    (the left columns pass through zero-copy). Columns outside ``needed``
+    become OMITTED placeholders — no gather at all.
+    """
+    left_width = len(left.columns)
+    out_columns: list = []
+    out_clean: list = []
+    for position, col in enumerate(left.columns):
+        if (needed is not None and position not in needed) or col is OMITTED:
+            out_columns.append(OMITTED)
+            out_clean.append(False)
+        elif left_index is None:
+            out_columns.append(col)
+            out_clean.append(left.clean[position])
+        else:
+            out_columns.append([col[i] for i in left_index])
+            out_clean.append(left.clean[position])
+    for offset, col in enumerate(right.columns):
+        if needed is not None and left_width + offset not in needed:
+            out_columns.append(OMITTED)
+            out_clean.append(False)
+        else:
+            out_columns.append([col[j] for j in right_index])
+            out_clean.append(False)
+    return ColumnBatch(
+        out_columns,
+        len(right_index),
+        clean=out_clean,
+        lineage=None
+        if left.lineage is None
+        else left.lineage.joined(
+            left_index, right.lineage, right_index
+        ),
+    )
 
 
 class NestedLoopOp(Operator):
@@ -809,25 +821,30 @@ class NestedLoopOp(Operator):
                 else:
                     yield combined, None
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
-        right_rows = list(self.right._columnar_rows(database))
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+        right = ColumnBatch.concat(self.right.execute_columnar(database, lineage))
+        right_rows = right.to_rows() if right is not None else []
+        every = range(len(right_rows))
         predicate = self.predicate
-        out: list = []
-        for row in self.left._columnar_rows(database):
-            if predicate is None:
-                out += [row + right_row for right_row in right_rows]
-            else:
-                for right_row in right_rows:
-                    combined = row + right_row
-                    if predicate(combined):
-                        out.append(combined)
-            # Chunked: a product can dwarf its inputs, and emptiness
-            # probes stop at the first batch.
-            if len(out) >= CHUNK_SIZE:
-                yield ColumnBatch.from_rows(out)
-                out = []
-        if out:
-            yield ColumnBatch.from_rows(out)
+        for cbatch in self.left.execute_columnar(database, lineage):
+            left_index: list = []
+            right_index: list = []
+            for i, row in enumerate(cbatch.to_rows()):
+                if predicate is None:
+                    left_index += [i] * len(every)
+                    right_index += every
+                else:
+                    for j, right_row in enumerate(right_rows):
+                        if predicate(row + right_row):
+                            left_index.append(i)
+                            right_index.append(j)
+                # Chunked: a product can dwarf its inputs, and emptiness
+                # probes stop at the first batch.
+                if len(left_index) >= CHUNK_SIZE:
+                    yield _join_batch(cbatch, left_index, right, right_index)
+                    left_index, right_index = [], []
+            if left_index:
+                yield _join_batch(cbatch, left_index, right, right_index)
 
 
 class LeftJoinOp(Operator):
@@ -868,25 +885,36 @@ class LeftJoinOp(Operator):
             if not matched:
                 yield row + padding, lin
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
-        right_rows = list(self.right._columnar_rows(database))
-        padding = (None,) * self.right_width
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+        right = ColumnBatch.concat(self.right.execute_columnar(database, lineage))
+        right_rows = right.to_rows() if right is not None else []
+        # One all-NULL row after the build rows: an unmatched left row
+        # gathers it, which pads its values and leaves the right side
+        # out of its lineage.
+        unmatched = [len(right_rows)]
+        padded = ColumnBatch([[None] for _ in range(self.right_width)], 1)
+        if right is not None:
+            padded.lineage = right.lineage.blank() if lineage else None
+            padded = ColumnBatch.concat([right, padded])
+        elif lineage:
+            padded.lineage = LineageColumns([], 1)
         predicate = self.predicate
-        out: list = []
-        for row in self.left._columnar_rows(database):
-            matched = False
-            for right_row in right_rows:
-                combined = row + right_row
-                if predicate(combined):
-                    matched = True
-                    out.append(combined)
-            if not matched:
-                out.append(row + padding)
-            if len(out) >= CHUNK_SIZE:
-                yield ColumnBatch.from_rows(out)
-                out = []
-        if out:
-            yield ColumnBatch.from_rows(out)
+        for cbatch in self.left.execute_columnar(database, lineage):
+            left_index: list = []
+            right_index: list = []
+            for i, row in enumerate(cbatch.to_rows()):
+                matches = [
+                    j
+                    for j, right_row in enumerate(right_rows)
+                    if predicate(row + right_row)
+                ] or unmatched
+                left_index += [i] * len(matches)
+                right_index += matches
+                if len(left_index) >= CHUNK_SIZE:
+                    yield _join_batch(cbatch, left_index, padded, right_index)
+                    left_index, right_index = [], []
+            if left_index:
+                yield _join_batch(cbatch, left_index, padded, right_index)
 
 
 class GroupOp(Operator):
@@ -945,32 +973,19 @@ class GroupOp(Operator):
             results = tuple(acc.result() for acc in accumulators)
             yield key + results, lin
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         key_slots = self.key_slots
         agg_specs = self.agg_specs
         if key_slots is None or agg_specs is None:
-            yield from self._row_loop_columnar(database)
+            yield from self._row_loop_columnar(database, lineage)
             return
 
         # Materialize the input columns (group-by is a pipeline breaker
-        # anyway); single-batch inputs — whole-table scans — stay
-        # zero-copy.
-        columns: list = []
-        clean: list = []
-        length = 0
-        owned = False
-        for cbatch in self.child.execute_columnar(database):
-            if length == 0:
-                columns = cbatch.columns
-                clean = list(cbatch.clean)
-            else:
-                if not owned:
-                    columns = [list(col) for col in columns]
-                    owned = True
-                for index, col in enumerate(cbatch.columns):
-                    columns[index].extend(col)
-                clean = [a and b for a, b in zip(clean, cbatch.clean)]
-            length += cbatch.length
+        # anyway).
+        source = ColumnBatch.concat(self.child.execute_columnar(database, lineage))
+        if source is None:
+            source = ColumnBatch([], 0, lineage=LineageColumns([], 0))
+        columns, clean, length = source.columns, source.clean, source.length
 
         # Argument values per aggregate, evaluated over the whole input.
         arg_values: list = []
@@ -993,14 +1008,17 @@ class GroupOp(Operator):
                 length if spec.count_star else spec.reduce(values, ok)
                 for spec, values, ok in zip(agg_specs, arg_values, arg_clean)
             )
-            yield ColumnBatch.from_rows([results])
+            yield ColumnBatch.from_rows(
+                [results],
+                source.lineage.merged([range(length)]) if lineage else None,
+            )
             return
 
         if length == 0:
             return
         key_columns = [slot_values(slot, columns, length) for slot in key_slots]
         multi = len(key_columns) > 1
-        if not multi and all(spec.count_star for spec in agg_specs):
+        if not (lineage or multi) and all(spec.count_star for spec in agg_specs):
             # COUNT(*)-only grouping over one key: Counter runs the whole
             # group loop in C. Iteration order is first-appearance order
             # (dict insertion), exactly the row path's emission order,
@@ -1035,7 +1053,10 @@ class GroupOp(Operator):
                     )
             prefix = key if multi else (key,)
             out.append(prefix + tuple(results))
-        yield ColumnBatch.from_rows(out)
+        yield ColumnBatch.from_rows(
+            out,
+            source.lineage.merged(list(groups.values())) if lineage else None,
+        )
 
 
 class DistinctOp(Operator):
@@ -1063,16 +1084,26 @@ class DistinctOp(Operator):
         for row in order:
             yield row, merged[row]
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
-        seen: set = set()
-        add = seen.add
-        out: list = []
-        for row in self.child._columnar_rows(database):
-            if row not in seen:
-                add(row)
-                out.append(row)
-        if out:
-            yield ColumnBatch.from_rows(out)
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+        return _distinct_rows(self.child.execute_columnar(database, lineage), lineage)
+
+
+def _distinct_rows(stream: ColumnStream, lineage: bool) -> ColumnStream:
+    """Columnar DISTINCT / UNION: one row per distinct input row, in
+    first-appearance order. Its lineage is recorded as the positions of
+    the duplicates it stands for — nothing is unioned here."""
+    batches = list(stream)
+    rows = [row for cbatch in batches for row in cbatch.to_rows()]
+    if not rows:
+        return
+    if not lineage:
+        yield ColumnBatch.from_rows(list(dict.fromkeys(rows)))
+        return
+    groups: dict = {}
+    for position, row in enumerate(rows):
+        groups.setdefault(row, []).append(position)
+    source = LineageColumns.concat([cbatch.lineage for cbatch in batches])
+    yield ColumnBatch.from_rows(list(groups), source.merged(list(groups.values())))
 
 
 class DistinctOnOp(Operator):
@@ -1100,19 +1131,24 @@ class DistinctOnOp(Operator):
             seen.add(key)
             yield tuple(fn(row) for fn in self.out_fns), lin
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         seen: set = set()
         key_fns = self.key_fns
         out_fns = self.out_fns
-        out: list = []
-        for row in self.child._columnar_rows(database):
-            key = tuple(fn(row) for fn in key_fns)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(tuple(fn(row) for fn in out_fns))
-        if out:
-            yield ColumnBatch.from_rows(out)
+        for cbatch in self.child.execute_columnar(database, lineage):
+            kept: list = []
+            out: list = []
+            for position, row in enumerate(cbatch.to_rows()):
+                key = tuple(fn(row) for fn in key_fns)
+                if key in seen:
+                    continue
+                seen.add(key)
+                kept.append(position)
+                out.append(tuple(fn(row) for fn in out_fns))
+            if out:
+                yield ColumnBatch.from_rows(
+                    out, cbatch.lineage.take(kept) if lineage else None
+                )
 
 
 class UnionOp(Operator):
@@ -1133,37 +1169,30 @@ class UnionOp(Operator):
         else:
             yield from DistinctOp(_Wrapped(chained())).execute(database, lineage)
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
-        if self.all_rows:
-            yield from self.left.execute_columnar(database)
-            yield from self.right.execute_columnar(database)
-            return
-        seen: set = set()
-        out: list = []
-        for source in (self.left, self.right):
-            for row in source._columnar_rows(database):
-                if row not in seen:
-                    seen.add(row)
-                    out.append(row)
-        if out:
-            yield ColumnBatch.from_rows(out)
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+        both = itertools.chain(
+            self.left.execute_columnar(database, lineage),
+            self.right.execute_columnar(database, lineage),
+        )
+        return both if self.all_rows else _distinct_rows(both, lineage)
 
 
 def _distinct_left_rows(
-    op: Operator, database: Database, keep_in_right: bool
+    op: Operator, database: Database, lineage: bool, keep_in_right: bool
 ) -> ColumnStream:
     """Columnar EXCEPT/INTERSECT: distinct left rows whose membership in
-    the right input equals ``keep_in_right``, in left order."""
+    the right input equals ``keep_in_right``, in left order (each keeps
+    its own lineage: the first occurrence's)."""
     right = set(op.right._columnar_rows(database))
     emitted: set = set()
-    out: list = []
-    for row in op.left._columnar_rows(database):
-        if (row in right) is not keep_in_right or row in emitted:
-            continue
-        emitted.add(row)
-        out.append(row)
-    if out:
-        yield ColumnBatch.from_rows(out)
+    for cbatch in op.left.execute_columnar(database, lineage):
+        kept: list = []
+        for position, row in enumerate(cbatch.to_rows()):
+            if (row in right) is keep_in_right and row not in emitted:
+                emitted.add(row)
+                kept.append(position)
+        if kept:
+            yield cbatch.take(kept)
 
 
 class ExceptOp(Operator):
@@ -1182,8 +1211,8 @@ class ExceptOp(Operator):
             emitted.add(row)
             yield row, lin
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
-        return _distinct_left_rows(self, database, keep_in_right=False)
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+        return _distinct_left_rows(self, database, lineage, keep_in_right=False)
 
 
 class IntersectOp(Operator):
@@ -1202,8 +1231,8 @@ class IntersectOp(Operator):
             emitted.add(row)
             yield row, lin
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
-        return _distinct_left_rows(self, database, keep_in_right=True)
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+        return _distinct_left_rows(self, database, lineage, keep_in_right=True)
 
 
 class OrderOp(Operator):
@@ -1223,12 +1252,15 @@ class OrderOp(Operator):
             rows.sort(key=lambda pair: sort_key(fn(pair[0])), reverse=desc)
         yield from rows
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
-        rows = list(self.child._columnar_rows(database))
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+        source = ColumnBatch.concat(self.child.execute_columnar(database, lineage))
+        if source is None:
+            return
+        rows = source.to_rows()
+        order = list(range(source.length))
         for fn, desc in reversed(list(zip(self.key_fns, self.descending))):
-            rows.sort(key=lambda row: sort_key(fn(row)), reverse=desc)
-        if rows:
-            yield ColumnBatch.from_rows(rows)
+            order.sort(key=lambda p: sort_key(fn(rows[p])), reverse=desc)
+        yield source.take(order)
 
 
 class LimitOp(Operator):
@@ -1248,20 +1280,16 @@ class LimitOp(Operator):
             if remaining == 0:
                 return
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         remaining = self.limit
         if remaining <= 0:
             return
-        for cbatch in self.child.execute_columnar(database):
+        for cbatch in self.child.execute_columnar(database, lineage):
             if cbatch.length < remaining:
                 remaining -= cbatch.length
                 yield cbatch
             else:
-                yield ColumnBatch(
-                    [col[:remaining] for col in cbatch.columns],
-                    remaining,
-                    clean=list(cbatch.clean),
-                )
+                yield cbatch.slice(0, remaining)
                 return
 
 
@@ -1275,9 +1303,12 @@ class ValuesOp(Operator):
         for row in self.rows:
             yield row, (frozenset() if lineage else None)
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
-        if self.rows:
-            yield ColumnBatch.from_rows(self.rows)
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+        rows = self.rows
+        if rows:
+            yield ColumnBatch.from_rows(
+                rows, LineageColumns([], len(rows)) if lineage else None
+            )
 
 
 class _Wrapped(Operator):
@@ -1326,10 +1357,10 @@ class TracedOp(Operator):
             # pulled so far still count.
             span.counters["rows"] = span.counters.get("rows", 0) + rows
 
-    def execute_columnar(self, database: Database) -> ColumnStream:
+    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         span = self.span
         counter = time.perf_counter
-        stream = self.inner.execute_columnar(database)
+        stream = self.inner.execute_columnar(database, lineage)
         rows = 0
         try:
             while True:

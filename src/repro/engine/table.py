@@ -1,9 +1,10 @@
 """In-memory tables with stable tuple identifiers, stored column-wise.
 
 Each row receives a monotonically increasing tuple id (tid) when inserted.
-Tids are the currency of lineage tracking (:mod:`repro.engine.lineage`) and
-of log compaction, whose *mark* phase collects the tids to retain and whose
-*delete* phase removes the rest.
+Tids are the currency of lineage tracking
+(:class:`~repro.engine.columnar.LineageColumns`, seeded from :meth:`Table.tids`)
+and of log compaction, whose *mark* phase collects the tids to retain and
+whose *delete* phase removes the rest.
 
 Storage is columnar: one :class:`~repro.engine.columnar.ColumnVector` per
 column (typed ``array`` storage with null bitmaps where the values allow,
@@ -283,8 +284,9 @@ class Table:
 
     # -- hash indexes -----------------------------------------------------------
 
-    def index_probe(self, column: int, value: SqlValue) -> list[tuple[int, Row]]:
-        """``(tid, row)`` pairs where ``row[column] == value``.
+    def index_positions(self, column: int, value: SqlValue) -> Sequence[int]:
+        """Row positions where ``row[column] == value``, in insertion order
+        (do not mutate the returned sequence).
 
         Builds a hash index on first use; mutations invalidate it. NULL is
         never indexed (SQL equality with NULL is unknown).
@@ -297,11 +299,16 @@ class Table:
                     index.setdefault(key, []).append(position)
             self._indexes[column] = index
         if value is None:
-            return []
+            return ()
         try:
-            positions = index.get(value, ())
+            return index.get(value, ())
         except TypeError:  # unhashable probe value
-            return []
+            return ()
+
+    def index_probe(self, column: int, value: SqlValue) -> list[tuple[int, Row]]:
+        """``(tid, row)`` pairs where ``row[column] == value`` (the row
+        reference engine's view of :meth:`index_positions`)."""
+        positions = self.index_positions(column, value)
         if not positions:
             return []
         rows = self.rows()

@@ -37,6 +37,9 @@ Metric names and labels (all prefixed ``repro_``):
 ``repro_engine_info``                 gauge      ``{shard,engine}`` always 1
 ``repro_columnar_batches_total``      counter    ``{shard}``
 ``repro_columnar_rows_total``         counter    ``{shard}``
+``repro_lineage_executions_total``    counter    ``{shard}`` lineage=True runs
+``repro_lineage_rows_total``          counter    ``{shard}`` rows they returned
+``repro_engine_row_fallbacks_total``  counter    ``{shard}`` row loops in columnar plans
 ``repro_engine_chunks_scanned_total``  counter   ``{shard}`` zone-map scans
 ``repro_engine_chunks_skipped_total``  counter   ``{shard}`` zone-map skips
 ``repro_engine_range_probes_total``   counter    ``{shard}``
@@ -196,6 +199,20 @@ def collect_service(service) -> "list[MetricFamily]":
         "repro_columnar_rows_total", "counter",
         "Rows delivered through the columnar path.",
     )
+    lineage_execs = MetricFamily(
+        "repro_lineage_executions_total", "counter",
+        "Query executions that tracked lineage (witness marks, "
+        "fProvenance, improved partials, explanations).",
+    )
+    lineage_rows = MetricFamily(
+        "repro_lineage_rows_total", "counter",
+        "Rows returned by lineage-tracking executions.",
+    )
+    row_fallbacks = MetricFamily(
+        "repro_engine_row_fallbacks_total", "counter",
+        "Operators of columnar plans that ran their row loop instead "
+        "(expression-key hash joins, group-bys without a columnar form).",
+    )
     chunks_scanned = MetricFamily(
         "repro_engine_chunks_scanned_total", "counter",
         "Table chunks scanned by pushed-down columnar filters.",
@@ -308,6 +325,9 @@ def collect_service(service) -> "list[MetricFamily]":
         )
         columnar_batches.add(label, engine.get("columnar_batches", 0))
         columnar_rows.add(label, engine.get("columnar_rows", 0))
+        lineage_execs.add(label, engine.get("lineage_executions", 0))
+        lineage_rows.add(label, engine.get("lineage_rows", 0))
+        row_fallbacks.add(label, engine.get("row_fallbacks", 0))
         chunks_scanned.add(label, engine.get("chunks_scanned", 0))
         chunks_skipped.add(label, engine.get("chunks_skipped", 0))
         range_probes.add(label, engine.get("range_probes", 0))
@@ -402,6 +422,7 @@ def collect_service(service) -> "list[MetricFamily]":
         plan_hits, plan_misses,
         build_hits, build_misses,
         engine_info, columnar_batches, columnar_rows,
+        lineage_execs, lineage_rows, row_fallbacks,
         chunks_scanned, chunks_skipped, range_probes,
         dag_shared, dag_saved,
     ]

@@ -599,6 +599,7 @@ def _empty_export_state() -> dict:
             "plan_hits": 0, "plan_misses": 0,
             "build_hits": 0, "build_misses": 0,
             "columnar_batches": 0, "columnar_rows": 0,
+            "lineage_executions": 0, "lineage_rows": 0, "row_fallbacks": 0,
             "chunks_scanned": 0, "chunks_skipped": 0,
             "range_probes": 0,
             "dag_shared_nodes": 0, "dag_saved_execs": 0,

@@ -300,6 +300,9 @@ class Shard:
             "build_misses": engine.database.join_build_misses,
             "columnar_batches": engine.columnar_batches,
             "columnar_rows": engine.columnar_rows,
+            "lineage_executions": engine.lineage_executions,
+            "lineage_rows": engine.lineage_rows,
+            "row_fallbacks": engine.database.row_fallbacks,
             "chunks_scanned": engine.database.zone_chunks_scanned,
             "chunks_skipped": engine.database.zone_chunks_skipped,
             "range_probes": engine.database.range_probes,

@@ -19,6 +19,7 @@ from repro.engine import operators
 from repro.engine.columnar import (
     CHUNK_SIZE,
     ColumnVector,
+    LineageColumns,
     build_zone_entry,
     chunk_can_skip,
     value_family,
@@ -28,7 +29,17 @@ from repro.errors import ServiceError
 from repro.log import SimulatedClock, standard_registry
 from repro.service import ServiceConfig, ShardedEnforcerService
 from repro.storage.wal import initialize_durability, recover_enforcer
-from repro.workloads import MimicConfig, build_mimic_database, make_workload
+from repro.workloads import (
+    MarketplaceConfig,
+    MimicConfig,
+    PolicyParams,
+    build_marketplace_database,
+    build_mimic_database,
+    make_all_policies,
+    make_marketplace_workload,
+    make_workload,
+    sharded_contract,
+)
 
 int_or_null = st.one_of(st.integers(min_value=-4, max_value=4), st.none())
 rows_r = st.lists(st.tuples(int_or_null, int_or_null), max_size=8)
@@ -75,13 +86,25 @@ def expression_key_join() -> operators.Operator:
     )
 
 
+def values_product() -> operators.Operator:
+    """``r × VALUES (1, 2), (3, 4)``: the constant relation has no SQL
+    surface of its own (it backs the one-row clock)."""
+    return operators.NestedLoopOp(
+        operators.ScanOp("r"), operators.ValuesOp([(1, 2), (3, 4)])
+    )
+
+
 #: The referee's cases: ``(sql, plan builder or None)``. SQL text runs
 #: through each engine's planner; a builder supplies a hand-built
 #: operator tree and the SQL is only what SQLite answers for it. Between
 #: them every operator is drawn, including each row-wise one
 #: (NestedLoop, LeftJoin with NULL padding, DistinctOn, Except,
-#: Intersect) and both in-operator fallbacks (expression-key joins,
-#: group-by over keys/aggregates without a columnar form).
+#: Intersect), both in-operator fallbacks (expression-key joins,
+#: group-by over keys/aggregates without a columnar form), and every
+#: way lineage columns are moved: self-joins (two tid vectors under one
+#: table name), merged rows that are filtered, joined, merged again or
+#: concatenated with differently shaped ones, and rows nothing
+#: contributed to (VALUES, scalar aggregates over no input).
 CASES = [
     (sql, None)
     for sql in (
@@ -111,11 +134,28 @@ CASES = [
         "SELECT r.a FROM r INTERSECT SELECT s.a FROM s",
         "SELECT r.a FROM r ORDER BY r.a LIMIT 3",
         "SELECT r.a + r.b FROM r WHERE NOT (r.a = 2)",
+        "SELECT x.a, y.b FROM r x, r y WHERE x.a = y.a",
+        "SELECT DISTINCT r.a FROM r, s WHERE r.a = s.a",
+        "SELECT DISTINCT q.a FROM (SELECT DISTINCT r.a AS a, r.b AS b FROM r) q",
+        "SELECT q.a, q.n, s.c FROM "
+        "(SELECT r.a AS a, COUNT(*) AS n FROM r GROUP BY r.a) q, s "
+        "WHERE q.a = s.a",
+        "SELECT r.a, COUNT(s.c) FROM r LEFT JOIN s ON r.a = s.a GROUP BY r.a",
+        "SELECT r.a FROM r UNION ALL SELECT s.a FROM s",
+        "SELECT r.a FROM r GROUP BY r.a UNION ALL SELECT s.a FROM s",
+        "SELECT COUNT(*), SUM(r.a) FROM r WHERE r.a > 100",
+        "SELECT r.a, s.c FROM r, s WHERE r.a = s.a ORDER BY s.c",
+        "SELECT r.a, r.b FROM r LIMIT 2",
     )
 ] + [
     (
         "SELECT r.a, r.b, s.a, s.c FROM r, s WHERE r.a + 1 = s.a",
         expression_key_join,
+    ),
+    (
+        "SELECT r.a, r.b, v.column1, v.column2 "
+        "FROM r, (VALUES (1, 2), (3, 4)) v",
+        values_product,
     ),
 ]
 cases = st.sampled_from(CASES)
@@ -126,15 +166,25 @@ def run_case(engine: Engine, case, lineage: bool = False) -> Result:
     if build is None:
         return engine.execute(sql, lineage=lineage)
     op, db = build(), engine.database
-    if lineage or engine.engine_name == "row":
+    if engine.engine_name == "row":
         pairs = list(op.execute(db, lineage))
-        return Result(
-            [],
-            [row for row, _ in pairs],
-            [lin for _, lin in pairs] if lineage else None,
-        )
-    batches = op.execute_columnar(db)
-    return Result([], [row for cbatch in batches for row in cbatch.to_rows()])
+        rows = [row for row, _ in pairs]
+        tracked = LineageColumns.of_sets([lin for _, lin in pairs])
+    else:
+        batches = list(op.execute_columnar(db, lineage))
+        rows = [row for cbatch in batches for row in cbatch.to_rows()]
+        tracked = LineageColumns.concat([cbatch.lineage for cbatch in batches])
+    return Result([], rows, tracked if lineage else None)
+
+
+def assert_same_lineage(reference: Result, got: Result) -> None:
+    """Rows, their order, the per-row sets and the per-table tid sets
+    the mark phase reads."""
+    assert got.rows == reference.rows
+    assert got.lineages == reference.lineages
+    assert got.lineage_tables() == reference.lineage_tables()
+    for table in ("r", "s"):
+        assert got.lineage_tids(table) == reference.lineage_tids(table)
 
 
 class TestColumnarEqualsRowEqualsSqlite:
@@ -147,26 +197,65 @@ class TestColumnarEqualsRowEqualsSqlite:
         assert got.rows == reference.rows
         assert got.columns == reference.columns
         sql = case[0]
-        # SQLite has no DISTINCT ON, and breaks ORDER BY ties its own
-        # way; everything else is a multiset compare against the oracle.
-        if "ORDER BY" not in sql and "DISTINCT ON" not in sql:
+        # SQLite has no DISTINCT ON, and breaks ORDER BY ties (and so
+        # picks LIMIT prefixes) its own way; everything else is a
+        # multiset compare against the oracle.
+        if not any(word in sql for word in ("ORDER BY", "DISTINCT ON", "LIMIT")):
             theirs = to_sqlite(row.database).execute(sql).fetchall()
             assert sorted(reference.rows, key=repr) == sorted(
                 [tuple(r) for r in theirs], key=repr
             )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(rows_r, rows_s, cases)
     def test_lineage_mode_identical(self, r_rows, s_rows, case):
-        """lineage=True forces the row path on both engines — rows *and*
+        """Each engine tracks lineage on its own path — rows *and*
         provenance must agree with the row-engine reference, and the
         rows with the lineage-free columnar run."""
         row, columnar = build_engines(r_rows, s_rows)
-        reference = run_case(row, case, lineage=True)
-        got = run_case(columnar, case, lineage=True)
-        assert got.rows == reference.rows
-        assert got.lineages == reference.lineages
-        assert run_case(columnar, case).rows == reference.rows
+        assert_same_lineage(
+            run_case(row, case, lineage=True),
+            run_case(columnar, case, lineage=True),
+        )
+        assert run_case(columnar, case).rows == run_case(row, case).rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows_r,
+        rows_s,
+        cases,
+        st.sets(st.integers(min_value=0, max_value=9)),
+        st.sets(st.integers(min_value=0, max_value=9)),
+    )
+    def test_lineage_identical_over_gapped_tids(
+        self, r_rows, s_rows, case, doomed, keep
+    ):
+        """Tids are not positions: after ``delete_tids`` / ``retain_tids``
+        (what a compaction pass does to a log) the tid vectors have
+        gaps, and a mid-stream append lands behind them. A result whose
+        lineage columns are first read *after* an append must not see
+        it: scan vectors alias tid lists that grow in place."""
+        row, columnar = build_engines(r_rows, s_rows)
+        db = row.database
+
+        def agree():
+            assert_same_lineage(
+                run_case(row, case, lineage=True),
+                run_case(columnar, case, lineage=True),
+            )
+
+        expected = run_case(row, case, lineage=True)
+        unread = run_case(columnar, case, lineage=True)
+        db.table("r").insert_many([(1, 2), (None, 0)])
+        db.table("s").insert((1, 5))
+        assert_same_lineage(expected, unread)
+        agree()
+        db.table("r").delete_tids(doomed)
+        db.table("s").retain_tids(keep)
+        agree()
+        db.table("r").insert((2, 2))
+        db.table("s").insert((2, 1))
+        agree()
 
     @settings(max_examples=20, deadline=None)
     @given(rows_r, rows_s)
@@ -212,6 +301,26 @@ class TestKernelFallback:
         assert got == row.execute(sql).rows
         theirs = to_sqlite(row.database).execute(sql).fetchall()
         assert sorted(got, key=repr) == sorted(map(tuple, theirs), key=repr)
+
+
+class TestRowLoopFallbackIsCounted:
+    """The one place a columnar plan goes row-wise — an operator running
+    its *own* loop over columnar children — is tallied, lineage or not."""
+
+    def test_expression_key_join_and_case_keyed_group(self):
+        _, columnar = build_engines([(1, 2), (2, 3)], [(2, 5), (3, 6)])
+        db = columnar.database
+        columnar.execute("SELECT r.a, s.c FROM r, s WHERE r.a = s.a")
+        columnar.execute("SELECT r.a, COUNT(*) FROM r GROUP BY r.a", lineage=True)
+        assert db.row_fallbacks == 0
+        run_case(columnar, CASES[-2])
+        run_case(columnar, CASES[-2], lineage=True)
+        assert db.row_fallbacks == 2
+        case_keyed = next(case for case in CASES if "CASE WHEN" in case[0])
+        run_case(columnar, case_keyed, lineage=True)
+        assert db.row_fallbacks == 3
+        Engine(db, "row").execute(case_keyed[0], lineage=True)
+        assert db.row_fallbacks == 3
 
 
 class TestComparisonSpecializations:
@@ -285,15 +394,22 @@ class TestJoinBuildCache:
         assert db.join_build_misses == 1
         assert any(row[0] == 777 for row in result.rows)
 
-    def test_lineage_and_columnar_caches_are_separate(self):
+    def test_lineage_shares_the_columnar_build_cache(self):
+        """A base-table build side's lineage column is the table's own
+        tid vector, so lineage executions reuse the cached build."""
         engine, db = self.setup_pair()
         sql = "SELECT r.b, s.c FROM r, s WHERE r.a = s.a"
         plain = engine.execute(sql)
         traced = engine.execute(sql, lineage=True)
         assert plain.rows == traced.rows
-        assert db.join_build_misses == 2  # one build per discipline
-        engine.execute(sql, lineage=True)
-        assert db.join_build_hits == 1
+        assert (db.join_build_misses, db.join_build_hits) == (1, 1)
+        assert traced.lineage_tids("s") == set(db.table("s").tids())
+        db.table("s").delete_tids({0})
+        again = engine.execute(sql, lineage=True)
+        assert (db.join_build_misses, db.join_build_hits) == (2, 1)
+        assert again.lineage_tids("s") == {1, 2, 3, 4}
+        assert engine.lineage_executions == 2
+        assert engine.lineage_rows == len(traced.rows) + len(again.rows)
 
     def test_explain_annotates_miss_then_hit(self):
         engine, _ = self.setup_pair()
@@ -768,7 +884,93 @@ class TestTwoDisciplines:
         with pytest.raises(NotImplementedError):
             operators.Operator().execute(db, False)
         with pytest.raises(NotImplementedError):
-            operators.Operator().execute_columnar(db)
+            operators.Operator().execute_columnar(db, False)
+
+    @staticmethod
+    def _mimic_stream():
+        config = MimicConfig(n_patients=40)
+        workload = make_workload(config).all()
+        enforcer = Enforcer(
+            build_mimic_database(config),
+            make_all_policies(
+                PolicyParams.for_config(
+                    config, p5_max_tuples=8, p6_max_uses=2, p6_window=1000
+                )
+            ),
+            clock=SimulatedClock(default_step_ms=50),
+            options=EnforcerOptions.datalawyer(),
+        )
+        order = ["W1", "W2", "W3", "W1", "W4", "W2", "W1", "W3"] * 3
+        return enforcer, [(workload[w], i % 3 % 2) for i, w in enumerate(order)]
+
+    @staticmethod
+    def _metered_stream():
+        config = MarketplaceConfig(
+            rate_limit=4, rate_window=400, free_tier_tuples=30,
+            free_tier_window=600,
+        )
+        workload = make_marketplace_workload(config)
+        enforcer = Enforcer(
+            build_marketplace_database(config),
+            sharded_contract(config),
+            clock=SimulatedClock(default_step_ms=25),
+            options=EnforcerOptions.datalawyer(),
+        )
+        stream = [(workload[f"M{1 + i % 2}"], 1 + i % 3) for i in range(30)]
+        return enforcer, stream
+
+    @staticmethod
+    def _serve(enforcer, stream, engine):
+        """Decisions and the persisted log under ``serve`` defaults."""
+        service = ShardedEnforcerService(
+            enforcer, ServiceConfig(shards=1, engine=engine)
+        )
+        try:
+            decisions = [
+                (d.allowed, [v.policy_name for v in d.violations])
+                for d in (service.submit(sql, uid=uid) for sql, uid in stream)
+            ]
+            database = service.shards[0].enforcer.database
+            log = {
+                name: (database.table(name).rows(), database.table(name).tids())
+                for name in ("users", "schema", "provenance")
+            }
+            return decisions, log, database.row_fallbacks
+        finally:
+            service.drain()
+
+    @pytest.mark.parametrize("build", ["_mimic_stream", "_metered_stream"])
+    def test_no_row_body_runs_under_the_columnar_engine(self, build, monkeypatch):
+        """Lineage included: marks, fProvenance and every policy check
+        of a served stream run column-wise. Every ``Operator.execute``
+        body is patched to raise unless it is the documented fallback —
+        an operator running its *own* loop over columnar children."""
+        reference = self._serve(*getattr(self, build)(), engine="row")
+
+        def guard(original):
+            def execute(self, database, lineage):
+                if not any(
+                    isinstance(getattr(self, attr, None), operators._Wrapped)
+                    for attr in ("child", "left", "right")
+                ):
+                    raise AssertionError(
+                        f"{type(self).__name__}.execute ran under columnar"
+                    )
+                return original(self, database, lineage)
+
+            return execute
+
+        for cls in _all_operator_classes():
+            if cls is not operators._Wrapped and "execute" in vars(cls):
+                monkeypatch.setattr(cls, "execute", guard(vars(cls)["execute"]))
+        with pytest.raises(AssertionError, match="Op.execute ran"):
+            Engine(build_db([(1, 2)], []), "row").execute("SELECT r.a FROM r")
+        decisions, log, fallbacks = self._serve(
+            *getattr(self, build)(), engine="columnar"
+        )
+        assert (decisions, log) == reference[:2]
+        assert not all(allowed for allowed, _ in decisions)
+        assert fallbacks == 0
 
     def test_default_engine_is_columnar(self):
         db = Database()
@@ -846,6 +1048,9 @@ class TestServiceEngineSurface:
             assert 'repro_engine_info{shard="0",engine="columnar"} 1' in body
             assert "repro_engine_chunks_scanned_total" in body
             assert "repro_engine_chunks_skipped_total" in body
+            assert "# TYPE repro_lineage_executions_total counter" in body
+            assert "# TYPE repro_lineage_rows_total counter" in body
+            assert 'repro_engine_row_fallbacks_total{shard="1"} 0' in body
         finally:
             service.drain()
 

@@ -393,6 +393,26 @@ class TestResultHelpers:
         engine.invalidate_plans()
         assert engine.plan("SELECT * FROM t") is not plan1
 
+    def test_plan_caches_evict_instead_of_refusing(self, engine):
+        """A full cache used to admit nothing more: once a stream of
+        one-off queries (timestamp-instantiated witnesses) had filled
+        it, every *other* query was re-planned on every use."""
+        from repro.sql import parse
+
+        hot = parse("SELECT b FROM t WHERE a = 1")
+        hot_plan = engine.plan(hot)
+        for n in range(300):
+            engine.plan(parse(f"SELECT b FROM t WHERE c > {n}"))
+            engine.plan(f"SELECT a FROM t WHERE c > {n}")
+            assert engine.plan(hot) is hot_plan  # in use: never the victim
+        assert len(engine._ast_plan_cache) <= 256
+        assert len(engine._plan_cache) <= 256
+        late = parse("SELECT a, b FROM t")
+        before = engine.plan_cache_hits
+        assert engine.plan(late) is engine.plan(late)
+        assert engine.plan("SELECT c FROM t") is engine.plan("select c from t")
+        assert engine.plan_cache_hits == before + 2
+
 
 class TestIndexScanEquivalence:
     def test_index_scan_matches_filter_semantics(self, engine):

@@ -1,8 +1,10 @@
-"""Lineage (contributing-tuples provenance) tests."""
+"""Lineage (contributing-tuples provenance) tests, held on both engines
+at once (see :class:`engines.BothEngines`)."""
 
 import pytest
+from engines import BothEngines
 
-from repro.engine import Database, Engine
+from repro.engine import Database
 
 
 @pytest.fixture
@@ -15,7 +17,7 @@ def db():
 
 @pytest.fixture
 def engine(db):
-    return Engine(db)
+    return BothEngines(db)
 
 
 def lineage_map(result):

@@ -47,7 +47,7 @@ class CountingOp(Operator):
         for row in database.table(self.table_name).rows():
             yield row, None
 
-    def execute_columnar(self, database):
+    def execute_columnar(self, database, lineage):
         self.execs += 1
         yield ColumnBatch.from_rows(database.table(self.table_name).rows())
 
@@ -64,8 +64,8 @@ def shared_setup():
 
 def test_shared_node_memoizes_within_version(shared_setup):
     db, engine, child, node = shared_setup
-    first = list(node.execute_columnar(db))
-    again = list(node.execute_columnar(db))
+    first = list(node.execute_columnar(db, False))
+    again = list(node.execute_columnar(db, False))
     assert child.execs == 1
     assert [b.to_rows() for b in first] == [b.to_rows() for b in again]
     assert engine.dag_saved_execs == 1
@@ -73,9 +73,9 @@ def test_shared_node_memoizes_within_version(shared_setup):
 
 def test_shared_node_invalidates_on_table_mutation(shared_setup):
     db, engine, child, node = shared_setup
-    list(node.execute_columnar(db))
+    list(node.execute_columnar(db, False))
     db.table("t").insert((3,))
-    list(node.execute_columnar(db))
+    list(node.execute_columnar(db, False))
     assert child.execs == 2
 
 
@@ -84,7 +84,7 @@ def test_second_consumer_replays_the_columnar_memo(shared_setup):
     child through ``_columnar_rows``: they replay the memo the columnar
     consumer filled instead of executing the subtree a second time."""
     db, engine, child, node = shared_setup
-    columnar = list(node.execute_columnar(db))
+    columnar = list(node.execute_columnar(db, False))
     rows = list(node._columnar_rows(db))
     assert child.execs == 1
     assert rows == [row for cb in columnar for row in cb.to_rows()]
@@ -94,7 +94,7 @@ def test_second_consumer_replays_the_columnar_memo(shared_setup):
     db.table("t").insert((3,))
     assert list(node._columnar_rows(db)) == [(1,), (2,), (3,)]
     assert child.execs == 2
-    rebuilt = list(node.execute_columnar(db))
+    rebuilt = list(node.execute_columnar(db, False))
     assert child.execs == 2
     assert [row for cb in rebuilt for row in cb.to_rows()] == [
         (1,),

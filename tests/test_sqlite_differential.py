@@ -8,7 +8,8 @@ with COUNT/SUM/MIN/MAX, and the set operations. Excluded by design:
 division (SQLite truncates integers), LIKE (SQLite is case-insensitive),
 ORDER BY ties/NULL placement, and floats (formatting).
 
-Results are compared as row multisets.
+Results are compared as row multisets; "ours" is the row reference and
+the columnar engine at once (see :class:`engines.BothEngines`).
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import sqlite3
 
 import pytest
 from hypothesis import given, settings
+from engines import BothEngines
 from hypothesis import strategies as st
 
-from repro.engine import Database, Engine
+from repro.engine import Database
 
 int_or_null = st.one_of(st.integers(min_value=-4, max_value=4), st.none())
 rows_r = st.lists(st.tuples(int_or_null, int_or_null), max_size=7)
@@ -30,7 +32,7 @@ def build_engines(r_rows, s_rows):
     db = Database()
     db.load_table("r", ["a", "b"], r_rows)
     db.load_table("s", ["a", "c"], s_rows)
-    engine = Engine(db)
+    engine = BothEngines(db)
 
     connection = sqlite3.connect(":memory:")
     connection.execute("CREATE TABLE r (a INTEGER, b INTEGER)")

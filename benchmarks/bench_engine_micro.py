@@ -112,9 +112,9 @@ def test_parse_and_plan(benchmark, engine):
 #: (name, SQL) pairs timed on both disciplines. ``join`` and ``group``
 #: are the headline lanes (probe and group-loop throughput, free of
 #: result-materialization cost); ``join_rows``/``group_sum`` keep the
-#: materializing variants honest, and ``prune`` isolates zone-map chunk
-#: skipping (its predicate covers two ~CHUNK_SIZE id ranges out of the
-#: whole table).
+#: materializing variants honest, and ``range`` is a narrow two-sided
+#: range (about one row in twenty at full scale) through the selection
+#: kernel.
 COMPARISON_QUERIES = [
     ("scan", "SELECT id, grp, val FROM big"),
     ("filter", "SELECT id FROM big WHERE grp < 50 AND val > 2"),
@@ -125,7 +125,7 @@ COMPARISON_QUERIES = [
     ),
     ("group", "SELECT grp, COUNT(*) FROM big GROUP BY grp"),
     ("group_sum", "SELECT grp, COUNT(*), SUM(val) FROM big GROUP BY grp"),
-    ("prune", "SELECT COUNT(*) FROM big WHERE id >= 500 AND id < 1500"),
+    ("range", "SELECT COUNT(*) FROM big WHERE id >= 500 AND id < 1500"),
 ]
 
 #: Columnar-over-row floors: join and group must beat the row engine

@@ -2,7 +2,7 @@
 
 The columnar execution discipline (``engine="columnar"``) moves data
 between operators as :class:`ColumnBatch` objects — one Python list per
-column — instead of row tuples. Three things make that faster than the
+column — instead of row tuples. Two things make that faster than the
 row interpreter:
 
 - **No per-row tuple construction.** Scans hand out the table's own
@@ -14,25 +14,17 @@ row interpreter:
   columns; join probes are ``map(buckets.get, key_column)``; group-by
   reduces gathered value lists with C built-ins where value semantics
   allow.
-- **Chunk skipping.** Tables keep per-chunk *zone maps* (min/max/null
-  count per :data:`CHUNK_SIZE` rows) and sorted range indexes, so a
-  pushed-down conjunct like ``ts > ?`` skips whole chunks instead of
-  filtering every row (see :class:`ZoneEntry` and :func:`chunk_can_skip`).
 
 Semantics are bit-identical to the row engine by construction: emitted
 kernels call the same helpers from :mod:`repro.engine.types` (same NULL
 propagation, same type errors, same non-short-circuiting ``AND``/``OR``
 — only the per-row closure dispatch is gone), and the
 aggregate reducers replicate the exact accumulation order (and error
-text) of :mod:`repro.engine.aggregates`. Zone-map pruning is only applied
-where the pruning decision provably matches the comparison helpers'
-family rules — cross-family *ordering* comparisons raise, so those chunks
-are always scanned to let the error surface.
+text) of :mod:`repro.engine.aggregates`.
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -53,16 +45,8 @@ from .types import (
     sql_or,
 )
 
-#: Rows per zone-map chunk, and per batch of operators that emit their
-#: output in pieces.
+#: Rows per batch of operators that emit their output in pieces.
 CHUNK_SIZE = 1024
-
-#: Minimum table size before a filter consults a sorted range index
-#: (building one is O(n log n); below this a zone-mapped scan wins).
-RANGE_INDEX_MIN_ROWS = 1024
-
-#: Comparison operators zone maps understand.
-PRUNABLE_OPS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 
 #: A selection kernel: ``(columns, length) -> kept positions``.
 SelectionKernel = Callable[[List[list], int], Sequence[int]]
@@ -78,259 +62,76 @@ PositionResolver = Callable[[ast.ColumnRef], Optional[int]]
 
 
 # ---------------------------------------------------------------------------
-# Column vectors: the typed per-column store behind Table
+# Column vectors: the per-column store behind Table
 # ---------------------------------------------------------------------------
-
-_I64_MIN = -(2**63)
-_I64_MAX = 2**63 - 1
 
 
 class ColumnVector:
-    """One table column: a typed array when the values allow, a list
-    otherwise, plus a null bitmap.
+    """One table column: a plain list holding ``None`` for NULL, a NULL
+    count and an exact-numeric marker.
 
-    Storage modes (``kind``):
+    The marker is ``int`` or ``float`` while every non-NULL value seen is
+    exactly that class — never ``bool``, never a mix of the two (``1`` is
+    stored as ``1``, not ``1.0``; the engines stay bit-identical because
+    nothing is ever coerced) — ``None`` before the first non-NULL value
+    and ``False`` for good once anything else arrives. :meth:`take`
+    builds a fresh vector, so deleting the offending rows re-derives it.
 
-    - ``"i64"`` — every non-null value is exactly ``int`` (never ``bool``)
-      within 64-bit range; backed by ``array('q')`` with a ``bytearray``
-      null bitmap.
-    - ``"f64"`` — every non-null value is exactly ``float``; ``array('d')``
-      plus bitmap.
-    - ``"obj"`` — anything else (mixed families, strings, big ints);
-      backed by a plain list holding ``None`` for NULL.
-
-    A vector *promotes* from empty-``obj`` to a typed mode on its first
-    bulk load and *demotes* to ``obj`` the moment a non-conforming value
-    arrives — value identity is never coerced (``1`` never becomes
-    ``1.0``), which is what keeps the engines bit-identical.
-
-    ``values()`` returns the decoded Python-object view used by kernels;
-    for ``obj`` mode it is the backing list itself, for typed modes a
-    cached ``array.tolist()`` with NULLs patched in, maintained
-    incrementally across appends.
-
-    Clones share backing storage copy-on-write: both sides are marked
-    shared and the first to mutate copies its arrays first.
+    Clones share the list copy-on-write: both sides are marked shared and
+    the first to append copies it first.
     """
 
-    __slots__ = ("kind", "_data", "_nulls", "_null_count", "_decoded", "_shared")
+    __slots__ = ("_data", "_null_count", "_numeric", "_shared")
 
-    def __init__(self) -> None:
-        self.kind = "obj"
+    def __init__(self, values: Sequence = ()) -> None:
         self._data: list = []
-        self._nulls: Optional[bytearray] = None
         self._null_count = 0
-        self._decoded: Optional[list] = None
+        self._numeric = None
         self._shared = False
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_values(cls, values: Iterable) -> "ColumnVector":
-        vec = cls()
-        vec.extend(values)
-        return vec
-
-    # -- basic accessors -----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __getitem__(self, position: int):
-        if self.kind == "obj":
-            return self._data[position]
-        if self._null_count and _bit_get(self._nulls, position):
-            return None
-        return self._data[position]
+        self.extend(values)
 
     @property
     def null_count(self) -> int:
         return self._null_count
 
     def is_clean_numeric(self) -> bool:
-        """Typed numeric storage with no NULLs: aggregate fast paths apply."""
-        return self._null_count == 0 and self.kind != "obj"
+        """NULL-free and one exact numeric class: aggregate fast paths apply."""
+        return self._null_count == 0 and bool(self._numeric)
 
     def values(self) -> list:
-        """The decoded column as a plain list (NULL as ``None``).
+        """The column as a plain list (NULL as ``None``).
 
-        Callers must not mutate the returned list: in ``obj`` mode it *is*
-        the backing store, in typed modes it is a cache kept in sync with
-        appends.
+        This *is* the backing store, grown in place by appends — callers
+        must not mutate it.
         """
-        if self.kind == "obj":
-            return self._data
-        decoded = self._decoded
-        if decoded is None:
-            decoded = self._data.tolist()
-            if self._null_count:
-                nulls = self._nulls
-                for position in _bit_positions(nulls, len(decoded)):
-                    decoded[position] = None
-            self._decoded = decoded
-        return decoded
+        return self._data
 
-    def null_bitmap(self) -> bytes:
-        """The null bitmap as bytes (bit ``i`` set ⇔ position ``i`` is NULL)."""
-        size = (len(self._data) + 7) >> 3
-        if self.kind != "obj":
-            bitmap = self._nulls
-            if bitmap is None:
-                return bytes(size)
-            return bytes(bitmap[:size]) + bytes(size - len(bitmap[:size]))
-        bitmap = bytearray(size)
-        for position, value in enumerate(self._data):
-            if value is None:
-                bitmap[position >> 3] |= 1 << (position & 7)
-        return bytes(bitmap)
-
-    # -- mutation ------------------------------------------------------------
-
-    def _ensure_owned(self) -> None:
-        if self._shared:
-            if self.kind == "obj":
-                self._data = list(self._data)
-            else:
-                self._data = array(self._data.typecode, self._data)
-                if self._nulls is not None:
-                    self._nulls = bytearray(self._nulls)
-            self._decoded = None
-            self._shared = False
-
-    def _demote(self) -> None:
-        """Fall back to object storage, preserving value identity."""
-        decoded = self.values()
-        if decoded is self._decoded:
-            # values() returned the typed-mode cache; adopt it as the store.
-            self._data = decoded
-        else:
-            self._data = list(decoded)
-        self.kind = "obj"
-        self._nulls = None
-        self._decoded = None
-
-    def append(self, value) -> None:
-        self._ensure_owned()
-        kind = self.kind
-        if kind == "obj":
-            self._data.append(value)
-            if value is None:
-                self._null_count += 1
-            return
-        if value is None:
-            position = len(self._data)
-            self._data.append(0 if kind == "i64" else 0.0)
-            self._nulls = _bit_set(self._nulls, position)
-            self._null_count += 1
-            if self._decoded is not None:
-                self._decoded.append(None)
-            return
-        if kind == "i64" and value.__class__ is int and _I64_MIN <= value <= _I64_MAX:
-            self._data.append(value)
-        elif kind == "f64" and value.__class__ is float:
-            self._data.append(value)
-        else:
-            self._demote()
-            self._data.append(value)
-            return
-        if self._decoded is not None:
-            self._decoded.append(value)
-
-    def extend(self, values: Iterable) -> None:
-        values = list(values)
+    def extend(self, values: Sequence) -> None:
         if not values:
             return
-        self._ensure_owned()
-        if self.kind == "obj" and not self._data:
-            self._adopt(values)
-            return
-        for value in values:
-            self.append(value)
-
-    def _adopt(self, values: list) -> None:
-        """Bulk-load into an empty vector, sniffing the storage mode."""
-        kinds = set(map(type, values))
-        nullable = type(None) in kinds
-        kinds.discard(type(None))
-        if kinds == {int} and all(
-            _I64_MIN <= v <= _I64_MAX for v in values if v is not None
-        ):
-            self.kind = "i64"
-            typecode = "q"
-        elif kinds == {float}:
-            self.kind = "f64"
-            typecode = "d"
-        else:
-            self.kind = "obj"
-            self._data = values
-            self._null_count = values.count(None) if nullable else 0
-            return
-        zero = 0 if self.kind == "i64" else 0.0
-        if nullable:
-            self._data = array(
-                typecode, (zero if v is None else v for v in values)
-            )
-            bitmap = bytearray((len(values) + 7) >> 3)
-            count = 0
-            for position, value in enumerate(values):
-                if value is None:
-                    bitmap[position >> 3] |= 1 << (position & 7)
-                    count += 1
-            self._nulls = bitmap
-            self._null_count = count
-        else:
-            self._data = array(typecode, values)
-        self._decoded = values
+        if self._shared:
+            self._data = list(self._data)
+            self._shared = False
+        self._data.extend(values)
+        self._null_count += values.count(None)
+        if self._numeric is not False:
+            kinds = {self._numeric, *map(type, values)} - {None, type(None)}
+            if kinds:
+                self._numeric = kinds.pop() if kinds in ({int}, {float}) else False
 
     def take(self, positions: Sequence[int]) -> "ColumnVector":
         """A new vector holding the values at ``positions`` (in order)."""
-        decoded = self.values()
-        return ColumnVector.from_values([decoded[p] for p in positions])
+        data = self._data
+        return ColumnVector([data[p] for p in positions])
 
     def clone(self) -> "ColumnVector":
-        """Copy-on-write clone: storage is shared until either side mutates."""
+        """Copy-on-write clone: the list is shared until either side appends."""
         copy = ColumnVector()
-        copy.kind = self.kind
         copy._data = self._data
-        copy._nulls = self._nulls
         copy._null_count = self._null_count
-        copy._decoded = self._decoded
-        copy._shared = True
-        self._shared = True
+        copy._numeric = self._numeric
+        copy._shared = self._shared = True
         return copy
-
-
-def _bit_set(bitmap: Optional[bytearray], position: int) -> bytearray:
-    if bitmap is None:
-        bitmap = bytearray()
-    index = position >> 3
-    if index >= len(bitmap):
-        bitmap.extend(b"\x00" * (index + 1 - len(bitmap)))
-    bitmap[index] |= 1 << (position & 7)
-    return bitmap
-
-
-def _bit_get(bitmap: Optional[bytearray], position: int) -> int:
-    if bitmap is None:
-        return 0
-    index = position >> 3
-    if index >= len(bitmap):
-        return 0
-    return (bitmap[index] >> (position & 7)) & 1
-
-
-def _bit_positions(bitmap: Optional[bytearray], length: int):
-    if bitmap is None:
-        return
-    for index, byte in enumerate(bitmap):
-        if not byte:
-            continue
-        base = index << 3
-        for offset in range(8):
-            if byte & (1 << offset):
-                position = base + offset
-                if position < length:
-                    yield position
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +352,7 @@ class ColumnBatch:
     when the execution tracks lineage, else ``None``; it is moved by the
     same position vectors as the values.
 
-    Columns may alias a table's decoded caches — consumers must never
+    Columns may alias a table's own column lists — consumers must never
     mutate them in place.
     """
 
@@ -585,7 +386,7 @@ class ColumnBatch:
         """One batch holding every row of ``batches`` (``None`` for no
         batches). A single batch — a whole-table scan — passes through
         zero-copy; otherwise the columns are copied before extending
-        (they may alias table caches)."""
+        (they may alias table columns)."""
         batches = list(batches)
         if len(batches) <= 1:
             return batches[0] if batches else None
@@ -630,7 +431,7 @@ class ColumnBatch:
         )
 
     def slice(self, start: int, end: int) -> "ColumnBatch":
-        """Rows ``start`` to ``end`` (a chunk of a scan, a LIMIT prefix)."""
+        """Rows ``start`` to ``end`` (a LIMIT prefix)."""
         lineage = self.lineage
         return ColumnBatch(
             [col[start:end] for col in self.columns],
@@ -638,104 +439,6 @@ class ColumnBatch:
             clean=list(self.clean),
             lineage=None if lineage is None else lineage.take(range(start, end)),
         )
-
-
-# ---------------------------------------------------------------------------
-# Zone maps and pruning
-# ---------------------------------------------------------------------------
-
-#: Type → comparison family, mirroring ``types._comparable``: bool is its
-#: own family, int/float share one, str is the third. Anything else (or a
-#: mix) makes a chunk unprunable.
-_FAMILY = {bool: "bool", int: "num", float: "num", str: "str"}
-
-
-class ZoneEntry:
-    """Per-chunk summary of one column: value family, min/max, null count.
-
-    ``family`` is ``None`` when the chunk holds mixed families, non-SQL
-    types, or a NaN — such chunks are never skipped. An all-NULL chunk has
-    ``family == "null"`` and no bounds.
-    """
-
-    __slots__ = ("family", "lo", "hi", "null_count", "length")
-
-    def __init__(self, family, lo, hi, null_count: int, length: int):
-        self.family = family
-        self.lo = lo
-        self.hi = hi
-        self.null_count = null_count
-        self.length = length
-
-
-def build_zone_entry(values: list) -> ZoneEntry:
-    """Summarize one chunk of decoded values."""
-    length = len(values)
-    null_count = values.count(None)
-    if null_count == length:
-        return ZoneEntry("null", None, None, null_count, length)
-    nonnull = [v for v in values if v is not None] if null_count else values
-    kinds = set(map(type, nonnull))
-    if kinds <= {int, float}:
-        family = "num"
-        if float in kinds and any(v != v for v in nonnull):
-            return ZoneEntry(None, None, None, null_count, length)
-    elif kinds == {str}:
-        family = "str"
-    elif kinds == {bool}:
-        family = "bool"
-    else:
-        return ZoneEntry(None, None, None, null_count, length)
-    return ZoneEntry(family, min(nonnull), max(nonnull), null_count, length)
-
-
-def value_family(value) -> Optional[str]:
-    """The comparison family of a constant (None for NULL/exotic types)."""
-    if value is None:
-        return None
-    family = _FAMILY.get(type(value))
-    if family == "num" and value != value:  # NaN never prunes
-        return None
-    return family
-
-
-def chunk_can_skip(entry: ZoneEntry, op: str, const, const_family) -> bool:
-    """True when no row of the chunk can satisfy ``column <op> const``.
-
-    Mirrors the comparison helpers exactly:
-
-    - NULL constants and all-NULL chunks never produce ``True`` → skip.
-    - Cross-family ``=`` is always ``False`` → skip; cross-family ``<>``
-      is always ``True`` → scan; cross-family *ordering* raises — the
-      chunk is scanned so the error surfaces identically.
-    - Within a family, min/max bounds decide.
-    """
-    if const is None:
-        return True  # comparison with NULL is never True
-    if entry.family == "null":
-        return True  # every value NULL → every comparison unknown
-    if entry.family is None or const_family is None:
-        return False
-    if entry.family != const_family:
-        return op == "="  # cross-family equality is False; others scan
-    lo, hi = entry.lo, entry.hi
-    if op == "=":
-        return const < lo or const > hi
-    if op == "<>":
-        return lo == hi == const
-    if op == "<":
-        return lo >= const
-    if op == "<=":
-        return lo > const
-    if op == ">":
-        return hi <= const
-    if op == ">=":
-        return hi < const
-    return False
-
-
-#: Operator mirror for flipping ``const <op> col`` into ``col <op'> const``.
-FLIPPED_OPS = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 # ---------------------------------------------------------------------------

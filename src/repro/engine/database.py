@@ -26,12 +26,6 @@ class Database:
         #: cache validity is a property of this catalog's tables.
         self.join_build_hits = 0
         self.join_build_misses = 0
-        #: Columnar-scan pruning tallies, incremented by
-        #: :class:`~repro.engine.operators.FilterOp` when a pushed-down
-        #: predicate consults zone maps / range indexes over a base table.
-        self.zone_chunks_scanned = 0
-        self.zone_chunks_skipped = 0
-        self.range_probes = 0
         #: Times a columnar operator ran its row loop instead
         #: (:meth:`~repro.engine.operators.Operator._row_loop_columnar`).
         self.row_fallbacks = 0

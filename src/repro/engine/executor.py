@@ -169,8 +169,8 @@ class Engine:
 
     - ``"row"`` — tuple-at-a-time interpretation; the semantic reference.
     - ``"columnar"`` (default) — column-at-a-time over
-      :class:`~repro.engine.columnar.ColumnBatch` with zone-map chunk
-      pruning (see :mod:`repro.engine.columnar`).
+      :class:`~repro.engine.columnar.ColumnBatch`, each scan handing out
+      the table's own column lists (see :mod:`repro.engine.columnar`).
 
     Both disciplines track lineage on request and produce bit-identical
     rows and lineages.

@@ -13,13 +13,13 @@ Every operator supports two execution disciplines:
 - **Column-at-a-time** (:meth:`Operator.execute_columnar`): an iterator
   of :class:`~repro.engine.columnar.ColumnBatch` chunks (never empty),
   used by ``engine="columnar"``. Scans hand out the table's own column
-  lists (zero copy), filters run selection kernels with zone-map chunk
-  pruning, joins probe with ``map(buckets.get, key_column)`` and gather
-  per column, and group-by reduces gathered value lists. Operators whose
-  work is inherently row-wise (nested loops, outer joins, sorts, set
-  operations) do it inside the operator over their children's batches
-  and emit by position, so the subtree beneath them never leaves the
-  columnar path. With ``lineage`` set every batch carries its rows'
+  lists (zero copy), filters run selection kernels, joins probe with
+  ``map(buckets.get, key_column)`` and gather per column, and group-by
+  reduces gathered value lists. Operators whose work is inherently
+  row-wise (nested loops, outer joins, sorts, set operations) do it
+  inside the operator over their children's batches and emit by
+  position, so the subtree beneath them never leaves the columnar
+  path. With ``lineage`` set every batch carries its rows'
   :class:`~repro.engine.columnar.LineageColumns`, moved by the same
   position vectors as the values. Rows *and* lineages must come out
   exactly as on the row path (the equivalence and sqlite-differential
@@ -57,16 +57,13 @@ from .aggregates import AccumulatorFactory
 from .columnar import (
     CHUNK_SIZE,
     OMITTED,
-    RANGE_INDEX_MIN_ROWS,
     AggSpec,
     ColumnBatch,
     LineageColumns,
     SelectionKernel,
     Slot,
-    chunk_can_skip,
     slot_is_clean,
     slot_values,
-    value_family,
 )
 from .database import Database
 from .expressions import RowFn
@@ -78,10 +75,6 @@ Stream = Iterator[tuple[tuple, Lineage]]
 #: A columnar stream: non-empty column batches.
 ColumnStream = Iterator[ColumnBatch]
 PredFn = Callable[[tuple], bool]
-
-#: SQL comparison → Python operator, for the inline prune kernel (exact
-#: on clean numeric operands; see FilterOp._prepare_inline).
-_PY_COMPARE = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
 class Operator:
@@ -137,7 +130,7 @@ def _pairs(op: Operator, database: Database, lineage: bool) -> Stream:
 
 
 def _table_batch(table: Table, label: Optional[str] = None) -> ColumnBatch:
-    """The whole table as one batch sharing its decoded column lists:
+    """The whole table as one batch sharing its column lists:
     zero copies, zero tuple construction. ``label`` (lineage executions)
     adds the lineage column: the table's own tid vector."""
     length = len(table)
@@ -238,19 +231,8 @@ class FilterOp(Operator):
     to get here (0 for filters that sit where the SQL put them).
 
     On the columnar path, ``selection`` is the column-form kernel
-    (``(columns, n) → kept positions``). When the filter sits directly on
-    a base-table scan, the planner additionally supplies ``prune_table``
-    plus ``prune_spec`` — ``(column, op, constant)`` triples for the
-    simple comparison conjuncts — and the filter consults the table's
-    zone maps to *skip* chunks no row of which can qualify (tallied on
-    ``database.zone_chunks_skipped``/``scanned``). A lone range conjunct
-    (``range_probe``) may instead be answered by the table's sorted range
-    index in O(log n + matches). ``prune_complete`` marks specs that
-    cover *every* conjunct of the predicate: when the pruned columns are
-    additionally clean numerics, scanned chunks run an inline
-    raw-comparison kernel instead of re-applying the full selection
-    (exact, because the comparison helpers reduce to Python's operators
-    on NULL-free numeric operands).
+    (``(columns, n) → kept positions``); without one the closure
+    predicate runs over the batch's rows.
 
     ``out_needed`` is set by the plan narrowing pass
     (:func:`repro.engine.planner.narrow_plan`): the output column
@@ -265,25 +247,15 @@ class FilterOp(Operator):
         predicate: PredFn,
         pushed: int = 0,
         selection: Optional[SelectionKernel] = None,
-        prune_table: Optional[str] = None,
-        prune_spec: Optional[list] = None,
-        range_probe: Optional[tuple] = None,
-        prune_complete: bool = False,
     ):
         self.child = child
         self.predicate = predicate
         self.pushed = pushed
         self.selection = selection
-        self.prune_table = prune_table
-        self.prune_spec = prune_spec or []
-        self.range_probe = range_probe
-        self.prune_complete = prune_complete
         self.out_needed: Optional[frozenset] = None
         #: Planner-recorded canonical identity for cross-plan sharing
         #: (see :mod:`repro.engine.dag`); ``None`` = never shared.
         self.origin: Optional[tuple] = None
-        #: Compiled inline prune kernel (False = statically ineligible).
-        self._inline_kernel = None
 
     def execute(self, database: Database, lineage: bool) -> Stream:
         predicate = self.predicate
@@ -308,124 +280,10 @@ class FilterOp(Operator):
         return cbatch.take(positions, self.out_needed)
 
     def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        if self.prune_table is not None and (self.prune_spec or self.range_probe):
-            yield from self._pruned_scan(database, lineage)
-            return
         for cbatch in self.child.execute_columnar(database, lineage):
             kept = self._select_batch(cbatch)
             if kept is not None:
                 yield kept
-
-    def _pruned_scan(self, database: Database, lineage: bool) -> ColumnStream:
-        """Scan the base table chunk-wise, skipping chunks via zone maps."""
-        table = database.table(self.prune_table)
-        if not len(table):
-            return
-        whole = _table_batch(table, table.name if lineage else None)
-        probe = self.range_probe
-        if probe is not None and (
-            table.has_fresh_range_index(probe[0])
-            or len(table) >= RANGE_INDEX_MIN_ROWS
-        ):
-            positions = table.range_positions(*probe)
-            if positions is not None:
-                # The probe conjunct *is* the whole predicate here (the
-                # planner only sets range_probe for single-conjunct
-                # filters), so the matched rows need no re-filtering.
-                database.range_probes += 1
-                if positions:
-                    yield whole.take(positions, self.out_needed)
-                return
-        spec = [
-            (position, op, const, value_family(const))
-            for position, op, const in self.prune_spec
-        ]
-        zones = {position: table.zone_map(position) for position, _, _, _ in spec}
-        decoded = whole.columns
-        inline = self._prepare_inline(table, spec)
-        matched: Optional[list] = [] if inline is not None else None
-        for chunk_index, (start, end) in enumerate(table.chunk_spans()):
-            skip = False
-            for position, op, const, const_fam in spec:
-                if chunk_can_skip(
-                    zones[position][chunk_index], op, const, const_fam
-                ):
-                    skip = True
-                    break
-            if skip:
-                database.zone_chunks_skipped += 1
-                continue
-            database.zone_chunks_scanned += 1
-            if inline is not None:
-                kernel, key_positions, consts = inline
-                matched += kernel(
-                    start,
-                    *(decoded[p][start:end] for p in key_positions),
-                    *consts,
-                )
-                continue
-            kept = self._select_batch(whole.slice(start, end))
-            if kept is not None:
-                yield kept
-        if matched:
-            # Inline path: one gather over the whole table (or the table
-            # itself, zero-copy, when every row qualified).
-            if len(matched) == len(table):
-                yield whole
-            else:
-                yield whole.take(matched, self.out_needed)
-
-    def _prepare_inline(self, table: Table, spec: list) -> Optional[tuple]:
-        """``(kernel, column positions, constants)`` for the inline prune
-        kernel, or ``None`` when the fast path does not apply.
-
-        Applies only when the spec covers the *whole* predicate
-        (``prune_complete``), every constant is an exact numeric
-        (non-bool, non-NaN — ``value_family`` already filtered those to
-        ``"num"``), and every referenced column is currently a clean
-        numeric vector. On such operands the comparison helpers are
-        exactly Python's comparison operators, so the compiled
-        raw-operator loop keeps the identical row set.
-        """
-        if not self.prune_complete or not spec:
-            return None
-        if self._inline_kernel is False:
-            return None
-        if any(fam != "num" for _, _, _, fam in spec):
-            self._inline_kernel = False
-            return None
-        if not all(
-            table.column_vector(position).is_clean_numeric()
-            for position, _, _, _ in spec
-        ):
-            return None  # table state may change; re-check next execution
-        key_positions = sorted({position for position, _, _, _ in spec})
-        consts = [const for _, _, const, _ in spec]
-        kernel = self._inline_kernel
-        if kernel is None:
-            if len(key_positions) == 1:
-                target = f"_v{key_positions[0]}"
-                iterable = f"_c{key_positions[0]}"
-            else:
-                target = "(" + ", ".join(f"_v{p}" for p in key_positions) + ")"
-                iterable = (
-                    "zip(" + ", ".join(f"_c{p}" for p in key_positions) + ")"
-                )
-            condition = " and ".join(
-                f"_v{position} {_PY_COMPARE[op]} _x{index}"
-                for index, (position, op, _, _) in enumerate(spec)
-            )
-            params = ", ".join(
-                [f"_c{p}" for p in key_positions]
-                + [f"_x{index}" for index in range(len(spec))]
-            )
-            source = (
-                f"lambda _base, {params}: [_base + _i for _i, {target} "
-                f"in enumerate({iterable}) if {condition}]"
-            )
-            kernel = eval(compile(source, "<inline-prune-kernel>", "eval"), {})
-            self._inline_kernel = kernel
-        return kernel, key_positions, consts
 
 
 class ProjectOp(Operator):

@@ -22,11 +22,7 @@ Planning decisions, in order:
 Alongside each compiled closure the planner emits columnar forms (see
 :mod:`repro.engine.columnar`) — selection kernels, projection/key slots,
 aggregate specs — wherever the expression shapes allow; the row path
-never touches them. Filters that sit directly on a base-table scan
-additionally carry a *prune spec*: the ``column <op> constant`` conjuncts
-with plan-time-evaluable constants, against which the columnar scan
-consults the table's zone maps (and, for a lone range conjunct, its
-sorted range index) to skip chunks outright.
+never touches them.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ from ..errors import BindError
 from ..sql import ast
 from . import columnar
 from .aggregates import make_accumulator_factory
-from .columnar import FLIPPED_OPS, PRUNABLE_OPS
 from .database import Database
 from .expressions import (
     RowFn,
@@ -381,12 +376,9 @@ class Planner:
         layout: Layout,
         base: int = 0,
         pushed: int = 0,
-        prune: Optional[tuple] = None,
     ) -> FilterOp:
         """A FilterOp with the closure predicate and a columnar
-        selection kernel; ``prune`` optionally carries
-        ``(table_name, spec, range_probe)`` for zone-map chunk skipping
-        over a base-table scan."""
+        selection kernel."""
 
         def column_fn(ref: ast.ColumnRef) -> RowFn:
             index = layout.resolve_position(ref) - base
@@ -396,22 +388,7 @@ class Planner:
         selection = columnar.selection_kernel(
             expr, layout.position_resolver(base)
         )
-        prune_table, prune_spec, range_probe, prune_complete = prune or (
-            None,
-            None,
-            None,
-            False,
-        )
-        filter_op = FilterOp(
-            child,
-            predicate,
-            pushed=pushed,
-            selection=selection,
-            prune_table=prune_table,
-            prune_spec=prune_spec,
-            range_probe=range_probe,
-            prune_complete=prune_complete,
-        )
+        filter_op = FilterOp(child, predicate, pushed=pushed, selection=selection)
         # Canonical identity for cross-plan sharing: the fully qualified
         # predicate plus the child-relative position of every column it
         # reads pins the compiled closures' behavior exactly (see
@@ -469,7 +446,6 @@ class Planner:
                 return op
 
         local = [conjunct for conjunct, _ in items]
-        prune: Optional[tuple] = None
         if isinstance(op, ScanOp):
             binding = next(
                 (b for b in layout.bindings if b.offset == base), None
@@ -478,17 +454,10 @@ class Planner:
                 index_scan, local = self._try_index_scan(op, binding, local)
                 if index_scan is not None:
                     op = index_scan
-                elif local:
-                    prune = self._prune_plan(op, binding, local)
         if not local:
             return op
         return self._make_filter(
-            op,
-            ast.conjoin(local),
-            layout,
-            base=base,
-            pushed=len(local),
-            prune=prune,
+            op, ast.conjoin(local), layout, base=base, pushed=len(local)
         )
 
     def _plan_source_item(
@@ -569,67 +538,6 @@ class Planner:
                 leftover = local[:index] + local[index + 1 :]
                 return IndexScanOp(scan.table_name, position, value_fn), leftover
         return None, local
-
-    @staticmethod
-    def _prune_plan(
-        scan: ScanOp, binding: Binding, local: list
-    ) -> Optional[tuple]:
-        """``(table_name, prune spec, range probe, complete)`` for a
-        pushed filter sitting directly on a base-table scan.
-
-        The spec keeps only ``column <op> constant`` conjuncts whose
-        constant side evaluates at plan time — anything else (or a
-        constant that raises) is simply left out, which forfeits pruning
-        for that conjunct but never changes semantics: the filter still
-        applies its full predicate to every scanned chunk. The range
-        probe is set only when the *single* conjunct of the filter is a
-        range comparison, so index-matched rows need no re-filtering.
-        ``complete`` marks specs where *every* conjunct became a triple
-        (the spec conjunction is the whole predicate), enabling the
-        filter's inline prune kernel.
-        """
-        triples = []
-        for conjunct in local:
-            triple = Planner._prune_triple(conjunct, binding)
-            if triple is not None:
-                triples.append(triple)
-        if not triples:
-            return None
-        range_probe = None
-        if len(local) == 1 and triples[0][1] in ("<", "<=", ">", ">="):
-            range_probe = triples[0]
-        return scan.table_name, triples, range_probe, len(triples) == len(local)
-
-    @staticmethod
-    def _prune_triple(
-        conjunct: ast.Expr, binding: Binding
-    ) -> Optional[tuple]:
-        """``(column position, op, constant)`` for a simple comparison."""
-        if not (
-            isinstance(conjunct, ast.BinaryOp) and conjunct.op in PRUNABLE_OPS
-        ):
-            return None
-        for column_side, value_side, op in (
-            (conjunct.left, conjunct.right, conjunct.op),
-            (conjunct.right, conjunct.left, FLIPPED_OPS[conjunct.op]),
-        ):
-            if not isinstance(column_side, ast.ColumnRef):
-                continue
-            if (
-                column_side.table is not None
-                and column_side.table.lower() != binding.name
-            ):
-                continue
-            if binding.columns.count(column_side.name) != 1:
-                continue
-            if ast.column_refs(value_side):
-                continue  # not a constant expression
-            try:
-                const = compile_expr(value_side, _no_columns)(())
-            except Exception:
-                return None  # leave evaluation (and its error) to the kernel
-            return binding.columns.index(column_side.name), op, const
-        return None
 
     @staticmethod
     def _equi_join_keys(

@@ -7,39 +7,25 @@ and of log compaction, whose *mark* phase collects the tids to retain and
 whose *delete* phase removes the rest.
 
 Storage is columnar: one :class:`~repro.engine.columnar.ColumnVector` per
-column (typed ``array`` storage with null bitmaps where the values allow,
-plain lists otherwise). The row-tuple view (:meth:`rows`) is a derived
-cache — built lazily, maintained incrementally across appends — kept for
-the row/batch execution paths, WAL/snapshot serialization and compaction;
-engine operators on the columnar path read columns directly via
-:meth:`column_values` / :meth:`chunks` and never materialize tuples.
+column — each column is held exactly once, as one plain list. The
+row-tuple view (:meth:`rows`) is a derived cache — built lazily,
+maintained incrementally across appends — kept for the row reference
+engine, WAL/snapshot serialization and compaction; engine operators on
+the columnar path read the column lists directly via
+:meth:`columns_decoded` and never materialize tuples.
 
 Tables also carry a monotone **mutation version**: every change to the row
 set bumps it. Derived structures built from a snapshot of the rows (hash
-indexes, zone maps, range indexes, the tid→position map, and the
-executor's cached hash-join build sides) are valid exactly as long as the
-version they were built at.
-
-Per-chunk **zone maps** (:meth:`zone_map`) summarize min/max/null-count
-per :data:`~repro.engine.columnar.CHUNK_SIZE` rows so pushed-down
-predicates can skip chunks, and sorted **range indexes**
-(:meth:`range_positions`) answer single-conjunct range predicates by
-bisection; both are lazy, per-column, and version-checked.
+indexes, the tid→position map, and the executor's cached hash-join build
+sides) are valid exactly as long as the version they were built at.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..errors import EngineError
-from .columnar import (
-    CHUNK_SIZE,
-    ColumnBatch,
-    ColumnVector,
-    build_zone_entry,
-    value_family,
-)
+from .columnar import ColumnVector
 from .schema import TableSchema, make_schema
 from .types import SqlValue
 
@@ -51,7 +37,7 @@ class Table:
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
-        #: One typed vector per column; the authoritative store.
+        #: One vector per column; the authoritative (and only) store.
         self._columns: list[ColumnVector] = [
             ColumnVector() for _ in range(schema.arity)
         ]
@@ -74,10 +60,6 @@ class Table:
         #: Derived row-tuple view; appended to in step with inserts while
         #: warm, dropped entirely by deletes (see :meth:`rows`).
         self._rows_cache: Optional[list[Row]] = None
-        #: position → (version built at, per-chunk zone entries).
-        self._zone_maps: dict[int, tuple] = {}
-        #: position → (version built at, sorted index or None if unusable).
-        self._range_indexes: dict[int, tuple] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -106,16 +88,16 @@ class Table:
     def rows(self) -> list[Row]:
         """The current rows as tuples (do not mutate the returned list).
 
-        This is the *derived* view now — one ``zip`` over the decoded
-        columns, cached until a structural mutation and extended in place
-        by appends.
+        This is the *derived* view — one ``zip`` over the columns, cached
+        until a structural mutation and extended in place by appends.
 
         .. deprecated:: hot paths
            New engine operators must not materialize rows; use
-           :meth:`column`, :meth:`column_values`, :meth:`chunks`, and
-           :meth:`null_mask` instead. ``rows()`` remains supported for
-           the row reference engine and bulk persistence (snapshot/WAL
-           serialization), where whole-tuple access is the point.
+           :meth:`columns_decoded`, :meth:`clean_flags`, :meth:`tids` and
+           :meth:`index_positions` instead. ``rows()`` remains supported
+           for the row reference engine and bulk persistence
+           (snapshot/WAL serialization), where whole-tuple access is the
+           point.
         """
         cache = self._rows_cache
         if cache is None:
@@ -158,129 +140,23 @@ class Table:
     # -- columnar accessors --------------------------------------------------
 
     def column(self, name: str) -> ColumnVector:
-        """The typed column vector for ``name`` (read-only for callers)."""
+        """The column vector for ``name`` (read-only for callers)."""
         return self._columns[self.schema.position(name)]
 
-    def column_vector(self, position: int) -> ColumnVector:
-        return self._columns[position]
-
     def column_values(self, position: int) -> list:
-        """One column decoded as a plain list (NULL as ``None``).
+        """One column as a plain list (NULL as ``None``).
 
-        Returns the vector's cached decode — callers must not mutate it.
+        Returns the vector's own list — callers must not mutate it.
         """
         return self._columns[position].values()
 
     def columns_decoded(self) -> list:
-        """Every column decoded (the whole-table scan batch)."""
+        """Every column's list (the whole-table scan batch)."""
         return [vec.values() for vec in self._columns]
 
     def clean_flags(self) -> list:
-        """Per column: NULL-free exact-numeric storage (aggregate fast paths)."""
+        """Per column: NULL-free exact numerics (aggregate fast paths)."""
         return [vec.is_clean_numeric() for vec in self._columns]
-
-    def null_mask(self, name: str) -> bytes:
-        """The null bitmap of one column (bit ``i`` set ⇔ row ``i`` NULL)."""
-        return self.column(name).null_bitmap()
-
-    def chunk_spans(self) -> list:
-        """``(start, end)`` spans of :data:`CHUNK_SIZE`-row chunks."""
-        length = self._length
-        return [
-            (start, min(start + CHUNK_SIZE, length))
-            for start in range(0, length, CHUNK_SIZE)
-        ]
-
-    def chunks(self) -> Iterator[ColumnBatch]:
-        """The table as column batches of at most :data:`CHUNK_SIZE` rows."""
-        decoded = self.columns_decoded()
-        clean = self.clean_flags()
-        for start, end in self.chunk_spans():
-            yield ColumnBatch(
-                [col[start:end] for col in decoded], end - start, clean=list(clean)
-            )
-
-    # -- zone maps and range indexes ----------------------------------------
-
-    def zone_map(self, position: int) -> list:
-        """Per-chunk :class:`~repro.engine.columnar.ZoneEntry` summaries.
-
-        Built lazily per column and kept until the next mutation; an O(n)
-        build that costs about one scan, so consulting it is never worse
-        than the scan it replaces.
-        """
-        cached = self._zone_maps.get(position)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        values = self.column_values(position)
-        entries = [
-            build_zone_entry(values[start:end])
-            for start, end in self.chunk_spans()
-        ]
-        self._zone_maps[position] = (self._version, entries)
-        return entries
-
-    def has_fresh_range_index(self, position: int) -> bool:
-        entry = self._range_indexes.get(position)
-        return (
-            entry is not None and entry[0] == self._version and entry[1] is not None
-        )
-
-    def _build_range_index(self, position: int):
-        values = self.column_values(position)
-        pairs = [(v, i) for i, v in enumerate(values) if v is not None]
-        if not pairs:
-            return ([], [], None)
-        kinds = set(map(type, (v for v, _ in pairs)))
-        if kinds <= {int, float}:
-            family = "num"
-            if float in kinds and any(v != v for v, _ in pairs):
-                return None  # NaN breaks the sort order; index unusable
-        elif kinds == {str}:
-            family = "str"
-        elif kinds == {bool}:
-            family = "bool"
-        else:
-            return None
-        pairs.sort()
-        return ([v for v, _ in pairs], [i for _, i in pairs], family)
-
-    def range_positions(
-        self, position: int, op: str, const: SqlValue
-    ) -> Optional[list]:
-        """Row positions satisfying ``column <op> const`` via the sorted
-        range index, in insertion order; ``None`` when the index cannot
-        answer (mixed families — the caller scans so comparison errors
-        surface exactly as they would row-wise).
-        """
-        entry = self._range_indexes.get(position)
-        if entry is None or entry[0] != self._version:
-            entry = (self._version, self._build_range_index(position))
-            self._range_indexes[position] = entry
-        index = entry[1]
-        if index is None:
-            return None
-        sorted_values, sorted_positions, family = index
-        if const is None:
-            return []  # comparison with NULL is never True
-        const_fam = value_family(const)
-        if const_fam is None or (family is not None and const_fam != family):
-            return None  # cross-family ordering raises; scan instead
-        if op == "<":
-            selected = sorted_positions[: bisect_left(sorted_values, const)]
-        elif op == "<=":
-            selected = sorted_positions[: bisect_right(sorted_values, const)]
-        elif op == ">":
-            selected = sorted_positions[bisect_right(sorted_values, const) :]
-        elif op == ">=":
-            selected = sorted_positions[bisect_left(sorted_values, const) :]
-        elif op == "=":
-            lo = bisect_left(sorted_values, const)
-            hi = bisect_right(sorted_values, const)
-            selected = sorted_positions[lo:hi]
-        else:
-            return None
-        return sorted(selected)
 
     # -- hash indexes -----------------------------------------------------------
 
@@ -348,50 +224,45 @@ class Table:
 
     # -- mutation --------------------------------------------------------------
 
-    def _append_rows(self, added: list) -> None:
-        """Append pre-validated row tuples to the column store."""
-        for position, vec in enumerate(self._columns):
-            vec.extend([row[position] for row in added])
-        self._length += len(added)
-        if self._rows_cache is not None:
-            self._rows_cache.extend(added)
-
-    def insert(self, row: Sequence[SqlValue]) -> int:
-        """Insert one row; returns its tid."""
-        if len(row) != self.schema.arity:
-            raise EngineError(
-                f"arity mismatch inserting into {self.name!r}: "
-                f"expected {self.schema.arity} values, got {len(row)}"
-            )
-        tid = self._next_tid
-        self._next_tid += 1
-        added = [tuple(row)]
-        base = self._length
-        self._append_rows(added)
-        self._tids.append(tid)
-        self._note_append(added, base)
-        return tid
-
-    def insert_many(self, rows: Iterable[Sequence[SqlValue]]) -> list[int]:
-        """Bulk append: one arity pass, one version bump, one invalidation."""
+    def _checked_rows(self, rows: Iterable[Sequence[SqlValue]]) -> list[Row]:
+        """``rows`` as tuples, every one of the schema's arity (raises
+        before anything is mutated)."""
         arity = self.schema.arity
-        added: list[Row] = []
+        checked: list[Row] = []
         for row in rows:
             if len(row) != arity:
                 raise EngineError(
                     f"arity mismatch inserting into {self.name!r}: "
                     f"expected {arity} values, got {len(row)}"
                 )
-            added.append(tuple(row))
+            checked.append(tuple(row))
+        return checked
+
+    def _append_rows(self, added: list[Row], tids: Sequence[int]) -> None:
+        """Append checked row tuples under ``tids``: one version bump,
+        hash indexes extended in place."""
+        base = self._length
+        for position, vec in enumerate(self._columns):
+            vec.extend([row[position] for row in added])
+        self._length += len(added)
+        self._tids.extend(tids)
+        if self._rows_cache is not None:
+            self._rows_cache.extend(added)
+        self._note_append(added, base)
+
+    def insert(self, row: Sequence[SqlValue]) -> int:
+        """Insert one row; returns its tid."""
+        return self.insert_many([row])[0]
+
+    def insert_many(self, rows: Iterable[Sequence[SqlValue]]) -> list[int]:
+        """Bulk append: one arity pass, one version bump, one invalidation."""
+        added = self._checked_rows(rows)
         if not added:
             return []
         first = self._next_tid
         tids = list(range(first, first + len(added)))
         self._next_tid = first + len(added)
-        base = self._length
-        self._append_rows(added)
-        self._tids.extend(tids)
-        self._note_append(added, base)
+        self._append_rows(added, tids)
         return tids
 
     def insert_with_tids(
@@ -408,20 +279,9 @@ class Table:
                 f"insert_with_tids into {self.name!r}: "
                 f"{len(rows)} rows vs {len(tids)} tids"
             )
-        added: list[Row] = []
-        for row in rows:
-            if len(row) != self.schema.arity:
-                raise EngineError(
-                    f"arity mismatch inserting into {self.name!r}: "
-                    f"expected {self.schema.arity} values, got {len(row)}"
-                )
-            added.append(tuple(row))
-        base = self._length
-        self._append_rows(added)
-        self._tids.extend(tids)
+        self._append_rows(self._checked_rows(rows), tids)
         if tids:
             self._next_tid = max(self._next_tid, max(tids) + 1)
-        self._note_append(added, base)
 
     @property
     def next_tid(self) -> int:
@@ -488,23 +348,10 @@ class Table:
                 f"replace_contents on {self.name!r}: "
                 f"{len(rows)} rows vs {len(tids)} tids"
             )
-        self._columns = [ColumnVector() for _ in range(self.schema.arity)]
-        self._length = 0
-        self._tids = list(tids)
-        self._rows_cache = None
-        added = [tuple(row) for row in rows]
-        for row in added:
-            if len(row) != self.schema.arity:
-                raise EngineError(
-                    f"arity mismatch inserting into {self.name!r}: "
-                    f"expected {self.schema.arity} values, got {len(row)}"
-                )
-        if added:
-            for position, vec in enumerate(self._columns):
-                vec.extend([row[position] for row in added])
-            self._length = len(added)
+        added = self._checked_rows(rows)
+        self.clear()
+        self._append_rows(added, tids)
         self._next_tid = next_tid
-        self._invalidate_indexes()
 
     def clone(self) -> "Table":
         """Cheap copy: column vectors are shared copy-on-write.
@@ -527,6 +374,4 @@ class Table:
         self._indexes_owned = False
         copy._tid_pos = self._tid_pos
         copy._version = self._version
-        copy._zone_maps = dict(self._zone_maps)
-        copy._range_indexes = dict(self._range_indexes)
         return copy

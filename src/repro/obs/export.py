@@ -40,9 +40,6 @@ Metric names and labels (all prefixed ``repro_``):
 ``repro_lineage_executions_total``    counter    ``{shard}`` lineage=True runs
 ``repro_lineage_rows_total``          counter    ``{shard}`` rows they returned
 ``repro_engine_row_fallbacks_total``  counter    ``{shard}`` row loops in columnar plans
-``repro_engine_chunks_scanned_total``  counter   ``{shard}`` zone-map scans
-``repro_engine_chunks_skipped_total``  counter   ``{shard}`` zone-map skips
-``repro_engine_range_probes_total``   counter    ``{shard}``
 ``repro_dag_shared_nodes``            gauge      ``{shard}`` merged subtrees
 ``repro_dag_saved_execs_total``       counter    ``{shard}`` memo replays
 ``repro_policy_eval_seconds``         histogram  ``{shard,policy}``
@@ -80,6 +77,61 @@ see :mod:`repro.service.global_tier`).
 from __future__ import annotations
 
 from .prom import HistogramSnapshot, MetricFamily, Registry
+
+
+#: The per-shard engine families, one per key of
+#: :data:`repro.service.shard.ENGINE_COUNTERS`:
+#: ``(export_state()["engine"] key, family name, kind, help)``.
+_ENGINE_FAMILIES = (
+    (
+        "plan_hits", "repro_plan_cache_hits_total", "counter",
+        "Textual queries planned from the canonical-form plan cache.",
+    ),
+    (
+        "plan_misses", "repro_plan_cache_misses_total", "counter",
+        "Textual queries that required a fresh plan.",
+    ),
+    (
+        "build_hits", "repro_join_build_cache_hits_total", "counter",
+        "Hash-join build sides reused from the version-keyed cache.",
+    ),
+    (
+        "build_misses", "repro_join_build_cache_misses_total", "counter",
+        "Hash-join build sides (re)built over a base table.",
+    ),
+    (
+        "columnar_batches", "repro_columnar_batches_total", "counter",
+        "Column batches produced by columnar plan roots.",
+    ),
+    (
+        "columnar_rows", "repro_columnar_rows_total", "counter",
+        "Rows delivered through the columnar path.",
+    ),
+    (
+        "lineage_executions", "repro_lineage_executions_total", "counter",
+        "Query executions that tracked lineage (witness marks, "
+        "fProvenance, improved partials, explanations).",
+    ),
+    (
+        "lineage_rows", "repro_lineage_rows_total", "counter",
+        "Rows returned by lineage-tracking executions.",
+    ),
+    (
+        "row_fallbacks", "repro_engine_row_fallbacks_total", "counter",
+        "Operators of columnar plans that ran their row loop instead "
+        "(expression-key hash joins, group-bys without a columnar form).",
+    ),
+    (
+        "dag_shared_nodes", "repro_dag_shared_nodes", "gauge",
+        "Plan subtrees merged across policy branches in the current "
+        "shared-subplan DAG set.",
+    ),
+    (
+        "dag_saved_execs", "repro_dag_saved_execs_total", "counter",
+        "Subtree executions avoided by replaying a memoized shared "
+        "DAG node.",
+    ),
+)
 
 
 def build_service_registry(service) -> Registry:
@@ -170,71 +222,15 @@ def collect_service(service) -> "list[MetricFamily]":
         "repro_incremental_state_entries", "gauge",
         "Live incremental state entries (groups + windowed contributions).",
     )
-    plan_hits = MetricFamily(
-        "repro_plan_cache_hits_total", "counter",
-        "Textual queries planned from the canonical-form plan cache.",
-    )
-    plan_misses = MetricFamily(
-        "repro_plan_cache_misses_total", "counter",
-        "Textual queries that required a fresh plan.",
-    )
-    build_hits = MetricFamily(
-        "repro_join_build_cache_hits_total", "counter",
-        "Hash-join build sides reused from the version-keyed cache.",
-    )
-    build_misses = MetricFamily(
-        "repro_join_build_cache_misses_total", "counter",
-        "Hash-join build sides (re)built over a base table.",
-    )
     engine_info = MetricFamily(
         "repro_engine_info", "gauge",
         "Execution engine per shard (value is always 1; the engine "
         "name is the label).",
     )
-    columnar_batches = MetricFamily(
-        "repro_columnar_batches_total", "counter",
-        "Column batches produced by columnar plan roots.",
-    )
-    columnar_rows = MetricFamily(
-        "repro_columnar_rows_total", "counter",
-        "Rows delivered through the columnar path.",
-    )
-    lineage_execs = MetricFamily(
-        "repro_lineage_executions_total", "counter",
-        "Query executions that tracked lineage (witness marks, "
-        "fProvenance, improved partials, explanations).",
-    )
-    lineage_rows = MetricFamily(
-        "repro_lineage_rows_total", "counter",
-        "Rows returned by lineage-tracking executions.",
-    )
-    row_fallbacks = MetricFamily(
-        "repro_engine_row_fallbacks_total", "counter",
-        "Operators of columnar plans that ran their row loop instead "
-        "(expression-key hash joins, group-bys without a columnar form).",
-    )
-    chunks_scanned = MetricFamily(
-        "repro_engine_chunks_scanned_total", "counter",
-        "Table chunks scanned by pushed-down columnar filters.",
-    )
-    chunks_skipped = MetricFamily(
-        "repro_engine_chunks_skipped_total", "counter",
-        "Table chunks skipped via zone maps (min/max/null pruning).",
-    )
-    range_probes = MetricFamily(
-        "repro_engine_range_probes_total", "counter",
-        "Pushed-down range predicates answered from a sorted index.",
-    )
-    dag_shared = MetricFamily(
-        "repro_dag_shared_nodes", "gauge",
-        "Plan subtrees merged across policy branches in the current "
-        "shared-subplan DAG set.",
-    )
-    dag_saved = MetricFamily(
-        "repro_dag_saved_execs_total", "counter",
-        "Subtree executions avoided by replaying a memoized shared "
-        "DAG node.",
-    )
+    engine_families = {
+        key: MetricFamily(name, kind, help_text)
+        for key, name, kind, help_text in _ENGINE_FAMILIES
+    }
     policy_hist = MetricFamily(
         "repro_policy_eval_seconds", "histogram",
         "Per-policy evaluation time within one check.",
@@ -315,24 +311,11 @@ def collect_service(service) -> "list[MetricFamily]":
             inc_folds.add(label, incremental["folds"])
             inc_entries.add(label, incremental["state_entries"])
         engine = state["engine"]
-        plan_hits.add(label, engine["plan_hits"])
-        plan_misses.add(label, engine["plan_misses"])
-        build_hits.add(label, engine["build_hits"])
-        build_misses.add(label, engine["build_misses"])
         engine_info.add(
-            {"shard": str(shard.index), "engine": engine.get("name", "")},
-            1,
+            {"shard": str(shard.index), "engine": engine["name"]}, 1
         )
-        columnar_batches.add(label, engine.get("columnar_batches", 0))
-        columnar_rows.add(label, engine.get("columnar_rows", 0))
-        lineage_execs.add(label, engine.get("lineage_executions", 0))
-        lineage_rows.add(label, engine.get("lineage_rows", 0))
-        row_fallbacks.add(label, engine.get("row_fallbacks", 0))
-        chunks_scanned.add(label, engine.get("chunks_scanned", 0))
-        chunks_skipped.add(label, engine.get("chunks_skipped", 0))
-        range_probes.add(label, engine.get("range_probes", 0))
-        dag_shared.add(label, engine.get("dag_shared_nodes", 0))
-        dag_saved.add(label, engine.get("dag_saved_execs", 0))
+        for key, family in engine_families.items():
+            family.add(label, engine[key])
         for policy, hist_snap in sorted(snap["policy_eval"].items()):
             policy_hist.add_histogram(
                 {"shard": str(shard.index), "policy": policy},
@@ -419,12 +402,7 @@ def collect_service(service) -> "list[MetricFamily]":
         check_hist, wait_hist, batch_hist, policy_hist, violations, phases,
         cache_hits, cache_misses, cache_invalidations, cache_entries,
         inc_hits, inc_fallbacks, inc_folds, inc_entries,
-        plan_hits, plan_misses,
-        build_hits, build_misses,
-        engine_info, columnar_batches, columnar_rows,
-        lineage_execs, lineage_rows, row_fallbacks,
-        chunks_scanned, chunks_skipped, range_probes,
-        dag_shared, dag_saved,
+        engine_info, *engine_families.values(),
     ]
     if durable:
         families.extend([wal_appends, wal_fsyncs, wal_bytes, wal_seq])

@@ -48,6 +48,7 @@ from ..errors import (
 )
 from .ipc import recv_message, send_message
 from .metrics import ShardCounters
+from .shard import ENGINE_COUNTERS
 from .worker import decision_from_json, worker_main
 
 #: Fallback Retry-After hint (seconds) before any latency samples exist,
@@ -594,15 +595,6 @@ def _empty_export_state() -> dict:
         "busy_workers": 0,
         "decision_cache": None,
         "incremental": None,
-        "engine": {
-            "name": "",
-            "plan_hits": 0, "plan_misses": 0,
-            "build_hits": 0, "build_misses": 0,
-            "columnar_batches": 0, "columnar_rows": 0,
-            "lineage_executions": 0, "lineage_rows": 0, "row_fallbacks": 0,
-            "chunks_scanned": 0, "chunks_skipped": 0,
-            "range_probes": 0,
-            "dag_shared_nodes": 0, "dag_saved_execs": 0,
-        },
+        "engine": {"name": "", **dict.fromkeys(ENGINE_COUNTERS, 0)},
         "wal": None,
     }

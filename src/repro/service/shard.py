@@ -33,6 +33,24 @@ _DEFAULT_RETRY_AFTER = 0.05
 #: Slow checks are logged here (and kept in the shard's slow ring).
 slow_log = logging.getLogger("repro.service.slowlog")
 
+#: The counters of ``export_state()["engine"]``: state key → how to read
+#: it off the shard's engine. Named once — the idle stub of a respawning
+#: process shard zeroes these keys and :mod:`repro.obs.export` declares
+#: one Prometheus family per key.
+ENGINE_COUNTERS = {
+    "plan_hits": lambda engine: engine.plan_cache_hits,
+    "plan_misses": lambda engine: engine.plan_cache_misses,
+    "build_hits": lambda engine: engine.database.join_build_hits,
+    "build_misses": lambda engine: engine.database.join_build_misses,
+    "columnar_batches": lambda engine: engine.columnar_batches,
+    "columnar_rows": lambda engine: engine.columnar_rows,
+    "lineage_executions": lambda engine: engine.lineage_executions,
+    "lineage_rows": lambda engine: engine.lineage_rows,
+    "row_fallbacks": lambda engine: engine.database.row_fallbacks,
+    "dag_shared_nodes": lambda engine: engine.dag_shared_nodes,
+    "dag_saved_execs": lambda engine: engine.dag_saved_execs,
+}
+
 
 class ShardDurability:
     """One shard's durability handle: its WAL directory and cadence.
@@ -294,20 +312,7 @@ class Shard:
         engine = self.enforcer.engine
         state["engine"] = {
             "name": engine.engine_name,
-            "plan_hits": engine.plan_cache_hits,
-            "plan_misses": engine.plan_cache_misses,
-            "build_hits": engine.database.join_build_hits,
-            "build_misses": engine.database.join_build_misses,
-            "columnar_batches": engine.columnar_batches,
-            "columnar_rows": engine.columnar_rows,
-            "lineage_executions": engine.lineage_executions,
-            "lineage_rows": engine.lineage_rows,
-            "row_fallbacks": engine.database.row_fallbacks,
-            "chunks_scanned": engine.database.zone_chunks_scanned,
-            "chunks_skipped": engine.database.zone_chunks_skipped,
-            "range_probes": engine.database.range_probes,
-            "dag_shared_nodes": engine.dag_shared_nodes,
-            "dag_saved_execs": engine.dag_saved_execs,
+            **{key: read(engine) for key, read in ENGINE_COUNTERS.items()},
         }
         durability = self.durability
         if durability is not None:

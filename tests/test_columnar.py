@@ -1,8 +1,8 @@
-"""Columnar engine: typed column vectors, zone-map pruning, range
-indexes, the referee (columnar ≡ row ≡ SQLite, lineage mode and
-mid-stream mutation included), predicate pushdown, the version-keyed
-hash-join build cache, and WAL recovery rebuilding identical column
-state.
+"""Columnar engine: column vectors (one list per column, the clean
+flag, copy-on-write clones), the referee (columnar ≡ row ≡ SQLite,
+lineage mode and mid-stream mutation included), filters over tables of
+several chunks, predicate pushdown, the version-keyed hash-join build
+cache, and WAL recovery rebuilding identical column state.
 """
 
 from __future__ import annotations
@@ -10,22 +10,16 @@ from __future__ import annotations
 import sqlite3
 
 import pytest
+from engines import BothEngines
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Enforcer, EnforcerOptions, Policy
-from repro.engine import DEFAULT_ENGINE, ENGINES, Database, Engine, Result
+from repro.engine import DEFAULT_ENGINE, ENGINES, Database, Engine, Result, Table
 from repro.engine import operators
-from repro.engine.columnar import (
-    CHUNK_SIZE,
-    ColumnVector,
-    LineageColumns,
-    build_zone_entry,
-    chunk_can_skip,
-    value_family,
-)
+from repro.engine.columnar import CHUNK_SIZE, ColumnVector, LineageColumns
 from repro.engine.dag import SharedNode
-from repro.errors import ServiceError
+from repro.errors import ExecutionError, ServiceError
 from repro.log import SimulatedClock, standard_registry
 from repro.service import ServiceConfig, ShardedEnforcerService
 from repro.storage.wal import initialize_durability, recover_enforcer
@@ -260,9 +254,8 @@ class TestColumnarEqualsRowEqualsSqlite:
     @settings(max_examples=20, deadline=None)
     @given(rows_r, rows_s)
     def test_mutation_under_cached_plan(self, r_rows, s_rows):
-        """Inserts and deletes bump table versions: cached plans, join
-        build caches, zone maps, and range indexes must all see the
-        current state."""
+        """Inserts and deletes bump table versions: cached plans and
+        join build caches must see the current state."""
         sql = "SELECT r.a, s.c FROM r, s WHERE r.a = s.a"
         range_sql = "SELECT s.c FROM s WHERE s.a >= 1"
         row, columnar = build_engines(r_rows, s_rows)
@@ -544,69 +537,196 @@ class TestMimicWorkload:
             assert columnar.execute(sql).rows == row.execute(sql).rows, name
 
 
+def is_clean(values) -> bool:
+    """The clean flag, by definition: no NULL, and every value exactly
+    ``int`` or every value exactly ``float`` (``bool`` is neither)."""
+    return {type(v) for v in values} in ({int}, {float})
+
+
 class TestColumnVector:
-    def test_promotes_to_int_mode(self):
-        vec = ColumnVector.from_values([1, 2, 3])
-        assert vec.kind == "i64"
-        assert vec.values() == [1, 2, 3]
-        assert vec.null_count == 0
-        assert vec.is_clean_numeric()
-
-    def test_promotes_to_float_mode(self):
-        vec = ColumnVector.from_values([1.5, 2.5])
-        assert vec.kind == "f64"
-        assert vec.values() == [1.5, 2.5]
-
-    def test_nulls_tracked_in_bitmap(self):
-        vec = ColumnVector.from_values([1, None, 3, None])
-        assert vec.null_count == 2
-        assert vec.values() == [1, None, 3, None]
-        assert not vec.is_clean_numeric()
-        bitmap = vec.null_bitmap()
-        assert (bitmap[0] >> 1) & 1 and (bitmap[0] >> 3) & 1
-        assert not (bitmap[0] & 1)
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1, 2, 3],
+            [1.5, 2.5],
+            [2**70, -(2**70)],
+            [True, False],
+            [1, True],
+            ["a", "b"],
+            [1, 2.0],
+            [1, None, 3],
+            [None],
+            [],
+        ],
+        ids=[
+            "ints", "floats", "big-ints", "bools", "int-and-bool", "strs",
+            "int-float-mix", "null", "all-null", "empty",
+        ],
+    )
+    def test_clean_flag_follows_the_values(self, values):
+        """Bulk-loaded, appended one by one, or appended last-first: the
+        flag is the definitional predicate, and nothing is coerced
+        (``True`` stays ``True``, ``1`` stays ``1``)."""
+        reverse = ColumnVector()
+        for value in reversed(values):
+            reverse.extend([value])
+        loaded = ColumnVector(values)
+        for vec in (loaded, loaded.take(range(len(values)))):
+            assert vec.values() == values
+            assert list(map(type, vec.values())) == list(map(type, values))
+            assert vec.is_clean_numeric() == is_clean(values)
+        assert reverse.is_clean_numeric() == is_clean(values)
 
     def test_demotes_on_nonconforming_append(self):
-        vec = ColumnVector.from_values([1, 2, 3])
-        assert vec.kind == "i64"
-        vec.append("x")
-        assert vec.kind == "obj"
-        assert vec.values() == [1, 2, 3, "x"]
+        """Off for good — until the offending rows leave the table."""
+        db = Database()
+        db.load_table("t", ["x", "y"], [(1, 1.0), (2, 2.0)])
+        table = db.table("t")
+        assert table.clean_flags() == [True, True]
+        null_tid, str_tid = table.insert_many([(None, 3.0), ("s", 4.0)])
+        table.insert((5, 5.0))
+        assert table.clean_flags() == [False, True]
+        assert table.column("x").null_count == 1
+        table.delete_tids({str_tid})
+        assert table.clean_flags() == [False, True]  # the NULL is still there
+        table.delete_tids({null_tid})
+        assert table.clean_flags() == [True, True]
+        assert table.column("x").null_count == 0
+        assert table.column_values(0) == [1, 2, 5]
 
-    def test_bools_never_enter_typed_mode(self):
-        # bool is an int subclass; a typed store would erase the
-        # distinction and break the engine's bool-is-not-int semantics.
-        vec = ColumnVector.from_values([True, False])
-        assert vec.values() == [True, False]
-        assert vec.values()[0] is True
+    def test_null_count(self):
+        vec = ColumnVector([1, None, 3, None])
+        assert vec.null_count == 2
+        vec.extend([None, 4])
+        assert vec.null_count == 3
+        assert vec.take([0, 1, 5]).null_count == 1
+
+    def test_values_is_the_one_list(self):
+        """One store per column: ``values()`` is the same list across
+        calls and appends, and the scan batch hands kernels that list."""
+        db = Database()
+        db.load_table("t", ["x"], [])
+        table = db.table("t")
+        held = table.column_values(0)
+        table.insert((1,))
+        table.insert_many([(2,), (None,)])
+        assert table.column_values(0) is held
+        assert table.column("x").values() is held
+        assert held == [1, 2, None]
+        [cbatch] = operators.ScanOp("t").execute_columnar(db, False)
+        assert cbatch.columns[0] is held
 
     def test_clone_is_copy_on_write(self):
-        vec = ColumnVector.from_values([1, 2, 3])
+        vec = ColumnVector([1, 2, 3])
         twin = vec.clone()
-        twin.append(4)
+        assert twin.values() is vec.values()  # shared until a write
+        twin.extend([4])
         assert vec.values() == [1, 2, 3]
         assert twin.values() == [1, 2, 3, 4]
-        vec.append(9)
+        vec.extend([9.5])
         assert twin.values() == [1, 2, 3, 4]
-        assert vec.values() == [1, 2, 3, 9]
+        assert vec.values() == [1, 2, 3, 9.5]
+        assert twin.is_clean_numeric() and not vec.is_clean_numeric()
+        # Appending to the original first must not show on the clone either.
+        other = vec.clone()
+        vec.extend([None])
+        assert other.values() == [1, 2, 3, 9.5]
+        assert (other.null_count, vec.null_count) == (0, 1)
 
     def test_take_preserves_values_and_nulls(self):
-        vec = ColumnVector.from_values([10, None, 30, 40])
+        vec = ColumnVector([10, None, 30, "x"])
         taken = vec.take([3, 0, 1])
-        assert taken.values() == [40, 10, None]
+        assert taken.values() == ["x", 10, None]
         assert taken.null_count == 1
+        assert vec.take([2, 0]).is_clean_numeric()  # re-derived
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(
+                        ["insert", "insert_many", "onto_a_clone", "beside_a_clone"]
+                    ),
+                    st.lists(
+                        st.one_of(
+                            st.integers(-3, 3),
+                            st.floats(-2, 2, allow_nan=False),
+                            st.none(),
+                            st.booleans(),
+                            st.sampled_from(["a", 2**70]),
+                        ),
+                        max_size=4,
+                    ),
+                ),
+                st.tuples(
+                    st.just("delete_tids"), st.sets(st.integers(0, 30), max_size=8)
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_a_model_list(self, steps):
+        """After any sequence of appends, deletes and clone-then-append
+        (onto the clone, or onto the original beside it), the column is
+        a model list and its flag the predicate over it — on the table
+        and on every twin left behind."""
+        table = Table.from_rows("t", ["x"], [])
+        model: list = []  # (tid, value)
+        left_behind = []
+
+        def check(subject, pairs):
+            values = [value for _, value in pairs]
+            assert subject.column_values(0) == values
+            assert [type(v) for v in subject.column_values(0)] == [
+                type(v) for v in values
+            ]
+            assert subject.tids() == [tid for tid, _ in pairs]
+            assert subject.clean_flags() == [is_clean(values)]
+            assert subject.column("x").null_count == values.count(None)
+
+        for action, payload in steps:
+            if action == "delete_tids":
+                table.delete_tids(payload)
+                model = [pair for pair in model if pair[0] not in payload]
+            else:
+                if action.endswith("a_clone"):
+                    twin = table.clone()
+                    if action == "onto_a_clone":
+                        table, twin = twin, table
+                    left_behind.append((twin, list(model)))
+                rows = [(value,) for value in payload]
+                if action == "insert":
+                    tids = [table.insert(row) for row in rows]
+                else:
+                    tids = table.insert_many(rows)
+                model += zip(tids, payload)
+            check(table, model)
+        for twin, pairs in left_behind:
+            check(twin, pairs)
+
+    def test_ints_beyond_64_bits(self):
+        """The clean flag has no 64-bit bound: the fast reducers run on
+        ``2**70`` and agree with the row reference."""
+        db = Database()
+        db.load_table("t", ["x"], [(2**70,), (1,), (-5,), (2**70 + 1,)])
+        assert db.table("t").clean_flags() == [True]
+        engine = BothEngines(db)
+        result = engine.execute(
+            "SELECT SUM(t.x), AVG(t.x), MIN(t.x), MAX(t.x) FROM t"
+        )
+        assert result.rows == [(2**71 - 3, 2.0**69, -5, 2**70 + 1)]
+        below = engine.execute(f"SELECT t.x FROM t WHERE t.x < {2**70}")
+        assert below.rows == [(1,), (-5,)]
 
 
 class TestTableAccessors:
-    def make_table(self, n=10):
+    def test_column_by_name(self):
         db = Database()
         db.load_table(
-            "t", ["a", "b"], [(i, None if i % 3 == 0 else i * 2) for i in range(n)]
+            "t", ["a", "b"], [(i, None if i % 3 == 0 else i * 2) for i in range(10)]
         )
-        return db.table("t")
-
-    def test_column_by_name(self):
-        table = self.make_table()
+        table = db.table("t")
         vec = table.column("a")
         assert isinstance(vec, ColumnVector)
         assert vec.values() == [row[0] for row in table.rows()]
@@ -615,172 +735,75 @@ class TestTableAccessors:
         with pytest.raises(CatalogError):
             table.column("nope")
 
-    def test_null_mask(self):
-        table = self.make_table(4)
-        mask = table.null_mask("b")
-        assert (mask[0] >> 0) & 1 and (mask[0] >> 3) & 1
-        assert not ((mask[0] >> 1) & 1 or (mask[0] >> 2) & 1)
 
-    def test_chunks_cover_all_rows_in_order(self):
+class TestBigTableFilters:
+    """Pushed filters over a table of more than four ``CHUNK_SIZE``
+    chunks: one selection kernel over the whole column, the row engine's
+    rows in the row engine's order."""
+
+    N = 4 * CHUNK_SIZE + 17
+
+    @pytest.fixture(scope="class")
+    def engine(self):
         db = Database()
-        n = CHUNK_SIZE * 2 + 17
-        db.load_table("big", ["x"], [(i,) for i in range(n)])
-        table = db.table("big")
-        spans = table.chunk_spans()
-        assert spans[0] == (0, CHUNK_SIZE)
-        assert spans[-1][1] == n
-        rebuilt = [row for batch in table.chunks() for row in batch.to_rows()]
-        assert rebuilt == table.rows()
-
-    def test_zone_map_tracks_min_max_nulls(self):
-        table = self.make_table(6)
-        [entry] = table.zone_map(1)
-        assert entry.family == "num"
-        assert entry.lo == 2 and entry.hi == 10
-        assert entry.null_count == 2
-        table.insert((99, 198))
-        [entry] = table.zone_map(1)
-        assert entry.hi == 198
-
-
-class TestZonePruning:
-    def make_sorted_db(self, n=10 * CHUNK_SIZE):
-        db = Database()
-        db.load_table("big", ["id", "v"], [(i, i % 7) for i in range(n)])
-        return db
-
-    def test_range_predicate_skips_cold_chunks(self):
-        db = self.make_sorted_db()
-        engine = Engine(db, "columnar")
-        low, high = CHUNK_SIZE // 2, CHUNK_SIZE + CHUNK_SIZE // 2
-        result = engine.execute(
-            f"SELECT COUNT(*) FROM big WHERE big.id >= {low} "
-            f"AND big.id < {high}"
+        db.load_table(
+            "big",
+            ["id", "v", "w"],
+            [(i, i % 7, None if i % 5 == 0 else i % 3) for i in range(self.N)],
         )
-        assert result.rows == [(high - low,)]
-        assert db.zone_chunks_skipped >= 8
-        assert db.zone_chunks_scanned <= 2
-        assert db.zone_chunks_scanned + db.zone_chunks_skipped == 10
+        return BothEngines(db)
 
-    def test_unselective_predicate_scans_everything(self):
-        db = self.make_sorted_db(2 * CHUNK_SIZE)
-        engine = Engine(db, "columnar")
-        result = engine.execute(
-            "SELECT COUNT(*) FROM big WHERE big.id >= 0 AND big.v < 7"
-        )
-        assert result.rows == [(2 * CHUNK_SIZE,)]
-        assert db.zone_chunks_skipped == 0
-
-    def test_row_engine_never_prunes(self):
-        db = self.make_sorted_db(2 * CHUNK_SIZE)
-        Engine(db, "row").execute(
-            "SELECT COUNT(*) FROM big WHERE big.id >= 0 AND big.id < 10"
-        )
-        assert db.zone_chunks_scanned == 0
-        assert db.zone_chunks_skipped == 0
-
-    #: A prunable filter over ``big`` beneath each row-wise operator.
-    ROW_WISE_PARENTS = {
-        "NestedLoop": "SELECT b.id, s.c FROM big b, s "
-        "WHERE b.id >= 10 AND b.id < 20 AND b.v < s.c",
-        "LeftJoin": "SELECT b.id, s.c FROM big b LEFT JOIN s ON b.id = s.a "
-        "WHERE b.id >= 10 AND b.id < 20",
-        "DistinctOn": "SELECT DISTINCT ON (b.v) b.v, b.id FROM big b "
-        "WHERE b.id >= 10 AND b.id < 20",
-        "Except": "SELECT b.id FROM big b WHERE b.id >= 10 AND b.id < 20 "
-        "EXCEPT SELECT s.a FROM s",
-        "Intersect": "SELECT b.id FROM big b WHERE b.id >= 10 AND b.id < 20 "
-        "INTERSECT SELECT s.a FROM s",
-    }
-
-    @pytest.mark.parametrize("parent", sorted(ROW_WISE_PARENTS))
-    def test_subtree_under_row_wise_operator_stays_columnar(self, parent):
-        """The operators that do their work row-wise pull their children
-        through the columnar path: a prunable filter beneath them still
-        skips cold chunks (it silently never did while those subtrees
-        dropped to a row-chunk discipline)."""
-        db = self.make_sorted_db(4 * CHUNK_SIZE)
-        db.load_table("s", ["a", "c"], [(12, 5), (15, 100), (99, 1)])
-        sql = self.ROW_WISE_PARENTS[parent]
-        engine = Engine(db, "columnar")
-        assert parent in engine.explain(sql)
-        got = engine.execute(sql)
-        assert db.zone_chunks_skipped == 3
-        assert db.zone_chunks_scanned == 1
-        assert got.rows == Engine(db, "row").execute(sql).rows
-        assert got.rows  # the surviving chunk really fed the operator
-
-    def test_single_range_conjunct_uses_range_index(self):
-        db = self.make_sorted_db(2 * CHUNK_SIZE)
-        engine = Engine(db, "columnar")
-        result = engine.execute("SELECT COUNT(*) FROM big WHERE big.id < 100")
-        assert result.rows == [(100,)]
-        assert db.range_probes >= 1
-
-    def test_chunk_can_skip_matrix(self):
-        entry = build_zone_entry([1, 5, 9])
-        assert chunk_can_skip(entry, "<", 1, value_family(1))
-        assert not chunk_can_skip(entry, "<=", 1, value_family(1))
-        assert chunk_can_skip(entry, ">", 9, value_family(9))
-        assert chunk_can_skip(entry, "=", 10, value_family(10))
-        assert not chunk_can_skip(entry, "=", 5, value_family(5))
-        # NULL comparisons are never True; cross-family '=' can't match,
-        # but cross-family ordering must scan so the error surfaces.
-        assert chunk_can_skip(entry, "=", None, None)
-        assert chunk_can_skip(entry, "=", "x", value_family("x"))
-        assert not chunk_can_skip(entry, "<", "x", value_family("x"))
-        # All-NULL chunks never satisfy any comparison.
-        assert chunk_can_skip(build_zone_entry([None, None]), "=", 1, "num")
-        # Mixed-family chunks are unprunable.
-        assert not chunk_can_skip(build_zone_entry([1, "x"]), "=", 1, "num")
-
-
-class TestRangeIndex:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(st.integers(min_value=-5, max_value=5), st.none()),
-            max_size=40,
-        ),
-        st.sampled_from(["<", "<=", ">", ">=", "="]),
-        st.integers(min_value=-5, max_value=5),
+    @pytest.mark.parametrize(
+        "where, expected",
+        [
+            (
+                f"big.id >= {CHUNK_SIZE // 2} AND big.id < {3 * CHUNK_SIZE // 2}",
+                CHUNK_SIZE,
+            ),
+            ("big.id < 100", 100),
+            (f"{2 * CHUNK_SIZE} <= big.id", 2 * CHUNK_SIZE + 17),
+            ("big.id >= 0 AND big.v < 7", N),
+            ("big.id > 100000", 0),
+            ("big.v <> 3 AND big.id < 70", 60),
+            ("big.w = 1 AND big.id < 30", 8),
+            ("big.w <> 1 AND big.id < 30", 16),
+            ("big.v = 2.0 AND big.id >= 7", N // 7),
+        ],
+        ids=[
+            "two-sided", "lt", "flipped-le", "unselective", "empty", "ne",
+            "eq-nullable", "ne-nullable", "eq-float",
+        ],
     )
-    def test_matches_brute_force(self, values, op, const):
-        from repro.engine import types
+    def test_matches_the_row_engine(self, engine, where, expected):
+        result = engine.execute(f"SELECT big.id, big.w FROM big WHERE {where}")
+        ids = [row[0] for row in result.rows]
+        assert len(ids) == expected
+        assert ids == sorted(ids)  # insertion order
+        counted = engine.execute(f"SELECT COUNT(*) FROM big WHERE {where}")
+        assert counted.rows == [(expected,)]
 
-        db = Database()
-        db.load_table("t", ["x"], [(v,) for v in values])
-        table = db.table("t")
-        got = table.range_positions(0, op, const)
-        expected = [
-            i
-            for i, v in enumerate(values)
-            if v is not None and types.compare(op, v, const)
-        ]
-        assert got == expected
+    @pytest.mark.parametrize(
+        "where",
+        ["big.id < 'a'", "big.id >= 10 AND 'a' > big.v"],
+        ids=["plain", "flipped"],
+    )
+    def test_cross_family_ordering_raises_the_same_error(self, engine, where):
+        errors = []
+        for one in engine.engines:
+            with pytest.raises(ExecutionError) as caught:
+                one.execute(f"SELECT big.id FROM big WHERE {where}")
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert "incompatible types" in errors[0]
+        # Cross-family equality is not an error: never equal, always unequal.
+        for op, count in (("=", 0), ("<>", self.N)):
+            sql = f"SELECT COUNT(*) FROM big WHERE big.id {op} 'a'"
+            assert engine.execute(sql).rows == [(count,)]
 
-    def test_null_const_matches_nothing(self):
-        db = Database()
-        db.load_table("t", ["x"], [(1,), (2,)])
-        assert db.table("t").range_positions(0, "<", None) == []
-
-    def test_cross_family_refuses(self):
-        db = Database()
-        db.load_table("t", ["x"], [(1,), (2,)])
-        assert db.table("t").range_positions(0, "<", "a") is None
-
-    def test_mixed_column_refuses(self):
-        db = Database()
-        db.load_table("t", ["x"], [(1,), ("a",)])
-        assert db.table("t").range_positions(0, "<", 3) is None
-
-    def test_index_tracks_mutations(self):
-        db = Database()
-        db.load_table("t", ["x"], [(i,) for i in range(10)])
-        table = db.table("t")
-        assert table.range_positions(0, ">=", 8) == [8, 9]
-        table.insert((100,))
-        assert table.range_positions(0, ">=", 8) == [8, 9, 10]
+    @pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">="])
+    def test_null_constant_matches_nothing(self, engine, op):
+        sql = f"SELECT big.id FROM big WHERE big.id {op} NULL"
+        assert engine.execute(sql).rows == []
 
 
 RATE_POLICY = (
@@ -832,19 +855,8 @@ class TestRecoveryRebuildsColumnState:
                 theirs = twin.database.table(name)
                 assert ours.rows() == theirs.rows()
                 assert ours.tids() == theirs.tids()
-                width = len(ours.rows()[0]) if ours.rows() else 0
-                for position in range(width):
-                    assert (
-                        ours.column_values(position)
-                        == theirs.column_values(position)
-                    )
-                    assert [
-                        (e.family, e.lo, e.hi, e.null_count)
-                        for e in ours.zone_map(position)
-                    ] == [
-                        (e.family, e.lo, e.hi, e.null_count)
-                        for e in theirs.zone_map(position)
-                    ]
+                assert ours.columns_decoded() == theirs.columns_decoded()
+                assert ours.clean_flags() == theirs.clean_flags()
             # And the recovered enforcer keeps deciding identically.
             for sql, uid in queries:
                 assert (
@@ -853,6 +865,31 @@ class TestRecoveryRebuildsColumnState:
                 )
         finally:
             rwal.close()
+
+
+def forbid_row_bodies(monkeypatch) -> None:
+    """Patch every ``Operator.execute`` body to raise unless it is the
+    documented fallback — an operator running its *own* loop over
+    columnar children."""
+
+    def guard(original):
+        def execute(self, database, lineage):
+            if not any(
+                isinstance(getattr(self, attr, None), operators._Wrapped)
+                for attr in ("child", "left", "right")
+            ):
+                raise AssertionError(
+                    f"{type(self).__name__}.execute ran under columnar"
+                )
+            return original(self, database, lineage)
+
+        return execute
+
+    for cls in _all_operator_classes():
+        if cls is not operators._Wrapped and "execute" in vars(cls):
+            monkeypatch.setattr(cls, "execute", guard(vars(cls)["execute"]))
+    with pytest.raises(AssertionError, match="Op.execute ran"):
+        Engine(build_db([(1, 2)], []), "row").execute("SELECT r.a FROM r")
 
 
 def _all_operator_classes():
@@ -942,35 +979,52 @@ class TestTwoDisciplines:
     @pytest.mark.parametrize("build", ["_mimic_stream", "_metered_stream"])
     def test_no_row_body_runs_under_the_columnar_engine(self, build, monkeypatch):
         """Lineage included: marks, fProvenance and every policy check
-        of a served stream run column-wise. Every ``Operator.execute``
-        body is patched to raise unless it is the documented fallback —
-        an operator running its *own* loop over columnar children."""
+        of a served stream run column-wise (see
+        :func:`forbid_row_bodies`)."""
         reference = self._serve(*getattr(self, build)(), engine="row")
-
-        def guard(original):
-            def execute(self, database, lineage):
-                if not any(
-                    isinstance(getattr(self, attr, None), operators._Wrapped)
-                    for attr in ("child", "left", "right")
-                ):
-                    raise AssertionError(
-                        f"{type(self).__name__}.execute ran under columnar"
-                    )
-                return original(self, database, lineage)
-
-            return execute
-
-        for cls in _all_operator_classes():
-            if cls is not operators._Wrapped and "execute" in vars(cls):
-                monkeypatch.setattr(cls, "execute", guard(vars(cls)["execute"]))
-        with pytest.raises(AssertionError, match="Op.execute ran"):
-            Engine(build_db([(1, 2)], []), "row").execute("SELECT r.a FROM r")
+        forbid_row_bodies(monkeypatch)
         decisions, log, fallbacks = self._serve(
             *getattr(self, build)(), engine="columnar"
         )
         assert (decisions, log) == reference[:2]
         assert not all(allowed for allowed, _ in decisions)
         assert fallbacks == 0
+
+    #: A pushed filter over ``big`` beneath each row-wise operator.
+    ROW_WISE_PARENTS = {
+        "NestedLoop": "SELECT b.id, s.c FROM big b, s "
+        "WHERE b.id >= 10 AND b.id < 20 AND b.v < s.c",
+        "LeftJoin": "SELECT b.id, s.c FROM big b LEFT JOIN s ON b.id = s.a "
+        "WHERE b.id >= 10 AND b.id < 20",
+        "DistinctOn": "SELECT DISTINCT ON (b.v) b.v, b.id FROM big b "
+        "WHERE b.id >= 10 AND b.id < 20",
+        "Except": "SELECT b.id FROM big b WHERE b.id >= 10 AND b.id < 20 "
+        "EXCEPT SELECT s.a FROM s",
+        "Intersect": "SELECT b.id FROM big b WHERE b.id >= 10 AND b.id < 20 "
+        "INTERSECT SELECT s.a FROM s",
+    }
+
+    @pytest.mark.parametrize("parent", sorted(ROW_WISE_PARENTS))
+    def test_subtree_of_row_wise_operator_stays_columnar(
+        self, parent, monkeypatch
+    ):
+        """The operators that do their work row-wise pull their children
+        through the columnar path: with every row body patched to raise,
+        a pushed filter beneath each of them still feeds it."""
+        db = Database()
+        db.load_table(
+            "big", ["id", "v"], [(i, i % 7) for i in range(4 * CHUNK_SIZE)]
+        )
+        db.load_table("s", ["a", "c"], [(12, 5), (15, 100), (99, 1)])
+        sql = self.ROW_WISE_PARENTS[parent]
+        reference = Engine(db, "row").execute(sql).rows
+        forbid_row_bodies(monkeypatch)
+        engine = Engine(db, "columnar")
+        assert parent in engine.explain(sql)
+        got = engine.execute(sql)
+        assert db.row_fallbacks == 0
+        assert got.rows == reference
+        assert got.rows  # the filtered rows really fed the operator
 
     def test_default_engine_is_columnar(self):
         db = Database()
@@ -1046,13 +1100,29 @@ class TestServiceEngineSurface:
             ]
             body = service.render_metrics()
             assert 'repro_engine_info{shard="0",engine="columnar"} 1' in body
-            assert "repro_engine_chunks_scanned_total" in body
-            assert "repro_engine_chunks_skipped_total" in body
             assert "# TYPE repro_lineage_executions_total counter" in body
             assert "# TYPE repro_lineage_rows_total counter" in body
             assert 'repro_engine_row_fallbacks_total{shard="1"} 0' in body
         finally:
             service.drain()
+
+    def test_engine_counters_are_named_once(self):
+        """A live shard, the idle stub of a respawning process shard and
+        the Prometheus family table all follow ``ENGINE_COUNTERS``."""
+        from repro.obs.export import _ENGINE_FAMILIES
+        from repro.service.process import _empty_export_state
+        from repro.service.shard import ENGINE_COUNTERS
+
+        service = ShardedEnforcerService(
+            make_service_enforcer(), ServiceConfig(shards=1)
+        )
+        try:
+            live = service.shards[0].export_state()["engine"]
+        finally:
+            service.drain()
+        assert list(live) == ["name", *ENGINE_COUNTERS]
+        assert list(_empty_export_state()["engine"]) == list(live)
+        assert [key for key, *_ in _ENGINE_FAMILIES] == list(ENGINE_COUNTERS)
 
     def test_config_engine_overrides_seed_enforcer(self):
         enforcer = make_service_enforcer()

@@ -126,6 +126,28 @@ class TestVersioning:
             table.insert_many([(1, 2), (3,)])
         assert len(table) == 0  # all-or-nothing
 
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda table: table.replace_contents([(7, 8), (9,)], [5, 6], 7),
+            lambda table: table.insert_with_tids([(7, 8), (9,)], [5, 6]),
+        ],
+        ids=["replace_contents", "insert_with_tids"],
+    )
+    def test_bad_row_leaves_the_table_as_it_was(self, load):
+        """A malformed snapshot / WAL row raises before anything moves:
+        no tids over zero rows, no version bump."""
+        table = Table.from_rows("t", ["a", "b"], [(1, 2), (3, 4)])
+        table.index_probe(0, 1)
+        version = table.version
+        with pytest.raises(EngineError):
+            load(table)
+        assert table.rows() == [(1, 2), (3, 4)]
+        assert table.tids() == [0, 1]
+        assert table.column_values(0) == [1, 3]
+        assert (table.version, table.next_tid) == (version, 2)
+        assert table.index_probe(0, 3) == [(1, (3, 4))]
+
     def test_reads_do_not_bump_version(self):
         table = Table.from_rows("t", ["a"], [(1,)])
         start = table.version

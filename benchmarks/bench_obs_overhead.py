@@ -3,9 +3,9 @@
 Two gates for :mod:`repro.obs`:
 
 1. **Tracing is not the hot path.** The same concurrent marketplace
-   stream runs through the gateway with per-query spans on and off
-   (a modeled backend round trip comparable to the check); the
-   traced run must keep at least 95% of the untraced throughput.
+   stream runs through the gateway with per-query spans on and off,
+   nothing modeled; the traced run must keep at least 90% of the
+   untraced throughput.
 2. **The exposition survives contact with a real scrape.** A live HTTP
    server handles queries, ``GET /metrics`` is fetched like Prometheus
    would, sanity-checked, and the dump is persisted under
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import statistics
 import threading
-import time
 from http.client import HTTPConnection
 
 from repro.core import Enforcer, EnforcerOptions
@@ -32,7 +31,7 @@ from repro.workloads import (
     run_service_stream,
 )
 
-from figutil import RESULTS_DIR, format_table, ms, publish, scaled
+from figutil import RESULTS_DIR, format_table, publish, scaled
 
 CONFIG = MarketplaceConfig(
     n_subscribers=8,
@@ -44,7 +43,12 @@ CONFIG = MarketplaceConfig(
 QUERIES_PER_UID = scaled(10, minimum=3)
 CLIENT_THREADS = 8
 REPEATS = 3
-OVERHEAD_FLOOR = 0.95  # traced run keeps >= 95% of untraced qps
+#: Traced run keeps >= 90% of untraced qps. The floor was 0.95 while a
+#: modeled sleep equal to the check time sat in the shard worker: that
+#: doubled the denominator and so halved the measured overhead. With
+#: nothing modeled the e2e ledger's ``trace.overhead_ratio`` reads
+#: 0.92-0.96, so 0.90 is the floor the program itself can hold.
+OVERHEAD_FLOOR = 0.90
 
 
 def make_enforcer() -> Enforcer:
@@ -66,25 +70,12 @@ def make_stream():
     )
 
 
-def measure_check_seconds() -> float:
-    enforcer = make_enforcer()
-    workload = make_marketplace_workload(CONFIG)
-    samples = []
-    for _ in range(3):
-        for uid, sql in enumerate(workload.all().values(), start=1):
-            start = time.perf_counter()
-            enforcer.submit(sql, uid=uid)
-            samples.append(time.perf_counter() - start)
-    return sum(samples) / len(samples)
-
-
-def run_once(stream, dispatch: float, tracing: bool):
+def run_once(stream, tracing: bool):
     service = ShardedEnforcerService(
         make_enforcer(),
         ServiceConfig(
             shards=1,
             queue_depth=max(64, len(stream)),
-            dispatch_seconds=dispatch,
             routing="modulo",
             tracing=tracing,
         ),
@@ -96,9 +87,7 @@ def run_once(stream, dispatch: float, tracing: bool):
     return result
 
 
-def test_tracing_overhead_under_five_percent(capsys):
-    check_seconds = measure_check_seconds()
-    dispatch = check_seconds  # modeled backend comparable to the check
+def test_tracing_overhead_under_ten_percent(capsys):
     stream = make_stream()
 
     # Interleave the repeats so drift (thermal, noisy neighbors) hits
@@ -107,7 +96,7 @@ def test_tracing_overhead_under_five_percent(capsys):
     verdicts = {}
     for _ in range(REPEATS):
         for tracing in (False, True):
-            result = run_once(stream, dispatch, tracing)
+            result = run_once(stream, tracing)
             qps[tracing].append(result.qps)
             verdicts[tracing] = (result.allowed, result.rejected)
 
@@ -131,8 +120,10 @@ def test_tracing_overhead_under_five_percent(capsys):
                 ["on", round(traced, 1), f"{ratio:.2f}x"],
             ],
             note=(
-                f"modeled dispatch {ms(dispatch):.2f} ms/query; traced "
-                f"run must keep >= {OVERHEAD_FLOOR:.0%} of untraced qps"
+                "nothing modeled (the 0.95 floor was reachable only while "
+                "a sleep equal to the check time doubled the denominator); "
+                f"traced run must keep >= {OVERHEAD_FLOOR:.0%} of "
+                "untraced qps"
             ),
         ),
     )

@@ -10,7 +10,6 @@ from .features import (
     referenced_log_relations,
     substitute_current_time,
 )
-from .containment import cq_implies, screen_is_sound
 from .monotonicity import can_interleave, is_monotone
 from .partial import partial_chain, partial_policy
 from .time_independence import is_time_independent, rewrite_time_independent
@@ -31,8 +30,6 @@ __all__ = [
     "qualifier_for",
     "referenced_log_relations",
     "substitute_current_time",
-    "cq_implies",
-    "screen_is_sound",
     "can_interleave",
     "is_monotone",
     "partial_chain",

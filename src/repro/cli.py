@@ -334,7 +334,6 @@ def build_server(args):
         config=ServiceConfig(
             shards=args.shards,
             queue_depth=args.queue_depth,
-            workers=args.workers,
             workers_mode="process" if args.processes else "thread",
             data_dir=args.data_dir,
             wal_sync=not args.no_fsync,
@@ -360,8 +359,8 @@ def cmd_serve(args, out=sys.stdout) -> int:
     service = server.service
     print(
         f"enforcement gateway on http://{host}:{port} — "
-        f"{service.config.shards} shard(s) × {service.config.workers} "
-        f"worker(s), queue depth {service.config.queue_depth}",
+        f"{service.config.shards} shard(s), "
+        f"queue depth {service.config.queue_depth}",
         file=out,
     )
     try:
@@ -552,14 +551,10 @@ def make_parser() -> argparse.ArgumentParser:
         help="admission queue slots per shard (full queue → HTTP 429)",
     )
     serve.add_argument(
-        "--workers", type=int, default=1,
-        help="worker threads per shard",
-    )
-    serve.add_argument(
         "--processes", action="store_true",
-        help="back each shard with a worker process instead of threads "
-        "(shared-nothing enforcers behind pipes; real multi-core "
-        "scaling for CPU-bound policy checks)",
+        help="host each shard in a worker process instead of a thread "
+        "(shared-nothing enforcers behind pipes; the only flavour that "
+        "can use more than one core)",
     )
     serve.add_argument(
         "--data-dir", default=None,

@@ -17,12 +17,6 @@ from .metrics import (
     MetricsLog,
     QueryMetrics,
 )
-from .approximate import (
-    ApproximatePolicy,
-    UnsoundScreenError,
-    derive_screen,
-    from_screen_sql,
-)
 from .audit import AuditRecord, AuditTrail, attach_audit_trail
 from .explain import EvidenceTuple, ViolationExplanation, explain_decision
 from .policy import Decision, Policy, Violation
@@ -57,10 +51,6 @@ __all__ = [
     "PolicyTemplate",
     "Slot",
     "TemplateRegistry",
-    "ApproximatePolicy",
-    "UnsoundScreenError",
-    "derive_screen",
-    "from_screen_sql",
     "AuditRecord",
     "AuditTrail",
     "attach_audit_trail",

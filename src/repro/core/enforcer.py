@@ -303,6 +303,11 @@ class Enforcer:
         Per the paper (§4.1.2 footnote), the new policy only sees log
         entries from the current time onward: we conjoin
         ``R.ts > now`` for every log occurrence.
+
+        A policy that does not bind against the catalog (unknown table
+        or column) is refused here, before anything changes — the
+        policy round binds lazily, so installing it would fail every
+        later query instead.
         """
         now = self.clock.now()
         structure = analyze_structure(policy.select, self.registry, self.database)
@@ -315,6 +320,7 @@ class Enforcer:
                 where=ast.conjoin(ast.conjuncts(policy.select.where) + extra)
             )
             policy = replace(policy, select=select)
+        self.engine.plan(policy.select)
         self.policies.append(policy)
         self._prepare()
 
@@ -517,7 +523,11 @@ class Enforcer:
         )
         metrics = QueryMetrics(timestamp=timestamp, uid=uid, trace=trace)
         cache = self._cache_handle()
-        key = cache.key_for(sql, uid, attributes) if cache is not None else None
+        # An uncacheable policy set can never store a verdict, so there
+        # is nothing to probe: skip canonicalising the text and the
+        # lookup outright (a skipped probe is not a miss).
+        probing = cache is not None and self._cache_plan is not None
+        key = cache.key_for(sql, uid, attributes) if probing else None
         cached = cache.lookup(key, self.store) if key is not None else None
         try:
             context = QueryContext.create(
@@ -548,9 +558,7 @@ class Enforcer:
             else:
                 violations = self._round(metrics, ensure_log)
                 if (
-                    cache is not None
-                    and key is not None
-                    and self._cache_plan is not None
+                    key is not None
                     and self._cache_plan.storable_at(timestamp)
                     and not touches_log_state(context.query, self.registry)
                 ):

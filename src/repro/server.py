@@ -194,10 +194,11 @@ class EnforcerService:
         """Re-run the violated policies with lineage on the same shard.
 
         Explanation reads the shard's current log state; the service
-        runs it on the routed shard outside the admission path (thread
-        mode takes the shard lock directly, process mode answers over
-        the control channel — explain is an admin-grade operation, not a
-        policy check, and must not consume an admission slot).
+        runs it on the routed shard outside the admission path (the
+        shard's own ``explain_evidence`` under its lock, reached over
+        the control channel when a worker process hosts it — explain is
+        an admin-grade operation, not a policy check, and must not
+        consume an admission slot).
         """
         return self.service.explain_evidence(uid, decision)
 

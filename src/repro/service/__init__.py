@@ -6,10 +6,11 @@ by ``uid`` onto N independent :class:`~repro.core.Enforcer` shards (each
 with its own clone of the base tables and its own slice of the usage
 log), admission is a bounded per-shard queue with backpressure, and a
 coordinator broadcasts policy changes to all shards under an epoch.
-With ``ServiceConfig(workers_mode="process")`` each shard runs in its
-own worker process (:class:`~repro.service.process.ProcessShard`), so
-CPU-bound policy checks scale across cores instead of serializing on
-the GIL.
+A shard is one implementation (:class:`~repro.service.shard.Shard`)
+behind two transports: with ``ServiceConfig(workers_mode="process")``
+each one is hosted by its own worker process
+(:class:`~repro.service.process.ProcessShard`), the only flavour whose
+CPU-bound policy checks can run on different cores.
 
 Quickstart::
 

@@ -22,21 +22,16 @@ def _default_workers_mode() -> str:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Knobs for the gateway: parallelism, admission control, modeling.
+    """Knobs for the gateway: parallelism, admission control, durability.
 
     - ``shards`` — number of independent enforcer shards; queries route by
       ``hash(uid)``, so per-user policy state stays on one shard.
     - ``queue_depth`` — bounded admission queue per shard; a full queue
       rejects with backpressure (HTTP 429 + ``Retry-After``) instead of
-      piling up threads.
-    - ``workers`` — worker threads per shard. The enforcer itself is
-      single-threaded (each shard serializes on its lock), so extra
-      workers only help overlap the modeled dispatch latency.
-    - ``dispatch_seconds`` — modeled backend round-trip per admitted
-      query, in the spirit of :data:`repro.workloads.runner.DISPATCH_SECONDS`:
-      the real middleware waits on a DBMS over the network; our engine is
-      in-process, so throughput benchmarks add this blocking wait inside
-      the shard worker to keep the concurrency effect visible.
+      piling up threads. Each shard has exactly one worker draining it
+      (the enforcer is single-threaded, and one consumer makes admission
+      order FIFO by construction), so ``queue_depth + 1`` checks can be
+      in flight per shard.
     - ``routing`` — ``"hash"`` (mixed integer hash) or ``"modulo"``
       (``uid % shards``; handy for deterministic placement in tests).
     - ``data_dir`` — when set, every shard journals to a write-ahead log
@@ -69,12 +64,14 @@ class ServiceConfig:
     - ``slow_query_seconds`` — checks at least this slow (enqueue to
       completion) are logged with their span tree and kept in a small
       per-shard ring; ``0`` disables the slow-query log.
-    - ``workers_mode`` — ``"thread"`` (default: shards are worker
-      threads in this process) or ``"process"`` (each shard is a
-      ``multiprocessing`` worker process owning its shared-nothing
-      enforcer clone, WAL directory, and clock — CPU-bound policy
-      checks then scale across cores instead of serializing on the
-      GIL; see :mod:`repro.service.process`). The default can be
+    - ``workers_mode`` — where a shard lives: ``"thread"`` (default: in
+      this process; shards partition the usage log but share the GIL)
+      or ``"process"`` (each shard is hosted by a ``multiprocessing``
+      worker process owning its shared-nothing enforcer clone, WAL
+      directory, and clock — the only flavour that can use a second
+      core; see :mod:`repro.service.process`). Both are the same
+      :class:`~repro.service.shard.Shard` opened by the same builder;
+      only the transport differs. The default can be
       overridden with the ``REPRO_WORKERS_MODE`` environment variable
       (used by CI to re-run the service suites under process shards).
     - ``global_tier`` — ``"off"`` (default: installing a global policy on
@@ -85,9 +82,6 @@ class ServiceConfig:
       window), or ``"strict"`` (admit every global policy; strict ones
       go through two-phase reserve → commit/abort admission, bit-identical
       to a single-shard oracle). See :mod:`repro.service.global_tier`.
-      An enabled tier requires ``workers=1``: coordinator-assigned
-      timestamps must apply on each shard in admission order, which a
-      single worker's FIFO guarantees.
     - ``engine`` — execution engine for every shard enforcer (``"row"``
       or ``"columnar"``); ``None`` (default) inherits the seed enforcer's
       :attr:`~repro.core.EnforcerOptions.engine`. Decisions are
@@ -96,9 +90,7 @@ class ServiceConfig:
 
     shards: int = 1
     queue_depth: int = 32
-    workers: int = 1
     max_result_rows: int = 1000
-    dispatch_seconds: float = 0.0
     routing: str = "hash"
     #: Latency samples kept per shard for the p50/p95 stats surface.
     latency_window: int = 512
@@ -134,10 +126,6 @@ class ServiceConfig:
             raise ServiceError("batch_size must be >= 1")
         if self.decision_cache_size < 1:
             raise ServiceError("decision_cache_size must be >= 1")
-        if self.workers < 1:
-            raise ServiceError("workers must be >= 1")
-        if self.dispatch_seconds < 0:
-            raise ServiceError("dispatch_seconds cannot be negative")
         if self.routing not in ("hash", "modulo"):
             raise ServiceError(f"unknown routing strategy {self.routing!r}")
         if self.latency_window < 1:
@@ -150,9 +138,4 @@ class ServiceConfig:
             raise ServiceError(
                 f"unknown global_tier {self.global_tier!r} "
                 "(expected 'off', 'async' or 'strict')"
-            )
-        if self.global_tier != "off" and self.workers != 1:
-            raise ServiceError(
-                "global_tier requires workers=1: coordinator-assigned "
-                "timestamps must apply on each shard in admission order"
             )

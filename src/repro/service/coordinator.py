@@ -1,12 +1,15 @@
 """The coordinator: shard fan-out, policy broadcasts, aggregation.
 
 :class:`ShardedEnforcerService` replaces the old single-lock HTTP facade
-with N independent :class:`~repro.service.shard.Shard` instances. Queries
-route by uid (:mod:`repro.service.routing`), so different users' policy
-checks run in parallel; cross-shard operations go through here:
+with N independent shards. A shard is one surface
+(:class:`~repro.service.shard.Shard`) behind one of two transports —
+held directly, or hosted by a worker process behind a pipe — and only
+the construction functions below know which. Queries route by uid
+(:mod:`repro.service.routing`), so different users' policy checks run in
+parallel; cross-shard operations go through here:
 
 - **policy install/remove** broadcasts to every shard under an *epoch*:
-  all shard locks are taken (in index order) before any shard is
+  every local shard lock is taken (in index order) before any shard is
   mutated, so no query ever observes a half-applied policy set;
 - **log sizes / stats** aggregate per-shard views;
 - **drain** stops admission and flushes every shard's backlog before
@@ -31,12 +34,10 @@ import shutil
 import tempfile
 import threading
 from contextlib import ExitStack
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..core import Decision, Enforcer, Policy, explain_decision
-from ..engine import Engine
+from ..core import Decision, Enforcer, Policy
 from ..obs import build_service_registry
 from ..errors import (
     PolicyError,
@@ -46,14 +47,9 @@ from ..errors import (
     ServiceError,
 )
 from ..storage.snapshot import save_enforcer_state
-from ..storage.wal import (
-    RecoveryReport,
-    has_state,
-    initialize_durability,
-    recover_enforcer,
-)
+from ..storage.wal import RecoveryReport
 from .config import ServiceConfig
-from .global_tier import DeltaTee, GlobalTier
+from .global_tier import GlobalTier
 from .placement import (
     SCOPE_GLOBAL_ASYNC,
     PolicyPlacement,
@@ -61,7 +57,7 @@ from .placement import (
 )
 from .process import ProcessShard
 from .routing import ShardRouter
-from .shard import Shard, ShardDurability
+from .shard import open_shard, policy_entry
 from .worker import clock_spec
 
 
@@ -102,11 +98,13 @@ class ShardedEnforcerService:
                 self._abort_startup()
                 raise
 
+        init_shards = {
+            "thread": self._init_thread_shards,
+            "process": self._init_process_shards,
+        }[self.workers_mode]
         try:
-            if self.workers_mode == "process":
-                self._init_process_shards(enforcer)
-            else:
-                self._init_thread_shards(enforcer)
+            init_shards(enforcer)
+            self._adopt_recovered_policies()
         except ReproError:
             self._abort_startup()
             raise
@@ -174,52 +172,28 @@ class ShardedEnforcerService:
         self._tier = tier
 
     def _connect_tier(self) -> None:
-        """Wire delta streaming from every (possibly recovered) shard and
-        rebuild the tier's aggregate state from their disk images."""
+        """Rebuild the tier's aggregate state from every (possibly
+        recovered) shard's disk image."""
         tier = self._tier
-        extras = tier.extra_persist_relations()
-        dumps: list = []
-        clocks: list = []
-        for shard in self.shards:
-            if isinstance(shard, ProcessShard):
-                dump = shard.log_dump(sorted(extras))
-                dumps.append(dump.get("rows", {}))
-                clocks.append(int(dump.get("clock", 0)))
-            else:
-                shard_enforcer = shard.enforcer
-                shard_enforcer.extra_persist_relations = set(extras)
-                shard_enforcer.store.attach_observer(
-                    DeltaTee(
-                        shard_enforcer,
-                        self._delta_sink_for(shard.index),
-                    )
-                )
-                disk = shard_enforcer.store._disk  # noqa: SLF001
-                dumps.append(
-                    {
-                        name: [row for _, row in entries]
-                        for name, entries in disk.items()
-                        if name in extras
-                    }
-                )
-                clocks.append(shard_enforcer.clock.now())
-        tier.bootstrap(dumps, clocks)
+        extras = sorted(tier.extra_persist_relations())
+        dumps = [shard.log_dump(extras) for shard in self.shards]
+        tier.bootstrap(
+            [dump["rows"] for dump in dumps],
+            [int(dump["clock"]) for dump in dumps],
+        )
 
     def _delta_sink_for(self, index: int):
+        """Where shard ``index`` streams its committed log increments
+        (None without a tier)."""
+        if self._tier is None:
+            return None
+
         def sink(timestamp: int, rows: dict) -> None:
             tier = self._tier
             if tier is not None:
                 tier.enqueue_delta(index, timestamp, rows)
 
         return sink
-
-    def _on_shard_delta(self, index: int, message: dict) -> None:
-        """Process-mode delta frames land here from the IPC read loop."""
-        tier = self._tier
-        if tier is not None:
-            tier.enqueue_delta(
-                index, int(message.get("ts", 0)), message.get("rows", {})
-            )
 
     def _abort_startup(self) -> None:
         """Tear down a half-built service without leaking workers.
@@ -246,38 +220,62 @@ class ShardedEnforcerService:
                 self._tier.close()
                 self._tier = None
 
-    def _init_thread_shards(self, enforcer: Enforcer) -> None:
-        # Shard 0 adopts the caller's enforcer (single-shard deployments
-        # behave exactly like the old facade); the rest are clones over
-        # the same base tables with empty per-shard usage logs. With a
-        # data_dir configured, shards holding durable state are instead
-        # *recovered* from it — the caller's enforcer serves as the
-        # prototype for the registry and clock kind.
-        pairs = self._build_shard_enforcers(enforcer)
+    def _shard_settings(self, index: int) -> dict:
+        """What :func:`~repro.service.shard.open_shard` needs to open
+        shard ``index`` — the same dict for both flavours (a worker
+        process receives it as its spec)."""
+        config = self.config
+        tier = self._tier
+        return {
+            "shard_dir": (
+                str(Path(config.data_dir) / f"shard-{index}")
+                if config.data_dir
+                else None
+            ),
+            "wal_sync": config.wal_sync,
+            "checkpoint_every": config.checkpoint_every,
+            "queue_depth": config.queue_depth,
+            "latency_window": config.latency_window,
+            "slow_query_seconds": config.slow_query_seconds,
+            "batch_size": config.batch_size,
+            "epoch": 0,
+            "options": {
+                "tracing": config.tracing,
+                "decision_cache": config.decision_cache,
+                "decision_cache_size": config.decision_cache_size,
+                "incremental": config.incremental,
+                "engine": config.engine,
+            },
+            "extra_persist": (
+                sorted(tier.extra_persist_relations()) if tier else []
+            ),
+        }
 
-        # The service config owns the tracing and decision-cache
-        # switches: apply them to every shard enforcer (including
-        # recovered ones, whose checkpoints may predate the options or
-        # carry different settings). A recovered enforcer's cache starts
-        # empty by construction — verdict memos never survive a restart.
-        for shard_enforcer, _ in pairs:
-            self._apply_option_overrides(shard_enforcer)
+    def _init_thread_shards(self, prototype: Enforcer) -> None:
+        """Open every shard in this process.
 
-        self._reference = pairs[0][0]
-        self.shards: list = [
-            Shard(
+        Shard 0 adopts the caller's enforcer (single-shard deployments
+        behave exactly like the old facade); the rest are clones over
+        the same base tables with empty per-shard usage logs. With a
+        data_dir configured, shards holding durable state are instead
+        *recovered* from it — the caller's enforcer serves as the
+        prototype for the registry and clock kind.
+        """
+        for index in range(self.config.shards):
+            shard, report = open_shard(
                 index,
-                shard_enforcer,
-                queue_depth=self.config.queue_depth,
-                workers=self.config.workers,
-                dispatch_seconds=self.config.dispatch_seconds,
-                latency_window=self.config.latency_window,
-                durability=durability,
-                slow_query_seconds=self.config.slow_query_seconds,
-                batch_size=self.config.batch_size,
+                prototype.clone if index else (lambda: prototype),
+                self._shard_settings(index),
+                registry=prototype.registry,
+                clock=prototype.clock.clone(),
+                delta_sink=self._delta_sink_for(index),
             )
-            for index, (shard_enforcer, durability) in enumerate(pairs)
-        ]
+            self.shards.append(shard)
+            if report is not None:
+                self.recovery_reports.append(report)
+        # Shard 0's enforcer doubles as the reference: policy broadcasts
+        # reach it through the shard itself.
+        self._reference = self.shards[0].enforcer
 
     def _init_process_shards(self, prototype: Enforcer) -> None:
         """Spawn one worker process per shard.
@@ -290,7 +288,6 @@ class ShardedEnforcerService:
         lock-free policy snapshot. Shards with durable state ignore the
         bootstrap and recover by WAL replay in the worker instead.
         """
-        self._apply_option_overrides(prototype)
         self._reference = prototype
         # Fail fast (before paying any spawn) when the caller's policy
         # set is un-shardable; recovered sets are re-checked after boot.
@@ -302,187 +299,55 @@ class ShardedEnforcerService:
         bootstrap = Path(tempfile.mkdtemp(prefix="repro-bootstrap-"))
         save_enforcer_state(prototype, bootstrap)
         self._bootstrap_dir = bootstrap
-        root = Path(self.config.data_dir) if self.config.data_dir else None
-        spec = {
-            "bootstrap_dir": str(bootstrap),
-            "wal_sync": self.config.wal_sync,
-            "checkpoint_every": self.config.checkpoint_every,
-            # The worker's internal queue holds the whole admission
-            # window (waiting + executing); the coordinator enforces
-            # the 429 boundary, so the worker itself never rejects.
-            "queue_depth": self.config.queue_depth + self.config.workers,
-            "queue_capacity": self.config.queue_depth,
-            "workers": self.config.workers,
-            "dispatch_seconds": self.config.dispatch_seconds,
-            "latency_window": self.config.latency_window,
-            "slow_query_seconds": self.config.slow_query_seconds,
-            "batch_size": self.config.batch_size,
-            "clock": clock_spec(prototype.clock),
-            "epoch": 0,
-            "options": {
-                "tracing": self.config.tracing,
-                "decision_cache": self.config.decision_cache,
-                "decision_cache_size": self.config.decision_cache_size,
-                "incremental": self.config.incremental,
-                "engine": self.config.engine,
-            },
-        }
-        if self._tier is not None:
-            spec["stream_deltas"] = True
-            spec["extra_persist"] = sorted(
-                self._tier.extra_persist_relations()
-            )
-        self.shards = []
         for index in range(self.config.shards):
-            shard_spec = dict(spec)
-            shard_spec["index"] = index
-            shard_spec["shard_dir"] = (
-                str(root / f"shard-{index}") if root else None
-            )
+            spec = self._shard_settings(index)
+            spec["index"] = index
+            spec["bootstrap_dir"] = str(bootstrap)
+            spec["clock"] = clock_spec(prototype.clock)
             self.shards.append(
                 ProcessShard(
                     index,
-                    shard_spec,
-                    self.config.queue_depth,
+                    spec,
                     policy_source=self._reference_policies,
-                    delta_sink=(
-                        self._on_shard_delta
-                        if self._tier is not None
-                        else None
-                    ),
+                    delta_sink=self._delta_sink_for(index),
                 )
             )
-
         self.recovery_reports = [
             RecoveryReport(**shard.hello["recovery"])
             for shard in self.shards
             if shard.hello.get("recovery")
         ]
+
+    def _adopt_recovered_policies(self) -> None:
+        """Refuse diverged recovered policy sets; sync the reference."""
         # A crash mid-broadcast can leave shards with diverged policy
         # sets; refusing to serve beats silently under-enforcing.
-        names = [p["name"] for p in self.shards[0].hello["policies"]]
+        listing = self.shards[0].policies()
+        names = [entry["name"] for entry in listing]
         for shard in self.shards[1:]:
-            shard_names = [p["name"] for p in shard.hello["policies"]]
+            shard_names = shard.policy_names()
             if shard_names != names:
                 raise ServiceError(
                     f"recovered policy sets diverge: shard 0 has {names}, "
                     f"shard {shard.index} has {shard_names}; re-apply the "
                     "missing policy changes before serving"
                 )
-        # Recovered workers may carry policies the caller's prototype
+        # Recovered shards may carry policies the caller's prototype
         # lacks (installed in a previous run): sync the reference so
         # the policy surface reflects what is actually enforced.
-        if [p.name for p in self._reference.policies] != names:
-            for policy in list(self._reference.policies):
-                self._reference.remove_policy(policy.name)
-            for entry in self.shards[0].hello["policies"]:
-                self._reference.add_policy(
-                    Policy.from_sql(
-                        entry["name"],
-                        entry["sql"],
-                        entry.get("description", ""),
-                    )
-                )
-
-    def _apply_option_overrides(self, shard_enforcer: Enforcer) -> None:
-        options = shard_enforcer.options
-        engine = (
-            self.config.engine
-            if self.config.engine is not None
-            else options.engine
-        )
-        if (
-            options.tracing != self.config.tracing
-            or options.decision_cache != self.config.decision_cache
-            or options.decision_cache_size != self.config.decision_cache_size
-            or options.incremental != self.config.incremental
-            or options.engine != engine
-        ):
-            shard_enforcer.options = replace(
-                options,
-                tracing=self.config.tracing,
-                decision_cache=self.config.decision_cache,
-                decision_cache_size=self.config.decision_cache_size,
-                incremental=self.config.incremental,
-                engine=engine,
-            )
-        # Decision cache and incremental maintainer read ``options``
-        # lazily, but the execution engine is built in ``__init__`` —
-        # rebuild it when the service config picked a different one.
-        if (
-            shard_enforcer.engine.engine_name
-            != shard_enforcer.options.engine_name
-        ):
-            shard_enforcer.engine = Engine(
-                shard_enforcer.database, shard_enforcer.options.engine
-            )
+        reference = self._reference
+        if [p.name for p in reference.policies] != names:
+            for policy in list(reference.policies):
+                reference.remove_policy(policy.name)
+            for entry in listing:
+                reference.add_policy(Policy.from_sql(**entry))
 
     def _reference_policies(self) -> "tuple[int, list[dict]]":
         """The reference policy set, for respawned-worker re-sync."""
         with self._admin_lock:
             return self._epoch, [
-                {
-                    "name": policy.name,
-                    "sql": policy.sql,
-                    "description": policy.description,
-                }
-                for policy in self._reference.policies
+                policy_entry(policy) for policy in self._reference.policies
             ]
-
-    def _build_shard_enforcers(
-        self, prototype: Enforcer
-    ) -> "list[tuple[Enforcer, Optional[ShardDurability]]]":
-        """One (enforcer, durability) pair per shard, recovering durable
-        state where it exists."""
-        if not self.config.data_dir:
-            return [(prototype, None)] + [
-                (prototype.clone(), None)
-                for _ in range(1, self.config.shards)
-            ]
-
-        root = Path(self.config.data_dir)
-        pairs: "list[tuple[Enforcer, Optional[ShardDurability]]]" = []
-        for index in range(self.config.shards):
-            shard_dir = root / f"shard-{index}"
-            if has_state(shard_dir):
-                shard_enforcer, wal, report = recover_enforcer(
-                    shard_dir,
-                    registry=prototype.registry,
-                    clock=prototype.clock.clone(),
-                    sync=self.config.wal_sync,
-                )
-                self.recovery_reports.append(report)
-            else:
-                shard_enforcer = (
-                    prototype if index == 0 else prototype.clone()
-                )
-                wal = initialize_durability(
-                    shard_enforcer, shard_dir, sync=self.config.wal_sync
-                )
-            pairs.append(
-                (
-                    shard_enforcer,
-                    ShardDurability(
-                        shard_dir,
-                        wal,
-                        checkpoint_every=self.config.checkpoint_every,
-                        sync=self.config.wal_sync,
-                    ),
-                )
-            )
-
-        # A crash mid-broadcast can leave shards with diverged policy
-        # sets; refusing to serve beats silently under-enforcing.
-        names = [p.name for p in pairs[0][0].policies]
-        for index, (shard_enforcer, _) in enumerate(pairs[1:], start=1):
-            shard_names = [p.name for p in shard_enforcer.policies]
-            if shard_names != names:
-                raise ServiceError(
-                    f"recovered policy sets diverge: shard 0 has {names}, "
-                    f"shard {index} has {shard_names}; re-apply the "
-                    "missing policy changes before serving"
-                )
-        return pairs
 
     # ------------------------------------------------------------------
     # query admission
@@ -592,13 +457,9 @@ class ShardedEnforcerService:
     def add_policy(self, policy: Policy) -> int:
         """Install on every shard atomically; returns the new epoch.
 
-        Thread mode takes every shard lock before mutating, so no query
-        observes a half-applied policy set. Process mode broadcasts
-        per-shard RPCs (each applied atomically under that worker's
-        lock, checkpointed when durable) in shard order, rolling back
-        the already-applied shards if one refuses — cross-shard
-        atomicity is therefore *eventual within the broadcast*, the
-        documented trade of moving shards out of the address space.
+        A policy the shards refuse (it does not bind against the catalog)
+        raises before anything changed anywhere. See :meth:`_broadcast`
+        for what "atomically" means per shard flavour.
         """
         with self._admin_lock:
             reference = self._reference
@@ -615,39 +476,10 @@ class ShardedEnforcerService:
                 self._tier.add_policy(policy, placement)
                 self._push_extras()
                 return self._bump_epoch(broadcast=True)
-            if self.workers_mode == "process":
-                new_epoch = self._epoch + 1
-                applied = []
-                try:
-                    for shard in self.shards:
-                        shard.apply_policy_change(
-                            "add",
-                            policy.name,
-                            sql=policy.sql,
-                            description=policy.description,
-                            epoch=new_epoch,
-                        )
-                        applied.append(shard)
-                except ReproError:
-                    for shard in applied:
-                        try:
-                            shard.apply_policy_change(
-                                "remove", policy.name, epoch=self._epoch
-                            )
-                        except ReproError:  # pragma: no cover - dead shard
-                            pass
-                    raise
-                reference.add_policy(policy)
-                return self._bump_epoch()
-            with self._all_shard_locks():
-                for shard in self.shards:
-                    shard.enforcer.add_policy(policy)
-                self._checkpoint_locked()
-                return self._bump_epoch()
+            return self._broadcast("add", policy)
 
     def remove_policy(self, name: str) -> int:
         with self._admin_lock:
-            reference = self._reference
             if (
                 self._tier is not None
                 and name in self._tier.policy_names()
@@ -656,39 +488,54 @@ class ShardedEnforcerService:
                 self._push_extras()
                 return self._bump_epoch(broadcast=True)
             removed = next(
-                (p for p in reference.policies if p.name == name), None
+                (p for p in self._reference.policies if p.name == name), None
             )
             if removed is None:
                 raise PolicyError(f"no policy {name!r}")
-            if self.workers_mode == "process":
-                new_epoch = self._epoch + 1
-                applied = []
-                try:
-                    for shard in self.shards:
-                        shard.apply_policy_change(
-                            "remove", name, epoch=new_epoch
-                        )
-                        applied.append(shard)
-                except ReproError:
-                    for shard in applied:
-                        try:
-                            shard.apply_policy_change(
-                                "add",
-                                name,
-                                sql=removed.sql,
-                                description=removed.description,
-                                epoch=self._epoch,
-                            )
-                        except ReproError:  # pragma: no cover - dead shard
-                            pass
-                    raise
-                reference.remove_policy(name)
-                return self._bump_epoch()
-            with self._all_shard_locks():
+            return self._broadcast("remove", removed)
+
+    def _broadcast(self, action: str, policy: Policy) -> int:
+        """Apply one policy change on every shard; caller holds the
+        admin lock. Returns the new epoch.
+
+        Every *local* shard's lock is taken, in index order, before the
+        first mutation and held through the last checkpoint, so no query
+        in this process observes a half-applied policy set. Shards behind
+        a pipe have no local lock: each applies the change atomically
+        under its worker's own lock (checkpointed when durable), in shard
+        order — cross-shard atomicity is then *eventual within the
+        broadcast*, the documented trade of moving shards out of the
+        address space. Either way a shard that refuses undoes the
+        already-applied prefix and the epoch does not move.
+        """
+        undo = "remove" if action == "add" else "add"
+        change = policy_entry(policy)
+        applied = []
+        with self._all_shard_locks():
+            try:
                 for shard in self.shards:
-                    shard.enforcer.remove_policy(name)
-                self._checkpoint_locked()
-                return self._bump_epoch()
+                    shard.apply_policy_change(
+                        action, epoch=self._epoch + 1, **change
+                    )
+                    applied.append(shard)
+            except ReproError:
+                for shard in applied:
+                    try:
+                        shard.apply_policy_change(
+                            undo, epoch=self._epoch, **change
+                        )
+                    except ReproError:  # dead shard: re-synced on respawn
+                        pass
+                raise
+            # The reference mirrors the shards. A thread-mode shard 0
+            # *is* the reference enforcer, already changed above.
+            reference = self._reference
+            present = any(p.name == policy.name for p in reference.policies)
+            if action == "add" and not present:
+                reference.add_policy(policy)
+            elif action == "remove" and present:
+                reference.remove_policy(policy.name)
+            return self._bump_epoch()
 
     def has_policy(self, name: str) -> bool:
         return any(entry["name"] == name for entry in self._policy_snapshot)
@@ -696,27 +543,21 @@ class ShardedEnforcerService:
     def _push_extras(self) -> None:
         """Refresh every shard's extra-persist set after the tier's
         policy set (and hence its relation needs) changed."""
-        extras = self._tier.extra_persist_relations()
+        extras = sorted(self._tier.extra_persist_relations())
         for shard in self.shards:
-            if isinstance(shard, ProcessShard):
-                try:
-                    shard.apply_extras(sorted(extras))
-                except ReproError:  # dead shard: re-synced on respawn
-                    pass
-            else:
-                with shard.lock:
-                    shard.enforcer.extra_persist_relations = set(extras)
+            try:
+                shard.apply_extras(extras)
+            except ReproError:  # dead shard: re-synced on respawn
+                pass
 
     def _bump_epoch(self, broadcast: bool = False) -> int:
-        """Advance the epoch; caller holds the admin lock (and, in
-        thread mode, all shard locks). ``broadcast`` pushes the new
-        epoch to process workers too — global-only policy changes never
-        go through a per-shard policy RPC, so the workers would
-        otherwise stay on the old epoch until respawn."""
+        """Advance the epoch; caller holds the admin lock. A policy
+        broadcast already carried the new epoch to every shard;
+        ``broadcast`` pushes it for changes that touched only the global
+        tier and so never went through a per-shard policy call."""
         self._epoch += 1
-        for shard in self.shards:
-            shard.epoch = self._epoch
-            if broadcast and isinstance(shard, ProcessShard):
+        if broadcast:
+            for shard in self.shards:
                 try:
                     shard.set_epoch(self._epoch)
                 except ReproError:  # dead shard: re-synced on respawn
@@ -731,24 +572,15 @@ class ShardedEnforcerService:
         )
         return self._epoch
 
-    def _checkpoint_locked(self) -> None:
-        """Checkpoint every shard; caller holds all shard locks.
-
-        Policy texts live in the checkpoint manifest, not in WAL records,
-        so a policy change is only durable once every shard has
-        checkpointed — done inside the broadcast's lock scope so no
-        query lands between the change and its persistence.
-        """
-        for shard in self.shards:
-            if shard.durability is not None:
-                shard.durability.checkpoint(shard.enforcer)
-
     def _all_shard_locks(self) -> ExitStack:
-        """Acquire every shard lock in index order (no deadlock: workers
-        only ever hold their own shard's lock)."""
+        """Acquire every local shard's lock in index order (no deadlock:
+        a shard's worker only ever holds its own lock). A shard behind a
+        pipe has none to take."""
         stack = ExitStack()
         for shard in self.shards:
-            stack.enter_context(shard.lock)
+            lock = getattr(shard, "lock", None)
+            if lock is not None:
+                stack.enter_context(lock)
         return stack
 
     def _check_placements(self, placements: Sequence[PolicyPlacement]) -> None:
@@ -842,7 +674,6 @@ class ShardedEnforcerService:
         entry = {
             "epoch": self._epoch,
             "shards": self.config.shards,
-            "workers": self.config.workers,
             "workers_mode": self.workers_mode,
             "queue_depth": self.config.queue_depth,
             "routing": self.config.routing,
@@ -885,33 +716,11 @@ class ShardedEnforcerService:
 
     def analyzed_plan(self, uid: int, sql: str) -> str:
         """Re-run a query under EXPLAIN ANALYZE on its routed shard."""
-        shard = self.shards[self.shard_for(uid)]
-        if self.workers_mode == "process":
-            return shard.explain_analyze(sql)
-        with shard.lock:
-            return shard.enforcer.engine.explain(sql, analyze=True)
+        return self.shards[self.shard_for(uid)].explain_analyze(sql)
 
     def explain_evidence(self, uid: int, decision: Decision) -> "list[dict]":
         """Witness tuples for a denied decision, from its routed shard."""
-        shard = self.shards[self.shard_for(uid)]
-        if self.workers_mode == "process":
-            return shard.explain_evidence(decision)
-        with shard.lock:
-            explanations = explain_decision(shard.enforcer, decision)
-        return [
-            {
-                "policy": explanation.policy_name,
-                "tuples": [
-                    {
-                        "relation": evidence.relation,
-                        "values": list(evidence.values),
-                        "from_current_query": evidence.from_current_query,
-                    }
-                    for evidence in explanation.evidence
-                ],
-            }
-            for explanation in explanations
-        ]
+        return self.shards[self.shard_for(uid)].explain_evidence(decision)
 
     def durability_status(self) -> dict:
         """The durability surface (GET /durability)."""

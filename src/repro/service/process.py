@@ -1,19 +1,21 @@
 """Process-backed shards: the coordinator side of the IPC admission layer.
 
-A :class:`ProcessShard` presents the same surface as a thread-backed
-:class:`~repro.service.shard.Shard` — ``offer_query``, stats/export/
-slow/durability inspection, ``drain`` — but the enforcer lives in a
-``multiprocessing`` worker process (:mod:`repro.service.worker`), so
-CPU-bound policy checks on different shards run on different cores
-instead of serializing on the GIL.
+A :class:`ProcessShard` is the second transport for the one shard
+surface: every method here — ``offer_query``, the control operations,
+stats/export/slow/durability inspection, ``drain`` — forwards to the
+method of the same name on the :class:`~repro.service.shard.Shard` a
+``multiprocessing`` worker process hosts (:mod:`repro.service.worker`),
+so CPU-bound policy checks on different shards can run on different
+cores instead of serializing on the GIL.
 
 Admission is a *bounded in-flight window*: the coordinator tracks how
 many checks it has posted to the worker without a response and rejects
 with :class:`~repro.errors.ServiceOverloadedError` (HTTP 429 +
-``Retry-After``) once the window — queue depth plus worker threads,
-exactly the thread mode's waiting + executing capacity — is full. The
-worker's own queue is sized to the whole window, so it never rejects on
-its own; backpressure semantics stay identical across modes.
+``Retry-After``) once the window — queue depth plus the one check in
+the worker's hand, exactly the thread mode's waiting + executing
+capacity — is full. The worker's own queue is sized to the whole
+window, so it never rejects on its own; backpressure semantics stay
+identical across modes.
 
 Crash handling: EOF on the pipe with the shard still open means the
 worker died. In-flight futures fail with
@@ -49,7 +51,7 @@ from ..errors import (
 from .ipc import recv_message, send_message
 from .metrics import ShardCounters
 from .shard import ENGINE_COUNTERS
-from .worker import decision_from_json, worker_main
+from .worker import decision_from_json, decision_to_json, worker_main
 
 #: Fallback Retry-After hint (seconds) before any latency samples exist,
 #: and while a crashed worker is respawning.
@@ -88,24 +90,22 @@ class ProcessShard:
         self,
         index: int,
         spec: dict,
-        queue_capacity: int,
         *,
         policy_source=None,
         respawn: bool = True,
         delta_sink=None,
     ):
         self.index = index
-        #: Callable ``(shard_index, message)`` receiving committed
-        #: usage-log delta frames streamed by the worker (global tier).
+        #: Callable ``(timestamp, rows)`` receiving the committed
+        #: usage-log increments the worker streams (global tier).
         self._delta_sink = delta_sink
         self.epoch = spec["epoch"]
         #: Worker restarts after a crash (``repro_process_restarts_total``).
         self.restarts = 0
-        self._spec = dict(spec)
-        self._queue_capacity = queue_capacity
+        self._spec = dict(spec, stream_deltas=delta_sink is not None)
         #: Max checks posted without a response: thread mode's waiting
-        #: (queue depth) + executing (workers) capacity.
-        self._window = queue_capacity + spec["workers"]
+        #: (queue depth) + executing (the one worker) capacity.
+        self._window = spec["queue_depth"] + 1
         #: Callable returning ``(epoch, [policy dicts])`` — the
         #: coordinator's reference policy set, used to re-sync a
         #: respawned worker that booted from a stale snapshot.
@@ -360,7 +360,7 @@ class ProcessShard:
                 # streamed for the coordinator's global tier.
                 sink = self._delta_sink
                 if sink is not None:
-                    sink(self.index, message)
+                    sink(int(message.get("ts", 0)), message.get("rows", {}))
                 continue
             self._complete(message)
         self._on_pipe_closed(generation, hello_waiter)
@@ -495,13 +495,17 @@ class ProcessShard:
         """The worker's committed rows for ``relations`` plus its clock,
         for tier bootstrap: ``{"rows": {name: [[ts, ...], ...]}, "clock": N}``.
         """
-        return self._request({"type": "logdump", "relations": list(relations)})
+        return self._request(
+            {"type": "logdump", "relations": list(relations)}
+        )["dump"]
 
     # -- inspection (uniform shard surface) --------------------------------
 
+    def policies(self) -> "list[dict]":
+        return self._request({"type": "policies"})["policies"]
+
     def policy_names(self) -> "list[str]":
-        response = self._request({"type": "policies"})
-        return [entry["name"] for entry in response["policies"]]
+        return [entry["name"] for entry in self.policies()]
 
     def log_sizes(self) -> "dict[str, int]":
         try:
@@ -523,7 +527,9 @@ class ProcessShard:
 
     def stats_entry(self, queue_capacity: int) -> dict:
         try:
-            entry = self._request({"type": "stats"})["stats"]
+            entry = self._request(
+                {"type": "stats", "queue_capacity": queue_capacity}
+            )["stats"]
         except (ServiceError, WorkerCrashError, FutureTimeout):
             entry = ShardCounters(latency_window=1).snapshot()
             entry["shard"] = self.index
@@ -567,17 +573,7 @@ class ProcessShard:
     def explain_evidence(self, decision) -> "list[dict]":
         return self._request({
             "type": "explain_decision",
-            "sql": decision.sql,
-            "uid": decision.uid,
-            "timestamp": decision.timestamp,
-            "violations": [
-                {
-                    "policy_name": violation.policy_name,
-                    "message": violation.message,
-                    "evidence_rows": violation.evidence_rows,
-                }
-                for violation in decision.violations
-            ],
+            "decision": decision_to_json(decision),
         })["evidence"]
 
 

@@ -1,12 +1,18 @@
-"""One enforcement shard: an enforcer, a lock, a bounded queue, workers.
+"""One enforcement shard: an enforcer, a lock, a bounded queue, a worker.
 
 A shard owns a full :class:`~repro.core.Enforcer` — its own clone of the
 base tables plus this shard's slice of the usage log — and serializes
 access to it with a per-shard lock. Admission is a bounded queue: when
 ``queue_depth`` jobs are already waiting, :meth:`Shard.offer` raises
 :class:`~repro.errors.ServiceOverloadedError` immediately (backpressure)
-instead of letting callers pile up. Worker threads drain the queue and
-complete each job's future.
+instead of letting callers pile up. One worker thread drains the queue
+in admission order and completes each job's future.
+
+:func:`open_shard` is the one way a shard comes to exist, whether the
+coordinator holds it directly (thread mode) or a worker process hosts it
+behind a pipe (:mod:`repro.service.worker`); the admin operations the
+coordinator runs outside the admission path are :class:`Shard` methods
+under the names :class:`~repro.service.process.ProcessShard` forwards.
 """
 
 from __future__ import annotations
@@ -16,15 +22,25 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional
 
-from ..core import Decision, Enforcer
+from ..core import Decision, Enforcer, Policy, explain_decision
+from ..engine import Engine
 from ..errors import ServiceClosedError, ServiceOverloadedError
-from ..storage.wal import WriteAheadLog, checkpoint
+from ..storage.wal import (
+    RecoveryReport,
+    WriteAheadLog,
+    checkpoint,
+    has_state,
+    initialize_durability,
+    recover_enforcer,
+)
+from .global_tier import DeltaTee
 from .metrics import ShardCounters
 
-#: Queue sentinel telling a worker to exit after the backlog drains.
+#: Queue sentinel telling the worker to exit after the backlog drains.
 _STOP = object()
 
 #: Fallback Retry-After hint before any latency samples exist.
@@ -50,6 +66,16 @@ ENGINE_COUNTERS = {
     "dag_shared_nodes": lambda engine: engine.dag_shared_nodes,
     "dag_saved_execs": lambda engine: engine.dag_saved_execs,
 }
+
+
+def policy_entry(policy: Policy) -> dict:
+    """A policy as the texts that re-install it — the keywords
+    :meth:`Shard.apply_policy_change` and ``Policy.from_sql`` take."""
+    return {
+        "name": policy.name,
+        "sql": policy.sql,
+        "description": policy.description,
+    }
 
 
 class ShardDurability:
@@ -118,8 +144,6 @@ class Shard:
         index: int,
         enforcer: Enforcer,
         queue_depth: int,
-        workers: int = 1,
-        dispatch_seconds: float = 0.0,
         latency_window: int = 512,
         durability: Optional[ShardDurability] = None,
         slow_query_seconds: float = 0.0,
@@ -133,32 +157,30 @@ class Shard:
         # Each shard owns its slice of the usage log, so it owns the
         # matching incremental state too: warm it (bootstrap over any
         # recovered log, or adopt the checkpointed state loaded during
-        # recovery) before the workers accept queries.
+        # recovery) before the worker accepts queries.
         enforcer.warm_incremental()
         #: Max queued queries drained per worker wakeup; a batch shares
         #: one lock acquisition and one WAL group commit.
         self.batch_size = batch_size
-        #: Guards the enforcer; the coordinator takes it for broadcasts.
-        self.lock = threading.Lock()
+        #: Guards the enforcer. Re-entrant: the coordinator takes every
+        #: local shard's lock around a policy broadcast and then calls
+        #: the control methods below, which take it again.
+        self.lock = threading.RLock()
         self.counters = ShardCounters(latency_window)
         self.epoch = 0
-        self.dispatch_seconds = dispatch_seconds
         #: Checks at least this slow get logged with their trace (0 = off).
         self.slow_query_seconds = slow_query_seconds
+        #: 1 while the worker has a batch in hand (written only by it).
         self._busy = 0
-        self._busy_lock = threading.Lock()
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_depth)
         self._closed = threading.Event()
-        self._workers = [
-            threading.Thread(
-                target=self._run,
-                name=f"repro-shard{index}-w{worker}",
-                daemon=True,
-            )
-            for worker in range(workers)
-        ]
-        for worker in self._workers:
-            worker.start()
+        # One worker: checks serialize on the lock anyway, and a single
+        # consumer makes admission order FIFO by construction — which
+        # coordinator-assigned timestamps (the global tier) rely on.
+        self._worker = threading.Thread(
+            target=self._run, name=f"repro-shard{index}", daemon=True
+        )
+        self._worker.start()
 
     # -- admission ---------------------------------------------------------
 
@@ -211,7 +233,7 @@ class Shard:
         """Expected seconds until a queue slot frees up: the backlog
         (waiting + in-flight) times the recent mean check latency.
 
-        Only *busy* workers count as in-flight — a worker blocked on an
+        Only a *busy* worker counts as in-flight — one blocked on an
         empty queue is capacity, not backlog, and counting it used to
         inflate the hint (and clients' sleeps) on lightly loaded shards.
         """
@@ -223,9 +245,8 @@ class Shard:
         return self._queue.qsize()
 
     def busy_workers(self) -> int:
-        """Workers currently executing a job (not waiting on the queue)."""
-        with self._busy_lock:
-            return self._busy
+        """1 while the worker is executing a batch, 0 while it waits."""
+        return self._busy
 
     # -- uniform inspection surface ---------------------------------------
     #
@@ -238,6 +259,11 @@ class Shard:
     def policy_names(self) -> "list[str]":
         with self.lock:
             return [policy.name for policy in self.enforcer.policies]
+
+    def policies(self) -> "list[dict]":
+        """The installed policies as the texts that re-install them."""
+        with self.lock:
+            return [policy_entry(policy) for policy in self.enforcer.policies]
 
     def log_sizes(self) -> "dict[str, int]":
         with self.lock:
@@ -327,10 +353,97 @@ class Shard:
             }
         return state
 
+    # -- control surface --------------------------------------------------
+    #
+    # The admin operations the coordinator runs outside the admission
+    # path. Each takes the shard lock itself, so it is atomic against
+    # this shard's queries wherever the shard lives; arguments and
+    # results are JSON-shaped because a process shard's calls arrive
+    # over the pipe.
+
+    def apply_policy_change(
+        self,
+        action: str,
+        name: str,
+        sql: str = "",
+        description: str = "",
+        epoch: int = 0,
+    ) -> None:
+        """Install (``"add"``) or remove one policy and adopt ``epoch``.
+
+        Policy texts live in the checkpoint manifest, not in WAL records,
+        so a durable shard checkpoints inside the same lock scope: no
+        query lands between the change and its persistence. A policy the
+        enforcer refuses (it does not bind) leaves the shard untouched.
+        """
+        with self.lock:
+            if action == "add":
+                self.enforcer.add_policy(
+                    Policy.from_sql(name, sql, description)
+                )
+            else:
+                self.enforcer.remove_policy(name)
+            if self.durability is not None:
+                self.durability.checkpoint(self.enforcer)
+            self.epoch = epoch
+
+    def set_epoch(self, epoch: int) -> None:
+        self.epoch = epoch
+
+    def apply_extras(self, relations: "list[str]") -> None:
+        """Replace the extra-persist relation set (the log relations the
+        global tier needs retained and streamed)."""
+        with self.lock:
+            self.enforcer.extra_persist_relations = {
+                name.lower() for name in relations
+            }
+
+    def log_dump(self, relations: "list[str]") -> dict:
+        """Committed rows of ``relations`` plus this shard's clock, for
+        tier bootstrap: ``{"rows": {name: [[ts, ...], ...]}, "clock": N}``.
+
+        Rows come from the store's persisted image (``_disk``), which WAL
+        recovery rebuilds bit-identically.
+        """
+        wanted = {name.lower() for name in relations}
+        with self.lock:
+            disk = self.enforcer.store._disk  # noqa: SLF001
+            rows = {
+                name: [list(values) for _, values in disk[name]]
+                for name in sorted(wanted)
+                if name in disk
+            }
+            return {"rows": rows, "clock": self.enforcer.clock.now()}
+
+    def explain_analyze(self, sql: str) -> str:
+        """Re-run a query under EXPLAIN ANALYZE."""
+        with self.lock:
+            return self.enforcer.engine.explain(sql, analyze=True)
+
+    def explain_evidence(self, decision: Decision) -> "list[dict]":
+        """Witness tuples for a denied decision, per violated policy."""
+        with self.lock:
+            explanations = explain_decision(self.enforcer, decision)
+        return [
+            {
+                "policy": explanation.policy_name,
+                "tuples": [
+                    {
+                        "relation": evidence.relation,
+                        "values": list(evidence.values),
+                        "from_current_query": evidence.from_current_query,
+                    }
+                    for evidence in explanation.evidence
+                ],
+            }
+            for explanation in explanations
+        ]
+
     # -- worker loop -------------------------------------------------------
 
     def _run(self) -> None:
-        while True:
+        stopping = False
+        while not stopping:
             item = self._queue.get()
             if item is _STOP:
                 break
@@ -341,10 +454,7 @@ class Shard:
                 except queue.Empty:
                     break
                 if extra is _STOP:
-                    # Another worker's drain sentinel: put it back for
-                    # them (the shard is draining, so no new offer can
-                    # race in behind it) and close this batch.
-                    self._queue.put(extra)
+                    stopping = True
                     break
                 batch.append(extra)
             self._process_batch(batch)
@@ -356,12 +466,9 @@ class Shard:
         attached, all their commit/reject records land in one group-
         commit window (a single flush + fsync). Futures complete only
         after that window closes — an acknowledged decision is a durable
-        one — and the modeled dispatch round trip is paid once per
-        batch, which is exactly the amortization the real middleware
-        gets from pipelining.
+        one.
         """
-        with self._busy_lock:
-            self._busy += 1
+        self._busy = 1
         outcomes: list = []
         try:
             try:
@@ -379,9 +486,6 @@ class Shard:
                         self.durability.note_queries(
                             self.enforcer, len(batch)
                         )
-                    if self.dispatch_seconds:
-                        # Modeled backend round trip (see ServiceConfig).
-                        time.sleep(self.dispatch_seconds)
             except BaseException as error:
                 # Machinery failure (WAL flush, checkpoint): nothing in
                 # this batch is guaranteed durable, so every caller that
@@ -419,8 +523,7 @@ class Shard:
                     self._note_slow(decision, total_seconds, queue_seconds)
                 future.set_result(decision)
         finally:
-            with self._busy_lock:
-                self._busy -= 1
+            self._busy = 0
 
     def _run_jobs(self, batch: list, outcomes: list) -> None:
         """Evaluate each job; per-query failures fail that caller only.
@@ -468,20 +571,18 @@ class Shard:
     # -- shutdown ----------------------------------------------------------
 
     def drain(self, timeout: Optional[float] = None) -> None:
-        """Stop admitting, let workers finish the backlog, join them.
+        """Stop admitting, let the worker finish the backlog, join it.
 
         Queued jobs still complete (their callers get results); only new
         offers are refused. Idempotent.
         """
         if not self._closed.is_set():
             self._closed.set()
-            for _ in self._workers:
-                # put (not put_nowait): a full backlog must drain first.
-                self._queue.put(_STOP)
-        for worker in self._workers:
-            worker.join(timeout)
+            # put (not put_nowait): a full backlog must drain first.
+            self._queue.put(_STOP)
+        self._worker.join(timeout)
         # Fail any job that raced past the closed check after the
-        # sentinels went in — leaving its future pending would hang the
+        # sentinel went in — leaving its future pending would hang the
         # caller forever.
         while True:
             try:
@@ -505,3 +606,79 @@ class Shard:
     @property
     def closed(self) -> bool:
         return self._closed.is_set()
+
+
+def _apply_options(enforcer: Enforcer, overrides: dict) -> None:
+    """The service config owns the tracing, cache, incremental and engine
+    switches: apply them to a shard enforcer (a recovered one's
+    checkpoint may predate the options or carry different settings; its
+    decision cache starts empty by construction — verdict memos never
+    survive a restart). ``engine=None`` inherits the enforcer's own."""
+    wanted = dict(overrides)
+    if wanted.get("engine") is None:
+        wanted["engine"] = enforcer.options.engine
+    enforcer.options = replace(enforcer.options, **wanted)
+    # Decision cache and incremental maintainer read ``options`` lazily,
+    # but the execution engine is built in ``__init__`` — rebuild it when
+    # the service config picked a different one.
+    if enforcer.engine.engine_name != enforcer.options.engine_name:
+        enforcer.engine = Engine(enforcer.database, enforcer.options.engine)
+
+
+def open_shard(
+    index: int,
+    seed: Callable[[], Enforcer],
+    settings: dict,
+    registry=None,
+    clock=None,
+    delta_sink: Optional[Callable[[int, dict], None]] = None,
+) -> "tuple[Shard, Optional[RecoveryReport]]":
+    """Open shard ``index`` — the one builder behind both flavours.
+
+    A shard whose ``settings["shard_dir"]`` holds durable state is
+    *recovered* from it (checkpoint + WAL replay, with ``registry`` and
+    ``clock`` supplying the kinds the deployment uses) and its recovery
+    report returned; otherwise it adopts ``seed()`` and, when a directory
+    is configured, starts journaling there. ``settings`` is the dict the
+    coordinator builds once per service (and ships to worker processes
+    as their spec): WAL and checkpoint cadence, queue and batch sizes,
+    the option overrides, the global tier's extra-persist relations and
+    the starting epoch. ``delta_sink(timestamp, inserted)`` receives
+    every committed usage-log increment (the global tier's stream).
+    """
+    shard_dir = settings["shard_dir"]
+    sync = settings["wal_sync"]
+    wal = report = None
+    if shard_dir is not None and has_state(shard_dir):
+        enforcer, wal, report = recover_enforcer(
+            shard_dir, registry=registry, clock=clock, sync=sync
+        )
+    else:
+        enforcer = seed()
+        if shard_dir is not None:
+            wal = initialize_durability(enforcer, shard_dir, sync=sync)
+    _apply_options(enforcer, settings["options"])
+    if delta_sink is not None:
+        # Emitted inside the shard lock during commit, so increments
+        # reach the sink in timestamp order.
+        enforcer.store.attach_observer(DeltaTee(enforcer, delta_sink))
+    durability = None
+    if wal is not None:
+        durability = ShardDurability(
+            shard_dir,
+            wal,
+            checkpoint_every=settings["checkpoint_every"],
+            sync=sync,
+        )
+    shard = Shard(
+        index,
+        enforcer,
+        queue_depth=settings["queue_depth"],
+        latency_window=settings["latency_window"],
+        durability=durability,
+        slow_query_seconds=settings["slow_query_seconds"],
+        batch_size=settings["batch_size"],
+    )
+    shard.apply_extras(settings["extra_persist"])
+    shard.epoch = settings["epoch"]
+    return shard, report

@@ -6,14 +6,17 @@ enforcer — from the coordinator's bootstrap snapshot on a fresh boot, or
 by WAL replay (:func:`~repro.storage.wal.recover_enforcer`, bit-identical
 state) when the shard's durability directory already holds state — and
 then hosts a real thread-backed :class:`~repro.service.shard.Shard`
-around it, so admission, batching, group commit, checkpoint cadence, and
-the slow-query ring behave exactly as in thread mode.
+around it (:func:`~repro.service.shard.open_shard`, the builder thread
+mode uses too), so admission, batching, group commit, checkpoint
+cadence, the slow-query ring and every admin operation behave exactly
+as in thread mode.
 
 The main thread is the IPC loop: it reads framed requests
-(:mod:`repro.service.ipc`) and dispatches them. Query checks run on the
-shard's worker threads and answer from future callbacks (a shared send
-lock serializes the pipe), so control messages — policy broadcasts,
-stats scrapes, drain — are never stuck behind a slow check. EOF on the
+(:mod:`repro.service.ipc`) and dispatches them onto the shard's own
+methods. Query checks run on the shard's worker thread and answer from
+future callbacks (a shared send lock serializes the pipe), so control
+messages — policy broadcasts, stats scrapes, drain — are never stuck
+behind a slow check. EOF on the
 pipe means the coordinator is gone; the worker drains and exits.
 """
 
@@ -23,11 +26,10 @@ import os
 import signal
 import threading
 import traceback
-from dataclasses import replace
 from typing import Optional
 
-from ..core import Decision, Enforcer, Policy, Violation, explain_decision
-from ..engine import Engine, Result
+from ..core import Decision, Enforcer, Violation
+from ..engine import Result
 from ..errors import (
     ReproError,
     ServiceClosedError,
@@ -35,10 +37,8 @@ from ..errors import (
 )
 from ..log import LogicalClock, SimulatedClock
 from ..storage.snapshot import restore_enforcer
-from ..storage.wal import has_state, initialize_durability, recover_enforcer
-from .global_tier import DeltaTee
 from .ipc import recv_message, send_message
-from .shard import Shard, ShardDurability
+from .shard import Shard, open_shard
 
 
 def clock_spec(clock) -> Optional[dict]:
@@ -133,97 +133,6 @@ def decision_from_json(payload: dict) -> Decision:
     )
 
 
-def _policy_listing(enforcer: Enforcer) -> "list[dict]":
-    return [
-        {
-            "name": policy.name,
-            "sql": policy.sql,
-            "description": policy.description,
-        }
-        for policy in enforcer.policies
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Boot: rebuild this shard's enforcer
-# ---------------------------------------------------------------------------
-
-
-def _build_shard(spec: dict) -> "tuple[Shard, Optional[dict]]":
-    """The shard this worker hosts, plus its recovery report (if any)."""
-    clock = clock_from_spec(spec["clock"])
-    shard_dir = spec["shard_dir"]
-    report = None
-    if shard_dir is not None and has_state(shard_dir):
-        enforcer, wal, recovery = recover_enforcer(
-            shard_dir, clock=clock, sync=spec["wal_sync"]
-        )
-        report = recovery.as_dict()
-    else:
-        enforcer = restore_enforcer(spec["bootstrap_dir"], clock=clock)
-        if spec["index"] > 0:
-            # Mirror thread mode: shard 0 adopts the prototype's state
-            # (usage log included); the rest are clones over the same
-            # base tables with empty per-shard usage logs.
-            enforcer = enforcer.clone()
-        wal = None
-        if shard_dir is not None:
-            wal = initialize_durability(
-                enforcer, shard_dir, sync=spec["wal_sync"]
-            )
-
-    options = enforcer.options
-    overrides = spec["options"]
-    engine = (
-        overrides.get("engine")
-        if overrides.get("engine") is not None
-        else options.engine
-    )
-    if (
-        options.tracing != overrides["tracing"]
-        or options.decision_cache != overrides["decision_cache"]
-        or options.decision_cache_size != overrides["decision_cache_size"]
-        or options.incremental != overrides["incremental"]
-        or options.engine != engine
-    ):
-        enforcer.options = replace(
-            options,
-            tracing=overrides["tracing"],
-            decision_cache=overrides["decision_cache"],
-            decision_cache_size=overrides["decision_cache_size"],
-            incremental=overrides["incremental"],
-            engine=engine,
-        )
-    # The execution engine is built in ``Enforcer.__init__``; rebuild it
-    # when the service config picked a different one than the snapshot.
-    if enforcer.engine.engine_name != enforcer.options.engine_name:
-        enforcer.engine = Engine(
-            enforcer.database, enforcer.options.engine
-        )
-
-    durability = None
-    if wal is not None:
-        durability = ShardDurability(
-            shard_dir,
-            wal,
-            checkpoint_every=spec["checkpoint_every"],
-            sync=spec["wal_sync"],
-        )
-    shard = Shard(
-        spec["index"],
-        enforcer,
-        queue_depth=spec["queue_depth"],
-        workers=spec["workers"],
-        dispatch_seconds=spec["dispatch_seconds"],
-        latency_window=spec["latency_window"],
-        durability=durability,
-        slow_query_seconds=spec["slow_query_seconds"],
-        batch_size=spec["batch_size"],
-    )
-    shard.epoch = spec["epoch"]
-    return shard, report
-
-
 # ---------------------------------------------------------------------------
 # Request handling
 # ---------------------------------------------------------------------------
@@ -271,30 +180,23 @@ def _handle_query(shard: Shard, msg: dict, reply) -> None:
     future.add_done_callback(complete)
 
 
-def _handle_control(shard: Shard, spec: dict, msg: dict) -> dict:
+def _handle_control(shard: Shard, msg: dict) -> dict:
+    """Decode one control message onto the shard method of that name."""
     mtype = msg["type"]
-    enforcer = shard.enforcer
     if mtype == "policy":
-        with shard.lock:
-            if msg["action"] == "add":
-                enforcer.add_policy(
-                    Policy.from_sql(
-                        msg["name"], msg["sql"], msg.get("description", "")
-                    )
-                )
-            else:
-                enforcer.remove_policy(msg["name"])
-            if shard.durability is not None:
-                # Policy texts live in the checkpoint manifest, not WAL
-                # records — same rule as the thread-mode broadcast.
-                shard.durability.checkpoint(enforcer)
-        shard.epoch = msg["epoch"]
+        shard.apply_policy_change(
+            msg["action"],
+            msg["name"],
+            sql=msg.get("sql", ""),
+            description=msg.get("description", ""),
+            epoch=msg["epoch"],
+        )
         return {"ok": True, "epoch": shard.epoch}
     if mtype == "set_epoch":
-        shard.epoch = msg["epoch"]
+        shard.set_epoch(msg["epoch"])
         return {"ok": True}
     if mtype == "stats":
-        return {"ok": True, "stats": shard.stats_entry(spec["queue_capacity"])}
+        return {"ok": True, "stats": shard.stats_entry(msg["queue_capacity"])}
     if mtype == "export":
         return {"ok": True, "state": shard.export_state()}
     if mtype == "log_sizes":
@@ -304,66 +206,17 @@ def _handle_control(shard: Shard, spec: dict, msg: dict) -> dict:
     if mtype == "durability":
         return {"ok": True, "status": shard.durability_state()}
     if mtype == "policies":
-        with shard.lock:
-            return {"ok": True, "policies": _policy_listing(enforcer)}
+        return {"ok": True, "policies": shard.policies()}
     if mtype == "explain_analyze":
-        with shard.lock:
-            plan = enforcer.engine.explain(msg["sql"], analyze=True)
-        return {"ok": True, "plan": plan}
+        return {"ok": True, "plan": shard.explain_analyze(msg["sql"])}
     if mtype == "explain_decision":
-        decision = Decision(
-            allowed=False,
-            timestamp=msg["timestamp"],
-            violations=[
-                Violation(
-                    violation["policy_name"],
-                    violation["message"],
-                    violation.get("evidence_rows", 1),
-                )
-                for violation in msg["violations"]
-            ],
-            sql=msg["sql"],
-            uid=msg["uid"],
-        )
-        with shard.lock:
-            explanations = explain_decision(enforcer, decision)
-        return {
-            "ok": True,
-            "evidence": [
-                {
-                    "policy": explanation.policy_name,
-                    "tuples": [
-                        {
-                            "relation": evidence.relation,
-                            "values": list(evidence.values),
-                            "from_current_query": evidence.from_current_query,
-                        }
-                        for evidence in explanation.evidence
-                    ],
-                }
-                for explanation in explanations
-            ],
-        }
+        decision = decision_from_json(msg["decision"])
+        return {"ok": True, "evidence": shard.explain_evidence(decision)}
     if mtype == "extras":
-        with shard.lock:
-            enforcer.extra_persist_relations = {
-                name.lower() for name in msg.get("relations", [])
-            }
+        shard.apply_extras(msg.get("relations", []))
         return {"ok": True}
     if mtype == "logdump":
-        # Committed rows of the tier's relations plus this shard's clock,
-        # for aggregator bootstrap. Rows come from the store's persisted
-        # image (``_disk``), which WAL recovery rebuilds bit-identically.
-        wanted = {name.lower() for name in msg.get("relations", [])}
-        with shard.lock:
-            store = enforcer.store
-            rows = {
-                name: [list(values) for _, values in store._disk[name]]
-                for name in wanted
-                if name in store._disk
-            }
-            now = enforcer.clock.now()
-        return {"ok": True, "rows": rows, "clock": now}
+        return {"ok": True, "dump": shard.log_dump(msg.get("relations", []))}
     if mtype == "ping":
         return {"ok": True, "pid": os.getpid()}
     return {"ok": False, "kind": "internal", "error": f"unknown type {mtype!r}"}
@@ -383,16 +236,6 @@ def worker_main(conn, spec: dict) -> None:
     except ValueError:  # pragma: no cover - non-main-thread embedding
         pass
 
-    try:
-        shard, report = _build_shard(spec)
-    except BaseException:  # noqa: BLE001 - boot failures must surface
-        send_message(
-            conn,
-            {"type": "hello", "error": traceback.format_exc(limit=20)},
-        )
-        conn.close()
-        return
-
     send_lock = threading.Lock()
 
     def reply(payload: dict) -> None:
@@ -402,35 +245,49 @@ def worker_main(conn, spec: dict) -> None:
         except (BrokenPipeError, OSError):  # parent gone; nothing to tell
             pass
 
-    extras = spec.get("extra_persist") or []
-    if extras:
-        shard.enforcer.extra_persist_relations = {
-            name.lower() for name in extras
-        }
-    if spec.get("stream_deltas"):
-        # Stream every committed usage-log increment to the coordinator's
+    def stream_delta(timestamp: int, inserted: dict) -> None:
+        # Every committed usage-log increment goes to the coordinator's
         # global tier as an unsolicited frame on the same crc32-framed
-        # pipe. Emitted inside the shard lock during commit, so frames
-        # arrive in timestamp order (workers=1 under a global tier).
-        def stream_delta(timestamp: int, inserted: dict) -> None:
-            reply({
-                "type": "delta",
-                "ts": timestamp,
-                "rows": {
-                    name: [list(row) for row in rows]
-                    for name, rows in inserted.items()
-                },
-            })
+        # pipe.
+        reply({
+            "type": "delta",
+            "ts": timestamp,
+            "rows": {
+                name: [list(row) for row in rows]
+                for name, rows in inserted.items()
+            },
+        })
 
-        shard.enforcer.store.attach_observer(
-            DeltaTee(shard.enforcer, stream_delta)
+    clock = clock_from_spec(spec["clock"])
+
+    def seed() -> Enforcer:
+        # Mirror thread mode: shard 0 adopts the prototype's state (usage
+        # log included); the rest are clones over the same base tables
+        # with empty per-shard usage logs.
+        enforcer = restore_enforcer(spec["bootstrap_dir"], clock=clock)
+        return enforcer if spec["index"] == 0 else enforcer.clone()
+
+    try:
+        shard, report = open_shard(
+            spec["index"],
+            seed,
+            # The internal queue holds the whole admission window
+            # (waiting + executing); the coordinator enforces the 429
+            # boundary, so the worker itself never rejects.
+            dict(spec, queue_depth=spec["queue_depth"] + 1),
+            clock=clock,
+            delta_sink=stream_delta if spec["stream_deltas"] else None,
         )
+    except BaseException:  # noqa: BLE001 - boot failures must surface
+        reply({"type": "hello", "error": traceback.format_exc(limit=20)})
+        conn.close()
+        return
 
     reply({
         "type": "hello",
         "pid": os.getpid(),
-        "policies": _policy_listing(shard.enforcer),
-        "recovery": report,
+        "policies": shard.policies(),
+        "recovery": report.as_dict() if report is not None else None,
     })
 
     try:
@@ -450,7 +307,9 @@ def worker_main(conn, spec: dict) -> None:
                 reply({"type": "result", "id": msg["id"], "ok": True})
                 break
             try:
-                payload = _handle_control(shard, spec, msg)
+                payload = _handle_control(shard, msg)
+            except ReproError as error:  # a refusal, e.g. an unbindable policy
+                payload = {"ok": False, "kind": "repro", "error": str(error)}
             except BaseException as error:  # noqa: BLE001 - forwarded
                 payload = {
                     "ok": False, "kind": "internal", "error": repr(error),

@@ -169,6 +169,25 @@ class TestV1Surface:
         assert status == 200
         assert body["data"]["removed"] == "extra"
 
+    def test_unbindable_policy_is_invalid_request_not_an_outage(self, server):
+        # Regression: this answered 201, and every later query 400.
+        status, body, _ = json_request(
+            server, "POST", "/v1/policies",
+            {
+                "name": "typo",
+                "sql": "SELECT 'x' FROM users u, nosuch n WHERE u.uid = n.k",
+            },
+        )
+        assert status == 400
+        assert body["error"]["code"] == "invalid_request"
+        assert "unknown table 'nosuch'" in body["error"]["message"]
+        status, body, _ = json_request(server, "GET", "/v1/policies")
+        assert [p["name"] for p in body["data"]["policies"]] == ["no-joins"]
+        status, body, _ = json_request(
+            server, "POST", "/v1/query", {"sql": "SELECT id FROM navteq"}
+        )
+        assert status == 200 and body["data"]["allowed"]
+
     def test_removing_unknown_policy_is_not_found(self, server):
         status, body, _ = json_request(
             server, "DELETE", "/v1/policies/ghost"

@@ -140,7 +140,7 @@ class TestShardBatching:
 
     def test_worker_drains_a_backlog_in_one_batch(self):
         shard = Shard(
-            0, make_enforcer(), queue_depth=16, workers=1, batch_size=4
+            0, make_enforcer(), queue_depth=16, batch_size=4
         )
         try:
             futures = []
@@ -166,7 +166,7 @@ class TestShardBatching:
 
     def test_one_bad_query_fails_alone_in_a_batch(self):
         shard = Shard(
-            0, make_enforcer(), queue_depth=16, workers=1, batch_size=8
+            0, make_enforcer(), queue_depth=16, batch_size=8
         )
         try:
             good = lambda enforcer: enforcer.submit(QUERY, uid=1)  # noqa: E731
@@ -183,18 +183,21 @@ class TestShardBatching:
         finally:
             shard.drain(timeout=10)
 
-    def test_drain_with_many_workers_does_not_hang(self):
-        # Drain floods the queue with one stop sentinel per worker; a
-        # batching worker that swallows a sibling's sentinel would leave
-        # that sibling blocked forever.
-        shard = Shard(
-            0, make_enforcer(), queue_depth=32, workers=4, batch_size=8
-        )
-        futures = [
-            shard.offer(lambda enforcer: enforcer.submit(QUERY, uid=1))
-            for _ in range(8)
-        ]
-        shard.drain(timeout=10)
+    def test_stop_sentinel_drained_into_a_batch_still_completes_it(self):
+        shard = Shard(0, make_enforcer(), queue_depth=16, batch_size=8)
+        job = lambda enforcer: enforcer.submit(QUERY, uid=1)  # noqa: E731
+        drainer = threading.Thread(target=shard.drain, args=(10,))
+        # Behind the job in hand queue two more and then the drain's
+        # sentinel: the next wakeup meets the sentinel mid-batch and must
+        # finish the two jobs before the worker exits.
+        with shard.lock:
+            futures = [shard.offer(job)]
+            wait_until(lambda: shard.busy_workers() == 1)
+            futures += [shard.offer(job), shard.offer(job)]
+            drainer.start()
+            wait_until(lambda: shard.queue_depth() == 3)
+        drainer.join(timeout=10)
+        assert not drainer.is_alive()
         assert all(f.result(timeout=1).allowed for f in futures)
 
 

@@ -263,7 +263,6 @@ class TestServeCommand:
                 "--port", "0",
                 "--shards", "3",
                 "--queue-depth", "7",
-                "--workers", "2",
             ]
         )
         server = build_server(args)
@@ -271,12 +270,17 @@ class TestServeCommand:
             service = server.service
             assert service.config.shards == 3
             assert service.config.queue_depth == 7
-            assert service.config.workers == 2
             assert len(service.shards) == 3
             [entry] = service.policies()
             assert entry["name"] == "no-listing-joins"
         finally:
             server.server_close()
+
+    def test_workers_flag_is_gone(self, capsys):
+        # One worker per shard is not a knob any more.
+        with pytest.raises(SystemExit):
+            make_parser().parse_args(["serve", "--demo", "--workers", "2"])
+        assert "--workers" in capsys.readouterr().err
 
     def test_demo_flag_serves_marketplace(self):
         from repro.cli import build_server

@@ -393,6 +393,47 @@ class TestEnforcerIntegration:
         assert cache.stats.hits == 0
         assert len(cache) == 0
 
+    RATE_SQL = (
+        "SELECT DISTINCT 'too fast' FROM users u, clock c "
+        "WHERE u.uid = 7 AND u.ts > c.ts - 100 "
+        "HAVING COUNT(DISTINCT u.ts) > 3"
+    )
+
+    def test_uncacheable_set_is_never_probed(self, monkeypatch):
+        # A set that can store nothing has nothing to find: no key is
+        # built, no lookup runs, and a skipped probe is not a miss.
+        keyed = []
+        key_for = DecisionCache.key_for
+        monkeypatch.setattr(
+            DecisionCache,
+            "key_for",
+            staticmethod(lambda *args: keyed.append(args) or key_for(*args)),
+        )
+        rate = Policy.from_sql("rate", self.RATE_SQL)
+        enforcer = cached_enforcer(policies=[deny_uid9(), rate])
+        assert enforcer.submit(self.QUERY, uid=1).allowed
+        assert not enforcer.submit(self.QUERY, uid=9).allowed
+        cache = enforcer.decision_cache
+        assert cache is not None  # still created, lazily, as before
+        assert keyed == []
+        assert cache.stats.hits == cache.stats.misses == 0
+        assert cache.stats.stores == 0 and len(cache) == 0
+
+    def test_swap_to_a_cacheable_set_resumes_probing(self):
+        rate = Policy.from_sql("rate", self.RATE_SQL)
+        enforcer = cached_enforcer(policies=[deny_uid9(), rate])
+        enforcer.submit(self.QUERY, uid=1)
+        cache = enforcer.decision_cache
+        assert cache.stats.misses == 0
+        enforcer.remove_policy("rate")
+        enforcer.submit(self.QUERY, uid=1)
+        enforcer.submit(self.QUERY, uid=1)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+        # ... and back: the probe stops again with the uncacheable set.
+        enforcer.add_policy(rate)
+        enforcer.submit(self.QUERY, uid=1)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+
     def test_query_reading_the_log_is_never_cached(self):
         enforcer = cached_enforcer()
         enforcer.submit("SELECT uid FROM users", uid=1, execute=False)

@@ -162,7 +162,9 @@ class TestThreeWayPlacement:
     def test_config_rejects_unknown_mode_and_multiworker(self):
         with pytest.raises(ServiceError):
             ServiceConfig(shards=2, global_tier="sometimes")
-        with pytest.raises(ServiceError):
+        # One worker per shard is the only configuration there is, so
+        # the tier's FIFO requirement needs no validation of its own.
+        with pytest.raises(TypeError):
             ServiceConfig(shards=2, workers=2, global_tier="async")
 
     def test_async_tier_refuses_strict_policies(self):

@@ -5,6 +5,7 @@ import threading
 from http.client import HTTPConnection
 
 import pytest
+from holds import held, wait_in_hand, wait_until
 
 from repro.core import Enforcer, EnforcerOptions, Policy
 from repro.engine import Database
@@ -302,9 +303,7 @@ class TestOverloadedGateway:
     @pytest.fixture
     def slow(self):
         httpd, thread = make_sharded_server(
-            ServiceConfig(
-                shards=1, workers=1, queue_depth=1, dispatch_seconds=0.3
-            )
+            ServiceConfig(shards=1, queue_depth=1)
         )
         yield httpd
         httpd.shutdown()
@@ -333,15 +332,22 @@ class TestOverloadedGateway:
             connection.close()
 
         threads = [threading.Thread(target=client) for _ in range(6)]
-        for thread in threads:
-            thread.start()
+        shard = slow.service.shards[0]
+        # Park the worker: one check in hand, one in the only queue
+        # slot, so the other four requests must bounce.
+        with held(shard):
+            threads[0].start()
+            wait_in_hand(shard)
+            for thread in threads[1:]:
+                thread.start()
+            wait_until(lambda: len(statuses) == 4)
         for thread in threads:
             thread.join(timeout=30)
 
         assert len(statuses) == 6
         assert 500 not in statuses  # overload is never an unhandled error
-        assert statuses.count(429) >= 1
-        assert statuses.count(200) >= 2
+        assert statuses.count(429) == 4
+        assert statuses.count(200) == 2
         retry_hints = [
             header
             for status, header in zip(statuses, headers_seen)

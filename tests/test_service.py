@@ -82,8 +82,8 @@ class TestServiceConfig:
         [
             {"shards": 0},
             {"queue_depth": 0},
-            {"workers": 0},
-            {"dispatch_seconds": -0.1},
+            {"checkpoint_every": -1},
+            {"slow_query_seconds": -0.1},
             {"routing": "rendezvous"},
             {"latency_window": 0},
         ],
@@ -355,31 +355,6 @@ class TestMetrics:
 
 
 class TestRetryAfterHint:
-    def test_idle_workers_do_not_inflate_hint(self):
-        # Regression: retry_after_hint counted *every* worker as
-        # in-flight, so an idle 3-worker shard advertised 3 × the mean
-        # check latency. Idle workers are capacity, not backlog: with no
-        # queued jobs and no busy workers the hint must be the floor.
-        from repro.service.shard import Shard
-
-        shard = Shard(
-            0, make_enforcer(), queue_depth=4, workers=3,
-            dispatch_seconds=0.02,
-        )
-        try:
-            shard.offer(
-                lambda e: e.submit("SELECT id FROM items", uid=1)
-            ).result(timeout=5.0)
-            deadline = time.time() + 2.0
-            while shard.busy_workers() and time.time() < deadline:
-                time.sleep(0.001)
-            assert shard.busy_workers() == 0
-            mean = shard.counters.mean_latency()
-            assert mean >= 0.02  # the modeled dispatch delay dominates
-            assert shard.retry_after_hint() == pytest.approx(0.001)
-        finally:
-            shard.drain()
-
     def test_busy_worker_counts_toward_hint(self):
         from repro.service.shard import Shard
 
@@ -391,16 +366,22 @@ class TestRetryAfterHint:
             release.wait(5.0)
             return enforcer.submit("SELECT id FROM items", uid=1)
 
-        shard = Shard(0, make_enforcer(), queue_depth=4, workers=2)
+        shard = Shard(0, make_enforcer(), queue_depth=4)
         try:
             future = shard.offer(job)
             assert started.wait(5.0)
             assert shard.busy_workers() == 1
-            # Backlog is exactly the one busy worker (the second worker
-            # is idle and must not count): default mean × 1.
+            # Backlog is exactly the one busy worker: default mean × 1.
             assert shard.retry_after_hint() == pytest.approx(0.05)
             release.set()
             assert future.result(timeout=5.0).allowed
+            # An idle worker is capacity, not backlog: with nothing
+            # queued and nothing in hand the hint is the floor.
+            deadline = time.time() + 2.0
+            while shard.busy_workers() and time.time() < deadline:
+                time.sleep(0.001)
+            assert shard.busy_workers() == 0
+            assert shard.retry_after_hint() == pytest.approx(0.001)
         finally:
             release.set()
             shard.drain()

@@ -10,9 +10,9 @@ The ISSUE's two hard properties for the sharded service:
 """
 
 import threading
-import time
 
 import pytest
+from holds import held, wait_in_hand, wait_until
 
 from repro.core import Enforcer, EnforcerOptions
 from repro.errors import ServiceClosedError, ServiceOverloadedError
@@ -69,10 +69,7 @@ class TestBackpressureRetryPolicy:
     def overloaded_service(config):
         return ShardedEnforcerService(
             make_enforcer(config),
-            ServiceConfig(
-                shards=1, queue_depth=1, workers=1,
-                dispatch_seconds=0.01, routing="modulo",
-            ),
+            ServiceConfig(shards=1, queue_depth=1, routing="modulo"),
         )
 
     def test_honoring_the_hint_retries_less_than_hammering(self):
@@ -151,17 +148,18 @@ class TestShardedStress:
 
 @pytest.mark.slow
 class TestBackpressure:
-    def make_slow_service(self):
+    """One shard, one queue slot, and its worker parked (``held``): one
+    check is in hand, one waits, every further offer must bounce."""
+
+    def make_service(self):
         config = make_config()
         return ShardedEnforcerService(
-            make_enforcer(config),
-            ServiceConfig(
-                shards=1, workers=1, queue_depth=1, dispatch_seconds=0.15
-            ),
+            make_enforcer(config), ServiceConfig(shards=1, queue_depth=1)
         )
 
     def test_full_queue_rejects_with_retry_hint(self):
-        service = self.make_slow_service()
+        service = self.make_service()
+        shard = service.shards[0]
         outcomes = []
         tally = threading.Lock()
 
@@ -179,32 +177,45 @@ class TestBackpressure:
                 outcomes.append(status)
 
         threads = [threading.Thread(target=client) for _ in range(6)]
-        for thread in threads:
-            thread.start()
+        with held(shard):
+            threads[0].start()
+            wait_in_hand(shard)
+            for thread in threads[1:]:
+                thread.start()
+            # In hand + queued stay pending; the other four bounce now.
+            wait_until(lambda: len(outcomes) == 4)
+            assert outcomes == ["overloaded"] * 4
         for thread in threads:
             thread.join(timeout=30)
 
         assert len(outcomes) == 6  # nobody hung or crashed
-        assert outcomes.count("overloaded") >= 1  # backpressure engaged
-        assert outcomes.count("ok") >= 2  # in-flight + queued completed
+        assert outcomes.count("ok") == 2  # in-flight + queued completed
         stats = service.stats()
-        assert stats["totals"]["rejected"] == outcomes.count("overloaded")
-        assert stats["totals"]["admitted"] == outcomes.count("ok")
+        assert stats["totals"]["rejected"] == 4
+        assert stats["totals"]["admitted"] == 2
         service.drain()
 
     def test_drain_completes_backlog_and_rejects_latecomers(self):
-        service = self.make_slow_service()
+        service = self.make_service()
+        shard = service.shards[0]
         first = None
 
         def submit_first():
             nonlocal first
             first = service.submit("SELECT biz_id FROM listings", uid=1)
 
-        thread = threading.Thread(target=submit_first)
-        thread.start()
-        time.sleep(0.05)  # let it reach the worker
-        service.drain()
-        thread.join(timeout=30)
+        client = threading.Thread(target=submit_first)
+        drainer = threading.Thread(target=service.drain)
+        with held(shard):
+            client.start()
+            wait_in_hand(shard)
+            drainer.start()  # blocks behind the check still in hand
+            wait_until(lambda: service.closed)
+            with pytest.raises(ServiceClosedError):
+                service.submit("SELECT biz_id FROM listings", uid=1)
+        client.join(timeout=30)
+        drainer.join(timeout=30)
+        assert not client.is_alive() and not drainer.is_alive()
         assert first is not None and first.allowed  # backlog completed
         with pytest.raises(ServiceClosedError):
             service.submit("SELECT biz_id FROM listings", uid=1)

@@ -177,19 +177,16 @@ class TestProcessCrashRecovery:
         (outcome indeterminate) — never a silent wrong answer — and the
         shard keeps serving afterwards."""
         config = make_config()
-        service = make_service(
-            config,
-            shards=1,
-            data_dir=str(tmp_path),
-            dispatch_seconds=0.2,  # hold checks long enough to kill
-        )
+        service = make_service(config, shards=1, data_dir=str(tmp_path))
         try:
             shard = service.shards[0]
+            old_pid = shard.process_state()["pid"]
+            # Stop the worker so the checks posted next are certainly
+            # unanswered when it dies.
+            os.kill(old_pid, signal.SIGSTOP)
             futures = [
                 shard.offer_query(COUNTED, uid=1) for _ in range(3)
             ]
-            time.sleep(0.05)  # let the first check enter its dispatch
-            old_pid = shard.process_state()["pid"]
             os.kill(old_pid, signal.SIGKILL)
 
             crashed = 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Enforcer, EnforcerOptions
+from repro.core import Enforcer, EnforcerOptions, MetricsLog
 from repro.log import SimulatedClock
 from repro.workloads import PolicyParams, make_policy, repeat_query, run_stream
 
@@ -40,11 +40,12 @@ def test_ablation_deferred_compaction(
             options=EnforcerOptions.datalawyer(compaction_every=interval),
         )
         peak = 0
+        metrics = MetricsLog()
         for _ in range(QUERIES):
             decision = enforcer.submit(sql, uid=1, execute=False)
             assert decision.allowed
+            metrics.record(decision.metrics)
             peak = max(peak, enforcer.store.total_live_size())
-        metrics = enforcer.metrics_log
         half = QUERIES // 2
         compaction = sum(
             metrics.mean_phase_seconds(phase, half)

@@ -134,7 +134,7 @@ def test_tracing_overhead_under_ten_percent(capsys):
 
 
 def test_live_metrics_scrape(capsys):
-    """Serve over HTTP, drive queries, scrape /metrics like Prometheus."""
+    """Serve over HTTP, drive queries, scrape /v1/metrics like Prometheus."""
     httpd = serve(
         make_enforcer(),
         port=0,
@@ -151,14 +151,14 @@ def test_live_metrics_scrape(capsys):
                 {"sql": queries[uid % len(queries)], "uid": uid}
             ).encode()
             connection.request(
-                "POST", "/query", body=payload,
+                "POST", "/v1/query", body=payload,
                 headers={"Content-Type": "application/json"},
             )
             connection.getresponse().read()
             connection.close()
 
         connection = HTTPConnection(*httpd.server_address)
-        connection.request("GET", "/metrics")
+        connection.request("GET", "/v1/metrics")
         response = connection.getresponse()
         content_type = response.getheader("Content-Type")
         exposition = response.read().decode()

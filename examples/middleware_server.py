@@ -24,14 +24,16 @@ from repro.workloads import (
 
 
 def call(address, method, path, body=None):
+    """One ``/v1`` call: the status and the envelope's ``data`` (or its
+    ``error`` object — see docs/api_v1.md)."""
     connection = HTTPConnection(*address)
     payload = json.dumps(body).encode() if body is not None else None
     headers = {"Content-Type": "application/json"} if payload else {}
-    connection.request(method, path, body=payload, headers=headers)
+    connection.request(method, "/v1" + path, body=payload, headers=headers)
     response = connection.getresponse()
-    data = json.loads(response.read().decode())
+    envelope = json.loads(response.read().decode())
     connection.close()
-    return response.status, data
+    return response.status, envelope.get("data", envelope.get("error"))
 
 
 def main() -> None:
@@ -54,12 +56,12 @@ def main() -> None:
 
     try:
         status, body = call(address, "GET", "/policies")
-        print(f"GET /policies -> {status}: {len(body['policies'])} policies installed")
+        print(f"GET /v1/policies -> {status}: {len(body['policies'])} policies installed")
 
         status, body = call(
             address, "POST", "/query", {"sql": workload["M2"], "uid": 2}
         )
-        print(f"POST /query (display join, uid 2) -> {status}, "
+        print(f"POST /v1/query (display join, uid 2) -> {status}, "
               f"{body.get('row_count', 0)} rows")
 
         # Burn subscriber 1's rate limit.
@@ -72,7 +74,7 @@ def main() -> None:
                 if status == 403
                 else f"{body.get('row_count', 0)} rows"
             )
-            print(f"POST /query (lookup, uid 1) attempt {attempt} -> {status}: {note}")
+            print(f"POST /v1/query (lookup, uid 1) attempt {attempt} -> {status}: {note}")
 
         # Blending ratings: rejected with evidence on request.
         status, body = call(
@@ -87,7 +89,7 @@ def main() -> None:
                 "explain": True,
             },
         )
-        print(f"POST /query (blend ratings) -> {status}: "
+        print(f"POST /v1/query (blend ratings) -> {status}: "
               f"{body['violations'][0]['message']}")
         evidence = body["evidence"][0]["tuples"]
         flagged = [t for t in evidence if t["from_current_query"]]
@@ -105,15 +107,15 @@ def main() -> None:
                 "FROM schema s WHERE s.irid = 'vendors'",
             },
         )
-        print(f"POST /policies (register new term) -> {status}")
+        print(f"POST /v1/policies (register new term) -> {status}")
         status, body = call(
             address, "POST", "/query", {"sql": "SELECT * FROM vendors", "uid": 2}
         )
-        print(f"POST /query (touch vendors) -> {status}: "
+        print(f"POST /v1/query (touch vendors) -> {status}: "
               f"{body['violations'][0]['message']}")
 
         status, body = call(address, "GET", "/log")
-        print(f"\nGET /log -> usage log after compaction: {body['log']}")
+        print(f"\nGET /v1/log -> usage log after compaction: {body['log']}")
     finally:
         httpd.shutdown()
         httpd.server_close()

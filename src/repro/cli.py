@@ -597,7 +597,7 @@ def make_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--slow-query-ms", type=float, default=0.0,
         help="log checks slower than this (with their span tree) and "
-        "keep them on GET /slowlog; 0 disables",
+        "keep them on GET /v1/slowlog; 0 disables",
     )
     serve.set_defaults(func=cmd_serve)
 

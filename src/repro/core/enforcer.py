@@ -63,7 +63,6 @@ from .metrics import (
     PHASE_MARK,
     PHASE_POLICY,
     PHASE_QUERY,
-    MetricsLog,
     QueryMetrics,
 )
 from .policy import Decision, Policy, Violation
@@ -271,7 +270,6 @@ class Enforcer:
         self.options = options or EnforcerOptions.datalawyer()
         self.engine = Engine(database, self.options.engine)
         self.store = LogStore(database, self.registry)
-        self.metrics_log = MetricsLog()
         self.policies: list[Policy] = list(policies)
         self._runtime: list[RuntimePolicy] = []
         self._persist_relations: set[str] = set()
@@ -580,7 +578,6 @@ class Enforcer:
                 if entry_payload is not None:
                     cache.store(key, violations, *entry_payload)
                 metrics.allowed = False
-                self.metrics_log.record(metrics)
                 return Decision(
                     allowed=False,
                     timestamp=timestamp,
@@ -612,7 +609,6 @@ class Enforcer:
             metrics.add_count("statements")
 
         metrics.counts["log_size"] = self.store.total_live_size()
-        self.metrics_log.record(metrics)
         return Decision(
             allowed=True,
             timestamp=timestamp,
@@ -1035,30 +1031,25 @@ class Enforcer:
     # Cloning (the sharded service's factory hook)
     # ------------------------------------------------------------------
 
-    def clone(
-        self,
-        clock: Optional[Clock] = None,
-        reset_log: bool = True,
-    ) -> "Enforcer":
+    def clone(self, clock: Optional[Clock] = None) -> "Enforcer":
         """An independent enforcer over a copy of this one's catalog.
 
         The base data tables are cloned (rows shared structurally, so the
         copy is cheap); the unification constants tables are dropped and
-        rebuilt by the clone's own offline phase. With ``reset_log`` (the
-        default) the clone starts with an empty usage log — each shard of
-        the service owns its own slice of the log, and carrying the
-        source's persisted rows over would double-count them across
-        shards. The clone gets its own clock (``clock`` or a copy of this
-        enforcer's, resuming from the current timestamp).
+        rebuilt by the clone's own offline phase. The clone starts with
+        an empty usage log — each shard of the service owns its own slice
+        of the log, and carrying the source's persisted rows over would
+        double-count them across shards. The clone gets its own clock
+        (``clock`` or a copy of this enforcer's, resuming from the
+        current timestamp).
         """
         database = self.database.clone()
         for table in self._const_tables:
             if database.has_table(table):
                 database.drop_table(table)
-        if reset_log:
-            for name in self.registry.names():
-                if database.has_table(name):
-                    database.table(name).clear()
+        for name in self.registry.names():
+            if database.has_table(name):
+                database.table(name).clear()
         return Enforcer(
             database,
             list(self.policies),

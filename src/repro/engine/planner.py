@@ -88,9 +88,6 @@ class Layout:
         except KeyError:
             raise BindError(f"unknown table or alias {name!r}") from None
 
-    def has_binding(self, name: str) -> bool:
-        return name.lower() in self._by_name
-
     def resolve_position(self, ref: ast.ColumnRef) -> int:
         """Absolute index of a column ref in the concatenated row."""
         if ref.table is not None:

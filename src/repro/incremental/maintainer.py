@@ -100,10 +100,11 @@ class IncrementalMaintainer:
         self.warm = False
 
         self._scratch = Database()
-        needed_logs = {
-            name for plan in plans.values() for name in plan.log_relations
-        }
-        for name in sorted(needed_logs):
+        #: The log relations any routed policy reads.
+        self._log_relations = sorted(
+            {name for plan in plans.values() for name in plan.log_relations}
+        )
+        for name in self._log_relations:
             self._scratch.create_table(
                 name, list(registry.get(name).full_columns)
             )
@@ -141,12 +142,13 @@ class IncrementalMaintainer:
     def bootstrap(self) -> None:
         """Fold the persisted disk image into fresh state.
 
-        Reads only :attr:`LogStore._disk` (never staged rows), so it is
-        safe mid-query; the staged delta is supplied at check time.
+        Reads only :meth:`LogStore.persisted_rows` (never staged rows),
+        so it is safe mid-query; the staged delta is supplied at check
+        time.
         """
         disk = {
-            name: [row for _, row in entries]
-            for name, entries in self.store._disk.items()  # noqa: SLF001
+            name: self.store.persisted_rows(name)
+            for name in self._log_relations
         }
         for name, state in self.states.items():
             plan = self.plans[name]
@@ -198,7 +200,8 @@ class IncrementalMaintainer:
         plan = self.plans[name]
         try:
             staged = {
-                rel: self._staged_rows(rel) for rel in plan.log_relations
+                rel: self.store.staged_row_values(rel)
+                for rel in plan.log_relations
             }
             delta = (
                 self._delta_rows(plan, staged)
@@ -212,9 +215,6 @@ class IncrementalMaintainer:
             return None
         self.stats.hits += 1
         return verdict
-
-    def _staged_rows(self, name: str):
-        return self.store.staged_row_values(name)
 
     # -- bookkeeping -------------------------------------------------------
 

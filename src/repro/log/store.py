@@ -1,20 +1,25 @@
-"""The usage-log store: staged increments, a simulated disk, and the
-three compaction phases of §5.2.
+"""The usage-log store: staged increments over the persisted log, and
+the delete and insert phases of §5.2's compaction.
 
 Lifecycle per checked query (matching the paper's NoOpt and DataLawyer):
 
 1. :meth:`LogStore.stage` inserts the increment ``{t} × f_i(q, D)`` into
-   the catalog's log table so policies evaluate over *disk ∪ increment*,
-   while remembering which tids are only staged (in memory).
+   the catalog's log table so policies evaluate over *persisted ∪
+   increment*, while remembering which tids are only staged.
 2. If any policy fires, :meth:`discard_staged` reverts the log (Eq. 1's
    ``L_t = L_{t-1}`` branch).
-3. Otherwise :meth:`commit` runs the *delete* and *insert* phases against
-   the simulated disk (the *mark* phase — evaluating the witness queries —
-   belongs to the enforcement layer, which passes the marked tids in).
+3. Otherwise :meth:`commit` runs the *delete* and *insert* phases (the
+   *mark* phase — evaluating the witness queries — belongs to the
+   enforcement layer, which passes the marked tids in).
 
-The "disk" is a per-relation list of rows that is genuinely rebuilt on
-delete and appended on insert, so phase timings reflect real work with the
-same asymptotics PostgreSQL exhibits in Figure 3.
+The log table is the persisted image: **a row of a log table is persisted
+iff its tid is not staged**, and only this module knows that definition
+(:meth:`LogStore.persisted_rows`, :meth:`LogStore.disk_size`). The
+*delete* phase is one :meth:`Table.delete_tids` over the table's own tid
+vector — O(retained log), the asymptotics PostgreSQL exhibits in
+Figure 3; the *insert* phase materialises the surviving increment as the
+WAL payload (the rows themselves were appended by :meth:`stage`); the
+durable write is ``wal.append``.
 """
 
 from __future__ import annotations
@@ -47,14 +52,12 @@ class LogStore:
     def __init__(self, database: Database, registry: LogRegistry):
         self.database = database
         self.registry = registry
-        self._staged: dict[str, list[int]] = {}
-        #: Staged tid → row values, captured at :meth:`stage` time so the
-        #: commit/observer paths materialize increments in O(increment)
-        #: instead of resolving tids through the table's full position map.
-        self._staged_rows: dict[str, dict[int, tuple]] = {}
-        self._disk: dict[str, list[tuple[int, tuple]]] = {}
+        #: Per staged relation: tid → row values in stage (= tid) order,
+        #: so commit and the observer materialise an increment in
+        #: O(increment) without resolving tids through the table.
+        self._staged: dict[str, dict[int, tuple]] = {}
         #: Per-relation monotone versions, bumped whenever a commit
-        #: changes the relation's *disk* image (delete or insert). Staged
+        #: changes the relation's *persisted* image (delete or insert). Staged
         #: increments and discards never bump — the decision cache uses
         #: these to tell whether a persisted log segment a policy read is
         #: unchanged since a verdict was computed.
@@ -70,7 +73,6 @@ class LogStore:
         for function in registry.ordered():
             if not database.has_table(function.name):
                 database.create_table(function.name, function.full_columns)
-            self._disk[function.name.lower()] = []
             self._versions[function.name.lower()] = 0
         if not database.has_table(CLOCK_TABLE):
             database.create_table(CLOCK_TABLE, ["ts"])
@@ -105,7 +107,8 @@ class LogStore:
         """Per-relation tid counters, recorded so replay reproduces the
         exact tid sequence even for increments that never hit disk."""
         return {
-            name: self.database.table(name).next_tid for name in self._disk
+            name: self.database.table(name).next_tid
+            for name in self._versions
         }
 
     # -- clock ---------------------------------------------------------------
@@ -127,29 +130,23 @@ class LogStore:
     def stage(self, name: str, rows: Iterable[tuple], timestamp: int) -> int:
         """Append ``{timestamp} × rows`` as an in-memory increment."""
         key = name.lower()
-        if key not in self._disk:
+        if key not in self._versions:
             raise PolicyError(f"{name!r} is not a registered log relation")
         table = self.database.table(key)
         values = [(timestamp, *row) for row in rows]
         tids = table.insert_many(values)
-        self._staged.setdefault(key, []).extend(tids)
-        self._staged_rows.setdefault(key, {}).update(zip(tids, values))
+        self._staged.setdefault(key, {}).update(zip(tids, values))
         return len(tids)
 
     def staged_relations(self) -> list[str]:
         return [name for name, tids in self._staged.items() if tids]
 
     def staged_tids(self, name: str) -> list[int]:
-        return list(self._staged.get(name.lower(), []))
+        return list(self._staged.get(name.lower(), ()))
 
     def staged_row_values(self, name: str) -> list[tuple]:
         """Row values of the staged increment, in stage order."""
-        key = name.lower()
-        row_by_tid = self._staged_rows.get(key, {})
-        return [row_by_tid[tid] for tid in self._staged.get(key, ())]
-
-    def is_staged(self, name: str) -> bool:
-        return bool(self._staged.get(name.lower()))
+        return list(self._staged.get(name.lower(), {}).values())
 
     def discard_staged(self, record: bool = True) -> int:
         """Revert every staged increment (policy violation path).
@@ -165,7 +162,6 @@ class LogStore:
             if tids:
                 dropped += self.database.table(name).delete_tids(set(tids))
         self._staged.clear()
-        self._staged_rows.clear()
         if record and self._observer_active():
             self._observer.on_log_discard()
         if record and self._wal is not None:
@@ -189,7 +185,7 @@ class LogStore:
 
         ``marks`` maps relation name → tids to retain; ``None`` means "no
         compaction — retain everything" (the NoOpt behaviour).
-        ``persist_relations`` limits which staged relations reach disk;
+        ``persist_relations`` limits which staged relations are persisted;
         staged tuples of other relations are discarded entirely (the
         time-independent optimization never stores their log).
         """
@@ -197,76 +193,54 @@ class LogStore:
         persisted = (
             {name.lower() for name in persist_relations}
             if persist_relations is not None
-            else set(self._disk)
+            else set(self._versions)
         )
         wal_insert: dict[str, dict] = {}
         wal_delete: dict[str, list[int]] = {}
         observing = self._observer_active()
         committed_rows: dict[str, list[tuple]] = {}
 
-        for name in list(self._disk):
-            staged = set(self._staged.get(name, ()))
+        for name in self._versions:
+            staged = self._staged.get(name, {})
             table = self.database.table(name)
 
             if name not in persisted:
                 if staged:
-                    stats.tuples_discarded += table.delete_tids(staged)
+                    stats.tuples_discarded += table.delete_tids(set(staged))
                 continue
 
-            if marks is None:
-                keep_disk = None  # retain all disk tuples
-                keep_staged = staged
-            else:
-                marked = marks.get(name, set())
-                keep_disk = marked
-                keep_staged = staged & marked
-
-            stats_delete_start = time.perf_counter()
+            delete_start = time.perf_counter()
+            # Without marks nothing is deleted, and nothing here may walk
+            # the persisted image: NoOpt's cost must be its policies'.
             doomed: set[int] = set()
-            if keep_disk is not None:
-                for tid, _ in self._disk[name]:
-                    if tid not in keep_disk:
-                        doomed.add(tid)
-            if self._wal is not None and doomed:
-                # Only formerly-persisted tuples matter to replay; doomed
-                # staged tuples never existed in the durable image.
-                wal_delete[name] = sorted(doomed)
-            disk_shrunk = bool(doomed)
-            doomed |= staged - keep_staged
-            if doomed:
-                table.delete_tids(doomed)
-                self._disk[name] = [
-                    entry for entry in self._disk[name] if entry[0] not in doomed
-                ]
+            if marks is not None:
+                doomed = set(table.tids()) - marks.get(name, set())
+            # Only formerly-persisted tuples matter to replay; doomed
+            # staged tuples never existed in the durable image.
+            doomed_disk = doomed - staged.keys()
+            if self._wal is not None and doomed_disk:
+                wal_delete[name] = sorted(doomed_disk)
+            table.delete_tids(doomed)
             stats.tuples_deleted += len(doomed)
-            stats.delete_seconds += time.perf_counter() - stats_delete_start
+            stats.delete_seconds += time.perf_counter() - delete_start
 
             insert_start = time.perf_counter()
-            if keep_staged:
-                # Real append work: materialize the persisted image from
-                # the values captured at stage time — O(increment), never
-                # touching the table's full tid→position map.
-                row_by_tid = self._staged_rows.get(name, {})
-                disk_list = self._disk[name]
-                ordered = sorted(keep_staged)
-                for tid in ordered:
-                    disk_list.append((tid, row_by_tid[tid]))
-                stats.tuples_inserted += len(keep_staged)
-                if self._wal is not None or observing:
-                    persisted_rows = [row_by_tid[tid] for tid in ordered]
-                    if observing:
-                        committed_rows[name] = persisted_rows
-                    if self._wal is not None:
-                        wal_insert[name] = {
-                            "tids": ordered,
-                            "rows": [list(row) for row in persisted_rows],
-                        }
+            kept = [tid for tid in staged if tid not in doomed]
+            stats.tuples_inserted += len(kept)
+            if kept and (self._wal is not None or observing):
+                rows = [staged[tid] for tid in kept]
+                if observing:
+                    committed_rows[name] = rows
+                if self._wal is not None:
+                    wal_insert[name] = {
+                        "tids": kept,
+                        "rows": [list(row) for row in rows],
+                    }
             stats.insert_seconds += time.perf_counter() - insert_start
-            if disk_shrunk or keep_staged:
+            if doomed_disk or kept:
                 self._versions[name] += 1
 
         self._staged.clear()
-        self._staged_rows.clear()
         if self._wal is not None:
             self._wal.append(
                 {
@@ -293,16 +267,29 @@ class LogStore:
     def versions(self) -> "dict[str, int]":
         return dict(self._versions)
 
+    def persisted_rows(self, name: str) -> list[tuple]:
+        """The relation's persisted image: every row of its log table
+        that is not staged, in tid order. Safe mid-query."""
+        key = name.lower()
+        table = self.database.table(key)
+        rows = zip(*table.columns_decoded())
+        staged = self._staged.get(key)
+        if not staged:
+            return list(rows)
+        return [
+            row for tid, row in zip(table.tids(), rows) if tid not in staged
+        ]
+
     def disk_size(self, name: str) -> int:
         """Number of persisted tuples for one relation."""
-        return len(self._disk[name.lower()])
+        return self.live_size(name) - len(self._staged.get(name.lower(), ()))
 
     def live_size(self, name: str) -> int:
-        """Number of visible tuples (disk + staged) for one relation."""
+        """Number of visible tuples (persisted + staged) for one relation."""
         return len(self.database.table(name))
 
     def total_live_size(self) -> int:
-        return sum(self.live_size(name) for name in self._disk)
+        return sum(self.live_size(name) for name in self._versions)
 
     def table(self, name: str) -> Table:
         return self.database.table(name)

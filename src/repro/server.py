@@ -6,31 +6,31 @@ letting a query execute, it checks all policies." This module exposes a
 :class:`~repro.service.ShardedEnforcerService` over HTTP (stdlib only)
 so non-Python clients can submit queries:
 
-- ``POST /query``    ``{"sql": ..., "uid": ..., "explain": bool|"analyze"?}``
+- ``POST /v1/query``  ``{"sql": ..., "uid": ..., "explain": bool|"analyze"?}``
   → decision JSON (result rows when allowed, violations + optional
   evidence when rejected; ``explain: "analyze"`` adds a per-operator
   ``plan`` with observed rows and time); ``429`` + ``Retry-After`` under
   backpressure;
-- ``GET  /policies`` → installed policies (with shard placement);
-- ``POST /policies`` ``{"name": ..., "sql": ...}`` → register a policy
+- ``GET  /v1/policies`` → installed policies (with shard placement);
+- ``POST /v1/policies`` ``{"name": ..., "sql": ...}`` → register a policy
   on every shard (history starts now, per §4.1.2);
-- ``DELETE /policies/<name>`` → remove a policy from every shard;
-- ``GET  /log``      → usage-log sizes aggregated across shards;
-- ``GET  /stats``    → per-shard queue depth, admit/reject counts,
+- ``DELETE /v1/policies/<name>`` → remove a policy from every shard;
+- ``GET  /v1/log``      → usage-log sizes aggregated across shards;
+- ``GET  /v1/stats``    → per-shard queue depth, admit/reject counts,
   p50/p95 check latency, phase means;
-- ``GET  /durability`` → WAL/checkpoint state per shard and what
+- ``GET  /v1/durability`` → WAL/checkpoint state per shard and what
   recovery replayed at startup (see :mod:`repro.storage.wal`);
-- ``GET  /metrics``  → Prometheus 0.0.4 text exposition (see
+- ``GET  /v1/metrics``  → Prometheus 0.0.4 text exposition (see
   :mod:`repro.obs.export` for the metric families);
-- ``GET  /slowlog``  → recent slow checks with their rendered traces
+- ``GET  /v1/slowlog``  → recent slow checks with their rendered traces
   (populated when ``ServiceConfig.slow_query_seconds`` is set);
-- ``GET  /health``   → liveness (never blocks on any shard).
+- ``GET  /v1/health``   → liveness (never blocks on any shard).
 
 Requests for different users run in parallel (one enforcer shard per
 uid-hash bucket); requests for the same user serialize on their shard.
 
-Versioning (see ``docs/api_v1.md``): every endpoint is also served under
-``/v1/...`` wrapped in the versioned envelope ::
+Versioning (see ``docs/api_v1.md``): every response but one is wrapped
+in the versioned envelope ::
 
     {"api_version": 1, "data": ...}                          # success
     {"api_version": 1, "error": {"code": ..., "message": ...}}
@@ -39,12 +39,8 @@ Error codes: ``invalid_request`` (400), ``not_found`` (404),
 ``conflict`` (409), ``overloaded`` (429), ``draining`` (503). A policy
 denial (403) is a *decision*, not an error — it arrives under ``data``
 with ``allowed: false`` and its violations. ``GET /v1/metrics`` is the
-one exception to the envelope: it stays Prometheus text exposition.
-
-The unversioned paths above remain as compatibility aliases serving the
-original (pre-envelope) body shapes; every alias response carries a
-``Deprecation: true`` header and a ``Link: </v1/...>;
-rel="successor-version"`` pointer to its replacement.
+one exception to the envelope: it stays Prometheus text exposition. Any
+path outside ``/v1/`` is a 404.
 """
 
 from __future__ import annotations
@@ -81,7 +77,7 @@ ERROR_CODES = {
 
 
 def versioned_envelope(status: int, body: dict) -> dict:
-    """Wrap a legacy ``(status, body)`` pair in the v1 envelope.
+    """Wrap a handler's ``(status, body)`` pair in the v1 envelope.
 
     Bodies carrying a top-level ``error`` string are transport-level
     failures: they become ``{"error": {"code", "message", ...}}`` with
@@ -270,51 +266,25 @@ def make_handler(service: EnforcerService):
             self.wfile.write(data)
 
         def _send_text(
-            self,
-            status: int,
-            text: str,
-            content_type: str,
-            headers: Optional[dict] = None,
+            self, status: int, text: str, content_type: str
         ) -> None:
             data = text.encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(data)
 
-        def _route(self) -> "tuple[str, bool]":
-            """The logical path and whether the request used ``/v1``."""
-            path = self.path
-            if path == "/v1" or path.startswith("/v1/"):
-                return path[len("/v1"):] or "/", True
-            return path, False
-
-        def _deprecation_headers(self, logical_path: str) -> dict:
-            return {
-                "Deprecation": "true",
-                "Link": f'</v1{logical_path}>; rel="successor-version"',
-            }
+        def _route(self) -> Optional[str]:
+            """The endpoint path under ``/v1``; None for any other path."""
+            if self.path.startswith("/v1/"):
+                return self.path[len("/v1"):]
+            return None
 
         def _reply(
-            self,
-            status: int,
-            body: dict,
-            versioned: bool,
-            logical_path: str,
-            headers: Optional[dict] = None,
+            self, status: int, body: dict, headers: Optional[dict] = None
         ) -> None:
-            """One response, shaped for the surface that was called:
-            the v1 envelope, or the legacy body + Deprecation header."""
-            if versioned:
-                self._send(status, versioned_envelope(status, body), headers)
-                return
-            merged = self._deprecation_headers(logical_path)
-            if headers:
-                merged.update(headers)
-            self._send(status, body, merged)
+            self._send(status, versioned_envelope(status, body), headers)
 
         def _read_json(self) -> Union[dict, str, None]:
             """The parsed body, or an error string for a 400 response."""
@@ -333,51 +303,36 @@ def make_handler(service: EnforcerService):
             return payload if isinstance(payload, dict) else None
 
         def do_GET(self):  # noqa: N802 - stdlib casing
-            path, versioned = self._route()
+            path = self._route()
             if path == "/metrics":
-                # Prometheus text either way; the envelope would break
-                # scrapers, so /v1/metrics is documented as unwrapped.
-                headers = (
-                    None if versioned else self._deprecation_headers(path)
-                )
-                self._send_text(
-                    200, service.metrics(), METRICS_CONTENT_TYPE, headers
-                )
-                return
-            if path == "/health":
-                outcome = (200, {"status": "ok"})
+                # Prometheus text: the envelope would break scrapers, so
+                # /v1/metrics is documented as unwrapped.
+                self._send_text(200, service.metrics(), METRICS_CONTENT_TYPE)
+            elif path == "/health":
+                self._reply(200, {"status": "ok"})
             elif path == "/policies":
-                outcome = service.list_policies()
+                self._reply(*service.list_policies())
             elif path == "/log":
-                outcome = service.log_sizes()
+                self._reply(*service.log_sizes())
             elif path == "/stats":
-                outcome = service.stats()
+                self._reply(*service.stats())
             elif path == "/durability":
-                outcome = service.durability()
+                self._reply(*service.durability())
             elif path == "/slowlog":
-                outcome = service.slowlog()
+                self._reply(*service.slowlog())
             else:
-                self._not_found(versioned)
-                return
-            self._reply(*outcome, versioned=versioned, logical_path=path)
+                self._not_found()
 
         def do_POST(self):  # noqa: N802
-            path, versioned = self._route()
+            path = self._route()
             payload = self._read_json()
-            if isinstance(payload, str):
-                self._reply(
-                    400, {"error": payload}, versioned, logical_path=path
-                )
-                return
-            if payload is None:
-                self._reply(
-                    400,
-                    {"error": "invalid JSON body"},
-                    versioned,
-                    logical_path=path,
-                )
-                return
-            if path == "/query":
+            if path is None:
+                self._not_found()
+            elif isinstance(payload, str):
+                self._reply(400, {"error": payload})
+            elif payload is None:
+                self._reply(400, {"error": "invalid JSON body"})
+            elif path == "/query":
                 status, body = service.submit(payload)
                 headers = None
                 if status == 429:
@@ -390,31 +345,22 @@ def make_handler(service: EnforcerService):
                             max(1, math.ceil(body.get("retry_after", 1)))
                         )
                     }
-                self._reply(
-                    status, body, versioned, logical_path=path, headers=headers
-                )
+                self._reply(status, body, headers)
             elif path == "/policies":
-                status, body = service.add_policy(payload)
-                self._reply(status, body, versioned, logical_path=path)
+                self._reply(*service.add_policy(payload))
             else:
-                self._not_found(versioned)
+                self._not_found()
 
         def do_DELETE(self):  # noqa: N802
-            path, versioned = self._route()
+            path = self._route() or ""
             prefix = "/policies/"
             if path.startswith(prefix):
-                status, body = service.remove_policy(path[len(prefix):])
-                self._reply(status, body, versioned, logical_path=path)
+                self._reply(*service.remove_policy(path[len(prefix):]))
             else:
-                self._not_found(versioned)
+                self._not_found()
 
-        def _not_found(self, versioned: bool) -> None:
-            """Unknown path: no Deprecation header — there is nothing the
-            caller should migrate to."""
-            body: dict = {"error": "not found"}
-            if versioned:
-                body = versioned_envelope(404, body)
-            self._send(404, body)
+        def _not_found(self) -> None:
+            self._reply(404, {"error": "not found"})
 
     return Handler
 

@@ -92,8 +92,6 @@ class ServiceConfig:
     queue_depth: int = 32
     max_result_rows: int = 1000
     routing: str = "hash"
-    #: Latency samples kept per shard for the p50/p95 stats surface.
-    latency_window: int = 512
     data_dir: Optional[str] = None
     wal_sync: bool = True
     checkpoint_every: int = 0
@@ -128,8 +126,6 @@ class ServiceConfig:
             raise ServiceError("decision_cache_size must be >= 1")
         if self.routing not in ("hash", "modulo"):
             raise ServiceError(f"unknown routing strategy {self.routing!r}")
-        if self.latency_window < 1:
-            raise ServiceError("latency_window must be >= 1")
         if self.checkpoint_every < 0:
             raise ServiceError("checkpoint_every cannot be negative")
         if self.slow_query_seconds < 0:

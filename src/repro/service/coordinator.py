@@ -235,7 +235,6 @@ class ShardedEnforcerService:
             "wal_sync": config.wal_sync,
             "checkpoint_every": config.checkpoint_every,
             "queue_depth": config.queue_depth,
-            "latency_window": config.latency_window,
             "slow_query_seconds": config.slow_query_seconds,
             "batch_size": config.batch_size,
             "epoch": 0,

@@ -208,7 +208,7 @@ class GlobalTier:
         # reservations and its catalog donates base tables to the delta
         # scratch and the strict mirror. Never the live reference — the
         # tier must not race shard 0's engine in thread mode.
-        self._private = prototype.clone(reset_log=True)
+        self._private = prototype.clone()
         self.registry = self._private.registry
         self.clock = self._private.clock
         self.max_entries = max_entries
@@ -362,10 +362,6 @@ class GlobalTier:
                 }
                 for entry in self._policies.values()
             ]
-
-    @property
-    def has_policies(self) -> bool:
-        return bool(self._policies)
 
     @property
     def has_strict(self) -> bool:

@@ -26,6 +26,8 @@ from ..obs import Histogram
 
 #: Prefix of the per-policy spans the enforcer opens (one per policy).
 POLICY_SPAN_PREFIX = "policy:"
+#: Latency samples kept per shard for the p50/p95 stats surface.
+LATENCY_WINDOW = 512
 
 
 def percentile(samples, fraction: float) -> float:
@@ -40,7 +42,7 @@ def percentile(samples, fraction: float) -> float:
 class ShardCounters:
     """Thread-safe admission/latency accounting for one shard."""
 
-    def __init__(self, latency_window: int = 512, slow_window: int = 32):
+    def __init__(self, slow_window: int = 32):
         self._lock = threading.Lock()
         self.admitted = 0
         self.rejected = 0  # backpressure (429)
@@ -49,10 +51,9 @@ class ShardCounters:
         self.denied = 0  # policy violations (403)
         self.errors = 0  # malformed SQL etc. (400)
         self.slow = 0  # checks over the slow-query threshold
-        self._phase_seconds: dict[str, float] = {}  # breakdown buckets
-        self._phase_detail: dict[str, float] = {}  # full per-phase seconds
-        self._check_latencies: deque = deque(maxlen=latency_window)
-        self._queue_waits: deque = deque(maxlen=latency_window)
+        self._phase_detail: dict[str, float] = {}  # per-phase seconds
+        self._check_latencies: deque = deque(maxlen=LATENCY_WINDOW)
+        self._queue_waits: deque = deque(maxlen=LATENCY_WINDOW)
         self._check_hist = Histogram()
         self._wait_hist = Histogram()
         #: Batch sizes per worker wakeup (1 = no batching in effect).
@@ -100,10 +101,6 @@ class ShardCounters:
             self._check_hist.observe(total_seconds)
             self._wait_hist.observe(queue_seconds)
             if metrics is not None:
-                for bucket, value in metrics.breakdown().items():
-                    self._phase_seconds[bucket] = (
-                        self._phase_seconds.get(bucket, 0.0) + value
-                    )
                 for phase, value in metrics.seconds.items():
                     self._phase_detail[phase] = (
                         self._phase_detail.get(phase, 0.0) + value
@@ -140,7 +137,7 @@ class ShardCounters:
         with self._lock:
             latencies = list(self._check_latencies)
             waits = list(self._queue_waits)
-            phase_totals = dict(self._phase_seconds)
+            phase_detail = dict(self._phase_detail)
             counts = {
                 "admitted": self.admitted,
                 "rejected": self.rejected,
@@ -154,11 +151,13 @@ class ShardCounters:
         snapshot["p50_ms"] = percentile(latencies, 0.50) * 1000
         snapshot["p95_ms"] = percentile(latencies, 0.95) * 1000
         snapshot["queue_wait_p95_ms"] = percentile(waits, 0.95) * 1000
-        completed = counts["completed"]
+        # The paper's four reporting buckets, folded from the per-phase
+        # totals at read time.
+        buckets = QueryMetrics(seconds=phase_detail).breakdown()
         snapshot["phase_mean_ms"] = {
-            bucket: total / completed * 1000
-            for bucket, total in sorted(phase_totals.items())
-        } if completed else {}
+            bucket: total / counts["completed"] * 1000
+            for bucket, total in sorted(buckets.items())
+        } if phase_detail else {}
         return snapshot
 
     def prom_snapshot(self) -> dict:

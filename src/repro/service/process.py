@@ -49,7 +49,7 @@ from ..errors import (
     WorkerCrashError,
 )
 from .ipc import recv_message, send_message
-from .metrics import ShardCounters
+from .metrics import LATENCY_WINDOW, ShardCounters
 from .shard import ENGINE_COUNTERS
 from .worker import decision_from_json, decision_to_json, worker_main
 
@@ -116,7 +116,7 @@ class ProcessShard:
         self._pending: "dict[int, tuple[str, Future, float]]" = {}
         self._inflight = 0
         self._rejected = 0
-        self._latencies: deque = deque(maxlen=spec["latency_window"])
+        self._latencies: deque = deque(maxlen=LATENCY_WINDOW)
         self._ids = itertools.count(1)
         self._generation = 0
         self._closed = False
@@ -531,7 +531,7 @@ class ProcessShard:
                 {"type": "stats", "queue_capacity": queue_capacity}
             )["stats"]
         except (ServiceError, WorkerCrashError, FutureTimeout):
-            entry = ShardCounters(latency_window=1).snapshot()
+            entry = ShardCounters().snapshot()
             entry["shard"] = self.index
             entry["epoch"] = self.epoch
             entry["queue_depth"] = self.queue_depth()
@@ -579,7 +579,7 @@ class ProcessShard:
 
 def _empty_export_state() -> dict:
     """The export shape of an idle shard, for scrapes during a respawn."""
-    counters = ShardCounters(latency_window=1)
+    counters = ShardCounters()
     snap = counters.prom_snapshot()
     prom = dict(snap)
     for key in ("check_hist", "wait_hist", "batch_hist"):

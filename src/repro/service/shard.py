@@ -101,10 +101,6 @@ class ShardDurability:
         self.sync = sync
         self._since_checkpoint = 0
 
-    def note_query(self, enforcer: Enforcer) -> None:
-        """Count one processed query; checkpoint when the cadence hits."""
-        self.note_queries(enforcer, 1)
-
     def note_queries(self, enforcer: Enforcer, count: int) -> None:
         """Count a batch of processed queries; checkpoint when the
         cadence hits. Called at batch boundaries — never inside a WAL
@@ -144,7 +140,6 @@ class Shard:
         index: int,
         enforcer: Enforcer,
         queue_depth: int,
-        latency_window: int = 512,
         durability: Optional[ShardDurability] = None,
         slow_query_seconds: float = 0.0,
         batch_size: int = 1,
@@ -166,7 +161,7 @@ class Shard:
         #: local shard's lock around a policy broadcast and then calls
         #: the control methods below, which take it again.
         self.lock = threading.RLock()
-        self.counters = ShardCounters(latency_window)
+        self.counters = ShardCounters()
         self.epoch = 0
         #: Checks at least this slow get logged with their trace (0 = off).
         self.slow_query_seconds = slow_query_seconds
@@ -402,16 +397,16 @@ class Shard:
         """Committed rows of ``relations`` plus this shard's clock, for
         tier bootstrap: ``{"rows": {name: [[ts, ...], ...]}, "clock": N}``.
 
-        Rows come from the store's persisted image (``_disk``), which WAL
-        recovery rebuilds bit-identically.
+        Rows come from the store's persisted image, which WAL recovery
+        rebuilds bit-identically.
         """
         wanted = {name.lower() for name in relations}
         with self.lock:
-            disk = self.enforcer.store._disk  # noqa: SLF001
+            store = self.enforcer.store
             rows = {
-                name: [list(values) for _, values in disk[name]]
+                name: [list(values) for values in store.persisted_rows(name)]
                 for name in sorted(wanted)
-                if name in disk
+                if self.enforcer.registry.is_log_relation(name)
             }
             return {"rows": rows, "clock": self.enforcer.clock.now()}
 
@@ -674,7 +669,6 @@ def open_shard(
         index,
         enforcer,
         queue_depth=settings["queue_depth"],
-        latency_window=settings["latency_window"],
         durability=durability,
         slow_query_seconds=settings["slow_query_seconds"],
         batch_size=settings["batch_size"],

@@ -311,11 +311,6 @@ def column_refs(node: Node) -> list[ColumnRef]:
     return [n for n in node.walk() if isinstance(n, ColumnRef)]
 
 
-def tables_referenced(expr: Node) -> set[str]:
-    """Qualifier names referenced by column refs under ``expr``."""
-    return {ref.table for ref in column_refs(expr) if ref.table is not None}
-
-
 def eq(left: Expr, right: Expr) -> BinaryOp:
     """Shorthand for an equality predicate."""
     return BinaryOp("=", left, right)

@@ -7,7 +7,7 @@ Two levels:
 - :func:`save_enforcer_state` / :func:`restore_enforcer` — everything an
   enforcement deployment needs to survive a restart: the data tables, the
   usage-log tables *with their tuple ids* (compaction marks reference
-  tids), the persisted-disk image of the log store, the clock, and the
+  tids) — which are the log store's persisted image — the clock, and the
   policy texts. Restoring rebuilds an :class:`~repro.core.Enforcer` whose
   subsequent decisions are exactly those the original would have made.
 """
@@ -125,11 +125,6 @@ def save_enforcer_state(
         ],
         "options": _options_to_dict(enforcer.options),
         "queries_since_compaction": enforcer._queries_since_compaction,  # noqa: SLF001
-        # The disk image: tid → persisted, per relation.
-        "disk_tids": {
-            name: [tid for tid, _ in enforcer.store._disk[name]]  # noqa: SLF001
-            for name in enforcer.store._disk  # noqa: SLF001
-        },
     }
     if extra:
         manifest.update(extra)
@@ -161,6 +156,20 @@ def restore_enforcer(
     database = Database()
     for name in manifest["tables"]:
         database.attach(read_table(directory / f"{name}.jsonl"))
+    # The stored log tables join the catalog before the enforcer exists,
+    # so its log store adopts them: the table is the persisted image.
+    # (Older manifests also list each relation's persisted tids; nothing
+    # is staged in a snapshot, so that only repeats the tables' tids.)
+    for name in sorted(stored_logs):
+        stored = read_table(directory / f"__log_{name}.jsonl")
+        expected = registry.get(name).full_columns
+        if stored.schema.column_names != expected:
+            raise StorageError(
+                f"snapshot log relation {name!r} has columns "
+                f"{stored.schema.column_names}, the registry expects "
+                f"{expected}; pass the matching LogRegistry"
+            )
+        database.attach(stored)
 
     policies = [
         Policy.from_sql(p["name"], p["sql"], p.get("description", ""))
@@ -172,19 +181,6 @@ def restore_enforcer(
     enforcer = Enforcer(
         database, policies, registry=registry, clock=clock, options=options
     )
-
-    # Replace the freshly created (empty) log tables with the stored ones.
-    for name in sorted(stored_logs):
-        stored = read_table(directory / f"__log_{name}.jsonl")
-        live = enforcer.database.table(name)
-        stored_rows = [row for _, row in stored.scan()]
-        live.replace_contents(stored_rows, stored.tids(), stored.next_tid)
-        by_tid = dict(live.scan())
-        enforcer.store._disk[name] = [  # noqa: SLF001
-            (tid, by_tid[tid])
-            for tid in manifest["disk_tids"].get(name, [])
-            if tid in by_tid
-        ]
     enforcer.store.set_time(int(manifest["clock_now"]))
     enforcer._queries_since_compaction = int(  # noqa: SLF001
         manifest.get("queries_since_compaction", 0)

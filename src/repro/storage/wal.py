@@ -533,24 +533,19 @@ def recover_enforcer(
 
 def _apply_record(enforcer: Enforcer, record: dict) -> None:
     """Re-apply one WAL record to a restored enforcer."""
-    store = enforcer.store
     kind = record.get("type")
     if kind not in ("commit", "reject"):
         raise WalError(f"unknown WAL record type {kind!r}")
     if kind == "commit":
         for name, tids in record.get("delete", {}).items():
-            doomed = {int(tid) for tid in tids}
-            enforcer.database.table(name).delete_tids(doomed)
-            store._disk[name] = [  # noqa: SLF001 - recovery owns the store
-                entry for entry in store._disk[name]  # noqa: SLF001
-                if entry[0] not in doomed
-            ]
+            enforcer.database.table(name).delete_tids(
+                {int(tid) for tid in tids}
+            )
         inserted: dict[str, list[tuple]] = {}
         for name, payload in record.get("insert", {}).items():
             rows = [tuple(row) for row in payload["rows"]]
             tids = [int(tid) for tid in payload["tids"]]
             enforcer.database.table(name).insert_with_tids(rows, tids)
-            store._disk[name].extend(zip(tids, rows))  # noqa: SLF001
             inserted[name] = rows
         # A restored maintainer replays folds from the same rows the live
         # commit folded; without one, the lazy bootstrap rebuilds from the
@@ -566,7 +561,7 @@ def _apply_record(enforcer: Enforcer, record: dict) -> None:
         enforcer.database.table(name).advance_tid(int(value))
     timestamp = int(record["ts"])
     enforcer.clock.seek(timestamp)
-    store.set_time(timestamp)
+    enforcer.store.set_time(timestamp)
 
 
 # ---------------------------------------------------------------------------

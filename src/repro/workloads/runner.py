@@ -40,10 +40,6 @@ class Experiment:
     config: MimicConfig
     params: PolicyParams
 
-    @property
-    def metrics(self) -> MetricsLog:
-        return self.enforcer.metrics_log
-
 
 def build_experiment(
     policies: Optional[Sequence[Policy]] = None,
@@ -102,18 +98,17 @@ def run_stream(
 ) -> StreamResult:
     """Submit ``(sql, uid)`` pairs in order; returns the aggregate result.
 
-    The returned :class:`MetricsLog` holds only this stream's entries (the
-    enforcer's own log keeps accumulating across streams).
+    The returned :class:`MetricsLog` holds this stream's per-query
+    metrics, taken off each decision (the enforcer keeps none).
     """
     result = StreamResult()
-    start = len(enforcer.metrics_log)
     for sql, uid in queries:
         decision = enforcer.submit(sql, uid=uid, execute=execute)
         if decision.allowed:
             result.allowed += 1
         else:
             result.rejected += 1
-    result.metrics = MetricsLog(entries=enforcer.metrics_log.entries[start:])
+        result.metrics.record(decision.metrics)
     return result
 
 

@@ -1,6 +1,6 @@
-"""The versioned surfaces: the ``/v1`` HTTP envelope, the legacy
-aliases (with their ``Deprecation`` pointers), and the stable
-``repro.api`` Python facade.
+"""The versioned surfaces: the ``/v1`` HTTP envelope (the only HTTP
+surface — anything outside it is a 404) and the stable ``repro.api``
+Python facade.
 """
 
 from __future__ import annotations
@@ -222,45 +222,24 @@ class TestV1Surface:
         assert "Deprecation" not in headers
 
 
-class TestLegacyAliases:
-    def test_legacy_query_keeps_shape_and_is_deprecated(self, server):
-        status, body, headers = json_request(
-            server, "POST", "/query", {"sql": "SELECT id FROM navteq", "uid": 3}
-        )
-        assert status == 200
-        assert "api_version" not in body
-        assert body["allowed"] is True
-        assert headers["Deprecation"] == "true"
-        assert headers["Link"] == '</v1/query>; rel="successor-version"'
-
-    def test_legacy_error_keeps_flat_shape(self, server):
-        status, body, headers = json_request(
-            server, "POST", "/query", {"uid": 3}
-        )
-        assert status == 400
-        assert body == {"error": "missing 'sql'"}
-        assert headers["Deprecation"] == "true"
-
-    def test_legacy_metrics_is_deprecated_text(self, server):
-        status, data, headers = raw_request(server, "GET", "/metrics")
-        assert status == 200
-        assert b"repro_shards" in data
-        assert headers["Deprecation"] == "true"
-        assert headers["Link"] == '</v1/metrics>; rel="successor-version"'
-
-    def test_legacy_reads_are_deprecated(self, server):
-        for path in ("/health", "/policies", "/stats", "/log", "/slowlog"):
-            status, body, headers = json_request(server, "GET", path)
-            assert status == 200
-            assert "api_version" not in body
-            assert headers["Deprecation"] == "true"
-            assert headers["Link"] == f'</v1{path}>; rel="successor-version"'
-
-    def test_unknown_legacy_path_has_no_deprecation(self, server):
-        status, body, headers = json_request(server, "GET", "/nope")
-        assert status == 404
-        assert body == {"error": "not found"}
-        assert "Deprecation" not in headers
+class TestUnversionedPaths:
+    def test_unversioned_paths_are_plain_not_found(self, server):
+        for method, path, body in (
+            ("POST", "/query", {"sql": "SELECT id FROM navteq", "uid": 3}),
+            ("POST", "/policies", {"name": "extra", "sql": NO_JOINS_SQL}),
+            ("DELETE", "/policies/no-joins", None),
+            ("GET", "/health", None),
+            ("GET", "/stats", None),
+            ("GET", "/metrics", None),
+            ("GET", "/v1", None),
+            ("GET", "/nope", None),
+        ):
+            status, reply, headers = json_request(server, method, path, body)
+            assert status == 404, path
+            assert reply["error"]["code"] == "not_found"
+            assert "Deprecation" not in headers and "Link" not in headers
+        status, reply, _ = json_request(server, "GET", "/v1/policies")
+        assert [p["name"] for p in reply["data"]["policies"]] == ["no-joins"]
 
 
 class TestPythonFacade:

@@ -52,16 +52,17 @@ class TestDeferredCompaction:
         deferred = make_enforcer(mimic_db.clone(), 10, params)
         eager = make_enforcer(mimic_db.clone(), 1, params)
         sql = "SELECT * FROM d_patients WHERE subject_id = 7"
-        run_stream(deferred, repeat_query(sql, 4, 20), execute=False)
-        run_stream(eager, repeat_query(sql, 4, 20), execute=False)
+        stream = repeat_query(sql, 4, 20)
+        deferred_log = run_stream(deferred, stream, execute=False).metrics
+        eager_log = run_stream(eager, stream, execute=False).metrics
         deferred_marks = sum(
             1
-            for entry in deferred.metrics_log.entries
+            for entry in deferred_log.entries
             if "compact_mark" in entry.seconds
         )
         eager_marks = sum(
             1
-            for entry in eager.metrics_log.entries
+            for entry in eager_log.entries
             if "compact_mark" in entry.seconds
         )
         assert deferred_marks == 2
@@ -70,10 +71,10 @@ class TestDeferredCompaction:
     def test_interval_one_is_default_behavior(self, mimic_db, params):
         enforcer = make_enforcer(mimic_db, 1, params)
         sql = "SELECT * FROM d_patients WHERE subject_id = 7"
-        run_stream(enforcer, repeat_query(sql, 4, 3), execute=False)
+        result = run_stream(enforcer, repeat_query(sql, 4, 3), execute=False)
         marks = sum(
             1
-            for entry in enforcer.metrics_log.entries
+            for entry in result.metrics.entries
             if "compact_mark" in entry.seconds
         )
         assert marks == 3

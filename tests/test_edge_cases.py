@@ -154,7 +154,7 @@ class TestLogStoreEdges:
         # next query stages nothing for users; marks still prune disk
         stats = store.commit({"users": set()}, persist_relations=["users"])
         assert stats.tuples_deleted == 1
-        assert store.disk_size("users") == 0
+        assert store.persisted_rows("users") == []
 
     def test_double_commit_is_harmless(self):
         registry = standard_registry()

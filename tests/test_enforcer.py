@@ -103,9 +103,7 @@ class TestBasicEnforcement:
 
     def test_metrics_recorded(self, mimic_db, params, workload):
         enforcer = dl(mimic_db, [make_policy("P2", params)])
-        enforcer.submit(workload["W1"], uid=1)
-        assert len(enforcer.metrics_log) == 1
-        metrics = enforcer.metrics_log.entries[0]
+        metrics = enforcer.submit(workload["W1"], uid=1).metrics
         assert metrics.allowed
         assert metrics.total_seconds > 0
 
@@ -247,22 +245,19 @@ class TestLogBehaviour:
 
     def test_unreferenced_logs_never_generated(self, mimic_db, params, workload):
         enforcer = dl(mimic_db, [make_policy("P1", params)])
-        enforcer.submit(workload["W2"], uid=1)
-        metrics = enforcer.metrics_log.entries[0]
+        metrics = enforcer.submit(workload["W2"], uid=1).metrics
         assert "log:provenance" not in metrics.seconds
         assert "log:schema" not in metrics.seconds
 
     def test_uid0_skips_provenance_generation(self, mimic_db, params, workload):
         enforcer = dl(mimic_db, [make_policy("P5", params)])
-        enforcer.submit(workload["W4"], uid=0)
-        metrics = enforcer.metrics_log.entries[0]
+        metrics = enforcer.submit(workload["W4"], uid=0).metrics
         assert "log:users" in metrics.seconds
         assert "log:provenance" not in metrics.seconds
 
     def test_uid1_generates_provenance(self, mimic_db, params, workload):
         enforcer = dl(mimic_db, [make_policy("P5", params)])
-        enforcer.submit(workload["W4"], uid=1)
-        metrics = enforcer.metrics_log.entries[0]
+        metrics = enforcer.submit(workload["W4"], uid=1).metrics
         assert "log:provenance" in metrics.seconds
 
 

@@ -97,8 +97,8 @@ def persisted_log_content(enforcer: Enforcer) -> dict:
     """Disk row values per relation (tids excluded deliberately: witness
     shortcuts may stage different tid sequences, content must agree)."""
     return {
-        name: [row for _, row in entries]
-        for name, entries in enforcer.store._disk.items()
+        name: enforcer.store.persisted_rows(name)
+        for name in enforcer.registry.names()
     }
 
 

@@ -236,7 +236,7 @@ class TestLogStore:
         keep = set(store.staged_tids("users"))
         store.commit({"users": keep}, persist_relations=["users"])
         assert db.table("users").rows() == [(2, 8)]
-        assert store.disk_size("users") == 1
+        assert store.persisted_rows("users") == [(2, 8)]
 
     def test_unpersisted_relations_discard_increment(self, db, store):
         store.stage("schema", [("o", "t", "a", False)], 5)
@@ -248,8 +248,12 @@ class TestLogStore:
         store.stage("users", [(7,)], 5)
         assert store.live_size("users") == 1
         assert store.disk_size("users") == 0
+        assert store.persisted_rows("users") == []
         store.commit(None)
         assert store.disk_size("users") == 1
+        store.stage("users", [(8,)], 6)
+        assert store.live_size("users") == 2
+        assert store.persisted_rows("users") == [(5, 7)]
 
     def test_empty_marks_delete_all(self, db, store):
         store.stage("users", [(7,)], 1)

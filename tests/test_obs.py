@@ -8,12 +8,12 @@ surface, and ``explain=analyze`` over HTTP and the CLI.
 """
 
 import io
-import json
 import re
 import threading
 from http.client import HTTPConnection
 
 import pytest
+from v1 import request as http_json
 
 from repro.cli import make_parser
 from repro.core import Enforcer, EnforcerOptions, Policy
@@ -447,20 +447,9 @@ def http_server(request):
     thread.join(timeout=5)
 
 
-def http_json(server, method, path, body=None):
-    connection = HTTPConnection(*server.server_address)
-    payload = json.dumps(body).encode() if body is not None else None
-    headers = {"Content-Type": "application/json"} if payload else {}
-    connection.request(method, path, body=payload, headers=headers)
-    response = connection.getresponse()
-    data = json.loads(response.read().decode())
-    connection.close()
-    return response.status, data
-
-
 def http_text(server, path):
     connection = HTTPConnection(*server.server_address)
-    connection.request("GET", path)
+    connection.request("GET", "/v1" + path)
     response = connection.getresponse()
     data = response.read().decode()
     content_type = response.getheader("Content-Type")

@@ -79,17 +79,6 @@ class TestStreams:
         assert result.rejected == 1
         assert result.total == 2
 
-    def test_experiment_metrics_property(self, tiny_mimic_config):
-        experiment = build_experiment(
-            policy_names=["P1"], config=tiny_mimic_config
-        )
-        run_stream(
-            experiment.enforcer,
-            repeat_query(experiment.workload["W1"], 1, 2),
-            execute=False,
-        )
-        assert len(experiment.metrics) == 2
-
     def test_build_experiment_with_custom_options_and_clock(
         self, tiny_mimic_config
     ):

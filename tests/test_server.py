@@ -6,6 +6,7 @@ from http.client import HTTPConnection
 
 import pytest
 from holds import held, wait_in_hand, wait_until
+from v1 import request, unwrap
 
 from repro.core import Enforcer, EnforcerOptions, Policy
 from repro.engine import Database
@@ -37,17 +38,6 @@ def server():
     httpd.shutdown()
     httpd.server_close()
     thread.join(timeout=5)
-
-
-def request(server, method, path, body=None):
-    connection = HTTPConnection(*server.server_address)
-    payload = json.dumps(body).encode() if body is not None else None
-    headers = {"Content-Type": "application/json"} if payload else {}
-    connection.request(method, path, body=payload, headers=headers)
-    response = connection.getresponse()
-    data = json.loads(response.read().decode())
-    connection.close()
-    return response.status, data
 
 
 class TestQueryEndpoint:
@@ -117,7 +107,7 @@ class TestQueryEndpoint:
     def test_invalid_json_body(self, server):
         connection = HTTPConnection(*server.server_address)
         connection.request(
-            "POST", "/query", body=b"not json",
+            "POST", "/v1/query", body=b"not json",
             headers={"Content-Type": "application/json"},
         )
         response = connection.getresponse()
@@ -127,12 +117,12 @@ class TestQueryEndpoint:
     @pytest.mark.parametrize("length", ["abc", "-5", "12; DROP"])
     def test_malformed_content_length_is_400(self, server, length):
         connection = HTTPConnection(*server.server_address)
-        connection.putrequest("POST", "/query")
+        connection.putrequest("POST", "/v1/query")
         connection.putheader("Content-Type", "application/json")
         connection.putheader("Content-Length", length)
         connection.endheaders()
         response = connection.getresponse()
-        body = json.loads(response.read().decode())
+        body = unwrap(json.loads(response.read().decode()))
         connection.close()
         assert response.status == 400
         assert "Content-Length" in body["error"]
@@ -321,7 +311,7 @@ class TestOverloadedGateway:
                 {"sql": "SELECT id FROM navteq", "uid": 1}
             ).encode()
             connection.request(
-                "POST", "/query", body=payload,
+                "POST", "/v1/query", body=payload,
                 headers={"Content-Type": "application/json"},
             )
             response = connection.getresponse()
@@ -371,12 +361,12 @@ class TestOverloadedGateway:
             httpd.service.submit = overloaded
             connection = HTTPConnection(*httpd.server_address)
             connection.request(
-                "POST", "/query",
+                "POST", "/v1/query",
                 body=json.dumps({"sql": "SELECT id FROM navteq"}).encode(),
                 headers={"Content-Type": "application/json"},
             )
             response = connection.getresponse()
-            body = json.loads(response.read().decode())
+            body = unwrap(json.loads(response.read().decode()))
             connection.close()
             assert response.status == 429
             assert response.getheader("Retry-After") == "3"

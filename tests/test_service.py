@@ -85,7 +85,7 @@ class TestServiceConfig:
             {"checkpoint_every": -1},
             {"slow_query_seconds": -0.1},
             {"routing": "rendezvous"},
-            {"latency_window": 0},
+            {"batch_size": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

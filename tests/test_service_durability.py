@@ -5,11 +5,10 @@ startup, checkpoint cadence, durable policy changes, the HTTP
 from __future__ import annotations
 
 import io
-import json
 import threading
-from http.client import HTTPConnection
 
 import pytest
+from v1 import request
 
 from repro.cli import cmd_recover, make_parser
 from repro.core import Enforcer, EnforcerOptions, Policy
@@ -182,24 +181,14 @@ class TestHttpSurface:
         httpd.server_close()
         thread.join(timeout=5)
 
-    def request(self, server, method, path, body=None):
-        connection = HTTPConnection(*server.server_address)
-        payload = json.dumps(body).encode() if body is not None else None
-        headers = {"Content-Type": "application/json"} if payload else {}
-        connection.request(method, path, body=payload, headers=headers)
-        response = connection.getresponse()
-        data = json.loads(response.read().decode())
-        connection.close()
-        return response.status, data
-
     def test_durability_endpoint(self, server):
         for _ in range(3):
-            status, _ = self.request(
+            status, _ = request(
                 server, "POST", "/query",
                 {"sql": "SELECT iid FROM items", "uid": 1},
             )
             assert status == 200
-        status, body = self.request(server, "GET", "/durability")
+        status, body = request(server, "GET", "/durability")
         assert status == 200
         assert body["enabled"] is True
         assert body["checkpoint_every"] == 2

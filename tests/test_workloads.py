@@ -212,7 +212,7 @@ class TestRunner:
         experiment = build_experiment(
             policy_names=["P2"], config=tiny_mimic_config
         )
-        run_stream(
+        first = run_stream(
             experiment.enforcer,
             repeat_query(experiment.workload["W1"], 1, 3),
             execute=False,
@@ -222,8 +222,12 @@ class TestRunner:
             repeat_query(experiment.workload["W1"], 1, 2),
             execute=False,
         )
+        assert len(first.metrics) == 3
         assert len(second.metrics) == 2
-        assert len(experiment.enforcer.metrics_log) == 5
+        assert (
+            second.metrics.entries[0].timestamp
+            > first.metrics.entries[-1].timestamp
+        )
 
     def test_round_robin(self):
         stream = round_robin(["q1", "q2"], [0, 1, 2], 6)

@@ -12,7 +12,8 @@ produced it — stays machine-readable in one file:
         "subject": "<commit subject>",
         "date": "<committer date, ISO>",
         "src_loc": <physical lines under src/repro>,
-        "benchmarks": {"engine": {...}, "policy_dag": {...}, ...}
+        "benchmarks": {"engine": {...}, "policy_dag": {...}, ...},
+        "copied_forward": [<benchmarks not re-run for this entry>]
       },
       ...
     }
@@ -23,7 +24,9 @@ Run it after a full bench pass (``pytest benchmarks/``)::
 
 Re-running on the same commit overwrites that commit's entry; history
 for other commits is preserved. ``--key`` overrides the commit key
-(e.g. a PR number) when consolidating off-commit results.
+(e.g. a PR number) when consolidating off-commit results. A section
+whose payload is byte-for-byte the previous entry's was not re-run: it
+is listed under ``copied_forward`` (timings never repeat exactly).
 """
 
 from __future__ import annotations
@@ -98,7 +101,18 @@ def main(argv=None) -> int:
     history = {}
     if TRAJECTORY.exists():
         history = json.loads(TRAJECTORY.read_text(encoding="utf-8"))
-    history[key] = {**identity, "src_loc": src_loc(), "benchmarks": benchmarks}
+    earlier = [entry for name, entry in history.items() if name != key]
+    previous = max(earlier, key=lambda entry: entry["date"], default={})
+    history[key] = {
+        **identity,
+        "src_loc": src_loc(),
+        "benchmarks": benchmarks,
+        "copied_forward": sorted(
+            name
+            for name, payload in benchmarks.items()
+            if previous.get("benchmarks", {}).get(name) == payload
+        ),
+    }
     TRAJECTORY.write_text(
         json.dumps(history, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

@@ -104,8 +104,9 @@ def connect(
             engine="columnar",
         )
 
-    ``engine`` picks the execution discipline (``"row"`` or
-    ``"columnar"`` — the default).
+    ``engine`` is the reference switch: ``"row"`` runs the enforcer on
+    the tests' row interpreter; ``"columnar"`` (the default) is the
+    production engine.
     """
     return Enforcer(
         database,
@@ -164,8 +165,8 @@ class EnforcerBuilder:
     def options(self, **overrides) -> "EnforcerBuilder":
         """Layer :class:`EnforcerOptions` fields over the profile.
 
-        ``options(engine="columnar")`` selects the execution engine;
-        see :data:`repro.engine.ENGINES` for the accepted names.
+        ``options(engine="row")`` reaches the tests' reference
+        interpreter; see :data:`repro.engine.ENGINES`.
         """
         self._options.update(overrides)
         return self

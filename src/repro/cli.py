@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import Enforcer, EnforcerOptions, Policy, explain_decision
-from .engine import ENGINES, Database, SqlValue
+from .engine import Database, SqlValue
 from .errors import ReproError
 from .log import SimulatedClock
 
@@ -77,7 +77,6 @@ def load_policy_file(path: Path) -> Policy:
 def build_enforcer(
     data_paths: Sequence[str],
     policy_paths: Sequence[str],
-    engine: Optional[str] = None,
 ) -> Enforcer:
     database = Database()
     for spec in data_paths:
@@ -87,7 +86,7 @@ def build_enforcer(
         database,
         policies,
         clock=SimulatedClock(default_step_ms=10),
-        options=EnforcerOptions.datalawyer(engine=engine),
+        options=EnforcerOptions.datalawyer(),
     )
 
 
@@ -108,7 +107,7 @@ def _print_decision(decision, out) -> None:
 
 
 def cmd_check(args, out=sys.stdout) -> int:
-    enforcer = build_enforcer(args.data, args.policy, engine=args.engine)
+    enforcer = build_enforcer(args.data, args.policy)
     if args.query:
         queries = [args.query]
     else:
@@ -283,7 +282,7 @@ def cmd_explain(args, out=sys.stdout) -> int:
         database = Database()
         for spec in args.data:
             load_csv_table(database, Path(spec))
-    engine = Engine(database, args.engine)
+    engine = Engine(database)
     try:
         print(engine.explain(args.query, analyze=args.analyze), file=out)
     except ReproError as error:
@@ -323,10 +322,10 @@ def build_server(args):
             build_marketplace_database(config),
             contract,
             clock=SimulatedClock(default_step_ms=10),
-            options=EnforcerOptions.datalawyer(engine=args.engine),
+            options=EnforcerOptions.datalawyer(),
         )
     else:
-        enforcer = build_enforcer(args.data, args.policy, engine=args.engine)
+        enforcer = build_enforcer(args.data, args.policy)
     return serve(
         enforcer,
         host=args.host,
@@ -344,7 +343,6 @@ def build_server(args):
             tracing=not args.no_tracing,
             slow_query_seconds=args.slow_query_ms / 1000.0,
             global_tier=args.global_tier,
-            engine=args.engine,
         ),
     )
 
@@ -477,11 +475,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--uid", type=int, default=1, help="submitting user id")
     check.add_argument("--explain", action="store_true", help="explain rejections")
-    check.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="execution engine (default: columnar; results are identical "
-        "under every engine)",
-    )
     group = check.add_mutually_exclusive_group(required=True)
     group.add_argument("--query", help="one SQL query")
     group.add_argument("--query-file", help="file of ';'-separated queries")
@@ -514,10 +507,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--analyze",
         action="store_true",
         help="execute the plan and annotate operators with rows and time",
-    )
-    explain.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="execution engine to plan/ANALYZE under (default: columnar)",
     )
     explain.set_defaults(func=cmd_explain)
 
@@ -587,12 +576,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-tracing", action="store_true",
-        help="disable per-query trace spans (trims the /metrics and "
+        help="disable per-query trace spans (trims the /v1/metrics and "
         "explain=analyze surfaces)",
-    )
-    serve.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="execution engine for shard enforcers (default: columnar)",
     )
     serve.add_argument(
         "--slow-query-ms", type=float, default=0.0,

@@ -106,11 +106,13 @@ class EnforcerOptions:
     #: Orthogonal to the paper's ablations; off it reverts ``timed()`` to
     #: bare perf counters.
     tracing: bool = True
-    #: Execution engine for policy checks and user queries when lineage
-    #: is off: ``"row"`` or ``"columnar"``; ``None`` selects the engine
-    #: default (columnar). Pure execution strategy — decisions and
-    #: results are bit-identical under either engine — but
-    #: exposed so the equivalence suite can hold it as an ablation.
+    #: The reference switch: ``"row"`` runs every query, policy check and
+    #: witness of this enforcer on the row interpreter the tests and
+    #: benchmarks compare against; ``None`` / ``"columnar"`` is the
+    #: production engine. Decisions and results are bit-identical. No
+    #: service, CLI or configuration surface sets it (see
+    #: :mod:`repro.engine.executor`); it travels in the checkpoint
+    #: manifest, so recovered shards and worker processes keep it.
     engine: Optional[str] = None
     #: Memoize whole-check verdicts across queries (see
     #: :mod:`repro.core.decision_cache`). Off by default at this layer so
@@ -285,8 +287,8 @@ class Enforcer:
         self._cache_plan = None
         self._incremental: Optional[IncrementalMaintainer] = None
         #: The set evaluator over every checkpoint of the installed
-        #: policies; built on first use, rebuilt when the engine or its
-        #: plan epoch moves on (see :meth:`_policy_dag`).
+        #: policies; built on first use, rebuilt when the engine's plan
+        #: epoch moves on (see :meth:`_policy_dag`).
         self._dag: Optional[PolicyDag] = None
         self.store.attach_observer(self)
         self._prepare()
@@ -652,7 +654,6 @@ class Enforcer:
             self.registry,
             self.store,
             plans,
-            engine=self.options.engine,
             max_entries=self.options.incremental_max_entries,
         )
 
@@ -869,13 +870,11 @@ class Enforcer:
 
         Built once per plan epoch: ``invalidate_plans()`` (every policy-
         set change calls it) retires the branch plans and every memoized
-        :class:`~repro.engine.dag.SharedNode` batch with them. The
-        service swaps ``self.engine`` after construction, hence the
-        identity check.
+        :class:`~repro.engine.dag.SharedNode` batch with them.
         """
         dag = self._dag
         engine = self.engine
-        if dag is None or dag.engine is not engine or dag.epoch != engine.plan_epoch:
+        if dag is None or dag.epoch != engine.plan_epoch:
             options = self.options
             dag = self._dag = PolicyDag(
                 engine,

@@ -1,6 +1,6 @@
 """Columnar storage and execution primitives.
 
-The columnar execution discipline (``engine="columnar"``) moves data
+The columnar execution discipline (the production engine) moves data
 between operators as :class:`ColumnBatch` objects — one Python list per
 column — instead of row tuples. Two things make that faster than the
 row interpreter:
@@ -30,6 +30,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
 from ..sql import ast
+from .expressions import RowFn
 from .types import (
     arithmetic,
     compare_eq,
@@ -53,7 +54,9 @@ SelectionKernel = Callable[[List[list], int], Sequence[int]]
 #: A value kernel: ``(columns, length) -> list of computed values``.
 ValueKernel = Callable[[List[list], int], list]
 #: A projection/key slot: ``("col", position)`` for a plain column pick
-#: (zero copy) or ``("expr", kernel)`` for a computed column.
+#: (zero copy) or ``("expr", kernel)`` for a computed column — the kernel
+#: compiled from source where :func:`emit` has a form for the expression,
+#: else :func:`closure_kernel` over the planner's compiled closure.
 Slot = Tuple[str, object]
 
 #: Resolves a column ref to its absolute position in the operator's
@@ -172,7 +175,8 @@ class LineageColumns:
     values, and a join's output carries both sides' atoms side by side —
     no per-row set is built on the way. An atom whose table is ``None``
     holds one already-merged frozenset of ``(table, tid)`` pairs per
-    entry instead (the row-loop fallback produces those). Merging
+    entry instead (the row reference's results, and merged rows a join
+    consumes, have that shape). Merging
     operators (group-by, DISTINCT, UNION) union nothing either: they
     record ``groups`` — per output row, the entries whose lineage it
     merges — and the union is built only if someone asks for per-row
@@ -513,7 +517,8 @@ def emit(expr: ast.Expr, resolve_column: SourceResolver) -> Optional[str]:
     """Emit ``expr`` as a Python source fragment.
 
     Returns ``None`` when the expression (or any sub-expression) has no
-    source form; callers then fall back to the compiled closure.
+    source form; callers then wrap the compiled closure
+    (:func:`closure_kernel` / :func:`closure_selection`).
     """
     expr = _constant(expr) or expr
     if isinstance(expr, ast.Literal):
@@ -560,7 +565,7 @@ def emit(expr: ast.Expr, resolve_column: SourceResolver) -> Optional[str]:
         test = "is not None" if expr.negated else "is None"
         return f"(({operand}) {test})"
 
-    return None  # IN lists, CASE, function calls: closure fallback
+    return None  # IN lists, CASE, function calls: closure kernels
 
 
 def _emit_over_columns(
@@ -570,8 +575,7 @@ def _emit_over_columns(
 
     Returns ``(source, used_positions)`` where each referenced column
     position appears as the variable ``_v{position}``; ``None`` when any
-    sub-expression has no source form (callers fall back to row-wise
-    evaluation).
+    sub-expression has no source form.
     """
     used: dict = {}
 
@@ -606,17 +610,43 @@ def _compile(source: str):
     return eval(compile(source, "<columnar-kernel>", "eval"), dict(_HELPERS))
 
 
+def _rows(columns: List[list], length: int) -> Iterable[tuple]:
+    """The batch's row tuples (``length`` empty ones for no columns)."""
+    return zip(*columns) if columns else repeat((), length)
+
+
+def closure_kernel(fn: RowFn) -> ValueKernel:
+    """The value kernel of an expression :func:`emit` has no source form
+    for: the planner's compiled closure mapped over the batch's rows.
+
+    It carries no ``positions``, so the narrowing pass keeps every
+    column beneath the operator that evaluates it.
+    """
+    return lambda columns, length: list(map(fn, _rows(columns, length)))
+
+
+def closure_selection(predicate: Callable[[tuple], bool]) -> SelectionKernel:
+    """:func:`closure_kernel`'s counterpart for a filter predicate."""
+    return lambda columns, length: [
+        i for i, row in enumerate(_rows(columns, length)) if predicate(row)
+    ]
+
+
 def selection_kernel(
-    expr: ast.Expr, resolve_position: PositionResolver
-) -> Optional[SelectionKernel]:
+    expr: ast.Expr,
+    resolve_position: PositionResolver,
+    fallback: Callable[[tuple], bool],
+) -> SelectionKernel:
     """Compile a predicate into ``(columns, n) -> kept positions``.
 
     The returned kernel carries a ``positions`` attribute — the input
     column positions it reads — consumed by the plan narrowing pass.
+    ``fallback`` is the predicate's compiled closure, wrapped when the
+    expression has no source form.
     """
     emitted = _emit_over_columns(expr, resolve_position)
     if emitted is None:
-        return None
+        return closure_selection(fallback)
     source, positions = emitted
     if not positions:
         # Constant predicate: all rows or none. Guarded by n so empty
@@ -637,16 +667,17 @@ def selection_kernel(
 
 
 def value_kernel(
-    expr: ast.Expr, resolve_position: PositionResolver
-) -> Optional[ValueKernel]:
+    expr: ast.Expr, resolve_position: PositionResolver, fallback: RowFn
+) -> ValueKernel:
     """Compile an expression into ``(columns, n) -> list of values``.
 
     Like :func:`selection_kernel`, the kernel carries the ``positions``
-    it reads for the plan narrowing pass.
+    it reads for the plan narrowing pass, and ``fallback`` is the
+    expression's compiled closure.
     """
     emitted = _emit_over_columns(expr, resolve_position)
     if emitted is None:
-        return None
+        return closure_kernel(fallback)
     source, positions = emitted
     if not positions:
         # Evaluated once per row (matching per-row error semantics for
@@ -663,17 +694,14 @@ def value_kernel(
 
 
 def value_slot(
-    expr: ast.Expr, resolve_position: PositionResolver
-) -> Optional[Slot]:
+    expr: ast.Expr, resolve_position: PositionResolver, fallback: RowFn
+) -> Slot:
     """A projection/key slot: plain refs become zero-copy column picks."""
     if isinstance(expr, ast.ColumnRef):
         position = resolve_position(expr)
         if position is not None:
             return ("col", position)
-    kernel = value_kernel(expr, resolve_position)
-    if kernel is None:
-        return None
-    return ("expr", kernel)
+    return ("expr", value_kernel(expr, resolve_position, fallback))
 
 
 def slot_values(slot: Slot, columns: List[list], length: int) -> list:
@@ -693,8 +721,7 @@ def slot_is_clean(slot: Slot, clean: List[bool]) -> bool:
 
 def slot_positions(slot: Slot) -> Optional[List[int]]:
     """The input column positions a slot reads, or ``None`` when unknown
-    (a kernel without position metadata — the narrowing pass then keeps
-    every column)."""
+    (a closure kernel — the narrowing pass then keeps every column)."""
     tag, payload = slot
     if tag == "col":
         return [payload]
@@ -848,20 +875,15 @@ class AggSpec:
 
 
 def agg_spec(
-    call: ast.FuncCall, resolve_position: PositionResolver
-) -> Optional[AggSpec]:
-    """Compile one aggregate call, or ``None`` when unsupported."""
-    name = call.name
-    if name == "count" and (not call.args or isinstance(call.args[0], ast.Star)):
-        if call.distinct:
-            return None  # invalid SQL; let the factory raise its BindError
+    call: ast.FuncCall,
+    resolve_position: PositionResolver,
+    fallback: Optional[RowFn] = None,
+) -> AggSpec:
+    """Compile one aggregate call that
+    :func:`~repro.engine.aggregates.make_accumulator_factory` accepted
+    (it raises the ``BindError`` for every invalid one); ``fallback`` is
+    the argument's compiled closure (``None`` for ``COUNT(*)``)."""
+    if fallback is None:
         return AggSpec(None, reduce_count_star, False, count_star=True)
-    if len(call.args) != 1:
-        return None
-    reducer = _REDUCERS.get(name)
-    if reducer is None:
-        return None
-    slot = value_slot(call.args[0], resolve_position)
-    if slot is None:
-        return None
-    return AggSpec(slot, reducer, bool(call.distinct))
+    slot = value_slot(call.args[0], resolve_position, fallback)
+    return AggSpec(slot, _REDUCERS[call.name], bool(call.distinct))

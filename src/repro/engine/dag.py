@@ -95,8 +95,6 @@ def _fingerprint(op: Operator, memo: dict) -> Optional[tuple]:
             return None
         return ("filter", child, origin)
     if isinstance(op, HashJoinOp):
-        if op.left_positions is None or op.right_positions is None:
-            return None
         left = fingerprint(op.left, memo)
         right = fingerprint(op.right, memo)
         if left is None or right is None:

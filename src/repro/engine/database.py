@@ -22,13 +22,10 @@ class Database:
         self._tables: dict[str, Table] = {}
         #: Hash-join build-cache tallies, incremented by
         #: :class:`~repro.engine.operators.HashJoinOp` and exported on
-        #: ``/metrics``. They live here (not on the engine) because the
+        #: ``/v1/metrics``. They live here (not on the engine) because the
         #: cache validity is a property of this catalog's tables.
         self.join_build_hits = 0
         self.join_build_misses = 0
-        #: Times a columnar operator ran its row loop instead
-        #: (:meth:`~repro.engine.operators.Operator._row_loop_columnar`).
-        self.row_fallbacks = 0
 
     @staticmethod
     def _key(name: str) -> str:

@@ -5,8 +5,19 @@
 Passing ``lineage=True`` makes every result row carry the set of
 ``(table, tid)`` base tuples that contributed to it — the mechanism behind
 the ``Provenance`` usage log, the compaction mark phase and the §4.3
-improved-partial-policy check. It rides through whichever engine runs the
-query as :class:`~repro.engine.columnar.LineageColumns`.
+improved-partial-policy check. It rides beside the values as
+:class:`~repro.engine.columnar.LineageColumns`.
+
+There is one production discipline: every plan runs column-at-a-time
+(:meth:`~repro.engine.operators.Operator.execute_columnar`), and no
+service, CLI or configuration surface selects anything else. The row
+interpreter (:meth:`~repro.engine.operators.Operator.execute`) is kept
+as the tests' and benchmarks' reference — a small executable semantics
+the columnar engine is checked against, with no caches or fast paths of
+its own. ``Engine(db, "row")``, or ``EnforcerOptions(engine="row")`` for
+a whole enforcer (the option travels in the checkpoint manifest, so
+worker processes honour it), is the single switch that reaches it, and
+:meth:`Engine._batches` is the one place that switch is read.
 
 Passing ``trace=`` (a :class:`~repro.obs.TraceContext`) attaches one span
 per physical operator under the caller's current span, each accounting
@@ -19,12 +30,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import islice
+from typing import Iterator, Optional, Union
 
 from ..errors import LexError
 from ..obs import TraceContext
 from ..sql import ast, canonical_sql, parse
-from .columnar import LineageColumns
+from .columnar import CHUNK_SIZE, ColumnBatch, LineageColumns
 from .database import Database
 from .explain import describe, explain_plan, render_analyzed
 from .operators import Operator, TracedOp
@@ -144,7 +156,7 @@ class _LruCache(dict):
         self[key] = value
 
 
-#: The selectable execution disciplines, slowest (reference) first.
+#: The execution disciplines: the tests' reference, then production.
 ENGINES = ("row", "columnar")
 
 #: The engine used when nothing selects one explicitly.
@@ -167,13 +179,14 @@ class Engine:
 
     ``engine`` selects the execution discipline:
 
-    - ``"row"`` — tuple-at-a-time interpretation; the semantic reference.
-    - ``"columnar"`` (default) — column-at-a-time over
-      :class:`~repro.engine.columnar.ColumnBatch`, each scan handing out
-      the table's own column lists (see :mod:`repro.engine.columnar`).
+    - ``"columnar"`` (default; what production runs) — column-at-a-time
+      over :class:`~repro.engine.columnar.ColumnBatch`, each scan handing
+      out the table's own column lists (see :mod:`repro.engine.columnar`).
+    - ``"row"`` — tuple-at-a-time interpretation: the reference tests
+      and benchmarks compare against (see the module docstring).
 
-    Both disciplines track lineage on request and produce bit-identical
-    rows and lineages.
+    Both track lineage on request and produce bit-identical rows and
+    lineages.
     """
 
     def __init__(self, database: Database, engine: Optional[str] = None):
@@ -193,7 +206,7 @@ class Engine:
         self._ast_plan_cache: dict[ast.Query, Plan] = _LruCache(256)
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        #: Columnar-path volume counters (``/metrics``).
+        #: Columnar-path volume counters (``/v1/metrics``).
         self.columnar_batches = 0
         self.columnar_rows = 0
         #: Lineage-tracking executions and the rows they returned.
@@ -203,7 +216,7 @@ class Engine:
         #: structures (the enforcer's shared-subplan DAG) compare it to
         #: decide whether their rewrites are stale.
         self.plan_epoch = 0
-        #: Shared-subplan DAG gauge/counter (``/metrics``): subtrees
+        #: Shared-subplan DAG gauge/counter (``/v1/metrics``): subtrees
         #: merged in the live :class:`~repro.engine.dag.PolicyDag` (it
         #: sets the gauge when built; :meth:`invalidate_plans` zeroes
         #: it), and subtree executions avoided by replaying a memo.
@@ -268,27 +281,38 @@ class Engine:
         if trace is not None:
             op = instrument_plan(op, trace)
         rows: list[Row] = []
+        parts = []
+        for cbatch in self._batches(op, lineage):
+            rows.extend(cbatch.to_rows())
+            parts.append(cbatch.lineage)
         tracked = None
-        if self.engine_name == "columnar":
-            parts = []
-            for cbatch in op.execute_columnar(self.database, lineage):
-                self.columnar_batches += 1
-                self.columnar_rows += cbatch.length
-                rows.extend(cbatch.to_rows())
-                parts.append(cbatch.lineage)
-            if lineage:
-                tracked = LineageColumns.concat(parts)
-        else:
-            pairs = list(op.execute(self.database, lineage))
-            rows = [row for row, _ in pairs]
-            if lineage:
-                tracked = LineageColumns.of_sets(
-                    [lin or frozenset() for _, lin in pairs]
-                )
         if lineage:
+            tracked = LineageColumns.concat(parts)
             self.lineage_executions += 1
             self.lineage_rows += len(rows)
         return Result(columns=list(plan.columns), rows=rows, lineage=tracked)
+
+    def _batches(self, op: Operator, lineage: bool) -> Iterator[ColumnBatch]:
+        """``op``'s output as column batches, on this engine's discipline.
+
+        The reference discipline is named here and nowhere else: it runs
+        the operators' row bodies and packs their ``(row, lineage)``
+        pairs a chunk at a time.
+        """
+        if self.engine_name == "row":
+            pairs = op.execute(self.database, lineage)
+            while chunk := list(islice(pairs, CHUNK_SIZE)):
+                yield ColumnBatch.from_rows(
+                    [row for row, _ in chunk],
+                    LineageColumns.of_sets([lin or frozenset() for _, lin in chunk])
+                    if lineage
+                    else None,
+                )
+            return
+        for cbatch in op.execute_columnar(self.database, lineage):
+            self.columnar_batches += 1
+            self.columnar_rows += cbatch.length
+            yield cbatch
 
     def is_empty(self, query: Union[str, ast.Query]) -> bool:
         """True if the query returns no rows (stops at the first chunk)."""
@@ -300,13 +324,7 @@ class Engine:
         Used directly by :class:`~repro.engine.dag.PolicyDag`, whose
         rewritten branch roots never pass through the plan caches.
         """
-        if self.engine_name == "columnar":
-            for cbatch in op.execute_columnar(self.database, False):
-                self.columnar_batches += 1
-                self.columnar_rows += cbatch.length
-                return False
-            return True
-        for _ in op.execute(self.database, False):
+        for _ in self._batches(op, False):
             return False
         return True
 
@@ -326,10 +344,6 @@ class Engine:
             "explain", max_depth=64, max_children=512, max_spans=4096
         )
         traced = instrument_plan(plan.op, trace, parent=trace.root)
-        if self.engine_name == "columnar":
-            for _ in traced.execute_columnar(self.database, False):
-                pass
-        else:
-            for _ in traced.execute(self.database, False):
-                pass
+        for _ in self._batches(traced, False):
+            pass
         return render_analyzed(trace.root, plan.columns)

@@ -75,7 +75,7 @@ def describe(op: Operator) -> str:
     if isinstance(op, ProjectOp):
         return f"Project ({len(op.exprs)} exprs)"
     if isinstance(op, HashJoinOp):
-        label = f"HashJoin ({len(op.left_keys)} keys)"
+        label = f"HashJoin ({len(op.left_positions)} keys)"
         state = op.build_cache_state()
         if state is not None:
             label += f" [build-cache={state}]"

@@ -1,29 +1,34 @@
 """Physical operators.
 
-Every operator supports two execution disciplines:
+There is one production discipline and one reference:
 
-- **Row-at-a-time** (:meth:`Operator.execute`): an iterator of
-  ``(row, lineage)`` pairs. ``row`` is a tuple of SQL values; ``lineage``
-  is either ``None`` (lineage tracking off) or a frozenset of
-  ``(table_name, tid)`` pairs identifying the base tuples that contributed
-  to the row — the *set of contributing tuples* provenance the paper
-  adopts from Cui/Widom lineage ([43] in the paper). This path is the
-  semantic reference (``engine="row"``).
-
-- **Column-at-a-time** (:meth:`Operator.execute_columnar`): an iterator
-  of :class:`~repro.engine.columnar.ColumnBatch` chunks (never empty),
-  used by ``engine="columnar"``. Scans hand out the table's own column
-  lists (zero copy), filters run selection kernels, joins probe with
-  ``map(buckets.get, key_column)`` and gather per column, and group-by
-  reduces gathered value lists. Operators whose work is inherently
-  row-wise (nested loops, outer joins, sorts, set operations) do it
-  inside the operator over their children's batches and emit by
-  position, so the subtree beneath them never leaves the columnar
-  path. With ``lineage`` set every batch carries its rows'
+- **Column-at-a-time** (:meth:`Operator.execute_columnar`) is what
+  every query, policy check and witness runs on: an iterator of
+  :class:`~repro.engine.columnar.ColumnBatch` chunks (never empty).
+  Scans hand out the table's own column lists (zero copy), filters run
+  selection kernels, joins probe with ``map(buckets.get, key_column)``
+  and gather per column, and group-by reduces gathered value lists.
+  Operators whose work is inherently row-wise (nested loops, outer
+  joins, sorts, set operations) do it inside the operator over their
+  children's batches and emit by position, and an expression with no
+  source-compiled kernel (``CASE``, ``IN``, function calls) is a
+  :func:`~repro.engine.columnar.closure_kernel` over the same batch —
+  so no ``execute_columnar`` body ever calls a row body. With
+  ``lineage`` set every batch carries its rows'
   :class:`~repro.engine.columnar.LineageColumns`, moved by the same
-  position vectors as the values. Rows *and* lineages must come out
-  exactly as on the row path (the equivalence and sqlite-differential
-  suites hold the two disciplines bit-identical).
+  position vectors as the values.
+
+- **Row-at-a-time** (:meth:`Operator.execute`) is the tests' executable
+  semantics, written to be read rather than to be fast (no caches, no
+  fast paths): an iterator of ``(row, lineage)`` pairs. ``row`` is a
+  tuple of SQL values; ``lineage`` is either ``None`` (lineage tracking
+  off) or a frozenset of ``(table_name, tid)`` pairs identifying the
+  base tuples that contributed to the row — the *set of contributing
+  tuples* provenance the paper adopts from Cui/Widom lineage ([43] in
+  the paper). It is reached only through ``Engine(db, "row")`` /
+  ``EnforcerOptions(engine="row")``; rows *and* lineages of the
+  columnar path must come out exactly as here (the equivalence and
+  sqlite-differential suites hold the two bit-identical).
 
 Lineage combination rules (row path: per-row frozensets; columnar path:
 the same sets, built only when someone reads them per row):
@@ -36,18 +41,17 @@ the same sets, built only when someone reads them per row):
 - distinct / set-union: union over all duplicates merged into one output
   — columnar: the merged positions are recorded, nothing is unioned.
 
-Hash joins additionally cache their build side when it is a base-table
-scan, keyed on the table's monotone mutation version (see
+Columnar hash joins additionally cache their build side when it is a
+base-table scan, keyed on the table's monotone mutation version (see
 :class:`~repro.engine.table.Table`): policy checks re-join the same static
 dimension tables thousands of times, and only the usage-log relations
 churn. The cache lives on the operator, which the engine's plan cache
 keeps alive across evaluations; hit/miss tallies accumulate on the
-:class:`~repro.engine.database.Database` for ``/metrics`` export.
+:class:`~repro.engine.database.Database` for ``/v1/metrics`` export.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import time
 from collections import Counter
@@ -62,6 +66,8 @@ from .columnar import (
     LineageColumns,
     SelectionKernel,
     Slot,
+    closure_kernel,
+    closure_selection,
     slot_is_clean,
     slot_values,
 )
@@ -94,39 +100,6 @@ class Operator:
         """
         for cbatch in self.execute_columnar(database, False):
             yield from cbatch.to_rows()
-
-    def _row_loop_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        """Run this operator's own ``execute`` loop over its children's
-        *columnar* streams.
-
-        The fallback for operators whose columnar kernels do not cover
-        some plan shape: the row loop is shared with the reference path
-        rather than written a second time, and only this one operator
-        goes row-wise (per-row lineage sets included). Tallied on
-        ``database.row_fallbacks``.
-        """
-        database.row_fallbacks += 1
-        clone = copy.copy(self)
-        for attr in ("child", "left", "right"):
-            inner = getattr(clone, attr, None)
-            if isinstance(inner, Operator):
-                setattr(clone, attr, _Wrapped(_pairs(inner, database, lineage)))
-        pairs = list(clone.execute(database, lineage))
-        if pairs:
-            sets = [lin for _, lin in pairs]
-            yield ColumnBatch.from_rows(
-                [row for row, _ in pairs],
-                LineageColumns.of_sets(sets) if lineage else None,
-            )
-
-
-def _pairs(op: Operator, database: Database, lineage: bool) -> Stream:
-    """``op``'s columnar stream as the row path's ``(row, lineage)`` pairs."""
-    for cbatch in op.execute_columnar(database, lineage):
-        yield from zip(
-            cbatch.to_rows(),
-            cbatch.lineage.row_sets() if lineage else itertools.repeat(None),
-        )
 
 
 def _table_batch(table: Table, label: Optional[str] = None) -> ColumnBatch:
@@ -231,8 +204,8 @@ class FilterOp(Operator):
     to get here (0 for filters that sit where the SQL put them).
 
     On the columnar path, ``selection`` is the column-form kernel
-    (``(columns, n) → kept positions``); without one the closure
-    predicate runs over the batch's rows.
+    (``(columns, n) → kept positions``); by default the closure
+    predicate over the batch's rows.
 
     ``out_needed`` is set by the plan narrowing pass
     (:func:`repro.engine.planner.narrow_plan`): the output column
@@ -251,7 +224,7 @@ class FilterOp(Operator):
         self.child = child
         self.predicate = predicate
         self.pushed = pushed
-        self.selection = selection
+        self.selection = selection or closure_selection(predicate)
         self.out_needed: Optional[frozenset] = None
         #: Planner-recorded canonical identity for cross-plan sharing
         #: (see :mod:`repro.engine.dag`); ``None`` = never shared.
@@ -265,14 +238,7 @@ class FilterOp(Operator):
 
     def _select_batch(self, cbatch: ColumnBatch) -> Optional[ColumnBatch]:
         """Apply the filter to one column batch (None when nothing passes)."""
-        selection = self.selection
-        if selection is None:
-            predicate = self.predicate
-            positions = [
-                i for i, row in enumerate(cbatch.to_rows()) if predicate(row)
-            ]
-        else:
-            positions = selection(cbatch.columns, cbatch.length)
+        positions = self.selection(cbatch.columns, cbatch.length)
         if not positions:
             return None
         if len(positions) == cbatch.length:
@@ -289,8 +255,9 @@ class FilterOp(Operator):
 class ProjectOp(Operator):
     """Row-wise projection through compiled expressions.
 
-    ``slots`` is the optional columnar form — per output column either
-    a zero-copy input-column pick or a compiled value kernel.
+    ``slots`` is the columnar form — per output column either a
+    zero-copy input-column pick or a value kernel (by default the
+    closure's).
     """
 
     def __init__(
@@ -301,7 +268,11 @@ class ProjectOp(Operator):
     ):
         self.child = child
         self.exprs = list(exprs)
-        self.slots = list(slots) if slots is not None else None
+        self.slots = (
+            [("expr", closure_kernel(fn)) for fn in self.exprs]
+            if slots is None
+            else list(slots)
+        )
 
     def execute(self, database: Database, lineage: bool) -> Stream:
         exprs = self.exprs
@@ -310,16 +281,6 @@ class ProjectOp(Operator):
 
     def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         slots = self.slots
-        if slots is None:
-            # Row-wise fallback (group-context projections and exotic
-            # expressions); the child subtree stays columnar.
-            exprs = self.exprs
-            for cbatch in self.child.execute_columnar(database, lineage):
-                yield ColumnBatch.from_rows(
-                    [tuple(fn(row) for fn in exprs) for row in cbatch.to_rows()],
-                    cbatch.lineage,
-                )
-            return
         for cbatch in self.child.execute_columnar(database, lineage):
             columns = cbatch.columns
             length = cbatch.length
@@ -338,44 +299,29 @@ class HashJoinOp(Operator):
     Output rows are ``left_row + right_row`` so downstream column offsets
     follow FROM order (the planner always joins left-deep in FROM order).
 
-    ``left_tuple_fn``/``right_tuple_fn`` are optional single-call key
-    extractors (``row → key tuple``); without them the per-key closure
-    lists are used. ``left_positions``/``right_positions`` (key column
-    positions, when the keys are plain columns) enable the columnar
-    probe; joins on key *expressions* run their row loop over columnar
-    children instead. When the build side is a base-table
-    :class:`ScanOp`, the bucket map is cached on the operator keyed by
-    the table's mutation version — static relations build once per plan
-    lifetime.
+    The keys are column positions (``left_positions[k]`` of a left row
+    equals ``right_positions[k]`` of a right row); the planner hashes
+    plain column pairs only, anything else is a nested loop under a
+    filter. When the build side is a base-table :class:`ScanOp`, the
+    columnar bucket map is cached on the operator keyed by the table's
+    mutation version — static relations build once per plan lifetime.
     """
 
     def __init__(
         self,
         left: Operator,
         right: Operator,
-        left_keys: Sequence[RowFn],
-        right_keys: Sequence[RowFn],
-        left_tuple_fn: Optional[RowFn] = None,
-        right_tuple_fn: Optional[RowFn] = None,
-        left_positions: Optional[Sequence[int]] = None,
-        right_positions: Optional[Sequence[int]] = None,
+        left_positions: Sequence[int],
+        right_positions: Sequence[int],
     ):
         self.left = left
         self.right = right
-        self.left_keys = list(left_keys)
-        self.right_keys = list(right_keys)
-        self.left_tuple_fn = left_tuple_fn
-        self.right_tuple_fn = right_tuple_fn
-        self.left_positions = list(left_positions) if left_positions else None
-        self.right_positions = (
-            list(right_positions) if right_positions else None
-        )
+        self.left_positions = list(left_positions)
+        self.right_positions = list(right_positions)
         #: Output columns some ancestor reads (None = all); set by the
         #: plan narrowing pass. Unread columns are emitted as OMITTED
         #: placeholders instead of being gathered.
         self.out_needed: Optional[frozenset] = None
-        #: Row path: lineage flag → (build table, version built at, buckets).
-        self._build_cache: dict[bool, tuple] = {}
         #: (build table, version, right batch, buckets, unique map).
         self._columnar_cache: Optional[tuple] = None
 
@@ -395,96 +341,37 @@ class HashJoinOp(Operator):
         right = self.right.inner if isinstance(self.right, TracedOp) else self.right
         if not isinstance(right, ScanOp):
             return None
-        for flag in (False, True):
-            entry = self._build_cache.get(flag)
-            if entry is not None and entry[0].version == entry[1]:
-                return "hit"
         entry = self._columnar_cache
         if entry is not None and entry[0].version == entry[1]:
             return "hit"
         return "miss"
 
-    def _key_fn(self, tuple_fn: Optional[RowFn], fns: "list[RowFn]") -> RowFn:
-        if tuple_fn is not None:
-            return tuple_fn
-        return lambda row: tuple(fn(row) for fn in fns)
-
-    def _right_buckets(self, database: Database, lineage: bool) -> dict:
-        """Build (or reuse) the bucket map for the right input.
-
-        Non-lineage buckets hold plain right rows; lineage buckets hold
-        ``(row, lineage)`` pairs.
-        """
-        table = self._build_table(database)
-        version = None
-        if table is not None:
-            entry = self._build_cache.get(lineage)
-            if (
-                entry is not None
-                and entry[0] is table
-                and entry[1] == table.version
-            ):
-                database.join_build_hits += 1
-                return entry[2]
-            database.join_build_misses += 1
-            version = table.version
-
-        right_key = self._key_fn(self.right_tuple_fn, self.right_keys)
-        buckets: dict = {}
-        if lineage:
-            for row, lin in self.right.execute(database, True):
-                key = right_key(row)
-                if None in key:
-                    continue  # NULL never equi-joins
-                buckets.setdefault(key, []).append((row, lin))
-        else:
-            for row, _ in self.right.execute(database, False):
-                key = right_key(row)
-                if None in key:
-                    continue
-                buckets.setdefault(key, []).append(row)
-        if table is not None:
-            self._build_cache[lineage] = (table, version, buckets)
-        return buckets
-
-    # -- probe side ---------------------------------------------------------
+    # -- row reference ------------------------------------------------------
 
     def execute(self, database: Database, lineage: bool) -> Stream:
-        # Probe-first lazy build: pull one probe tuple before building.
-        # Policy subplans routinely have empty probe sides (the guarded
-        # event never happened), and the build side can be the expensive
-        # half — a filtered scan over a growing log table.
-        left_iter = self.left.execute(database, lineage)
-        first = next(left_iter, None)
+        # Probe first and build only for a non-empty probe side, like
+        # the columnar path: which input gets to raise is semantics.
+        left_pairs = self.left.execute(database, lineage)
+        first = next(left_pairs, None)
         if first is None:
             return
-        left_iter = itertools.chain((first,), left_iter)
-        buckets = self._right_buckets(database, lineage)
+        left_positions = self.left_positions
+        right_positions = self.right_positions
+        buckets: dict = {}
+        for right_row, right_lin in self.right.execute(database, lineage):
+            key = tuple(right_row[p] for p in right_positions)
+            if None not in key:  # NULL never equi-joins
+                buckets.setdefault(key, []).append((right_row, right_lin))
         if not buckets:
             return
-        left_key = self._key_fn(self.left_tuple_fn, self.left_keys)
-        if lineage:
-            for row, lin in left_iter:
-                key = left_key(row)
-                if None in key:
-                    continue
-                matches = buckets.get(key)
-                if not matches:
-                    continue
-                for right_row, right_lin in matches:
-                    yield row + right_row, (lin or frozenset()) | (
-                        right_lin or frozenset()
-                    )
-        else:
-            for row, _ in left_iter:
-                key = left_key(row)
-                if None in key:
-                    continue
-                matches = buckets.get(key)
-                if not matches:
-                    continue
-                for right_row in matches:
-                    yield row + right_row, None
+        for row, lin in itertools.chain((first,), left_pairs):
+            key = tuple(row[p] for p in left_positions)
+            for right_row, right_lin in buckets.get(key, ()):
+                yield row + right_row, (
+                    (lin or frozenset()) | (right_lin or frozenset())
+                    if lineage
+                    else None
+                )
 
     # -- columnar path ------------------------------------------------------
 
@@ -560,10 +447,10 @@ class HashJoinOp(Operator):
         return buckets, unique_map
 
     def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        if self.left_positions is None or self.right_positions is None:
-            yield from self._row_loop_columnar(database, lineage)
-            return
-        # Probe-first lazy build (see execute()).
+        # Probe-first lazy build: pull one probe batch before building.
+        # Policy subplans routinely have empty probe sides (the guarded
+        # event never happened), and the build side can be the expensive
+        # half — a filtered scan over a growing log table.
         left_cbatches = self.left.execute_columnar(database, lineage)
         first = next(left_cbatches, None)
         if first is None:
@@ -789,17 +676,17 @@ class GroupOp(Operator):
         child: Operator,
         key_fns: Sequence[RowFn],
         agg_factories: Sequence[AccumulatorFactory],
-        key_slots: Optional[Sequence[Slot]] = None,
-        agg_specs: Optional[Sequence[AggSpec]] = None,
+        key_slots: Sequence[Slot],
+        agg_specs: Sequence[AggSpec],
     ):
         self.child = child
+        #: The row reference's forms: key closures and accumulators.
         self.key_fns = list(key_fns)
         self.agg_factories = list(agg_factories)
         #: Columnar forms: one slot per grouping key, one compiled spec
-        #: per aggregate. ``None`` (any key/aggregate unsupported) runs
-        #: the accumulator row loop over the columnar child instead.
-        self.key_slots = list(key_slots) if key_slots is not None else None
-        self.agg_specs = list(agg_specs) if agg_specs is not None else None
+        #: per aggregate.
+        self.key_slots = list(key_slots)
+        self.agg_specs = list(agg_specs)
         #: Planner-recorded canonical identity for cross-plan sharing
         #: (see :mod:`repro.engine.dag`); ``None`` = never shared.
         self.origin: Optional[tuple] = None
@@ -834,9 +721,6 @@ class GroupOp(Operator):
     def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         key_slots = self.key_slots
         agg_specs = self.agg_specs
-        if key_slots is None or agg_specs is None:
-            yield from self._row_loop_columnar(database, lineage)
-            return
 
         # Materialize the input columns (group-by is a pipeline breaker
         # anyway).
@@ -924,26 +808,26 @@ class DistinctOp(Operator):
         self.child = child
 
     def execute(self, database: Database, lineage: bool) -> Stream:
-        if not lineage:
-            seen: set = set()
-            for row, _ in self.child.execute(database, lineage):
-                if row not in seen:
-                    seen.add(row)
-                    yield row, None
-            return
-        merged: dict[tuple, frozenset] = {}
-        order: list[tuple] = []
-        for row, lin in self.child.execute(database, lineage):
-            if row in merged:
-                merged[row] = merged[row] | (lin or frozenset())
-            else:
-                merged[row] = lin or frozenset()
-                order.append(row)
-        for row in order:
-            yield row, merged[row]
+        return _row_distinct(self.child.execute(database, lineage), lineage)
 
     def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         return _distinct_rows(self.child.execute_columnar(database, lineage), lineage)
+
+
+def _row_distinct(pairs: Stream, lineage: bool) -> Stream:
+    """Row-reference DISTINCT / UNION: one pair per distinct row, in
+    first-appearance order, the duplicates' lineages unioned."""
+    if not lineage:
+        seen: set = set()
+        for row, _ in pairs:
+            if row not in seen:
+                seen.add(row)
+                yield row, None
+        return
+    merged: dict[tuple, frozenset] = {}
+    for row, lin in pairs:
+        merged[row] = merged.get(row, frozenset()) | (lin or frozenset())
+    yield from merged.items()
 
 
 def _distinct_rows(stream: ColumnStream, lineage: bool) -> ColumnStream:
@@ -1018,14 +902,11 @@ class UnionOp(Operator):
         self.all_rows = all_rows
 
     def execute(self, database: Database, lineage: bool) -> Stream:
-        def chained() -> Stream:
-            yield from self.left.execute(database, lineage)
-            yield from self.right.execute(database, lineage)
-
-        if self.all_rows:
-            yield from chained()
-        else:
-            yield from DistinctOp(_Wrapped(chained())).execute(database, lineage)
+        both = itertools.chain(
+            self.left.execute(database, lineage),
+            self.right.execute(database, lineage),
+        )
+        return both if self.all_rows else _row_distinct(both, lineage)
 
     def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
         both = itertools.chain(
@@ -1167,16 +1048,6 @@ class ValuesOp(Operator):
             yield ColumnBatch.from_rows(
                 rows, LineageColumns([], len(rows)) if lineage else None
             )
-
-
-class _Wrapped(Operator):
-    """Adapts an existing stream to the Operator interface."""
-
-    def __init__(self, stream: Stream):
-        self._stream = stream
-
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        return self._stream
 
 
 class TracedOp(Operator):

@@ -19,17 +19,17 @@ Planning decisions, in order:
    PostgreSQL, which is what the paper's witness queries (Lemma 4.2) rely
    on.
 
-Alongside each compiled closure the planner emits columnar forms (see
-:mod:`repro.engine.columnar`) — selection kernels, projection/key slots,
-aggregate specs — wherever the expression shapes allow; the row path
-never touches them.
+Alongside each compiled closure the planner emits its columnar form (see
+:mod:`repro.engine.columnar`) — a selection kernel, projection/key slot
+or aggregate spec, compiled from source where the expression shape
+allows and wrapping that same closure where it does not; the row
+reference never touches them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Optional
+from typing import Optional
 
 from ..errors import BindError
 from ..sql import ast
@@ -310,8 +310,6 @@ class Planner:
         for unit_index, (bindings, op) in enumerate(planned[1:], start=1):
             unit_names = {binding.name for binding in bindings}
             local_layout = self._local_layout(bindings)
-            left_keys: list[RowFn] = []
-            right_keys: list[RowFn] = []
             left_positions: list[int] = []
             right_positions: list[int] = []
             for index, conjunct in enumerate(conjuncts):
@@ -325,20 +323,9 @@ class Planner:
                 left_ref, right_ref = keys
                 left_positions.append(layout.resolve_position(left_ref))
                 right_positions.append(local_layout.resolve_position(right_ref))
-                left_keys.append(layout.column_fn(left_ref))
-                right_keys.append(local_layout.column_fn(right_ref))
                 consumed.add(index)
-            if left_keys:
-                acc_op = HashJoinOp(
-                    acc_op,
-                    op,
-                    left_keys,
-                    right_keys,
-                    left_tuple_fn=_tuple_fn(left_positions),
-                    right_tuple_fn=_tuple_fn(right_positions),
-                    left_positions=left_positions,
-                    right_positions=right_positions,
-                )
+            if left_positions:
+                acc_op = HashJoinOp(acc_op, op, left_positions, right_positions)
             else:
                 acc_op = NestedLoopOp(acc_op, op)
             acc_binding_names |= unit_names
@@ -383,7 +370,7 @@ class Planner:
 
         predicate = compile_predicate(expr, column_fn)
         selection = columnar.selection_kernel(
-            expr, layout.position_resolver(base)
+            expr, layout.position_resolver(base), predicate
         )
         filter_op = FilterOp(child, predicate, pushed=pushed, selection=selection)
         # Canonical identity for cross-plan sharing: the fully qualified
@@ -643,12 +630,10 @@ class Planner:
 
     def _output_exprs(
         self, select: ast.Select, layout: Layout, grouped: bool
-    ) -> tuple[list[RowFn], list[str], Optional[list]]:
+    ) -> tuple[list[RowFn], list[str], list]:
         """Compile the select list (non-grouped path) and name the output.
 
-        The third return is the columnar slot list (None when any slot
-        has no columnar form, sending the projection down its row-wise
-        fallback).
+        The third return is the columnar slot list.
         """
         fns: list[RowFn] = []
         names: list[str] = []
@@ -672,9 +657,10 @@ class Planner:
                 continue
             fns.append(compile_expr(item.expr, layout.column_fn))
             names.append(self._output_name(item, position))
-            slots.append(columnar.value_slot(item.expr, resolve_position))
-        usable = None if any(slot is None for slot in slots) else slots
-        return fns, names, usable
+            slots.append(
+                columnar.value_slot(item.expr, resolve_position, fns[-1])
+            )
+        return fns, names, slots
 
     @staticmethod
     def _output_name(item: ast.SelectItem, position: int) -> str:
@@ -720,24 +706,27 @@ class Planner:
         for expr in post_agg_exprs:
             collect(expr)
 
-        def compile_agg_arg(expr: ast.Expr) -> RowFn:
-            return compile_expr(expr, layout.column_fn)
-
-        factories = [
-            make_accumulator_factory(call, compile_agg_arg)
-            for call in agg_order
-        ]
         resolve_position = layout.position_resolver()
-        key_slots: Optional[list] = [
-            columnar.value_slot(e, resolve_position) for e in key_exprs
+        key_slots = [
+            columnar.value_slot(expr, resolve_position, fn)
+            for expr, fn in zip(key_exprs, key_fns)
         ]
-        if any(slot is None for slot in key_slots):
-            key_slots = None
-        agg_specs: Optional[list] = [
-            columnar.agg_spec(call, resolve_position) for call in agg_order
-        ]
-        if any(spec is None for spec in agg_specs):
-            agg_specs = None
+
+        def compile_aggregate(call: ast.FuncCall):
+            """The accumulator factory and the columnar spec of one call,
+            over one compiled argument (``COUNT(*)`` has none)."""
+            arg_fn: list[RowFn] = []
+
+            def compile_arg(expr: ast.Expr) -> RowFn:
+                arg_fn.append(compile_expr(expr, layout.column_fn))
+                return arg_fn[0]
+
+            factory = make_accumulator_factory(call, compile_arg)
+            return factory, columnar.agg_spec(call, resolve_position, *arg_fn)
+
+        aggregates = [compile_aggregate(call) for call in agg_order]
+        factories = [factory for factory, _ in aggregates]
+        agg_specs = [spec for _, spec in aggregates]
         group_width = len(key_exprs)
 
         def resolve_special(expr: ast.Expr) -> Optional[RowFn]:
@@ -764,9 +753,7 @@ class Planner:
         def compile_grouped(expr: ast.Expr) -> RowFn:
             return compile_expr(expr, grouped_column, resolve_special)
 
-        op: Operator = GroupOp(
-            child, key_fns, factories, key_slots=key_slots, agg_specs=agg_specs
-        )
+        op: Operator = GroupOp(child, key_fns, factories, key_slots, agg_specs)
         # Sharing identity: normalized keys and aggregates plus the input
         # positions they resolve to (positions disambiguate self-joins
         # where distinct aliases normalize to the same qualified names).
@@ -829,18 +816,8 @@ def _no_columns(ref: ast.ColumnRef) -> RowFn:
     raise BindError(f"unexpected column reference {ref} in constant expression")
 
 
-def _tuple_fn(positions: list[int]) -> RowFn:
-    """``row → (row[i], …)`` in one call (hash-join key extraction)."""
-    if len(positions) == 1:
-        position = positions[0]
-        return lambda row: (row[position],)
-    return itemgetter(*positions)
-
-
 def _slots_needed(slots) -> Optional[frozenset]:
     """Union of input positions the slots read (None = unknown → keep all)."""
-    if slots is None:
-        return None
     out: set = set()
     for slot in slots:
         positions = columnar.slot_positions(slot)
@@ -871,11 +848,7 @@ def narrow_plan(op: Operator, needed: Optional[frozenset] = None) -> None:
         return
     if isinstance(op, FilterOp):
         op.out_needed = needed
-        read = (
-            columnar.slot_positions(("expr", op.selection))
-            if op.selection is not None
-            else None
-        )
+        read = columnar.slot_positions(("expr", op.selection))
         if needed is None or read is None:
             narrow_plan(op.child, None)
         else:
@@ -887,9 +860,6 @@ def narrow_plan(op: Operator, needed: Optional[frozenset] = None) -> None:
         narrow_plan(op.right, None)
         return
     if isinstance(op, GroupOp):
-        if op.key_slots is None or op.agg_specs is None:
-            narrow_plan(op.child, None)
-            return
         slots = list(op.key_slots) + [
             spec.arg_slot for spec in op.agg_specs if spec.arg_slot is not None
         ]

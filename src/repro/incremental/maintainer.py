@@ -42,7 +42,7 @@ STATE_FORMAT_VERSION = 1
 
 
 class IncrementalStats:
-    """Counters surfaced on ``/metrics`` and in ``Enforcer`` reports."""
+    """Counters surfaced on ``/v1/metrics`` and in ``Enforcer`` reports."""
 
     __slots__ = (
         "hits",
@@ -88,7 +88,6 @@ class IncrementalMaintainer:
         registry: LogRegistry,
         store: LogStore,
         plans: "dict[str, IncrementalPlan]",
-        engine: "Optional[str]" = None,
         max_entries: int = 100_000,
     ) -> None:
         self.database = database
@@ -114,7 +113,7 @@ class IncrementalMaintainer:
                     name
                 ):
                     self._scratch.attach(database.table(name))
-        self.engine = Engine(self._scratch, engine)
+        self.engine = Engine(self._scratch)
         self.states = {
             name: PolicyState(plan, max_entries)
             for name, plan in plans.items()

@@ -10,7 +10,7 @@ decomposition visible per *request* in the running service:
 - :mod:`repro.obs.prom` — Prometheus text-exposition primitives
   (histogram accumulators, metric families, a scrape registry).
 - :mod:`repro.obs.export` — the service collector behind
-  ``GET /metrics``.
+  ``GET /v1/metrics``.
 """
 
 from .prom import (

@@ -3,7 +3,7 @@
 :func:`build_service_registry` wires a
 :class:`~repro.obs.prom.Registry` to one
 :class:`~repro.service.ShardedEnforcerService`. Collection is
-scrape-time and lock-free in the same sense as ``GET /stats``: it reads
+scrape-time and lock-free in the same sense as ``GET /v1/stats``: it reads
 each shard's counter snapshot (tiny counter mutex, never the shard
 lock), the queue sizes, and the WAL's append/fsync tallies.
 
@@ -34,12 +34,10 @@ Metric names and labels (all prefixed ``repro_``):
 ``repro_plan_cache_misses_total``     counter    ``{shard}``
 ``repro_join_build_cache_hits_total``  counter   ``{shard}``
 ``repro_join_build_cache_misses_total``  counter  ``{shard}``
-``repro_engine_info``                 gauge      ``{shard,engine}`` always 1
 ``repro_columnar_batches_total``      counter    ``{shard}``
 ``repro_columnar_rows_total``         counter    ``{shard}``
 ``repro_lineage_executions_total``    counter    ``{shard}`` lineage=True runs
 ``repro_lineage_rows_total``          counter    ``{shard}`` rows they returned
-``repro_engine_row_fallbacks_total``  counter    ``{shard}`` row loops in columnar plans
 ``repro_dag_shared_nodes``            gauge      ``{shard}`` merged subtrees
 ``repro_dag_saved_execs_total``       counter    ``{shard}`` memo replays
 ``repro_policy_eval_seconds``         histogram  ``{shard,policy}``
@@ -115,11 +113,6 @@ _ENGINE_FAMILIES = (
     (
         "lineage_rows", "repro_lineage_rows_total", "counter",
         "Rows returned by lineage-tracking executions.",
-    ),
-    (
-        "row_fallbacks", "repro_engine_row_fallbacks_total", "counter",
-        "Operators of columnar plans that ran their row loop instead "
-        "(expression-key hash joins, group-bys without a columnar form).",
     ),
     (
         "dag_shared_nodes", "repro_dag_shared_nodes", "gauge",
@@ -222,11 +215,6 @@ def collect_service(service) -> "list[MetricFamily]":
         "repro_incremental_state_entries", "gauge",
         "Live incremental state entries (groups + windowed contributions).",
     )
-    engine_info = MetricFamily(
-        "repro_engine_info", "gauge",
-        "Execution engine per shard (value is always 1; the engine "
-        "name is the label).",
-    )
     engine_families = {
         key: MetricFamily(name, kind, help_text)
         for key, name, kind, help_text in _ENGINE_FAMILIES
@@ -310,12 +298,8 @@ def collect_service(service) -> "list[MetricFamily]":
             inc_fallbacks.add(label, incremental["fallbacks"])
             inc_folds.add(label, incremental["folds"])
             inc_entries.add(label, incremental["state_entries"])
-        engine = state["engine"]
-        engine_info.add(
-            {"shard": str(shard.index), "engine": engine["name"]}, 1
-        )
         for key, family in engine_families.items():
-            family.add(label, engine[key])
+            family.add(label, state["engine"][key])
         for policy, hist_snap in sorted(snap["policy_eval"].items()):
             policy_hist.add_histogram(
                 {"shard": str(shard.index), "policy": policy},
@@ -402,7 +386,7 @@ def collect_service(service) -> "list[MetricFamily]":
         check_hist, wait_hist, batch_hist, policy_hist, violations, phases,
         cache_hits, cache_misses, cache_invalidations, cache_entries,
         inc_hits, inc_fallbacks, inc_folds, inc_entries,
-        engine_info, *engine_families.values(),
+        *engine_families.values(),
     ]
     if durable:
         families.extend([wal_appends, wal_fsyncs, wal_bytes, wal_seq])

@@ -3,7 +3,7 @@
 The service's counters already live in lock-free per-shard structures
 (:class:`~repro.service.metrics.ShardCounters`, the WAL's append/fsync
 tallies); what this module adds is the *export* side — the 0.0.4 text
-format that ``GET /metrics`` serves::
+format that ``GET /v1/metrics`` serves::
 
     # HELP repro_shard_admitted_total Queries admitted to the shard queue.
     # TYPE repro_shard_admitted_total counter

@@ -102,8 +102,8 @@ class EnforcerService:
 
     Kept as a thin translation layer: it maps payloads to service calls
     and service outcomes to ``(status, body)`` pairs. Unlike the old
-    single-lock facade, admin reads (``/health``, ``/policies``,
-    ``/stats``) never wait behind query admission.
+    single-lock facade, admin reads (``/v1/health``, ``/v1/policies``,
+    ``/v1/stats``) never wait behind query admission.
     """
 
     def __init__(

@@ -6,7 +6,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..engine import ENGINES
 from ..errors import ServiceError
 
 
@@ -59,7 +58,7 @@ class ServiceConfig:
       checks stop scanning the full usage log. On by default here, same
       reasoning as ``decision_cache``; decisions are identical either way.
     - ``tracing`` — attach a per-query trace (span tree) to every check;
-      feeds ``GET /metrics``, ``explain=analyze``, and the slow-query
+      feeds ``GET /v1/metrics``, ``explain=analyze``, and the slow-query
       log. Off trims a few percent from the hot path.
     - ``slow_query_seconds`` — checks at least this slow (enqueue to
       completion) are logged with their span tree and kept in a small
@@ -82,10 +81,11 @@ class ServiceConfig:
       window), or ``"strict"`` (admit every global policy; strict ones
       go through two-phase reserve → commit/abort admission, bit-identical
       to a single-shard oracle). See :mod:`repro.service.global_tier`.
-    - ``engine`` — execution engine for every shard enforcer (``"row"``
-      or ``"columnar"``); ``None`` (default) inherits the seed enforcer's
-      :attr:`~repro.core.EnforcerOptions.engine`. Decisions are
-      bit-identical under either engine.
+
+    There is no engine knob: shards run the columnar engine. (A seed
+    enforcer built with ``EnforcerOptions(engine="row")`` — the tests'
+    reference — keeps that option on every shard; it travels in the
+    checkpoint manifest.)
     """
 
     shards: int = 1
@@ -103,14 +103,8 @@ class ServiceConfig:
     slow_query_seconds: float = 0.0
     workers_mode: str = field(default_factory=_default_workers_mode)
     global_tier: str = "off"
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ServiceError(
-                f"unknown engine {self.engine!r} "
-                f"(expected one of {', '.join(ENGINES)})"
-            )
         if self.workers_mode not in ("thread", "process"):
             raise ServiceError(
                 f"unknown workers_mode {self.workers_mode!r} "

@@ -121,10 +121,10 @@ class ShardedEnforcerService:
         except ReproError:
             self._abort_startup()
             raise
-        #: Prometheus surface (GET /metrics); collectors snapshot the
+        #: Prometheus surface (GET /v1/metrics); collectors snapshot the
         #: shards at scrape time, so building it up front is free.
         self.metrics_registry = build_service_registry(self)
-        #: Immutable snapshot read lock-free by GET /policies and /health.
+        #: Immutable snapshot read lock-free by GET /v1/policies and /v1/health.
         self._policy_snapshot: tuple = ()
         self._refresh_snapshot(reference.policies, placements)
 
@@ -243,7 +243,6 @@ class ShardedEnforcerService:
                 "decision_cache": config.decision_cache,
                 "decision_cache_size": config.decision_cache_size,
                 "incremental": config.incremental,
-                "engine": config.engine,
             },
             "extra_persist": (
                 sorted(tier.extra_persist_relations()) if tier else []
@@ -702,7 +701,7 @@ class ShardedEnforcerService:
             self._tier.flush()
 
     def render_metrics(self) -> str:
-        """The Prometheus text exposition (GET /metrics)."""
+        """The Prometheus text exposition (GET /v1/metrics)."""
         return self.metrics_registry.render()
 
     def slow_queries(self) -> "list[dict]":
@@ -722,7 +721,7 @@ class ShardedEnforcerService:
         return self.shards[self.shard_for(uid)].explain_evidence(decision)
 
     def durability_status(self) -> dict:
-        """The durability surface (GET /durability)."""
+        """The durability surface (GET /v1/durability)."""
         if not self.config.data_dir:
             return {"enabled": False}
         return {

@@ -234,7 +234,7 @@ class GlobalTier:
         self._mirror.create_table(CLOCK_TABLE, ["ts"])
         self._mirror_engine = Engine(self._mirror)
 
-        # Counters for /metrics.
+        # Counters for /v1/metrics.
         self.checks_async = 0
         self.checks_strict = 0
         self.denials_async = 0
@@ -346,7 +346,7 @@ class GlobalTier:
             ]
 
     def snapshot_entries(self) -> "list[dict]":
-        """Tier policies in the ``GET /policies`` snapshot shape."""
+        """Tier policies in the ``GET /v1/policies`` snapshot shape."""
         with self._lock:
             return [
                 {

@@ -2,8 +2,8 @@
 
 The per-query phase buckets still come from :mod:`repro.core.metrics`
 (every decision carries its :class:`~repro.core.QueryMetrics`); this
-module aggregates them at the service boundary so ``GET /stats`` and
-``GET /metrics`` can be served without touching any shard lock: workers
+module aggregates them at the service boundary so ``GET /v1/stats`` and
+``GET /v1/metrics`` can be served without touching any shard lock: workers
 push completed-request samples into their shard's counters, and a
 snapshot only reads the counters under their own small mutex.
 

@@ -488,7 +488,9 @@ class ProcessShard:
 
     def apply_extras(self, relations: "list[str]") -> None:
         """Replace the worker's extra-persist relation set (the log
-        relations the global tier needs retained and streamed)."""
+        relations the global tier needs retained and streamed) — and
+        the one a respawned worker boots with."""
+        self._spec["extra_persist"] = list(relations)
         self._request({"type": "extras", "relations": list(relations)})
 
     def log_dump(self, relations: "list[str]") -> dict:
@@ -591,6 +593,6 @@ def _empty_export_state() -> dict:
         "busy_workers": 0,
         "decision_cache": None,
         "incremental": None,
-        "engine": {"name": "", **dict.fromkeys(ENGINE_COUNTERS, 0)},
+        "engine": dict.fromkeys(ENGINE_COUNTERS, 0),
         "wal": None,
     }

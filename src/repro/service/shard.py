@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from ..core import Decision, Enforcer, Policy, explain_decision
-from ..engine import Engine
 from ..errors import ServiceClosedError, ServiceOverloadedError
 from ..storage.wal import (
     RecoveryReport,
@@ -62,7 +61,6 @@ ENGINE_COUNTERS = {
     "columnar_rows": lambda engine: engine.columnar_rows,
     "lineage_executions": lambda engine: engine.lineage_executions,
     "lineage_rows": lambda engine: engine.lineage_rows,
-    "row_fallbacks": lambda engine: engine.database.row_fallbacks,
     "dag_shared_nodes": lambda engine: engine.dag_shared_nodes,
     "dag_saved_execs": lambda engine: engine.dag_saved_execs,
 }
@@ -245,7 +243,7 @@ class Shard:
 
     # -- uniform inspection surface ---------------------------------------
     #
-    # Everything the coordinator, /stats, and /metrics need from a shard,
+    # Everything the coordinator, /v1/stats, and /v1/metrics need from a shard,
     # behind methods both this thread-backed Shard and the process-backed
     # ProcessShard implement. The builders live here so a worker process
     # (which hosts a real Shard internally) answers inspection RPCs with
@@ -272,13 +270,12 @@ class Shard:
         return durability.status() if durability is not None else None
 
     def stats_entry(self, queue_capacity: int) -> dict:
-        """One shard's row of the ``GET /stats`` surface (lock-free)."""
+        """One shard's row of the ``GET /v1/stats`` surface (lock-free)."""
         snapshot = self.counters.snapshot()
         snapshot["shard"] = self.index
         snapshot["epoch"] = self.epoch
         snapshot["queue_depth"] = self.queue_depth()
         snapshot["queue_capacity"] = queue_capacity
-        snapshot["engine"] = self.enforcer.engine.engine_name
         cache = self.enforcer.decision_cache
         if cache is not None:
             snapshot["decision_cache"] = cache.stats.as_dict()
@@ -290,13 +287,13 @@ class Shard:
         return snapshot
 
     def export_state(self) -> dict:
-        """Everything ``GET /metrics`` needs, as one JSON-safe dict.
+        """Everything ``GET /v1/metrics`` needs, as one JSON-safe dict.
 
         Histograms are shipped as plain dicts
         (:meth:`~repro.obs.prom.HistogramSnapshot.as_dict`) so a process
         shard can answer this over the IPC pipe; the export collector
         rebuilds snapshots on the other side. Reads are lock-free in the
-        same sense as ``GET /stats`` (counter mutex only, never the
+        same sense as ``GET /v1/stats`` (counter mutex only, never the
         shard lock; plain-int reads of enforcer counters cannot tear).
         """
         snap = self.counters.prom_snapshot()
@@ -332,8 +329,7 @@ class Shard:
             }
         engine = self.enforcer.engine
         state["engine"] = {
-            "name": engine.engine_name,
-            **{key: read(engine) for key, read in ENGINE_COUNTERS.items()},
+            key: read(engine) for key, read in ENGINE_COUNTERS.items()
         }
         durability = self.durability
         if durability is not None:
@@ -425,7 +421,7 @@ class Shard:
                 "tuples": [
                     {
                         "relation": evidence.relation,
-                        "values": list(evidence.values),
+                        "values": dict(evidence.values),
                         "from_current_query": evidence.from_current_query,
                     }
                     for evidence in explanation.evidence
@@ -603,23 +599,6 @@ class Shard:
         return self._closed.is_set()
 
 
-def _apply_options(enforcer: Enforcer, overrides: dict) -> None:
-    """The service config owns the tracing, cache, incremental and engine
-    switches: apply them to a shard enforcer (a recovered one's
-    checkpoint may predate the options or carry different settings; its
-    decision cache starts empty by construction — verdict memos never
-    survive a restart). ``engine=None`` inherits the enforcer's own."""
-    wanted = dict(overrides)
-    if wanted.get("engine") is None:
-        wanted["engine"] = enforcer.options.engine
-    enforcer.options = replace(enforcer.options, **wanted)
-    # Decision cache and incremental maintainer read ``options`` lazily,
-    # but the execution engine is built in ``__init__`` — rebuild it when
-    # the service config picked a different one.
-    if enforcer.engine.engine_name != enforcer.options.engine_name:
-        enforcer.engine = Engine(enforcer.database, enforcer.options.engine)
-
-
 def open_shard(
     index: int,
     seed: Callable[[], Enforcer],
@@ -652,7 +631,12 @@ def open_shard(
         enforcer = seed()
         if shard_dir is not None:
             wal = initialize_durability(enforcer, shard_dir, sync=sync)
-    _apply_options(enforcer, settings["options"])
+    # The service config owns the tracing, cache and incremental
+    # switches (a recovered checkpoint may carry other settings); all
+    # three are read lazily from ``options``, and the decision cache
+    # starts empty by construction — verdict memos never survive a
+    # restart.
+    enforcer.options = replace(enforcer.options, **settings["options"])
     if delta_sink is not None:
         # Emitted inside the shard lock during commit, so increments
         # reach the sink in timestamp order.

@@ -169,7 +169,7 @@ class WriteAheadLog:
         #: Open group-commit window (see :meth:`batch`); frames appended
         #: while it is a list are buffered instead of written.
         self._batch: Optional[list] = None
-        #: Lifetime I/O tallies (exported at ``GET /metrics``); they
+        #: Lifetime I/O tallies (exported at ``GET /v1/metrics``); they
         #: survive :meth:`reset` — counters, not segment state.
         self.appends = 0
         self.fsyncs = 0

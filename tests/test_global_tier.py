@@ -23,6 +23,7 @@ import signal
 import time
 
 import pytest
+from holds import wait_until
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -412,6 +413,51 @@ class TestTierDurability:
             assert set(stats) == {"P1", "quota-chartevents"}
             still = service.submit(HR_COUNT, uid=6)
             assert not still.allowed
+        finally:
+            service.drain()
+
+
+class TestRespawnKeepsTierRelations:
+    """A relation the tier started needing at *runtime* (a global policy
+    added after startup) must survive a worker crash: the respawned
+    worker used to boot with the startup extra-persist set, stop
+    persisting and streaming the relation, and the tier — blind to that
+    shard's rows — admitted what it should deny."""
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    def test_runtime_added_quota_still_fires_after_a_kill(self, durable, tmp_path):
+        from repro.engine import Database
+
+        db = Database()
+        db.load_table("items", ["id", "price"], [(1, 10), (2, 20), (3, 30)])
+        service = make_service(
+            Enforcer(db, [], clock=SimulatedClock(default_step_ms=10)),
+            2,
+            "async",
+            workers_mode="process",
+            data_dir=str(tmp_path) if durable else None,
+        )
+        try:
+            service.add_policy(monthly_quota("items", 4, 10_000_000))
+            shard = service.shards[0]
+            os.kill(shard.pid, signal.SIGKILL)
+            wait_until(
+                lambda: shard.restarts == 1 and shard.process_state()["alive"],
+                timeout=30,
+            )
+            decisions = []
+            for uid in (2, 4, 6):  # all on the respawned shard
+                decision = service.submit("SELECT id FROM items", uid=uid)
+                service.flush_global()
+                decisions.append(
+                    (decision.allowed, [v.policy_name for v in decision.violations])
+                )
+            # Three tuples each: the second query crosses the cap of 4
+            # (admitted — the async tier's one-query staleness), the
+            # third is denied on the folded state.
+            assert decisions == [(True, []), (True, []), (False, ["quota-items"])]
+            dumped = shard.log_dump(["provenance"])["rows"]["provenance"]
+            assert len(dumped) == 6
         finally:
             service.drain()
 

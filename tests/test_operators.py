@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Database, Table
 from repro.engine.aggregates import make_accumulator_factory
+from repro.engine.columnar import agg_spec, closure_kernel
 from repro.engine.operators import (
     DistinctOnOp,
     DistinctOp,
@@ -87,7 +88,7 @@ class TestFilterProject:
 
 class TestJoins:
     def test_hash_join(self, db):
-        op = HashJoinOp(ScanOp("r"), ScanOp("s"), [col(0)], [col(0)])
+        op = HashJoinOp(ScanOp("r"), ScanOp("s"), [0], [0])
         assert rows_of(op, db) == [
             (1, "a", 1, 10),
             (2, "b", 2, 20),
@@ -96,11 +97,11 @@ class TestJoins:
 
     def test_hash_join_null_keys_skip(self, db):
         db.table("r").insert((None, "n"))
-        op = HashJoinOp(ScanOp("r"), ScanOp("s"), [col(0)], [col(0)])
+        op = HashJoinOp(ScanOp("r"), ScanOp("s"), [0], [0])
         assert len(rows_of(op, db)) == 3
 
     def test_hash_join_lineage_union(self, db):
-        op = HashJoinOp(ScanOp("r"), ScanOp("s"), [col(0)], [col(0)])
+        op = HashJoinOp(ScanOp("r"), ScanOp("s"), [0], [0])
         pairs = run(op, db, lineage=True)
         assert pairs[0][1] == frozenset({("r", 0), ("s", 0)})
 
@@ -120,22 +121,33 @@ class TestGroup:
         call = ast.FuncCall("count", (ast.Star(),))
         return make_accumulator_factory(call, lambda expr: col(0))
 
+    def _group(self, child, key_fns):
+        """COUNT(*) grouped by ``key_fns`` (both forms of each)."""
+        call = ast.FuncCall("count", (ast.Star(),))
+        return GroupOp(
+            child,
+            key_fns,
+            [self._count_factory()],
+            [("expr", closure_kernel(fn)) for fn in key_fns],
+            [agg_spec(call, lambda ref: None)],
+        )
+
     def test_group_by_key(self, db):
-        op = GroupOp(ScanOp("r"), [col(0)], [self._count_factory()])
+        op = self._group(ScanOp("r"), [col(0)])
         assert sorted(rows_of(op, db)) == [(1, 1), (2, 2)]
 
     def test_scalar_group_on_empty_input(self, db):
         empty = FilterOp(ScanOp("r"), lambda row: False)
-        op = GroupOp(empty, [], [self._count_factory()])
+        op = self._group(empty, [])
         assert rows_of(op, db) == [(0,)]
 
     def test_keyed_group_on_empty_input_yields_nothing(self, db):
         empty = FilterOp(ScanOp("r"), lambda row: False)
-        op = GroupOp(empty, [col(0)], [self._count_factory()])
+        op = self._group(empty, [col(0)])
         assert rows_of(op, db) == []
 
     def test_group_lineage_union(self, db):
-        op = GroupOp(ScanOp("r"), [col(0)], [self._count_factory()])
+        op = self._group(ScanOp("r"), [col(0)])
         pairs = dict((row[0], lin) for row, lin in run(op, db, lineage=True))
         assert pairs[2] == frozenset({("r", 1), ("r", 2)})
 

@@ -78,6 +78,9 @@ class TestQueryEndpoint:
         assert status == 403
         evidence = body["evidence"][0]["tuples"]
         assert any(t["from_current_query"] for t in evidence)
+        # ``values`` maps column → value (it used to list the names).
+        assert {t["values"]["irid"] for t in evidence} == {"navteq", "other"}
+        assert all(t["values"]["ts"] == 10 for t in evidence)
 
     def test_missing_sql(self, server):
         status, body = request(server, "POST", "/query", {"uid": 1})

@@ -189,6 +189,11 @@ class TestSameAnswersFromBothFlavours:
         assert [t["from_current_query"] for t in evidence["tuples"]] == [
             False, False, True,
         ]
+        # Each witness tuple is ``{column: value}`` (it used to be the
+        # bare column names), from both transports.
+        assert [
+            (t["relation"], t["values"]) for t in evidence["tuples"]
+        ] == [("users", {"ts": ts, "uid": 1}) for ts in (10, 20, 30)]
 
 
 class TestThreadInstallTakesEveryLockFirst:

@@ -6,6 +6,7 @@ from .features import (
     PolicyStructure,
     aliases_of,
     analyze_structure,
+    floor_history,
     qualifier_for,
     referenced_log_relations,
     substitute_current_time,
@@ -27,6 +28,7 @@ __all__ = [
     "PolicyStructure",
     "aliases_of",
     "analyze_structure",
+    "floor_history",
     "qualifier_for",
     "referenced_log_relations",
     "substitute_current_time",

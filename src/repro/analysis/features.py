@@ -147,6 +147,27 @@ def analyze_structure(
     return structure
 
 
+def floor_history(
+    select: ast.Select, registry: LogRegistry, floor: int
+) -> ast.Select:
+    """``select`` with its history starting after ``floor``.
+
+    The paper's rule for a policy registered mid-stream (§4.1.2
+    footnote): it only sees log entries from then on, so ``alias.ts >
+    floor`` is conjoined for every log occurrence.
+    """
+    structure = analyze_structure(select, registry)
+    extra = [
+        ast.BinaryOp(">", ast.col(alias, "ts"), ast.lit(floor))
+        for alias in sorted(structure.log_occurrences)
+    ]
+    if not extra:
+        return select
+    return select.replace(
+        where=ast.conjoin(ast.conjuncts(select.where) + extra)
+    )
+
+
 def qualifier_for(
     ref: ast.ColumnRef, structure: PolicyStructure
 ) -> Optional[str]:

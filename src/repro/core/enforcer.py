@@ -26,6 +26,7 @@ from ..analysis import (
     WitnessSet,
     analyze_structure,
     can_interleave,
+    floor_history,
     is_monotone,
     is_time_independent,
     partial_chain,
@@ -301,25 +302,18 @@ class Enforcer:
         """Register a policy mid-stream; its history starts now.
 
         Per the paper (§4.1.2 footnote), the new policy only sees log
-        entries from the current time onward: we conjoin
-        ``R.ts > now`` for every log occurrence.
+        entries from the current time onward
+        (:func:`~repro.analysis.floor_history`).
 
         A policy that does not bind against the catalog (unknown table
         or column) is refused here, before anything changes — the
         policy round binds lazily, so installing it would fail every
         later query instead.
         """
-        now = self.clock.now()
-        structure = analyze_structure(policy.select, self.registry, self.database)
-        extra = [
-            ast.BinaryOp(">", ast.col(alias, "ts"), ast.lit(now))
-            for alias in sorted(structure.log_occurrences)
-        ]
-        if extra:
-            select = policy.select.replace(
-                where=ast.conjoin(ast.conjuncts(policy.select.where) + extra)
-            )
-            policy = replace(policy, select=select)
+        policy = replace(
+            policy,
+            select=floor_history(policy.select, self.registry, self.clock.now()),
+        )
         self.engine.plan(policy.select)
         self.policies.append(policy)
         self._prepare()
@@ -643,32 +637,27 @@ class Enforcer:
 
     # -- incremental maintenance ------------------------------------------
 
-    def _build_maintainer(self) -> IncrementalMaintainer:
-        plans = {
-            runtime.name: runtime.incremental_plan
-            for runtime in self._runtime
-            if runtime.incremental_plan is not None
-        }
-        return IncrementalMaintainer(
-            self.database,
-            self.registry,
-            self.store,
-            plans,
-            max_entries=self.options.incremental_max_entries,
-        )
-
     def _incremental_handle(self) -> Optional[IncrementalMaintainer]:
-        """The maintainer, created (and bootstrapped from the persisted
-        log) on first use when enabled — same lazy pattern as the decision
-        cache, so flipping ``options.incremental`` after construction works.
+        """The maintainer, built on first use when enabled by folding the
+        persisted log — the only source of incremental state. Same lazy
+        pattern as the decision cache, so flipping
+        ``options.incremental`` after construction works.
         """
         if not self.options.incremental:
             self._incremental = None
             return None
         if self._incremental is None:
-            maintainer = self._build_maintainer()
-            maintainer.bootstrap()
-            self._incremental = maintainer
+            self._incremental = IncrementalMaintainer(
+                self.database,
+                self.registry,
+                self.store,
+                {
+                    runtime.name: runtime.incremental_plan
+                    for runtime in self._runtime
+                    if runtime.incremental_plan is not None
+                },
+                max_entries=self.options.incremental_max_entries,
+            )
         return self._incremental
 
     @property
@@ -677,12 +666,12 @@ class Enforcer:
         return self._incremental if self.options.incremental else None
 
     def warm_incremental(self) -> None:
-        """Build and bootstrap the maintainer now instead of lazily.
+        """Build the maintainer now instead of lazily.
 
-        A no-op when ``options.incremental`` is off or state is already
-        warm; the sharded service calls this at startup so the first
-        admitted query doesn't pay the bootstrap scan under the shard
-        lock.
+        A no-op when ``options.incremental`` is off or the maintainer
+        already exists; the sharded service calls this at startup so the
+        first admitted query doesn't pay the fold over the log under the
+        shard lock.
         """
         self._incremental_handle()
 
@@ -700,20 +689,6 @@ class Enforcer:
                 entry["plan"] = plan_summary(runtime.incremental_plan)
             report.append(entry)
         return report
-
-    def load_incremental_state(self, payload: dict) -> bool:
-        """Adopt checkpointed incremental state (restore path).
-
-        False leaves the lazy-rebuild path in charge: the next check
-        bootstraps deterministically from the recovered disk image.
-        """
-        if not self.options.incremental:
-            return False
-        maintainer = self._build_maintainer()
-        if maintainer.restore(payload):
-            self._incremental = maintainer
-            return True
-        return False
 
     # LogStore observer protocol: fold exactly what each commit persists.
 

@@ -12,7 +12,7 @@ both contexts the planner needs:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from ..errors import BindError, ExecutionError
 from ..sql import ast
@@ -252,21 +252,6 @@ def _compile_scalar_function(
     return lambda row: fn(*(arg(row) for arg in args))
 
 
-def make_slot_resolver(positions: dict[str, int]) -> Callable[[str], RowFn]:
-    """Build slot-accessor factories over a name → index mapping."""
-
-    def accessor(name: str) -> RowFn:
-        index = positions[name]
-        return lambda row: row[index]
-
-    return accessor
-
-
-def constant_fn(value: SqlValue) -> RowFn:
-    """A row function ignoring its input."""
-    return lambda row: value
-
-
 def compile_predicate(
     expr: ast.Expr,
     resolve_column: ColumnResolver,
@@ -275,21 +260,3 @@ def compile_predicate(
     """Compile a boolean expression into a strict True/False row test."""
     fn = compile_expr(expr, resolve_column, resolve_special)
     return lambda row: is_truthy(fn(row))
-
-
-def eval_constant(expr: ast.Expr) -> SqlValue:
-    """Evaluate an expression that must not reference any columns."""
-
-    def no_columns(ref: ast.ColumnRef) -> RowFn:
-        raise BindError(f"expression must be constant, found column {ref}")
-
-    return compile_expr(expr, no_columns)(())
-
-
-def references_only(expr: ast.Expr, tables: Sequence[str]) -> bool:
-    """True if every qualified column ref under ``expr`` targets ``tables``."""
-    allowed = {t.lower() for t in tables}
-    return all(
-        ref.table is None or ref.table.lower() in allowed
-        for ref in ast.column_refs(expr)
-    )

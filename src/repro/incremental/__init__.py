@@ -14,11 +14,7 @@ from .classify import (
     classify_policy,
     plan_summary,
 )
-from .maintainer import (
-    STATE_FORMAT_VERSION,
-    IncrementalMaintainer,
-    IncrementalStats,
-)
+from .maintainer import IncrementalMaintainer, IncrementalStats
 from .state import PolicyState, StatePoisoned
 
 __all__ = [
@@ -28,7 +24,6 @@ __all__ = [
     "IncrementalPlan",
     "IncrementalStats",
     "PolicyState",
-    "STATE_FORMAT_VERSION",
     "StatePoisoned",
     "WindowSpec",
     "classify_policy",

@@ -45,7 +45,7 @@ from ..analysis.features import (
 from ..analysis.monotonicity import is_monotone
 from ..engine import Database
 from ..log import LogRegistry
-from ..sql import ast, print_expr, print_query
+from ..sql import ast, print_expr
 
 #: Aggregates the state layer can maintain. ``sum``/``min`` are included
 #: for completeness (the state store supports them directly), but the
@@ -98,9 +98,6 @@ class IncrementalPlan:
     threshold_offsets: "tuple[tuple[int, int], ...]"
     log_relations: "tuple[str, ...]"
     base_tables: "tuple[str, ...]"
-    #: Canonical text of the effective policy query; checkpointed state
-    #: is only trusted when it matches.
-    signature: str
 
 
 @dataclass(frozen=True)
@@ -257,7 +254,6 @@ def classify_policy(
         threshold_offsets=threshold_offsets,
         log_relations=tuple(sorted(structure.log_relation_names())),
         base_tables=tuple(sorted(set(structure.db_tables.values()))),
-        signature=print_query(select),
     )
     described = ", ".join(
         f"{_describe_aggregate(spec)} {spec.op} "

@@ -13,17 +13,17 @@ One :class:`IncrementalMaintainer` sits between a
 
 Lifecycle:
 
-- ``bootstrap()`` folds the persisted disk image (cold start, restore
-  without a usable state file);
-- ``on_commit(ts, inserted)`` folds exactly the rows a commit persisted —
-  the same rows the WAL's commit record carries, so a live maintainer and
-  one rebuilt by WAL replay reach identical state;
+- construction folds the persisted log image
+  (:meth:`LogStore.persisted_rows`) — the only way state comes into
+  being, so a maintainer is never cold and state is never read back from
+  anywhere but the log it summarises;
+- ``on_commit(ts, inserted)`` folds exactly the rows a commit persisted;
 - ``on_discard()`` only counts: check-time deltas never touch state, so a
   rejected query needs no rollback;
 - ``check(name)`` answers "would this policy's query return a row right
   now?" from state + the staged delta, or ``None`` to request full
-  evaluation (cold, poisoned, or a runtime surprise — any exception
-  poisons the policy rather than risking a wrong verdict).
+  evaluation (poisoned, or a runtime surprise — any exception poisons the
+  policy rather than risking a wrong verdict).
 """
 
 from __future__ import annotations
@@ -34,11 +34,7 @@ from ..engine import Database, Engine
 from ..log import LogRegistry
 from ..log.store import LogStore
 from .classify import IncrementalPlan
-from .state import PolicyState, StatePoisoned
-
-#: Bumped whenever plan/state layout changes; checkpointed state with a
-#: different format (or policy signatures) is discarded, not trusted.
-STATE_FORMAT_VERSION = 1
+from .state import PolicyState
 
 
 class IncrementalStats:
@@ -51,7 +47,6 @@ class IncrementalStats:
         "folds",
         "discards",
         "rebuilds",
-        "restores",
     )
 
     def __init__(self) -> None:
@@ -61,7 +56,6 @@ class IncrementalStats:
         self.folds = 0
         self.discards = 0
         self.rebuilds = 0
-        self.restores = 0
 
     def fallback(self, reason: str) -> None:
         self.fallbacks += 1
@@ -77,7 +71,6 @@ class IncrementalStats:
             "folds": self.folds,
             "discards": self.discards,
             "rebuilds": self.rebuilds,
-            "restores": self.restores,
         }
 
 
@@ -94,9 +87,7 @@ class IncrementalMaintainer:
         self.registry = registry
         self.store = store
         self.plans = dict(plans)
-        self.max_entries = max_entries
         self.stats = IncrementalStats()
-        self.warm = False
 
         self._scratch = Database()
         #: The log relations any routed policy reads.
@@ -118,6 +109,7 @@ class IncrementalMaintainer:
             name: PolicyState(plan, max_entries)
             for name, plan in plans.items()
         }
+        self._bootstrap()
 
     # -- delta plumbing ----------------------------------------------------
 
@@ -138,8 +130,8 @@ class IncrementalMaintainer:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def bootstrap(self) -> None:
-        """Fold the persisted disk image into fresh state.
+    def _bootstrap(self) -> None:
+        """Fold the persisted log image into the fresh state.
 
         Reads only :meth:`LogStore.persisted_rows` (never staged rows),
         so it is safe mid-query; the staged delta is supplied at check
@@ -155,13 +147,10 @@ class IncrementalMaintainer:
                 state.fold_rows(self._delta_rows(plan, disk))
             except Exception as exc:  # noqa: BLE001
                 self._poison(name, str(exc) or type(exc).__name__)
-        self.warm = True
         self.stats.rebuilds += 1
 
     def on_commit(self, ts: int, inserted) -> None:
         """Fold the rows a commit just persisted (per relation)."""
-        if not self.warm:
-            return
         self.stats.folds += 1
         for name, state in self.states.items():
             if state.poisoned:
@@ -185,9 +174,6 @@ class IncrementalMaintainer:
         state = self.states.get(name)
         if state is None:
             self.stats.fallback("unplanned")
-            return None
-        if not self.warm:
-            self.stats.fallback("cold")
             return None
         if state.poisoned:
             self.stats.fallback(f"poisoned: {state.poisoned}")
@@ -229,47 +215,3 @@ class IncrementalMaintainer:
             }
             for name, state in self.states.items()
         }
-
-    # -- durability --------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "format": STATE_FORMAT_VERSION,
-            "max_entries": self.max_entries,
-            "signatures": {
-                name: plan.signature for name, plan in self.plans.items()
-            },
-            "states": {
-                name: state.to_json() for name, state in self.states.items()
-            },
-        }
-
-    def restore(self, payload: dict) -> bool:
-        """Adopt checkpointed state; False means rebuild instead."""
-        if not isinstance(payload, dict):
-            return False
-        if payload.get("format") != STATE_FORMAT_VERSION:
-            return False
-        if payload.get("max_entries") != self.max_entries:
-            return False
-        expected = {
-            name: plan.signature for name, plan in self.plans.items()
-        }
-        if payload.get("signatures") != expected:
-            return False
-        stored = payload.get("states", {})
-        if set(stored) != set(self.states):
-            return False
-        try:
-            restored = {
-                name: PolicyState.from_json(
-                    self.plans[name], self.max_entries, stored[name]
-                )
-                for name in self.states
-            }
-        except (KeyError, TypeError, ValueError, StatePoisoned):
-            return False
-        self.states = restored
-        self.warm = True
-        self.stats.restores += 1
-        return True

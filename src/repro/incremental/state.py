@@ -25,6 +25,10 @@ Distinct counts are exact: a dict from value to its *loosest* expiry
 bound. When the dict for one policy outgrows ``max_entries`` the policy
 is *poisoned* — it permanently falls back to full evaluation (the "exact
 fallback" of a bounded sketch), which is always correct, just slower.
+
+State is never serialised: it is a view of the usage log, and every
+instance is built by folding the log (see
+:mod:`repro.incremental.maintainer`).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import heapq
 from typing import Optional
 
-from .classify import AggregateSpec, IncrementalPlan
+from .classify import IncrementalPlan
 
 #: Sentinel for a contribution that never expires (no window predicates).
 FOREVER = None
@@ -101,23 +105,6 @@ class _CountAgg:
     def entries(self) -> int:
         return len(self.heap) + (1 if self.forever else 0)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "count",
-            "forever": self.forever,
-            "window_total": self.window_total,
-            "heap": [list(entry) for entry in self.heap],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "_CountAgg":
-        agg = cls()
-        agg.forever = payload["forever"]
-        agg.window_total = payload["window_total"]
-        agg.heap = [tuple(entry) for entry in payload["heap"]]
-        heapq.heapify(agg.heap)
-        return agg
-
 
 class _DistinctAgg:
     """COUNT(DISTINCT ...): value → loosest expiry bound, exact."""
@@ -174,27 +161,6 @@ class _DistinctAgg:
     def entries(self) -> int:
         return len(self.values)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "distinct",
-            "values": [
-                [value, list(bound) if bound is not FOREVER else None]
-                for value, bound in self.values.items()
-            ],
-            "heap": [list(entry) for entry in self.heap],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "_DistinctAgg":
-        agg = cls()
-        agg.values = {
-            value: tuple(bound) if bound is not None else FOREVER
-            for value, bound in payload["values"]
-        }
-        agg.heap = [tuple(entry) for entry in payload["heap"]]
-        heapq.heapify(agg.heap)
-        return agg
-
 
 class _ExtremumAgg:
     """Window-free MIN / MAX: a single running scalar."""
@@ -234,18 +200,6 @@ class _ExtremumAgg:
     def entries(self) -> int:
         return 0 if self.best is None else 1
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "max" if self.is_max else "min",
-            "best": self.best,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "_ExtremumAgg":
-        agg = cls(payload["kind"] == "max")
-        agg.best = payload["best"]
-        return agg
-
 
 def _make_agg(kind: str):
     if kind in ("count", "sum"):
@@ -255,17 +209,6 @@ def _make_agg(kind: str):
     if kind in ("min", "max"):
         return _ExtremumAgg(kind == "max")
     raise StatePoisoned(f"unknown aggregate kind {kind!r}")
-
-
-def _agg_from_json(payload: dict):
-    kind = payload["kind"]
-    if kind == "count":
-        return _CountAgg.from_json(payload)
-    if kind == "distinct":
-        return _DistinctAgg.from_json(payload)
-    if kind in ("min", "max"):
-        return _ExtremumAgg.from_json(payload)
-    raise StatePoisoned(f"unknown serialized aggregate {kind!r}")
 
 
 class _GroupState:
@@ -422,33 +365,3 @@ class PolicyState:
             for group in self.groups.values()
             for agg in group.aggs
         )
-
-    def to_json(self) -> dict:
-        return {
-            "poisoned": self.poisoned,
-            "seq": self.seq,
-            "candidates": [list(key) for key in self.candidates],
-            "groups": [
-                [
-                    list(key),
-                    [agg.to_json() for agg in group.aggs],
-                    group.thresholds,
-                ]
-                for key, group in self.groups.items()
-            ],
-        }
-
-    @classmethod
-    def from_json(
-        cls, plan: IncrementalPlan, max_entries: int, payload: dict
-    ) -> "PolicyState":
-        state = cls(plan, max_entries)
-        state.poisoned = payload["poisoned"]
-        state.seq = payload["seq"]
-        state.candidates = {tuple(key) for key in payload["candidates"]}
-        for key, aggs, thresholds in payload["groups"]:
-            group = _GroupState(plan.aggregates)
-            group.aggs = [_agg_from_json(item) for item in aggs]
-            group.thresholds = list(thresholds)
-            state.groups[tuple(key)] = group
-        return state

@@ -64,7 +64,7 @@ import time
 from pathlib import Path
 from typing import Iterable, Optional
 
-from ..analysis import analyze_structure, referenced_log_relations
+from ..analysis import floor_history, referenced_log_relations
 from ..core.policy import Policy, Violation  # noqa: F401 - Policy re-exported
 from ..engine import Database, Engine
 from ..errors import PolicyError, ReproError
@@ -72,7 +72,6 @@ from ..incremental import classify_policy as incremental_classify
 from ..incremental.state import PolicyState, StatePoisoned
 from ..log import QueryContext
 from ..log.store import CLOCK_TABLE
-from ..sql import ast
 from ..storage.wal import WriteAheadLog, read_wal
 from .placement import SCOPE_GLOBAL_ASYNC, PolicyPlacement
 
@@ -124,8 +123,13 @@ class _GlobalPolicy:
         #: Log rows at or below this timestamp predate the policy (the
         #: paper's "history starts now" rule for runtime-added policies).
         self.floor = floor
+        self.select = (
+            policy.select
+            if floor is None
+            else floor_history(policy.select, registry, floor)
+        )
         classification = incremental_classify(
-            policy.name, policy.select, registry, database
+            policy.name, self.select, registry, database
         )
         # A strict-mode tier evaluates *every* global policy through the
         # serialized mirror — even incrementalizable ones — because that
@@ -141,41 +145,15 @@ class _GlobalPolicy:
             if self.plan is not None
             else None
         )
-        if self.plan is not None:
-            self.log_relations = set(self.plan.log_relations)
-            self.select = policy.select
-        else:
-            self.log_relations = referenced_log_relations(
-                policy.select, registry
-            )
-            self.select = self._floored_select(policy.select, registry)
+        self.log_relations = (
+            set(self.plan.log_relations)
+            if self.plan is not None
+            else referenced_log_relations(self.select, registry)
+        )
 
     @property
     def strict(self) -> bool:
         return self.plan is None
-
-    def _floored_select(self, select: ast.Select, registry) -> ast.Select:
-        """Conjoin ``alias.ts > floor`` per log occurrence (mirrors
-        :meth:`Enforcer.add_policy`); async policies get the same
-        semantics for free by starting from empty state."""
-        if self.floor is None:
-            return select
-        structure = analyze_structure(select, registry)
-        extra = [
-            ast.BinaryOp(">", ast.col(alias, "ts"), ast.lit(self.floor))
-            for alias in sorted(structure.log_occurrences)
-        ]
-        if not extra:
-            return select
-        return select.replace(
-            where=ast.conjoin(ast.conjuncts(select.where) + extra)
-        )
-
-    def filtered(self, rows: Iterable[tuple]) -> list[tuple]:
-        """Drop rows at or below the policy's history floor."""
-        if self.floor is None:
-            return list(rows)
-        return [row for row in rows if row and row[0] > self.floor]
 
 
 class Reservation:
@@ -568,9 +546,7 @@ class GlobalTier:
         for name in entry.plan.log_relations:
             table = self._scratch.table(name)
             table.clear()
-            table.insert_many(
-                entry.filtered(rows_by_relation.get(name, ()))
-            )
+            table.insert_many(rows_by_relation.get(name, ()))
         return self._scratch_engine.execute(entry.plan.delta).rows
 
     def flush(self) -> None:

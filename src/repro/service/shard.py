@@ -148,9 +148,8 @@ class Shard:
         self.enforcer = enforcer
         self.durability = durability
         # Each shard owns its slice of the usage log, so it owns the
-        # matching incremental state too: warm it (bootstrap over any
-        # recovered log, or adopt the checkpointed state loaded during
-        # recovery) before the worker accepts queries.
+        # matching incremental state too: fold it from that (possibly
+        # recovered) log before the worker accepts queries.
         enforcer.warm_incremental()
         #: Max queued queries drained per worker wakeup; a batch shares
         #: one lock acquisition and one WAL group commit.

@@ -10,10 +10,16 @@ Two levels:
   tids) — which are the log store's persisted image — the clock, and the
   policy texts. Restoring rebuilds an :class:`~repro.core.Enforcer` whose
   subsequent decisions are exactly those the original would have made.
+
+Incremental-maintainer state is not part of a snapshot: it is a view of
+the usage log, and the restored enforcer folds it from the restored log
+tables on first use. A state file left by an older checkpoint is
+ignored, and the next checkpoint's directory swap drops it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Optional
@@ -26,11 +32,8 @@ from .format import StorageError, read_table, write_table
 
 MANIFEST = "manifest.json"
 FORMAT_VERSION = 1
-#: Incremental-maintainer state rides alongside the snapshot. Optional on
-#: restore: a missing/stale file just means the maintainer rebuilds from
-#: the restored disk image (its own format/signature markers are checked
-#: by :meth:`repro.incremental.IncrementalMaintainer.restore`).
-INCREMENTAL_STATE = "incremental.json"
+#: Manifest keys :func:`restore_enforcer` cannot do without.
+ENFORCER_KEYS = ("tables", "policies", "options", "clock_now")
 
 
 def save_database(database: Database, directory: Path) -> None:
@@ -104,12 +107,6 @@ def save_enforcer_state(
             keep_tids=True,
         )
 
-    maintainer = enforcer.incremental
-    if maintainer is not None and maintainer.warm:
-        (directory / INCREMENTAL_STATE).write_text(
-            json.dumps(maintainer.to_json(), indent=2)
-        )
-
     manifest = {
         "version": FORMAT_VERSION,
         "tables": data_tables,
@@ -123,7 +120,7 @@ def save_enforcer_state(
             }
             for policy in enforcer.policies
         ],
-        "options": _options_to_dict(enforcer.options),
+        "options": dataclasses.asdict(enforcer.options),
         "queries_since_compaction": enforcer._queries_since_compaction,  # noqa: SLF001
     }
     if extra:
@@ -144,6 +141,18 @@ def restore_enforcer(
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
+    missing = [key for key in ENFORCER_KEYS if key not in manifest]
+    if missing:
+        raise StorageError(f"{directory}: manifest lacks keys {missing}")
+    unknown = sorted(
+        set(manifest["options"])
+        - {field.name for field in dataclasses.fields(EnforcerOptions)}
+    )
+    if unknown:
+        raise StorageError(
+            f"{directory}: manifest options {unknown} are not "
+            "EnforcerOptions fields"
+        )
     registry = registry or standard_registry()
     stored_logs = set(manifest.get("log_relations", []))
     if stored_logs - set(registry.names()):
@@ -185,21 +194,5 @@ def restore_enforcer(
     enforcer._queries_since_compaction = int(  # noqa: SLF001
         manifest.get("queries_since_compaction", 0)
     )
-
-    state_path = directory / INCREMENTAL_STATE
-    if enforcer.options.incremental and state_path.exists():
-        try:
-            payload = json.loads(state_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            payload = None
-        if payload is not None:
-            # False (stale format/signatures) leaves the lazy rebuild path
-            # in charge — never trust unvalidated state.
-            enforcer.load_incremental_state(payload)
     return enforcer
 
-
-def _options_to_dict(options: EnforcerOptions) -> dict:
-    import dataclasses
-
-    return dataclasses.asdict(options)

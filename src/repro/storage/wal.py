@@ -541,18 +541,10 @@ def _apply_record(enforcer: Enforcer, record: dict) -> None:
             enforcer.database.table(name).delete_tids(
                 {int(tid) for tid in tids}
             )
-        inserted: dict[str, list[tuple]] = {}
         for name, payload in record.get("insert", {}).items():
             rows = [tuple(row) for row in payload["rows"]]
             tids = [int(tid) for tid in payload["tids"]]
             enforcer.database.table(name).insert_with_tids(rows, tids)
-            inserted[name] = rows
-        # A restored maintainer replays folds from the same rows the live
-        # commit folded; without one, the lazy bootstrap rebuilds from the
-        # fully replayed disk image instead.
-        maintainer = enforcer.incremental
-        if maintainer is not None and inserted:
-            maintainer.on_commit(int(record["ts"]), inserted)
         if record.get("compacted"):
             enforcer._queries_since_compaction = 0  # noqa: SLF001
         elif enforcer.options.log_compaction:

@@ -8,9 +8,7 @@ from repro.engine.expressions import (
     compile_expr,
     compile_predicate,
     contains_aggregate,
-    eval_constant,
     is_aggregate_call,
-    references_only,
 )
 from repro.errors import BindError, ExecutionError
 from repro.sql import ast, parse_expression
@@ -128,13 +126,6 @@ class TestHelpers:
         assert pred((1,)) is True
         assert pred((None,)) is False  # unknown is not a match
 
-    def test_eval_constant(self):
-        assert eval_constant(parse_expression("2 + 3 * 4")) == 14
-
-    def test_eval_constant_rejects_columns(self):
-        with pytest.raises(BindError):
-            eval_constant(parse_expression("a + 1"))
-
     def test_contains_aggregate(self):
         assert contains_aggregate(parse_expression("1 + COUNT(x)"))
         assert not contains_aggregate(parse_expression("1 + x"))
@@ -143,13 +134,6 @@ class TestHelpers:
         assert is_aggregate_call(parse_expression("SUM(x)"))
         assert not is_aggregate_call(parse_expression("abs(x)"))
         assert AGGREGATE_FUNCTIONS == {"count", "sum", "min", "max", "avg"}
-
-    def test_references_only(self):
-        expr = parse_expression("t.a = u.b")
-        assert references_only(expr, ["t", "u"])
-        assert not references_only(expr, ["t"])
-        # unqualified refs are permissive
-        assert references_only(parse_expression("a = 1"), [])
 
 
 class TestAccumulators:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.core import Enforcer, EnforcerOptions, Policy
 from repro.engine import Database
-from repro.incremental import STATE_FORMAT_VERSION
 from repro.incremental.state import (
     FOREVER,
     _compare,
@@ -25,6 +24,7 @@ from repro.incremental.state import (
 )
 from repro.log import SimulatedClock, standard_registry
 from repro.service import ServiceConfig, ShardedEnforcerService
+from repro.sql import print_query
 from repro.storage import (
     checkpoint,
     initialize_durability,
@@ -252,16 +252,6 @@ class TestStateUnits:
         agg.fold("v", FOREVER, seq=1)
         assert agg.value(10_000, ()) == 1
 
-    def test_count_agg_json_roundtrip(self):
-        agg = _CountAgg()
-        agg.fold(2, (10, 1), seq=0)
-        agg.fold(3, FOREVER, seq=1)
-        restored = _CountAgg.from_json(
-            json.loads(json.dumps(agg.to_json()))
-        )
-        assert restored.value(10, ()) == agg.value(10, ())
-        assert restored.value(11, ()) == agg.value(11, ())
-
 
 # ---------------------------------------------------------------------------
 # Equivalence: incremental on vs off, bit-identical decisions
@@ -428,7 +418,7 @@ class TestPoisoning:
 
 
 # ---------------------------------------------------------------------------
-# Durability: checkpointed state, WAL replay, stale-marker invalidation
+# Durability: state is folded from the recovered log, never stored
 # ---------------------------------------------------------------------------
 
 
@@ -438,67 +428,83 @@ def durable_enforcer(directory: Path):
     return enforcer, wal
 
 
+#: A maintainer-state file in the format older checkpoints carried,
+#: claiming three distinct rate-limit timestamps that never expire — a
+#: state that, if adopted, would deny every group-x query forever.
+PLANTED_STATE = json.dumps(
+    {
+        "format": 1,
+        "max_entries": 100_000,
+        "signatures": {
+            "rate": print_query(Policy.from_sql("rate", RATE_POLICY).select)
+        },
+        "states": {
+            "rate": {
+                "poisoned": None,
+                "seq": 3,
+                "candidates": [[]],
+                "groups": [
+                    [
+                        [],
+                        [
+                            {
+                                "kind": "distinct",
+                                "values": [[1, None], [2, None], [3, None]],
+                                "heap": [],
+                            }
+                        ],
+                        [2],
+                    ]
+                ],
+            }
+        },
+    }
+)
+
+
 class TestDurability:
-    def test_checkpoint_writes_state_and_restore_adopts_it(self):
+    @pytest.mark.parametrize(
+        "leftover", [PLANTED_STATE, "{not json"], ids=["well-formed", "garbage"]
+    )
+    def test_leftover_state_file_is_ignored(self, leftover):
         with tempfile.TemporaryDirectory() as raw:
             directory = Path(raw)
             enforcer, wal = durable_enforcer(directory)
             enforcer.warm_incremental()
-            for qidx, uidx in [(0, 0), (1, 0), (2, 1), (0, 2)]:
+            twin = toy_enforcer(True)
+            before = [(0, 0), (1, 0), (2, 1)]
+            for qidx, uidx in before:
                 enforcer.submit(QUERY_POOL[qidx], uid=USERS[uidx])
+                twin.submit(QUERY_POOL[qidx], uid=USERS[uidx])
             checkpoint(enforcer, directory, wal)
             wal.close()
-            # The checkpoint protocol swaps the snapshot into checkpoint/.
-            assert (directory / "checkpoint" / "incremental.json").exists()
+            state_file = directory / "checkpoint" / "incremental.json"
+            state_file.write_text(leftover, encoding="utf-8")
 
             recovered, rwal, _ = recover_enforcer(
                 directory, clock=SimulatedClock(default_step_ms=10)
             )
             assert recovered.options.incremental
-            maintainer = recovered.incremental
-            assert maintainer is not None and maintainer.warm
-            assert maintainer.stats.restores == 1
-
-            twin = toy_enforcer(True)
-            for qidx, uidx in [(0, 0), (1, 0), (2, 1), (0, 2)]:
-                twin.submit(QUERY_POOL[qidx], uid=USERS[uidx])
-            held_out = [(0, 0), (0, 0), (1, 1), (2, 2)]
+            assert recovered.clock.now() == twin.clock.now()
+            assert persisted_log_content(recovered) == persisted_log_content(
+                twin
+            )
+            # carol (outside group x) lets the window pass; alice's next
+            # query is then allowed unless planted state was adopted.
+            held_out = [(0, 2)] * 7 + [(0, 0), (1, 0), (0, 1), (2, 0)]
+            decisions = []
             for qidx, uidx in held_out:
                 a = recovered.submit(QUERY_POOL[qidx], uid=USERS[uidx])
                 b = twin.submit(QUERY_POOL[qidx], uid=USERS[uidx])
                 assert a.allowed == b.allowed
+                decisions.append(a.allowed)
+            assert decisions[7] and not all(decisions)
+            stats = recovered.incremental.stats
+            assert stats.rebuilds == 1 and stats.hits > 0
+
+            checkpoint(recovered, directory, rwal)
             rwal.close()
-
-    def test_stale_format_marker_forces_rebuild(self):
-        with tempfile.TemporaryDirectory() as raw:
-            directory = Path(raw)
-            enforcer, wal = durable_enforcer(directory)
-            enforcer.warm_incremental()
-            for qidx, uidx in [(0, 0), (1, 0), (2, 1)]:
-                enforcer.submit(QUERY_POOL[qidx], uid=USERS[uidx])
-            checkpoint(enforcer, directory, wal)
-            wal.close()
-
-            state_path = directory / "checkpoint" / "incremental.json"
-            payload = json.loads(state_path.read_text(encoding="utf-8"))
-            assert payload["format"] == STATE_FORMAT_VERSION
-            payload["format"] = STATE_FORMAT_VERSION + 1
-            state_path.write_text(json.dumps(payload), encoding="utf-8")
-
-            recovered, rwal, _ = recover_enforcer(
-                directory, clock=SimulatedClock(default_step_ms=10)
-            )
-            # Adoption refused; the lazy rebuild path takes over and the
-            # decisions still match an uncrashed twin.
-            assert recovered.incremental is None or not recovered.incremental.warm
-            twin = toy_enforcer(True)
-            for qidx, uidx in [(0, 0), (1, 0), (2, 1)]:
-                twin.submit(QUERY_POOL[qidx], uid=USERS[uidx])
-            for qidx, uidx in [(0, 0), (0, 0), (1, 1)]:
-                a = recovered.submit(QUERY_POOL[qidx], uid=USERS[uidx])
-                b = twin.submit(QUERY_POOL[qidx], uid=USERS[uidx])
-                assert a.allowed == b.allowed
-            rwal.close()
+            assert not state_file.exists()
 
     @settings(
         max_examples=12,
@@ -516,18 +522,28 @@ class TestDurability:
             min_size=1,
             max_size=5,
         ),
+        checkpoint_at=st.integers(0, 8),
         crash_fraction=st.floats(0.0, 1.0),
     )
     def test_recovery_equivalence_with_incremental_on(
-        self, stream, held_out, crash_fraction
+        self, stream, held_out, checkpoint_at, crash_fraction
     ):
+        """Crash after a mid-stream checkpoint and a torn WAL suffix: the
+        recovered maintainer, folded from checkpoint image + replayed
+        suffix, decides like an enforcer that never crashed."""
         with tempfile.TemporaryDirectory() as raw:
             directory = Path(raw)
             enforcer, wal = durable_enforcer(directory)
             enforcer.warm_incremental()
+            covered = min(checkpoint_at, len(stream))
             original = [
                 enforcer.submit(QUERY_POOL[q], uid=USERS[u]).allowed
-                for q, u in stream
+                for q, u in stream[:covered]
+            ]
+            checkpoint(enforcer, directory, wal)
+            original += [
+                enforcer.submit(QUERY_POOL[q], uid=USERS[u]).allowed
+                for q, u in stream[covered:]
             ]
             wal.close()
 
@@ -538,7 +554,7 @@ class TestDurability:
                 directory, clock=SimulatedClock(default_step_ms=10)
             )
             durable = report.last_seq
-            assert 0 <= durable <= len(stream)
+            assert covered <= durable <= len(stream)
 
             twin = toy_enforcer(True)
             twin.warm_incremental()
@@ -554,6 +570,7 @@ class TestDurability:
             assert persisted_log_content(recovered) == persisted_log_content(
                 twin
             )
+            assert recovered.incremental.stats.rebuilds == 1
             rwal.close()
 
 
@@ -595,6 +612,17 @@ class TestServiceSurface:
             assert "# TYPE repro_incremental_state_entries gauge" in text
         finally:
             service.close()
+
+    def test_durable_checkpoints_hold_no_state_file(self, tmp_path):
+        service = self.make_service(data_dir=str(tmp_path), checkpoint_every=2)
+        try:
+            for uidx in (0, 0, 1, 2, 0):
+                service.submit(QUERY_POOL[0], uid=USERS[uidx])
+            assert service.stats()["per_shard"][0]["incremental"]["hits"] > 0
+        finally:
+            service.close()
+        assert (tmp_path / "shard-0" / "checkpoint" / "manifest.json").exists()
+        assert list(tmp_path.rglob("incremental.json")) == []
 
     def test_disabled_by_config(self):
         service = self.make_service(incremental=False)

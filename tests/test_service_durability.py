@@ -5,6 +5,8 @@ startup, checkpoint cadence, durable policy changes, the HTTP
 from __future__ import annotations
 
 import io
+import json
+import multiprocessing
 import threading
 
 import pytest
@@ -13,10 +15,11 @@ from v1 import request
 from repro.cli import cmd_recover, make_parser
 from repro.core import Enforcer, EnforcerOptions, Policy
 from repro.engine import Database
+from repro.errors import ServiceError
 from repro.log import SimulatedClock, standard_registry
 from repro.server import serve
 from repro.service import ServiceConfig, ShardedEnforcerService
-from repro.storage import read_wal
+from repro.storage import StorageError, read_wal
 from repro.workloads import (
     MarketplaceConfig,
     build_marketplace_database,
@@ -35,6 +38,38 @@ def make_marketplace_enforcer() -> Enforcer:
         clock=SimulatedClock(default_step_ms=10),
         options=EnforcerOptions.datalawyer(),
     )
+
+
+def populate(tmp_path, queries=4) -> ServiceConfig:
+    """A drained 2-shard durable service's directory; returns its config."""
+    config = ServiceConfig(shards=2, routing="modulo", data_dir=str(tmp_path))
+    service = ShardedEnforcerService(make_marketplace_enforcer(), config)
+    for uid in range(queries):
+        service.submit(QUERY, uid=uid)
+    service.drain()
+    return config
+
+
+def edit_manifest(shard_dir, edit) -> None:
+    path = shard_dir / "checkpoint" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def add_removed_option(manifest) -> None:
+    """What a checkpoint written before ``vectorized`` left the options
+    carries."""
+    manifest["options"]["vectorized"] = True
+
+
+def live_shard_workers() -> set:
+    """Shard worker threads and processes alive in this test process."""
+    return {
+        worker
+        for worker in (*threading.enumerate(), *multiprocessing.active_children())
+        if worker.name.startswith("repro-shard") and worker.is_alive()
+    }
 
 
 def make_simple_enforcer() -> Enforcer:
@@ -157,6 +192,19 @@ class TestDurableService:
         restarted.drain()
         service.drain()
 
+    def test_unreadable_checkpoint_aborts_startup(self, tmp_path):
+        """Shard 1's checkpoint names an option this version lacks: the
+        service refuses to start and shard 0, already serving, stops."""
+        config = populate(tmp_path)
+        edit_manifest(tmp_path / "shard-1", add_removed_option)
+        # A worker process reports its startup failure as a ServiceError
+        # carrying the worker's traceback.
+        expected = StorageError if config.workers_mode == "thread" else ServiceError
+        before = live_shard_workers()
+        with pytest.raises(expected, match="vectorized"):
+            ShardedEnforcerService(make_marketplace_enforcer(), config)
+        assert live_shard_workers() == before
+
     def test_undurable_service_reports_disabled(self):
         service = ShardedEnforcerService(make_simple_enforcer())
         assert service.durability_status() == {"enabled": False}
@@ -196,13 +244,6 @@ class TestHttpSurface:
 
 
 class TestCli:
-    def _populate(self, tmp_path, queries=4):
-        config = ServiceConfig(shards=2, routing="modulo", data_dir=str(tmp_path))
-        service = ShardedEnforcerService(make_marketplace_enforcer(), config)
-        for uid in range(queries):
-            service.submit(QUERY, uid=uid)
-        service.drain()
-
     def _recover(self, argv):
         args = make_parser().parse_args(["recover", *argv])
         out = io.StringIO()
@@ -226,14 +267,14 @@ class TestCli:
         server.server_close()
 
     def test_recover_reports_each_shard(self, tmp_path):
-        self._populate(tmp_path)
+        populate(tmp_path)
         code, out = self._recover([str(tmp_path)])
         assert code == 0
         assert "shard-0" in out and "shard-1" in out
         assert "checkpoint at seq" in out
 
     def test_recover_checkpoint_flag_truncates(self, tmp_path):
-        self._populate(tmp_path)
+        populate(tmp_path)
         code, out = self._recover([str(tmp_path), "--checkpoint"])
         assert code == 0
         assert "WAL truncated" in out
@@ -244,3 +285,20 @@ class TestCli:
         code, out = self._recover([str(tmp_path)])
         assert code == 1
         assert "no durable state" in out
+
+    @pytest.mark.parametrize(
+        ("edit", "named"),
+        [
+            (add_removed_option, "vectorized"),
+            (lambda manifest: manifest.pop("clock_now"), "clock_now"),
+        ],
+        ids=["unknown-option", "missing-key"],
+    )
+    def test_recover_reports_unreadable_checkpoint(self, tmp_path, edit, named):
+        populate(tmp_path)
+        edit_manifest(tmp_path / "shard-1", edit)
+        code, out = self._recover([str(tmp_path)])
+        assert code == 2
+        assert "shard-0: checkpoint at seq" in out
+        (failed,) = [line for line in out.splitlines() if "FAILED" in line]
+        assert failed.startswith("shard-1: FAILED") and named in failed

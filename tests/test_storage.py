@@ -213,6 +213,35 @@ class TestEnforcerSnapshot:
         assert restored.database.has_table("devices")
 
 
+def edit_manifest(directory, edit) -> None:
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+class TestUnreadableManifest:
+    """A manifest this version cannot read is a StorageError naming the
+    offending keys, never a TypeError or KeyError."""
+
+    def test_unknown_option_is_named(self, tmp_path):
+        save_enforcer_state(make_enforcer(), tmp_path)
+        edit_manifest(
+            tmp_path, lambda manifest: manifest["options"].update(vectorized=True)
+        )
+        with pytest.raises(StorageError, match="vectorized"):
+            restore_enforcer(tmp_path)
+
+    @pytest.mark.parametrize(
+        "key", ["tables", "policies", "options", "clock_now"]
+    )
+    def test_missing_key_is_named(self, tmp_path, key):
+        save_enforcer_state(make_enforcer(), tmp_path)
+        edit_manifest(tmp_path, lambda manifest: manifest.pop(key))
+        with pytest.raises(StorageError, match=key):
+            restore_enforcer(tmp_path)
+
+
 class TestSnapshotEquivalenceProperty:
     """Random streams split at a random point: snapshot+restore mid-stream
     must not change any subsequent decision."""

@@ -930,7 +930,7 @@ class Enforcer:
                         runtime, metrics, ensure_log, generated, timestamp, marks
                     )
             # Extra relations are retained in full — the global tier
-            # rebuilds aggregator state exactly from shard disk images, so
+            # reloads its log exactly from shard disk images, so
             # compaction must never drop their history. Marking every live
             # tid (disk + staged) keeps the whole table and commits the
             # staged increment exactly once.

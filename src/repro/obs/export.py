@@ -54,12 +54,13 @@ Metric names and labels (all prefixed ``repro_``):
 ``repro_global_denials_total``        counter    ``{mode}`` tier denials
 ``repro_global_reservations_total``   counter    strict reservations opened
 ``repro_global_reservations_active``  gauge      reservations in flight
-``repro_global_delta_frames_total``   counter    shard delta frames folded
-``repro_global_folds_total``          counter    aggregator fold passes
-``repro_global_delta_lag``            gauge      frames queued, not folded
-``repro_global_staleness_seconds``    gauge      age of the oldest unfolded
+``repro_global_delta_frames_total``   counter    shard delta frames received
+``repro_global_folds_total``          counter    frames committed to the tier
+``repro_global_delta_lag``            gauge      frames queued, not committed
+``repro_global_staleness_seconds``    gauge      age of the oldest uncommitted
                                                  delta (0 when caught up)
-``repro_global_policy_entries``       gauge      ``{policy}`` async state
+``repro_global_policy_entries``       gauge      ``{policy}`` planned state
+``repro_global_fallbacks_total``      counter    ``{reason}`` full evaluations
 ====================================  =========  ==========================
 
 The WAL families appear only on durable deployments (``--data-dir``);
@@ -357,7 +358,7 @@ def collect_service(service) -> "list[MetricFamily]":
         ).add(None, tier_stats["delta_frames"])
         g_folds = MetricFamily(
             "repro_global_folds_total", "counter",
-            "Delta frames folded into aggregator state.",
+            "Delta frames committed into the tier's global log.",
         ).add(None, tier_stats["folds"])
         g_lag = MetricFamily(
             "repro_global_delta_lag", "gauge",
@@ -370,14 +371,22 @@ def collect_service(service) -> "list[MetricFamily]":
         ).add(None, tier_stats["staleness_seconds"])
         g_entries = MetricFamily(
             "repro_global_policy_entries", "gauge",
-            "Folded aggregator state entries per global-async policy.",
+            "Incremental state entries per global policy the tier's "
+            "maintainer plans (async or strict).",
         )
         for name, entry in sorted(tier_stats["policies"].items()):
             if entry["entries"] is not None:
                 g_entries.add({"policy": name}, entry["entries"])
+        g_fallbacks = MetricFamily(
+            "repro_global_fallbacks_total", "counter",
+            "Global checks the tier's maintainer could not answer, "
+            "evaluated in full over the tier's log instead.",
+        )
+        for reason, count in sorted(tier_stats["fallback_reasons"].items()):
+            g_fallbacks.add({"reason": reason}, count)
         global_families = [
             g_checks, g_denials, g_res_total, g_res_active,
-            g_frames, g_folds, g_lag, g_staleness, g_entries,
+            g_frames, g_folds, g_lag, g_staleness, g_entries, g_fallbacks,
         ]
 
     families = [

@@ -21,11 +21,10 @@ Installing a policy the placement analysis marks *global* (see
 silently under-enforce it — unless the service runs with a **global
 tier** (``ServiceConfig(global_tier="async"|"strict")``, see
 :mod:`repro.service.global_tier`). With the tier active the coordinator
-assigns every query's timestamp from the tier's clock, answers
-``global-async`` policies from cross-shard folded aggregate state
-before admission, and runs ``global-strict`` policies through a
-two-phase reserve → commit/abort admission; shards stream their
-committed log increments back to the tier.
+assigns every query's timestamp from the tier's clock and asks the
+tier's one entry point (:meth:`GlobalTier.admit`) before enqueueing; in
+strict mode the tier's staged increment is settled once the shard
+answers. Shards stream their committed log increments back to the tier.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ class ShardedEnforcerService:
         if tier_enabled:
             try:
                 self._init_global_tier(enforcer)
-            except PolicyPlacementError:
+            except ReproError:
                 self._abort_startup()
                 raise
 
@@ -172,8 +171,8 @@ class ShardedEnforcerService:
         self._tier = tier
 
     def _connect_tier(self) -> None:
-        """Rebuild the tier's aggregate state from every (possibly
-        recovered) shard's disk image."""
+        """Reload the tier's global log from every (possibly recovered)
+        shard's disk image."""
         tier = self._tier
         extras = sorted(tier.extra_persist_relations())
         dumps = [shard.log_dump(extras) for shard in self.shards]
@@ -378,7 +377,7 @@ class ShardedEnforcerService:
             return future.result()
 
         # Global tier: the coordinator owns the clock. Timestamp
-        # assignment, the global checks, and the enqueue all happen under
+        # assignment, the global check, and the enqueue all happen under
         # the admission lock so every shard sees queries in global
         # timestamp order; the shard's answer is awaited outside the lock
         # unless a strict reservation is open (strict admissions are
@@ -388,12 +387,7 @@ class ShardedEnforcerService:
             if self._closed:
                 raise ServiceClosedError("service is shut down")
             timestamp = tier.next_timestamp()
-            violations = tier.check_async(timestamp)
-            reservation = None
-            if not violations and tier.has_strict:
-                reservation, violations = tier.reserve(
-                    sql, uid, timestamp, attributes
-                )
+            violations, reserved = tier.admit(sql, uid, timestamp, attributes)
             if violations:
                 tier.note_denial(timestamp)
                 return Decision(
@@ -412,20 +406,16 @@ class ShardedEnforcerService:
                     timestamp=timestamp,
                 )
             except ReproError:
-                if reservation is not None:
-                    tier.abort_reservation(reservation)
+                tier.settle(False)
                 tier.note_denial(timestamp)
                 raise
-            if reservation is not None:
+            if reserved:
                 try:
                     decision = future.result()
                 except BaseException:
-                    tier.abort_reservation(reservation)
+                    tier.settle(False)
                     raise
-                if decision.allowed:
-                    tier.commit_reservation(reservation)
-                else:
-                    tier.abort_reservation(reservation)
+                tier.settle(decision.allowed)
                 return decision
         return future.result()
 
@@ -694,9 +684,9 @@ class ShardedEnforcerService:
         return self._tier
 
     def flush_global(self) -> None:
-        """Block until every streamed shard delta has folded into the
-        tier's aggregate state (collapses the async staleness window to
-        the current query; a no-op without a tier)."""
+        """Block until every streamed shard delta has committed into the
+        tier's global log (collapses the async staleness window to the
+        current query; a no-op without a tier)."""
         if self._tier is not None:
             self._tier.flush()
 

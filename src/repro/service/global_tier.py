@@ -1,57 +1,44 @@
 """The global policy tier: cross-shard aggregate enforcement.
 
-Per-uid sharding (see :mod:`repro.service.placement`) is sound only for
-shard-local policies. This module enforces the rest — cross-user
-windowed aggregates ("dataset-wide row budget", "≤N distinct users may
-read T") — by keeping one coordinator-side view of the usage log:
+Per-uid sharding (:mod:`repro.service.placement`) is sound only for
+shard-local policies. The tier enforces the rest — cross-user windowed
+aggregates — with the parts a shard already has: its private enforcer
+clone's catalog, engine and :class:`~repro.log.store.LogStore` hold the
+one global log, one :class:`~repro.incremental.IncrementalMaintainer`
+observes that store, and one evaluator serves both modes as a shard's
+policy round does — the maintainer first, full evaluation over the store
+when it answers ``None`` (unplanned, or poisoned past
+``incremental_max_entries``). A poisoned state costs speed, never
+availability. The modes differ only in who writes the store:
 
-- **global-async** policies are monotone aggregate thresholds the
-  incremental classifier can plan (:func:`repro.incremental
-  .classify_policy`). Every shard streams its *committed* log increments
-  to the :class:`GlobalTier` (thread mode: an in-process
-  :class:`DeltaTee` observer on the shard's log store; process mode: a
-  ``delta`` frame on the worker pipe, riding the same crc32 framing as
-  every other IPC message — see :mod:`repro.service.ipc`). A folder
-  thread drains the delta queue into one
-  :class:`~repro.incremental.state.PolicyState` per policy, and checks
-  are answered from that state in O(groups).
+- **async** (``global-async`` policies only): shards stream their
+  *committed* increments (thread mode: a :class:`DeltaTee` on the
+  shard's store; process mode: a ``delta`` frame on the worker pipe) and
+  a folder thread commits each frame into the store. Checks stage
+  nothing, so the store is a subset of the committed log: in-flight
+  frames and the submitting query's own increment are missing. The
+  policies are monotone, so a deny is always sound; a query that itself
+  crosses a threshold is admitted once, and every later check denies
+  once its frame commits (after ``flush()``, immediately).
+- **strict**: under the coordinator's admission lock the tier generates
+  the query's log rows itself and *stages* them — a reservation is the
+  store's staged increment — evaluates store + increment like a shard,
+  and commits the increment when the shard allows the query or discards
+  it otherwise. Admissions serialize end to end, the price of being
+  bit-identical to a single-shard oracle. Strict ignores deltas.
 
-  *Soundness/staleness window*: folded state is always a subset of the
-  truly committed log (deltas still in flight are missing, and the
-  submitting query's own increment is generated shard-side, after
-  admission). Because the planned aggregates are monotone — more rows
-  can only move a group *toward* its threshold — a **deny** from state
-  is always sound. An **allow** may be stale by at most the in-flight
-  delta backlog plus the query's own increment: a query that itself
-  crosses a threshold is admitted once, and every later check denies as
-  soon as its delta folds (after ``flush()``, immediately).
+Only a delta frame the store failed to commit fails closed: every check
+then denies, naming why, until the next bootstrap. The coordinator takes
+every timestamp from the tier's clock and shards ``seek`` to it — the
+order a single-shard oracle would assign.
 
-- **global-strict** policies get two-phase admission, bit-identical to
-  a single-shard oracle: under the coordinator's admission lock the
-  tier *reserves* — it generates the query's log rows itself (via the
-  registry's log functions over a private clone of the catalog), stages
-  them into a coordinator-side mirror of the global log relations, and
-  evaluates the policy over mirror + increment — then *commits* the
-  reservation when the shard allows the query, or *aborts* (deleting
-  the staged rows) when the shard denies or errors. While any strict
-  policy is installed every submit is serialized through this path;
-  that is the documented cost of exactness.
-
-**Timestamps.** With the tier active the coordinator assigns every
-query's timestamp from one tier-owned clock and shards ``seek`` to it,
-so all shards (and the tier) observe a single global time order — the
-same sequence a single-shard oracle would assign.
-
-**Durability.** The tier keeps a small WAL (``global/global.wal``,
-:class:`~repro.storage.wal.WriteAheadLog` — crc32-framed like the shard
-WALs) recording the timestamps its own denials consumed, plus a
-checkpoint (``global/state.json``) with the clock and per-policy
-history floors. Aggregate state and the strict mirror are *rebuilt from
-the shards* on startup: shards retain every committed row of the
-relations global policies read (``Enforcer.extra_persist_relations``),
-so their WAL-recovered disk images are a complete history and the
-rebuild is exact — recovery reaches the same global state as a run
-that never crashed.
+**Durability.** ``global/global.wal`` records the timestamps tier
+denials consumed; ``global/state.json`` (fsynced, then renamed, then the
+WAL reset; unusable is a :class:`~repro.storage.format.StorageError`)
+holds the clock, the global policy set and history floors. The log is
+reloaded on startup: shards retain the tier's relations in full
+(``Enforcer.extra_persist_relations``), bootstrap loads their recovered
+images into the store and a fresh maintainer folds them.
 """
 
 from __future__ import annotations
@@ -66,14 +53,13 @@ from typing import Iterable, Optional
 
 from ..analysis import floor_history, referenced_log_relations
 from ..core.policy import Policy, Violation  # noqa: F401 - Policy re-exported
-from ..engine import Database, Engine
-from ..errors import PolicyError, ReproError
+from ..errors import ReproError
+from ..incremental import IncrementalMaintainer
 from ..incremental import classify_policy as incremental_classify
-from ..incremental.state import PolicyState, StatePoisoned
 from ..log import QueryContext
-from ..log.store import CLOCK_TABLE
-from ..storage.wal import WriteAheadLog, read_wal
-from .placement import SCOPE_GLOBAL_ASYNC, PolicyPlacement
+from ..storage.format import StorageError
+from ..storage.wal import WriteAheadLog, _fsync_dir, read_wal
+from .placement import PolicyPlacement
 
 #: Bumped whenever the checkpoint layout changes.
 CHECKPOINT_FORMAT = 1
@@ -105,19 +91,10 @@ class DeltaTee:
 
 
 class _GlobalPolicy:
-    """One installed global policy and its tier-side artifacts."""
+    """One installed global policy, its effective select and its
+    incremental classification."""
 
-    def __init__(
-        self,
-        policy: Policy,
-        placement: PolicyPlacement,
-        *,
-        floor: Optional[int],
-        registry,
-        database: Database,
-        max_entries: int,
-        force_strict: bool = False,
-    ) -> None:
+    def __init__(self, policy, placement, floor, registry, database) -> None:
         self.policy = policy
         self.placement = placement
         #: Log rows at or below this timestamp predate the policy (the
@@ -128,46 +105,14 @@ class _GlobalPolicy:
             if floor is None
             else floor_history(policy.select, registry, floor)
         )
-        classification = incremental_classify(
+        self.classification = incremental_classify(
             policy.name, self.select, registry, database
         )
-        # A strict-mode tier evaluates *every* global policy through the
-        # serialized mirror — even incrementalizable ones — because that
-        # is what makes its admissions bit-identical to a single-shard
-        # oracle (the async path cannot see the query's own increment).
-        self.plan = (
-            classification.plan
-            if placement.scope == SCOPE_GLOBAL_ASYNC and not force_strict
-            else None
-        )
-        self.state = (
-            PolicyState(self.plan, max_entries)
-            if self.plan is not None
-            else None
-        )
-        self.log_relations = (
-            set(self.plan.log_relations)
-            if self.plan is not None
-            else referenced_log_relations(self.select, registry)
-        )
-
-    @property
-    def strict(self) -> bool:
-        return self.plan is None
-
-
-class Reservation:
-    """Staged mirror rows for one in-flight strict admission."""
-
-    __slots__ = ("timestamp", "tids")
-
-    def __init__(self, timestamp: int, tids: "dict[str, list[int]]") -> None:
-        self.timestamp = timestamp
-        self.tids = tids
+        self.log_relations = referenced_log_relations(self.select, registry)
 
 
 class GlobalTier:
-    """Coordinator-side aggregator answering global policy checks."""
+    """Coordinator-side copy of the global log answering global checks."""
 
     def __init__(
         self,
@@ -178,76 +123,66 @@ class GlobalTier:
         wal_sync: bool = True,
         max_entries: int = 100_000,
     ) -> None:
-        #: ``"async"`` folds incrementalizable policies from streamed
-        #: deltas; ``"strict"`` serializes every admission through the
-        #: mirror for single-shard-oracle equivalence.
+        #: ``"async"``: shards' streamed deltas write the store;
+        #: ``"strict"``: the tier's own reservations do.
         self.mode = mode
-        # Private clone: its engine generates log rows for strict
-        # reservations and its catalog donates base tables to the delta
-        # scratch and the strict mirror. Never the live reference — the
-        # tier must not race shard 0's engine in thread mode.
+        # Private clone: its catalog and log store hold the global log,
+        # its engine evaluates policies and generates strict increments.
+        # Never the live reference — the tier must not race shard 0's
+        # engine in thread mode.
         self._private = prototype.clone()
         self.registry = self._private.registry
         self.clock = self._private.clock
+        self.store = self._private.store
+        self.store.attach_observer(self)
         self.max_entries = max_entries
         #: Serializes timestamp assignment and every global check; the
-        #: coordinator holds it across reserve → commit for strict.
+        #: coordinator holds it across admit → settle for strict.
         self.admission_lock = threading.RLock()
         self._lock = threading.RLock()
         self._policies: dict[str, _GlobalPolicy] = {}
+        self._rebuild()
+        #: Why the store is missing rows (a delta frame failed to
+        #: commit); every check fails closed until the next bootstrap.
+        self._incomplete: Optional[str] = None
+        #: A strict increment is staged, awaiting :meth:`settle`.
+        self._reserved = False
 
-        # Async fold machinery: a scratch database per the maintainer's
-        # pattern (tiny log tables refilled per delta, base tables
-        # attached by reference) and a folder thread off a queue.
-        self._scratch = Database()
-        self._scratch_engine = Engine(self._scratch)
         self._queue: "queue.Queue" = queue.Queue()
         self._last_fold = time.monotonic()
         self._folder: Optional[threading.Thread] = None
         self._closed = False
 
-        # Strict mirror: one global copy of the log relations strict
-        # policies read, plus the clock relation and base tables.
-        self._mirror = Database()
-        self._mirror.create_table(CLOCK_TABLE, ["ts"])
-        self._mirror_engine = Engine(self._mirror)
-
         # Counters for /v1/metrics.
-        self.checks_async = 0
-        self.checks_strict = 0
-        self.denials_async = 0
-        self.denials_strict = 0
+        self.checks = {"async": 0, "strict": 0}
+        self.denials = {"async": 0, "strict": 0}
         self.reservations_total = 0
-        self.reservations_active = 0
         self.folds = 0
         self.delta_frames = 0
 
         # Durability.
         self._dir = Path(directory) if directory is not None else None
+        self._wal_sync = wal_sync
         self._wal: Optional[WriteAheadLog] = None
+        self._wal_last_seq = 0
         self._checkpoint_floors: dict[str, Optional[int]] = {}
-        self._checkpoint_records: list[dict] = []
+        self._checkpoint_policies: list[Policy] = []
         if self._dir is not None:
             self._dir.mkdir(parents=True, exist_ok=True)
             clock_floor = self._load_checkpoint()
             wal_path = self._dir / "global.wal"
-            start_seq = 0
+            start_seq = self._wal_last_seq
             if wal_path.exists():
-                scan = read_wal(wal_path)
-                for record in scan.records:
-                    if record.get("seq", 0) <= self._wal_last_seq:
-                        continue
-                    if record.get("type") == "gtick":
+                for record in read_wal(wal_path).records:
+                    seq = record.get("seq", 0)
+                    if seq > start_seq and record.get("type") == "gtick":
                         clock_floor = max(clock_floor, int(record["ts"]))
-                    start_seq = max(start_seq, record.get("seq", 0))
-                start_seq = max(start_seq, self._wal_last_seq)
+                    start_seq = max(start_seq, seq)
             self._wal = WriteAheadLog(
                 wal_path, sync=wal_sync, start_seq=start_seq
             )
             if clock_floor > self.clock.now():
                 self.clock.seek(clock_floor)
-
-    _wal_last_seq = 0
 
     # -- policy set --------------------------------------------------------
 
@@ -264,43 +199,10 @@ class GlobalTier:
                 # A previous incarnation added this policy at runtime;
                 # keep honouring its history floor across restarts.
                 floor = self._checkpoint_floors[policy.name]
-            entry = _GlobalPolicy(
-                policy,
-                placement,
-                floor=floor,
-                registry=self.registry,
-                database=self._private.database,
-                max_entries=self.max_entries,
-                force_strict=self.mode == "strict",
+            self._policies[policy.name] = _GlobalPolicy(
+                policy, placement, floor, self.registry, self._private.database
             )
-            self._policies[policy.name] = entry
-            for name in sorted(entry.log_relations):
-                columns = list(self.registry.get(name).full_columns)
-                if entry.plan is not None:
-                    if not self._scratch.has_table(name):
-                        self._scratch.create_table(name, columns)
-                else:
-                    if not self._mirror.has_table(name):
-                        self._mirror.create_table(name, columns)
-            if entry.plan is not None:
-                for name in entry.plan.base_tables:
-                    if not self._scratch.has_table(
-                        name
-                    ) and self._private.database.has_table(name):
-                        self._scratch.attach(
-                            self._private.database.table(name)
-                        )
-            else:
-                reserved = {r.lower() for r in self.registry.names()}
-                reserved.add(CLOCK_TABLE.lower())
-                for name in self._private.database.table_names():
-                    if (
-                        not self._mirror.has_table(name)
-                        and name.lower() not in reserved
-                    ):
-                        self._mirror.attach(
-                            self._private.database.table(name)
-                        )
+            self._rebuild()
 
     def add_policy(self, policy: Policy, placement: PolicyPlacement) -> None:
         """Runtime add: the policy's history starts now."""
@@ -311,7 +213,23 @@ class GlobalTier:
         with self._lock:
             self._policies.pop(name, None)
             self._checkpoint_floors.pop(name, None)
+            self._rebuild()
         self.write_checkpoint()
+
+    def _rebuild(self) -> None:
+        """Fold the store into a fresh maintainer (per policy-set change,
+        as the enforcer rebuilds per plan epoch)."""
+        self._maintainer = IncrementalMaintainer(
+            self._private.database,
+            self.registry,
+            self.store,
+            {
+                name: entry.classification.plan
+                for name, entry in self._policies.items()
+                if entry.classification.plan is not None
+            },
+            max_entries=self.max_entries,
+        )
 
     def policy_names(self) -> list[str]:
         with self._lock:
@@ -319,9 +237,7 @@ class GlobalTier:
 
     def placements(self) -> "list[PolicyPlacement]":
         with self._lock:
-            return [
-                entry.placement for entry in self._policies.values()
-            ]
+            return [entry.placement for entry in self._policies.values()]
 
     def snapshot_entries(self) -> "list[dict]":
         """Tier policies in the ``GET /v1/policies`` snapshot shape."""
@@ -334,16 +250,14 @@ class GlobalTier:
                     "description": entry.policy.description,
                     "placement": entry.placement.scope,
                     "classification": {
-                        "incrementalizable": entry.plan is not None,
+                        "incrementalizable": (
+                            entry.classification.plan is not None
+                        ),
                         "reason": entry.placement.reason,
                     },
                 }
                 for entry in self._policies.values()
             ]
-
-    @property
-    def has_strict(self) -> bool:
-        return any(entry.strict for entry in self._policies.values())
 
     def extra_persist_relations(self) -> set[str]:
         """Relations every shard must commit (and retain) for the tier."""
@@ -352,6 +266,17 @@ class GlobalTier:
             for entry in self._policies.values():
                 extras |= entry.log_relations
             return extras
+
+    # -- LogStore observer protocol ------------------------------------------
+
+    def log_observer_active(self) -> bool:
+        return True
+
+    def on_log_commit(self, timestamp: int, inserted: dict) -> None:
+        self._maintainer.on_commit(timestamp, inserted)
+
+    def on_log_discard(self) -> None:
+        self._maintainer.on_discard()
 
     # -- timestamps --------------------------------------------------------
 
@@ -364,125 +289,92 @@ class GlobalTier:
         if self._wal is not None:
             self._wal.append({"type": "gtick", "ts": timestamp})
 
-    # -- async checks ------------------------------------------------------
+    # -- admission ---------------------------------------------------------
 
-    def check_async(self, timestamp: int) -> list[Violation]:
-        """Evaluate every async policy from folded state at ``timestamp``.
+    def admit(
+        self, sql: str, uid: int, timestamp: int, attributes=None
+    ) -> "tuple[list[Violation], bool]":
+        """Check every global policy for one query at ``timestamp``; call
+        under ``admission_lock``.
 
-        The submitting query's own increment is *not* visible (it is
-        generated shard-side after admission) — see the staleness window
-        in the module docstring. A poisoned state fails closed.
+        Returns ``(violations, reserved)``. Async stages nothing, so the
+        query's own increment is invisible (the staleness window in the
+        module docstring) and ``reserved`` is False. Strict stages the
+        query's increment first; when every policy passes it stays
+        staged (``reserved``) until :meth:`settle`, otherwise it is
+        already discarded.
         """
-        violations: list[Violation] = []
         with self._lock:
-            for entry in self._policies.values():
-                if entry.state is None:
-                    continue
-                self.checks_async += 1
-                try:
-                    violated = entry.state.check(timestamp, ())
-                except StatePoisoned as exc:
-                    violated = True
-                    reason = f"global state poisoned ({exc}); failing closed"
-                    violations.append(
-                        Violation(entry.policy.name, reason)
-                    )
-                    self.denials_async += 1
-                    continue
-                if violated:
-                    violations.append(self._violation_for(entry))
-                    self.denials_async += 1
+            if not self._policies:
+                return [], False
+            if self.mode == "async":
+                return self._evaluate(timestamp), False
+            self._stage(sql, uid, timestamp, attributes)
+            violations = self._evaluate(timestamp)
+            if violations:
+                self.store.discard_staged(record=False)
+                return violations, False
+            self._reserved = True
+            self.reservations_total += 1
+            return [], True
+
+    def settle(self, allowed: bool) -> None:
+        """The shard answered a reserved query: commit its staged
+        increment when it was allowed, discard it otherwise."""
+        with self._lock:
+            if not self._reserved:
+                return
+            self._reserved = False
+            if allowed:
+                self.store.commit(None)
+            else:
+                self.store.discard_staged(record=False)
+
+    def _stage(self, sql, uid, timestamp, attributes) -> None:
+        context = QueryContext.create(
+            sql, uid, timestamp, self._private.engine, attributes
+        )
+        try:
+            for name in sorted(self.extra_persist_relations()):
+                rows = self.registry.get(name).generate(context)
+                self.store.stage(name, rows, timestamp)
+        except Exception:
+            self.store.discard_staged(record=False)
+            raise
+
+    def _evaluate(self, timestamp: int) -> list[Violation]:
+        """Eq. (1) over the global log: per policy, the maintainer's
+        verdict, or full evaluation over the store when it has none."""
+        self.store.set_time(timestamp)
+        violations: list[Violation] = []
+        for name, entry in self._policies.items():
+            self.checks[self.mode] += 1
+            if self._incomplete is not None:
+                violations.append(Violation(
+                    name,
+                    f"global log incomplete ({self._incomplete}); "
+                    "failing closed until restart",
+                ))
+                continue
+            fired = self._maintainer.check(name)
+            if fired is None:
+                fired = not self._private.engine.is_empty(entry.select)
+            if fired:
+                violations.append(self._violation_for(entry))
+        self.denials[self.mode] += len(violations)
         return violations
 
-    # -- strict two-phase admission ---------------------------------------
-
-    def reserve(
-        self,
-        sql: str,
-        uid: int,
-        timestamp: int,
-        attributes: Optional[dict] = None,
-    ) -> "tuple[Optional[Reservation], list[Violation]]":
-        """Stage the query's log rows into the mirror and check every
-        strict policy over mirror + increment.
-
-        Returns ``(reservation, [])`` when all strict policies pass, or
-        ``(None, violations)`` — the staged rows are already removed —
-        when any fails. Call under ``admission_lock``.
-        """
-        with self._lock:
-            needed = set()
-            for entry in self._policies.values():
-                if entry.strict:
-                    needed |= entry.log_relations
-            if not needed:
-                return Reservation(timestamp, {}), []
-            context = QueryContext.create(
-                sql, uid, timestamp, self._private.engine, attributes
-            )
-            tids: dict[str, list[int]] = {}
-            clock = self._mirror.table(CLOCK_TABLE)
-            clock.clear()
-            clock.insert((timestamp,))
-            try:
-                for name in sorted(needed):
-                    function = self.registry.get(name)
-                    rows = function.generate(context)
-                    table = self._mirror.table(name)
-                    tids[name] = list(
-                        table.insert_many(
-                            [(timestamp, *row) for row in rows]
-                        )
-                    )
-            except PolicyError:
-                self._drop(tids)
-                raise
-            violations: list[Violation] = []
-            for entry in self._policies.values():
-                if not entry.strict:
-                    continue
-                self.checks_strict += 1
-                if not self._mirror_engine.is_empty(entry.select):
-                    violations.append(self._violation_for(entry))
-                    self.denials_strict += 1
-            if violations:
-                self._drop(tids)
-                return None, violations
-            self.reservations_total += 1
-            self.reservations_active += 1
-            return Reservation(timestamp, tids), []
-
-    def commit_reservation(self, reservation: Reservation) -> None:
-        """The shard allowed the query: its mirror rows become permanent."""
-        with self._lock:
-            if reservation.tids:
-                self.reservations_active -= 1
-
-    def abort_reservation(self, reservation: Reservation) -> None:
-        """The shard denied (or died): remove the staged mirror rows."""
-        with self._lock:
-            if reservation.tids:
-                self.reservations_active -= 1
-            self._drop(reservation.tids)
-
-    def _drop(self, tids: "dict[str, list[int]]") -> None:
-        for name, staged in tids.items():
-            if staged:
-                self._mirror.table(name).delete_tids(set(staged))
-
     def _violation_for(self, entry: _GlobalPolicy) -> Violation:
-        """Mirror :meth:`Enforcer._violation_for`'s message extraction."""
+        """Build the report, re-running the policy for evidence as
+        :meth:`Enforcer._violation_for` does (before any discard)."""
+        result = self._private.engine.execute(entry.select)
         message = entry.policy.message
-        evidence = 1
-        if entry.strict:
-            result = self._mirror_engine.execute(entry.select)
-            evidence = len(result.rows)
-            if result.rows and isinstance(result.rows[0][0], str):
-                message = " ".join(result.rows[0][0].split())
+        if result.rows and isinstance(result.rows[0][0], str):
+            message = " ".join(result.rows[0][0].split())
         return Violation(
             policy_name=entry.policy.name,
             message=message or f"policy {entry.policy.name!r} violated",
-            evidence_rows=evidence,
+            evidence_rows=len(result.rows),
         )
 
     # -- delta streaming ---------------------------------------------------
@@ -495,14 +387,14 @@ class GlobalTier:
             )
             self._folder.start()
 
-    def enqueue_delta(
-        self, shard_index: int, timestamp: int, rows: "dict[str, list]"
-    ) -> None:
-        """A shard committed an increment; fold it asynchronously."""
+    def enqueue_delta(self, shard_index: int, timestamp: int, rows) -> None:
+        """A shard committed an increment; async commits it into the
+        store off the admission path."""
         if self._closed:
             return
         self.delta_frames += 1
-        self._queue.put((shard_index, timestamp, rows))
+        if self.mode == "async":
+            self._queue.put((timestamp, rows))
 
     def _fold_loop(self) -> None:
         while True:
@@ -510,57 +402,36 @@ class GlobalTier:
             try:
                 if item is None:
                     return
-                _, timestamp, rows = item
-                self._fold(timestamp, rows)
-            except Exception:  # noqa: BLE001 - poison, never kill the loop
-                with self._lock:
-                    for entry in self._policies.values():
-                        if entry.state is not None and not entry.state.poisoned:
-                            entry.state.poisoned = "fold crashed"
+                self._commit_frame(*item)
             finally:
                 self._queue.task_done()
 
-    def _fold(self, timestamp: int, rows: "dict[str, list]") -> None:
-        normalized = {
-            name.lower(): [tuple(row) for row in relation_rows]
-            for name, relation_rows in rows.items()
-        }
+    def _commit_frame(self, timestamp: int, rows: "dict[str, list]") -> None:
         with self._lock:
-            for entry in self._policies.values():
-                if entry.state is None or entry.state.poisoned:
-                    continue
-                if not any(
-                    normalized.get(rel) for rel in entry.plan.log_relations
-                ):
-                    continue
-                try:
-                    entry.state.fold_rows(
-                        self._delta_rows(entry, normalized)
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    entry.state.poisoned = str(exc) or type(exc).__name__
+            try:
+                for name in self.extra_persist_relations() & rows.keys():
+                    staged = [tuple(row[1:]) for row in rows[name]]
+                    self.store.stage(name, staged, timestamp)
+                self.store.commit(None)
+            except Exception as exc:  # noqa: BLE001 - never kill the loop
+                self.store.discard_staged(record=False)
+                if self._incomplete is None:
+                    self._incomplete = str(exc) or type(exc).__name__
             self._last_fold = time.monotonic()
             self.folds += 1
 
-    def _delta_rows(self, entry: _GlobalPolicy, rows_by_relation):
-        for name in entry.plan.log_relations:
-            table = self._scratch.table(name)
-            table.clear()
-            table.insert_many(rows_by_relation.get(name, ()))
-        return self._scratch_engine.execute(entry.plan.delta).rows
-
     def flush(self) -> None:
-        """Block until every enqueued delta has folded (test hook; this
+        """Block until every enqueued delta has committed (test hook; this
         is what collapses the staleness window to the current query)."""
         self._queue.join()
 
     def delta_lag(self) -> int:
-        """Deltas enqueued but not yet folded."""
+        """Deltas enqueued but not yet committed."""
         return self._queue.qsize()
 
     def staleness_seconds(self) -> float:
-        """Seconds since the last fold while deltas are pending (0.0 when
-        the folder is caught up)."""
+        """Seconds since the last commit while deltas are pending (0.0
+        when the folder is caught up)."""
         if self._queue.unfinished_tasks == 0:
             return 0.0
         return max(0.0, time.monotonic() - self._last_fold)
@@ -572,15 +443,9 @@ class GlobalTier:
         shard_dumps: "list[dict[str, list[tuple]]]",
         shard_clocks: "Iterable[int]" = (),
     ) -> None:
-        """Rebuild aggregate state and the strict mirror from the shards'
-        (WAL-recovered) disk images, then start the folder thread.
-
-        Shards retain every committed row of the tier's relations (see
-        ``Enforcer.extra_persist_relations``), so the union of their
-        disk images is the complete global history and this rebuild is
-        exact — a recovered tier reaches the same state as one that
-        never went down.
-        """
+        """Load the shards' (WAL-recovered) disk images — together the
+        complete global history — into the store, fold them into a fresh
+        maintainer, then start the folder thread."""
         merged: dict[str, list[tuple]] = {}
         for dump in shard_dumps:
             for name, rows in dump.items():
@@ -588,81 +453,65 @@ class GlobalTier:
                     tuple(row) for row in rows
                 )
         max_ts = 0
-        for rows in merged.values():
-            rows.sort(key=lambda row: row[0])
-            if rows:
-                max_ts = max(max_ts, rows[-1][0])
         with self._lock:
-            for entry in self._policies.values():
-                if entry.state is not None:
-                    entry.state = PolicyState(entry.plan, self.max_entries)
-                    try:
-                        entry.state.fold_rows(
-                            self._delta_rows(entry, merged)
-                        )
-                    except Exception as exc:  # noqa: BLE001
-                        entry.state.poisoned = (
-                            str(exc) or type(exc).__name__
-                        )
-                else:
-                    for name in entry.log_relations:
-                        table = self._mirror.table(name)
-                        table.clear()
-                        table.insert_many(merged.get(name, ()))
+            for name, rows in merged.items():
+                rows.sort(key=lambda row: row[0])
+                if rows:
+                    max_ts = max(max_ts, rows[-1][0])
+                table = self.store.table(name)
+                table.clear()
+                table.insert_many(rows)
+            self._incomplete = None
+            self._rebuild()
             floor = max([max_ts, *[int(c) for c in shard_clocks]])
             if floor > self.clock.now():
                 self.clock.seek(floor)
         self.start()
 
     def _load_checkpoint(self) -> int:
-        """Adopt the checkpointed clock and history floors; returns the
-        clock floor (0 when absent/invalid)."""
+        """Adopt the checkpointed clock, global policy set and history
+        floors; returns the clock floor (0 without a checkpoint). One that
+        is present but unusable raises :class:`StorageError`: ignoring it
+        would drop runtime-added policies and their floors."""
         path = self._dir / "state.json"
         if not path.exists():
             return 0
         try:
             payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return 0
-        if payload.get("format") != CHECKPOINT_FORMAT:
-            return 0
-        self._wal_last_seq = int(payload.get("wal_last_seq", 0))
-        records = payload.get("policies", [])
-        if isinstance(records, list):
-            self._checkpoint_records = [
-                dict(record) for record in records if isinstance(record, dict)
-            ]
-            self._checkpoint_floors = {
-                record["name"]: (
-                    int(record["floor"])
-                    if record.get("floor") is not None
-                    else None
-                )
-                for record in self._checkpoint_records
-                if "name" in record
-            }
-        return int(payload.get("clock", 0))
+            if (
+                not isinstance(payload, dict)
+                or payload.get("format") != CHECKPOINT_FORMAT
+            ):
+                raise ValueError(f"not a format-{CHECKPOINT_FORMAT} checkpoint")
+            clock = payload["clock"]
+            last_seq = payload["wal_last_seq"]
+            records = payload["policies"]
+            # ``type(...) is int`` refuses bools, which ``isinstance`` admits.
+            if not (type(clock) is int and type(last_seq) is int) or not isinstance(
+                records, list
+            ):
+                raise ValueError("ill-typed clock, wal_last_seq or policies")
+            for record in records:
+                policy, floor = _policy_record(record)
+                self._checkpoint_policies.append(policy)
+                self._checkpoint_floors[policy.name] = floor
+        except (OSError, ValueError, KeyError, ReproError) as exc:
+            raise StorageError(
+                f"unusable global tier checkpoint {path}: {exc}"
+            ) from exc
+        self._wal_last_seq = last_seq
+        return clock
 
     def checkpointed_policies(self) -> "list[Policy]":
         """The global policy set a previous incarnation checkpointed
         (authoritative across restarts, like shard-recovered local sets);
-        empty when there is no usable checkpoint."""
-        policies = []
-        for record in self._checkpoint_records:
-            try:
-                policies.append(
-                    Policy.from_sql(
-                        record["name"],
-                        record["sql"],
-                        record.get("description", ""),
-                    )
-                )
-            except (KeyError, ReproError):
-                continue
-        return policies
+        empty when there is no checkpoint."""
+        return list(self._checkpoint_policies)
 
     def write_checkpoint(self) -> None:
-        """Atomically persist the clock + history floors beside the WAL."""
+        """Atomically persist the clock + history floors beside the WAL:
+        the file is synced before the rename, the rename (and its
+        directory) before the WAL is reset."""
         if self._dir is None:
             return
         with self._lock:
@@ -682,9 +531,16 @@ class GlobalTier:
                     self._wal.last_seq if self._wal is not None else 0
                 ),
             }
+            path = self._dir / "state.json"
             tmp = self._dir / "state.json.tmp"
-            tmp.write_text(json.dumps(payload, sort_keys=True))
-            os.replace(tmp, self._dir / "state.json")
+            with open(tmp, "w") as handle:
+                handle.write(json.dumps(payload, sort_keys=True))
+                if self._wal_sync:
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            os.replace(tmp, path)
+            if self._wal_sync:
+                _fsync_dir(self._dir)
             if self._wal is not None:
                 self._wal.reset()
 
@@ -704,38 +560,40 @@ class GlobalTier:
 
     def stats(self) -> dict:
         with self._lock:
-            entries = {
-                name: {
-                    "scope": entry.placement.scope,
-                    "entries": (
-                        entry.state.entries()
-                        if entry.state is not None
-                        else None
-                    ),
-                    "poisoned": (
-                        entry.state.poisoned
-                        if entry.state is not None
-                        else False
-                    ),
-                }
-                for name, entry in self._policies.items()
-            }
+            maintainer = self._maintainer
+            planned = maintainer.report()
             return {
-                "policies": entries,
-                "checks": {
-                    "async": self.checks_async,
-                    "strict": self.checks_strict,
+                "policies": {
+                    name: {
+                        "scope": entry.placement.scope,
+                        "entries": planned.get(name, {}).get("entries"),
+                        "poisoned": planned.get(name, {}).get("poisoned", False),
+                    }
+                    for name, entry in self._policies.items()
                 },
-                "denials": {
-                    "async": self.denials_async,
-                    "strict": self.denials_strict,
-                },
+                "checks": dict(self.checks),
+                "denials": dict(self.denials),
+                "fallbacks": maintainer.stats.fallbacks,
+                "fallback_reasons": dict(maintainer.stats.fallback_reasons),
                 "reservations": {
                     "total": self.reservations_total,
-                    "active": self.reservations_active,
+                    "active": int(self._reserved),
                 },
                 "folds": self.folds,
                 "delta_frames": self.delta_frames,
                 "delta_lag": self.delta_lag(),
                 "staleness_seconds": self.staleness_seconds(),
             }
+
+
+def _policy_record(record) -> "tuple[Policy, Optional[int]]":
+    """One checkpointed ``{name, sql, description, floor}`` record."""
+    if not isinstance(record, dict):
+        raise ValueError(f"ill-typed policy record {record!r}")
+    texts = (record.get("name"), record.get("sql"), record.get("description", ""))
+    floor = record.get("floor")
+    if not all(isinstance(text, str) for text in texts) or not (
+        floor is None or type(floor) is int
+    ):
+        raise ValueError(f"ill-typed policy record {record!r}")
+    return Policy.from_sql(*texts), floor

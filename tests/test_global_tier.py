@@ -11,15 +11,21 @@ The tentpole properties:
 3. the strict tier is bit-identical to a single-shard oracle over
    interleaved multi-uid streams — including across worker crashes and
    aggregator restarts;
-4. the tier's state is durable: aggregate state rebuilds exactly from
-   the shards' WAL-recovered disk images, runtime-added policies keep
-   their history floors, and the checkpointed global set is
-   authoritative across restarts.
+4. the tier's state is durable: its log and incremental state rebuild
+   exactly from the shards' WAL-recovered disk images, runtime-added
+   policies keep their history floors, the checkpointed global set is
+   authoritative across restarts, and an unusable checkpoint refuses
+   startup;
+5. a poisoned incremental state falls back to full evaluation over the
+   tier's log — in both modes, and again after a restart — instead of
+   denying every query.
 """
 
 import multiprocessing
 import os
 import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -27,7 +33,7 @@ from holds import wait_until
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Enforcer, Policy
+from repro.core import Enforcer, EnforcerOptions, Policy
 from repro.errors import (
     PolicyPlacementError,
     ServiceError,
@@ -44,6 +50,7 @@ from repro.service import (
     ShardedEnforcerService,
     classify_policy,
 )
+from repro.storage import StorageError
 from repro.workloads import (
     MarketplaceConfig,
     MimicConfig,
@@ -71,11 +78,12 @@ HR_COUNT = "SELECT COUNT(value1num) FROM chartevents WHERE itemid = 211"
 GROUP_X = [2, 3, 4, 5]
 
 
-def mimic_enforcer():
+def mimic_enforcer(**options):
     return Enforcer(
         build_mimic_database(MIMIC_CONFIG),
         make_all_policies(MIMIC_PARAMS),
         clock=SimulatedClock(default_step_ms=10),
+        options=EnforcerOptions.datalawyer(**options),
     )
 
 
@@ -358,7 +366,6 @@ class TestTierDurability:
                 assert service.submit(HR_COUNT, uid=uid).allowed
             service.flush_global()
             entries = service.stats()["global"]["policies"]["P1"]["entries"]
-            last_ts = service.stats()["global"]
         finally:
             service.drain()
 
@@ -379,7 +386,6 @@ class TestTierDurability:
             assert denied.timestamp > crossing.timestamp
         finally:
             service.drain()
-        del last_ts
 
     def test_runtime_added_policy_history_starts_now(self, tmp_path):
         service = self.make(tmp_path)
@@ -492,3 +498,213 @@ class TestStartupAbort:
                 break
             time.sleep(0.05)
         assert not multiprocessing.active_children()
+
+
+def no_live_children(timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not multiprocessing.active_children()
+
+
+@pytest.mark.slow
+class TestPoisonedStateFallsBack:
+    """A poisoned incremental state costs the tier its fast path, never
+    its availability: the check falls back to full evaluation over the
+    tier's log, exactly as a shard does."""
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_p1_cap_holds_with_every_state_poisoned(self, mode):
+        service = make_service(
+            mimic_enforcer(incremental_max_entries=1), 4, "async",
+            workers_mode=mode,
+        )
+        try:
+            results = []
+            for i in range(10):
+                results.append(service.submit(HR_COUNT, uid=GROUP_X[i % 4]))
+                service.flush_global()
+            assert [d.allowed for d in results] == [True] * 4 + [False] * 6
+            assert all(
+                v.policy_name == "P1"
+                for d in results[4:] for v in d.violations
+            )
+            stats = service.stats()["global"]
+            assert stats["policies"]["P1"]["poisoned"]
+            assert stats["fallbacks"] > 0
+            assert 'repro_global_fallbacks_total{reason="poisoned' in (
+                service.render_metrics()
+            )
+        finally:
+            service.drain()
+
+    def test_restart_re_poisons_and_still_denies_by_p1(self, tmp_path):
+        def make():
+            return make_service(
+                mimic_enforcer(incremental_max_entries=1), 4, "async",
+                data_dir=str(tmp_path), wal_sync=True,
+            )
+
+        service = make()
+        try:
+            allowed = []
+            for uid in GROUP_X:
+                allowed.append(service.submit(HR_COUNT, uid=uid).allowed)
+                service.flush_global()
+            assert allowed == [True] * 4
+        finally:
+            service.drain()
+
+        service = make()
+        try:
+            assert service.stats()["global"]["policies"]["P1"]["poisoned"]
+            denied = service.submit(HR_COUNT, uid=2)
+            assert not denied.allowed
+            assert [v.policy_name for v in denied.violations] == ["P1"]
+            assert "poisoned" not in denied.violations[0].message
+        finally:
+            service.drain()
+
+    def test_uncommittable_frame_fails_closed_with_a_reason(self):
+        service = make_service(mimic_enforcer(), 2, "async")
+        try:
+            assert service.submit(HR_COUNT, uid=2).allowed
+            # A ``users`` row missing its uid cannot enter the log table.
+            service.global_tier.enqueue_delta(0, 1, {"users": [[1]]})
+            service.flush_global()
+            denied = service.submit(HR_COUNT, uid=3)
+            assert not denied.allowed
+            assert "global log incomplete" in denied.violations[0].message
+        finally:
+            service.drain()
+
+
+@pytest.mark.slow
+class TestStrictTierIsAShard:
+    def test_restart_mid_stream_matches_single_shard(self, tmp_path):
+        stream = [(HR_COUNT, GROUP_X[i % 4]) for i in range(12)]
+        oracle = make_service(mimic_enforcer(), 1, "off")
+        try:
+            want = decisions_of(oracle, stream)
+        finally:
+            oracle.drain()
+        got = []
+        for half in (stream[:6], stream[6:]):
+            service = make_service(
+                mimic_enforcer(), 4, "strict",
+                data_dir=str(tmp_path), wal_sync=True,
+            )
+            try:
+                got.extend(decisions_of(service, half))
+            finally:
+                service.drain()
+        assert got == want
+
+    def test_strict_policies_are_planned(self):
+        service = make_service(mimic_enforcer(), 2, "strict")
+        try:
+            assert service.submit(HR_COUNT, uid=2).allowed
+            stats = service.stats()["global"]
+            assert stats["policies"]["P1"]["entries"] is not None
+            assert stats["reservations"] == {"total": 1, "active": 0}
+        finally:
+            service.drain()
+
+
+class TestTierCheckpoint:
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "{not json",
+            '{"format": 99, "clock": 0, "wal_last_seq": 0, "policies": []}',
+            "[]",
+            '{"format": 1, "clock": "x", "wal_last_seq": 0, "policies": []}',
+            '{"format": 1, "clock": 0, "wal_last_seq": 0, '
+            '"policies": [{"name": "q", "sql": "SELECT 1", "floor": "x"}]}',
+        ],
+        ids=["garbage", "wrong-format", "top-level-list", "clock", "floor"],
+    )
+    def test_unusable_checkpoint_refuses_startup(self, tmp_path, content):
+        (tmp_path / "global").mkdir()
+        (tmp_path / "global" / "state.json").write_text(content)
+        with pytest.raises(StorageError, match="state.json"):
+            make_service(
+                mimic_enforcer(), 2, "async",
+                workers_mode="process", data_dir=str(tmp_path),
+            )
+        assert no_live_children()
+
+    def test_checkpoint_is_synced_before_rename_before_wal_reset(
+        self, tmp_path, monkeypatch
+    ):
+        service = make_service(
+            mimic_enforcer(), 2, "async",
+            data_dir=str(tmp_path), wal_sync=True,
+        )
+        try:
+            events = []
+            real_fsync, real_replace = os.fsync, os.replace
+
+            def fsync(fd):
+                events.append(("fsync", os.fstat(fd).st_ino))
+                return real_fsync(fd)
+
+            def replace(src, dst):
+                events.append(("replace", os.path.basename(dst)))
+                return real_replace(src, dst)
+
+            monkeypatch.setattr(os, "fsync", fsync)
+            monkeypatch.setattr(os, "replace", replace)
+            service.global_tier.write_checkpoint()
+            monkeypatch.undo()
+            tier_dir = tmp_path / "global"
+            state = ("fsync", (tier_dir / "state.json").stat().st_ino)
+            renamed = events.index(("replace", "state.json"))
+            assert state in events[:renamed]
+            assert ("fsync", tier_dir.stat().st_ino) in events[renamed:]
+            assert renamed < events.index(("replace", "global.wal"))
+        finally:
+            service.drain()
+
+
+@pytest.mark.slow
+class TestTierLogUnderConcurrency:
+    def test_tier_log_equals_the_shards_committed_rows(self):
+        """Folder commits race admission checks on the one tier store;
+        a lost or doubled frame would break row-for-row equality."""
+        service = make_service(
+            marketplace_enforcer(MarketplaceConfig(
+                free_tier_tuples=10_000_000, free_tier_window=10_000_000
+            )),
+            2, "async",
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def client(uid):
+                for _ in range(4):
+                    service.submit("SELECT * FROM listings", uid=uid)
+
+            threads = [
+                threading.Thread(target=client, args=(uid,))
+                for uid in range(1, 9)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            service.flush_global()
+            shard_rows = sorted(
+                tuple(row)
+                for shard in service.shards
+                for row in shard.log_dump(["provenance"])["rows"]["provenance"]
+            )
+            tier = service.global_tier
+            assert shard_rows
+            assert sorted(tier.store.persisted_rows("provenance")) == shard_rows
+            stats = service.stats()["global"]
+            assert stats["folds"] == stats["delta_frames"]
+        finally:
+            sys.setswitchinterval(interval)
+            service.drain()

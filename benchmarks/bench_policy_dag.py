@@ -17,12 +17,11 @@ production. GC is paused over the streams: a generation-2 sweep scans
 the whole heap, which shows up as log-proportional noise either way.
 
 Equivalence is verified separately on a shorter stream with thresholds
-lowered so policies actually fire: per-submission decisions, violations,
-and the final state of every table must be bit-identical across the
-row and columnar engines for each strategy — and decisions
-plus table state must also match between the two strategies (violation
-*reports* legitimately differ: the literal UNION statement can only
-label a firing ``policy-set``, the DAG names every violated policy).
+lowered so policies actually fire: per-submission decisions and the
+final state of every table must be bit-identical between the two
+strategies (violation *reports* legitimately differ: the literal UNION
+statement can only label a firing ``policy-set``, the DAG names every
+violated policy).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import gc
 import json
 
 from repro.core import Enforcer, EnforcerOptions
-from repro.engine import ENGINES
 from repro.log import SimulatedClock
 from repro.workloads import (
     PolicyParams,
@@ -72,12 +70,8 @@ def cohort_stream(config, total):
     )
 
 
-def make_enforcer(db, config, options, engine=None, **param_overrides):
+def make_enforcer(db, config, options, **param_overrides):
     params = PolicyParams.for_config(config, **param_overrides)
-    if engine is not None:
-        options = EnforcerOptions.noopt(
-            plan_sharing=options.plan_sharing, engine=engine
-        )
     return Enforcer(
         db,
         make_all_policies(params),
@@ -108,18 +102,16 @@ def database_fingerprint(database):
     )
 
 
-def run_equivalence_lane(db, config, options, engine, total):
+def run_equivalence_lane(db, config, options, total):
     """A firing stream driven submission-by-submission.
 
     Every uid — including the restricted uid 1 that P3-P6 watch — runs
     the cohort scan, and P3's output cap is lowered below the cohort
     size, so uid 1's submissions are rejected: both the commit path
     (allowed) and the revert path (rejected) mutate the log, and both
-    must land identically under every engine and strategy.
+    must land identically under either strategy.
     """
-    enforcer = make_enforcer(
-        db, config, options, engine=engine, p3_max_output=20
-    )
+    enforcer = make_enforcer(db, config, options, p3_max_output=20)
     n = config.n_patients
     cohort = (
         f"SELECT * FROM d_patients WHERE subject_id > {n // 3} "
@@ -160,21 +152,13 @@ def test_policy_dag_speedup(capsys, bench_config, _bench_template):
     assert dag_enforcer.engine.dag_shared_nodes >= 3
     assert dag_enforcer.engine.dag_saved_execs > total
 
-    # --- cross-engine / cross-strategy bit-identity ---------------------
+    # --- cross-strategy bit-identity ------------------------------------
     eq_total = 48 if quick else 72
     by_strategy = {}
     for name, options in STRATEGIES.items():
-        per_engine = {
-            engine: run_equivalence_lane(
-                _bench_template.clone(), bench_config, options, engine, eq_total
-            )
-            for engine in ENGINES
-        }
-        reference = per_engine["columnar"]
-        for engine in ENGINES:
-            assert per_engine[engine] == reference, (
-                f"{name}: engine {engine} diverged from columnar"
-            )
+        reference = run_equivalence_lane(
+            _bench_template.clone(), bench_config, options, eq_total
+        )
         by_strategy[name] = reference
         # The firing stream must exercise both paths: commits (allowed)
         # and reverts (rejected).
@@ -197,7 +181,6 @@ def test_policy_dag_speedup(capsys, bench_config, _bench_template):
         "saved_execs": dag_enforcer.engine.dag_saved_execs,
         "floor": floor,
         "floor_asserted": True,
-        "engines_verified": list(ENGINES),
         "quick": quick,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -219,9 +202,8 @@ def test_policy_dag_speedup(capsys, bench_config, _bench_template):
                 f"Floor {floor}x asserted ({'quick' if quick else 'full'} "
                 f"lane); {dag_enforcer.engine.dag_shared_nodes} shared "
                 f"nodes, {dag_enforcer.engine.dag_saved_execs} saved "
-                "executions. Decisions, violations, and table state "
-                "verified bit-identical across row/columnar; "
-                "JSON artifact in results/BENCH_policy_dag.json."
+                "executions. Decisions and table state verified "
+                "bit-identical across strategies; JSON artifact in results/BENCH_policy_dag.json."
             ),
         ),
     )

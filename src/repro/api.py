@@ -101,12 +101,7 @@ def connect(
             policies=[quota],
             profile="datalawyer",
             decision_cache=True,
-            engine="columnar",
         )
-
-    ``engine`` is the reference switch: ``"row"`` runs the enforcer on
-    the tests' row interpreter; ``"columnar"`` (the default) is the
-    production engine.
     """
     return Enforcer(
         database,
@@ -163,11 +158,7 @@ class EnforcerBuilder:
         return self
 
     def options(self, **overrides) -> "EnforcerBuilder":
-        """Layer :class:`EnforcerOptions` fields over the profile.
-
-        ``options(engine="row")`` reaches the tests' reference
-        interpreter; see :data:`repro.engine.ENGINES`.
-        """
+        """Layer :class:`EnforcerOptions` fields over the profile."""
         self._options.update(overrides)
         return self
 

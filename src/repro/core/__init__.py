@@ -17,7 +17,6 @@ from .metrics import (
     MetricsLog,
     QueryMetrics,
 )
-from .audit import AuditRecord, AuditTrail, attach_audit_trail
 from .explain import EvidenceTuple, ViolationExplanation, explain_decision
 from .policy import Decision, Policy, Violation
 from .templates import (
@@ -51,7 +50,4 @@ __all__ = [
     "PolicyTemplate",
     "Slot",
     "TemplateRegistry",
-    "AuditRecord",
-    "AuditTrail",
-    "attach_audit_trail",
 ]

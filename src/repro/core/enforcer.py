@@ -18,7 +18,7 @@ toggles each optimization independently so the benchmarks can ablate them:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from typing import Callable, Optional, Sequence
 
@@ -38,7 +38,7 @@ from ..analysis import (
     witness_queries,
 )
 from ..analysis.unification import _CONST_ALIAS, UnifiedGroup
-from ..engine import Database, Engine, Result, resolve_engine
+from ..engine import Database, Engine, Result
 from ..engine.dag import PolicyDag
 from ..errors import ReproError
 from ..incremental import (
@@ -107,14 +107,6 @@ class EnforcerOptions:
     #: Orthogonal to the paper's ablations; off it reverts ``timed()`` to
     #: bare perf counters.
     tracing: bool = True
-    #: The reference switch: ``"row"`` runs every query, policy check and
-    #: witness of this enforcer on the row interpreter the tests and
-    #: benchmarks compare against; ``None`` / ``"columnar"`` is the
-    #: production engine. Decisions and results are bit-identical. No
-    #: service, CLI or configuration surface sets it (see
-    #: :mod:`repro.engine.executor`); it travels in the checkpoint
-    #: manifest, so recovered shards and worker processes keep it.
-    engine: Optional[str] = None
     #: Memoize whole-check verdicts across queries (see
     #: :mod:`repro.core.decision_cache`). Off by default at this layer so
     #: the paper's ablation benchmarks measure what they claim to; the
@@ -134,12 +126,25 @@ class EnforcerOptions:
     incremental_max_entries: int = 100_000
 
     def __post_init__(self) -> None:
-        resolve_engine(self.engine)  # unknown names raise ValueError
-
-    @property
-    def engine_name(self) -> str:
-        """The effective engine (defaults applied)."""
-        return resolve_engine(self.engine)
+        """Reject an ill-typed value here, not at every ``submit``: the
+        options travel in checkpoint manifests, which are editable JSON.
+        Each field must have its default's type (``bool`` is not an
+        ``int``), and ``eval_strategy`` must name a strategy."""
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            kind = type(spec.default)
+            if kind in (bool, int) and (
+                not isinstance(value, kind) or (kind is int and isinstance(value, bool))
+            ):
+                raise TypeError(
+                    f"EnforcerOptions.{spec.name} must be {kind.__name__}, "
+                    f"not {value!r}"
+                )
+        if self.eval_strategy not in ("serial", "union"):
+            raise ValueError(
+                "EnforcerOptions.eval_strategy must be 'serial' or 'union', "
+                f"not {self.eval_strategy!r}"
+            )
 
     @classmethod
     def datalawyer(cls, **overrides) -> "EnforcerOptions":
@@ -271,7 +276,7 @@ class Enforcer:
         self.registry = registry or standard_registry()
         self.clock = clock or LogicalClock()
         self.options = options or EnforcerOptions.datalawyer()
-        self.engine = Engine(database, self.options.engine)
+        self.engine = Engine(database)
         self.store = LogStore(database, self.registry)
         self.policies: list[Policy] = list(policies)
         self._runtime: list[RuntimePolicy] = []

@@ -16,18 +16,15 @@ Typical use::
 """
 
 from .database import Database
-from .executor import DEFAULT_ENGINE, ENGINES, Engine, Result, resolve_engine
+from .executor import Engine, Result
 from .schema import Column, TableSchema, make_schema
 from .table import Table
 from .types import SqlValue
 
 __all__ = [
     "Database",
-    "DEFAULT_ENGINE",
-    "ENGINES",
     "Engine",
     "Result",
-    "resolve_engine",
     "Column",
     "TableSchema",
     "make_schema",

@@ -1,9 +1,8 @@
 """Columnar storage and execution primitives.
 
-The columnar execution discipline (the production engine) moves data
-between operators as :class:`ColumnBatch` objects — one Python list per
-column — instead of row tuples. Two things make that faster than the
-row interpreter:
+The engine moves data between operators as :class:`ColumnBatch` objects
+— one Python list per column — instead of row tuples. Two things make
+that fast:
 
 - **No per-row tuple construction.** Scans hand out the table's own
   column lists (zero copy); projections of plain columns are list
@@ -15,12 +14,12 @@ row interpreter:
   reduces gathered value lists with C built-ins where value semantics
   allow.
 
-Semantics are bit-identical to the row engine by construction: emitted
+Semantics equal the compiled closures' by construction: emitted
 kernels call the same helpers from :mod:`repro.engine.types` (same NULL
 propagation, same type errors, same non-short-circuiting ``AND``/``OR``
-— only the per-row closure dispatch is gone), and the
-aggregate reducers replicate the exact accumulation order (and error
-text) of :mod:`repro.engine.aggregates`.
+— only the per-row closure dispatch is gone), and the clean-column fast
+paths of the aggregate reducers keep the general path's accumulation
+order.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import ExecutionError
+from ..errors import BindError, ExecutionError
 from ..sql import ast
 from .expressions import RowFn
 from .types import (
@@ -175,8 +174,7 @@ class LineageColumns:
     values, and a join's output carries both sides' atoms side by side —
     no per-row set is built on the way. An atom whose table is ``None``
     holds one already-merged frozenset of ``(table, tid)`` pairs per
-    entry instead (the row reference's results, and merged rows a join
-    consumes, have that shape). Merging
+    entry instead (merged rows a join consumes have that shape). Merging
     operators (group-by, DISTINCT, UNION) union nothing either: they
     record ``groups`` — per output row, the entries whose lineage it
     merges — and the union is built only if someone asks for per-row
@@ -732,7 +730,7 @@ def slot_positions(slot: Slot) -> Optional[List[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Aggregate reducers (exact replicas of repro.engine.aggregates semantics)
+# Aggregate reducers
 # ---------------------------------------------------------------------------
 
 
@@ -749,9 +747,8 @@ def reduce_count(values: list, clean: bool):
 def reduce_sum(values: list, clean: bool):
     if clean:
         # Left-to-right addition from int 0: identical results to the
-        # accumulator's pairwise addition for exact numerics (adding an
-        # int 0 start is a no-op up to the sign of -0.0, which compares
-        # equal).
+        # pairwise addition below for exact numerics (adding an int 0
+        # start is a no-op up to the sign of -0.0, which compares equal).
         return sum(values) if values else None
     total = None
     for value in values:
@@ -764,9 +761,9 @@ def reduce_sum(values: list, clean: bool):
 
 
 def reduce_avg(values: list, clean: bool):
-    # The accumulator sums into a float starting at 0.0; replicate that
-    # exact accumulation order (an integer sum then one division would
-    # round differently for large ints).
+    # Sum into a float starting at 0.0 on both paths: one accumulation
+    # order (an integer sum then one division would round differently
+    # for large ints).
     total = 0.0
     if clean:
         for value in values:
@@ -790,7 +787,7 @@ def _reduce_minmax(values: list, clean: bool, keep_smaller: bool):
         if not values:
             return None
         # min()/max() return the first extremal value, matching the
-        # accumulator's replace-only-on-strict-improvement rule.
+        # replace-only-on-strict-improvement rule below.
         return min(values) if keep_smaller else max(values)
     best = None
     for value in values:
@@ -821,8 +818,7 @@ def reduce_max(values: list, clean: bool):
 def distinct_values(values: list) -> list:
     """First occurrence of each distinct non-NULL value, in input order.
 
-    The distinctness marker matches ``_DistinctWrapper`` exactly: bools
-    are tagged with their type name so ``True`` and ``1`` stay distinct,
+    Bools are tagged with their type name so ``True`` and ``1`` stay distinct,
     while ``1`` and ``1.0`` (which compare equal) deduplicate.
     """
     seen: set = set()
@@ -877,13 +873,20 @@ class AggSpec:
 def agg_spec(
     call: ast.FuncCall,
     resolve_position: PositionResolver,
-    fallback: Optional[RowFn] = None,
+    compile_arg: Optional[Callable[[ast.Expr], RowFn]] = None,
 ) -> AggSpec:
-    """Compile one aggregate call that
-    :func:`~repro.engine.aggregates.make_accumulator_factory` accepted
-    (it raises the ``BindError`` for every invalid one); ``fallback`` is
-    the argument's compiled closure (``None`` for ``COUNT(*)``)."""
-    if fallback is None:
+    """Compile one aggregate call, raising the ``BindError`` of an
+    invalid one at plan time; ``compile_arg`` compiles the argument's
+    closure in the pre-aggregation row context."""
+    name = call.name
+    if name == "count" and (not call.args or isinstance(call.args[0], ast.Star)):
+        if call.distinct:
+            raise BindError("COUNT(DISTINCT *) is not valid SQL")
         return AggSpec(None, reduce_count_star, False, count_star=True)
-    slot = value_slot(call.args[0], resolve_position, fallback)
-    return AggSpec(slot, _REDUCERS[call.name], bool(call.distinct))
+    if len(call.args) != 1:
+        raise BindError(f"aggregate {name}() takes exactly one argument")
+    if name not in _REDUCERS:
+        raise BindError(f"unknown aggregate {name!r}")
+    arg = call.args[0]
+    slot = value_slot(arg, resolve_position, compile_arg(arg))
+    return AggSpec(slot, _REDUCERS[name], bool(call.distinct))

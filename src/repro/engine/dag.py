@@ -153,8 +153,8 @@ class SharedNode(Operator):
     consumer. Memos are keyed by the mutation versions of the base
     tables underneath, so any table change (the enforcer touches the
     clock and staged logs every check) invalidates them automatically.
-    Each discipline — row or columnar, with or without lineage — keeps
-    its own memo: a lineage-free consumer never pays for tid vectors.
+    Executions with and without lineage keep separate memos: a
+    lineage-free consumer never pays for tid vectors.
     """
 
     def __init__(self, child: Operator, engine, tables: frozenset):
@@ -164,30 +164,22 @@ class SharedNode(Operator):
         #: Number of branch plans referencing this node (EXPLAIN shows it
         #: as ``[shared=N]``).
         self.consumers = 1
-        #: Discipline → (table versions, materialized output).
-        self._memo: dict[str, tuple[tuple, list]] = {}
+        #: Lineage flag → (table versions, materialized output).
+        self._memo: dict[bool, tuple[tuple, list]] = {}
 
-    def _materialize(self, discipline: str, database, produce) -> list:
+    def _materialize(self, lineage: bool, database, produce) -> list:
         versions = tuple(database.table(name).version for name in self.tables)
-        memo = self._memo.get(discipline)
+        memo = self._memo.get(lineage)
         if memo is not None and memo[0] == versions:
             self.engine.dag_saved_execs += 1
             return memo[1]
         output = list(produce())
-        self._memo[discipline] = (versions, output)
+        self._memo[lineage] = (versions, output)
         return output
 
     def execute(self, database, lineage):
-        discipline = "lineage" if lineage else "row"
         yield from self._materialize(
-            discipline, database, lambda: self.child.execute(database, lineage)
-        )
-
-    def execute_columnar(self, database, lineage):
-        yield from self._materialize(
-            "columnar+lineage" if lineage else "columnar",
-            database,
-            lambda: self.child.execute_columnar(database, lineage),
+            lineage, database, lambda: self.child.execute(database, lineage)
         )
 
 

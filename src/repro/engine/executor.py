@@ -8,16 +8,11 @@ the ``Provenance`` usage log, the compaction mark phase and the §4.3
 improved-partial-policy check. It rides beside the values as
 :class:`~repro.engine.columnar.LineageColumns`.
 
-There is one production discipline: every plan runs column-at-a-time
-(:meth:`~repro.engine.operators.Operator.execute_columnar`), and no
-service, CLI or configuration surface selects anything else. The row
-interpreter (:meth:`~repro.engine.operators.Operator.execute`) is kept
-as the tests' and benchmarks' reference — a small executable semantics
-the columnar engine is checked against, with no caches or fast paths of
-its own. ``Engine(db, "row")``, or ``EnforcerOptions(engine="row")`` for
-a whole enforcer (the option travels in the checkpoint manifest, so
-worker processes honour it), is the single switch that reaches it, and
-:meth:`Engine._batches` is the one place that switch is read.
+There is one execution discipline: every plan runs column-at-a-time
+(:meth:`~repro.engine.operators.Operator.execute`), and nothing selects
+another. The specification it is held to lives with the tests:
+``tests/oracle.py`` evaluates the parsed AST naively, independent of the
+planner, and the engine suites compare every answer against it.
 
 Passing ``trace=`` (a :class:`~repro.obs.TraceContext`) attaches one span
 per physical operator under the caller's current span, each accounting
@@ -30,13 +25,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Optional, Union
 
 from ..errors import LexError
 from ..obs import TraceContext
 from ..sql import ast, canonical_sql, parse
-from .columnar import CHUNK_SIZE, ColumnBatch, LineageColumns
+from .columnar import ColumnBatch, LineageColumns
 from .database import Database
 from .explain import describe, explain_plan, render_analyzed
 from .operators import Operator, TracedOp
@@ -156,42 +150,13 @@ class _LruCache(dict):
         self[key] = value
 
 
-#: The execution disciplines: the tests' reference, then production.
-ENGINES = ("row", "columnar")
-
-#: The engine used when nothing selects one explicitly.
-DEFAULT_ENGINE = "columnar"
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Normalize the engine selection (``None`` → the default)."""
-    if engine is None:
-        return DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
-        )
-    return engine
-
-
 class Engine:
-    """Plans and executes queries against one database.
+    """Plans and executes queries against one database, column-at-a-time
+    over :class:`~repro.engine.columnar.ColumnBatch` (each scan handing
+    out the table's own column lists), tracking lineage on request."""
 
-    ``engine`` selects the execution discipline:
-
-    - ``"columnar"`` (default; what production runs) — column-at-a-time
-      over :class:`~repro.engine.columnar.ColumnBatch`, each scan handing
-      out the table's own column lists (see :mod:`repro.engine.columnar`).
-    - ``"row"`` — tuple-at-a-time interpretation: the reference tests
-      and benchmarks compare against (see the module docstring).
-
-    Both track lineage on request and produce bit-identical rows and
-    lineages.
-    """
-
-    def __init__(self, database: Database, engine: Optional[str] = None):
+    def __init__(self, database: Database):
         self.database = database
-        self.engine_name = resolve_engine(engine)
         #: Canonical text → plan. Keying on the canonical form (not the
         #: raw string) lets ``select * from t`` and ``SELECT * FROM t``
         #: share one slot instead of planning twice.
@@ -206,7 +171,7 @@ class Engine:
         self._ast_plan_cache: dict[ast.Query, Plan] = _LruCache(256)
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        #: Columnar-path volume counters (``/v1/metrics``).
+        #: Batch volume counters (``/v1/metrics``).
         self.columnar_batches = 0
         self.columnar_rows = 0
         #: Lineage-tracking executions and the rows they returned.
@@ -293,23 +258,8 @@ class Engine:
         return Result(columns=list(plan.columns), rows=rows, lineage=tracked)
 
     def _batches(self, op: Operator, lineage: bool) -> Iterator[ColumnBatch]:
-        """``op``'s output as column batches, on this engine's discipline.
-
-        The reference discipline is named here and nowhere else: it runs
-        the operators' row bodies and packs their ``(row, lineage)``
-        pairs a chunk at a time.
-        """
-        if self.engine_name == "row":
-            pairs = op.execute(self.database, lineage)
-            while chunk := list(islice(pairs, CHUNK_SIZE)):
-                yield ColumnBatch.from_rows(
-                    [row for row, _ in chunk],
-                    LineageColumns.of_sets([lin or frozenset() for _, lin in chunk])
-                    if lineage
-                    else None,
-                )
-            return
-        for cbatch in op.execute_columnar(self.database, lineage):
+        """``op``'s output batches, counted for ``/v1/metrics``."""
+        for cbatch in op.execute(self.database, lineage):
             self.columnar_batches += 1
             self.columnar_rows += cbatch.length
             yield cbatch

@@ -86,8 +86,8 @@ def describe(op: Operator) -> str:
         return f"LeftJoin (pad {op.right_width})"
     if isinstance(op, GroupOp):
         return (
-            f"Group ({len(op.key_fns)} keys, "
-            f"{len(op.agg_factories)} aggregates)"
+            f"Group ({len(op.key_slots)} keys, "
+            f"{len(op.agg_specs)} aggregates)"
         )
     if isinstance(op, DistinctOp):
         return "Distinct"
@@ -95,10 +95,8 @@ def describe(op: Operator) -> str:
         return f"DistinctOn ({len(op.key_fns)} keys)"
     if isinstance(op, UnionOp):
         return "Union" + (" All" if op.all_rows else "")
-    if isinstance(op, ExceptOp):
-        return "Except"
-    if isinstance(op, IntersectOp):
-        return "Intersect"
+    if isinstance(op, (ExceptOp, IntersectOp)):
+        return type(op).__name__[:-2] + (" All" if op.all_rows else "")
     if isinstance(op, OrderOp):
         return f"Order ({len(op.key_fns)} keys)"
     if isinstance(op, LimitOp):

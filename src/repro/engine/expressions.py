@@ -7,7 +7,7 @@ both contexts the planner needs:
 - *row context*: column refs resolve to positions in the concatenated
   FROM-row (plain scans and joins);
 - *group context*: whole sub-expressions matching a GROUP BY key resolve to
-  key slots and aggregate calls resolve to accumulator slots.
+  key slots and aggregate calls resolve to aggregate slots.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ ColumnResolver = Callable[[ast.ColumnRef], RowFn]
 #: Optionally resolves a whole expression (used for group keys / aggregates).
 ExprResolver = Callable[[ast.Expr], Optional[RowFn]]
 
-#: Aggregate function names; the planner routes these to accumulators.
+#: Aggregate function names; the planner compiles these to aggregate specs.
 AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "min", "max", "avg"})
 
 

@@ -1,45 +1,37 @@
 """Physical operators.
 
-There is one production discipline and one reference:
+Every operator has one :meth:`Operator.execute`: an iterator of
+:class:`~repro.engine.columnar.ColumnBatch` chunks (never empty), which
+is what every query, policy check and witness runs on. Scans hand out
+the table's own column lists (zero copy), filters run selection
+kernels, joins probe with ``map(buckets.get, key_column)`` and gather
+per column, and group-by reduces gathered value lists. Operators whose
+work is inherently row-wise (nested loops, outer joins, sorts, set
+operations) do it inside the operator over their children's batches and
+emit by position, and an expression with no source-compiled kernel
+(``CASE``, ``IN``, function calls) is a
+:func:`~repro.engine.columnar.closure_kernel` over the same batch.
 
-- **Column-at-a-time** (:meth:`Operator.execute_columnar`) is what
-  every query, policy check and witness runs on: an iterator of
-  :class:`~repro.engine.columnar.ColumnBatch` chunks (never empty).
-  Scans hand out the table's own column lists (zero copy), filters run
-  selection kernels, joins probe with ``map(buckets.get, key_column)``
-  and gather per column, and group-by reduces gathered value lists.
-  Operators whose work is inherently row-wise (nested loops, outer
-  joins, sorts, set operations) do it inside the operator over their
-  children's batches and emit by position, and an expression with no
-  source-compiled kernel (``CASE``, ``IN``, function calls) is a
-  :func:`~repro.engine.columnar.closure_kernel` over the same batch —
-  so no ``execute_columnar`` body ever calls a row body. With
-  ``lineage`` set every batch carries its rows'
-  :class:`~repro.engine.columnar.LineageColumns`, moved by the same
-  position vectors as the values.
+With ``lineage`` set every batch carries its rows'
+:class:`~repro.engine.columnar.LineageColumns`, moved by the same
+position vectors as the values. Read per row, a lineage is a frozenset
+of ``(table_name, tid)`` pairs identifying the base tuples that
+contributed to the row — the *set of contributing tuples* provenance
+the paper adopts from Cui/Widom lineage ([43] in the paper):
 
-- **Row-at-a-time** (:meth:`Operator.execute`) is the tests' executable
-  semantics, written to be read rather than to be fast (no caches, no
-  fast paths): an iterator of ``(row, lineage)`` pairs. ``row`` is a
-  tuple of SQL values; ``lineage`` is either ``None`` (lineage tracking
-  off) or a frozenset of ``(table_name, tid)`` pairs identifying the
-  base tuples that contributed to the row — the *set of contributing
-  tuples* provenance the paper adopts from Cui/Widom lineage ([43] in
-  the paper). It is reached only through ``Engine(db, "row")`` /
-  ``EnforcerOptions(engine="row")``; rows *and* lineages of the
-  columnar path must come out exactly as here (the equivalence and
-  sqlite-differential suites hold the two bit-identical).
-
-Lineage combination rules (row path: per-row frozensets; columnar path:
-the same sets, built only when someone reads them per row):
-
-- scan: each base row carries its own ``{(table, tid)}`` — columnar: the
-  table's tid vector;
-- join/product: union of the two sides — columnar: both sides' tid
-  vectors side by side;
+- scan: each base row carries its own ``{(table, tid)}`` (the table's
+  tid vector);
+- join/product: union of the two sides (both sides' tid vectors side by
+  side); an unmatched LEFT JOIN row keeps the left side's alone;
 - group-by: union over every row in the group;
-- distinct / set-union: union over all duplicates merged into one output
-  — columnar: the merged positions are recorded, nothing is unioned.
+- distinct / set operations: union over all duplicates merged into one
+  output (the merged positions are recorded, nothing is unioned until
+  someone reads the sets).
+
+The specification these operators are held to is not in this package:
+``tests/oracle.py`` evaluates the parsed AST naively (nested loops,
+lineage as sets, no planner), and the engine suites compare every
+answer against it.
 
 Columnar hash joins additionally cache their build side when it is a
 base-table scan, keyed on the table's monotone mutation version (see
@@ -57,7 +49,6 @@ import time
 from collections import Counter
 from typing import Callable, Iterator, Optional, Sequence
 
-from .aggregates import AccumulatorFactory
 from .columnar import (
     CHUNK_SIZE,
     OMITTED,
@@ -76,9 +67,7 @@ from .expressions import RowFn
 from .table import Table
 from .types import SqlValue, sort_key
 
-Lineage = Optional[frozenset]
-Stream = Iterator[tuple[tuple, Lineage]]
-#: A columnar stream: non-empty column batches.
+#: A stream: non-empty column batches.
 ColumnStream = Iterator[ColumnBatch]
 PredFn = Callable[[tuple], bool]
 
@@ -86,19 +75,13 @@ PredFn = Callable[[tuple], bool]
 class Operator:
     """Base class for physical operators."""
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
         raise NotImplementedError
 
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        raise NotImplementedError
-
-    def _columnar_rows(self, database: Database) -> Iterator[tuple]:
-        """Row tuples drained from this operator's columnar stream.
-
-        How row-wise work inside a parent operator pulls its children,
-        so the subtree *below* stays columnar.
-        """
-        for cbatch in self.execute_columnar(database, False):
+    def _rows(self, database: Database) -> Iterator[tuple]:
+        """Row tuples drained from this operator's stream: how row-wise
+        work inside a parent operator pulls its children."""
+        for cbatch in self.execute(database, False):
             yield from cbatch.to_rows()
 
 
@@ -123,17 +106,7 @@ class ScanOp(Operator):
     def __init__(self, table_name: str):
         self.table_name = table_name.lower()
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        table = database.table(self.table_name)
-        if lineage:
-            name = table.name
-            for tid, row in table.scan():
-                yield row, frozenset(((name, tid),))
-        else:
-            for row in table.rows():
-                yield row, None
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
         table = database.table(self.table_name)
         if len(table):
             yield _table_batch(table, table.name if lineage else None)
@@ -151,19 +124,7 @@ class IndexScanOp(Operator):
         self.column = column
         self.value_fn = value_fn
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        table = database.table(self.table_name)
-        value = self.value_fn(())
-        matches = table.index_probe(self.column, value)
-        if lineage:
-            name = table.name
-            for tid, row in matches:
-                yield row, frozenset(((name, tid),))
-        else:
-            for _, row in matches:
-                yield row, None
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
         table = database.table(self.table_name)
         positions = table.index_positions(self.column, self.value_fn(()))
         if positions:
@@ -183,16 +144,7 @@ class MaterializedScanOp(Operator):
         self.table = table
         self.label = label or table.name
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        if lineage:
-            label = self.label
-            for tid, row in self.table.scan():
-                yield row, frozenset(((label, tid),))
-        else:
-            for row in self.table.rows():
-                yield row, None
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
         if len(self.table):
             yield _table_batch(self.table, self.label if lineage else None)
 
@@ -203,9 +155,8 @@ class FilterOp(Operator):
     ``pushed`` counts WHERE conjuncts the planner pushed beneath a join
     to get here (0 for filters that sit where the SQL put them).
 
-    On the columnar path, ``selection`` is the column-form kernel
-    (``(columns, n) → kept positions``); by default the closure
-    predicate over the batch's rows.
+    ``selection`` is the column-form kernel (``(columns, n) → kept
+    positions``); by default the closure predicate over the batch's rows.
 
     ``out_needed`` is set by the plan narrowing pass
     (:func:`repro.engine.planner.narrow_plan`): the output column
@@ -230,12 +181,6 @@ class FilterOp(Operator):
         #: (see :mod:`repro.engine.dag`); ``None`` = never shared.
         self.origin: Optional[tuple] = None
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        predicate = self.predicate
-        for row, lin in self.child.execute(database, lineage):
-            if predicate(row):
-                yield row, lin
-
     def _select_batch(self, cbatch: ColumnBatch) -> Optional[ColumnBatch]:
         """Apply the filter to one column batch (None when nothing passes)."""
         positions = self.selection(cbatch.columns, cbatch.length)
@@ -245,8 +190,8 @@ class FilterOp(Operator):
             return cbatch
         return cbatch.take(positions, self.out_needed)
 
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        for cbatch in self.child.execute_columnar(database, lineage):
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
+        for cbatch in self.child.execute(database, lineage):
             kept = self._select_batch(cbatch)
             if kept is not None:
                 yield kept
@@ -255,9 +200,8 @@ class FilterOp(Operator):
 class ProjectOp(Operator):
     """Row-wise projection through compiled expressions.
 
-    ``slots`` is the columnar form — per output column either a
-    zero-copy input-column pick or a value kernel (by default the
-    closure's).
+    ``slots`` holds, per output column, either a zero-copy input-column
+    pick or a value kernel (by default the closure's).
     """
 
     def __init__(
@@ -274,14 +218,9 @@ class ProjectOp(Operator):
             else list(slots)
         )
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        exprs = self.exprs
-        for row, lin in self.child.execute(database, lineage):
-            yield tuple(fn(row) for fn in exprs), lin
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
         slots = self.slots
-        for cbatch in self.child.execute_columnar(database, lineage):
+        for cbatch in self.child.execute(database, lineage):
             columns = cbatch.columns
             length = cbatch.length
             clean = cbatch.clean
@@ -303,7 +242,7 @@ class HashJoinOp(Operator):
     equals ``right_positions[k]`` of a right row); the planner hashes
     plain column pairs only, anything else is a nested loop under a
     filter. When the build side is a base-table :class:`ScanOp`, the
-    columnar bucket map is cached on the operator keyed by the table's
+    bucket map is cached on the operator keyed by the table's
     mutation version — static relations build once per plan lifetime.
     """
 
@@ -323,7 +262,7 @@ class HashJoinOp(Operator):
         #: placeholders instead of being gathered.
         self.out_needed: Optional[frozenset] = None
         #: (build table, version, right batch, buckets, unique map).
-        self._columnar_cache: Optional[tuple] = None
+        self._build_cache: Optional[tuple] = None
 
     # -- build side ---------------------------------------------------------
 
@@ -341,39 +280,12 @@ class HashJoinOp(Operator):
         right = self.right.inner if isinstance(self.right, TracedOp) else self.right
         if not isinstance(right, ScanOp):
             return None
-        entry = self._columnar_cache
+        entry = self._build_cache
         if entry is not None and entry[0].version == entry[1]:
             return "hit"
         return "miss"
 
-    # -- row reference ------------------------------------------------------
-
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        # Probe first and build only for a non-empty probe side, like
-        # the columnar path: which input gets to raise is semantics.
-        left_pairs = self.left.execute(database, lineage)
-        first = next(left_pairs, None)
-        if first is None:
-            return
-        left_positions = self.left_positions
-        right_positions = self.right_positions
-        buckets: dict = {}
-        for right_row, right_lin in self.right.execute(database, lineage):
-            key = tuple(right_row[p] for p in right_positions)
-            if None not in key:  # NULL never equi-joins
-                buckets.setdefault(key, []).append((right_row, right_lin))
-        if not buckets:
-            return
-        for row, lin in itertools.chain((first,), left_pairs):
-            key = tuple(row[p] for p in left_positions)
-            for right_row, right_lin in buckets.get(key, ()):
-                yield row + right_row, (
-                    (lin or frozenset()) | (right_lin or frozenset())
-                    if lineage
-                    else None
-                )
-
-    # -- columnar path ------------------------------------------------------
+    # -- probe side ---------------------------------------------------------
 
     @staticmethod
     def _key_column(columns: list, positions: "list[int]") -> list:
@@ -381,7 +293,7 @@ class HashJoinOp(Operator):
             return columns[positions[0]]
         return list(zip(*(columns[p] for p in positions)))
 
-    def _columnar_build(self, database: Database, lineage: bool) -> tuple:
+    def _build_side(self, database: Database, lineage: bool) -> tuple:
         """``(right batch, buckets, unique map)`` for the build side.
 
         Buckets map key → right-row *positions* (the gather indexes);
@@ -392,7 +304,7 @@ class HashJoinOp(Operator):
         column is the table's own tid vector, attached per execution.
         """
         table = self._build_table(database)
-        entry = self._columnar_cache
+        entry = self._build_cache
         if (
             table is not None
             and entry is not None
@@ -403,12 +315,12 @@ class HashJoinOp(Operator):
             right, buckets, unique_map = entry[2:]
         else:
             right = ColumnBatch.concat(
-                self.right.execute_columnar(database, lineage and table is None)
+                self.right.execute(database, lineage and table is None)
             )
             buckets, unique_map = built = self._buckets(right)
             if table is not None:
                 database.join_build_misses += 1
-                self._columnar_cache = (table, table.version, right, *built)
+                self._build_cache = (table, table.version, right, *built)
         if lineage and table is not None:
             right = _table_batch(table, table.name)
         return right, buckets, unique_map
@@ -446,17 +358,17 @@ class HashJoinOp(Operator):
         )
         return buckets, unique_map
 
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
         # Probe-first lazy build: pull one probe batch before building.
         # Policy subplans routinely have empty probe sides (the guarded
         # event never happened), and the build side can be the expensive
         # half — a filtered scan over a growing log table.
-        left_cbatches = self.left.execute_columnar(database, lineage)
+        left_cbatches = self.left.execute(database, lineage)
         first = next(left_cbatches, None)
         if first is None:
             return
         left_cbatches = itertools.chain((first,), left_cbatches)
-        right, buckets, unique_map = self._columnar_build(database, lineage)
+        right, buckets, unique_map = self._build_side(database, lineage)
         if not buckets:
             return
         left_positions = self.left_positions
@@ -553,25 +465,12 @@ class NestedLoopOp(Operator):
         self.right = right
         self.predicate = predicate
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        right_rows = list(self.right.execute(database, lineage))
-        predicate = self.predicate
-        for row, lin in self.left.execute(database, lineage):
-            for right_row, right_lin in right_rows:
-                combined = row + right_row
-                if predicate is not None and not predicate(combined):
-                    continue
-                if lineage:
-                    yield combined, (lin or frozenset()) | (right_lin or frozenset())
-                else:
-                    yield combined, None
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        right = ColumnBatch.concat(self.right.execute_columnar(database, lineage))
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
+        right = ColumnBatch.concat(self.right.execute(database, lineage))
         right_rows = right.to_rows() if right is not None else []
         every = range(len(right_rows))
         predicate = self.predicate
-        for cbatch in self.left.execute_columnar(database, lineage):
+        for cbatch in self.left.execute(database, lineage):
             left_index: list = []
             right_index: list = []
             for i, row in enumerate(cbatch.to_rows()):
@@ -611,27 +510,8 @@ class LeftJoinOp(Operator):
         self.predicate = predicate
         self.right_width = right_width
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        right_rows = list(self.right.execute(database, lineage))
-        padding = (None,) * self.right_width
-        predicate = self.predicate
-        for row, lin in self.left.execute(database, lineage):
-            matched = False
-            for right_row, right_lin in right_rows:
-                combined = row + right_row
-                if predicate(combined):
-                    matched = True
-                    if lineage:
-                        yield combined, (lin or frozenset()) | (
-                            right_lin or frozenset()
-                        )
-                    else:
-                        yield combined, None
-            if not matched:
-                yield row + padding, lin
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        right = ColumnBatch.concat(self.right.execute_columnar(database, lineage))
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
+        right = ColumnBatch.concat(self.right.execute(database, lineage))
         right_rows = right.to_rows() if right is not None else []
         # One all-NULL row after the build rows: an unmatched left row
         # gathers it, which pads its values and leaves the right side
@@ -644,7 +524,7 @@ class LeftJoinOp(Operator):
         elif lineage:
             padded.lineage = LineageColumns([], 1)
         predicate = self.predicate
-        for cbatch in self.left.execute_columnar(database, lineage):
+        for cbatch in self.left.execute(database, lineage):
             left_index: list = []
             right_index: list = []
             for i, row in enumerate(cbatch.to_rows()):
@@ -667,64 +547,31 @@ class GroupOp(Operator):
 
     Emits *group rows* of shape ``key_values + aggregate_results``; the
     planner compiles HAVING and the select list against that layout. When
-    ``key_fns`` is empty, a single group is emitted even for empty input
+    ``key_slots`` is empty, a single group is emitted even for empty input
     (standard scalar-aggregate semantics).
     """
 
     def __init__(
         self,
         child: Operator,
-        key_fns: Sequence[RowFn],
-        agg_factories: Sequence[AccumulatorFactory],
         key_slots: Sequence[Slot],
         agg_specs: Sequence[AggSpec],
     ):
         self.child = child
-        #: The row reference's forms: key closures and accumulators.
-        self.key_fns = list(key_fns)
-        self.agg_factories = list(agg_factories)
-        #: Columnar forms: one slot per grouping key, one compiled spec
-        #: per aggregate.
+        #: One slot per grouping key, one compiled spec per aggregate.
         self.key_slots = list(key_slots)
         self.agg_specs = list(agg_specs)
         #: Planner-recorded canonical identity for cross-plan sharing
         #: (see :mod:`repro.engine.dag`); ``None`` = never shared.
         self.origin: Optional[tuple] = None
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        groups: dict[tuple, list] = {}
-        order: list[tuple] = []
-        for row, lin in self.child.execute(database, lineage):
-            key = tuple(fn(row) for fn in self.key_fns)
-            state = groups.get(key)
-            if state is None:
-                accumulators = [factory() for factory in self.agg_factories]
-                state = [accumulators, frozenset() if lineage else None]
-                groups[key] = state
-                order.append(key)
-            for accumulator in state[0]:
-                accumulator.add(row)
-            if lineage:
-                state[1] = state[1] | (lin or frozenset())
-
-        if not groups and not self.key_fns:
-            accumulators = [factory() for factory in self.agg_factories]
-            results = tuple(acc.result() for acc in accumulators)
-            yield results, (frozenset() if lineage else None)
-            return
-
-        for key in order:
-            accumulators, lin = groups[key]
-            results = tuple(acc.result() for acc in accumulators)
-            yield key + results, lin
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
         key_slots = self.key_slots
         agg_specs = self.agg_specs
 
         # Materialize the input columns (group-by is a pipeline breaker
         # anyway).
-        source = ColumnBatch.concat(self.child.execute_columnar(database, lineage))
+        source = ColumnBatch.concat(self.child.execute(database, lineage))
         if source is None:
             source = ColumnBatch([], 0, lineage=LineageColumns([], 0))
         columns, clean, length = source.columns, source.clean, source.length
@@ -763,8 +610,8 @@ class GroupOp(Operator):
         if not (lineage or multi) and all(spec.count_star for spec in agg_specs):
             # COUNT(*)-only grouping over one key: Counter runs the whole
             # group loop in C. Iteration order is first-appearance order
-            # (dict insertion), exactly the row path's emission order,
-            # and 1/True key collapsing matches dict-key semantics there.
+            # (dict insertion), as on the general path below, and 1/True
+            # key collapsing matches its dict-key semantics.
             counts = Counter(key_columns[0])
             width = len(agg_specs)
             yield ColumnBatch.from_rows(
@@ -807,31 +654,12 @@ class DistinctOp(Operator):
     def __init__(self, child: Operator):
         self.child = child
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        return _row_distinct(self.child.execute(database, lineage), lineage)
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        return _distinct_rows(self.child.execute_columnar(database, lineage), lineage)
-
-
-def _row_distinct(pairs: Stream, lineage: bool) -> Stream:
-    """Row-reference DISTINCT / UNION: one pair per distinct row, in
-    first-appearance order, the duplicates' lineages unioned."""
-    if not lineage:
-        seen: set = set()
-        for row, _ in pairs:
-            if row not in seen:
-                seen.add(row)
-                yield row, None
-        return
-    merged: dict[tuple, frozenset] = {}
-    for row, lin in pairs:
-        merged[row] = merged.get(row, frozenset()) | (lin or frozenset())
-    yield from merged.items()
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
+        return _distinct_rows(self.child.execute(database, lineage), lineage)
 
 
 def _distinct_rows(stream: ColumnStream, lineage: bool) -> ColumnStream:
-    """Columnar DISTINCT / UNION: one row per distinct input row, in
+    """DISTINCT / UNION: one row per distinct input row, in
     first-appearance order. Its lineage is recorded as the positions of
     the duplicates it stands for — nothing is unioned here."""
     batches = list(stream)
@@ -864,20 +692,11 @@ class DistinctOnOp(Operator):
         self.key_fns = list(key_fns)
         self.out_fns = list(out_fns)
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        seen: set = set()
-        for row, lin in self.child.execute(database, lineage):
-            key = tuple(fn(row) for fn in self.key_fns)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield tuple(fn(row) for fn in self.out_fns), lin
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
         seen: set = set()
         key_fns = self.key_fns
         out_fns = self.out_fns
-        for cbatch in self.child.execute_columnar(database, lineage):
+        for cbatch in self.child.execute(database, lineage):
             kept: list = []
             out: list = []
             for position, row in enumerate(cbatch.to_rows()):
@@ -901,77 +720,65 @@ class UnionOp(Operator):
         self.right = right
         self.all_rows = all_rows
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
         both = itertools.chain(
             self.left.execute(database, lineage),
             self.right.execute(database, lineage),
         )
-        return both if self.all_rows else _row_distinct(both, lineage)
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        both = itertools.chain(
-            self.left.execute_columnar(database, lineage),
-            self.right.execute_columnar(database, lineage),
-        )
         return both if self.all_rows else _distinct_rows(both, lineage)
 
 
-def _distinct_left_rows(
-    op: Operator, database: Database, lineage: bool, keep_in_right: bool
+def _left_rows(
+    op: "ExceptOp | IntersectOp", database: Database, lineage: bool, keep_in_right: bool
 ) -> ColumnStream:
-    """Columnar EXCEPT/INTERSECT: distinct left rows whose membership in
-    the right input equals ``keep_in_right``, in left order (each keeps
-    its own lineage: the first occurrence's)."""
-    right = set(op.right._columnar_rows(database))
-    emitted: set = set()
-    for cbatch in op.left.execute_columnar(database, lineage):
-        kept: list = []
-        for position, row in enumerate(cbatch.to_rows()):
-            if (row in right) is keep_in_right and row not in emitted:
-                emitted.add(row)
-                kept.append(position)
-        if kept:
-            yield cbatch.take(kept)
+    """EXCEPT / INTERSECT: the left rows whose membership in the right
+    input equals ``keep_in_right``, in left order. Without ALL, one row
+    per distinct value, its lineage the union of the duplicates it
+    merges; with ALL, each right row cancels (EXCEPT) or admits
+    (INTERSECT) one equal left row, and kept rows keep their own."""
+    right = Counter(op.right._rows(database))
+    batches = list(op.left.execute(database, lineage))
+    rows = [row for cbatch in batches for row in cbatch.to_rows()]
+    groups: dict = {}
+    for position, row in enumerate(rows):
+        inside = right[row] > 0
+        if op.all_rows:
+            right[row] -= inside
+            row = position  # every kept row stands alone
+        if inside is keep_in_right:
+            groups.setdefault(row, []).append(position)
+    if groups:
+        merged = list(groups.values())
+        yield ColumnBatch.from_rows(
+            [rows[group[0]] for group in merged],
+            LineageColumns.concat([cbatch.lineage for cbatch in batches]).merged(merged)
+            if lineage
+            else None,
+        )
 
 
 class ExceptOp(Operator):
-    """Set difference (always distinct, like SQL EXCEPT)."""
+    """Set difference: EXCEPT (distinct) or EXCEPT ALL (bag)."""
 
-    def __init__(self, left: Operator, right: Operator):
+    def __init__(self, left: Operator, right: Operator, all_rows: bool = False):
         self.left = left
         self.right = right
+        self.all_rows = all_rows
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        removed = {row for row, _ in self.right.execute(database, False)}
-        emitted: set = set()
-        for row, lin in self.left.execute(database, lineage):
-            if row in removed or row in emitted:
-                continue
-            emitted.add(row)
-            yield row, lin
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        return _distinct_left_rows(self, database, lineage, keep_in_right=False)
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
+        return _left_rows(self, database, lineage, keep_in_right=False)
 
 
 class IntersectOp(Operator):
-    """Set intersection (always distinct, like SQL INTERSECT)."""
+    """Set intersection: INTERSECT (distinct) or INTERSECT ALL (bag)."""
 
-    def __init__(self, left: Operator, right: Operator):
+    def __init__(self, left: Operator, right: Operator, all_rows: bool = False):
         self.left = left
         self.right = right
+        self.all_rows = all_rows
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        keep = {row for row, _ in self.right.execute(database, False)}
-        emitted: set = set()
-        for row, lin in self.left.execute(database, lineage):
-            if row not in keep or row in emitted:
-                continue
-            emitted.add(row)
-            yield row, lin
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        return _distinct_left_rows(self, database, lineage, keep_in_right=True)
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
+        return _left_rows(self, database, lineage, keep_in_right=True)
 
 
 class OrderOp(Operator):
@@ -984,15 +791,8 @@ class OrderOp(Operator):
         self.key_fns = list(key_fns)
         self.descending = list(descending)
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        rows = list(self.child.execute(database, lineage))
-        # Stable multi-key sort: apply keys right-to-left.
-        for fn, desc in reversed(list(zip(self.key_fns, self.descending))):
-            rows.sort(key=lambda pair: sort_key(fn(pair[0])), reverse=desc)
-        yield from rows
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        source = ColumnBatch.concat(self.child.execute_columnar(database, lineage))
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
+        source = ColumnBatch.concat(self.child.execute(database, lineage))
         if source is None:
             return
         rows = source.to_rows()
@@ -1009,21 +809,11 @@ class LimitOp(Operator):
         self.child = child
         self.limit = limit
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
         remaining = self.limit
         if remaining <= 0:
             return
-        for row, lin in self.child.execute(database, lineage):
-            yield row, lin
-            remaining -= 1
-            if remaining == 0:
-                return
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        remaining = self.limit
-        if remaining <= 0:
-            return
-        for cbatch in self.child.execute_columnar(database, lineage):
+        for cbatch in self.child.execute(database, lineage):
             if cbatch.length < remaining:
                 remaining -= cbatch.length
                 yield cbatch
@@ -1038,11 +828,7 @@ class ValuesOp(Operator):
     def __init__(self, rows: Sequence[tuple]):
         self.rows = [tuple(row) for row in rows]
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
-        for row in self.rows:
-            yield row, (frozenset() if lineage else None)
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
         rows = self.rows
         if rows:
             yield ColumnBatch.from_rows(
@@ -1058,38 +844,17 @@ class TracedOp(Operator):
     from its stream, so ``span.seconds`` is the node's *inclusive* wall
     time — time inside its subtree, like ``actual time`` in PostgreSQL's
     ``EXPLAIN ANALYZE`` — and ``span.counters["rows"]`` is rows emitted.
-    Under columnar execution each pull is one batch; rows still count rows.
+    Each pull is one batch; rows still count rows.
     """
 
     def __init__(self, inner: Operator, span) -> None:
         self.inner = inner
         self.span = span
 
-    def execute(self, database: Database, lineage: bool) -> Stream:
+    def execute(self, database: Database, lineage: bool) -> ColumnStream:
         span = self.span
         counter = time.perf_counter
         stream = self.inner.execute(database, lineage)
-        rows = 0
-        try:
-            while True:
-                started = counter()
-                try:
-                    item = next(stream)
-                except StopIteration:
-                    span.seconds += counter() - started
-                    return
-                span.seconds += counter() - started
-                rows += 1
-                yield item
-        finally:
-            # Abandoned early (LIMIT upstream, is_empty probes): the rows
-            # pulled so far still count.
-            span.counters["rows"] = span.counters.get("rows", 0) + rows
-
-    def execute_columnar(self, database: Database, lineage: bool) -> ColumnStream:
-        span = self.span
-        counter = time.perf_counter
-        stream = self.inner.execute_columnar(database, lineage)
         rows = 0
         try:
             while True:

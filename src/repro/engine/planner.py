@@ -19,11 +19,10 @@ Planning decisions, in order:
    PostgreSQL, which is what the paper's witness queries (Lemma 4.2) rely
    on.
 
-Alongside each compiled closure the planner emits its columnar form (see
+Alongside each compiled closure the planner emits its column form (see
 :mod:`repro.engine.columnar`) — a selection kernel, projection/key slot
 or aggregate spec, compiled from source where the expression shape
-allows and wrapping that same closure where it does not; the row
-reference never touches them.
+allows and wrapping that same closure where it does not.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from typing import Optional
 from ..errors import BindError
 from ..sql import ast
 from . import columnar
-from .aggregates import make_accumulator_factory
 from .database import Database
 from .expressions import (
     RowFn,
@@ -202,9 +200,9 @@ class Planner:
         if query.op == "union":
             op: Operator = UnionOp(left.op, right.op, all_rows=query.all)
         elif query.op == "except":
-            op = ExceptOp(left.op, right.op)
+            op = ExceptOp(left.op, right.op, all_rows=query.all)
         elif query.op == "intersect":
-            op = IntersectOp(left.op, right.op)
+            op = IntersectOp(left.op, right.op, all_rows=query.all)
         else:
             raise BindError(f"unknown set operation {query.op!r}")
         return Plan(op, left.columns)
@@ -712,21 +710,14 @@ class Planner:
             for expr, fn in zip(key_exprs, key_fns)
         ]
 
-        def compile_aggregate(call: ast.FuncCall):
-            """The accumulator factory and the columnar spec of one call,
-            over one compiled argument (``COUNT(*)`` has none)."""
-            arg_fn: list[RowFn] = []
-
-            def compile_arg(expr: ast.Expr) -> RowFn:
-                arg_fn.append(compile_expr(expr, layout.column_fn))
-                return arg_fn[0]
-
-            factory = make_accumulator_factory(call, compile_arg)
-            return factory, columnar.agg_spec(call, resolve_position, *arg_fn)
-
-        aggregates = [compile_aggregate(call) for call in agg_order]
-        factories = [factory for factory, _ in aggregates]
-        agg_specs = [spec for _, spec in aggregates]
+        agg_specs = [
+            columnar.agg_spec(
+                call,
+                resolve_position,
+                lambda expr: compile_expr(expr, layout.column_fn),
+            )
+            for call in agg_order
+        ]
         group_width = len(key_exprs)
 
         def resolve_special(expr: ast.Expr) -> Optional[RowFn]:
@@ -753,7 +744,7 @@ class Planner:
         def compile_grouped(expr: ast.Expr) -> RowFn:
             return compile_expr(expr, grouped_column, resolve_special)
 
-        op: Operator = GroupOp(child, key_fns, factories, key_slots, agg_specs)
+        op: Operator = GroupOp(child, key_slots, agg_specs)
         # Sharing identity: normalized keys and aggregates plus the input
         # positions they resolve to (positions disambiguate self-joins
         # where distinct aliases normalize to the same qualified names).
@@ -840,8 +831,6 @@ def narrow_plan(op: Operator, needed: Optional[frozenset] = None) -> None:
     a join under a two-column projection gathers two output columns
     instead of the full concatenated row.
 
-    The annotation only affects the columnar discipline; the row path
-    never consults it.
     """
     if isinstance(op, ProjectOp):
         narrow_plan(op.child, _slots_needed(op.slots))

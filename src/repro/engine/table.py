@@ -9,10 +9,9 @@ whose *delete* phase removes the rest.
 Storage is columnar: one :class:`~repro.engine.columnar.ColumnVector` per
 column — each column is held exactly once, as one plain list. The
 row-tuple view (:meth:`rows`) is a derived cache — built lazily,
-maintained incrementally across appends — kept for the row reference
-engine, WAL/snapshot serialization and compaction; engine operators on
-the columnar path read the column lists directly via
-:meth:`columns_decoded` and never materialize tuples.
+maintained incrementally across appends — kept for WAL/snapshot
+serialization and compaction; engine operators read the column lists
+directly via :meth:`columns_decoded` and never materialize tuples.
 
 Tables also carry a monotone **mutation version**: every change to the row
 set bumps it. Derived structures built from a snapshot of the rows (hash
@@ -95,9 +94,8 @@ class Table:
            New engine operators must not materialize rows; use
            :meth:`columns_decoded`, :meth:`clean_flags`, :meth:`tids` and
            :meth:`index_positions` instead. ``rows()`` remains supported
-           for the row reference engine and bulk persistence
-           (snapshot/WAL serialization), where whole-tuple access is the
-           point.
+           for bulk persistence (snapshot/WAL serialization), where
+           whole-tuple access is the point.
         """
         cache = self._rows_cache
         if cache is None:

@@ -82,10 +82,7 @@ class ServiceConfig:
       go through two-phase reserve → commit/abort admission, bit-identical
       to a single-shard oracle). See :mod:`repro.service.global_tier`.
 
-    There is no engine knob: shards run the columnar engine. (A seed
-    enforcer built with ``EnforcerOptions(engine="row")`` — the tests'
-    reference — keeps that option on every shard; it travels in the
-    checkpoint manifest.)
+    There is no engine knob: there is one engine, and every shard runs it.
     """
 
     shards: int = 1

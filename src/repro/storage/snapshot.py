@@ -34,6 +34,10 @@ MANIFEST = "manifest.json"
 FORMAT_VERSION = 1
 #: Manifest keys :func:`restore_enforcer` cannot do without.
 ENFORCER_KEYS = ("tables", "policies", "options", "clock_now")
+#: Options older manifests carry that no longer exist, dropped (whatever
+#: their value) before the rest are validated. ``engine`` selected the
+#: removed row interpreter; decisions never depended on it.
+RETIRED_OPTIONS = frozenset({"engine"})
 
 
 def save_database(database: Database, directory: Path) -> None:
@@ -144,8 +148,13 @@ def restore_enforcer(
     missing = [key for key in ENFORCER_KEYS if key not in manifest]
     if missing:
         raise StorageError(f"{directory}: manifest lacks keys {missing}")
+    stored_options = {
+        name: value
+        for name, value in manifest["options"].items()
+        if name not in RETIRED_OPTIONS
+    }
     unknown = sorted(
-        set(manifest["options"])
+        set(stored_options)
         - {field.name for field in dataclasses.fields(EnforcerOptions)}
     )
     if unknown:
@@ -184,7 +193,10 @@ def restore_enforcer(
         Policy.from_sql(p["name"], p["sql"], p.get("description", ""))
         for p in manifest["policies"]
     ]
-    options = EnforcerOptions(**manifest["options"])
+    try:
+        options = EnforcerOptions(**stored_options)
+    except (TypeError, ValueError) as error:
+        raise StorageError(f"{directory}: manifest options: {error}") from None
     clock = clock or SimulatedClock(start_ms=int(manifest["clock_now"]))
 
     enforcer = Enforcer(

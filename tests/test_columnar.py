@@ -1,5 +1,5 @@
 """Columnar engine: column vectors (one list per column, the clean
-flag, copy-on-write clones), the referee (columnar ≡ row ≡ SQLite,
+flag, copy-on-write clones), the referee (engine ≡ oracle ≡ SQLite,
 lineage mode and mid-stream mutation included), filters over tables of
 several chunks, predicate pushdown, the version-keyed hash-join build
 cache, and WAL recovery rebuilding identical column state.
@@ -11,12 +11,13 @@ import dataclasses
 import sqlite3
 
 import pytest
-from engines import BothEngines
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import Answer, assert_matches, evaluate
+from oracle_engines import CheckedEngine, oracle_enforcer
 
 from repro.core import Enforcer, EnforcerOptions, Policy
-from repro.engine import DEFAULT_ENGINE, ENGINES, Database, Engine, Result, Table
+from repro.engine import Database, Engine, Result, Table
 from repro.engine import operators
 from repro.engine.columnar import CHUNK_SIZE, ColumnVector, LineageColumns
 from repro.engine.dag import SharedNode
@@ -48,10 +49,8 @@ def build_db(r_rows, s_rows) -> Database:
     return db
 
 
-def build_engines(r_rows, s_rows):
-    """One engine per discipline (row reference first) over one catalog."""
-    db = build_db(r_rows, s_rows)
-    return [Engine(db, name) for name in ENGINES]
+def build_engine(r_rows, s_rows) -> Engine:
+    return Engine(build_db(r_rows, s_rows))
 
 
 def to_sqlite(db: Database) -> sqlite3.Connection:
@@ -63,17 +62,20 @@ def to_sqlite(db: Database) -> sqlite3.Connection:
     return connection
 
 
+VALUES_ROWS = [(1, 2), (3, 4)]
+
+
 def values_product() -> operators.Operator:
     """``r × VALUES (1, 2), (3, 4)``: the constant relation has no SQL
     surface of its own (it backs the one-row clock)."""
     return operators.NestedLoopOp(
-        operators.ScanOp("r"), operators.ValuesOp([(1, 2), (3, 4)])
+        operators.ScanOp("r"), operators.ValuesOp(VALUES_ROWS)
     )
 
 
 #: The referee's cases: ``(sql, plan builder or None)``. SQL text runs
-#: through each engine's planner; a builder supplies a hand-built
-#: operator tree and the SQL is only what SQLite answers for it. Between
+#: through the planner; a builder supplies a hand-built operator tree and
+#: the SQL is only what SQLite answers for it. Between
 #: them every operator is drawn, including each row-wise one
 #: (NestedLoop, LeftJoin with NULL padding, DistinctOn, Except,
 #: Intersect), every place an expression without a source-compiled
@@ -112,6 +114,8 @@ CASES = [
         "SELECT r.a FROM r UNION SELECT s.a FROM s",
         "SELECT r.a FROM r EXCEPT SELECT s.a FROM s",
         "SELECT r.a FROM r INTERSECT SELECT s.a FROM s",
+        "SELECT r.a FROM r EXCEPT ALL SELECT s.a FROM s",
+        "SELECT r.a FROM r INTERSECT ALL SELECT s.a FROM s",
         "SELECT r.a FROM r ORDER BY r.a LIMIT 3",
         "SELECT r.a + r.b FROM r WHERE NOT (r.a = 2)",
         "SELECT x.a, y.b FROM r x, r y WHERE x.a = y.a",
@@ -144,63 +148,73 @@ CASES = [
 cases = st.sampled_from(CASES)
 
 
+def sqlite_comparable(sql: str) -> bool:
+    """Whether SQLite answers ``sql`` as a comparable multiset: it has
+    no DISTINCT ON, EXCEPT ALL or INTERSECT ALL, and breaks ORDER BY
+    ties (and so picks LIMIT prefixes) its own way."""
+    return not any(
+        word in sql
+        for word in ("ORDER BY", "DISTINCT ON", "LIMIT", "EXCEPT ALL", "INTERSECT ALL")
+    )
+
+
 def run_case(engine: Engine, case, lineage: bool = False) -> Result:
     sql, build = case
     if build is None:
         return engine.execute(sql, lineage=lineage)
-    op, db = build(), engine.database
-    if engine.engine_name == "row":
-        pairs = list(op.execute(db, lineage))
-        rows = [row for row, _ in pairs]
-        tracked = LineageColumns.of_sets([lin for _, lin in pairs])
-    else:
-        batches = list(op.execute_columnar(db, lineage))
-        rows = [row for cbatch in batches for row in cbatch.to_rows()]
-        tracked = LineageColumns.concat([cbatch.lineage for cbatch in batches])
+    batches = list(build().execute(engine.database, lineage))
+    rows = [row for cbatch in batches for row in cbatch.to_rows()]
+    tracked = LineageColumns.concat([cbatch.lineage for cbatch in batches])
     return Result([], rows, tracked if lineage else None)
 
 
-def assert_same_lineage(reference: Result, got: Result) -> None:
-    """Rows, their order, the per-row sets and the per-table tid sets
-    the mark phase reads."""
-    assert got.rows == reference.rows
-    assert got.lineages == reference.lineages
-    assert got.lineage_tables() == reference.lineage_tables()
-    for table in ("r", "s"):
-        assert got.lineage_tids(table) == reference.lineage_tids(table)
+def oracle_case(db: Database, case) -> Answer:
+    """The oracle's answer to a case. A hand-built ``r × VALUES`` plan
+    has no SQL of its own: it is the oracle's scan of ``r`` paired with
+    each constant row, which contributes no lineage."""
+    sql, build = case
+    if build is None:
+        return evaluate(sql, db)
+    scan = evaluate("SELECT r.a, r.b FROM r", db).pairs()
+    product = [(row + const, lin) for row, lin in scan for const in VALUES_ROWS]
+    return Answer([], [[[pair] for pair in product]])
 
 
-class TestColumnarEqualsRowEqualsSqlite:
+def assert_case_matches(db: Database, case, got: Result) -> None:
+    """The oracle admits ``got`` (per-row lineage included when tracked),
+    and the per-table tid sets the mark phase reads are those rows'."""
+    assert_matches(got, oracle_case(db, case), case[0])
+    if got.lineage is not None:
+        assert got.lineage_tables() == {name for lin in got.lineages for name, _ in lin}
+        for table in ("r", "s"):
+            assert got.lineage_tids(table) == {
+                tid for lin in got.lineages for name, tid in lin if name == table
+            }
+
+
+class TestColumnarEqualsOracleEqualsSqlite:
     @settings(max_examples=80, deadline=None)
     @given(rows_r, rows_s, cases)
     def test_three_way_agreement(self, r_rows, s_rows, case):
-        row, columnar = build_engines(r_rows, s_rows)
-        reference = run_case(row, case)
-        got = run_case(columnar, case)
-        assert got.rows == reference.rows
-        assert got.columns == reference.columns
+        engine = build_engine(r_rows, s_rows)
+        got = run_case(engine, case)
+        assert_case_matches(engine.database, case, got)
         sql = case[0]
-        # SQLite has no DISTINCT ON, and breaks ORDER BY ties (and so
-        # picks LIMIT prefixes) its own way; everything else is a
-        # multiset compare against the oracle.
-        if not any(word in sql for word in ("ORDER BY", "DISTINCT ON", "LIMIT")):
-            theirs = to_sqlite(row.database).execute(sql).fetchall()
-            assert sorted(reference.rows, key=repr) == sorted(
+        if sqlite_comparable(sql):
+            theirs = to_sqlite(engine.database).execute(sql).fetchall()
+            assert sorted(got.rows, key=repr) == sorted(
                 [tuple(r) for r in theirs], key=repr
             )
 
     @settings(max_examples=150, deadline=None)
     @given(rows_r, rows_s, cases)
     def test_lineage_mode_identical(self, r_rows, s_rows, case):
-        """Each engine tracks lineage on its own path — rows *and*
-        provenance must agree with the row-engine reference, and the
-        rows with the lineage-free columnar run."""
-        row, columnar = build_engines(r_rows, s_rows)
-        assert_same_lineage(
-            run_case(row, case, lineage=True),
-            run_case(columnar, case, lineage=True),
-        )
-        assert run_case(columnar, case).rows == run_case(row, case).rows
+        """Rows *and* provenance of a lineage execution are an answer
+        the oracle admits, and its rows are the lineage-free run's."""
+        engine = build_engine(r_rows, s_rows)
+        traced = run_case(engine, case, lineage=True)
+        assert_case_matches(engine.database, case, traced)
+        assert run_case(engine, case).rows == traced.rows
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -218,20 +232,17 @@ class TestColumnarEqualsRowEqualsSqlite:
         gaps, and a mid-stream append lands behind them. A result whose
         lineage columns are first read *after* an append must not see
         it: scan vectors alias tid lists that grow in place."""
-        row, columnar = build_engines(r_rows, s_rows)
-        db = row.database
+        engine = build_engine(r_rows, s_rows)
+        db = engine.database
 
         def agree():
-            assert_same_lineage(
-                run_case(row, case, lineage=True),
-                run_case(columnar, case, lineage=True),
-            )
+            assert_case_matches(db, case, run_case(engine, case, lineage=True))
 
-        expected = run_case(row, case, lineage=True)
-        unread = run_case(columnar, case, lineage=True)
+        expected = oracle_case(db, case)
+        unread = run_case(engine, case, lineage=True)
         db.table("r").insert_many([(1, 2), (None, 0)])
         db.table("s").insert((1, 5))
-        assert_same_lineage(expected, unread)
+        assert_matches(unread, expected, case[0])
         agree()
         db.table("r").delete_tids(doomed)
         db.table("s").retain_tids(keep)
@@ -247,20 +258,16 @@ class TestColumnarEqualsRowEqualsSqlite:
         join build caches must see the current state."""
         sql = "SELECT r.a, s.c FROM r, s WHERE r.a = s.a"
         range_sql = "SELECT s.c FROM s WHERE s.a >= 1"
-        row, columnar = build_engines(r_rows, s_rows)
-
-        def agree(query):
-            assert columnar.execute(query).rows == row.execute(query).rows
-
-        agree(sql)
-        agree(range_sql)
-        s = row.database.table("s")
+        engine = CheckedEngine(build_db(r_rows, s_rows))
+        for query in (sql, range_sql):
+            engine.execute(query)
+        s = engine.database.table("s")
         s.insert_many([(1, 99), (2, 98)])
-        agree(sql)
-        agree(range_sql)
+        for query in (sql, range_sql):
+            engine.execute(query)
         s.delete_tids({s.tids()[0]} if s.tids() else set())
-        agree(sql)
-        agree(range_sql)
+        for query in (sql, range_sql):
+            engine.execute(query)
 
 
 class TestComparisonSpecializations:
@@ -300,7 +307,7 @@ class TestComparisonSpecializations:
 class TestJoinBuildCache:
     def setup_pair(self):
         db = build_db([(i % 5, i) for i in range(40)], [(i, i * 10) for i in range(5)])
-        return Engine(db, "columnar"), db
+        return Engine(db), db
 
     def test_second_execution_hits(self):
         engine, db = self.setup_pair()
@@ -418,10 +425,9 @@ class TestPushdown:
         assert pushed < left_join
 
     def test_left_join_pushdown_preserves_padding_semantics(self):
-        row, columnar = build_engines([(1, 2), (2, 3), (3, 3)], [(1, 10)])
+        engine = CheckedEngine(build_db([(1, 2), (2, 3), (3, 3)], [(1, 10)]))
         sql = "SELECT r.a, s.c FROM r LEFT JOIN s ON r.a = s.a WHERE r.b = 3"
-        got = columnar.execute(sql)
-        assert got.rows == row.execute(sql).rows
+        got = engine.execute(sql)
         assert sorted(got.rows) == [(2, None), (3, None)]
 
     def test_multi_unit_conjunct_attached_mid_join(self):
@@ -439,49 +445,42 @@ class TestPushdown:
         assert pushed and joins[0] < pushed[0]
 
     def test_pushdown_equivalence_on_random_data(self):
-        row, columnar = build_engines(
-            [(i % 4, i % 3) for i in range(30)],
-            [(i % 4, i) for i in range(12)],
+        engine = CheckedEngine(
+            build_db(
+                [(i % 4, i % 3) for i in range(30)],
+                [(i % 4, i) for i in range(12)],
+            )
         )
         for sql in (
             "SELECT r.a, s.c FROM r, s WHERE r.a = s.a AND r.b = 1 AND s.c > 3",
             "SELECT r.a FROM r, s WHERE r.a = s.a AND r.b < s.c AND s.a = 2",
         ):
-            assert columnar.execute(sql).rows == row.execute(sql).rows
+            assert engine.execute(sql).rows
 
 
 class TestMimicWorkload:
     """The canonical W1–W4 workload over the generated MIMIC data: the
-    two disciplines must agree on every query, with and without lineage,
-    before and after a mid-stream mutation."""
+    engine must agree with the oracle on every query, with and without
+    lineage, before and after a mid-stream mutation."""
 
     @pytest.fixture(scope="class")
     def engines(self):
         database = build_mimic_database(MimicConfig(n_patients=40))
-        return (
-            Engine(database, "columnar"),
-            Engine(database, "row"),
-            make_workload(MimicConfig(n_patients=40)),
-        )
+        return CheckedEngine(database), make_workload(MimicConfig(n_patients=40))
 
     def test_all_queries_agree(self, engines):
-        columnar, row, workload = engines
-        for name, sql in workload.all().items():
-            got = columnar.execute(sql)
-            reference = row.execute(sql)
-            assert got.rows == reference.rows, name
-            got = columnar.execute(sql, lineage=True)
-            reference = row.execute(sql, lineage=True)
-            assert got.rows == reference.rows, name
-            assert got.lineages == reference.lineages, name
+        engine, workload = engines
+        for sql in workload.all().values():
+            engine.execute(sql)
+            engine.execute(sql, lineage=True)
 
     def test_agreement_survives_mutation(self, engines):
-        columnar, row, workload = engines
-        patients = row.database.table("d_patients")
+        engine, workload = engines
+        patients = engine.database.table("d_patients")
         template = patients.rows()[0]
         patients.insert(tuple(template))  # bump the version mid-stream
-        for name, sql in workload.all().items():
-            assert columnar.execute(sql).rows == row.execute(sql).rows, name
+        for sql in workload.all().values():
+            engine.execute(sql)
 
 
 def is_clean(values) -> bool:
@@ -560,7 +559,7 @@ class TestColumnVector:
         assert table.column_values(0) is held
         assert table.column("x").values() is held
         assert held == [1, 2, None]
-        [cbatch] = operators.ScanOp("t").execute_columnar(db, False)
+        [cbatch] = operators.ScanOp("t").execute(db, False)
         assert cbatch.columns[0] is held
 
     def test_clone_is_copy_on_write(self):
@@ -654,11 +653,11 @@ class TestColumnVector:
 
     def test_ints_beyond_64_bits(self):
         """The clean flag has no 64-bit bound: the fast reducers run on
-        ``2**70`` and agree with the row reference."""
+        ``2**70`` and agree with the oracle."""
         db = Database()
         db.load_table("t", ["x"], [(2**70,), (1,), (-5,), (2**70 + 1,)])
         assert db.table("t").clean_flags() == [True]
-        engine = BothEngines(db)
+        engine = CheckedEngine(db)
         result = engine.execute(
             "SELECT SUM(t.x), AVG(t.x), MIN(t.x), MAX(t.x) FROM t"
         )
@@ -685,8 +684,8 @@ class TestTableAccessors:
 
 class TestBigTableFilters:
     """Pushed filters over a table of more than four ``CHUNK_SIZE``
-    chunks: one selection kernel over the whole column, the row engine's
-    rows in the row engine's order."""
+    chunks: one selection kernel over the whole column, the oracle's
+    rows in the table's order."""
 
     N = 4 * CHUNK_SIZE + 17
 
@@ -698,7 +697,7 @@ class TestBigTableFilters:
             ["id", "v", "w"],
             [(i, i % 7, None if i % 5 == 0 else i % 3) for i in range(self.N)],
         )
-        return BothEngines(db)
+        return CheckedEngine(db)
 
     @pytest.mark.parametrize(
         "where, expected",
@@ -735,13 +734,10 @@ class TestBigTableFilters:
         ids=["plain", "flipped"],
     )
     def test_cross_family_ordering_raises_the_same_error(self, engine, where):
-        errors = []
-        for one in engine.engines:
-            with pytest.raises(ExecutionError) as caught:
-                one.execute(f"SELECT big.id FROM big WHERE {where}")
-            errors.append(str(caught.value))
-        assert errors[0] == errors[1]
-        assert "incompatible types" in errors[0]
+        # The oracle raises an ExecutionError too (CheckedEngine insists).
+        with pytest.raises(ExecutionError) as caught:
+            engine.execute(f"SELECT big.id FROM big WHERE {where}")
+        assert "incompatible types" in str(caught.value)
         # Cross-family equality is not an error: never equal, always unequal.
         for op, count in (("=", 0), ("<>", self.N)):
             sql = f"SELECT COUNT(*) FROM big WHERE big.id {op} 'a'"
@@ -783,13 +779,13 @@ class TestRecoveryRebuildsColumnState:
         queries = [("SELECT iid FROM items", "alice")] * 5 + [
             ("SELECT owner FROM items WHERE owner = 'u0'", "bob")
         ]
-        enforcer = make_enforcer(engine="columnar")
+        enforcer = make_enforcer()
         wal = initialize_durability(enforcer, tmp_path)
         for sql, uid in queries:
             enforcer.submit(sql, uid=uid)
         wal.close()  # abandon in-memory state: simulated crash
 
-        twin = make_enforcer(engine="columnar")
+        twin = make_enforcer()
         for sql, uid in queries:
             twin.submit(sql, uid=uid)
 
@@ -814,20 +810,6 @@ class TestRecoveryRebuildsColumnState:
             rwal.close()
 
 
-def forbid_row_bodies(monkeypatch) -> None:
-    """Patch every ``Operator.execute`` body to raise, unconditionally:
-    nothing the columnar engine runs may reach one."""
-
-    def execute(self, database, lineage):
-        raise AssertionError(f"{type(self).__name__}.execute ran under columnar")
-
-    for cls in _all_operator_classes():
-        if "execute" in vars(cls):
-            monkeypatch.setattr(cls, "execute", execute)
-    with pytest.raises(AssertionError, match="Op.execute ran"):
-        Engine(build_db([(1, 2)], []), "row").execute("SELECT r.a FROM r")
-
-
 def _all_operator_classes():
     found, stack = [], [operators.Operator]
     while stack:
@@ -839,101 +821,82 @@ def _all_operator_classes():
 
 
 class TestTwoDisciplines:
+    """What is left of the second discipline is its absence: each
+    operator has one ``execute``, and served streams, the referee's
+    case list and the row-wise operators' subtrees equal the oracle."""
+
     def test_every_operator_has_a_native_columnar_form(self):
-        """No generic adapter: each operator (SharedNode included) keeps
-        its own subtree columnar."""
+        """No generic adapter: each operator (SharedNode and TracedOp
+        included) defines its own ``execute``."""
         classes = _all_operator_classes()
         assert SharedNode in classes and operators.TracedOp in classes
-        missing = [
-            cls.__name__
-            for cls in classes
-            if "execute_columnar" not in vars(cls)
-        ]
+        missing = [cls.__name__ for cls in classes if "execute" not in vars(cls)]
         assert missing == []
 
     def test_no_columnar_body_can_reach_a_row_body(self):
-        """Structural: in ``engine/operators.py`` no ``execute_columnar``
-        — nor any module-level helper or sibling method one calls,
-        transitively — mentions ``.execute(``, ``_Wrapped`` or
-        ``_pairs``."""
+        """There is no row body left to reach: ``execute`` is the only
+        ``execute*`` method of any operator, and the row-pair stream
+        aliases are gone with them."""
+        for cls in _all_operator_classes():
+            names = [name for name in vars(cls) if name.startswith("execute")]
+            assert names == ["execute"], cls.__name__
+        assert not hasattr(operators, "Stream")
+        assert not hasattr(operators, "Lineage")
+
+    def test_oracle_never_sees_the_engine(self):
+        """The reference shares value semantics with the engine and
+        nothing else: ``oracle.py`` imports no planner, operator,
+        kernel, compiler or executor."""
         import ast as pyast
         import inspect
 
-        tree = pyast.parse(inspect.getsource(operators))
-        functions = {}  # name → FunctionDef nodes (methods by bare name)
-        for node in pyast.walk(tree):
-            if isinstance(node, pyast.FunctionDef):
-                functions.setdefault(node.name, []).append(node)
-        pending = list(functions["execute_columnar"])
-        classes = [n for n in tree.body if isinstance(n, pyast.ClassDef)]
-        assert len(pending) == len(classes) > 15
-        seen = set()
-        while pending:
-            body = pending.pop()
-            if id(body) in seen:
-                continue
-            seen.add(id(body))
-            for node in pyast.walk(body):
-                name = (
-                    node.attr if isinstance(node, pyast.Attribute)
-                    else node.id if isinstance(node, pyast.Name)
-                    else None
-                )
-                if name is None:
-                    continue
-                assert name != "execute", (body.name, body.lineno)
-                assert name != "_Wrapped" and "_pairs" not in name, body.name
-                if name != "execute_columnar":
-                    pending.extend(functions.get(name, ()))
-        # The walk does find row bodies when something points at one.
-        assert any(
-            isinstance(node, pyast.Attribute) and node.attr == "execute"
-            for body in functions["execute"]
-            for node in pyast.walk(body)
-        )
+        import oracle
+
+        imported = set()
+        for node in pyast.walk(pyast.parse(inspect.getsource(oracle))):
+            if isinstance(node, pyast.ImportFrom):
+                imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, pyast.Import):
+                imported |= {alias.name for alias in node.names}
+        forbidden = ("planner", "operators", "columnar", "executor", "compile_", "repro.engine.Engine")
+        assert not [name for name in imported if any(word in name for word in forbidden)]
 
     def test_base_operator_raises_like_execute(self):
-        db = Database()
         with pytest.raises(NotImplementedError):
-            operators.Operator().execute(db, False)
-        with pytest.raises(NotImplementedError):
-            operators.Operator().execute_columnar(db, False)
+            operators.Operator().execute(Database(), False)
 
     @staticmethod
-    def _mimic_stream(engine):
+    def _mimic_stream():
         config = MimicConfig(n_patients=40)
         workload = make_workload(config).all()
-        enforcer = Enforcer(
-            build_mimic_database(config),
-            make_all_policies(
+        parts = dict(
+            database=build_mimic_database(config),
+            policies=make_all_policies(
                 PolicyParams.for_config(
                     config, p5_max_tuples=8, p6_max_uses=2, p6_window=1000
                 )
             ),
             clock=SimulatedClock(default_step_ms=50),
-            options=EnforcerOptions.datalawyer(engine=engine),
         )
         order = ["W1", "W2", "W3", "W1", "W4", "W2", "W1", "W3"] * 3
-        return enforcer, [(workload[w], i % 3 % 2) for i, w in enumerate(order)]
+        return parts, [(workload[w], i % 3 % 2) for i, w in enumerate(order)]
 
     @staticmethod
-    def _metered_stream(engine):
+    def _metered_stream():
         config = MarketplaceConfig(
             rate_limit=4, rate_window=400, free_tier_tuples=30,
             free_tier_window=600,
         )
         workload = make_marketplace_workload(config)
-        enforcer = Enforcer(
-            build_marketplace_database(config),
-            sharded_contract(config),
+        parts = dict(
+            database=build_marketplace_database(config),
+            policies=sharded_contract(config),
             clock=SimulatedClock(default_step_ms=25),
-            options=EnforcerOptions.datalawyer(engine=engine),
         )
-        stream = [(workload[f"M{1 + i % 2}"], 1 + i % 3) for i in range(30)]
-        return enforcer, stream
+        return parts, [(workload[f"M{1 + i % 2}"], 1 + i % 3) for i in range(30)]
 
     @staticmethod
-    def _case_keyed_stream(engine):
+    def _case_keyed_stream():
         """A policy whose group key and aggregate argument are ``CASE``
         expressions (closure kernels): at most two *early* queries (by
         the log's own clock) per user."""
@@ -945,67 +908,53 @@ class TestTwoDisciplines:
             "GROUP BY CASE WHEN u.uid > 1 THEN 'rest' ELSE 'first' END "
             "HAVING SUM(CASE WHEN u.ts < 1000 THEN 1 ELSE 0 END) > 2",
         )
-        enforcer = Enforcer(
-            db,
-            [policy],
-            clock=SimulatedClock(default_step_ms=25),
-            options=EnforcerOptions.datalawyer(engine=engine),
+        parts = dict(
+            database=db, policies=[policy], clock=SimulatedClock(default_step_ms=25)
         )
-        return enforcer, [("SELECT id FROM items", 1 + i % 3) for i in range(12)]
-
-    @staticmethod
-    def _serve(enforcer, stream):
-        """Decisions and the persisted log under ``serve`` defaults, on
-        the engine the seed enforcer's options name."""
-        service = ShardedEnforcerService(enforcer, ServiceConfig(shards=1))
-        try:
-            decisions = [
-                (d.allowed, [v.policy_name for v in d.violations])
-                for d in (service.submit(sql, uid=uid) for sql, uid in stream)
-            ]
-            database = service.shards[0].enforcer.database
-            log = {
-                name: (database.table(name).rows(), database.table(name).tids())
-                for name in ("users", "schema", "provenance")
-            }
-            return decisions, log
-        finally:
-            service.drain()
+        return parts, [("SELECT id FROM items", 1 + i % 3) for i in range(12)]
 
     @pytest.mark.parametrize(
         "build", ["_mimic_stream", "_metered_stream", "_case_keyed_stream"]
     )
-    def test_no_row_body_runs_under_the_columnar_engine(self, build, monkeypatch):
-        """Lineage included: marks, fProvenance and every policy check
-        of a served stream run column-wise (see
-        :func:`forbid_row_bodies`), equal to the same stream served on
-        the row reference."""
-        reference = self._serve(*getattr(self, build)("row"))
-        forbid_row_bodies(monkeypatch)
-        decisions, log = self._serve(*getattr(self, build)(None))
-        assert (decisions, log) == reference
-        assert not all(allowed for allowed, _ in decisions)
+    def test_no_row_body_runs_under_the_columnar_engine(self, build):
+        """A stream served under ``serve`` defaults — lineage, marks,
+        fProvenance and every policy check on the engine — decides
+        exactly as Eq. (1) on the oracle does, and the served results
+        are the oracle's."""
+        parts, stream = getattr(self, build)()
+        service = ShardedEnforcerService(
+            Enforcer(**parts, options=EnforcerOptions.datalawyer()),
+            ServiceConfig(shards=1),
+        )
+        try:
+            served = [service.submit(sql, uid=uid) for sql, uid in stream]
+        finally:
+            service.drain()
+        parts, _ = getattr(self, build)()
+        reference = oracle_enforcer(**parts)
+        expected = [reference.submit(sql, uid=uid) for sql, uid in stream]
+        assert [d.allowed for d in served] == [d.allowed for d in expected]
+        assert not all(d.allowed for d in served)
+        for got, want in zip(served, expected):
+            if got.allowed:
+                assert sorted(got.result.rows, key=repr) == sorted(
+                    want.result.rows, key=repr
+                )
 
     @pytest.mark.parametrize("lineage", [False, True], ids=["plain", "lineage"])
-    def test_every_case_runs_with_the_row_bodies_forbidden(
-        self, lineage, monkeypatch
-    ):
+    def test_every_case_runs_with_the_row_bodies_forbidden(self, lineage):
         """The referee's whole case list — ``CASE`` / ``IN`` /
-        function-call shapes included — on ``Engine(db)`` with every row
-        body patched to raise: equal to the row reference (rows, order,
-        per-row lineage) and, as a multiset, to SQLite."""
+        function-call shapes included — on ``Engine(db)``: an answer the
+        oracle admits (rows, order, per-row lineage) and, as a multiset,
+        SQLite's."""
         r_rows = [(1, 2), (-3, 4), (None, 1), (2, None), (2, 3), (1, 2)]
         s_rows = [(1, 5), (2, 0), (2, 7), (None, 1), (3, 3)]
-        row, columnar = build_engines(r_rows, s_rows)
-        references = [run_case(row, case, lineage) for case in CASES]
-        sqlite = to_sqlite(row.database)
-        forbid_row_bodies(monkeypatch)
-        for case, reference in zip(CASES, references):
-            got = run_case(columnar, case, lineage)
-            assert got.rows == reference.rows, case[0]
-            if lineage:
-                assert_same_lineage(reference, got)
-            if not any(w in case[0] for w in ("ORDER BY", "DISTINCT ON", "LIMIT")):
+        engine = build_engine(r_rows, s_rows)
+        sqlite = to_sqlite(engine.database)
+        for case in CASES:
+            got = run_case(engine, case, lineage)
+            assert_case_matches(engine.database, case, got)
+            if sqlite_comparable(case[0]):
                 theirs = sqlite.execute(case[0]).fetchall()
                 assert sorted(got.rows, key=repr) == sorted(
                     map(tuple, theirs), key=repr
@@ -1026,64 +975,38 @@ class TestTwoDisciplines:
     }
 
     @pytest.mark.parametrize("parent", sorted(ROW_WISE_PARENTS))
-    def test_subtree_of_row_wise_operator_stays_columnar(
-        self, parent, monkeypatch
-    ):
+    def test_subtree_of_row_wise_operator_stays_columnar(self, parent):
         """The operators that do their work row-wise pull their children
-        through the columnar path: with every row body patched to raise,
-        a pushed filter beneath each of them still feeds it."""
+        as batches: a pushed filter beneath each of them still feeds it,
+        and the answer is the oracle's."""
         db = Database()
         db.load_table(
             "big", ["id", "v"], [(i, i % 7) for i in range(4 * CHUNK_SIZE)]
         )
         db.load_table("s", ["a", "c"], [(12, 5), (15, 100), (99, 1)])
         sql = self.ROW_WISE_PARENTS[parent]
-        reference = Engine(db, "row").execute(sql).rows
-        forbid_row_bodies(monkeypatch)
-        engine = Engine(db, "columnar")
+        engine = CheckedEngine(db)
         assert parent in engine.explain(sql)
-        got = engine.execute(sql)
-        assert got.rows == reference
-        assert got.rows  # the filtered rows really fed the operator
+        assert "[pushed=" in engine.explain(sql)
+        assert engine.execute(sql).rows  # the filtered rows really fed it
 
-    def test_default_engine_is_columnar(self):
-        db = Database()
-        assert ENGINES == ("row", "columnar")
-        assert Engine(db).engine_name == DEFAULT_ENGINE == "columnar"
-        assert EnforcerOptions().engine_name == "columnar"
-
-    @pytest.mark.parametrize("name", ["vectorized", "turbo"])
-    @pytest.mark.parametrize(
-        "surface, error",
-        [
-            (lambda name: EnforcerOptions(engine=name), ValueError),
-            (lambda name: Engine(Database(), name), ValueError),
-        ],
-        ids=["EnforcerOptions", "Engine"],
-    )
-    def test_unknown_engine_rejected(self, surface, error, name):
-        """The deleted third discipline is an unknown engine like any
-        other, on the two surfaces that take one."""
-        with pytest.raises(error) as caught:
-            surface(name)
-        message = str(caught.value)
-        assert name in message
-        assert "row" in message and "columnar" in message
-
-    @pytest.mark.parametrize("name", ENGINES)
+    @pytest.mark.parametrize("name", ["row", "columnar"])
     def test_no_operator_surface_takes_an_engine(self, name, capsys):
-        """The reference switch is ``EnforcerOptions.engine`` /
-        ``Engine(db, "row")`` and nothing else: the service config, the
-        three CLI subcommands and the maintainer refuse even the two
-        valid names."""
+        """There is no engine switch anywhere: the enforcer options, the
+        engine, the service config, the three CLI subcommands and the
+        maintainer refuse even the two names that once selected one."""
         from repro.incremental import IncrementalMaintainer
 
+        with pytest.raises(TypeError, match="engine"):
+            EnforcerOptions(engine=name)
+        with pytest.raises(TypeError):
+            Engine(Database(), name)
         with pytest.raises(TypeError, match="engine"):
             ServiceConfig(engine=name)
         with pytest.raises(TypeError, match="engine"):
             IncrementalMaintainer(Database(), None, None, {}, engine=name)
         assert len(dataclasses.fields(ServiceConfig)) == 15
-        assert len(dataclasses.fields(EnforcerOptions)) == 16
+        assert len(dataclasses.fields(EnforcerOptions)) == 15
         for command in ("check", "explain", "serve"):
             with pytest.raises(SystemExit):
                 cli_parse(command, "--engine", name)
@@ -1097,7 +1020,7 @@ def cli_parse(command, *flags):
     return make_parser().parse_args([command, *required, *flags])
 
 
-def make_service_enforcer(engine=None) -> Enforcer:
+def make_service_enforcer() -> Enforcer:
     db = Database()
     db.load_table("navteq", ["id", "lat"], [(i, float(i)) for i in range(8)])
     policy = Policy.from_sql(
@@ -1109,7 +1032,7 @@ def make_service_enforcer(engine=None) -> Enforcer:
         db,
         [policy],
         clock=SimulatedClock(default_step_ms=10),
-        options=EnforcerOptions.datalawyer(engine=engine),
+        options=EnforcerOptions.datalawyer(),
     )
 
 
@@ -1157,15 +1080,12 @@ class TestServiceEngineSurface:
         assert [key for key, *_ in _ENGINE_FAMILIES] == list(ENGINE_COUNTERS)
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
-    @pytest.mark.parametrize("engine", ["row", None])
-    def test_seed_engine_option_reaches_every_shard(self, engine, mode):
-        """``EnforcerOptions(engine="row")`` on the seed enforcer is the
-        one way to serve on the reference — it travels in the checkpoint
-        manifest, so worker processes honour it too. Seen from outside:
-        a row-engine shard answers queries without ever producing a
-        column batch."""
+    def test_every_shard_runs_columnar(self, mode):
+        """Thread and worker-process shards alike (a worker's enforcer
+        is restored from the checkpoint manifest) answer queries in
+        column batches."""
         service = ShardedEnforcerService(
-            make_service_enforcer(engine),
+            make_service_enforcer(),
             ServiceConfig(shards=2, routing="modulo", workers_mode=mode),
         )
         try:
@@ -1174,7 +1094,5 @@ class TestServiceEngineSurface:
             states = [shard.export_state()["engine"] for shard in service.shards]
         finally:
             service.drain()
-        batches = [state["columnar_batches"] for state in states]
         assert all(state["plan_misses"] for state in states)  # both executed
-        assert all(count == 0 for count in batches) is (engine == "row")
-        assert any(batches) is (engine != "row")
+        assert all(state["columnar_batches"] for state in states)

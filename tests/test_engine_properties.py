@@ -1,15 +1,15 @@
 """Property-based tests over the relational engine (hypothesis).
 
 Random small tables + a constrained query space; properties assert
-relational-algebra identities and lineage correctness — of both engines
-at once (see :class:`engines.BothEngines`).
+relational-algebra identities and lineage correctness, with every
+answer also held to the oracle's (see :class:`oracle_engines.CheckedEngine`).
 """
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
-from engines import BothEngines
+from oracle_engines import CheckedEngine
 from hypothesis import strategies as st
 
 from repro.engine import Database
@@ -28,11 +28,11 @@ rows_rs = st.tuples(
 )
 
 
-def make_db(r_rows, s_rows) -> BothEngines:
+def make_db(r_rows, s_rows) -> CheckedEngine:
     db = Database()
     db.load_table("r", ["k", "v"], r_rows)
     db.load_table("s", ["k", "w"], s_rows)
-    return BothEngines(db)
+    return CheckedEngine(db)
 
 
 def bag(rows):
@@ -173,7 +173,7 @@ def test_having_threshold_consistency(rows, threshold):
     """HAVING count > k result ⊆ GROUP BY result, and matches Python."""
     db = Database()
     db.load_table("g", ["k", "v"], rows)
-    engine = BothEngines(db)
+    engine = CheckedEngine(db)
     filtered = engine.execute(
         f"SELECT k, COUNT(*) FROM g GROUP BY k HAVING COUNT(*) > {threshold}"
     ).rows
@@ -186,7 +186,7 @@ def test_having_threshold_consistency(rows, threshold):
 def test_order_by_sorts_and_preserves_bag(rows):
     db = Database()
     db.load_table("o", ["k", "v"], rows)
-    engine = BothEngines(db)
+    engine = CheckedEngine(db)
     ordered = engine.execute("SELECT k FROM o ORDER BY k").rows
     assert bag(ordered) == bag(engine.execute("SELECT k FROM o").rows)
     keys = [sort_key(row[0]) for row in ordered]
@@ -201,7 +201,7 @@ def test_order_by_sorts_and_preserves_bag(rows):
 def test_limit_is_prefix(rows, limit):
     db = Database()
     db.load_table("o", ["k", "v"], rows)
-    engine = BothEngines(db)
+    engine = CheckedEngine(db)
     all_rows = engine.execute("SELECT * FROM o").rows
     limited = engine.execute(f"SELECT * FROM o LIMIT {limit}").rows
     assert limited == all_rows[:limit]

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle_engines import oracle_enforcer
+
 from repro.core import Enforcer, EnforcerOptions, Policy
 from repro.engine import Database
 from repro.log import SimulatedClock
@@ -79,14 +81,9 @@ CONFIGS = {
     "no-preemptive": EnforcerOptions.datalawyer(preemptive_compaction=False),
     "improved-partial": EnforcerOptions.datalawyer(improved_partial=True),
     "everything-off-but-compaction": EnforcerOptions.noopt(log_compaction=True),
-    # Execution engines: the baseline runs the default (columnar); both
-    # explicit disciplines — row-at-a-time and columnar vectors — must
-    # be invisible in the decision stream, with and without the other
-    # optimizations.
-    "row-engine": EnforcerOptions.datalawyer(engine="row"),
-    "row-engine-noopt": EnforcerOptions.noopt(engine="row"),
-    "columnar-engine": EnforcerOptions.datalawyer(engine="columnar"),
-    "columnar-engine-noopt": EnforcerOptions.noopt(engine="columnar"),
+    # The baseline held to Eq. (1) itself: the oracle answers every
+    # policy check and lineage execution (see oracle_engines.oracle_enforcer).
+    "oracle-noopt": None,
 }
 
 
@@ -104,12 +101,11 @@ def run_config(options, policy_indexes, stream):
     policies = [
         Policy.from_sql(f"pol{i}", POLICY_POOL[i]) for i in policy_indexes
     ]
-    enforcer = Enforcer(
-        build_db(),
-        policies,
-        clock=SimulatedClock(default_step_ms=10),
-        options=options,
-    )
+    clock = SimulatedClock(default_step_ms=10)
+    if options is None:
+        enforcer = oracle_enforcer(build_db(), policies, clock=clock)
+    else:
+        enforcer = Enforcer(build_db(), policies, clock=clock, options=options)
     decisions = []
     violated = []
     for query_index, uid in stream:
@@ -120,9 +116,10 @@ def run_config(options, policy_indexes, stream):
 
 
 def is_literal_union(options) -> bool:
-    """The one configuration whose violations are all named
-    ``policy-set``: a UNION statement cannot say which branch fired."""
-    return (
+    """The configurations whose violations are all named ``policy-set``
+    (the oracle's included): a UNION statement cannot say which branch
+    fired."""
+    return options is None or (
         not options.interleaved
         and options.eval_strategy == "union"
         and not options.plan_sharing

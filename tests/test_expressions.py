@@ -1,8 +1,8 @@
-"""Expression compiler and aggregate accumulators, unit level."""
+"""Expression compiler and aggregate reducers, unit level."""
 
 import pytest
 
-from repro.engine.aggregates import make_accumulator_factory
+from repro.engine.columnar import agg_spec
 from repro.engine.expressions import (
     AGGREGATE_FUNCTIONS,
     compile_expr,
@@ -137,18 +137,15 @@ class TestHelpers:
 
 
 class TestAccumulators:
-    def _factory(self, text):
+    def _run(self, text, values):
+        """One aggregate over a one-column input (the reducer's general,
+        NULL-tolerant path)."""
         call = parse_expression(text)
         assert isinstance(call, ast.FuncCall)
-        return make_accumulator_factory(
-            call, lambda expr: compile_expr(expr, resolver(["x"]))
+        spec = agg_spec(
+            call, lambda ref: 0, lambda expr: compile_expr(expr, resolver(["x"]))
         )
-
-    def _run(self, text, values):
-        acc = self._factory(text)()
-        for value in values:
-            acc.add((value,))
-        return acc.result()
+        return spec.reduce(list(values), False)
 
     def test_count_star(self):
         assert self._run("COUNT(*)", [1, None, 3]) == 3
@@ -192,14 +189,14 @@ class TestAccumulators:
     def test_count_distinct_star_rejected(self):
         call = ast.FuncCall("count", (ast.Star(),), distinct=True)
         with pytest.raises(BindError):
-            make_accumulator_factory(call, lambda e: lambda row: row[0])
+            agg_spec(call, lambda ref: 0, lambda e: lambda row: row[0])
 
     def test_two_arg_aggregate_rejected(self):
         call = ast.FuncCall(
             "sum", (ast.ColumnRef(None, "x"), ast.ColumnRef(None, "y"))
         )
         with pytest.raises(BindError):
-            make_accumulator_factory(call, lambda e: lambda row: row[0])
+            agg_spec(call, lambda ref: 0, lambda e: lambda row: row[0])
 
     def test_distinct_bool_vs_int_kept_separate(self):
         # True and 1 hash equal in Python; the accumulator must not merge them

@@ -1,8 +1,8 @@
-"""Lineage (contributing-tuples provenance) tests, held on both engines
-at once (see :class:`engines.BothEngines`)."""
+"""Lineage (contributing-tuples provenance) tests; every answer is also
+held to the oracle's (see :class:`oracle_engines.CheckedEngine`)."""
 
 import pytest
-from engines import BothEngines
+from oracle_engines import CheckedEngine
 
 from repro.engine import Database
 
@@ -17,7 +17,7 @@ def db():
 
 @pytest.fixture
 def engine(db):
-    return BothEngines(db)
+    return CheckedEngine(db)
 
 
 def lineage_map(result):

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.engine import Database, Table
-from repro.engine.aggregates import make_accumulator_factory
-from repro.engine.columnar import agg_spec, closure_kernel
+from repro.engine.columnar import ColumnBatch, LineageColumns, agg_spec, closure_kernel
 from repro.engine.operators import (
     DistinctOnOp,
     DistinctOp,
@@ -35,7 +34,13 @@ def db():
 
 
 def run(op, db, lineage=False):
-    return list(op.execute(db, lineage))
+    """``(row, lineage set or None)`` pairs of the operator's batches."""
+    batches = list(op.execute(db, lineage))
+    rows = [row for cbatch in batches for row in cbatch.to_rows()]
+    if not lineage:
+        return [(row, None) for row in rows]
+    sets = LineageColumns.concat([cbatch.lineage for cbatch in batches]).row_sets()
+    return list(zip(rows, sets))
 
 
 def rows_of(op, db):
@@ -117,17 +122,11 @@ class TestJoins:
 
 
 class TestGroup:
-    def _count_factory(self):
-        call = ast.FuncCall("count", (ast.Star(),))
-        return make_accumulator_factory(call, lambda expr: col(0))
-
     def _group(self, child, key_fns):
-        """COUNT(*) grouped by ``key_fns`` (both forms of each)."""
+        """COUNT(*) grouped by ``key_fns``."""
         call = ast.FuncCall("count", (ast.Star(),))
         return GroupOp(
             child,
-            key_fns,
-            [self._count_factory()],
             [("expr", closure_kernel(fn)) for fn in key_fns],
             [agg_spec(call, lambda ref: None)],
         )
@@ -214,11 +213,11 @@ class TestOrderLimit:
     def test_limit_stops_pulling(self, db):
         pulled = []
 
-        class Probe(ScanOp):
+        class Probe(ValuesOp):
             def execute(self, database, lineage):
-                for item in super().execute(database, lineage):
-                    pulled.append(item)
-                    yield item
+                for row in self.rows:  # one single-row batch per pull
+                    pulled.append(row)
+                    yield ColumnBatch.from_rows([row])
 
-        list(LimitOp(Probe("r"), 1).execute(db, False))
+        list(LimitOp(Probe([(1,), (2,), (3,)]), 1).execute(db, False))
         assert len(pulled) == 1

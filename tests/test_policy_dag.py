@@ -4,8 +4,8 @@ Covers the :mod:`repro.engine.dag` executor end to end: memoization and
 invalidation of :class:`SharedNode`, DAG construction over the
 mimic P1-P6 set, EXPLAIN annotations, per-member metric attribution for
 unified union groups, and a randomized equivalence property where
-unified groups run under ``engine="columnar"`` with policies added and
-removed mid-stream.
+unified groups run shared, unshared and on the oracle with policies
+added and removed mid-stream.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from oracle_engines import oracle_enforcer
 
 from repro.core import Enforcer, EnforcerOptions, Policy
 from repro.engine import Database, Engine
@@ -44,11 +46,6 @@ class CountingOp(Operator):
 
     def execute(self, database, lineage):
         self.execs += 1
-        for row in database.table(self.table_name).rows():
-            yield row, None
-
-    def execute_columnar(self, database, lineage):
-        self.execs += 1
         yield ColumnBatch.from_rows(database.table(self.table_name).rows())
 
 
@@ -64,8 +61,8 @@ def shared_setup():
 
 def test_shared_node_memoizes_within_version(shared_setup):
     db, engine, child, node = shared_setup
-    first = list(node.execute_columnar(db, False))
-    again = list(node.execute_columnar(db, False))
+    first = list(node.execute(db, False))
+    again = list(node.execute(db, False))
     assert child.execs == 1
     assert [b.to_rows() for b in first] == [b.to_rows() for b in again]
     assert engine.dag_saved_execs == 1
@@ -73,28 +70,28 @@ def test_shared_node_memoizes_within_version(shared_setup):
 
 def test_shared_node_invalidates_on_table_mutation(shared_setup):
     db, engine, child, node = shared_setup
-    list(node.execute_columnar(db, False))
+    list(node.execute(db, False))
     db.table("t").insert((3,))
-    list(node.execute_columnar(db, False))
+    list(node.execute(db, False))
     assert child.execs == 2
 
 
 def test_second_consumer_replays_the_columnar_memo(shared_setup):
     """Row-wise consumers (nested loops, outer joins) pull a shared
-    child through ``_columnar_rows``: they replay the memo the columnar
-    consumer filled instead of executing the subtree a second time."""
+    child through ``_rows``: they replay the memo the batch consumer
+    filled instead of executing the subtree a second time."""
     db, engine, child, node = shared_setup
-    columnar = list(node.execute_columnar(db, False))
-    rows = list(node._columnar_rows(db))
+    columnar = list(node.execute(db, False))
+    rows = list(node._rows(db))
     assert child.execs == 1
     assert rows == [row for cb in columnar for row in cb.to_rows()]
     assert engine.dag_saved_execs == 1
 
     # And the other way round after an invalidating mutation.
     db.table("t").insert((3,))
-    assert list(node._columnar_rows(db)) == [(1,), (2,), (3,)]
+    assert list(node._rows(db)) == [(1,), (2,), (3,)]
     assert child.execs == 2
-    rebuilt = list(node.execute_columnar(db, False))
+    rebuilt = list(node.execute(db, False))
     assert child.execs == 2
     assert [row for cb in rebuilt for row in cb.to_rows()] == [
         (1,),
@@ -301,15 +298,14 @@ LANES = {
         interleaved=False,
         eval_strategy="union",
         plan_sharing=True,
-        engine="columnar",
     ),
     "unshared": EnforcerOptions.datalawyer(
         interleaved=False,
         eval_strategy="union",
         plan_sharing=False,
-        engine="columnar",
     ),
-    "row-naive": EnforcerOptions.noopt(engine="row"),
+    #: Eq. (1) on the oracle (see :func:`oracle_engines.oracle_enforcer`).
+    "oracle": None,
 }
 
 
@@ -325,11 +321,12 @@ def build_property_db():
 
 
 def run_lane(options, events):
-    enforcer = Enforcer(
+    make = oracle_enforcer if options is None else Enforcer
+    enforcer = make(
         build_property_db(),
         list(GROUP_POLICIES),
         clock=SimulatedClock(default_step_ms=10),
-        options=options,
+        **({} if options is None else {"options": options}),
     )
     added: list[str] = []
     decisions = []
@@ -378,7 +375,7 @@ event_strategy = st.one_of(
 def test_sharing_invisible_under_add_remove(events):
     shared_decisions, shared_state = run_lane(LANES["shared"], events)
     unshared_decisions, unshared_state = run_lane(LANES["unshared"], events)
-    naive_decisions, _ = run_lane(LANES["row-naive"], events)
-    assert shared_decisions == unshared_decisions == naive_decisions
+    oracle_decisions, _ = run_lane(LANES["oracle"], events)
+    assert shared_decisions == unshared_decisions == oracle_decisions
     # Identical options except sharing -> identical usage-log state.
     assert shared_state == unshared_state

@@ -8,8 +8,8 @@ with COUNT/SUM/MIN/MAX, and the set operations. Excluded by design:
 division (SQLite truncates integers), LIKE (SQLite is case-insensitive),
 ORDER BY ties/NULL placement, and floats (formatting).
 
-Results are compared as row multisets; "ours" is the row reference and
-the columnar engine at once (see :class:`engines.BothEngines`).
+Results are compared as row multisets; "ours" is the engine, its every
+answer also held to the oracle's (see :class:`oracle_engines.CheckedEngine`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sqlite3
 
 import pytest
 from hypothesis import given, settings
-from engines import BothEngines
+from oracle_engines import CheckedEngine
 from hypothesis import strategies as st
 
 from repro.engine import Database
@@ -32,7 +32,7 @@ def build_engines(r_rows, s_rows):
     db = Database()
     db.load_table("r", ["a", "b"], r_rows)
     db.load_table("s", ["a", "c"], s_rows)
-    engine = BothEngines(db)
+    engine = CheckedEngine(db)
 
     connection = sqlite3.connect(":memory:")
     connection.execute("CREATE TABLE r (a INTEGER, b INTEGER)")

@@ -242,6 +242,54 @@ class TestUnreadableManifest:
             restore_enforcer(tmp_path)
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("compaction_every", "x"),
+            ("interleaved", "no"),
+            ("eval_strategy", "nonsense"),
+            ("incremental_max_entries", "many"),
+        ],
+    )
+    def test_ill_typed_option_is_named(self, tmp_path, field, value):
+        """An option value of the wrong type, or outside its domain,
+        fails the restore and names the directory and the field — never
+        an enforcer that raises on every ``submit`` or silently reads
+        ``"no"`` as on."""
+        save_enforcer_state(make_enforcer(), tmp_path)
+        edit_manifest(
+            tmp_path, lambda manifest: manifest["options"].update({field: value})
+        )
+        with pytest.raises(StorageError, match=field) as caught:
+            restore_enforcer(tmp_path)
+        assert str(tmp_path) in str(caught.value)
+
+
+class TestRetiredOptions:
+    @pytest.mark.parametrize("engine", [None, "columnar", "row"])
+    def test_engine_option_is_dropped(self, tmp_path, engine):
+        """Manifests written while an ``engine`` option existed carry it.
+        It is dropped whatever its value (decisions never depended on
+        it), and the restored enforcer's next 20 decisions are those of
+        a twin that never restarted."""
+        original, twin = make_enforcer(), make_enforcer()
+        for enforcer in (original, twin):
+            enforcer.submit("SELECT * FROM items WHERE k = 1", uid=1, execute=False)
+        save_enforcer_state(original, tmp_path)
+        edit_manifest(
+            tmp_path, lambda manifest: manifest["options"].update(engine=engine)
+        )
+        restored = restore_enforcer(tmp_path)
+        stream = [(f"SELECT * FROM items WHERE k = {i % 8}", 1 + i % 3) for i in range(20)]
+        decisions = [
+            restored.submit(sql, uid=uid, execute=False).allowed for sql, uid in stream
+        ]
+        assert decisions == [
+            twin.submit(sql, uid=uid, execute=False).allowed for sql, uid in stream
+        ]
+        assert not all(decisions)
+
+
 class TestSnapshotEquivalenceProperty:
     """Random streams split at a random point: snapshot+restore mid-stream
     must not change any subsequent decision."""

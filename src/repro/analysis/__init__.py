@@ -1,7 +1,6 @@
 """Static policy analysis: the algorithms of §4 of the paper."""
 
 from .features import (
-    CURRENT_TIME_PARAM,
     ClockPredicate,
     PolicyStructure,
     aliases_of,
@@ -9,7 +8,6 @@ from .features import (
     floor_history,
     qualifier_for,
     referenced_log_relations,
-    substitute_current_time,
 )
 from .monotonicity import can_interleave, is_monotone
 from .partial import partial_chain, partial_policy
@@ -23,7 +21,6 @@ from .witness import (
 )
 
 __all__ = [
-    "CURRENT_TIME_PARAM",
     "ClockPredicate",
     "PolicyStructure",
     "aliases_of",
@@ -31,7 +28,6 @@ __all__ = [
     "floor_history",
     "qualifier_for",
     "referenced_log_relations",
-    "substitute_current_time",
     "can_interleave",
     "is_monotone",
     "partial_chain",

@@ -18,22 +18,6 @@ from ..log import LogRegistry
 from ..log.store import CLOCK_TABLE
 from ..sql import ast
 
-#: Sentinel substituted for the paper's ``currenttime`` constant when
-#: witness queries are instantiated (Lemma 4.3). Executing a query that
-#: still contains it fails loudly with an unknown-table error.
-CURRENT_TIME_PARAM = ast.ColumnRef("__currenttime__", "value")
-
-
-def substitute_current_time(query: ast.Node, now: int) -> ast.Node:
-    """Replace the ``currenttime`` sentinel with a literal timestamp."""
-
-    def replace(node: ast.Node) -> Optional[ast.Node]:
-        if node == CURRENT_TIME_PARAM:
-            return ast.Literal(now)
-        return None
-
-    return ast.transform(query, replace)
-
 
 @dataclass(frozen=True)
 class ClockPredicate:

@@ -18,11 +18,15 @@ witnesses (Algorithm 2). Construction is purely syntactic:
   clock predicates don't fit the supported shapes opt out: their relations
   are marked *retain-all*, which is always sound.
 
-Witness queries are stored as templates containing the
-:data:`~repro.analysis.features.CURRENT_TIME_PARAM` sentinel and
-instantiated with the live clock at compaction time. The *mark* phase runs
-them with lineage tracking: the tids of the witness relation appearing in
-any output row's lineage are exactly the tuples to retain.
+``currenttime`` is read from the one-row Clock relation, which the log
+store refreshes to the check's timestamp before anything runs: a witness
+that keeps a window-limiting predicate gets a ``clock`` atom of its own,
+first in FROM under an alias no policy name collides with, and the
+predicate reads ``<alias>.ts + 1 op bound``. Witness queries are therefore
+static ASTs, planned once per plan epoch and executed as they are at
+every compaction. The *mark* phase runs them with lineage tracking: the
+tids of the witness relation appearing in any output row's lineage are
+exactly the tuples to retain.
 """
 
 from __future__ import annotations
@@ -32,14 +36,13 @@ from typing import Optional
 
 from ..engine import Database, Engine
 from ..log import LogRegistry
+from ..log.store import CLOCK_TABLE
 from ..sql import ast
 from .features import (
-    CURRENT_TIME_PARAM,
     PolicyStructure,
     aliases_of,
     analyze_structure,
     qualifier_for,
-    substitute_current_time,
 )
 
 
@@ -108,10 +111,11 @@ def _compact_block(
     clock_indexes = {
         predicate.conjunct_index for predicate in structure.clock_predicates
     }
+    now = _fresh_alias(select)
 
     for alias in structure.log_occurrences:
         witness = _witness_for_occurrence(
-            alias, select, structure, clock_indexes, boolean
+            alias, select, structure, clock_indexes, boolean, now
         )
         relation = structure.log_occurrences[alias]
         result.per_relation.setdefault(relation, []).append(witness)
@@ -124,12 +128,29 @@ def _selects_of(query: ast.Query) -> list[ast.Select]:
     return [query]
 
 
+def _fresh_alias(select: ast.Select) -> str:
+    """An alias for the witness's own clock atom that no FROM binding or
+    column qualifier anywhere in ``select`` uses."""
+    taken = set()
+    for node in select.walk():
+        if isinstance(node, (ast.TableRef, ast.SubqueryRef)):
+            taken.add(node.binding_name().lower())
+        elif isinstance(node, ast.ColumnRef) and node.table is not None:
+            taken.add(node.table.lower())
+    alias, suffix = "now", 0
+    while alias in taken:
+        suffix += 1
+        alias = f"now{suffix}"
+    return alias
+
+
 def _witness_for_occurrence(
     alias: str,
     select: ast.Select,
     structure: PolicyStructure,
     clock_indexes: set[int],
     boolean: bool,
+    now: str,
 ) -> ast.Select:
     kept_aliases = {alias} | structure.neighborhood(alias)
     kept_aliases |= set(structure.db_tables)
@@ -149,9 +170,13 @@ def _witness_for_occurrence(
             conjuncts.append(conjunct)
 
     # Clock predicates (Lemma 4.3): drop the future-relaxing ones, pin the
-    # window-limiting ones to currenttime + 1.
+    # window-limiting ones to currenttime + 1, read from a clock atom of
+    # the witness's own. The atom goes first: the planner joins FROM items
+    # left-deep in order, so the one clock row meets each log row at the
+    # first join and the window filter runs before any wider join.
     assert structure.clock_predicates is not None
-    current_plus_one = ast.BinaryOp("+", CURRENT_TIME_PARAM, ast.Literal(1))
+    current_plus_one = ast.BinaryOp("+", ast.ColumnRef(now, "ts"), ast.Literal(1))
+    window: list[ast.Expr] = []
     for predicate in structure.clock_predicates:
         ops = ["<=", ">="] if predicate.op == "=" else [predicate.op]
         for op in ops:
@@ -160,7 +185,10 @@ def _witness_for_occurrence(
             bound_aliases = aliases_of(predicate.bound, structure)
             if not bound_aliases <= kept_aliases:
                 continue  # bound mentions dropped relations: relax it away
-            conjuncts.append(ast.BinaryOp(op, current_plus_one, predicate.bound))
+            window.append(ast.BinaryOp(op, current_plus_one, predicate.bound))
+    if window:
+        from_items.insert(0, ast.TableRef(CLOCK_TABLE, now))
+        conjuncts.extend(window)
 
     where = ast.conjoin(conjuncts)
     items = (ast.SelectItem(ast.Star(alias)),)
@@ -222,23 +250,23 @@ def _join_attributes(alias: str, structure: PolicyStructure) -> set[str]:
 def evaluate_witness_marks(
     witness: WitnessSet,
     engine: Engine,
-    now: int,
     marks: Optional[dict[str, set[int]]] = None,
 ) -> dict[str, set[int]]:
     """Run the witness queries and collect the tids to retain.
 
-    Lineage does the tid bookkeeping: each witness query selects ``Ri.*``,
-    and the lineage entries of its output rows tagged with Ri's table name
-    are precisely the witness tuples (for self-joins this may retain tuples
-    from both occurrences, a sound over-approximation).
+    ``currenttime`` is whatever the Clock relation holds (set it with
+    :meth:`~repro.log.store.LogStore.set_time`). Lineage does the tid
+    bookkeeping: each witness query selects ``Ri.*``, and the lineage
+    entries of its output rows tagged with Ri's table name are precisely
+    the witness tuples (for self-joins this may retain tuples from both
+    occurrences, a sound over-approximation).
     """
     if marks is None:
         marks = {}
     for relation, selects in witness.per_relation.items():
         collected = marks.setdefault(relation, set())
         for template in selects:
-            query = substitute_current_time(template, now)
-            result = engine.execute(query, lineage=True)
+            result = engine.execute(template, lineage=True)
             collected.update(result.lineage_tids(relation))
     for relation in witness.retain_all:
         marks.setdefault(relation, set()).update(
@@ -259,7 +287,8 @@ def partial_witness_probe(
     referencing them), yielding a relaxation LCQ' of the witness query: if
     LCQ' is empty then the witness is empty and the missing log increments
     need not be generated. Returns None when nothing would be dropped (the
-    probe is pointless — just run the witness)."""
+    probe is pointless — just run the witness), and when only the
+    witness's clock atom would be left."""
     dropped_aliases: set[str] = set()
     kept_items: list[ast.FromItem] = []
     for item in template.from_items:
@@ -273,8 +302,11 @@ def partial_witness_probe(
             kept_items.append(item)
     if not dropped_aliases:
         return None
-    if not kept_items:
-        return None  # everything dropped: probe cannot say anything
+    if all(
+        isinstance(item, ast.TableRef) and item.name.lower() == CLOCK_TABLE
+        for item in kept_items
+    ):
+        return None  # every relation dropped: probe cannot say anything
 
     def references_dropped(expr: ast.Expr) -> bool:
         return any(

@@ -33,14 +33,13 @@ from ..analysis import (
     partial_witness_probe,
     referenced_log_relations,
     rewrite_time_independent,
-    substitute_current_time,
     unify_policies,
     witness_queries,
 )
 from ..analysis.unification import _CONST_ALIAS, UnifiedGroup
 from ..engine import Database, Engine, Result
 from ..engine.dag import PolicyDag
-from ..errors import ReproError
+from ..errors import ExecutionError, ReproError
 from ..incremental import (
     IncrementalMaintainer,
     IncrementalPlan,
@@ -49,7 +48,7 @@ from ..incremental import (
 )
 from ..log import Clock, LogicalClock, LogRegistry, QueryContext, standard_registry
 from ..obs import TraceContext
-from ..log.store import LogStore
+from ..log.store import CLOCK_TABLE, LogStore
 from ..sql import ast
 from .decision_cache import (
     CachePolicyProfile,
@@ -926,13 +925,14 @@ class Enforcer:
             compact_now = self._queries_since_compaction >= interval
         if compact_now:
             self._queries_since_compaction = 0
+            self._check_clock(timestamp)
             marks: Optional[dict[str, set[int]]] = {
                 name: set() for name in persist_all
             }
             for runtime in self._runtime:
                 if runtime.witness is not None:
                     self._mark_policy(
-                        runtime, metrics, ensure_log, generated, timestamp, marks
+                        runtime, metrics, ensure_log, generated, marks
                     )
             # Extra relations are retained in full — the global tier
             # reloads its log exactly from shard disk images, so
@@ -971,13 +971,23 @@ class Enforcer:
         metrics.add_count("tuples_deleted", stats.tuples_deleted)
         metrics.add_count("tuples_inserted", stats.tuples_inserted)
 
+    def _check_clock(self, timestamp: int) -> None:
+        """Witnesses read ``currenttime`` from the Clock relation: an
+        empty or stale row would mark nothing and the delete phase would
+        drop the live log, so compaction refuses to run on one."""
+        rows = self.database.table(CLOCK_TABLE).rows()
+        if rows != [(timestamp,)]:
+            raise ExecutionError(
+                f"clock relation holds {rows!r}, not the check's timestamp "
+                f"{timestamp}; refusing to compact the usage log"
+            )
+
     def _mark_policy(
         self,
         runtime: RuntimePolicy,
         metrics: QueryMetrics,
         ensure_log: Callable[[str], None],
         generated: set[str],
-        timestamp: int,
         marks: dict[str, set[int]],
     ) -> None:
         for relation, template, reads in runtime.witness_templates:
@@ -986,18 +996,16 @@ class Enforcer:
             if missing and self.options.preemptive_compaction:
                 probe = partial_witness_probe(template, generated, self.registry)
                 if probe is not None:
-                    instantiated = substitute_current_time(probe, timestamp)
                     with metrics.timed(PHASE_MARK):
-                        probe_empty = self.engine.is_empty(instantiated)
+                        probe_empty = self.engine.is_empty(probe)
                     metrics.add_count("statements")
                     if probe_empty:
                         continue  # the full witness is provably empty
             for name in sorted(missing):
                 ensure_log(name)
                 generated.add(name)
-            instantiated = substitute_current_time(template, timestamp)
             with metrics.timed(PHASE_MARK):
-                result = self.engine.execute(instantiated, lineage=True)
+                result = self.engine.execute(template, lineage=True)
             metrics.add_count("statements")
             collected.update(result.lineage_tids(relation))
         for relation in runtime.witness.retain_all:

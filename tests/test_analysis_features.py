@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    CURRENT_TIME_PARAM,
-    analyze_structure,
-    substitute_current_time,
-)
+from repro.analysis import analyze_structure
 from repro.analysis.features import ts_joined_with_clock
 from repro.engine import Database
 from repro.log import standard_registry
@@ -199,30 +195,3 @@ class TestClockPredicates:
         s = structure_of("SELECT 1 FROM users u WHERE u.uid = 1", registry)
         assert s.clock_predicates == []
 
-
-class TestCurrentTimeParam:
-    def test_substitute(self):
-        expr = ast.BinaryOp("<", CURRENT_TIME_PARAM, ast.Literal(5))
-        substituted = substitute_current_time(expr, 42)
-        assert substituted == ast.BinaryOp("<", ast.Literal(42), ast.Literal(5))
-
-    def test_substitute_deep(self):
-        q = parse_select("SELECT 1 FROM users u WHERE u.ts > 0")
-        q2 = q.replace(
-            where=ast.BinaryOp(">", CURRENT_TIME_PARAM, ast.Literal(0))
-        )
-        out = substitute_current_time(q2, 7)
-        assert ast.Literal(7) in list(out.walk())
-
-    def test_unsubstituted_param_fails_loudly(self):
-        from repro.engine import Database, Engine
-        from repro.errors import BindError
-
-        q = ast.Select(
-            items=(ast.SelectItem(CURRENT_TIME_PARAM),),
-            from_items=(ast.TableRef("t"),),
-        )
-        db = Database()
-        db.load_table("t", ["a"], [(1,)])
-        with pytest.raises(BindError):
-            Engine(db).execute(q)

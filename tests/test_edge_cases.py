@@ -138,7 +138,8 @@ class TestWitnessEdges:
         witness = witness_queries(select, registry, db)
         store.stage("users", [(1,)], 1)
         store.stage("users", [(2,)], 95)
-        marks = evaluate_witness_marks(witness, engine, now=100)
+        store.set_time(100)
+        marks = evaluate_witness_marks(witness, engine)
         users = db.table("users")
         kept = {users.row_for_tid(t)[0] for t in marks["users"]}
         assert kept == {95}

@@ -66,7 +66,7 @@ depend on log state).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..errors import ReproError

@@ -102,7 +102,8 @@ class EnforcerOptions:
     #: Whether ``submit`` runs the user's query after a positive decision.
     execute_queries: bool = True
     #: Build a per-query trace (root span on the :class:`Decision`, one
-    #: child per phase/policy, operator spans under the query phase).
+    #: child per phase/policy, operator spans under the phase that ran
+    #: the answer: ``query``, or ``log:provenance`` when reused).
     #: Orthogonal to the paper's ablations; off it reverts ``timed()`` to
     #: bare perf counters.
     tracing: bool = True
@@ -529,8 +530,11 @@ class Enforcer:
         cached = cache.lookup(key, self.store) if key is not None else None
         try:
             context = QueryContext.create(
-                sql, uid, timestamp, self.engine, attributes
+                sql, uid, timestamp, self.engine, attributes, trace
             )
+            # A query that reads the log or the Clock sees this check's
+            # own commit, so it neither caches nor reuses its lineage run.
+            reads_log = touches_log_state(context.query, self.registry)
             generated: set[str] = set()
             eval_order: list[str] = []
 
@@ -558,7 +562,7 @@ class Enforcer:
                 if (
                     key is not None
                     and self._cache_plan.storable_at(timestamp)
-                    and not touches_log_state(context.query, self.registry)
+                    and not reads_log
                 ):
                     # Snapshot *before* the verdict branch: the entry must
                     # record the evaluation-phase increment order (commit
@@ -605,7 +609,14 @@ class Enforcer:
         )
         if should_execute:
             with metrics.timed(PHASE_QUERY):
-                result = self.engine.execute(context.query, trace=trace)
+                lineage_run = None if reads_log else context.lineage_run
+                if lineage_run is None:
+                    result = self.engine.execute(context.query, trace=trace)
+                else:
+                    # fProvenance ran this plan over the same base tables,
+                    # which nothing in a check writes: its rows are the
+                    # answer, and the query executes once.
+                    result = Result(lineage_run.columns, lineage_run.rows)
             metrics.add_count("statements")
 
         metrics.counts["log_size"] = self.store.total_live_size()

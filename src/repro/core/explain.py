@@ -12,7 +12,6 @@ the user can tell "your query did this" apart from "history did this".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..engine import Database, Engine
 from ..sql import print_query

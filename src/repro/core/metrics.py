@@ -21,6 +21,7 @@ from ..obs import TraceContext
 #: Canonical phase keys.
 PHASE_QUERY = "query"
 PHASE_LOG_PREFIX = "log:"  # log:users, log:schema, log:provenance, ...
+PHASE_PROVENANCE = PHASE_LOG_PREFIX + "provenance"
 PHASE_POLICY = "policy_eval"
 PHASE_MARK = "compact_mark"
 PHASE_DELETE = "compact_delete"
@@ -162,9 +163,9 @@ class MetricsLog:
     ) -> dict[str, float]:
         """Mean of the four reporting buckets over a window."""
         window = self.entries[start:end]
-        if not window:
-            return {"query": 0.0, "tracking": 0.0, "policy_eval": 0.0, "compaction": 0.0}
         totals = {"query": 0.0, "tracking": 0.0, "policy_eval": 0.0, "compaction": 0.0}
+        if not window:
+            return totals
         for entry in window:
             for bucket, value in entry.breakdown().items():
                 totals[bucket] += value

@@ -16,8 +16,8 @@ them into a single runtime policy.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from ..errors import PolicyError
 from .policy import Policy

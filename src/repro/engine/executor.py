@@ -159,11 +159,9 @@ class Engine:
         self.database = database
         #: Canonical text → plan. Keying on the canonical form (not the
         #: raw string) lets ``select * from t`` and ``SELECT * FROM t``
-        #: share one slot instead of planning twice.
+        #: share one slot instead of planning twice (``canonical_sql``
+        #: memoizes the text → key step itself).
         self._plan_cache: dict[str, Plan] = _LruCache(256)
-        #: Raw text → canonical text memo, so repeated hot queries skip
-        #: even the re-lex.
-        self._canonical_memo: dict[str, str] = _LruCache(1024)
         #: AST → plan. The enforcer's policy loop executes pre-parsed
         #: ASTs (frozen, hashable dataclasses); caching them keeps the
         #: operator objects — and the hash-join build caches they carry —
@@ -188,17 +186,14 @@ class Engine:
         self.dag_shared_nodes = 0
         self.dag_saved_execs = 0
 
-    def _canonical_key(self, text: str) -> str:
+    @staticmethod
+    def _canonical_key(text: str) -> str:
         """The cache key for a textual query; raw text when unlexable
         (the planner's parse will raise the real error)."""
-        key = self._canonical_memo.lookup(text)
-        if key is None:
-            try:
-                key = canonical_sql(text)
-            except LexError:
-                key = text
-            self._canonical_memo.admit(text, key)
-        return key
+        try:
+            return canonical_sql(text)
+        except LexError:
+            return text
 
     def plan(self, query: Union[str, ast.Query]) -> Plan:
         """Plan a query; both textual and AST queries get a tiny plan cache."""
@@ -229,7 +224,6 @@ class Engine:
         batches its :class:`~repro.engine.dag.SharedNode`\\ s memoized.
         """
         self._plan_cache.clear()
-        self._canonical_memo.clear()
         self._ast_plan_cache.clear()
         self.plan_epoch += 1
         self.dag_shared_nodes = 0

@@ -133,7 +133,7 @@ def render_analyzed(span, columns: "Optional[list[str]]" = None) -> str:
 
     ``span`` is the parent whose children are the instrumented plan's
     operator spans (``TraceContext`` root for ``Engine.explain``, the
-    ``query`` phase span for a traced ``Decision``).
+    ``query`` or ``log:provenance`` phase span for a traced ``Decision``).
     """
     lines = []
     if columns is not None:

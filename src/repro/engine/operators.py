@@ -119,7 +119,9 @@ class IndexScanOp(Operator):
     probe value may be any constant expression.
     """
 
-    def __init__(self, table_name: str, column: int, value_fn: Callable[[tuple], SqlValue]):
+    def __init__(
+        self, table_name: str, column: int, value_fn: Callable[[tuple], SqlValue]
+    ):
         self.table_name = table_name.lower()
         self.column = column
         self.value_fn = value_fn
@@ -261,8 +263,10 @@ class HashJoinOp(Operator):
         #: plan narrowing pass. Unread columns are emitted as OMITTED
         #: placeholders instead of being gathered.
         self.out_needed: Optional[frozenset] = None
-        #: (build table, version, right batch, buckets, unique map).
-        self._build_cache: Optional[tuple] = None
+        #: One cell holding (build table, version, right batch, buckets,
+        #: unique map). The shallow copies :func:`instrument_plan` traces
+        #: share the cell, so a traced run fills the cached plan's entry.
+        self._build_cache: list = [None]
 
     # -- build side ---------------------------------------------------------
 
@@ -280,7 +284,7 @@ class HashJoinOp(Operator):
         right = self.right.inner if isinstance(self.right, TracedOp) else self.right
         if not isinstance(right, ScanOp):
             return None
-        entry = self._build_cache
+        entry = self._build_cache[0]
         if entry is not None and entry[0].version == entry[1]:
             return "hit"
         return "miss"
@@ -304,7 +308,7 @@ class HashJoinOp(Operator):
         column is the table's own tid vector, attached per execution.
         """
         table = self._build_table(database)
-        entry = self._build_cache
+        entry = self._build_cache[0]
         if (
             table is not None
             and entry is not None
@@ -320,7 +324,7 @@ class HashJoinOp(Operator):
             buckets, unique_map = built = self._buckets(right)
             if table is not None:
                 database.join_build_misses += 1
-                self._build_cache = (table, table.version, right, *built)
+                self._build_cache[0] = (table, table.version, right, *built)
         if lineage and table is not None:
             right = _table_batch(table, table.name)
         return right, buckets, unique_map

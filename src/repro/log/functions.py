@@ -9,7 +9,8 @@ functions implement Example 3.3:
 - ``Schema(ts, ocid, irid, icid, agg)`` — static analysis of the query
   text (cheap, data-independent);
 - ``Provenance(ts, otid, irid, itid)`` — the contributing-tuples lineage
-  of the query's output (expensive: re-runs the query with lineage).
+  of the query's output (expensive: runs the query with lineage — a run
+  the enforcer then returns as the answer when it may).
 
 The registry is ordered: the interleaved evaluator (Algorithm 3) adds logs
 to ``S`` in registry order, which the paper chose experimentally as
@@ -21,7 +22,7 @@ extensibility discussion) — see ``examples/custom_log_function.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..errors import UnknownLogRelationError

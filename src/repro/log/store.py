@@ -25,8 +25,8 @@ durable write is ``wal.append``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from ..engine import Database, Table
 from ..errors import PolicyError

@@ -51,7 +51,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Union
 
 from .core import Enforcer, Policy
-from .core.metrics import PHASE_QUERY
+from .core.metrics import PHASE_PROVENANCE, PHASE_QUERY
 from .engine.explain import render_analyzed
 from .errors import (
     PolicyError,
@@ -173,16 +173,19 @@ class EnforcerService:
         """Per-operator ``rows=… time=…`` text for an allowed query.
 
         When tracing is on, the decision's trace already holds one span
-        per operator under the ``query`` phase — render those (the plan
-        the check actually executed, for free). With tracing off — or in
-        process mode, where spans never cross the pipe — re-run the
-        query as a plain ``EXPLAIN ANALYZE`` on the routed shard
-        (admin-grade, like evidence explanation).
+        per operator under the phase that produced the answer — ``query``
+        when it executed for itself, ``log:provenance`` when the lineage
+        run was the answer — render those (the plan the check actually
+        executed, for free). With tracing off — or in process mode, where
+        spans never cross the pipe — re-run the query as a plain
+        ``EXPLAIN ANALYZE`` on the routed shard (admin-grade, like
+        evidence explanation).
         """
         span = getattr(decision, "span", None)
         if span is not None:
-            for child in span.children:
-                if child.name == PHASE_QUERY and child.children:
+            for phase in (PHASE_QUERY, PHASE_PROVENANCE):
+                child = span.child(phase)
+                if child is not None and child.children:
                     return render_analyzed(child)
         return self.service.analyzed_plan(uid, sql)
 

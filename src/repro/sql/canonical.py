@@ -16,6 +16,8 @@ form.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .lexer import tokenize
 from .tokens import Token, TokenType
 
@@ -39,12 +41,15 @@ def _render(token: Token) -> str:
     return token.value
 
 
+@lru_cache(maxsize=1024)
 def canonical_sql(text: str) -> str:
     """Normalize ``text`` to a whitespace/case/comment-insensitive form.
 
-    Raises :class:`~repro.errors.LexError` on unlexable input; callers
-    that use the result as a cache key should fall back to the raw text
-    (a query that cannot be lexed cannot be confused with one that can).
+    Memoized by exact text, so a repeated statement is lexed once for
+    every cache that keys on it. Raises :class:`~repro.errors.LexError`
+    on unlexable input (not cached); callers that use the result as a
+    cache key should fall back to the raw text (a query that cannot be
+    lexed cannot be confused with one that can).
     """
     parts = []
     for token in tokenize(text):

@@ -9,6 +9,7 @@ the same normal form the paper's policy language uses.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from ..errors import ParseError
@@ -436,8 +437,16 @@ class Parser:
         return ast.ColumnRef(None, name)
 
 
+@lru_cache(maxsize=256)
 def parse(text: str) -> ast.Query:
-    """Parse one SQL query (SELECT or UNION of SELECTs)."""
+    """Parse one SQL query (SELECT or UNION of SELECTs).
+
+    Memoized by exact text: a repeated statement is lexed and parsed
+    once. Sharing the AST is safe because nodes are frozen and every
+    rewrite builds a copy; a text that fails to parse is not cached and
+    raises again. The bound matches the engine's AST plan cache, which
+    already holds these trees.
+    """
     return Parser(text).parse_statement()
 
 

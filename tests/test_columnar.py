@@ -23,6 +23,7 @@ from repro.engine.columnar import CHUNK_SIZE, ColumnVector, LineageColumns
 from repro.engine.dag import SharedNode
 from repro.errors import ExecutionError
 from repro.log import SimulatedClock, standard_registry
+from repro.obs import TraceContext
 from repro.service import ServiceConfig, ShardedEnforcerService
 from repro.storage.wal import initialize_durability, recover_enforcer
 from repro.workloads import (
@@ -357,6 +358,19 @@ class TestJoinBuildCache:
         assert again.lineage_tids("s") == {1, 2, 3, 4}
         assert engine.lineage_executions == 2
         assert engine.lineage_rows == len(traced.rows) + len(again.rows)
+
+    def test_traced_runs_fill_the_plans_build_cache(self):
+        """A traced run executes shallow copies of the cached plan's
+        operators; the build it makes must still land in the plan's cache
+        (a traced lineage run is an admitted query's answer)."""
+        engine, db = self.setup_pair()
+        sql = "SELECT r.b, s.c FROM r, s WHERE r.a = s.a"
+        for lineage in (True, False):
+            trace = TraceContext("t")
+            engine.execute(sql, lineage=lineage, trace=trace)
+            assert trace.root.children  # the run really was instrumented
+        assert (db.join_build_misses, db.join_build_hits) == (1, 1)
+        assert "[build-cache=hit]" in engine.explain(sql)
 
     def test_explain_annotates_miss_then_hit(self):
         engine, _ = self.setup_pair()

@@ -9,7 +9,7 @@ The fixture tables (see conftest) are::
 import pytest
 
 from repro.engine import Database, Engine
-from repro.errors import BindError, CatalogError
+from repro.errors import BindError, CatalogError, LexError
 
 
 def rows(engine, sql, **kw):
@@ -392,6 +392,31 @@ class TestResultHelpers:
         assert plan1 is plan2
         engine.invalidate_plans()
         assert engine.plan("SELECT * FROM t") is not plan1
+
+    def test_unlexable_text_keys_on_its_raw_text(self, engine):
+        """The text memo lives in ``canonical_sql``; what the engine keeps
+        is the fallback: an unlexable text is its own key, and planning
+        it still raises the real error."""
+        text = "SELECT 'unterminated FROM t"
+        assert Engine._canonical_key(text) == text
+        with pytest.raises(LexError):
+            engine.plan(text)
+        with pytest.raises(LexError):
+            engine.plan(text)
+
+    def test_schema_change_replans_through_invalidate_plans(self):
+        database = Database()
+        database.load_table("v", ["a"], [(1,)])
+        engine = Engine(database)
+        before = engine.plan("SELECT * FROM v")
+        assert before.columns == ["a"]
+        database.drop_table("v")
+        database.load_table("v", ["a", "b"], [(1, 2)])
+        engine.invalidate_plans()
+        after = engine.plan("SELECT * FROM v")
+        assert after is not before
+        assert after.columns == ["a", "b"]
+        assert engine.execute("SELECT * FROM v").rows == [(1, 2)]
 
     def test_plan_caches_evict_instead_of_refusing(self, engine):
         """A full cache used to admit nothing more: once a stream of

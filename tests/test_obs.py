@@ -17,7 +17,7 @@ from v1 import request as http_json
 
 from repro.cli import make_parser
 from repro.core import Enforcer, EnforcerOptions, Policy
-from repro.core.metrics import PHASE_POLICY, PHASE_QUERY
+from repro.core.metrics import PHASE_POLICY, PHASE_PROVENANCE, PHASE_QUERY
 from repro.engine import Database
 from repro.engine.explain import describe, operator_children
 from repro.log import SimulatedClock
@@ -209,19 +209,43 @@ class TestEnforcerTracing:
         # policy at several stages (merge semantics).
         assert len(policy_children) == len(enforcer.policies)
 
+    @staticmethod
+    def assert_mirrors_plan(phase_span, plan):
+        # One operator span per plan node, same names, same tree shape.
+        assert [span_shape(c) for c in phase_span.children] == [
+            plan_shape(plan.op)
+        ]
+        for span in phase_span.children[0].walk():
+            assert "rows" in span.counters
+
     def test_query_span_mirrors_the_physical_plan(self, traced_setup):
+        """P4 reads provenance, so the lineage run is the answer: the
+        operator spans sit under the phase that produced it."""
         enforcer, workload = traced_setup
         sql = workload["W1"]
         decision = enforcer.submit(sql, uid=1)
         query_span = decision.span.child(PHASE_QUERY)
-        assert query_span is not None
-        plan = enforcer.engine.plan(sql)
-        # One operator span per plan node, same names, same tree shape.
-        assert [span_shape(c) for c in query_span.children] == [
-            plan_shape(plan.op)
-        ]
-        for span in query_span.children[0].walk():
-            assert "rows" in span.counters
+        assert query_span is not None and not query_span.children
+        self.assert_mirrors_plan(
+            decision.span.child(PHASE_PROVENANCE), enforcer.engine.plan(sql)
+        )
+
+    def test_query_without_provenance_keeps_its_spans_under_query(
+        self, mimic_db, tiny_mimic_config
+    ):
+        params = PolicyParams.for_config(tiny_mimic_config)
+        enforcer = Enforcer(
+            mimic_db,
+            [make_policy("P2", params)],
+            clock=SimulatedClock(default_step_ms=10),
+            options=EnforcerOptions.datalawyer(),
+        )
+        sql = make_workload(tiny_mimic_config)["W1"]
+        decision = enforcer.submit(sql, uid=1)
+        assert decision.span.child(PHASE_PROVENANCE) is None
+        self.assert_mirrors_plan(
+            decision.span.child(PHASE_QUERY), enforcer.engine.plan(sql)
+        )
 
     def test_span_totals_reconcile_with_metrics(self, traced_setup):
         enforcer, workload = traced_setup

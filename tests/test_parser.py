@@ -1,9 +1,12 @@
 """Parser tests: shapes of the produced AST."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from repro.errors import ParseError
-from repro.sql import ast, parse, parse_expression, parse_select
+from repro.errors import LexError, ParseError
+from repro.sql import Parser, ast, canonical_sql, parse, parse_expression, parse_select
 
 
 class TestSelectBasics:
@@ -313,3 +316,57 @@ class TestAstHelpers:
     def test_transform_identity_preserves_object(self):
         q = parse_select("SELECT a FROM t")
         assert ast.transform(q, lambda n: None) is q
+
+
+class TestTextMemo:
+    """``parse`` and ``canonical_sql`` are pure functions of the text,
+    memoized by exact text in bounded LRUs."""
+
+    def test_repeated_text_shares_one_ast(self):
+        text = "SELECT a, COUNT(*) FROM memo_t WHERE b > 7 GROUP BY a"
+        assert parse(text) is parse(text)
+        assert parse(text) == Parser(text).parse_statement()
+
+    def test_repeated_text_shares_one_canonical_form(self):
+        text = "select  A from memo_t  -- hot"
+        assert canonical_sql(text) is canonical_sql(text)
+        assert canonical_sql(text) == canonical_sql.__wrapped__(text)
+
+    @pytest.mark.parametrize(
+        ("memo", "text", "error"),
+        [
+            (parse, "SELECT FROM memo_t WHERE", ParseError),
+            (parse, "SELECT 'unterminated FROM memo_t", LexError),
+            (canonical_sql, "SELECT 'unterminated FROM memo_t", LexError),
+        ],
+    )
+    def test_failing_text_is_not_cached(self, memo, text, error):
+        before = memo.cache_info()
+        for _ in range(2):
+            with pytest.raises(error):
+                memo(text)
+        after = memo.cache_info()
+        assert after.hits == before.hits
+        assert after.misses == before.misses + 2
+
+    @pytest.mark.parametrize("memo", [parse, canonical_sql])
+    def test_memo_is_bounded(self, memo):
+        maxsize = memo.cache_info().maxsize
+        for n in range(maxsize + 50):
+            memo(f"SELECT a FROM memo_bound WHERE b = {n}")
+        assert memo.cache_info().currsize <= maxsize
+
+    def test_concurrent_parses_agree(self):
+        texts = [f"SELECT a FROM memo_threads WHERE b = {n} OR c < {n}" for n in range(40)]
+        expected = [Parser(text).parse_statement() for text in texts]
+        order = [[(offset + i) % len(texts) for i in range(len(texts))] for offset in range(8)]
+        barrier = threading.Barrier(8, timeout=30)
+
+        def worker(indices):
+            barrier.wait()
+            return [parse(texts[i]) for i in indices]
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            runs = list(pool.map(worker, order, timeout=60))
+        for indices, got in zip(order, runs):
+            assert got == [expected[i] for i in indices]

@@ -2,7 +2,7 @@
 
 from .features import (
     ClockPredicate,
-    PolicyStructure,
+    PolicyFacts,
     aliases_of,
     analyze_structure,
     floor_history,
@@ -22,7 +22,7 @@ from .witness import (
 
 __all__ = [
     "ClockPredicate",
-    "PolicyStructure",
+    "PolicyFacts",
     "aliases_of",
     "analyze_structure",
     "floor_history",

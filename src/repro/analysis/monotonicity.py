@@ -61,16 +61,12 @@ def _is_monotone_having_conjunct(conjunct: ast.Expr) -> bool:
     if left_agg:
         aggregate, op = conjunct.left, conjunct.op
     else:
-        aggregate, op = conjunct.right, _flip(conjunct.op)
+        aggregate, op = conjunct.right, ast.FLIP.get(conjunct.op)
     # Require the aggregate side to be a bare growing aggregate compared
     # with > or >= against an aggregate-free bound.
     if not (is_aggregate_call(aggregate) and aggregate.name in _GROWING_AGGREGATES):
         return False
     return op in (">", ">=")
-
-
-def _flip(op: str) -> str:
-    return {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}[op]
 
 
 def can_interleave(query: ast.Query) -> bool:

@@ -14,23 +14,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..engine import Database
+from ..engine.expressions import contains_aggregate, is_aggregate_call
 from ..log import LogRegistry
 from ..sql import ast
-from ..engine.expressions import contains_aggregate, is_aggregate_call
-from .features import (
-    PolicyStructure,
-    aliases_of,
-    analyze_structure,
-    referenced_log_relations,
-)
+from .features import PolicyFacts, aliases_of
 
 
 def partial_policy(
-    select: ast.Select,
+    facts: PolicyFacts,
     keep_logs: set[str],
-    registry: LogRegistry,
-    database: Optional[Database] = None,
     keep_having: bool = True,
 ) -> Optional[ast.Select]:
     """Build π_S for ``S = keep_logs``.
@@ -44,20 +36,19 @@ def partial_policy(
     conjunctive core only (see
     :func:`repro.analysis.monotonicity.can_interleave`).
     """
-    structure = analyze_structure(select, registry, database)
-
+    select = facts.select
     removed_aliases: set[str] = set()
-    for alias, relation in structure.log_occurrences.items():
+    for alias, relation in facts.log_occurrences.items():
         if relation not in keep_logs:
             removed_aliases.add(alias)
-    for alias, query in structure.subqueries.items():
-        if referenced_log_relations(query, registry) - keep_logs:
+    for alias, blocks in facts.subqueries.items():
+        if any(block.log_relations - keep_logs for block in blocks):
             removed_aliases.add(alias)
 
     if not removed_aliases:
         if keep_having or select.having is None:
             return select
-        return _drop_having(select, structure, set())
+        return select.replace(having=None)
 
     from_items = tuple(
         item
@@ -68,10 +59,10 @@ def partial_policy(
         return None
 
     def survives(expr: ast.Expr) -> bool:
-        return not (aliases_of(expr, structure) & (removed_aliases | {"?"}))
+        return not (aliases_of(expr, facts) & (removed_aliases | {"?"}))
 
     where = ast.conjoin(
-        [conjunct for conjunct in structure.conjuncts if survives(conjunct)]
+        [conjunct for conjunct in facts.conjuncts if survives(conjunct)]
     )
     group_by = tuple(expr for expr in select.group_by if survives(expr))
 
@@ -80,7 +71,7 @@ def partial_policy(
         if not keep_having or not survives(having):
             having = None
         elif contains_aggregate(having) and not _having_implication_holds(
-            having, structure, removed_aliases
+            having, facts, removed_aliases
         ):
             having = None
     if having is None and not group_by:
@@ -100,14 +91,8 @@ def partial_policy(
     )
 
 
-def _drop_having(
-    select: ast.Select, structure: PolicyStructure, removed: set[str]
-) -> ast.Select:
-    return select.replace(having=None)
-
-
 def _having_implication_holds(
-    having: ast.Expr, structure: PolicyStructure, removed_aliases: set[str]
+    having: ast.Expr, facts: PolicyFacts, removed_aliases: set[str]
 ) -> bool:
     """Whether π ⇒ π_S still holds with this HAVING kept in π_S.
 
@@ -129,10 +114,7 @@ def _having_implication_holds(
         if contains_aggregate(conjunct.left):
             aggregate, op = conjunct.left, conjunct.op
         else:
-            aggregate = conjunct.right
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(
-                conjunct.op, conjunct.op
-            )
+            aggregate, op = conjunct.right, ast.FLIP.get(conjunct.op)
         if op not in (">", ">="):
             return False
         if not (
@@ -142,16 +124,15 @@ def _having_implication_holds(
             and len(aggregate.args) == 1
         ):
             return False
-        arg_aliases = aliases_of(aggregate.args[0], structure)
+        arg_aliases = aliases_of(aggregate.args[0], facts)
         if arg_aliases & (removed_aliases | {"?"}):
             return False
     return True
 
 
 def partial_chain(
-    select: ast.Select,
+    facts: PolicyFacts,
     registry: LogRegistry,
-    database: Optional[Database] = None,
     keep_having: bool = True,
 ) -> list[tuple[frozenset, Optional[ast.Select]]]:
     """The sequence of partials as S grows in registry order.
@@ -176,20 +157,15 @@ def partial_chain(
         previous = partial
         seen_first = True
 
-    push(
-        frozenset(),
-        partial_policy(select, set(), registry, database, keep_having),
-    )
+    push(frozenset(), partial_policy(facts, set(), keep_having))
     for name in order:
         keep.add(name)
         is_last = len(keep) == len(order)
         push(
             frozenset(keep),
             partial_policy(
-                select,
+                facts,
                 set(keep),
-                registry,
-                database,
                 keep_having=True if is_last else keep_having,
             ),
         )

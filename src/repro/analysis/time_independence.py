@@ -11,115 +11,59 @@ the increment and lets log compaction discard the entire log.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..engine import Database
-from ..log import LogRegistry
+from ..engine.expressions import contains_aggregate
 from ..log.store import CLOCK_TABLE
 from ..sql import ast
-from .features import (
-    PolicyStructure,
-    analyze_structure,
-    referenced_log_relations,
-)
-from ..engine.expressions import contains_aggregate
+from .features import PolicyFacts, fresh_alias
 
 
-def is_time_independent(
-    select: ast.Select,
-    registry: LogRegistry,
-    database: Optional[Database] = None,
-) -> bool:
+def is_time_independent(facts: PolicyFacts) -> bool:
     """Apply the paper's syntactic criterion to one policy."""
     # Subqueries referencing log relations would need their own analysis
     # plus a ts join with the outer block; we conservatively refuse them.
-    for query in _from_subqueries(select):
-        if referenced_log_relations(query, registry):
+    for blocks in facts.subqueries.values():
+        if any(block.log_relations for block in blocks):
             return False
 
-    structure = analyze_structure(select, registry, database)
-    occurrences = list(structure.log_occurrences)
-    if not occurrences:
+    if not facts.log_occurrences:
         # No log relations at all: trivially depends only on the present.
         return True
 
     # (a) all log timestamps joined into a single equivalence class.
-    component = structure.ts_components.get(occurrences[0], {occurrences[0]})
-    if set(occurrences) != component:
+    if not facts.single_ts_component:
         return False
 
     # (b) aggregates require the timestamp among the GROUP BY keys.
-    if _has_aggregates(select):
-        if not any(
-            _is_log_ts(expr, structure) for expr in select.group_by
-        ):
-            return False
-    return True
+    select = facts.select
+    aggregates = any(
+        contains_aggregate(item.expr) for item in select.items
+    ) or (select.having is not None and contains_aggregate(select.having))
+    return not aggregates or facts.groups_by_log_ts
 
 
-def rewrite_time_independent(
-    select: ast.Select,
-    registry: LogRegistry,
-    database: Optional[Database] = None,
-) -> ast.Select:
+def rewrite_time_independent(facts: PolicyFacts) -> ast.Select:
     """Produce ``π_ind``: pin every log occurrence's ts to the clock.
 
     Adds ``Clock <fresh>`` to FROM (reusing an existing clock alias when
     the policy already joins the clock) and conjoins ``a.ts = c.ts`` for
     every log occurrence ``a``.
     """
-    structure = analyze_structure(select, registry, database)
-    if not structure.log_occurrences:
+    select = facts.select
+    if not facts.log_occurrences:
         return select
 
-    if structure.clock_aliases:
-        clock_alias = sorted(structure.clock_aliases)[0]
+    if facts.clock_aliases:
+        clock_alias = sorted(facts.clock_aliases)[0]
         from_items = select.from_items
     else:
-        clock_alias = _fresh_alias("c", structure)
+        clock_alias = fresh_alias(select, "c")
         from_items = select.from_items + (
             ast.TableRef(CLOCK_TABLE, clock_alias),
         )
 
     new_conjuncts = [
         ast.eq(ast.col(alias, "ts"), ast.col(clock_alias, "ts"))
-        for alias in sorted(structure.log_occurrences)
+        for alias in sorted(facts.log_occurrences)
     ]
-    where = ast.conjoin(ast.conjuncts(select.where) + new_conjuncts)
+    where = ast.conjoin(facts.conjuncts + new_conjuncts)
     return select.replace(from_items=from_items, where=where)
-
-
-def _from_subqueries(select: ast.Select) -> list[ast.Query]:
-    return [
-        item.query
-        for item in select.from_items
-        if isinstance(item, ast.SubqueryRef)
-    ]
-
-
-def _has_aggregates(select: ast.Select) -> bool:
-    exprs: list[ast.Expr] = [
-        item.expr for item in select.items if not isinstance(item.expr, ast.Star)
-    ]
-    if select.having is not None:
-        exprs.append(select.having)
-    return any(contains_aggregate(expr) for expr in exprs)
-
-
-def _is_log_ts(expr: ast.Expr, structure: PolicyStructure) -> bool:
-    from .features import qualifier_for
-
-    return (
-        isinstance(expr, ast.ColumnRef)
-        and expr.name == "ts"
-        and qualifier_for(expr, structure) in structure.log_occurrences
-    )
-
-
-def _fresh_alias(base: str, structure: PolicyStructure) -> str:
-    if base not in structure.alias_columns:
-        return base
-    suffix = 0
-    while f"{base}{suffix}" in structure.alias_columns:
-        suffix += 1
-    return f"{base}{suffix}"

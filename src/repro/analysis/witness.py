@@ -34,16 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..engine import Database, Engine
+from ..engine import Engine
 from ..log import LogRegistry
 from ..log.store import CLOCK_TABLE
 from ..sql import ast
-from .features import (
-    PolicyStructure,
-    aliases_of,
-    analyze_structure,
-    qualifier_for,
-)
+from .features import PolicyFacts, aliases_of, fresh_alias, qualifier_for
 
 
 @dataclass
@@ -64,14 +59,10 @@ class WitnessSet:
         self.retain_all |= other.retain_all
 
 
-def witness_queries(
-    select: ast.Select,
-    registry: LogRegistry,
-    database: Optional[Database] = None,
-) -> WitnessSet:
+def witness_queries(facts: PolicyFacts) -> WitnessSet:
     """Build the witness set for one policy (Algorithm 2 for a single π)."""
     result = WitnessSet()
-    _compact_block(select, registry, database, result, force_full=False)
+    _compact_block(facts, result, force_full=False)
     # Relations that are retain-all don't need witness queries as well.
     for name in result.retain_all:
         result.per_relation.pop(name, None)
@@ -79,28 +70,23 @@ def witness_queries(
 
 
 def _compact_block(
-    select: ast.Select,
-    registry: LogRegistry,
-    database: Optional[Database],
-    result: WitnessSet,
-    force_full: bool,
+    facts: PolicyFacts, result: WitnessSet, force_full: bool
 ) -> None:
-    structure = analyze_structure(select, registry, database)
-
     # Subqueries in FROM are compacted separately, as full queries
     # (Algorithm 2 line 3).
-    for query in structure.subqueries.values():
-        for block in _selects_of(query):
-            _compact_block(block, registry, database, result, force_full=True)
+    for blocks in facts.subqueries.values():
+        for block in blocks:
+            _compact_block(block, result, force_full=True)
 
-    if not structure.log_occurrences:
+    if not facts.log_occurrences:
         return
 
-    if structure.clock_predicates is None:
+    if facts.clock_predicates is None:
         # Unsupported clock shape: retain everything this block touches.
-        result.retain_all |= structure.log_relation_names()
+        result.retain_all |= facts.log_relation_names()
         return
 
+    select = facts.select
     boolean = (
         not force_full
         and select.having is None
@@ -109,63 +95,39 @@ def _compact_block(
     )
 
     clock_indexes = {
-        predicate.conjunct_index for predicate in structure.clock_predicates
+        predicate.conjunct_index for predicate in facts.clock_predicates
     }
-    now = _fresh_alias(select)
+    now = fresh_alias(select, "now")
 
-    for alias in structure.log_occurrences:
+    for alias in facts.log_occurrences:
         witness = _witness_for_occurrence(
-            alias, select, structure, clock_indexes, boolean, now
+            alias, facts, clock_indexes, boolean, now
         )
-        relation = structure.log_occurrences[alias]
+        relation = facts.log_occurrences[alias]
         result.per_relation.setdefault(relation, []).append(witness)
-
-
-def _selects_of(query: ast.Query) -> list[ast.Select]:
-    if isinstance(query, ast.SetOp):
-        return _selects_of(query.left) + _selects_of(query.right)
-    assert isinstance(query, ast.Select)
-    return [query]
-
-
-def _fresh_alias(select: ast.Select) -> str:
-    """An alias for the witness's own clock atom that no FROM binding or
-    column qualifier anywhere in ``select`` uses."""
-    taken = set()
-    for node in select.walk():
-        if isinstance(node, (ast.TableRef, ast.SubqueryRef)):
-            taken.add(node.binding_name().lower())
-        elif isinstance(node, ast.ColumnRef) and node.table is not None:
-            taken.add(node.table.lower())
-    alias, suffix = "now", 0
-    while alias in taken:
-        suffix += 1
-        alias = f"now{suffix}"
-    return alias
 
 
 def _witness_for_occurrence(
     alias: str,
-    select: ast.Select,
-    structure: PolicyStructure,
+    facts: PolicyFacts,
     clock_indexes: set[int],
     boolean: bool,
     now: str,
 ) -> ast.Select:
-    kept_aliases = {alias} | structure.neighborhood(alias)
-    kept_aliases |= set(structure.db_tables)
+    kept_aliases = {alias} | facts.neighborhood(alias)
+    kept_aliases |= set(facts.db_tables)
 
     from_items: list[ast.FromItem] = []
-    for item in select.from_items:
+    for item in facts.select.from_items:
         name = item.binding_name().lower()
         if name in kept_aliases and isinstance(item, ast.TableRef):
             from_items.append(item)
 
     conjuncts: list[ast.Expr] = []
-    for index, conjunct in enumerate(structure.conjuncts):
+    for index, conjunct in enumerate(facts.conjuncts):
         if index in clock_indexes:
             continue
-        referenced = aliases_of(conjunct, structure)
+        referenced = aliases_of(conjunct, facts)
         if referenced and referenced <= kept_aliases:
             conjuncts.append(conjunct)
 
@@ -174,15 +136,15 @@ def _witness_for_occurrence(
     # the witness's own. The atom goes first: the planner joins FROM items
     # left-deep in order, so the one clock row meets each log row at the
     # first join and the window filter runs before any wider join.
-    assert structure.clock_predicates is not None
+    assert facts.clock_predicates is not None
     current_plus_one = ast.BinaryOp("+", ast.ColumnRef(now, "ts"), ast.Literal(1))
     window: list[ast.Expr] = []
-    for predicate in structure.clock_predicates:
+    for predicate in facts.clock_predicates:
         ops = ["<=", ">="] if predicate.op == "=" else [predicate.op]
         for op in ops:
             if op in (">", ">="):
                 continue
-            bound_aliases = aliases_of(predicate.bound, structure)
+            bound_aliases = aliases_of(predicate.bound, facts)
             if not bound_aliases <= kept_aliases:
                 continue  # bound mentions dropped relations: relax it away
             window.append(ast.BinaryOp(op, current_plus_one, predicate.bound))
@@ -201,7 +163,7 @@ def _witness_for_occurrence(
             distinct=True,
         )
 
-    join_attrs = _join_attributes(alias, structure)
+    join_attrs = _join_attributes(alias, facts)
     if not join_attrs:
         # Any single satisfying tuple is a witness.
         return ast.Select(
@@ -219,7 +181,7 @@ def _witness_for_occurrence(
     )
 
 
-def _join_attributes(alias: str, structure: PolicyStructure) -> set[str]:
+def _join_attributes(alias: str, facts: PolicyFacts) -> set[str]:
     """X of Lemma 4.2: attributes of ``alias`` in any predicate that also
     references another alias, the clock, or something unresolvable.
 
@@ -228,15 +190,15 @@ def _join_attributes(alias: str, structure: PolicyStructure) -> set[str]:
     the original tuple appeared in, now or in the future.
     """
     attrs: set[str] = set()
-    for conjunct in structure.conjuncts:
+    for conjunct in facts.conjuncts:
         own_refs = [
             ref
             for ref in ast.column_refs(conjunct)
-            if qualifier_for(ref, structure) == alias
+            if qualifier_for(ref, facts) == alias
         ]
         if not own_refs:
             continue
-        others = aliases_of(conjunct, structure) - {alias}
+        others = aliases_of(conjunct, facts) - {alias}
         if others:
             attrs.update(ref.name for ref in own_refs)
     return attrs

@@ -19,7 +19,7 @@ policy offline:
   unconditionally.
 - ``versioned`` — time-dependent, but every timestamp use is *shift
   safe* (see below). The verdict is reusable exactly while the log tables
-  the policy reads (``referenced_log_relations`` over its effective
+  the policy reads (``PolicyFacts.log_relations`` of its effective
   query) are unchanged; each :class:`~repro.log.store.LogStore` relation
   carries a monotone version bumped on disk-changing commits.
 - ``uncacheable`` — anything else. One uncacheable policy makes the whole
@@ -69,6 +69,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ..analysis.features import PolicyFacts
 from ..errors import ReproError
 from ..log import LogRegistry
 from ..log.store import CLOCK_TABLE
@@ -197,8 +198,7 @@ def _is_bare_ts(expr: ast.Node) -> bool:
 
 
 def profile_policy(
-    select: ast.Query,
-    registry: LogRegistry,
+    facts: PolicyFacts,
     database,
     stable: bool,
 ) -> CachePolicyProfile:
@@ -208,31 +208,26 @@ def profile_policy(
     evaluation is already pinned to the increment; otherwise the policy
     is at best ``versioned``.
     """
-    relations: set = set()
-    for node in select.walk():
-        if isinstance(node, ast.TableRef):
-            name = node.name.lower()
-            if registry.is_log_relation(name):
-                relations.add(name)
-            elif name == CLOCK_TABLE:
-                if not stable:
-                    return CachePolicyProfile(
-                        kind="uncacheable",
-                        reason="time-dependent policy references the clock",
-                    )
-            else:
-                # A ts-named column on a base table breaks the premise
-                # that every non-increment ts lies below the clock.
-                if database is not None and database.has_table(name):
-                    columns = database.table(name).schema.column_names
-                    if "ts" in columns:
-                        return CachePolicyProfile(
-                            kind="uncacheable",
-                            reason=f"base table {name!r} has a ts column",
-                        )
+    for name in facts.tables:
+        if name in facts.log_relations:
+            continue
+        if name == CLOCK_TABLE:
+            if not stable:
+                return CachePolicyProfile(
+                    kind="uncacheable",
+                    reason="time-dependent policy references the clock",
+                )
+        # A ts-named column on a base table breaks the premise that
+        # every non-increment ts lies below the clock.
+        elif database is not None and database.has_table(name):
+            if "ts" in database.table(name).schema.column_names:
+                return CachePolicyProfile(
+                    kind="uncacheable",
+                    reason=f"base table {name!r} has a ts column",
+                )
 
     scan = _TsScan()
-    scan.scan(select)
+    scan.scan(facts.select)
     if scan.failure is not None:
         return CachePolicyProfile(kind="uncacheable", reason=scan.failure)
 
@@ -240,7 +235,7 @@ def profile_policy(
         return CachePolicyProfile(kind="stable", min_ts_bound=scan.bound)
     return CachePolicyProfile(
         kind="versioned",
-        relations=frozenset(relations),
+        relations=facts.log_relations,
         min_ts_bound=scan.bound,
     )
 

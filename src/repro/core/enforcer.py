@@ -25,9 +25,7 @@ from typing import Callable, Optional, Sequence
 from ..analysis import (
     WitnessSet,
     analyze_structure,
-    can_interleave,
     floor_history,
-    is_monotone,
     is_time_independent,
     partial_chain,
     partial_witness_probe,
@@ -403,18 +401,19 @@ class Enforcer:
             self._decision_cache.clear()
 
     def _analyze(self, runtime: RuntimePolicy) -> None:
-        select = runtime.original
-        runtime.log_relations = referenced_log_relations(select, self.registry)
-
-        runtime.time_independent = is_time_independent(
-            select, self.registry, self.database
+        facts = analyze_structure(
+            runtime.original, self.registry, self.database
         )
+        runtime.log_relations = set(facts.log_relations)
+        runtime.time_independent = is_time_independent(facts)
         if self.options.time_independent and runtime.time_independent:
-            select = rewrite_time_independent(select, self.registry, self.database)
-        runtime.select = select
-
-        runtime.monotone = is_monotone(select)
-        structure = analyze_structure(select, self.registry, self.database)
+            rewritten = rewrite_time_independent(facts)
+            if rewritten is not facts.select:
+                facts = analyze_structure(
+                    rewritten, self.registry, self.database
+                )
+        select = runtime.select = facts.select
+        runtime.monotone = facts.monotone
 
         # §4.3 improved partial policies are sound only when (a) the policy
         # is monotone, (b) every clock predicate is window-limiting (the
@@ -424,21 +423,16 @@ class Enforcer:
         # lineage test on a partial that contains at least one log atom is
         # conclusive (and the final full evaluation is always decisive on
         # its own).
-        occurrences = list(structure.log_occurrences)
         improved_partial = (
             self.options.improved_partial
-            and runtime.monotone
-            and bool(occurrences)
-            and set(occurrences) == structure.ts_components[occurrences[0]]
-            and structure.window_limiting()
+            and facts.monotone
+            and facts.single_ts_component
+            and facts.window_limiting
         )
 
-        if self.options.interleaved and can_interleave(select):
+        if self.options.interleaved and facts.can_interleave:
             chain = partial_chain(
-                select,
-                self.registry,
-                self.database,
-                keep_having=runtime.monotone,
+                facts, self.registry, keep_having=facts.monotone
             )
             # A degenerate (None) partial has nothing useful to check.
             runtime.checkpoints = [
@@ -460,7 +454,7 @@ class Enforcer:
             self.options.time_independent and runtime.time_independent
         )
         if self.options.log_compaction and not skip_compaction:
-            runtime.witness = witness_queries(select, self.registry, self.database)
+            runtime.witness = witness_queries(facts)
             runtime.witness_templates = [
                 (
                     relation,
@@ -472,22 +466,14 @@ class Enforcer:
             ]
 
         runtime.cache_profile = profile_policy(
-            select,
-            self.registry,
-            self.database,
-            stable=skip_compaction,
+            facts, self.database, stable=skip_compaction
         )
 
         # Classify for incremental maintenance regardless of the toggle —
         # the verdict is static analysis, surfaced via `repro incremental`
         # and /v1/policies even when the maintainer itself is off.
         classification = classify_policy(
-            runtime.name,
-            select,
-            self.registry,
-            self.database,
-            time_independent=skip_compaction,
-            structure=structure,
+            runtime.name, facts, time_independent=skip_compaction
         )
         runtime.incremental_plan = classification.plan
         runtime.incremental_reason = classification.reason

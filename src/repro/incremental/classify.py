@@ -19,7 +19,7 @@ The classifier reuses the existing §4 analyses:
   (deleting an unmarked tuple never changes a future verdict), so the
   verdict agrees at both extremes — and a monotone verdict over a row set
   sandwiched between them must agree too.
-- :func:`~repro.analysis.features.analyze_structure` — clock predicates in
+- :class:`~repro.analysis.features.PolicyFacts` — clock predicates in
   normalized ``c.ts op bound`` form, and the timestamp-equivalence classes
   of the log occurrences. All log occurrences must share *one* class, so
   a commit's delta joins only within itself (rows of different timestamps
@@ -37,23 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis.features import (
-    PolicyStructure,
-    aliases_of,
-    analyze_structure,
-)
-from ..analysis.monotonicity import is_monotone
-from ..engine import Database
-from ..log import LogRegistry
+from ..analysis.features import PolicyFacts, aliases_of
+from ..engine.expressions import contains_aggregate, is_aggregate_call
 from ..sql import ast, print_expr
 
 #: Aggregates the state layer can maintain. ``sum``/``min`` are included
 #: for completeness (the state store supports them directly), but the
 #: monotonicity gate means only ``count``/``max`` shapes reach enforcement.
 SUPPORTED_AGGREGATES = frozenset({"count", "sum", "min", "max"})
-
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
 
 @dataclass(frozen=True)
 class AggregateSpec:
@@ -151,11 +142,8 @@ def _describe_aggregate(spec: AggregateSpec) -> str:
 
 def classify_policy(
     name: str,
-    select: ast.Query,
-    registry: LogRegistry,
-    database: Optional[Database] = None,
+    facts: PolicyFacts,
     time_independent: bool = False,
-    structure: Optional[PolicyStructure] = None,
 ) -> Classification:
     """Classify one effective (post-rewrite) policy query.
 
@@ -171,8 +159,7 @@ def classify_policy(
         return refuse(
             "time-independent: evaluation is already increment-local"
         )
-    if not isinstance(select, ast.Select):
-        return refuse("set operations are not supported")
+    select = facts.select
     if select.distinct_on or select.order_by or select.limit is not None:
         return refuse("DISTINCT ON / ORDER BY / LIMIT are not supported")
     for node in select.walk():
@@ -181,23 +168,17 @@ def classify_policy(
         if isinstance(node, (ast.Select, ast.SetOp)) and node is not select:
             return refuse("nested subqueries are not supported")
 
-    if structure is None or structure.select is not select:
-        structure = analyze_structure(select, registry, database)
-    if not structure.log_occurrences:
+    if not facts.log_occurrences:
         return refuse("no usage-log relation in FROM")
 
-    occurrences = sorted(structure.log_occurrences)
-    component = structure.ts_components.get(
-        occurrences[0], {occurrences[0]}
-    )
-    if set(occurrences) != set(component):
+    if not facts.single_ts_component:
         return refuse(
             "log occurrences span multiple timestamp-equivalence classes"
         )
 
-    if structure.clock_predicates is None:
+    if facts.clock_predicates is None:
         return refuse("unsupported clock predicate shape")
-    for predicate in structure.clock_predicates:
+    for predicate in facts.clock_predicates:
         if predicate.op not in ("<", "<="):
             return refuse(
                 f"non-shrinking clock predicate (op {predicate.op!r})"
@@ -205,34 +186,34 @@ def classify_policy(
 
     clock_indices = {
         predicate.conjunct_index
-        for predicate in structure.clock_predicates
+        for predicate in facts.clock_predicates
     }
-    for index, conjunct in enumerate(structure.conjuncts):
+    for index, conjunct in enumerate(facts.conjuncts):
         if index in clock_indices:
             continue
-        problem = _reference_problem(conjunct, structure)
+        problem = _reference_problem(conjunct, facts)
         if problem:
             return refuse(f"WHERE conjunct: {problem}")
 
-    if not is_monotone(select):
+    if not facts.monotone:
         return refuse("non-monotone: the verdict could flip back off")
 
     group_exprs = list(select.group_by)
     for expr in group_exprs:
-        problem = _reference_problem(expr, structure)
+        problem = _reference_problem(expr, facts)
         if problem:
             return refuse(f"GROUP BY expression: {problem}")
 
     windows = tuple(
         WindowSpec(strict=(predicate.op == "<"), bound=predicate.bound)
-        for predicate in structure.clock_predicates
+        for predicate in facts.clock_predicates
     )
     for window in windows:
-        problem = _reference_problem(window.bound, structure)
+        problem = _reference_problem(window.bound, facts)
         if problem:
             return refuse(f"clock predicate bound: {problem}")
 
-    aggregates, failure = _aggregate_specs(select, group_exprs, structure)
+    aggregates, failure = _aggregate_specs(select, group_exprs, facts)
     if failure:
         return refuse(failure)
     assert aggregates is not None
@@ -242,7 +223,7 @@ def classify_policy(
         return refuse("windowed min/max is not maintainable in O(1)")
 
     delta, threshold_offsets = _build_delta(
-        select, structure, group_exprs, aggregates, windows, clock_indices
+        select, facts, group_exprs, aggregates, windows, clock_indices
     )
 
     plan = IncrementalPlan(
@@ -252,8 +233,8 @@ def classify_policy(
         aggregates=aggregates,
         windows=windows,
         threshold_offsets=threshold_offsets,
-        log_relations=tuple(sorted(structure.log_relation_names())),
-        base_tables=tuple(sorted(set(structure.db_tables.values()))),
+        log_relations=tuple(sorted(facts.log_relation_names())),
+        base_tables=tuple(sorted(set(facts.db_tables.values()))),
     )
     described = ", ".join(
         f"{_describe_aggregate(spec)} {spec.op} "
@@ -275,13 +256,13 @@ def classify_policy(
 
 
 def _reference_problem(
-    expr: ast.Expr, structure: PolicyStructure
+    expr: ast.Expr, facts: PolicyFacts
 ) -> Optional[str]:
     """Why an expression cannot appear in the delta query, or None."""
-    aliases = aliases_of(expr, structure)
+    aliases = aliases_of(expr, facts)
     if "?" in aliases:
         return "unresolvable column reference"
-    if aliases & structure.clock_aliases:
+    if aliases & facts.clock_aliases:
         return "references the clock outside a window predicate"
     return None
 
@@ -289,7 +270,7 @@ def _reference_problem(
 def _aggregate_specs(
     select: ast.Select,
     group_exprs: "list[ast.Expr]",
-    structure: PolicyStructure,
+    facts: PolicyFacts,
 ) -> "tuple[Optional[tuple[AggregateSpec, ...]], Optional[str]]":
     """Parse HAVING into oriented aggregate specs (or an existence check)."""
     if select.having is None:
@@ -311,16 +292,16 @@ def _aggregate_specs(
     for conjunct in ast.conjuncts(select.having):
         if not isinstance(conjunct, ast.BinaryOp):
             return None, "HAVING conjunct is not a threshold comparison"
-        left_agg = _bare_aggregate(conjunct.left)
-        right_agg = _bare_aggregate(conjunct.right)
-        if left_agg is not None and right_agg is None:
-            call, op, threshold = left_agg, conjunct.op, conjunct.right
-        elif right_agg is not None and left_agg is None:
-            if conjunct.op not in _FLIP:
+        left_agg = is_aggregate_call(conjunct.left)
+        right_agg = is_aggregate_call(conjunct.right)
+        if left_agg and not right_agg:
+            call, op, threshold = conjunct.left, conjunct.op, conjunct.right
+        elif right_agg and not left_agg:
+            if conjunct.op not in ast.FLIP:
                 return None, f"unsupported HAVING operator {conjunct.op!r}"
             call, op, threshold = (
-                right_agg,
-                _FLIP[conjunct.op],
+                conjunct.right,
+                ast.FLIP[conjunct.op],
                 conjunct.left,
             )
         else:
@@ -330,7 +311,7 @@ def _aggregate_specs(
                 f"HAVING comparison {op!r} is not growing "
                 "(the verdict could flip back off)"
             )
-        if _contains_aggregate(threshold):
+        if contains_aggregate(threshold):
             return None, "aggregate on both sides of a HAVING conjunct"
 
         kind = call.name.lower()
@@ -344,9 +325,9 @@ def _aggregate_specs(
             arg = call.args[0]
         else:
             arg = ast.Literal(1)
-        if _contains_aggregate(arg):
+        if contains_aggregate(arg):
             return None, "nested aggregate argument"
-        problem = _reference_problem(arg, structure)
+        problem = _reference_problem(arg, facts)
         if problem:
             return None, f"aggregate argument: {problem}"
         if call.distinct:
@@ -380,26 +361,9 @@ def _aggregate_specs(
     return tuple(specs), None
 
 
-def _bare_aggregate(expr: ast.Expr) -> Optional[ast.FuncCall]:
-    if isinstance(expr, ast.FuncCall) and expr.name.lower() in (
-        SUPPORTED_AGGREGATES | {"avg"}
-    ):
-        return expr
-    return None
-
-
-def _contains_aggregate(expr: ast.Expr) -> bool:
-    for node in expr.walk():
-        if isinstance(node, ast.FuncCall) and node.name.lower() in (
-            SUPPORTED_AGGREGATES | {"avg"}
-        ):
-            return True
-    return False
-
-
 def _build_delta(
     select: ast.Select,
-    structure: PolicyStructure,
+    facts: PolicyFacts,
     group_exprs: "list[ast.Expr]",
     aggregates: "tuple[AggregateSpec, ...]",
     windows: "tuple[WindowSpec, ...]",
@@ -424,11 +388,11 @@ def _build_delta(
     from_items = tuple(
         item
         for item in select.from_items
-        if item.binding_name().lower() not in structure.clock_aliases
+        if item.binding_name().lower() not in facts.clock_aliases
     )
     residual = [
         conjunct
-        for index, conjunct in enumerate(structure.conjuncts)
+        for index, conjunct in enumerate(facts.conjuncts)
         if index not in clock_indices
     ]
     delta = ast.Select(

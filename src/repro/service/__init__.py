@@ -35,7 +35,6 @@ from .placement import (
     SCOPE_GLOBAL_STRICT,
     SCOPE_LOCAL,
     PolicyPlacement,
-    classify_policies,
     classify_policy,
 )
 from .process import ProcessShard
@@ -52,7 +51,6 @@ __all__ = [
     "ShardRouter",
     "PolicyPlacement",
     "classify_policy",
-    "classify_policies",
     "SCOPE_LOCAL",
     "SCOPE_GLOBAL",
     "SCOPE_GLOBAL_ASYNC",

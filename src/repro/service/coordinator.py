@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..core import Decision, Enforcer, Policy
+from ..analysis import analyze_structure
 from ..obs import build_service_registry
 from ..errors import (
     PolicyError,
@@ -86,6 +87,10 @@ class ShardedEnforcerService:
         #: service has a single shard — one shard *is* the global view).
         self._tier: Optional[GlobalTier] = None
         self.shards: list = []
+        #: Placement of every policy the reference enforcer holds, by
+        #: name: classified once when the policy arrives, dropped when it
+        #: leaves (tier policies keep theirs in the tier).
+        self._placements: dict[str, PolicyPlacement] = {}
 
         tier_enabled = (
             self.config.global_tier != "off" and self.config.shards > 1
@@ -109,10 +114,7 @@ class ShardedEnforcerService:
             raise
 
         reference = self._reference
-        placements = [
-            classify_policy(policy, reference.registry, reference.database)
-            for policy in reference.policies
-        ]
+        placements = self._placements_of(reference.policies)
         try:
             self._check_placements(placements)
             if self._tier is not None:
@@ -131,8 +133,7 @@ class ShardedEnforcerService:
         """Build the tier, adopt the global policies, and strip them from
         the prototype so no shard ever evaluates them locally."""
         placements = [
-            classify_policy(policy, prototype.registry, prototype.database)
-            for policy in prototype.policies
+            self._classify(policy, prototype) for policy in prototype.policies
         ]
         self._check_placements(placements)
         tier_dir = (
@@ -152,9 +153,7 @@ class ShardedEnforcerService:
             # A previous incarnation's global set is authoritative (the
             # same rule shard recovery applies to local policies).
             for policy in checkpointed:
-                placement = classify_policy(
-                    policy, prototype.registry, prototype.database
-                )
+                placement = self._classify(policy, prototype)
                 self._check_placements([placement])
                 tier.install(policy, placement)
         else:
@@ -166,7 +165,9 @@ class ShardedEnforcerService:
         # authoritative, the checkpointed set wins — the same rule shard
         # recovery applies to construction-time local policies).
         for policy, placement in zip(list(prototype.policies), placements):
-            if not placement.is_local:
+            if placement.is_local:
+                self._placements[policy.name] = placement
+            else:
                 prototype.remove_policy(policy.name)
         self._tier = tier
 
@@ -273,6 +274,9 @@ class ShardedEnforcerService:
         # Shard 0's enforcer doubles as the reference: policy broadcasts
         # reach it through the shard itself.
         self._reference = self.shards[0].enforcer
+        if self._reference is not prototype:
+            # Shard 0 recovered its own policy set: classify what it holds.
+            self._placements.clear()
 
     def _init_process_shards(self, prototype: Enforcer) -> None:
         """Spawn one worker process per shard.
@@ -288,10 +292,7 @@ class ShardedEnforcerService:
         self._reference = prototype
         # Fail fast (before paying any spawn) when the caller's policy
         # set is un-shardable; recovered sets are re-checked after boot.
-        self._check_placements([
-            classify_policy(policy, prototype.registry, prototype.database)
-            for policy in prototype.policies
-        ])
+        self._check_placements(self._placements_of(prototype.policies))
 
         bootstrap = Path(tempfile.mkdtemp(prefix="repro-bootstrap-"))
         save_enforcer_state(prototype, bootstrap)
@@ -334,10 +335,31 @@ class ShardedEnforcerService:
         # the policy surface reflects what is actually enforced.
         reference = self._reference
         if [p.name for p in reference.policies] != names:
+            self._placements.clear()
             for policy in list(reference.policies):
                 reference.remove_policy(policy.name)
             for entry in listing:
                 reference.add_policy(Policy.from_sql(**entry))
+
+    def _classify(self, policy: Policy, enforcer: Enforcer) -> PolicyPlacement:
+        return classify_policy(
+            policy.name,
+            analyze_structure(
+                policy.select, enforcer.registry, enforcer.database
+            ),
+        )
+
+    def _placements_of(self, policies) -> "list[PolicyPlacement]":
+        """The placement of each reference policy, classifying (and
+        keeping) only the ones not seen before."""
+        placements = []
+        for policy in policies:
+            placement = self._placements.get(policy.name)
+            if placement is None:
+                placement = self._classify(policy, self._reference)
+                self._placements[policy.name] = placement
+            placements.append(placement)
+        return placements
 
     def _reference_policies(self) -> "tuple[int, list[dict]]":
         """The reference policy set, for respawned-worker re-sync."""
@@ -433,11 +455,7 @@ class ShardedEnforcerService:
 
     def placements(self) -> "list[PolicyPlacement]":
         with self._admin_lock:
-            reference = self._reference
-            local = [
-                classify_policy(policy, reference.registry, reference.database)
-                for policy in reference.policies
-            ]
+            local = self._placements_of(self._reference.policies)
             if self._tier is not None:
                 local.extend(self._tier.placements())
             return local
@@ -456,15 +474,18 @@ class ShardedEnforcerService:
                 and policy.name in self._tier.policy_names()
             ):
                 raise PolicyError(f"policy {policy.name!r} already exists")
-            placement = classify_policy(
-                policy, reference.registry, reference.database
-            )
+            placement = self._classify(policy, reference)
             self._check_placements([placement])
             if self._tier is not None and not placement.is_local:
                 self._tier.add_policy(policy, placement)
                 self._push_extras()
                 return self._bump_epoch(broadcast=True)
-            return self._broadcast("add", policy)
+            self._placements[policy.name] = placement
+            try:
+                return self._broadcast("add", policy)
+            except ReproError:
+                del self._placements[policy.name]
+                raise
 
     def remove_policy(self, name: str) -> int:
         with self._admin_lock:
@@ -480,7 +501,9 @@ class ShardedEnforcerService:
             )
             if removed is None:
                 raise PolicyError(f"no policy {name!r}")
-            return self._broadcast("remove", removed)
+            epoch = self._broadcast("remove", removed)
+            del self._placements[name]
+            return epoch
 
     def _broadcast(self, action: str, policy: Policy) -> int:
         """Apply one policy change on every shard; caller holds the
@@ -550,14 +573,8 @@ class ShardedEnforcerService:
                     shard.set_epoch(self._epoch)
                 except ReproError:  # dead shard: re-synced on respawn
                     pass
-        reference = self._reference
-        self._refresh_snapshot(
-            reference.policies,
-            [
-                classify_policy(policy, reference.registry, reference.database)
-                for policy in reference.policies
-            ],
-        )
+        policies = self._reference.policies
+        self._refresh_snapshot(policies, self._placements_of(policies))
         return self._epoch
 
     def _all_shard_locks(self) -> ExitStack:

@@ -51,7 +51,11 @@ import time
 from pathlib import Path
 from typing import Iterable, Optional
 
-from ..analysis import floor_history, referenced_log_relations
+from ..analysis import (
+    analyze_structure,
+    floor_history,
+    referenced_log_relations,
+)
 from ..core.policy import Policy, Violation  # noqa: F401 - Policy re-exported
 from ..errors import ReproError
 from ..incremental import IncrementalMaintainer
@@ -100,14 +104,15 @@ class _GlobalPolicy:
         #: Log rows at or below this timestamp predate the policy (the
         #: paper's "history starts now" rule for runtime-added policies).
         self.floor = floor
-        self.select = (
-            policy.select
-            if floor is None
-            else floor_history(policy.select, registry, floor)
-        )
-        self.classification = incremental_classify(
-            policy.name, self.select, registry, database
-        )
+        if floor is None:
+            # The select placement classified: reuse its verdict.
+            self.select = policy.select
+            self.classification = placement.classification
+        else:
+            self.select = floor_history(policy.select, registry, floor)
+            self.classification = incremental_classify(
+                policy.name, analyze_structure(self.select, registry, database)
+            )
         self.log_relations = referenced_log_relations(self.select, registry)
 
 

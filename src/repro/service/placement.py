@@ -60,12 +60,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis import analyze_structure, referenced_log_relations
-from ..analysis.features import PolicyStructure, ts_joined_with_clock
-from ..core.policy import Policy
+from ..analysis import PolicyFacts
+from ..incremental import Classification
 from ..incremental import classify_policy as incremental_classify
-from ..log import LogRegistry
-from ..sql import ast
 
 SCOPE_LOCAL = "local"
 #: Umbrella scope: any policy whose witness can span shards.
@@ -87,6 +84,9 @@ class PolicyPlacement:
     reason: str
     #: The pinned uid for uid-pinned policies (routing/diagnostics).
     pinned_uid: Optional[int] = None
+    #: A global policy's incremental classification, which decided
+    #: async vs strict (the global tier folds with its plan).
+    classification: Optional[Classification] = None
 
     @property
     def is_local(self) -> bool:
@@ -97,177 +97,86 @@ class PolicyPlacement:
         return self.scope in GLOBAL_SCOPES
 
 
-def _global_scope(policy: Policy, registry: LogRegistry, database, reason: str
-                  ) -> PolicyPlacement:
+def _global_scope(name: str, facts: PolicyFacts, reason: str) -> PolicyPlacement:
     """Refine a global verdict into async (plannable fold) or strict."""
-    classification = incremental_classify(
-        policy.name, policy.select, registry, database
-    )
+    classification = incremental_classify(name, facts)
     if classification.plan is not None:
         return PolicyPlacement(
-            policy.name,
+            name,
             SCOPE_GLOBAL_ASYNC,
             f"{reason}; monotone aggregate: answerable from folded "
             "aggregator state",
+            classification=classification,
         )
-    return PolicyPlacement(policy.name, SCOPE_GLOBAL_STRICT, reason)
+    return PolicyPlacement(
+        name, SCOPE_GLOBAL_STRICT, reason, classification=classification
+    )
 
 
-def classify_policy(
-    policy: Policy, registry: LogRegistry, database=None
-) -> PolicyPlacement:
+def classify_policy(name: str, facts: PolicyFacts) -> PolicyPlacement:
     """Classify one policy as shard-local, global-async or global-strict.
 
-    ``database`` (when provided) lets the incremental classifier resolve
-    base-table references while deciding whether a global policy's
-    aggregate can be folded asynchronously; without it every global
-    policy that references base tables classifies strict.
+    Build ``facts`` with the catalog so unqualified columns resolve the
+    way the engine binds them.
     """
-    select = policy.select
-    structure = analyze_structure(select, registry)
-
-    referenced = referenced_log_relations(select, registry)
-    if not referenced and not structure.log_occurrences:
-        return PolicyPlacement(policy.name, SCOPE_LOCAL, "no usage-log atoms")
+    if not facts.log_relations:
+        return PolicyPlacement(name, SCOPE_LOCAL, "no usage-log atoms")
 
     # Log atoms hidden inside FROM subqueries escape the structural
     # analysis below; stay conservative.
-    if referenced != set(
-        structure.log_occurrences.values()
-    ) or structure.subqueries:
-        return _global_scope(
-            policy, registry, database, "log atoms inside subqueries"
-        )
+    if facts.log_relations != facts.log_relation_names() or facts.subqueries:
+        return _global_scope(name, facts, "log atoms inside subqueries")
 
-    pins = _uid_pins(structure)
+    pins = facts.uid_pins
     pin_values = set(pins.values())
     components = {
-        frozenset(component) for component in structure.ts_components.values()
+        frozenset(component) for component in facts.ts_components.values()
     }
-    limiting = structure.window_limiting()
 
     # Shape 2: every component pinned to the same uid constant.
     if (
         len(pin_values) == 1
         and all(any(alias in pins for alias in comp) for comp in components)
     ):
-        if limiting:
+        if facts.window_limiting:
             return PolicyPlacement(
-                policy.name,
+                name,
                 SCOPE_LOCAL,
                 "uid-pinned: all log atoms belong to one user's history",
                 pinned_uid=next(iter(pin_values)),
             )
         return _global_scope(
-            policy,
-            registry,
-            database,
-            "uid-pinned but the clock bound can expand over time",
+            name, facts, "uid-pinned but the clock bound can expand over time"
         )
 
     # Shape 3: every log atom at the current timestamp.
-    current = ts_joined_with_clock(structure)
-    if current >= set(structure.log_occurrences):
+    if facts.current_aliases >= set(facts.log_occurrences):
         return PolicyPlacement(
-            policy.name,
+            name,
             SCOPE_LOCAL,
             "current-query: all log atoms are pinned to the clock's ts",
         )
 
     # Shape 4: one ts-component and per-query aggregation (if any).
-    if len(components) == 1 and limiting:
-        if select.having is None:
+    if facts.single_ts_component and facts.window_limiting:
+        if facts.select.having is None:
             return PolicyPlacement(
-                policy.name,
+                name,
                 SCOPE_LOCAL,
                 "single-query witness: all log atoms share one timestamp",
             )
-        if _groups_by_log_ts(select, structure):
+        if facts.groups_by_log_ts:
             return PolicyPlacement(
-                policy.name,
+                name,
                 SCOPE_LOCAL,
                 "per-query groups: aggregation is keyed by a log ts",
             )
         return _global_scope(
-            policy,
-            registry,
-            database,
+            name,
+            facts,
             "cross-user aggregate: HAVING ranges over many queries' rows",
         )
 
     return _global_scope(
-        policy,
-        registry,
-        database,
-        "witness can combine log rows of different users/queries",
+        name, facts, "witness can combine log rows of different users/queries"
     )
-
-
-def classify_policies(
-    policies, registry: LogRegistry, database=None
-) -> "list[PolicyPlacement]":
-    return [
-        classify_policy(policy, registry, database) for policy in policies
-    ]
-
-
-# ----------------------------------------------------------------------
-# helpers
-# ----------------------------------------------------------------------
-
-
-def _uid_pins(structure: PolicyStructure) -> "dict[str, int]":
-    """Log aliases pinned by an ``alias.uid = <int literal>`` conjunct."""
-    pins: dict[str, int] = {}
-    for conjunct in structure.conjuncts:
-        pair = _pin_pair(conjunct, structure)
-        if pair is not None:
-            alias, value = pair
-            pins[alias] = value
-    return pins
-
-
-def _pin_pair(
-    conjunct: ast.Expr, structure: PolicyStructure
-) -> "Optional[tuple[str, int]]":
-    if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
-        return None
-    for ref, other in (
-        (conjunct.left, conjunct.right),
-        (conjunct.right, conjunct.left),
-    ):
-        if not (isinstance(ref, ast.ColumnRef) and ref.name == "uid"):
-            continue
-        if not (
-            isinstance(other, ast.Literal)
-            and isinstance(other.value, int)
-            and not isinstance(other.value, bool)
-        ):
-            continue
-        alias = ref.table.lower() if ref.table else None
-        if alias is None:
-            candidates = [
-                a
-                for a, columns in structure.alias_columns.items()
-                if "uid" in columns and a in structure.log_occurrences
-            ]
-            alias = candidates[0] if len(candidates) == 1 else None
-        if (
-            alias in structure.log_occurrences
-            and "uid" in structure.alias_columns.get(alias, [])
-        ):
-            return alias, other.value
-    return None
-
-
-def _groups_by_log_ts(
-    select: ast.Select, structure: PolicyStructure
-) -> bool:
-    """True when some GROUP BY key is a log atom's ts column."""
-    for expr in select.group_by:
-        if not (isinstance(expr, ast.ColumnRef) and expr.name == "ts"):
-            continue
-        alias = expr.table.lower() if expr.table else None
-        if alias in structure.log_occurrences:
-            return True
-    return False

@@ -14,7 +14,7 @@ with ``FROM`` items that are base tables or subqueries, conjunctive
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 
@@ -287,6 +287,11 @@ class SetOp(Query):
 # ---------------------------------------------------------------------------
 # Convenience constructors used throughout the analysis layer
 # ---------------------------------------------------------------------------
+
+
+#: Each comparison operator with its operands swapped: ``a < b`` is
+#: ``b > a``.
+FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
 
 
 def conjuncts(expr: Optional[Expr]) -> list[Expr]:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import analyze_structure
-from repro.analysis.features import ts_joined_with_clock
 from repro.engine import Database
 from repro.log import standard_registry
 from repro.sql import ast, parse_select
@@ -104,7 +103,7 @@ class TestTsComponents:
             "WHERE u.ts = c.ts AND u.ts = s.ts",
             registry,
         )
-        assert ts_joined_with_clock(s) == {"u", "s"}
+        assert s.current_aliases == {"u", "s"}
 
 
 class TestClockPredicates:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import analyze_structure
 from repro.core import Enforcer, EnforcerOptions, Policy
 from repro.core.decision_cache import (
     CachePolicyProfile,
@@ -68,7 +69,11 @@ class TestProfilePolicy:
         return standard_registry()
 
     def profile(self, sql, registry, stable, database=None):
-        return profile_policy(parse(sql), registry, database, stable=stable)
+        return profile_policy(
+            analyze_structure(parse(sql), registry, database),
+            database,
+            stable=stable,
+        )
 
     def test_time_independent_policy_is_stable(self, registry):
         profile = self.profile(DENY_UID9_SQL, registry, stable=True)

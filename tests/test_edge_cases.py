@@ -113,19 +113,23 @@ class TestEngineEdges:
 class TestWitnessEdges:
     def test_grouped_boolean_policy_uses_full_query_witness(self):
         """GROUP BY forces the Eq. 2 (DISTINCT, not DISTINCT ON) witness."""
-        from repro.analysis import witness_queries
+        from repro.analysis import analyze_structure, witness_queries
 
         registry = standard_registry()
         select = parse_select(
             "SELECT DISTINCT 'e' FROM users u, clock c "
             "WHERE u.ts > c.ts - 50 GROUP BY u.uid"
         )
-        witness = witness_queries(select, registry)
+        witness = witness_queries(analyze_structure(select, registry))
         (template,) = witness.per_relation["users"]
         assert template.distinct and not template.distinct_on
 
     def test_policy_without_where_compacts_to_window(self):
-        from repro.analysis import evaluate_witness_marks, witness_queries
+        from repro.analysis import (
+            analyze_structure,
+            evaluate_witness_marks,
+            witness_queries,
+        )
 
         registry = standard_registry()
         db = Database()
@@ -135,7 +139,7 @@ class TestWitnessEdges:
             "SELECT DISTINCT 'e' FROM users u, clock c "
             "WHERE u.ts > c.ts - 10 HAVING COUNT(*) > 100"
         )
-        witness = witness_queries(select, registry, db)
+        witness = witness_queries(analyze_structure(select, registry, db))
         store.stage("users", [(1,)], 1)
         store.stage("users", [(2,)], 95)
         store.set_time(100)

@@ -33,6 +33,7 @@ from holds import wait_until
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import analyze_structure
 from repro.core import Enforcer, EnforcerOptions, Policy
 from repro.errors import (
     PolicyPlacementError,
@@ -129,8 +130,10 @@ def submit_retrying(service, sql, uid, deadline=30.0):
 class TestThreeWayPlacement:
     def test_monotone_cross_user_aggregate_is_async(self):
         enforcer = mimic_enforcer()
+        p1 = make_p1(MIMIC_PARAMS)
         placement = classify_policy(
-            make_p1(MIMIC_PARAMS), enforcer.registry, enforcer.database
+            p1.name,
+            analyze_structure(p1.select, enforcer.registry, enforcer.database),
         )
         assert placement.is_global
         assert placement.scope == SCOPE_GLOBAL_ASYNC
@@ -139,7 +142,10 @@ class TestThreeWayPlacement:
         # The umbrella "global" scope never comes back from the
         # classifier any more — every global verdict is async or strict.
         enforcer = mimic_enforcer()
-        placement = classify_policy(make_p1(MIMIC_PARAMS), enforcer.registry)
+        p1 = make_p1(MIMIC_PARAMS)
+        placement = classify_policy(
+            p1.name, analyze_structure(p1.select, enforcer.registry)
+        )
         assert placement.is_global
         assert placement.scope in GLOBAL_SCOPES
 
@@ -153,7 +159,10 @@ class TestThreeWayPlacement:
             "WHERE u.uid = 3 AND u.ts < c.ts - 1000",
         )
         placement = classify_policy(
-            policy, enforcer.registry, enforcer.database
+            policy.name,
+            analyze_structure(
+                policy.select, enforcer.registry, enforcer.database
+            ),
         )
         assert placement.scope == SCOPE_GLOBAL_STRICT
 
@@ -161,7 +170,10 @@ class TestThreeWayPlacement:
         enforcer = mimic_enforcer()
         for policy in enforcer.policies:
             placement = classify_policy(
-                policy, enforcer.registry, enforcer.database
+                policy.name,
+                analyze_structure(
+                    policy.select, enforcer.registry, enforcer.database
+                ),
             )
             if policy.name == "P1":
                 assert placement.scope in GLOBAL_SCOPES

@@ -85,6 +85,13 @@ class TestNonMonotone:
             q("SELECT DISTINCT 'e' FROM users u HAVING COUNT(*) > COUNT(DISTINCT u.uid)")
         )
 
+    def test_aggregate_under_arithmetic_is_not_monotone(self):
+        # The aggregate sits right of an operator that is no comparison:
+        # there is nothing to flip, so the verdict is "not monotone".
+        assert not is_monotone(
+            q("SELECT DISTINCT 'e' FROM users u HAVING 1 + COUNT(*)")
+        )
+
     def test_non_monotone_subquery_poisons(self):
         assert not is_monotone(
             q(

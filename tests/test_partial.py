@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import partial_chain, partial_policy
+from repro.analysis import analyze_structure, partial_chain, partial_policy
 from repro.engine import Database
 from repro.log import standard_registry
 from repro.sql import ast, parse_select, print_query
@@ -33,7 +33,7 @@ class TestPartialPolicy:
     def test_empty_s_drops_all_logs(self, registry, db):
         """Example 4.5's P2d: only Groups and Clock remain."""
         select = parse_select(P2B_SQL)
-        partial = partial_policy(select, set(), registry, db)
+        partial = partial_policy(analyze_structure(select, registry, db), set())
         names = [f.binding_name() for f in partial.from_items]
         assert names == ["g", "c"]
         text = print_query(partial)
@@ -45,7 +45,7 @@ class TestPartialPolicy:
         """Example 4.5's P2c: COUNT(DISTINCT u.uid) > 10 survives because
         the counted column survives (distinct-count monotonicity)."""
         select = parse_select(P2B_SQL)
-        partial = partial_policy(select, {"users"}, registry, db)
+        partial = partial_policy(analyze_structure(select, registry, db), {"users"})
         names = [f.binding_name() for f in partial.from_items]
         assert names == ["u", "g", "c"]
         assert partial.having is not None
@@ -56,7 +56,8 @@ class TestPartialPolicy:
     def test_full_s_returns_original(self, registry, db):
         select = parse_select(P2B_SQL)
         partial = partial_policy(
-            select, {"users", "schema", "provenance"}, registry, db
+            analyze_structure(select, registry, db),
+            {"users", "schema", "provenance"},
         )
         assert partial is select
 
@@ -66,7 +67,7 @@ class TestPartialPolicy:
             "SELECT DISTINCT 'e' FROM users u, schema s "
             "WHERE u.ts = s.ts HAVING COUNT(*) > 10"
         )
-        partial = partial_policy(select, {"users"}, registry, db)
+        partial = partial_policy(analyze_structure(select, registry, db), {"users"})
         assert partial.having is None
 
     def test_count_distinct_on_removed_column_dropped(self, registry, db):
@@ -74,7 +75,7 @@ class TestPartialPolicy:
             "SELECT DISTINCT 'e' FROM users u, schema s "
             "WHERE u.ts = s.ts HAVING COUNT(DISTINCT s.irid) > 2"
         )
-        partial = partial_policy(select, {"users"}, registry, db)
+        partial = partial_policy(analyze_structure(select, registry, db), {"users"})
         assert partial.having is None
 
     def test_group_by_keys_of_removed_relation_dropped(self, registry, db):
@@ -83,25 +84,27 @@ class TestPartialPolicy:
             "WHERE u.ts = p.ts GROUP BY p.otid, u.uid "
             "HAVING COUNT(DISTINCT u.ts) > 1"
         )
-        partial = partial_policy(select, {"users"}, registry, db)
+        partial = partial_policy(analyze_structure(select, registry, db), {"users"})
         assert partial.group_by == (ast.ColumnRef("u", "uid"),)
 
     def test_all_items_removed_returns_none(self, registry, db):
         select = parse_select("SELECT DISTINCT 'e' FROM users u WHERE u.uid = 1")
-        assert partial_policy(select, set(), registry, db) is None
+        assert partial_policy(analyze_structure(select, registry, db), set()) is None
 
     def test_subquery_referencing_missing_log_dropped(self, registry, db):
         select = parse_select(
             "SELECT DISTINCT 'e' FROM (SELECT ts FROM schema) x, groups g"
         )
-        partial = partial_policy(select, set(), registry, db)
+        partial = partial_policy(analyze_structure(select, registry, db), set())
         names = [f.binding_name() for f in partial.from_items]
         assert names == ["g"]
 
     def test_keep_having_false_forces_drop(self, registry, db):
         select = parse_select(P2B_SQL)
         partial = partial_policy(
-            select, {"users"}, registry, db, keep_having=False
+            analyze_structure(select, registry, db),
+            {"users"},
+            keep_having=False,
         )
         assert partial.having is None
 
@@ -109,7 +112,7 @@ class TestPartialPolicy:
 class TestPartialChain:
     def test_chain_for_p2b(self, registry, db):
         select = parse_select(P2B_SQL)
-        chain = partial_chain(select, registry, db)
+        chain = partial_chain(analyze_structure(select, registry, db), registry)
         stages = [set(stage) for stage, _ in chain]
         # ∅ (P2d), {users} (P2c), {users, schema} (full). Provenance adds
         # nothing so no fourth entry.
@@ -120,7 +123,7 @@ class TestPartialChain:
         select = parse_select(
             "SELECT DISTINCT 'e' FROM users u, groups g WHERE u.uid = g.uid"
         )
-        chain = partial_chain(select, registry, db)
+        chain = partial_chain(analyze_structure(select, registry, db), registry)
         stages = [set(stage) for stage, _ in chain]
         assert stages == [set(), {"users"}]
 
@@ -130,7 +133,9 @@ class TestPartialChain:
             "WHERE u.ts = p.ts GROUP BY p.ts, p.otid "
             "HAVING COUNT(DISTINCT p.itid) <= 3"
         )
-        chain = partial_chain(select, registry, db, keep_having=False)
+        chain = partial_chain(
+            analyze_structure(select, registry, db), registry, keep_having=False
+        )
         # final stage restores HAVING (it is the true policy)
         assert chain[-1][1] == select
         # intermediate stage with users only: HAVING dropped
@@ -156,7 +161,9 @@ class TestPartialChain:
         store.stage("schema", [("o", "patients", "pid", False)], 10)
 
         assert not engine.is_empty(select)  # π fires
-        for stage, partial in partial_chain(select, registry, db):
+        for stage, partial in partial_chain(
+            analyze_structure(select, registry, db), registry
+        ):
             if partial is None:
                 continue
             assert not engine.is_empty(partial), f"partial at {set(stage)}"

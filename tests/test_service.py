@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.analysis import analyze_structure
 from repro.core import BUILTIN_TEMPLATES, Enforcer, EnforcerOptions, Policy
 from repro.engine import Database
 from repro.errors import (
@@ -100,13 +101,15 @@ class TestPlacement:
 
     def classify(self, registry, template, **slots):
         policy = BUILTIN_TEMPLATES.instantiate(template, **slots)
-        return classify_policy(policy, registry)
+        return classify_policy(policy.name, analyze_structure(policy.select, registry))
 
     def test_no_log_atoms_is_local(self, registry):
         policy = Policy.from_sql(
             "static", "SELECT DISTINCT 'pricey' FROM items i WHERE i.price > 25"
         )
-        placement = classify_policy(policy, registry)
+        placement = classify_policy(
+            policy.name, analyze_structure(policy.select, registry)
+        )
         assert placement.scope == SCOPE_LOCAL
 
     def test_rate_limit_is_uid_pinned(self, registry):
@@ -154,7 +157,9 @@ class TestPlacement:
             "SELECT DISTINCT 'stale' FROM users u, clock c "
             "WHERE u.uid = 3 AND u.ts < c.ts - 1000",
         )
-        placement = classify_policy(policy, registry)
+        placement = classify_policy(
+            policy.name, analyze_structure(policy.select, registry)
+        )
         assert placement.is_global
         # No database handed over: nothing is incrementalizable, so the
         # refined verdict is strict.
@@ -166,7 +171,10 @@ class TestPlacement:
             "SELECT DISTINCT 'hidden' FROM "
             "(SELECT uid FROM users) q WHERE q.uid = 1",
         )
-        assert classify_policy(policy, registry).is_global
+        placement = classify_policy(
+            policy.name, analyze_structure(policy.select, registry)
+        )
+        assert placement.is_global
 
 
 class TestEnforcerClone:
@@ -227,6 +235,62 @@ class TestCoordinator:
         service = ShardedEnforcerService(enforcer, ServiceConfig(shards=4))
         assert all(p.is_local for p in service.placements())
         service.drain()
+
+    def test_unqualified_ts_grouping_is_per_query_and_sound(self):
+        # ``GROUP BY ts`` binds to the only log atom's ts exactly like
+        # ``GROUP BY p.ts`` (k-anonymity's own shape), so placement calls
+        # it per-query and local. Sharded decisions equal a single
+        # enforcer's on the same stream. (Evaluated without the §4.1.1
+        # rewrite: its added clock atom would make the bare ts ambiguous.)
+        def enforcer():
+            return Enforcer(
+                make_enforcer().database,
+                [
+                    Policy.from_sql(
+                        "k-anon-bare",
+                        "SELECT DISTINCT 'fewer than 2 items tuples' "
+                        "FROM provenance p WHERE p.irid = 'items' "
+                        "GROUP BY ts, p.otid "
+                        "HAVING COUNT(DISTINCT p.itid) < 2",
+                    )
+                ],
+                clock=SimulatedClock(default_step_ms=10),
+                options=EnforcerOptions.datalawyer(time_independent=False),
+            )
+
+        reference = enforcer()
+        (policy,) = reference.policies
+        placement = classify_policy(
+            policy.name,
+            analyze_structure(
+                policy.select, reference.registry, reference.database
+            ),
+        )
+        assert placement.is_local
+        assert placement.reason.startswith("per-query groups")
+
+        stream = [
+            (uid, sql)
+            for uid in (1, 2, 3, 4)
+            for sql in (
+                "SELECT * FROM items WHERE id = 1",
+                "SELECT COUNT(*) FROM items",
+                "SELECT price FROM items WHERE id > 1",
+            )
+        ]
+        single = enforcer()
+        expected = [
+            bool(single.submit(sql, uid=uid)) for uid, sql in stream
+        ]
+        assert expected.count(False) and expected.count(True)
+        service = ShardedEnforcerService(
+            reference, ServiceConfig(shards=2, routing="modulo")
+        )
+        try:
+            got = [bool(service.submit(sql, uid=uid)) for uid, sql in stream]
+        finally:
+            service.drain()
+        assert got == expected
 
     def test_add_policy_broadcasts_and_bumps_epoch(self):
         service = self.make_service()

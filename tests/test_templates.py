@@ -140,7 +140,7 @@ class TestTemplatesEndToEnd:
                 relation="alpha", group="students", max_users=3, window=100
             ),
         }
-        from repro.analysis import is_time_independent
+        from repro.analysis import analyze_structure, is_time_independent
         from repro.log import standard_registry
 
         registry = standard_registry()
@@ -156,6 +156,6 @@ class TestTemplatesEndToEnd:
         for name in BUILTIN_TEMPLATES.names():
             policy = BUILTIN_TEMPLATES.instantiate(name, **sample_params[name])
             assert (
-                is_time_independent(policy.select, registry)
+                is_time_independent(analyze_structure(policy.select, registry))
                 is expected_ti[name]
             ), name

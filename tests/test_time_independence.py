@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.analysis import is_time_independent, rewrite_time_independent
+from repro.analysis import (
+    analyze_structure,
+    is_time_independent,
+    rewrite_time_independent,
+)
 from repro.engine import Database, Engine
 from repro.log import LogStore, standard_registry
 from repro.sql import ast, parse_select
@@ -21,14 +25,14 @@ class TestCriterion:
             "SELECT DISTINCT 'no joins' FROM schema p1, schema p2 "
             "WHERE p1.ts = p2.ts AND p1.irid = 'navteq' AND p2.irid <> 'navteq'"
         )
-        assert is_time_independent(select, registry)
+        assert is_time_independent(analyze_structure(select, registry))
 
     def test_unjoined_ts_is_not_ti(self, registry):
         select = parse_select(
             "SELECT DISTINCT 'x' FROM schema p1, schema p2 "
             "WHERE p1.irid = 'a' AND p2.irid = 'b'"
         )
-        assert not is_time_independent(select, registry)
+        assert not is_time_independent(analyze_structure(select, registry))
 
     def test_aggregate_without_grouped_ts_is_not_ti(self, registry):
         # Example 3.2 — P2b has an aggregate with no GROUP BY.
@@ -36,7 +40,7 @@ class TestCriterion:
             "SELECT DISTINCT 'x' FROM users u, schema s "
             "WHERE u.ts = s.ts HAVING COUNT(DISTINCT u.uid) > 10"
         )
-        assert not is_time_independent(select, registry)
+        assert not is_time_independent(analyze_structure(select, registry))
 
     def test_aggregate_with_grouped_ts_is_ti(self, registry):
         # Example 3.1 — P5b groups by (ts, otid): time-independent.
@@ -45,25 +49,25 @@ class TestCriterion:
             "WHERE p.irid = 'patients' GROUP BY p.ts, p.otid "
             "HAVING COUNT(DISTINCT p.itid) < 10"
         )
-        assert is_time_independent(select, registry)
+        assert is_time_independent(analyze_structure(select, registry))
 
     def test_single_log_relation_no_agg_is_ti(self, registry):
         select = parse_select(
             "SELECT DISTINCT 'x' FROM users u WHERE u.uid = 3"
         )
-        assert is_time_independent(select, registry)
+        assert is_time_independent(analyze_structure(select, registry))
 
     def test_no_log_relations_is_trivially_ti(self, registry):
         db = Database()
         db.load_table("groups", ["uid", "gid"], [])
         select = parse_select("SELECT DISTINCT 'x' FROM groups g")
-        assert is_time_independent(select, registry, db)
+        assert is_time_independent(analyze_structure(select, registry, db))
 
     def test_log_subquery_blocks_ti(self, registry):
         select = parse_select(
             "SELECT DISTINCT 'x' FROM (SELECT ts FROM users) u"
         )
-        assert not is_time_independent(select, registry)
+        assert not is_time_independent(analyze_structure(select, registry))
 
     def test_paper_policy_classification(self, registry):
         """Table 4: P2, P3, P4 are time-independent; P1, P5, P6 are not."""
@@ -78,7 +82,9 @@ class TestCriterion:
         }
         for name, want in expected.items():
             policy = make_policy(name, params)
-            assert is_time_independent(policy.select, registry) is want, name
+            assert is_time_independent(
+                analyze_structure(policy.select, registry)
+            ) is want, name
 
 
 class TestRewrite:
@@ -86,7 +92,7 @@ class TestRewrite:
         select = parse_select(
             "SELECT DISTINCT 'x' FROM schema p1, schema p2 WHERE p1.ts = p2.ts"
         )
-        rewritten = rewrite_time_independent(select, registry)
+        rewritten = rewrite_time_independent(analyze_structure(select, registry))
         tables = [
             f.name for f in rewritten.from_items if isinstance(f, ast.TableRef)
         ]
@@ -106,7 +112,7 @@ class TestRewrite:
         select = parse_select(
             "SELECT DISTINCT 'x' FROM users u, clock k WHERE u.uid = 1"
         )
-        rewritten = rewrite_time_independent(select, registry)
+        rewritten = rewrite_time_independent(analyze_structure(select, registry))
         clock_refs = [
             f
             for f in rewritten.from_items
@@ -118,7 +124,7 @@ class TestRewrite:
         select = parse_select(
             "SELECT DISTINCT 'x' FROM users c WHERE c.uid = 1"
         )
-        rewritten = rewrite_time_independent(select, registry)
+        rewritten = rewrite_time_independent(analyze_structure(select, registry))
         names = {f.binding_name() for f in rewritten.from_items}
         assert len(names) == 2  # no clash between 'c' and the clock alias
 
@@ -126,7 +132,9 @@ class TestRewrite:
         db = Database()
         db.load_table("groups", ["uid", "gid"], [])
         select = parse_select("SELECT DISTINCT 'x' FROM groups g")
-        assert rewrite_time_independent(select, registry, db) is select
+        assert rewrite_time_independent(
+            analyze_structure(select, registry, db)
+        ) is select
 
 
 class TestRewriteSemantics:
@@ -143,7 +151,7 @@ class TestRewriteSemantics:
             "SELECT DISTINCT 'joined' FROM schema p1, schema p2 "
             "WHERE p1.ts = p2.ts AND p1.irid = 'a' AND p2.irid = 'b'"
         )
-        rewritten = rewrite_time_independent(select, registry)
+        rewritten = rewrite_time_independent(analyze_structure(select, registry))
 
         # A violating pair at ts=1 (historical), nothing at ts=2.
         store.stage("schema", [("o", "a", "x", False), ("o", "b", "y", False)], 1)
@@ -162,7 +170,7 @@ class TestRewriteSemantics:
             "SELECT DISTINCT 'joined' FROM schema p1, schema p2 "
             "WHERE p1.ts = p2.ts AND p1.irid = 'a' AND p2.irid = 'b'"
         )
-        rewritten = rewrite_time_independent(select, registry)
+        rewritten = rewrite_time_independent(analyze_structure(select, registry))
         store.set_time(5)
         store.stage(
             "schema", [("o", "a", "x", False), ("o", "b", "y", False)], 5

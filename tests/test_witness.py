@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracle import assert_matches, evaluate
 
 from repro.analysis import (
+    analyze_structure,
     evaluate_witness_marks,
     partial_witness_probe,
     rewrite_time_independent,
@@ -54,7 +55,9 @@ class TestGenerationShapes:
         """Example 4.3: witnesses for Users and Schema, semi-joined on ts,
         restricted to students/patients, window moved to currenttime+1
         read from the witness's own clock atom."""
-        witness = witness_queries(parse_select(P2B_SQL), registry, db)
+        witness = witness_queries(
+            analyze_structure(parse_select(P2B_SQL), registry, db
+        ))
         assert set(witness.per_relation) == {"users", "schema"}
         assert not witness.retain_all
 
@@ -74,7 +77,9 @@ class TestGenerationShapes:
     def test_p2b_witness_evaluates_to_window_contents(self, registry, db):
         store = LogStore(db, registry)
         engine = Engine(db)
-        witness = witness_queries(parse_select(P2B_SQL), registry, db)
+        witness = witness_queries(
+            analyze_structure(parse_select(P2B_SQL), registry, db
+        ))
 
         # Student 1 touched patients at ts=100 (in window), staff 3 at 200,
         # student 2 touched OTHER table at 300.
@@ -100,7 +105,9 @@ class TestGenerationShapes:
     def test_window_expiry_prunes(self, registry, db):
         store = LogStore(db, registry)
         engine = Engine(db)
-        witness = witness_queries(parse_select(P2B_SQL), registry, db)
+        witness = witness_queries(
+            analyze_structure(parse_select(P2B_SQL), registry, db
+        ))
         store.stage("users", [(1,)], 100)
         store.stage("schema", [("o", "patients", "pid", False)], 100)
         store.commit(None)
@@ -111,8 +118,10 @@ class TestGenerationShapes:
 
     def test_time_independent_rewrite_yields_empty_witness(self, registry, db):
         """Example 4.4: P1_IND's witness retains nothing."""
-        rewritten = rewrite_time_independent(parse_select(P1_SQL), registry, db)
-        witness = witness_queries(rewritten, registry, db)
+        rewritten = rewrite_time_independent(
+            analyze_structure(parse_select(P1_SQL), registry, db
+        ))
+        witness = witness_queries(analyze_structure(rewritten, registry, db))
         store = LogStore(db, registry)
         engine = Engine(db)
         store.set_time(50)
@@ -125,11 +134,11 @@ class TestGenerationShapes:
         assert marks.get("schema", set()) == set()
 
     def test_self_join_produces_one_witness_per_occurrence(self, registry, db):
-        witness = witness_queries(parse_select(P1_SQL), registry, db)
+        witness = witness_queries(analyze_structure(parse_select(P1_SQL), registry, db))
         assert len(witness.per_relation["schema"]) == 2
 
     def test_boolean_policy_uses_distinct_on(self, registry, db):
-        witness = witness_queries(parse_select(P1_SQL), registry, db)
+        witness = witness_queries(analyze_structure(parse_select(P1_SQL), registry, db))
         for template in witness.per_relation["schema"]:
             assert template.distinct_on  # Eq. 3, keyed by join attributes
             on_names = {ref.name for ref in template.distinct_on}
@@ -139,7 +148,7 @@ class TestGenerationShapes:
         select = parse_select(
             "SELECT DISTINCT 'e' FROM users u WHERE u.uid = 1"
         )
-        witness = witness_queries(select, registry, db)
+        witness = witness_queries(analyze_structure(select, registry, db))
         (template,) = witness.per_relation["users"]
         assert template.limit == 1
 
@@ -147,7 +156,7 @@ class TestGenerationShapes:
         select = parse_select(
             "SELECT DISTINCT 'e' FROM users u, clock c WHERE u.ts <> c.ts"
         )
-        witness = witness_queries(select, registry, db)
+        witness = witness_queries(analyze_structure(select, registry, db))
         assert witness.retain_all == {"users"}
         assert "users" not in witness.per_relation
 
@@ -155,7 +164,7 @@ class TestGenerationShapes:
         select = parse_select(
             "SELECT DISTINCT 'e' FROM users u, clock c WHERE u.ts <> c.ts"
         )
-        witness = witness_queries(select, registry, db)
+        witness = witness_queries(analyze_structure(select, registry, db))
         store = LogStore(db, registry)
         engine = Engine(db)
         store.set_time(10)
@@ -169,7 +178,7 @@ class TestGenerationShapes:
             "(SELECT u.ts FROM users u WHERE u.uid = 1) x, schema s "
             "WHERE x.ts = s.ts"
         )
-        witness = witness_queries(select, registry, db)
+        witness = witness_queries(analyze_structure(select, registry, db))
         assert "users" in witness.per_relation
         (template,) = witness.per_relation["users"]
         # subquery treated as full query: DISTINCT u.*, not DISTINCT ON
@@ -177,7 +186,7 @@ class TestGenerationShapes:
 
     def test_no_log_relations_yields_empty_witness_set(self, registry, db):
         select = parse_select("SELECT DISTINCT 'e' FROM groups g")
-        witness = witness_queries(select, registry, db)
+        witness = witness_queries(analyze_structure(select, registry, db))
         assert not witness.per_relation and not witness.retain_all
 
 
@@ -190,7 +199,7 @@ class TestWitnessSoundness:
     @pytest.mark.parametrize("now", [400, 500, 1209700, 2500000])
     def test_verdict_preserved_after_compaction(self, registry, db, now):
         select = parse_select(P2B_SQL)
-        witness = witness_queries(select, registry, db)
+        witness = witness_queries(analyze_structure(select, registry, db))
 
         def fresh_store():
             database = db.clone()
@@ -226,7 +235,9 @@ class TestWitnessSoundness:
 
 class TestPreemptiveProbe:
     def test_probe_drops_missing_relations(self, registry, db):
-        witness = witness_queries(parse_select(P2B_SQL), registry, db)
+        witness = witness_queries(
+            analyze_structure(parse_select(P2B_SQL), registry, db
+        ))
         (template,) = witness.per_relation["users"]
         probe = partial_witness_probe(template, {"users"}, registry)
         assert probe is not None
@@ -235,7 +246,9 @@ class TestPreemptiveProbe:
         assert probe.limit == 1
 
     def test_probe_none_when_nothing_missing(self, registry, db):
-        witness = witness_queries(parse_select(P2B_SQL), registry, db)
+        witness = witness_queries(
+            analyze_structure(parse_select(P2B_SQL), registry, db
+        ))
         (template,) = witness.per_relation["users"]
         assert partial_witness_probe(template, {"users", "schema"}, registry) is None
 
@@ -247,14 +260,18 @@ class TestPreemptiveProbe:
             "SELECT DISTINCT 'e' FROM users u, clock c "
             "WHERE u.uid = 1 AND u.ts > c.ts - 10",
         ):
-            witness = witness_queries(parse_select(sql), registry, db)
+            witness = witness_queries(
+                analyze_structure(parse_select(sql), registry, db
+            ))
             (template,) = witness.per_relation["users"]
             assert partial_witness_probe(template, set(), registry) is None
 
     def test_probe_emptiness_implies_witness_emptiness(self, registry, db):
         store = LogStore(db, registry)
         engine = Engine(db)
-        witness = witness_queries(parse_select(P2B_SQL), registry, db)
+        witness = witness_queries(
+            analyze_structure(parse_select(P2B_SQL), registry, db
+        ))
         # users log has an entry for a non-student only
         store.set_time(10)
         store.stage("users", [(3,)], 10)
@@ -307,7 +324,7 @@ class TestClockAtom:
         ids=["policy-binds-now", "bare-clock", "table-aliased-now"],
     )
     def test_alias_never_collides_with_the_policy(self, registry, db, sql, alias):
-        witness = witness_queries(parse_select(sql), registry, db)
+        witness = witness_queries(analyze_structure(parse_select(sql), registry, db))
         (template,) = witness.per_relation["users"]
         assert template.from_items[0] == ast.TableRef("clock", alias)
         assert ast.ColumnRef(alias, "ts") in list(template.walk())
@@ -326,7 +343,9 @@ class TestClockAtom:
             "SELECT DISTINCT 'e' FROM users u, clock c "
             "WHERE u.uid = 1 AND u.ts < c.ts - 10"
         )
-        (template,) = witness_queries(relaxing, registry, db).per_relation["users"]
+        (template,) = witness_queries(
+            analyze_structure(relaxing, registry, db)
+        ).per_relation["users"]
         assert "clock" not in print_query(template)
 
     def test_stale_clock_refuses_to_compact(self):
@@ -454,7 +473,7 @@ def test_clock_atom_marks_equal_the_inlined_literal(entries, ahead):
     store.set_time(now)
     engine = Engine(db)
     for sql in _WINDOWED:
-        witness = witness_queries(parse_select(sql), registry, db)
+        witness = witness_queries(analyze_structure(parse_select(sql), registry, db))
         for relation, templates in witness.per_relation.items():
             for template in templates:
                 result = engine.execute(template, lineage=True)

@@ -179,16 +179,25 @@ def analyze_structure(
     return facts
 
 
-def floor_history(
-    select: ast.Select, registry: LogRegistry, floor: int
-) -> ast.Select:
-    """``select`` with its history starting after ``floor``.
+def floor_history(facts: PolicyFacts, floor: int) -> ast.Select:
+    """The block ``facts`` describes, with its history starting after
+    ``floor``.
 
     The paper's rule for a policy registered mid-stream (§4.1.2
     footnote): it only sees log entries from then on, so ``alias.ts >
-    floor`` is conjoined for every log occurrence.
+    floor`` is conjoined for every log occurrence — in this block and in
+    every block of its FROM subqueries.
     """
-    facts = analyze_structure(select, registry)
+
+    def floored(item: ast.FromItem) -> ast.FromItem:
+        if not isinstance(item, ast.SubqueryRef):
+            return item
+        blocks = iter(facts.subqueries[item.binding_name().lower()])
+        return item.replace(query=_floor_blocks(item.query, blocks, floor))
+
+    select = facts.select.replace(
+        from_items=tuple(floored(item) for item in facts.select.from_items)
+    )
     extra = [
         ast.BinaryOp(">", ast.col(alias, "ts"), ast.lit(floor))
         for alias in sorted(facts.log_occurrences)
@@ -198,6 +207,16 @@ def floor_history(
     return select.replace(
         where=ast.conjoin(ast.conjuncts(select.where) + extra)
     )
+
+
+def _floor_blocks(query: ast.Query, blocks, floor: int) -> ast.Query:
+    """Floor each SELECT block of a subquery, in :func:`_selects_of`
+    order (``blocks`` yields their facts)."""
+    if isinstance(query, ast.SetOp):
+        left = _floor_blocks(query.left, blocks, floor)
+        right = _floor_blocks(query.right, blocks, floor)
+        return query.replace(left=left, right=right)
+    return floor_history(next(blocks), floor)
 
 
 def qualifier_for(

@@ -11,10 +11,12 @@ the increment and lets log compaction discard the entire log.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..engine.expressions import contains_aggregate
 from ..log.store import CLOCK_TABLE
 from ..sql import ast
-from .features import PolicyFacts, fresh_alias
+from .features import PolicyFacts, fresh_alias, qualifier_for
 
 
 def is_time_independent(facts: PolicyFacts) -> bool:
@@ -46,7 +48,9 @@ def rewrite_time_independent(facts: PolicyFacts) -> ast.Select:
 
     Adds ``Clock <fresh>`` to FROM (reusing an existing clock alias when
     the policy already joins the clock) and conjoins ``a.ts = c.ts`` for
-    every log occurrence ``a``.
+    every log occurrence ``a``. A bare ``ts`` that named a log
+    occurrence's column is qualified with that occurrence's alias: the
+    clock's ``ts`` would make it ambiguous.
     """
     select = facts.select
     if not facts.log_occurrences:
@@ -66,4 +70,15 @@ def rewrite_time_independent(facts: PolicyFacts) -> ast.Select:
         for alias in sorted(facts.log_occurrences)
     ]
     where = ast.conjoin(facts.conjuncts + new_conjuncts)
-    return select.replace(from_items=from_items, where=where)
+
+    def qualify(node: ast.Node) -> Optional[ast.Node]:
+        bare = isinstance(node, ast.ColumnRef) and node.table is None
+        if bare and node.name == "ts":
+            alias = qualifier_for(node, facts)
+            if alias in facts.log_occurrences:
+                return ast.col(alias, "ts")
+        return None
+
+    # FROM is set aside so the walk stays in this block's scope.
+    block = ast.transform(select.replace(from_items=(), where=where), qualify)
+    return block.replace(from_items=from_items)

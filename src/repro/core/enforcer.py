@@ -13,6 +13,12 @@ toggles each optimization independently so the benchmarks can ablate them:
   those checkpoints (Algorithm 3) through one set evaluator, then log
   compaction (mark via absolute-witness queries, delete, insert) with
   preemptive pruning, and finally the user's query.
+
+Online, :meth:`Enforcer.submit` is :meth:`~Enforcer.check` (clock, cache
+probe, log generation, the round; the increment stays staged), then
+:meth:`~Enforcer.finish` (commit with compaction, or discard) and
+:meth:`~Enforcer.answer` (the user's query). The sharded service's global
+tier calls them apart, on an enforcer of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..analysis import (
     WitnessSet,
@@ -193,9 +199,9 @@ class RuntimePolicy:
 
     name: str
     message: str
-    #: Effective query (after time-independent rewrite, if applied).
+    #: The query as installed, then the effective one once
+    #: :meth:`Enforcer._analyze` ran (after the time-independent rewrite).
     select: ast.Select
-    original: ast.Select
     log_relations: set[str] = field(default_factory=set)
     time_independent: bool = False
     monotone: bool = False
@@ -221,6 +227,32 @@ class RuntimePolicy:
     incremental_plan: Optional[IncrementalPlan] = None
     #: Human-readable classification verdict (always set by _analyze).
     incremental_reason: str = ""
+
+
+@dataclass
+class Check:
+    """One query between :meth:`Enforcer.check` and :meth:`Enforcer.finish`:
+    its verdict and the increment staged for it."""
+
+    sql: str
+    uid: int
+    timestamp: int
+    metrics: QueryMetrics
+    violations: list[Violation] = field(default_factory=list)
+    #: None when the round ran with nothing staged.
+    context: Optional[QueryContext] = None
+    #: The query reads the log or the Clock: it sees its own commit, so
+    #: it neither caches nor reuses its lineage run.
+    reads_log: bool = False
+    #: The relations whose increments are staged, in generation order.
+    generated: list[str] = field(default_factory=list)
+    #: ``(cache, key, increment order, read versions)``, stored by
+    #: :meth:`Enforcer.finish`.
+    cache_entry: Optional[tuple] = None
+
+    @property
+    def allowed(self) -> bool:
+        return not self.violations
 
 
 def _member_messages(group: UnifiedGroup) -> dict[str, str]:
@@ -283,7 +315,8 @@ class Enforcer:
         #: commit even when no local policy needs them — the sharded
         #: service's global tier sets this so shards keep committing the
         #: log rows its cross-shard aggregates fold, and the commit
-        #: observer keeps streaming them.
+        #: observer keeps streaming them; on the tier's own enforcer it
+        #: makes every commit store each relation a global policy reads.
         self.extra_persist_relations: set[str] = set()
         self._const_tables: list[str] = []
         self._queries_since_compaction = 0
@@ -301,21 +334,26 @@ class Enforcer:
     # Offline phase (§4.4)
     # ------------------------------------------------------------------
 
-    def add_policy(self, policy: Policy) -> None:
-        """Register a policy mid-stream; its history starts now.
+    def add_policy(self, policy: Policy, floor: Optional[int] = None) -> None:
+        """Register a policy mid-stream; its history starts after
+        ``floor`` (default: now).
 
         Per the paper (§4.1.2 footnote), the new policy only sees log
         entries from the current time onward
-        (:func:`~repro.analysis.floor_history`).
+        (:func:`~repro.analysis.floor_history`). The global tier passes
+        the floor a previous incarnation recorded.
 
         A policy that does not bind against the catalog (unknown table
         or column) is refused here, before anything changes — the
         policy round binds lazily, so installing it would fail every
         later query instead.
         """
+        facts = analyze_structure(policy.select, self.registry, self.database)
         policy = replace(
             policy,
-            select=floor_history(policy.select, self.registry, self.clock.now()),
+            select=floor_history(
+                facts, self.clock.now() if floor is None else floor
+            ),
         )
         self.engine.plan(policy.select)
         self.policies.append(policy)
@@ -334,11 +372,9 @@ class Enforcer:
         self.engine.invalidate_plans()
 
         effective: list[RuntimePolicy] = []
+        singletons = [(p.name, p.select) for p in self.policies]
         if self.options.unification and len(self.policies) > 1:
-            unified = unify_policies(
-                [(p.name, p.select) for p in self.policies]
-            )
-            by_name = {p.name: p for p in self.policies}
+            unified = unify_policies(singletons)
             for group in unified.groups:
                 self.database.load_table(
                     group.table_name, group.column_names, group.rows
@@ -349,32 +385,17 @@ class Enforcer:
                         name="+".join(group.member_names),
                         message="",  # per-member messages come from rows
                         select=group.select,
-                        original=group.select,
                         member_names=group.member_names,
                         member_messages=_member_messages(group),
                     )
                 )
-            for name, select in unified.singletons:
-                policy = by_name[name]
-                effective.append(
-                    RuntimePolicy(
-                        name=policy.name,
-                        message=policy.message,
-                        select=select,
-                        original=select,
-                    )
-                )
+            singletons = unified.singletons
             self.engine.invalidate_plans()
-        else:
-            for policy in self.policies:
-                effective.append(
-                    RuntimePolicy(
-                        name=policy.name,
-                        message=policy.message,
-                        select=policy.select,
-                        original=policy.select,
-                    )
-                )
+        messages = {p.name: p.message for p in self.policies}
+        effective.extend(
+            RuntimePolicy(name, messages[name], select)
+            for name, select in singletons
+        )
 
         for runtime in effective:
             self._analyze(runtime)
@@ -402,7 +423,7 @@ class Enforcer:
 
     def _analyze(self, runtime: RuntimePolicy) -> None:
         facts = analyze_structure(
-            runtime.original, self.registry, self.database
+            runtime.select, self.registry, self.database
         )
         runtime.log_relations = set(facts.log_relations)
         runtime.time_independent = is_time_independent(facts)
@@ -496,6 +517,25 @@ class Enforcer:
         to it) — the sharded service's global tier assigns timestamps
         coordinator-side so every shard observes one global order.
         """
+        check = self.check(sql, uid, attributes, timestamp)
+        self.finish(check)
+        return self.answer(check, execute)
+
+    def check(
+        self,
+        sql: str,
+        uid: int = 0,
+        attributes: Optional[dict] = None,
+        timestamp: Optional[int] = None,
+        stage: bool = True,
+    ) -> Check:
+        """Decide Eq. (1) for one query: clock, decision-cache probe, log
+        generation and the Algorithm 3 round.
+
+        The query's increment stays staged until :meth:`finish`.
+        ``stage=False`` generates nothing and decides over the persisted
+        log alone (the global tier's async admission).
+        """
         if timestamp is None:
             timestamp = self.clock.advance()
         else:
@@ -507,80 +547,51 @@ class Enforcer:
             else None
         )
         metrics = QueryMetrics(timestamp=timestamp, uid=uid, trace=trace)
+        check = Check(sql, uid, timestamp, metrics)
         cache = self._cache_handle()
         # An uncacheable policy set can never store a verdict, so there
         # is nothing to probe: skip canonicalising the text and the
         # lookup outright (a skipped probe is not a miss).
-        probing = cache is not None and self._cache_plan is not None
+        probing = stage and cache is not None and self._cache_plan is not None
         key = cache.key_for(sql, uid, attributes) if probing else None
         cached = cache.lookup(key, self.store) if key is not None else None
         try:
-            context = QueryContext.create(
-                sql, uid, timestamp, self.engine, attributes, trace
-            )
-            # A query that reads the log or the Clock sees this check's
-            # own commit, so it neither caches nor reuses its lineage run.
-            reads_log = touches_log_state(context.query, self.registry)
-            generated: set[str] = set()
-            eval_order: list[str] = []
-
-            def ensure_log(name: str) -> None:
-                if name in generated:
-                    return
-                function = self.registry.get(name)
-                with metrics.timed(f"log:{name}"):
-                    rows = function.generate(context)
-                    staged = self.store.stage(name, rows, timestamp)
-                metrics.add_count("tuples_staged", staged)
-                generated.add(name)
-                eval_order.append(name)
-
-            entry_payload = None
+            if stage:
+                context = check.context = QueryContext.create(
+                    sql, uid, timestamp, self.engine, attributes, trace
+                )
+                # A query that reads the log or the Clock sees this
+                # check's own commit, so it neither caches nor reuses its
+                # lineage run.
+                check.reads_log = touches_log_state(context.query, self.registry)
             if cached is not None:
                 # Replay the exact ordered increments the original check
                 # staged during evaluation; the memoized verdict stands
                 # in for the policy round itself.
                 for name in cached.generated:
-                    ensure_log(name)
-                violations = list(cached.violations)
+                    self._ensure_log(check, name)
+                check.violations = list(cached.violations)
             else:
-                violations = self._round(metrics, ensure_log)
+                check.violations = self._round(check)
                 if (
                     key is not None
                     and self._cache_plan.storable_at(timestamp)
-                    and not reads_log
+                    and not check.reads_log
                 ):
-                    # Snapshot *before* the verdict branch: the entry must
-                    # record the evaluation-phase increment order (commit
-                    # staging re-runs on its own), and the versions of the
-                    # read tables as they were at evaluation time (this
+                    # Snapshot before the commit: the entry records the
+                    # evaluation-phase increment order (commit staging
+                    # re-runs on its own), and the versions of the read
+                    # tables as they were at evaluation time (this
                     # check's own commit bumps them).
-                    entry_payload = (
-                        tuple(eval_order),
+                    check.cache_entry = (
+                        cache,
+                        key,
+                        tuple(check.generated),
                         {
                             name: self.store.version(name)
                             for name in sorted(self._cache_plan.relations)
                         },
                     )
-
-            if violations:
-                self.store.discard_staged()
-                if entry_payload is not None:
-                    cache.store(key, violations, *entry_payload)
-                metrics.allowed = False
-                return Decision(
-                    allowed=False,
-                    timestamp=timestamp,
-                    violations=violations,
-                    metrics=metrics,
-                    sql=sql,
-                    uid=uid,
-                    span=self._finish_trace(trace, metrics, violations),
-                )
-
-            self._commit_logs(metrics, ensure_log, generated, timestamp)
-            if entry_payload is not None:
-                cache.store(key, violations, *entry_payload)
         except ReproError:
             # A query that dies mid-check (parse/bind/execution error)
             # must not leave staged increments behind; under a WAL the
@@ -588,32 +599,62 @@ class Enforcer:
             # consumed, so recovery stays aligned with an uncrashed run.
             self.store.discard_staged()
             raise
+        metrics.allowed = check.allowed
+        return check
 
+    def finish(self, check: Check, commit: Optional[bool] = None) -> None:
+        """Commit the check's staged increment, with compaction, or
+        discard it; then store its decision-cache entry.
+
+        ``commit`` defaults to the check's own verdict; the global tier
+        passes the shard's, so a query the shard denied leaves no rows.
+        """
+        try:
+            if check.allowed if commit is None else commit:
+                self._commit_logs(check)
+            else:
+                self.store.discard_staged()
+            if check.cache_entry is not None:
+                cache, key, *payload = check.cache_entry
+                cache.store(key, check.violations, *payload)
+        except ReproError:
+            self.store.discard_staged()
+            raise
+
+    def answer(self, check: Check, execute: Optional[bool] = None) -> Decision:
+        """The decision for a finished check: run the user query when it
+        was allowed (or reuse fProvenance's lineage run of it)."""
+        metrics, trace = check.metrics, check.metrics.trace
         result: Optional[Result] = None
-        should_execute = (
-            self.options.execute_queries if execute is None else execute
-        )
-        if should_execute:
-            with metrics.timed(PHASE_QUERY):
-                lineage_run = None if reads_log else context.lineage_run
-                if lineage_run is None:
-                    result = self.engine.execute(context.query, trace=trace)
-                else:
-                    # fProvenance ran this plan over the same base tables,
-                    # which nothing in a check writes: its rows are the
-                    # answer, and the query executes once.
-                    result = Result(lineage_run.columns, lineage_run.rows)
-            metrics.add_count("statements")
-
-        metrics.counts["log_size"] = self.store.total_live_size()
+        if check.allowed:
+            if self.options.execute_queries if execute is None else execute:
+                context = check.context
+                with metrics.timed(PHASE_QUERY):
+                    lineage_run = None if check.reads_log else context.lineage_run
+                    if lineage_run is None:
+                        result = self.engine.execute(context.query, trace=trace)
+                    else:
+                        # fProvenance ran this plan over the same base
+                        # tables, which nothing in a check writes: its rows
+                        # are the answer, and the query executes once.
+                        result = Result(lineage_run.columns, lineage_run.rows)
+                metrics.add_count("statements")
+            metrics.counts["log_size"] = self.store.total_live_size()
+        span = trace.finish() if trace is not None else None
+        if span is not None:
+            span.counters["allowed"] = int(check.allowed)
+            if not check.allowed:
+                span.counters["violations"] = len(check.violations)
+            span.counters["statements"] = metrics.counts.get("statements", 0)
         return Decision(
-            allowed=True,
-            timestamp=timestamp,
+            allowed=check.allowed,
+            timestamp=check.timestamp,
+            violations=check.violations,
             result=result,
             metrics=metrics,
-            sql=sql,
-            uid=uid,
-            span=self._finish_trace(trace, metrics, []),
+            sql=check.sql,
+            uid=check.uid,
+            span=span,
         )
 
     def _cache_handle(self) -> Optional[DecisionCache]:
@@ -704,24 +745,20 @@ class Enforcer:
         if self.log_observer_active():
             self._incremental.on_discard()
 
-    @staticmethod
-    def _finish_trace(trace, metrics, violations):
-        if trace is None:
-            return None
-        root = trace.finish()
-        root.counters["allowed"] = int(not violations)
-        if violations:
-            root.counters["violations"] = len(violations)
-        root.counters["statements"] = metrics.counts.get("statements", 0)
-        return root
-
     # -- policy evaluation ------------------------------------------------
 
-    def _round(
-        self,
-        metrics: QueryMetrics,
-        ensure_log: Callable[[str], None],
-    ) -> list[Violation]:
+    def _ensure_log(self, check: Check, name: str) -> None:
+        """Stage the check's increment of log relation ``name``, once
+        (never when the check stages nothing)."""
+        if name in check.generated or check.context is None:
+            return
+        with check.metrics.timed(f"log:{name}"):
+            rows = self.registry.get(name).generate(check.context)
+            staged = self.store.stage(name, rows, check.timestamp)
+        check.metrics.add_count("tuples_staged", staged)
+        check.generated.append(name)
+
+    def _round(self, check: Check) -> list[Violation]:
         """Algorithm 3: one walk over the log functions, settling every
         policy's checkpoints as their stage comes due.
 
@@ -732,6 +769,7 @@ class Enforcer:
         check or the full fallback answers, which keeps warm and cold
         runs bit-identical) are settled together at the end.
         """
+        metrics = check.metrics
         maintainer = self._incremental_handle()
         violations: list[Violation] = []
         active: list[RuntimePolicy] = []
@@ -750,7 +788,7 @@ class Enforcer:
             if function is not None:
                 name = function.name
                 if any(name in runtime.log_relations for runtime in active):
-                    ensure_log(name)
+                    self._ensure_log(check, name)
                 stage.add(name)
             due = [
                 (runtime, checkpoint)
@@ -763,7 +801,7 @@ class Enforcer:
 
         for runtime, _ in final:
             for name in sorted(runtime.log_relations):
-                ensure_log(name)
+                self._ensure_log(check, name)
         self._settle(final, metrics, maintainer, violations)
         return violations
 
@@ -906,13 +944,7 @@ class Enforcer:
 
     # -- compaction & flush --------------------------------------------------
 
-    def _commit_logs(
-        self,
-        metrics: QueryMetrics,
-        ensure_log: Callable[[str], None],
-        generated: set[str],
-        timestamp: int,
-    ) -> None:
+    def _commit_logs(self, check: Check) -> None:
         extras = set(self.extra_persist_relations)
         persist_all = self._persist_relations | extras
         compact_now = False
@@ -922,22 +954,20 @@ class Enforcer:
             compact_now = self._queries_since_compaction >= interval
         if compact_now:
             self._queries_since_compaction = 0
-            self._check_clock(timestamp)
+            self._check_clock(check.timestamp)
             marks: Optional[dict[str, set[int]]] = {
                 name: set() for name in persist_all
             }
             for runtime in self._runtime:
                 if runtime.witness is not None:
-                    self._mark_policy(
-                        runtime, metrics, ensure_log, generated, marks
-                    )
+                    self._mark_policy(runtime, check, marks)
             # Extra relations are retained in full — the global tier
             # reloads its log exactly from shard disk images, so
             # compaction must never drop their history. Marking every live
             # tid (disk + staged) keeps the whole table and commits the
             # staged increment exactly once.
             for name in sorted(extras):
-                ensure_log(name)
+                self._ensure_log(check, name)
                 marks.setdefault(name, set()).update(
                     self.database.table(name).tids()
                 )
@@ -952,16 +982,17 @@ class Enforcer:
                 # must be generated now. (Under eager compaction the
                 # witness/probe machinery does this on demand.)
                 for name in sorted(persist_all):
-                    ensure_log(name)
+                    self._ensure_log(check, name)
             else:
                 for name in sorted(extras):
-                    ensure_log(name)
+                    self._ensure_log(check, name)
 
         persist = (
             persist_all
             if self.options.log_compaction
-            else persist_all & generated
+            else persist_all.intersection(check.generated)
         )
+        metrics = check.metrics
         stats = self.store.commit(marks, persist)
         metrics.add_seconds(PHASE_DELETE, stats.delete_seconds)
         metrics.add_seconds(PHASE_INSERT, stats.insert_seconds)
@@ -980,18 +1011,16 @@ class Enforcer:
             )
 
     def _mark_policy(
-        self,
-        runtime: RuntimePolicy,
-        metrics: QueryMetrics,
-        ensure_log: Callable[[str], None],
-        generated: set[str],
-        marks: dict[str, set[int]],
+        self, runtime: RuntimePolicy, check: Check, marks: dict[str, set[int]]
     ) -> None:
+        metrics = check.metrics
         for relation, template, reads in runtime.witness_templates:
             collected = marks.setdefault(relation, set())
-            missing = reads - generated
+            missing = reads.difference(check.generated)
             if missing and self.options.preemptive_compaction:
-                probe = partial_witness_probe(template, generated, self.registry)
+                probe = partial_witness_probe(
+                    template, check.generated, self.registry
+                )
                 if probe is not None:
                     with metrics.timed(PHASE_MARK):
                         probe_empty = self.engine.is_empty(probe)
@@ -999,8 +1028,7 @@ class Enforcer:
                     if probe_empty:
                         continue  # the full witness is provably empty
             for name in sorted(missing):
-                ensure_log(name)
-                generated.add(name)
+                self._ensure_log(check, name)
             with metrics.timed(PHASE_MARK):
                 result = self.engine.execute(template, lineage=True)
             metrics.add_count("statements")
@@ -1015,7 +1043,12 @@ class Enforcer:
     # Cloning (the sharded service's factory hook)
     # ------------------------------------------------------------------
 
-    def clone(self, clock: Optional[Clock] = None) -> "Enforcer":
+    def clone(
+        self,
+        clock: Optional[Clock] = None,
+        policies: Optional[Sequence[Policy]] = None,
+        options: Optional[EnforcerOptions] = None,
+    ) -> "Enforcer":
         """An independent enforcer over a copy of this one's catalog.
 
         The base data tables are cloned (rows shared structurally, so the
@@ -1025,7 +1058,8 @@ class Enforcer:
         of the log, and carrying the source's persisted rows over would
         double-count them across shards. The clone gets its own clock
         (``clock`` or a copy of this enforcer's, resuming from the
-        current timestamp).
+        current timestamp). ``policies`` and ``options`` default to this
+        enforcer's; the global tier's enforcer holds other ones.
         """
         database = self.database.clone()
         for table in self._const_tables:
@@ -1036,10 +1070,10 @@ class Enforcer:
                 database.table(name).clear()
         return Enforcer(
             database,
-            list(self.policies),
+            list(self.policies if policies is None else policies),
             registry=self.registry,
             clock=clock if clock is not None else self.clock.clone(),
-            options=self.options,
+            options=self.options if options is None else options,
         )
 
     # ------------------------------------------------------------------

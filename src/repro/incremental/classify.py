@@ -100,16 +100,6 @@ class Classification:
     reason: str
     plan: Optional[IncrementalPlan] = None
 
-    def summary(self) -> dict:
-        """JSON-friendly form for the CLI and ``/v1/policies``."""
-        entry = {
-            "incrementalizable": self.incrementalizable,
-            "reason": self.reason,
-        }
-        if self.plan is not None:
-            entry["plan"] = plan_summary(self.plan)
-        return entry
-
 
 def plan_summary(plan: IncrementalPlan) -> dict:
     """Human-readable description of a plan (diagnostics only)."""

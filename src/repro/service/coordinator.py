@@ -152,14 +152,15 @@ class ShardedEnforcerService:
         if checkpointed:
             # A previous incarnation's global set is authoritative (the
             # same rule shard recovery applies to local policies).
-            for policy in checkpointed:
-                placement = self._classify(policy, prototype)
-                self._check_placements([placement])
-                tier.install(policy, placement)
+            entries = [(p, self._classify(p, prototype)) for p in checkpointed]
+            self._check_placements([placement for _, placement in entries])
         else:
-            for policy, placement in zip(prototype.policies, placements):
-                if not placement.is_local:
-                    tier.install(policy, placement)
+            entries = [
+                (policy, placement)
+                for policy, placement in zip(prototype.policies, placements)
+                if not placement.is_local
+            ]
+        tier.install(entries)
         # No shard may ever evaluate a global policy locally: strip every
         # non-local policy from the prototype (when a checkpoint was
         # authoritative, the checkpointed set wins — the same rule shard

@@ -2,30 +2,32 @@
 
 Per-uid sharding (:mod:`repro.service.placement`) is sound only for
 shard-local policies. The tier enforces the rest — cross-user windowed
-aggregates — with the parts a shard already has: its private enforcer
-clone's catalog, engine and :class:`~repro.log.store.LogStore` hold the
-one global log, one :class:`~repro.incremental.IncrementalMaintainer`
-observes that store, and one evaluator serves both modes as a shard's
-policy round does — the maintainer first, full evaluation over the store
-when it answers ``None`` (unplanned, or poisoned past
+aggregates — with its own :class:`~repro.core.Enforcer`, built with
+exactly the global policies over a private copy of the catalog. Its
+:class:`~repro.log.store.LogStore` holds the one global log, and its
+round is a shard's: the incremental maintainer first, the shared-subplan
+DAG when that answers ``None`` (unplanned, or poisoned past
 ``incremental_max_entries``). A poisoned state costs speed, never
-availability. The modes differ only in who writes the store:
+availability. The tier's enforcer keeps the whole log (no compaction),
+plans each global policy on its own (no unification), folds what it can
+and caches nothing. The modes differ only in who writes the store:
 
 - **async** (``global-async`` policies only): shards stream their
   *committed* increments (thread mode: a :class:`DeltaTee` on the
   shard's store; process mode: a ``delta`` frame on the worker pipe) and
-  a folder thread commits each frame into the store. Checks stage
-  nothing, so the store is a subset of the committed log: in-flight
-  frames and the submitting query's own increment are missing. The
-  policies are monotone, so a deny is always sound; a query that itself
-  crosses a threshold is admitted once, and every later check denies
-  once its frame commits (after ``flush()``, immediately).
-- **strict**: under the coordinator's admission lock the tier generates
-  the query's log rows itself and *stages* them — a reservation is the
-  store's staged increment — evaluates store + increment like a shard,
-  and commits the increment when the shard allows the query or discards
-  it otherwise. Admissions serialize end to end, the price of being
-  bit-identical to a single-shard oracle. Strict ignores deltas.
+  a folder thread commits each frame into the store. Checks run the
+  round with nothing staged, so the store is a subset of the committed
+  log: in-flight frames and the submitting query's own increment are
+  missing. The policies are monotone, so a deny is always sound; a query
+  that itself crosses a threshold is admitted once, and every later
+  check denies once its frame commits (after ``flush()``, immediately).
+- **strict**: under the coordinator's admission lock the tier's enforcer
+  runs :meth:`~repro.core.Enforcer.check` — generating and *staging* the
+  query's log rows, so a reservation is the store's staged increment —
+  and :meth:`~repro.core.Enforcer.finish` commits the increment when the
+  shard allows the query or discards it otherwise. Admissions serialize
+  end to end, the price of being bit-identical to a single-shard oracle.
+  Strict ignores deltas.
 
 Only a delta frame the store failed to commit fails closed: every check
 then denies, naming why, until the next bootstrap. The coordinator takes
@@ -38,7 +40,7 @@ WAL reset; unusable is a :class:`~repro.storage.format.StorageError`)
 holds the clock, the global policy set and history floors. The log is
 reloaded on startup: shards retain the tier's relations in full
 (``Enforcer.extra_persist_relations``), bootstrap loads their recovered
-images into the store and a fresh maintainer folds them.
+images into the store and the enforcer's maintainer folds them.
 """
 
 from __future__ import annotations
@@ -49,18 +51,11 @@ import queue
 import threading
 import time
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from ..analysis import (
-    analyze_structure,
-    floor_history,
-    referenced_log_relations,
-)
+from ..core.enforcer import Check, EnforcerOptions
 from ..core.policy import Policy, Violation  # noqa: F401 - Policy re-exported
 from ..errors import ReproError
-from ..incremental import IncrementalMaintainer
-from ..incremental import classify_policy as incremental_classify
-from ..log import QueryContext
 from ..storage.format import StorageError
 from ..storage.wal import WriteAheadLog, _fsync_dir, read_wal
 from .placement import PolicyPlacement
@@ -94,28 +89,6 @@ class DeltaTee:
             self._inner.on_log_discard()
 
 
-class _GlobalPolicy:
-    """One installed global policy, its effective select and its
-    incremental classification."""
-
-    def __init__(self, policy, placement, floor, registry, database) -> None:
-        self.policy = policy
-        self.placement = placement
-        #: Log rows at or below this timestamp predate the policy (the
-        #: paper's "history starts now" rule for runtime-added policies).
-        self.floor = floor
-        if floor is None:
-            # The select placement classified: reuse its verdict.
-            self.select = policy.select
-            self.classification = placement.classification
-        else:
-            self.select = floor_history(policy.select, registry, floor)
-            self.classification = incremental_classify(
-                policy.name, analyze_structure(self.select, registry, database)
-            )
-        self.log_relations = referenced_log_relations(self.select, registry)
-
-
 class GlobalTier:
     """Coordinator-side copy of the global log answering global checks."""
 
@@ -131,27 +104,38 @@ class GlobalTier:
         #: ``"async"``: shards' streamed deltas write the store;
         #: ``"strict"``: the tier's own reservations do.
         self.mode = mode
-        # Private clone: its catalog and log store hold the global log,
-        # its engine evaluates policies and generates strict increments.
-        # Never the live reference — the tier must not race shard 0's
-        # engine in thread mode.
-        self._private = prototype.clone()
-        self.registry = self._private.registry
-        self.clock = self._private.clock
-        self.store = self._private.store
-        self.store.attach_observer(self)
-        self.max_entries = max_entries
+        # A private copy of the catalog, never the live reference: the
+        # tier must not race shard 0's engine in thread mode. It holds no
+        # policy until :meth:`install`.
+        self.enforcer = prototype.clone(
+            policies=(),
+            options=EnforcerOptions(
+                log_compaction=False,
+                unification=False,
+                # A global policy is evaluated as written, over the whole
+                # global log.
+                time_independent=False,
+                incremental=True,
+                incremental_max_entries=max_entries,
+                decision_cache=False,
+                tracing=False,
+            ),
+        )
+        #: The tier's enforcer keeps this clock across :meth:`install`.
+        self.clock = self.enforcer.clock
         #: Serializes timestamp assignment and every global check; the
         #: coordinator holds it across admit → settle for strict.
         self.admission_lock = threading.RLock()
         self._lock = threading.RLock()
-        self._policies: dict[str, _GlobalPolicy] = {}
-        self._rebuild()
+        self._placements: dict[str, PolicyPlacement] = {}
+        #: Per policy, the timestamp its history starts after (None: the
+        #: whole log); the checkpointed ones until :meth:`install`.
+        self._floors: dict[str, Optional[int]] = {}
         #: Why the store is missing rows (a delta frame failed to
         #: commit); every check fails closed until the next bootstrap.
         self._incomplete: Optional[str] = None
-        #: A strict increment is staged, awaiting :meth:`settle`.
-        self._reserved = False
+        #: A strict check whose increment is staged, awaiting :meth:`settle`.
+        self._reserved: Optional[Check] = None
 
         self._queue: "queue.Queue" = queue.Queue()
         self._last_fold = time.monotonic()
@@ -170,7 +154,6 @@ class GlobalTier:
         self._wal_sync = wal_sync
         self._wal: Optional[WriteAheadLog] = None
         self._wal_last_seq = 0
-        self._checkpoint_floors: dict[str, Optional[int]] = {}
         self._checkpoint_policies: list[Policy] = []
         if self._dir is not None:
             self._dir.mkdir(parents=True, exist_ok=True)
@@ -189,99 +172,96 @@ class GlobalTier:
             if clock_floor > self.clock.now():
                 self.clock.seek(clock_floor)
 
+    @property
+    def store(self):
+        return self.enforcer.store
+
     # -- policy set --------------------------------------------------------
 
-    def install(
-        self,
-        policy: Policy,
-        placement: PolicyPlacement,
-        floor: Optional[int] = None,
-    ) -> None:
-        """Adopt one global policy (construction: ``floor=None`` — full
-        history; runtime add passes ``floor=clock.now()``)."""
+    def install(self, entries: "Sequence[tuple[Policy, PolicyPlacement]]") -> None:
+        """Adopt the startup global set, before :meth:`bootstrap`. A
+        policy a previous incarnation added at runtime keeps its
+        checkpointed history floor; the rest see the whole log."""
         with self._lock:
-            if policy.name in self._checkpoint_floors and floor is None:
-                # A previous incarnation added this policy at runtime;
-                # keep honouring its history floor across restarts.
-                floor = self._checkpoint_floors[policy.name]
-            self._policies[policy.name] = _GlobalPolicy(
-                policy, placement, floor, self.registry, self._private.database
+            floors = {
+                policy.name: self._floors.get(policy.name) for policy, _ in entries
+            }
+            enforcer = self.enforcer.clone(
+                clock=self.clock,
+                policies=[p for p, _ in entries if floors[p.name] is None],
             )
-            self._rebuild()
+            for policy, _ in entries:
+                if floors[policy.name] is not None:
+                    enforcer.add_policy(policy, floor=floors[policy.name])
+            self.enforcer = enforcer
+            self._placements = {policy.name: pl for policy, pl in entries}
+            self._floors = floors
+            self._persist_log_relations()
 
     def add_policy(self, policy: Policy, placement: PolicyPlacement) -> None:
         """Runtime add: the policy's history starts now."""
-        self.install(policy, placement, floor=self.clock.now())
+        with self._lock:
+            floor = self.clock.now()
+            self.enforcer.add_policy(policy, floor=floor)
+            self._placements[policy.name] = placement
+            self._floors[policy.name] = floor
+            self._persist_log_relations()
+            self.enforcer.warm_incremental()
         self.write_checkpoint()
 
     def remove_policy(self, name: str) -> None:
         with self._lock:
-            self._policies.pop(name, None)
-            self._checkpoint_floors.pop(name, None)
-            self._rebuild()
+            self.enforcer.remove_policy(name)
+            self._placements.pop(name, None)
+            self._floors.pop(name, None)
+            self._persist_log_relations()
+            self.enforcer.warm_incremental()
         self.write_checkpoint()
 
-    def _rebuild(self) -> None:
-        """Fold the store into a fresh maintainer (per policy-set change,
-        as the enforcer rebuilds per plan epoch)."""
-        self._maintainer = IncrementalMaintainer(
-            self._private.database,
-            self.registry,
-            self.store,
-            {
-                name: entry.classification.plan
-                for name, entry in self._policies.items()
-                if entry.classification.plan is not None
-            },
-            max_entries=self.max_entries,
-        )
+    def _persist_log_relations(self) -> None:
+        """Every relation a global policy reads is generated and kept on
+        each commit: the tier keeps the whole global log."""
+        self.enforcer.extra_persist_relations = {
+            name
+            for runtime in self.enforcer.runtime_policies()
+            for name in runtime.log_relations
+        }
 
     def policy_names(self) -> list[str]:
         with self._lock:
-            return sorted(self._policies)
+            return sorted(self._placements)
 
     def placements(self) -> "list[PolicyPlacement]":
         with self._lock:
-            return [entry.placement for entry in self._policies.values()]
+            return list(self._placements.values())
 
     def snapshot_entries(self) -> "list[dict]":
         """Tier policies in the ``GET /v1/policies`` snapshot shape."""
         with self._lock:
+            policies = {policy.name: policy for policy in self.enforcer.policies}
+            planned = {
+                entry["runtime"]: entry["incrementalizable"]
+                for entry in self.enforcer.incremental_report()
+            }
             return [
                 {
-                    "name": entry.policy.name,
-                    "sql": entry.policy.sql,
-                    "message": entry.policy.message,
-                    "description": entry.policy.description,
-                    "placement": entry.placement.scope,
+                    "name": name,
+                    "sql": policies[name].sql,
+                    "message": policies[name].message,
+                    "description": policies[name].description,
+                    "placement": placement.scope,
                     "classification": {
-                        "incrementalizable": (
-                            entry.classification.plan is not None
-                        ),
-                        "reason": entry.placement.reason,
+                        "incrementalizable": planned[name],
+                        "reason": placement.reason,
                     },
                 }
-                for entry in self._policies.values()
+                for name, placement in self._placements.items()
             ]
 
     def extra_persist_relations(self) -> set[str]:
         """Relations every shard must commit (and retain) for the tier."""
         with self._lock:
-            extras: set[str] = set()
-            for entry in self._policies.values():
-                extras |= entry.log_relations
-            return extras
-
-    # -- LogStore observer protocol ------------------------------------------
-
-    def log_observer_active(self) -> bool:
-        return True
-
-    def on_log_commit(self, timestamp: int, inserted: dict) -> None:
-        self._maintainer.on_commit(timestamp, inserted)
-
-    def on_log_discard(self) -> None:
-        self._maintainer.on_discard()
+            return set(self.enforcer.extra_persist_relations)
 
     # -- timestamps --------------------------------------------------------
 
@@ -304,22 +284,35 @@ class GlobalTier:
 
         Returns ``(violations, reserved)``. Async stages nothing, so the
         query's own increment is invisible (the staleness window in the
-        module docstring) and ``reserved`` is False. Strict stages the
-        query's increment first; when every policy passes it stays
-        staged (``reserved``) until :meth:`settle`, otherwise it is
-        already discarded.
+        module docstring). Strict stages it; when every policy passes it
+        stays staged (``reserved``) until :meth:`settle`.
         """
         with self._lock:
-            if not self._policies:
+            if not self._placements:
                 return [], False
-            if self.mode == "async":
-                return self._evaluate(timestamp), False
-            self._stage(sql, uid, timestamp, attributes)
-            violations = self._evaluate(timestamp)
-            if violations:
-                self.store.discard_staged(record=False)
+            self.checks[self.mode] += len(self._placements)
+            if self._incomplete is not None:
+                violations = [
+                    Violation(
+                        name,
+                        f"global log incomplete ({self._incomplete}); "
+                        "failing closed until restart",
+                    )
+                    for name in self._placements
+                ]
+                self.denials[self.mode] += len(violations)
                 return violations, False
-            self._reserved = True
+            strict = self.mode == "strict"
+            check = self.enforcer.check(
+                sql, uid, attributes, timestamp, stage=strict
+            )
+            self.denials[self.mode] += len(check.violations)
+            if not strict:
+                return check.violations, False
+            if not check.allowed:
+                self.enforcer.finish(check)
+                return check.violations, False
+            self._reserved = check
             self.reservations_total += 1
             return [], True
 
@@ -327,60 +320,9 @@ class GlobalTier:
         """The shard answered a reserved query: commit its staged
         increment when it was allowed, discard it otherwise."""
         with self._lock:
-            if not self._reserved:
-                return
-            self._reserved = False
-            if allowed:
-                self.store.commit(None)
-            else:
-                self.store.discard_staged(record=False)
-
-    def _stage(self, sql, uid, timestamp, attributes) -> None:
-        context = QueryContext.create(
-            sql, uid, timestamp, self._private.engine, attributes
-        )
-        try:
-            for name in sorted(self.extra_persist_relations()):
-                rows = self.registry.get(name).generate(context)
-                self.store.stage(name, rows, timestamp)
-        except Exception:
-            self.store.discard_staged(record=False)
-            raise
-
-    def _evaluate(self, timestamp: int) -> list[Violation]:
-        """Eq. (1) over the global log: per policy, the maintainer's
-        verdict, or full evaluation over the store when it has none."""
-        self.store.set_time(timestamp)
-        violations: list[Violation] = []
-        for name, entry in self._policies.items():
-            self.checks[self.mode] += 1
-            if self._incomplete is not None:
-                violations.append(Violation(
-                    name,
-                    f"global log incomplete ({self._incomplete}); "
-                    "failing closed until restart",
-                ))
-                continue
-            fired = self._maintainer.check(name)
-            if fired is None:
-                fired = not self._private.engine.is_empty(entry.select)
-            if fired:
-                violations.append(self._violation_for(entry))
-        self.denials[self.mode] += len(violations)
-        return violations
-
-    def _violation_for(self, entry: _GlobalPolicy) -> Violation:
-        """Build the report, re-running the policy for evidence as
-        :meth:`Enforcer._violation_for` does (before any discard)."""
-        result = self._private.engine.execute(entry.select)
-        message = entry.policy.message
-        if result.rows and isinstance(result.rows[0][0], str):
-            message = " ".join(result.rows[0][0].split())
-        return Violation(
-            policy_name=entry.policy.name,
-            message=message or f"policy {entry.policy.name!r} violated",
-            evidence_rows=len(result.rows),
-        )
+            check, self._reserved = self._reserved, None
+            if check is not None:
+                self.enforcer.finish(check, commit=allowed)
 
     # -- delta streaming ---------------------------------------------------
 
@@ -449,8 +391,9 @@ class GlobalTier:
         shard_clocks: "Iterable[int]" = (),
     ) -> None:
         """Load the shards' (WAL-recovered) disk images — together the
-        complete global history — into the store, fold them into a fresh
-        maintainer, then start the folder thread."""
+        complete global history — into the store, fold them into the
+        enforcer's maintainer (:meth:`install` left none built), then
+        start the folder thread."""
         merged: dict[str, list[tuple]] = {}
         for dump in shard_dumps:
             for name, rows in dump.items():
@@ -467,7 +410,7 @@ class GlobalTier:
                 table.clear()
                 table.insert_many(rows)
             self._incomplete = None
-            self._rebuild()
+            self.enforcer.warm_incremental()
             floor = max([max_ts, *[int(c) for c in shard_clocks]])
             if floor > self.clock.now():
                 self.clock.seek(floor)
@@ -499,7 +442,7 @@ class GlobalTier:
             for record in records:
                 policy, floor = _policy_record(record)
                 self._checkpoint_policies.append(policy)
-                self._checkpoint_floors[policy.name] = floor
+                self._floors[policy.name] = floor
         except (OSError, ValueError, KeyError, ReproError) as exc:
             raise StorageError(
                 f"unusable global tier checkpoint {path}: {exc}"
@@ -525,12 +468,12 @@ class GlobalTier:
                 "clock": self.clock.now(),
                 "policies": [
                     {
-                        "name": entry.policy.name,
-                        "sql": entry.policy.sql,
-                        "description": entry.policy.description,
-                        "floor": entry.floor,
+                        "name": policy.name,
+                        "sql": policy.sql,
+                        "description": policy.description,
+                        "floor": self._floors[policy.name],
                     }
-                    for entry in self._policies.values()
+                    for policy in self.enforcer.policies
                 ],
                 "wal_last_seq": (
                     self._wal.last_seq if self._wal is not None else 0
@@ -565,24 +508,25 @@ class GlobalTier:
 
     def stats(self) -> dict:
         with self._lock:
-            maintainer = self._maintainer
-            planned = maintainer.report()
+            maintainer = self.enforcer.incremental
+            planned = maintainer.report() if maintainer else {}
+            folds = maintainer.stats.as_dict() if maintainer else {}
             return {
                 "policies": {
                     name: {
-                        "scope": entry.placement.scope,
+                        "scope": placement.scope,
                         "entries": planned.get(name, {}).get("entries"),
                         "poisoned": planned.get(name, {}).get("poisoned", False),
                     }
-                    for name, entry in self._policies.items()
+                    for name, placement in self._placements.items()
                 },
                 "checks": dict(self.checks),
                 "denials": dict(self.denials),
-                "fallbacks": maintainer.stats.fallbacks,
-                "fallback_reasons": dict(maintainer.stats.fallback_reasons),
+                "fallbacks": folds.get("fallbacks", 0),
+                "fallback_reasons": folds.get("fallback_reasons", {}),
                 "reservations": {
                     "total": self.reservations_total,
-                    "active": int(self._reserved),
+                    "active": int(self._reserved is not None),
                 },
                 "folds": self.folds,
                 "delta_frames": self.delta_frames,

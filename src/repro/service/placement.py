@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis import PolicyFacts
-from ..incremental import Classification
 from ..incremental import classify_policy as incremental_classify
 
 SCOPE_LOCAL = "local"
@@ -84,9 +83,6 @@ class PolicyPlacement:
     reason: str
     #: The pinned uid for uid-pinned policies (routing/diagnostics).
     pinned_uid: Optional[int] = None
-    #: A global policy's incremental classification, which decided
-    #: async vs strict (the global tier folds with its plan).
-    classification: Optional[Classification] = None
 
     @property
     def is_local(self) -> bool:
@@ -99,18 +95,14 @@ class PolicyPlacement:
 
 def _global_scope(name: str, facts: PolicyFacts, reason: str) -> PolicyPlacement:
     """Refine a global verdict into async (plannable fold) or strict."""
-    classification = incremental_classify(name, facts)
-    if classification.plan is not None:
+    if incremental_classify(name, facts).plan is not None:
         return PolicyPlacement(
             name,
             SCOPE_GLOBAL_ASYNC,
             f"{reason}; monotone aggregate: answerable from folded "
             "aggregator state",
-            classification=classification,
         )
-    return PolicyPlacement(
-        name, SCOPE_GLOBAL_STRICT, reason, classification=classification
-    )
+    return PolicyPlacement(name, SCOPE_GLOBAL_STRICT, reason)
 
 
 def classify_policy(name: str, facts: PolicyFacts) -> PolicyPlacement:

@@ -26,6 +26,7 @@ from repro.workloads import (
     MarketplaceConfig,
     build_marketplace_database,
     sharded_contract,
+    standard_contract,
 )
 
 
@@ -96,5 +97,36 @@ def test_sharded_service_classifies_each_policy_once(monkeypatch):
         assert len(service.placements()) == 18
         assert placements.take() == 0
         assert folds.take() == 0
+    finally:
+        service.drain()
+
+
+def test_global_tier_prepares_only_the_global_policies(monkeypatch):
+    """The tier's enforcer holds exactly the global set: of the standard
+    contract it analyses ``free-tier`` and none of the local policies."""
+    analysed = []
+    analyze = Enforcer._analyze
+
+    def recording(self, runtime):
+        analysed.append((self, runtime.name))
+        return analyze(self, runtime)
+
+    monkeypatch.setattr(Enforcer, "_analyze", recording)
+    config = MarketplaceConfig()
+    enforcer = Enforcer(
+        build_marketplace_database(config),
+        standard_contract(config),
+        clock=SimulatedClock(default_step_ms=10),
+        options=EnforcerOptions.datalawyer(),
+    )
+    service = ShardedEnforcerService(
+        enforcer, ServiceConfig(shards=4, global_tier="async")
+    )
+    try:
+        tier = service.global_tier.enforcer
+        assert [r.name for r in tier.runtime_policies()] == ["free-tier"]
+        assert [name for owner, name in analysed if owner is tier] == [
+            "free-tier"
+        ]
     finally:
         service.drain()

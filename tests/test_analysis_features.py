@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.analysis import analyze_structure
+from repro.analysis import analyze_structure, floor_history
 from repro.engine import Database
 from repro.log import standard_registry
-from repro.sql import ast, parse_select
+from repro.sql import ast, parse_select, print_query
 
 
 @pytest.fixture
@@ -194,3 +194,20 @@ class TestClockPredicates:
         s = structure_of("SELECT 1 FROM users u WHERE u.uid = 1", registry)
         assert s.clock_predicates == []
 
+
+class TestFloorHistory:
+    def test_every_log_block_is_floored_subqueries_included(self, registry, db):
+        floored = floor_history(
+            structure_of(
+                "SELECT 1 FROM users u, (SELECT p.otid FROM provenance p "
+                "UNION SELECT g.gid FROM groups g) x WHERE u.uid = 7",
+                registry,
+                db,
+            ),
+            40,
+        )
+        assert print_query(floored) == print_query(parse_select(
+            "SELECT 1 FROM users u, (SELECT p.otid FROM provenance p "
+            "WHERE p.ts > 40 UNION SELECT g.gid FROM groups g) x "
+            "WHERE u.uid = 7 AND u.ts > 40"
+        ))

@@ -6,6 +6,7 @@ Uses the small synthetic MIMIC database (60 patients) from conftest.
 import pytest
 
 from repro.core import Enforcer, EnforcerOptions, Policy, make_datalawyer, make_noopt
+from repro.engine import Database
 from repro.log import LogicalClock, SimulatedClock
 from repro.workloads import (
     MimicConfig,
@@ -353,6 +354,59 @@ class TestDynamicPolicies:
             uid=1,
         )
         assert decision.allowed
+
+
+def items_db():
+    db = Database()
+    db.load_table("items", ["id", "price"], [(1, 10), (2, 20), (3, 30)])
+    return db
+
+
+class TestInstallableMeansCheckable:
+    """A policy that installs decides every later check (no bind error,
+    no stale history), under NoOpt and DataLawyer alike."""
+
+    #: Time-independent, so DataLawyer pins its ts to a fresh clock
+    #: alias; the bare ``ts`` must still name the provenance column.
+    FEW_SOURCES = (
+        "SELECT DISTINCT 'few' FROM provenance p WHERE p.irid = 'items' "
+        "GROUP BY ts, p.otid HAVING COUNT(DISTINCT p.itid) < 2"
+    )
+
+    @pytest.mark.parametrize("make", [dl, noopt], ids=["datalawyer", "noopt"])
+    def test_bare_log_ts_survives_the_time_independent_rewrite(self, make):
+        enforcer = make(items_db(), [Policy.from_sql("few", self.FEW_SOURCES)])
+        assert enforcer.submit("SELECT COUNT(*) FROM items", uid=1).allowed
+        denied = enforcer.submit("SELECT id FROM items WHERE id = 1", uid=1)
+        assert not denied.allowed
+        assert enforcer.submit("SELECT COUNT(*) FROM items", uid=1).allowed
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
+    @pytest.mark.parametrize("make", [dl, noopt], ids=["datalawyer", "noopt"])
+    def test_history_floor_reaches_from_subqueries(self, make, nested):
+        # Keeps every uid-7 ``users`` row, under compaction too.
+        keep = Policy.from_sql(
+            "keep",
+            "SELECT DISTINCT 'k' FROM users u WHERE u.uid = 7 "
+            "HAVING COUNT(*) > 100",
+        )
+        enforcer = make(items_db(), [keep])
+        for _ in range(4):
+            assert enforcer.submit("SELECT id FROM items", uid=7).allowed
+        assert enforcer.log_sizes()["users"] == 4
+        sql = (
+            "SELECT DISTINCT 'x' FROM (SELECT u.uid, COUNT(*) AS n FROM users u "
+            "WHERE u.uid = 7 GROUP BY u.uid) x WHERE x.n > 2"
+            if nested
+            else "SELECT DISTINCT 'x' FROM users u WHERE u.uid = 7 "
+            "HAVING COUNT(*) > 2"
+        )
+        enforcer.add_policy(Policy.from_sql("three", sql))
+        # The four earlier rows predate the policy: two more are allowed.
+        assert enforcer.submit("SELECT id FROM items", uid=7).allowed
+        assert enforcer.submit("SELECT id FROM items", uid=7).allowed
+        denied = enforcer.submit("SELECT id FROM items", uid=7)
+        assert [v.message for v in denied.violations] == ["x"]
 
 
 class TestFactories:

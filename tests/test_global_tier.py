@@ -30,7 +30,7 @@ import time
 
 import pytest
 from holds import wait_until
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import analyze_structure
@@ -360,6 +360,52 @@ class TestStrictOracleEquivalence:
                 decision = submit_retrying(service, sql, uid)
                 got.append(decision.allowed)
             assert got == want
+        finally:
+            service.drain()
+
+
+#: Global-strict and unplannable: two ``users`` atoms that are not
+#: ts-joined ("uid 3 queried before uid 4, and uid 4 within the last
+#: 50 ms"). Any uid-4 query after a uid-3 one trips it, so short random
+#: streams both pass and trip it. It is not time-independent, so a shard
+#: and the tier evaluate the same query.
+PAIR = Policy.from_sql(
+    "pair",
+    "SELECT DISTINCT 'pair' FROM users a, users b, clock c "
+    "WHERE a.uid = 3 AND b.uid = 4 AND a.ts < b.ts AND b.ts > c.ts - 50",
+)
+
+
+@pytest.mark.slow
+class TestStrictTierFullEvaluation:
+    """The tier's enforcer answers what its maintainer cannot plan with
+    the shared round's full evaluation, staged increment included."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.lists(st.integers(min_value=2, max_value=6),
+                    min_size=1, max_size=16))
+    @example([3, 2, 2, 2, 2, 2, 2, 4, 5, 4, 2])  # pair, then P1 with pair
+    def test_unplanned_policy_matches_oracle(self, uids):
+        def enforcer():
+            return Enforcer(
+                build_mimic_database(MIMIC_CONFIG),
+                [make_p1(MIMIC_PARAMS), PAIR],
+                clock=SimulatedClock(default_step_ms=10),
+                options=EnforcerOptions.datalawyer(),
+            )
+
+        stream = [(HR_COUNT, uid) for uid in uids]
+        oracle = make_service(enforcer(), 1, "off")
+        try:
+            want = decisions_of(oracle, stream)
+        finally:
+            oracle.drain()
+        service = make_service(enforcer(), 3, "strict")
+        try:
+            assert service.stats()["global"]["policies"]["pair"]["scope"] == (
+                SCOPE_GLOBAL_STRICT
+            )
+            assert decisions_of(service, stream) == want
         finally:
             service.drain()
 

@@ -4,9 +4,14 @@ A policy is *time-independent* when it can be checked on the log increment
 alone: ``π(L_t) = π(L_past) ∪ π(L_present)``. The paper's syntactic
 criterion: (a) the timestamp attributes of all log relations are joined
 (one ts-equivalence class), and (b) if the policy aggregates, the GROUP BY
-includes the timestamp. Such a policy is rewritten to ``π_ind`` by pinning
-every timestamp to the current clock, which both restricts evaluation to
-the increment and lets log compaction discard the entire log.
+includes the timestamp. One condition the criterion leaves implicit is
+checked too: (c) every clock predicate limits the window (``c.ts <
+bound``; see ``PolicyFacts.window_limiting``). A bound that expands
+(``u.ts < c.ts - 30``) matches an old log row only once enough time has
+passed, with no new increment involved. A time-independent policy is
+rewritten to ``π_ind`` by pinning every timestamp to the current clock,
+which both restricts evaluation to the increment and lets log compaction
+discard the entire log.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ def is_time_independent(facts: PolicyFacts) -> bool:
 
     # (a) all log timestamps joined into a single equivalence class.
     if not facts.single_ts_component:
+        return False
+
+    # (c) no clock bound that lets time alone produce a violation.
+    if not facts.window_limiting:
         return False
 
     # (b) aggregates require the timestamp among the GROUP BY keys.

@@ -563,7 +563,9 @@ class Enforcer:
                 # A query that reads the log or the Clock sees this
                 # check's own commit, so it neither caches nor reuses its
                 # lineage run.
-                check.reads_log = touches_log_state(context.query, self.registry)
+                check.reads_log = touches_log_state(
+                    context.prepared.template, self.registry
+                )
             if cached is not None:
                 # Replay the exact ordered increments the original check
                 # staged during evaluation; the memoized verdict stands
@@ -632,7 +634,9 @@ class Enforcer:
                 with metrics.timed(PHASE_QUERY):
                     lineage_run = None if check.reads_log else context.lineage_run
                     if lineage_run is None:
-                        result = self.engine.execute(context.query, trace=trace)
+                        result = self.engine.execute(
+                            context.prepared, trace=trace, params=context.params
+                        )
                     else:
                         # fProvenance ran this plan over the same base
                         # tables, which nothing in a check writes: its rows

@@ -16,7 +16,7 @@ Typical use::
 """
 
 from .database import Database
-from .executor import Engine, Result
+from .executor import Engine, Prepared, Result
 from .schema import Column, TableSchema, make_schema
 from .table import Table
 from .types import SqlValue
@@ -24,6 +24,7 @@ from .types import SqlValue
 __all__ = [
     "Database",
     "Engine",
+    "Prepared",
     "Result",
     "Column",
     "TableSchema",

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import BindError, ExecutionError
 from ..sql import ast
-from .expressions import RowFn
+from .expressions import Params, RowFn, compile_expr
 from .types import (
     arithmetic,
     compare_eq,
@@ -481,55 +481,57 @@ _COMPARISONS = {
 _ARITHMETIC = frozenset({"+", "-", "*", "/", "%", "||"})
 
 
-def _constant(expr: ast.Expr) -> Optional[ast.Literal]:
-    """The literal an arithmetic expression over literals evaluates to.
-
-    Witness filters compare a column against ``now ± window`` with
-    ``now`` substituted as a literal; emitted as written, the constant
-    side is recomputed for every row. ``None`` when ``expr`` is not
-    constant — or raises, which is left to raise per row, as before.
-    """
-    if isinstance(expr, ast.Literal):
-        return expr
-    try:
-        if isinstance(expr, ast.UnaryOp) and expr.op == "-":
-            operand = _constant(expr.operand)
-            if operand is None:
-                return None
-            value = negate(operand.value)
-        elif isinstance(expr, ast.BinaryOp) and expr.op in _ARITHMETIC:
-            left, right = _constant(expr.left), _constant(expr.right)
-            if left is None or right is None:
-                return None
-            value = arithmetic(expr.op, left.value, right.value)
-        else:
-            return None
-    except ExecutionError:
-        return None
-    if value is None or type(value) in (int, str):
-        return ast.Literal(value)
-    return None
+def _is_constant(expr: ast.Expr) -> bool:
+    """Arithmetic over literals and parameters only: one value per
+    execution, whatever the row."""
+    if isinstance(expr, (ast.Literal, ast.Param)):
+        return True
+    if isinstance(expr, ast.UnaryOp):
+        return expr.op == "-" and _is_constant(expr.operand)
+    if isinstance(expr, ast.BinaryOp):
+        return (
+            expr.op in _ARITHMETIC
+            and _is_constant(expr.left)
+            and _is_constant(expr.right)
+        )
+    return False
 
 
-def emit(expr: ast.Expr, resolve_column: SourceResolver) -> Optional[str]:
+def _inline_literal(value) -> bool:
+    """Whether ``repr(value)`` is valid source for ``value`` (``inf`` and
+    ``nan`` are not)."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return True
+    return isinstance(value, float) and value - value == 0.0
+
+
+def emit(
+    expr: ast.Expr, resolve_column: SourceResolver, constants: List[ast.Expr]
+) -> Optional[str]:
     """Emit ``expr`` as a Python source fragment.
 
     Returns ``None`` when the expression (or any sub-expression) has no
     source form; callers then wrap the compiled closure
     (:func:`closure_kernel` / :func:`closure_selection`).
+
+    A constant sub-expression — a parameter, or arithmetic over literals
+    and parameters, such as a witness's ``now - window`` — is not written
+    into the source: it is appended to ``constants`` and emitted as the
+    variable ``_k<j>``, which the kernel binds once per call (see
+    :func:`_make_kernel`). A plain literal is inlined as its ``repr``.
     """
-    expr = _constant(expr) or expr
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        if value is None or isinstance(value, (bool, int, float, str)):
-            return repr(value)
-        return None
+    if isinstance(expr, ast.Literal) and _inline_literal(expr.value):
+        return repr(expr.value)
+
+    if _is_constant(expr):
+        constants.append(expr)
+        return f"_k{len(constants) - 1}"
 
     if isinstance(expr, ast.ColumnRef):
         return resolve_column(expr)
 
     if isinstance(expr, ast.UnaryOp):
-        operand = emit(expr.operand, resolve_column)
+        operand = emit(expr.operand, resolve_column, constants)
         if operand is None:
             return None
         if expr.op == "not":
@@ -539,8 +541,8 @@ def emit(expr: ast.Expr, resolve_column: SourceResolver) -> Optional[str]:
         return None
 
     if isinstance(expr, ast.BinaryOp):
-        left = emit(expr.left, resolve_column)
-        right = emit(expr.right, resolve_column)
+        left = emit(expr.left, resolve_column, constants)
+        right = emit(expr.right, resolve_column, constants)
         if left is None or right is None:
             return None
         op = expr.op
@@ -557,7 +559,7 @@ def emit(expr: ast.Expr, resolve_column: SourceResolver) -> Optional[str]:
         return None
 
     if isinstance(expr, ast.IsNull):
-        operand = emit(expr.operand, resolve_column)
+        operand = emit(expr.operand, resolve_column, constants)
         if operand is None:
             return None
         test = "is not None" if expr.negated else "is None"
@@ -568,14 +570,16 @@ def emit(expr: ast.Expr, resolve_column: SourceResolver) -> Optional[str]:
 
 def _emit_over_columns(
     expr: ast.Expr, resolve_position: PositionResolver
-) -> Optional[Tuple[str, List[int]]]:
+) -> Optional[Tuple[str, List[int], List[ast.Expr]]]:
     """Emit ``expr`` as a source fragment over per-column loop variables.
 
-    Returns ``(source, used_positions)`` where each referenced column
-    position appears as the variable ``_v{position}``; ``None`` when any
-    sub-expression has no source form.
+    Returns ``(source, used_positions, constants)`` where each referenced
+    column position appears as the variable ``_v{position}`` and constant
+    ``j`` as ``_k{j}``; ``None`` when any sub-expression has no source
+    form.
     """
     used: dict = {}
+    constants: List[ast.Expr] = []
 
     def resolve(ref: ast.ColumnRef) -> Optional[str]:
         position = resolve_position(ref)
@@ -584,10 +588,10 @@ def _emit_over_columns(
         name = used.setdefault(position, f"_v{position}")
         return name
 
-    source = emit(expr, resolve)
+    source = emit(expr, resolve, constants)
     if source is None:
         return None
-    return source, sorted(used)
+    return source, sorted(used), constants
 
 
 def _loop_head(positions: List[int]) -> Tuple[str, str]:
@@ -606,6 +610,62 @@ def _loop_head(positions: List[int]) -> Tuple[str, str]:
 
 def _compile(source: str):
     return eval(compile(source, "<columnar-kernel>", "eval"), dict(_HELPERS))
+
+
+def _make_kernel(
+    body: str,
+    positions: List[int],
+    constants: List[ast.Expr],
+    fallback: Optional[Callable[[List[list], int], Sequence]],
+    params: Optional[Params],
+):
+    """Compile ``body`` (an expression over ``_cols``/``_n``) into a
+    kernel carrying the ``positions`` it reads.
+
+    With constants the kernel first binds ``_k0, _k1, ...`` — their values
+    for this execution — and when one of them raises, it runs
+    ``fallback`` (the closure over every row) instead, so the error is
+    raised per row as written: never for an empty input, always for a
+    non-empty one.
+    """
+    if not constants:
+        kernel = _compile(f"lambda _cols, _n: {body}")
+    else:
+        names = ", ".join(f"_k{j}" for j in range(len(constants)))
+        namespace = dict(_HELPERS)
+        namespace.update(
+            _bind=_constant_binder(constants, params),
+            _fallback=fallback,
+            _ExecutionError=ExecutionError,
+        )
+        exec(
+            compile(
+                "def _kernel(_cols, _n):\n"
+                "    try:\n"
+                f"        {names}, = _bind()\n"
+                "    except _ExecutionError:\n"
+                "        return _fallback(_cols, _n)\n"
+                f"    return {body}\n",
+                "<columnar-kernel>",
+                "exec",
+            ),
+            namespace,
+        )
+        kernel = namespace["_kernel"]
+    kernel.positions = positions
+    return kernel
+
+
+def _constant_binder(
+    constants: List[ast.Expr], params: Optional[Params]
+) -> Callable[[], list]:
+    """``() -> the constants' values`` for the current execution."""
+    fns = [compile_expr(expr, _no_columns, params=params) for expr in constants]
+    return lambda: [fn(()) for fn in fns]
+
+
+def _no_columns(ref: ast.ColumnRef) -> RowFn:
+    raise BindError(f"unexpected column reference {ref} in constant expression")
 
 
 def _rows(columns: List[list], length: int) -> Iterable[tuple]:
@@ -634,38 +694,37 @@ def selection_kernel(
     expr: ast.Expr,
     resolve_position: PositionResolver,
     fallback: Callable[[tuple], bool],
+    params: Optional[Params] = None,
 ) -> SelectionKernel:
     """Compile a predicate into ``(columns, n) -> kept positions``.
 
     The returned kernel carries a ``positions`` attribute — the input
     column positions it reads — consumed by the plan narrowing pass.
     ``fallback`` is the predicate's compiled closure, wrapped when the
-    expression has no source form.
+    expression has no source form; ``params`` is the plan's parameter
+    cell (:class:`~repro.engine.expressions.Params`), if it has one.
     """
     emitted = _emit_over_columns(expr, resolve_position)
     if emitted is None:
         return closure_selection(fallback)
-    source, positions = emitted
+    source, positions, constants = emitted
+    fallback_kernel = closure_selection(fallback) if constants else None
     if not positions:
         # Constant predicate: all rows or none. Guarded by n so empty
         # input never evaluates (matching per-row semantics, which never
         # run the predicate when there are no rows).
-        kernel = _compile(
-            f"lambda _cols, _n: (range(_n) if _n and ({source}) is True else ())"
-        )
-        kernel.positions = positions
-        return kernel
+        body = f"(range(_n) if _n and ({source}) is True else ())"
+        return _make_kernel(body, positions, constants, fallback_kernel, params)
     target, iterable = _loop_head(positions)
-    kernel = _compile(
-        f"lambda _cols, _n: [_i for _i, {target} in "
-        f"enumerate({iterable}) if ({source}) is True]"
-    )
-    kernel.positions = positions
-    return kernel
+    body = f"[_i for _i, {target} in enumerate({iterable}) if ({source}) is True]"
+    return _make_kernel(body, positions, constants, fallback_kernel, params)
 
 
 def value_kernel(
-    expr: ast.Expr, resolve_position: PositionResolver, fallback: RowFn
+    expr: ast.Expr,
+    resolve_position: PositionResolver,
+    fallback: RowFn,
+    params: Optional[Params] = None,
 ) -> ValueKernel:
     """Compile an expression into ``(columns, n) -> list of values``.
 
@@ -676,30 +735,30 @@ def value_kernel(
     emitted = _emit_over_columns(expr, resolve_position)
     if emitted is None:
         return closure_kernel(fallback)
-    source, positions = emitted
+    source, positions, constants = emitted
+    fallback_kernel = closure_kernel(fallback) if constants else None
     if not positions:
         # Evaluated once per row (matching per-row error semantics for
         # constant expressions that raise).
-        kernel = _compile(f"lambda _cols, _n: [{source} for _ in range(_n)]")
-        kernel.positions = positions
-        return kernel
+        body = f"[{source} for _ in range(_n)]"
+        return _make_kernel(body, positions, constants, fallback_kernel, params)
     target, iterable = _loop_head(positions)
-    kernel = _compile(
-        f"lambda _cols, _n: [{source} for {target} in {iterable}]"
-    )
-    kernel.positions = positions
-    return kernel
+    body = f"[{source} for {target} in {iterable}]"
+    return _make_kernel(body, positions, constants, fallback_kernel, params)
 
 
 def value_slot(
-    expr: ast.Expr, resolve_position: PositionResolver, fallback: RowFn
+    expr: ast.Expr,
+    resolve_position: PositionResolver,
+    fallback: RowFn,
+    params: Optional[Params] = None,
 ) -> Slot:
     """A projection/key slot: plain refs become zero-copy column picks."""
     if isinstance(expr, ast.ColumnRef):
         position = resolve_position(expr)
         if position is not None:
             return ("col", position)
-    return ("expr", value_kernel(expr, resolve_position, fallback))
+    return ("expr", value_kernel(expr, resolve_position, fallback, params))
 
 
 def slot_values(slot: Slot, columns: List[list], length: int) -> list:
@@ -874,6 +933,7 @@ def agg_spec(
     call: ast.FuncCall,
     resolve_position: PositionResolver,
     compile_arg: Optional[Callable[[ast.Expr], RowFn]] = None,
+    params: Optional[Params] = None,
 ) -> AggSpec:
     """Compile one aggregate call, raising the ``BindError`` of an
     invalid one at plan time; ``compile_arg`` compiles the argument's
@@ -888,5 +948,5 @@ def agg_spec(
     if name not in _REDUCERS:
         raise BindError(f"unknown aggregate {name!r}")
     arg = call.args[0]
-    slot = value_slot(arg, resolve_position, compile_arg(arg))
+    slot = value_slot(arg, resolve_position, compile_arg(arg), params)
     return AggSpec(slot, _REDUCERS[name], bool(call.distinct))

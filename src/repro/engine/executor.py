@@ -14,6 +14,13 @@ another. The specification it is held to lives with the tests:
 ``tests/oracle.py`` evaluates the parsed AST naively, independent of the
 planner, and the engine suites compare every answer against it.
 
+A textual query is *prepared*: its text is lexed once
+(:func:`~repro.sql.statement.statement`), and its shape — the tokens
+with the literals of ``WHERE``, ``JOIN ... ON`` and ``HAVING`` as typed
+slots — finds one :class:`Prepared` entry per engine, parsed, analysed
+and planned on the first miss and only bound after that: each execution
+sets the plan's parameter cell to the text's own literal values.
+
 Passing ``trace=`` (a :class:`~repro.obs.TraceContext`) attaches one span
 per physical operator under the caller's current span, each accounting
 rows emitted and inclusive wall time; ``explain(analyze=True)`` is the
@@ -24,15 +31,16 @@ per-node ``rows=… time=…`` annotations.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from ..errors import LexError
+from ..errors import BindError
 from ..obs import TraceContext
-from ..sql import ast, canonical_sql, parse
+from ..sql import ast, parse, parse_template, statement
 from .columnar import ColumnBatch, LineageColumns
 from .database import Database
 from .explain import describe, explain_plan, render_analyzed
+from .expressions import Params, param_indexes
 from .operators import Operator, TracedOp
 from .planner import Plan, plan_query
 from .table import Row
@@ -100,6 +108,28 @@ class Result:
         return set() if self.lineage is None else self.lineage.tables()
 
 
+@dataclass
+class Prepared(Plan):
+    """One query shape, planned once and bound per execution.
+
+    ``template`` is the shape's parse with lifted literals as
+    :class:`~repro.sql.ast.Param` nodes; the plan's closures and kernels
+    read them from ``params``, which :meth:`Engine.execute` sets to each
+    execution's tuple. ``schema_rows`` is a slot for the shape's
+    ``Schema`` usage-log rows, which depend on the query's columns and
+    not on its literals (filled by their first consumer,
+    :meth:`repro.log.QueryContext.schema_rows`).
+    """
+
+    template: ast.Query = None
+    params: Params = field(default_factory=Params)
+    schema_rows: Optional[list] = None
+
+    def bind(self, values: tuple) -> ast.Query:
+        """The AST of the text this binding came from."""
+        return ast.bind(self.template, values)
+
+
 def instrument_plan(
     op: Operator, trace: TraceContext, parent=None
 ) -> Operator:
@@ -157,11 +187,12 @@ class Engine:
 
     def __init__(self, database: Database):
         self.database = database
-        #: Canonical text → plan. Keying on the canonical form (not the
-        #: raw string) lets ``select * from t`` and ``SELECT * FROM t``
-        #: share one slot instead of planning twice (``canonical_sql``
-        #: memoizes the text → key step itself).
-        self._plan_cache: dict[str, Plan] = _LruCache(256)
+        #: Query shape and the values of its kept literals → prepared
+        #: plan (see :meth:`prepare`).
+        self._prepared: dict[tuple, Prepared] = _LruCache(256)
+        #: Query shape → positions of the literals it keeps (the ones
+        #: the parser did not lift), learned by the shape's first parse.
+        self._kept: dict[str, tuple] = _LruCache(256)
         #: AST → plan. The enforcer's policy loop executes pre-parsed
         #: ASTs (frozen, hashable dataclasses); caching them keeps the
         #: operator objects — and the hash-join build caches they carry —
@@ -186,27 +217,16 @@ class Engine:
         self.dag_shared_nodes = 0
         self.dag_saved_execs = 0
 
-    @staticmethod
-    def _canonical_key(text: str) -> str:
-        """The cache key for a textual query; raw text when unlexable
-        (the planner's parse will raise the real error)."""
-        try:
-            return canonical_sql(text)
-        except LexError:
-            return text
+    def prepare(self, text: str) -> tuple[Prepared, tuple]:
+        """The prepared plan of ``text``'s shape and the literal values
+        an execution of ``text`` binds."""
+        return self.plan(text), statement(text).params
 
     def plan(self, query: Union[str, ast.Query]) -> Plan:
-        """Plan a query; both textual and AST queries get a tiny plan cache."""
+        """Plan a query through the plan caches: a text's plan is its
+        shape's :class:`Prepared` entry, an AST's is keyed on the AST."""
         if isinstance(query, str):
-            key = self._canonical_key(query)
-            cached = self._plan_cache.lookup(key)
-            if cached is not None:
-                self.plan_cache_hits += 1
-                return cached
-            self.plan_cache_misses += 1
-            plan = plan_query(parse(query), self.database)
-            self._plan_cache.admit(key, plan)
-            return plan
+            return self._prepare(query)
         cached = self._ast_plan_cache.lookup(query)
         if cached is not None:
             self.plan_cache_hits += 1
@@ -216,6 +236,50 @@ class Engine:
         self._ast_plan_cache.admit(query, plan)
         return plan
 
+    def _prepare(self, text: str) -> Prepared:
+        entry = statement(text)
+        values = entry.params
+        kept = self._kept.lookup(entry.shape)
+        template = None
+        if kept is None:
+            template = parse_template(text)
+            lifted = set(param_indexes(template))
+            kept = tuple(i for i in range(len(values)) if i not in lifted)
+            self._kept.admit(entry.shape, kept)
+        # The shape types every slot, so the kept values need no tag.
+        key = (entry.shape, tuple([values[i] for i in kept]))
+        prepared = self._prepared.lookup(key)
+        if prepared is not None:
+            self.plan_cache_hits += 1
+            return prepared
+        self.plan_cache_misses += 1
+        if len(kept) == len(values):
+            template = parse(text)
+        elif template is None:
+            template = parse_template(text)
+        params = Params()
+        try:
+            plan = plan_query(template, self.database, params)
+        except BindError:
+            if len(kept) == len(values):
+                raise
+            # The planner matches some terms by structure — a HAVING term
+            # that repeats a GROUP BY key such as ``a + 1`` — and a lifted
+            # literal breaks the match: the shape keeps all its literals.
+            kept = tuple(range(len(values)))
+            self._kept.admit(entry.shape, kept)
+            key = (entry.shape, values)
+            template = parse(text)
+            plan = plan_query(template, self.database, params)
+        prepared = Prepared(
+            plan.op,
+            plan.columns,
+            template=template,
+            params=params,
+        )
+        self._prepared.admit(key, prepared)
+        return prepared
+
     def invalidate_plans(self) -> None:
         """Drop cached plans (after schema changes); counters persist.
 
@@ -223,19 +287,22 @@ class Engine:
         plans — in particular the enforcer's shared-subplan DAG and the
         batches its :class:`~repro.engine.dag.SharedNode`\\ s memoized.
         """
-        self._plan_cache.clear()
+        self._prepared.clear()
+        self._kept.clear()
         self._ast_plan_cache.clear()
         self.plan_epoch += 1
         self.dag_shared_nodes = 0
 
     def execute(
         self,
-        query: Union[str, ast.Query],
+        query: Union[str, ast.Query, Prepared],
         lineage: bool = False,
         trace: Optional[TraceContext] = None,
+        params: tuple = (),
     ) -> Result:
-        """Run a query and materialize its result."""
-        plan = self.plan(query)
+        """Run a query and materialize its result. A :class:`Prepared`
+        plan runs bound to ``params``; a text binds its own literals."""
+        plan = self._bound(query, params)
         op = plan.op
         if trace is not None:
             op = instrument_plan(op, trace)
@@ -251,6 +318,18 @@ class Engine:
             self.lineage_rows += len(rows)
         return Result(columns=list(plan.columns), rows=rows, lineage=tracked)
 
+    def _bound(
+        self, query: Union[str, ast.Query, Prepared], params: tuple = ()
+    ) -> Plan:
+        """``query``'s plan, bound for one execution."""
+        if isinstance(query, str):
+            query, params = self.prepare(query)
+        elif not isinstance(query, Plan):
+            query = self.plan(query)
+        if isinstance(query, Prepared):
+            query.params.values = params
+        return query
+
     def _batches(self, op: Operator, lineage: bool) -> Iterator[ColumnBatch]:
         """``op``'s output batches, counted for ``/v1/metrics``."""
         for cbatch in op.execute(self.database, lineage):
@@ -260,7 +339,7 @@ class Engine:
 
     def is_empty(self, query: Union[str, ast.Query]) -> bool:
         """True if the query returns no rows (stops at the first chunk)."""
-        return self.plan_is_empty(self.plan(query).op)
+        return self.plan_is_empty(self._bound(query).op)
 
     def plan_is_empty(self, op: Operator) -> bool:
         """Emptiness check over an already-built operator tree.
@@ -279,7 +358,7 @@ class Engine:
         span per operator, and every node is annotated with its observed
         row count and inclusive time.
         """
-        plan = self.plan(query)
+        plan = self._bound(query)
         if not analyze:
             return explain_plan(plan.op, plan.columns)
         # Generous caps: an explicit EXPLAIN ANALYZE should show every

@@ -8,6 +8,10 @@ both contexts the planner needs:
   FROM-row (plain scans and joins);
 - *group context*: whole sub-expressions matching a GROUP BY key resolve to
   key slots and aggregate calls resolve to aggregate slots.
+
+A prepared plan's :class:`~repro.sql.ast.Param` nodes compile to reads of
+its :class:`Params` cell, which each execution sets to its own tuple
+before the plan runs.
 """
 
 from __future__ import annotations
@@ -34,6 +38,29 @@ ColumnResolver = Callable[[ast.ColumnRef], RowFn]
 #: Optionally resolves a whole expression (used for group keys / aggregates).
 ExprResolver = Callable[[ast.Expr], Optional[RowFn]]
 
+
+class Params:
+    """The parameter tuple one prepared plan reads.
+
+    Compiled closures and kernels hold the cell, never a value: the
+    engine sets ``values`` before each execution of the plan (executions
+    of one engine's plans never interleave), so one compiled plan serves
+    every literal binding of its shape.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self) -> None:
+        self.values: tuple = ()
+
+
+def param_indexes(expr: ast.Node) -> list[int]:
+    """Indexes of the parameters ``expr`` reads, in order, once each."""
+    return sorted(
+        {node.index for node in expr.walk() if isinstance(node, ast.Param)}
+    )
+
+
 #: Aggregate function names; the planner compiles these to aggregate specs.
 AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "min", "max", "avg"})
 
@@ -52,6 +79,7 @@ def compile_expr(
     expr: ast.Expr,
     resolve_column: ColumnResolver,
     resolve_special: Optional[ExprResolver] = None,
+    params: Optional[Params] = None,
 ) -> RowFn:
     """Compile ``expr`` into a row function.
 
@@ -59,7 +87,8 @@ def compile_expr(
     function, that function is used for the whole subtree (this is how group
     keys and aggregate slots are injected). Without it, encountering an
     aggregate call is a bind error — aggregates are only legal in a group
-    context.
+    context. ``params`` is the cell a parameter reads; a parameter without
+    one is a bind error.
     """
     if resolve_special is not None:
         special = resolve_special(expr)
@@ -70,6 +99,12 @@ def compile_expr(
         value = expr.value
         return lambda row: value
 
+    if isinstance(expr, ast.Param):
+        if params is None:
+            raise BindError(f"parameter ${expr.index + 1} has no binding")
+        index = expr.index
+        return lambda row: params.values[index]
+
     if isinstance(expr, ast.ColumnRef):
         return resolve_column(expr)
 
@@ -77,7 +112,7 @@ def compile_expr(
         raise BindError("'*' is only allowed in a select list or COUNT(*)")
 
     if isinstance(expr, ast.UnaryOp):
-        operand = compile_expr(expr.operand, resolve_column, resolve_special)
+        operand = compile_expr(expr.operand, resolve_column, resolve_special, params)
         if expr.op == "not":
             return lambda row: sql_not(operand(row))
         if expr.op == "-":
@@ -85,12 +120,12 @@ def compile_expr(
         raise BindError(f"unknown unary operator {expr.op!r}")
 
     if isinstance(expr, ast.BinaryOp):
-        return _compile_binary(expr, resolve_column, resolve_special)
+        return _compile_binary(expr, resolve_column, resolve_special, params)
 
     if isinstance(expr, ast.InList):
-        needle = compile_expr(expr.needle, resolve_column, resolve_special)
+        needle = compile_expr(expr.needle, resolve_column, resolve_special, params)
         items = [
-            compile_expr(item, resolve_column, resolve_special)
+            compile_expr(item, resolve_column, resolve_special, params)
             for item in expr.items
         ]
         negated = expr.negated
@@ -110,7 +145,7 @@ def compile_expr(
         return in_list
 
     if isinstance(expr, ast.IsNull):
-        operand = compile_expr(expr.operand, resolve_column, resolve_special)
+        operand = compile_expr(expr.operand, resolve_column, resolve_special, params)
         if expr.negated:
             return lambda row: operand(row) is not None
         return lambda row: operand(row) is None
@@ -118,13 +153,13 @@ def compile_expr(
     if isinstance(expr, ast.CaseExpr):
         whens = [
             (
-                compile_expr(cond, resolve_column, resolve_special),
-                compile_expr(value, resolve_column, resolve_special),
+                compile_expr(cond, resolve_column, resolve_special, params),
+                compile_expr(value, resolve_column, resolve_special, params),
             )
             for cond, value in expr.whens
         ]
         default = (
-            compile_expr(expr.default, resolve_column, resolve_special)
+            compile_expr(expr.default, resolve_column, resolve_special, params)
             if expr.default is not None
             else None
         )
@@ -142,7 +177,7 @@ def compile_expr(
             raise BindError(
                 f"aggregate {expr.name}() is not allowed in this context"
             )
-        return _compile_scalar_function(expr, resolve_column, resolve_special)
+        return _compile_scalar_function(expr, resolve_column, resolve_special, params)
 
     raise BindError(f"cannot compile expression node {type(expr).__name__}")
 
@@ -151,9 +186,10 @@ def _compile_binary(
     expr: ast.BinaryOp,
     resolve_column: ColumnResolver,
     resolve_special: Optional[ExprResolver],
+    params: Optional[Params],
 ) -> RowFn:
-    left = compile_expr(expr.left, resolve_column, resolve_special)
-    right = compile_expr(expr.right, resolve_column, resolve_special)
+    left = compile_expr(expr.left, resolve_column, resolve_special, params)
+    right = compile_expr(expr.right, resolve_column, resolve_special, params)
     op = expr.op
 
     if op == "and":
@@ -239,6 +275,7 @@ def _compile_scalar_function(
     expr: ast.FuncCall,
     resolve_column: ColumnResolver,
     resolve_special: Optional[ExprResolver],
+    params: Optional[Params],
 ) -> RowFn:
     try:
         fn = _SCALAR_FUNCTIONS[expr.name]
@@ -247,7 +284,8 @@ def _compile_scalar_function(
     if expr.distinct:
         raise BindError(f"DISTINCT is not valid in scalar function {expr.name!r}")
     args = [
-        compile_expr(arg, resolve_column, resolve_special) for arg in expr.args
+        compile_expr(arg, resolve_column, resolve_special, params)
+        for arg in expr.args
     ]
     return lambda row: fn(*(arg(row) for arg in args))
 
@@ -256,7 +294,8 @@ def compile_predicate(
     expr: ast.Expr,
     resolve_column: ColumnResolver,
     resolve_special: Optional[ExprResolver] = None,
+    params: Optional[Params] = None,
 ) -> Callable[[tuple], bool]:
     """Compile a boolean expression into a strict True/False row test."""
-    fn = compile_expr(expr, resolve_column, resolve_special)
+    fn = compile_expr(expr, resolve_column, resolve_special, params)
     return lambda row: is_truthy(fn(row))

@@ -23,6 +23,13 @@ Alongside each compiled closure the planner emits its column form (see
 :mod:`repro.engine.columnar`) — a selection kernel, projection/key slot
 or aggregate spec, compiled from source where the expression shape
 allows and wrapping that same closure where it does not.
+
+A prepared query's template carries :class:`~repro.sql.ast.Param` nodes;
+every closure and kernel reads them from the plan's
+:class:`~repro.engine.expressions.Params` cell, so nothing in the plan
+depends on a bound value: index probes evaluate their value per
+execution and kernels bind their constants per call. Hash-join keys are
+column pairs, so no build cache reads a parameter.
 """
 
 from __future__ import annotations
@@ -35,11 +42,13 @@ from ..sql import ast
 from . import columnar
 from .database import Database
 from .expressions import (
+    Params,
     RowFn,
     compile_expr,
     compile_predicate,
     contains_aggregate,
     is_aggregate_call,
+    param_indexes,
 )
 from .operators import (
     DistinctOnOp,
@@ -173,10 +182,20 @@ def normalize_expr(expr: ast.Expr, layout: Layout) -> ast.Expr:
 
 
 class Planner:
-    """Plans one query against a database catalog."""
+    """Plans one query against a database catalog.
 
-    def __init__(self, database: Database):
+    ``params`` is the cell the plan's parameters read (``None``: the
+    query has none).
+    """
+
+    def __init__(self, database: Database, params: Optional[Params] = None):
         self.database = database
+        self.params = params
+
+    def _compile(
+        self, expr: ast.Expr, resolve_column, resolve_special=None
+    ) -> RowFn:
+        return compile_expr(expr, resolve_column, resolve_special, self.params)
 
     # -- entry points --------------------------------------------------------
 
@@ -366,15 +385,18 @@ class Planner:
             index = layout.resolve_position(ref) - base
             return lambda row: row[index]
 
-        predicate = compile_predicate(expr, column_fn)
+        predicate = compile_predicate(expr, column_fn, params=self.params)
         selection = columnar.selection_kernel(
-            expr, layout.position_resolver(base), predicate
+            expr, layout.position_resolver(base), predicate, self.params
         )
         filter_op = FilterOp(child, predicate, pushed=pushed, selection=selection)
         # Canonical identity for cross-plan sharing: the fully qualified
         # predicate plus the child-relative position of every column it
         # reads pins the compiled closures' behavior exactly (see
-        # :func:`repro.engine.dag.fingerprint`).
+        # :func:`repro.engine.dag.fingerprint`). A parameter's value is
+        # not in the tree, so a filter that reads one has no identity.
+        if param_indexes(expr):
+            return filter_op
         try:
             origin = (
                 normalize_expr(expr, layout),
@@ -476,7 +498,9 @@ class Planner:
         right_width = sum(len(b.columns) for b in right_bindings)
         bindings = left_bindings + right_bindings
         predicate = compile_predicate(
-            join.condition, self._local_layout(bindings).column_fn
+            join.condition,
+            self._local_layout(bindings).column_fn,
+            params=self.params,
         )
         return bindings, LeftJoinOp(left_op, right_op, predicate, right_width)
 
@@ -490,9 +514,8 @@ class Planner:
             position += len(binding.columns)
         return Layout(rebased)
 
-    @staticmethod
     def _try_index_scan(
-        scan: ScanOp, binding: Binding, local: list[ast.Expr]
+        self, scan: ScanOp, binding: Binding, local: list[ast.Expr]
     ) -> tuple[Optional[Operator], list[ast.Expr]]:
         """Convert the first ``col = constant`` conjunct into an index probe.
 
@@ -515,7 +538,7 @@ class Planner:
                     continue
                 if ast.column_refs(value_side):
                     continue  # not a constant expression
-                value_fn = compile_expr(value_side, _no_columns)
+                value_fn = self._compile(value_side, _no_columns)
                 position = binding.columns.index(column_side.name)
                 leftover = local[:index] + local[index + 1 :]
                 return IndexScanOp(scan.table_name, position, value_fn), leftover
@@ -564,7 +587,7 @@ class Planner:
 
         if select.distinct_on:
             on_fns = [
-                compile_expr(expr, key_fn) for expr in select.distinct_on
+                self._compile(expr, key_fn) for expr in select.distinct_on
             ]
             op: Operator = DistinctOnOp(child, on_fns, out_fns)
         else:
@@ -595,7 +618,7 @@ class Planner:
                 and expr.name in alias_exprs
             ):
                 expr = alias_exprs[expr.name]
-            fns.append(compile_expr(expr, layout.column_fn))
+            fns.append(self._compile(expr, layout.column_fn))
             descending.append(order.descending)
         return fns, descending
 
@@ -653,10 +676,12 @@ class Planner:
                         names.append(column)
                         slots.append(("col", index))
                 continue
-            fns.append(compile_expr(item.expr, layout.column_fn))
+            fns.append(self._compile(item.expr, layout.column_fn))
             names.append(self._output_name(item, position))
             slots.append(
-                columnar.value_slot(item.expr, resolve_position, fns[-1])
+                columnar.value_slot(
+                    item.expr, resolve_position, fns[-1], self.params
+                )
             )
         return fns, names, slots
 
@@ -677,7 +702,7 @@ class Planner:
     ) -> Plan:
         key_exprs = [normalize_expr(e, layout) for e in select.group_by]
         key_index = {expr: i for i, expr in enumerate(key_exprs)}
-        key_fns = [compile_expr(e, layout.column_fn) for e in key_exprs]
+        key_fns = [self._compile(e, layout.column_fn) for e in key_exprs]
 
         # Collect distinct aggregate calls across all post-agg expressions.
         agg_order: list[ast.FuncCall] = []
@@ -706,7 +731,7 @@ class Planner:
 
         resolve_position = layout.position_resolver()
         key_slots = [
-            columnar.value_slot(expr, resolve_position, fn)
+            columnar.value_slot(expr, resolve_position, fn, self.params)
             for expr, fn in zip(key_exprs, key_fns)
         ]
 
@@ -714,7 +739,8 @@ class Planner:
             columnar.agg_spec(
                 call,
                 resolve_position,
-                lambda expr: compile_expr(expr, layout.column_fn),
+                lambda expr: self._compile(expr, layout.column_fn),
+                self.params,
             )
             for call in agg_order
         ]
@@ -742,13 +768,16 @@ class Planner:
             )
 
         def compile_grouped(expr: ast.Expr) -> RowFn:
-            return compile_expr(expr, grouped_column, resolve_special)
+            return self._compile(expr, grouped_column, resolve_special)
 
         op: Operator = GroupOp(child, key_slots, agg_specs)
         # Sharing identity: normalized keys and aggregates plus the input
         # positions they resolve to (positions disambiguate self-joins
         # where distinct aliases normalize to the same qualified names).
+        # Parameters have no value in the tree: no identity.
         try:
+            if any(param_indexes(expr) for expr in agg_order):
+                raise TypeError("reads parameters")
             origin = (
                 tuple(key_exprs),
                 tuple(agg_order),
@@ -770,6 +799,8 @@ class Planner:
             # layout, which the child GroupOp's fingerprint already pins;
             # the normalized expression alone completes the identity.
             try:
+                if param_indexes(select.having):
+                    raise TypeError("reads parameters")
                 origin = ("having", normalize_expr(select.having, layout))
                 hash(origin)
             except (BindError, TypeError):
@@ -865,8 +896,10 @@ def narrow_plan(op: Operator, needed: Optional[frozenset] = None) -> None:
             narrow_plan(inner, None)
 
 
-def plan_query(query: ast.Query, database: Database) -> Plan:
+def plan_query(
+    query: ast.Query, database: Database, params: Optional[Params] = None
+) -> Plan:
     """Convenience wrapper around :class:`Planner`, narrowing included."""
-    plan = Planner(database).plan(query)
+    plan = Planner(database, params).plan(query)
     narrow_plan(plan.op)
     return plan

@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Sequence
 
 from ..errors import UnknownLogRelationError
 from .context import QueryContext
-from .schema_analysis import SchemaAnalyzer
 
 #: Rows produced by a log function (without the timestamp column).
 LogRows = list[tuple]
@@ -54,8 +53,7 @@ def _generate_users(ctx: QueryContext) -> LogRows:
 
 
 def _generate_schema(ctx: QueryContext) -> LogRows:
-    analyzer = SchemaAnalyzer(ctx.database)
-    return [tuple(row) for row in analyzer.analyze(ctx.query)]
+    return ctx.schema_rows()
 
 
 def _generate_provenance(ctx: QueryContext) -> LogRows:

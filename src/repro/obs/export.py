@@ -84,11 +84,11 @@ from .prom import HistogramSnapshot, MetricFamily, Registry
 _ENGINE_FAMILIES = (
     (
         "plan_hits", "repro_plan_cache_hits_total", "counter",
-        "Textual queries planned from the canonical-form plan cache.",
+        "Plan lookups (query shapes and policy ASTs) served from a plan cache.",
     ),
     (
         "plan_misses", "repro_plan_cache_misses_total", "counter",
-        "Textual queries that required a fresh plan.",
+        "Plan lookups that required a fresh plan.",
     ),
     (
         "build_hits", "repro_join_build_cache_hits_total", "counter",

@@ -371,10 +371,13 @@ def make_handler(service: EnforcerService):
 class EnforcementHTTPServer(ThreadingHTTPServer):
     """A threading HTTP server that drains its service on close."""
 
-    service: ShardedEnforcerService
+    #: Set by :func:`serve` once the socket is bound. A failed bind
+    #: closes the server before that, and must surface its own error.
+    service: Optional[ShardedEnforcerService] = None
 
     def server_close(self) -> None:
-        self.service.drain()
+        if self.service is not None:
+            self.service.drain()
         super().server_close()
 
 
@@ -399,6 +402,10 @@ def serve(
     """
     sharded = ShardedEnforcerService(enforcer, config)
     facade = EnforcerService(sharded)
-    server = EnforcementHTTPServer((host, port), make_handler(facade))
+    try:
+        server = EnforcementHTTPServer((host, port), make_handler(facade))
+    except OSError:
+        sharded.drain()  # the bind failed (say, the port is taken)
+        raise
     server.service = sharded
     return server

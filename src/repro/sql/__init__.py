@@ -9,10 +9,10 @@ Typical use::
 """
 
 from . import ast
-from .canonical import canonical_sql
 from .lexer import Lexer, tokenize
-from .parser import Parser, parse, parse_expression, parse_select
+from .parser import Parser, parse, parse_expression, parse_select, parse_template
 from .printer import print_expr, print_query
+from .statement import Statement, canonical_sql, statement
 from .tokens import Token, TokenType
 
 __all__ = [
@@ -24,8 +24,11 @@ __all__ = [
     "parse",
     "parse_expression",
     "parse_select",
+    "parse_template",
     "print_expr",
     "print_query",
+    "Statement",
+    "statement",
     "Token",
     "TokenType",
 ]

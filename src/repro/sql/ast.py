@@ -53,26 +53,25 @@ def transform(node: Node, fn: Callable[[Node], Optional[Node]]) -> Node:
     changes = {}
     for f in dataclasses.fields(node):
         value = getattr(node, f.name)
-        if isinstance(value, Node):
-            new_value = transform(value, fn)
-            if new_value is not value:
-                changes[f.name] = new_value
-        elif isinstance(value, (list, tuple)):
-            new_items = []
-            changed = False
-            for item in value:
-                if isinstance(item, Node):
-                    new_item = transform(item, fn)
-                    changed = changed or new_item is not item
-                    new_items.append(new_item)
-                else:
-                    new_items.append(item)
-            if changed:
-                changes[f.name] = type(value)(new_items)
+        new_value = _transform_field(value, fn)
+        if new_value is not value:
+            changes[f.name] = new_value
     if changes:
         node = node.replace(**changes)
     replacement = fn(node)
     return node if replacement is None else replacement
+
+
+def _transform_field(value, fn: Callable[[Node], Optional[Node]]):
+    """:func:`transform` over one field: a node, or a list/tuple of nodes
+    and nested tuples (``CaseExpr.whens`` holds ``(cond, value)`` pairs)."""
+    if isinstance(value, Node):
+        return transform(value, fn)
+    if isinstance(value, (list, tuple)):
+        new_items = [_transform_field(item, fn) for item in value]
+        if any(new is not old for new, old in zip(new_items, value)):
+            return type(value)(new_items)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +93,15 @@ class Literal(Expr):
     """A constant: number, string, boolean or NULL."""
 
     value: LiteralValue
+
+
+@dataclass(frozen=True)
+class Param(Expr):
+    """A literal lifted out of a user query's text: the ``index``-th
+    NUMBER/STRING token of the statement (see :mod:`repro.sql.statement`),
+    read from the parameter tuple each execution binds."""
+
+    index: int
 
 
 @dataclass(frozen=True)
@@ -329,3 +337,26 @@ def col(table: Optional[str], name: str) -> ColumnRef:
 def lit(value: LiteralValue) -> Literal:
     """Shorthand for a literal."""
     return Literal(value)
+
+
+def bind(query: Query, params: tuple) -> Query:
+    """``query`` with every :class:`Param` replaced by its literal value.
+
+    The parser folds ``-<number>`` into one literal; a lifted number under
+    a unary minus is folded the same way here, so binding a template
+    yields exactly the tree a plain parse of the text gives.
+    """
+
+    def substitute(node: Node) -> Optional[Node]:
+        if isinstance(node, Param):
+            return Literal(params[node.index])
+        if (
+            isinstance(node, UnaryOp)
+            and node.op == "-"
+            and isinstance(node.operand, Literal)
+            and isinstance(node.operand.value, (int, float))
+        ):
+            return Literal(-node.operand.value)
+        return None
+
+    return transform(query, substitute)

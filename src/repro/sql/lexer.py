@@ -1,4 +1,4 @@
-"""Hand-written SQL lexer.
+"""SQL lexer: one compiled master pattern.
 
 Turns SQL text into a list of :class:`~repro.sql.tokens.Token`. Supports:
 
@@ -11,166 +11,126 @@ Turns SQL text into a list of :class:`~repro.sql.tokens.Token`. Supports:
 Keywords are recognized case-insensitively and normalized to upper case;
 identifiers are normalized to lower case (SQL's usual folding), except
 double-quoted identifiers which preserve case.
+
+Every token kind is one alternative of :data:`_MASTER`, tried in the
+order a hand-written scanner would test the next character (comments
+before the ``-`` and ``/`` operators, a ``.digit`` number before the
+``.`` punctuation); the last alternatives catch what cannot start a token
+and become :class:`~repro.errors.LexError`. Character classes are ASCII
+on purpose: ``\\d`` and ``\\w`` would admit Unicode digits and letters.
+A quoted token must not end just before another quote, so ``'it''`` is
+an unterminated literal rather than ``'it'`` followed by a stray quote.
 """
 
 from __future__ import annotations
 
+import re
+
 from ..errors import LexError
 from .tokens import KEYWORDS, OPERATORS, PUNCTUATION, Token, TokenType
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789$")
-_DIGITS = frozenset("0123456789")
+_MASTER = re.compile(
+    r"""
+      (?P<space>[ \t\r\n]+)
+    | (?P<comment>--[^\n]*)
+    | (?P<block>/\*.*?\*/)
+    | (?P<open_block>/\*)
+    | (?P<word>[A-Za-z_][A-Za-z0-9_$]*)
+    | (?P<number>(?:[0-9]*\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+    | (?P<open_string>')
+    | (?P<quoted>"[^"]*(?:""[^"]*)*"(?!"))
+    | (?P<open_quoted>")
+    | (?P<operator>"""
+    + "|".join(re.escape(op) for op in OPERATORS)
+    + r""")
+    | (?P<punct>["""
+    + "".join(re.escape(char) for char in PUNCTUATION)
+    + r"""])
+    | (?P<other>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 class Lexer:
-    """Single-pass lexer over an SQL string."""
+    """Lexes one SQL string."""
 
     def __init__(self, text: str):
         self._text = text
-        self._pos = 0
-        self._line = 1
-        self._col = 1
 
     def tokenize(self) -> list[Token]:
         """Lex the whole input, returning tokens terminated by an EOF token."""
+        text = self._text
         tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= len(self._text):
-                tokens.append(Token(TokenType.EOF, "", self._line, self._col))
-                return tokens
-            tokens.append(self._next_token())
-
-    # -- internals --------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._text):
-            return self._text[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._text):
-                return
-            if self._text[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._text):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "-" and self._peek(1) == "-":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self._pos < len(self._text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
+        append = tokens.append
+        keyword, ident = TokenType.KEYWORD, TokenType.IDENT
+        line, line_start = 1, 0
+        for found in _MASTER.finditer(text):
+            kind = found.lastgroup
+            if kind == "space":
+                if "\n" in found.group():
+                    line, line_start = _advance_lines(text, found.span(), line, 0)
+                continue
+            column = found.start() - line_start + 1
+            if kind == "word":
+                word = found.group()
+                upper = word.upper()
+                if upper in KEYWORDS:
+                    append(Token(keyword, upper, line, column))
                 else:
-                    raise LexError(
-                        "unterminated block comment", self._pos, self._line, self._col
-                    )
-            else:
-                return
+                    append(Token(ident, word.lower(), line, column))
+            elif kind == "punct":
+                append(Token(TokenType.PUNCT, found.group(), line, column))
+            elif kind == "operator":
+                append(Token(TokenType.OPERATOR, found.group(), line, column))
+            elif kind == "number":
+                append(Token(TokenType.NUMBER, found.group(), line, column))
+            elif kind == "string":
+                value = found.group()[1:-1].replace("''", "'")
+                append(Token(TokenType.STRING, value, line, column))
+                line, line_start = _advance_lines(text, found.span(), line, line_start)
+            elif kind == "quoted":
+                value = found.group()[1:-1].replace('""', '"')
+                append(Token(ident, value, line, column))
+                line, line_start = _advance_lines(text, found.span(), line, line_start)
+            elif kind == "block":
+                line, line_start = _advance_lines(text, found.span(), line, line_start)
+            elif kind != "comment":
+                raise _error(kind, found, line, line_start)
+        append(Token(TokenType.EOF, "", line, len(text) - line_start + 1))
+        return tokens
 
-    def _next_token(self) -> Token:
-        line, col = self._line, self._col
-        char = self._peek()
 
-        if char in _IDENT_START:
-            return self._lex_word(line, col)
-        if char in _DIGITS or (char == "." and self._peek(1) in _DIGITS):
-            return self._lex_number(line, col)
-        if char == "'":
-            return self._lex_string(line, col)
-        if char == '"':
-            return self._lex_quoted_ident(line, col)
+def _advance_lines(
+    text: str, span: tuple[int, int], line: int, line_start: int
+) -> tuple[int, int]:
+    """``(line, offset of that line's first character)`` after
+    ``text[start:stop]``, which starts on ``line``."""
+    start, stop = span
+    newlines = text.count("\n", start, stop)
+    if not newlines:
+        return line, line_start
+    return line + newlines, text.rindex("\n", start, stop) + 1
 
-        for op in OPERATORS:
-            if self._text.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token(TokenType.OPERATOR, op, line, col)
-        if char in PUNCTUATION:
-            self._advance()
-            return Token(TokenType.PUNCT, char, line, col)
 
-        raise LexError(f"unexpected character {char!r}", self._pos, line, col)
+def _error(kind: str, found: re.Match, line: int, line_start: int) -> LexError:
+    """The error for a match of one of the alternatives that start no token.
 
-    def _lex_word(self, line: int, col: int) -> Token:
-        start = self._pos
-        while self._pos < len(self._text) and self._peek() in _IDENT_CONT:
-            self._advance()
-        word = self._text[start : self._pos]
-        upper = word.upper()
-        if upper in KEYWORDS:
-            return Token(TokenType.KEYWORD, upper, line, col)
-        return Token(TokenType.IDENT, word.lower(), line, col)
-
-    def _lex_number(self, line: int, col: int) -> Token:
-        start = self._pos
-        while self._peek() in _DIGITS:
-            self._advance()
-        if self._peek() == "." and self._peek(1) in _DIGITS:
-            self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1) in _DIGITS
-            or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
-        ):
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        return Token(TokenType.NUMBER, self._text[start : self._pos], line, col)
-
-    def _lex_string(self, line: int, col: int) -> Token:
-        # Opening quote.
-        self._advance()
-        parts: list[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                raise LexError("unterminated string literal", self._pos, line, col)
-            char = self._peek()
-            if char == "'":
-                if self._peek(1) == "'":  # '' escapes a single quote
-                    parts.append("'")
-                    self._advance(2)
-                else:
-                    self._advance()
-                    return Token(TokenType.STRING, "".join(parts), line, col)
-            else:
-                parts.append(char)
-                self._advance()
-
-    def _lex_quoted_ident(self, line: int, col: int) -> Token:
-        self._advance()
-        parts: list[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                raise LexError("unterminated quoted identifier", self._pos, line, col)
-            char = self._peek()
-            if char == '"':
-                if self._peek(1) == '"':
-                    parts.append('"')
-                    self._advance(2)
-                else:
-                    self._advance()
-                    return Token(TokenType.IDENT, "".join(parts), line, col)
-            else:
-                parts.append(char)
-                self._advance()
+    An unterminated comment is reported where the input ends; an
+    unterminated quote at its opening character, with the end offset.
+    """
+    text, pos = found.string, found.start()
+    end = len(text)
+    if kind == "open_block":
+        line, line_start = _advance_lines(text, (pos, end), line, line_start)
+        return LexError("unterminated block comment", end, line, end - line_start + 1)
+    column = pos - line_start + 1
+    if kind == "open_string":
+        return LexError("unterminated string literal", end, line, column)
+    if kind == "open_quoted":
+        return LexError("unterminated quoted identifier", end, line, column)
+    return LexError(f"unexpected character {found.group()!r}", pos, line, column)
 
 
 def tokenize(text: str) -> list[Token]:

@@ -5,27 +5,49 @@ requires a plain ``SELECT``). Explicit ``JOIN ... ON`` syntax is desugared
 at parse time into comma-style FROM items plus WHERE conjuncts, so the rest
 of the system only ever deals with conjunctive select-project-join blocks —
 the same normal form the paper's policy language uses.
+
+:func:`parse_template` is the parse a prepared user query gets: literals
+inside ``WHERE``, ``JOIN ... ON`` and ``HAVING`` become
+:class:`~repro.sql.ast.Param` nodes numbered by their position among the
+statement's literal tokens, so texts that differ only in those values
+share one tree. Literals elsewhere — the select list, ``LIMIT``, ``ORDER
+BY``, ``GROUP BY``, ``DISTINCT ON`` — name output columns or change the
+plan's structure, and stay literals (and part of the cache key).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from ..errors import ParseError
 from . import ast
 from .lexer import tokenize
+from .statement import number_value, statement
 from .tokens import Token, TokenType
 
 _COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 
 
 class Parser:
-    """Parses one statement from a token stream."""
+    """Parses one statement from a token stream.
 
-    def __init__(self, text: str):
-        self._tokens = tokenize(text)
+    ``source`` is SQL text or its tokens. With ``lift``, literals in the
+    clauses named in the module docstring parse as parameters.
+    """
+
+    def __init__(self, source: Union[str, Sequence[Token]], lift: bool = False):
+        self._tokens = tokenize(source) if isinstance(source, str) else source
         self._index = 0
+        #: Token index → ordinal among the literal tokens (when lifting).
+        self._ordinals: dict[int, int] = {}
+        if lift:
+            literals = (TokenType.NUMBER, TokenType.STRING)
+            indexes = [
+                i for i, token in enumerate(self._tokens) if token.type in literals
+            ]
+            self._ordinals = {index: k for k, index in enumerate(indexes)}
+        #: Inside a clause whose literals are lifted.
+        self._lifting = False
 
     # -- token helpers -----------------------------------------------------
 
@@ -133,7 +155,7 @@ class Parser:
 
         where = None
         if self._accept_keyword("WHERE"):
-            where = self.parse_expression()
+            where = self._parse_lifted()
         where = ast.conjoin([c for c in [where] if c is not None] + join_conditions)
 
         group_by: tuple[ast.Expr, ...] = ()
@@ -143,7 +165,7 @@ class Parser:
 
         having = None
         if self._accept_keyword("HAVING"):
-            having = self.parse_expression()
+            having = self._parse_lifted()
 
         order_by: tuple[ast.OrderItem, ...] = ()
         if self._accept_keyword("ORDER"):
@@ -214,14 +236,14 @@ class Parser:
                 self._expect_keyword("JOIN")
                 from_items.append(self._parse_from_item())
                 self._expect_keyword("ON")
-                join_conditions.append(self.parse_expression())
+                join_conditions.append(self._parse_lifted())
             elif self._peek().is_keyword("LEFT"):
                 self._advance()
                 self._accept_keyword("OUTER")
                 self._expect_keyword("JOIN")
                 right = self._parse_from_item()
                 self._expect_keyword("ON")
-                condition = self.parse_expression()
+                condition = self._parse_lifted()
                 from_items[-1] = ast.JoinRef(
                     from_items[-1], right, "left", condition
                 )
@@ -270,6 +292,14 @@ class Parser:
 
     def parse_expression(self) -> ast.Expr:
         return self._parse_or()
+
+    def _parse_lifted(self) -> ast.Expr:
+        """An expression in a clause whose literals are parameters."""
+        outer, self._lifting = self._lifting, bool(self._ordinals)
+        try:
+            return self._parse_or()
+        finally:
+            self._lifting = outer
 
     def _parse_or(self) -> ast.Expr:
         left = self._parse_and()
@@ -360,15 +390,14 @@ class Parser:
     def _parse_primary(self) -> ast.Expr:
         token = self._peek()
 
-        if token.type is TokenType.NUMBER:
+        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
+            if self._lifting:
+                param = ast.Param(self._ordinals[self._index])
+                self._advance()
+                return param
             self._advance()
-            text = token.value
-            if "." in text or "e" in text or "E" in text:
-                return ast.Literal(float(text))
-            return ast.Literal(int(text))
-
-        if token.type is TokenType.STRING:
-            self._advance()
+            if token.type is TokenType.NUMBER:
+                return ast.Literal(number_value(token.value))
             return ast.Literal(token.value)
 
         if token.is_keyword("TRUE"):
@@ -437,17 +466,36 @@ class Parser:
         return ast.ColumnRef(None, name)
 
 
-@lru_cache(maxsize=256)
 def parse(text: str) -> ast.Query:
     """Parse one SQL query (SELECT or UNION of SELECTs).
 
-    Memoized by exact text: a repeated statement is lexed and parsed
-    once. Sharing the AST is safe because nodes are frozen and every
-    rewrite builds a copy; a text that fails to parse is not cached and
-    raises again. The bound matches the engine's AST plan cache, which
-    already holds these trees.
+    Parses the tokens of the text memo (:func:`~repro.sql.statement.
+    statement`) and keeps the tree on its entry in their place: a
+    repeated statement is lexed and parsed once. Sharing the AST is safe
+    because nodes are frozen and every rewrite builds a copy; a text that
+    fails to parse keeps no tree and raises again.
     """
-    return Parser(text).parse_statement()
+    entry = statement(text)
+    query = entry.query
+    if query is None:
+        query = entry.query = Parser(_tokens(entry, text)).parse_statement()
+        entry.tokens = None
+    return query
+
+
+def parse_template(text: str) -> ast.Query:
+    """Parse a user query with its liftable literals as parameters (see
+    the module docstring); :func:`repro.sql.ast.bind` with the
+    statement's ``params`` gives back :func:`parse`'s tree."""
+    entry = statement(text)
+    return Parser(_tokens(entry, text), lift=True).parse_statement()
+
+
+def _tokens(entry, text: str) -> Sequence[Token]:
+    """The entry's tokens; once its tree is parsed they are released, and
+    a later template parse of the same text lexes it again."""
+    tokens = entry.tokens
+    return tokenize(text) if tokens is None else tokens
 
 
 def parse_select(text: str) -> ast.Select:

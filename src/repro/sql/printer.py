@@ -97,6 +97,10 @@ def _from_item(item: ast.FromItem) -> str:
 def _expr(expr: ast.Expr, parent_prec: int) -> str:
     if isinstance(expr, ast.Literal):
         return _literal(expr.value)
+    if isinstance(expr, ast.Param):
+        # PostgreSQL's placeholder spelling; a template is displayed,
+        # never parsed back (bind it first).
+        return f"${expr.index + 1}"
     if isinstance(expr, ast.ColumnRef):
         return str(expr)
     if isinstance(expr, ast.Star):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenType(enum.Enum):
@@ -85,9 +85,12 @@ OPERATORS = (
 PUNCTUATION = ("(", ")", ",", ".", ";")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token with its source position (1-based)."""
+class Token(NamedTuple):
+    """A single lexical token with its source position (1-based).
+
+    A named tuple: the lexer builds one per token, and a tuple is the
+    cheapest immutable record to build.
+    """
 
     type: TokenType
     value: str

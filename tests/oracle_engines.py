@@ -10,7 +10,7 @@ from __future__ import annotations
 from oracle import assert_matches, evaluate
 
 from repro.core import Enforcer, EnforcerOptions
-from repro.engine import Engine, Result
+from repro.engine import Engine, Prepared, Result
 from repro.engine.columnar import LineageColumns
 from repro.errors import ReproError
 
@@ -23,13 +23,22 @@ def _outcome(run) -> tuple:
         return None, error
 
 
+def _ast(query, params):
+    """What the oracle evaluates: a prepared plan's template, bound."""
+    return query.bind(params) if isinstance(query, Prepared) else query
+
+
 class CheckedEngine(Engine):
     """The engine, every answer held to the oracle's — errors included:
     both raise the same ReproError subclass, or neither does."""
 
-    def execute(self, query, lineage=False, trace=None):
-        got, error = _outcome(lambda: super(CheckedEngine, self).execute(query, lineage, trace))
-        answer, expected = _outcome(lambda: evaluate(query, self.database))
+    def execute(self, query, lineage=False, trace=None, params=()):
+        got, error = _outcome(
+            lambda: super(CheckedEngine, self).execute(query, lineage, trace, params)
+        )
+        answer, expected = _outcome(
+            lambda: evaluate(_ast(query, params), self.database)
+        )
         assert type(error) is type(expected), (query, error, expected)
         if error is not None:
             raise error
@@ -40,8 +49,8 @@ class CheckedEngine(Engine):
 class OracleEngine(Engine):
     """An engine whose every answer is the oracle's (an admissible one)."""
 
-    def execute(self, query, lineage=False, trace=None):
-        answer = evaluate(query, self.database)
+    def execute(self, query, lineage=False, trace=None, params=()):
+        answer = evaluate(_ast(query, params), self.database)
         pairs = answer.pairs()
         tracked = LineageColumns.of_sets([lin for _, lin in pairs]) if lineage else None
         return Result(answer.columns, [row for row, _ in pairs], tracked)

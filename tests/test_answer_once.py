@@ -10,21 +10,23 @@ from hypothesis import strategies as st
 from oracle import assert_matches, evaluate
 
 from repro.core import Enforcer, EnforcerOptions, Policy
-from repro.engine import Database
+from repro.engine import Database, Prepared
 from repro.log import LogicalClock, SimulatedClock
 from repro.sql import parse
 from repro.workloads import PolicyParams, make_policy, make_workload
 
 
 def count_runs(monkeypatch, engine, sql) -> list:
-    """Record ``(lineage, rows)`` for every execution of ``sql``'s AST."""
+    """Record ``(lineage, rows)`` for every execution of ``sql``'s AST
+    (a prepared plan counts when its binding is that AST)."""
     query = parse(sql)
     runs = []
     execute = engine.execute
 
-    def counting(target, lineage=False, trace=None):
-        result = execute(target, lineage, trace)
-        if target == query:
+    def counting(target, lineage=False, trace=None, params=()):
+        result = execute(target, lineage, trace, params)
+        bound = target.bind(params) if isinstance(target, Prepared) else target
+        if bound == query:
             runs.append((lineage, result.rows))
         return result
 

@@ -408,6 +408,25 @@ class TestInstallableMeansCheckable:
         denied = enforcer.submit("SELECT id FROM items", uid=7)
         assert [v.message for v in denied.violations] == ["x"]
 
+    def test_expanding_clock_bound_is_not_time_independent(self):
+        """``u.ts < c.ts - 30`` matches uid 3's row once 30 ms have
+        passed, whoever asks then: time alone produces the violation, so
+        pinning every ts to the current query's (§4.1.1) would hide it."""
+        stale = Policy.from_sql(
+            "stale",
+            "SELECT DISTINCT 'stale' FROM users u, clock c "
+            "WHERE u.uid = 3 AND u.ts < c.ts - 30",
+        )
+        outcomes = {}
+        for make in (dl, noopt):
+            enforcer = make(items_db(), [stale])
+            outcomes[make] = [
+                enforcer.submit("SELECT id FROM items", uid=uid).allowed
+                for uid in (3, 2, 2, 2, 2, 2)
+            ]
+        assert outcomes[noopt] == [True, True, True, True, False, False]
+        assert outcomes[dl] == outcomes[noopt]
+
 
 class TestFactories:
     def test_make_datalawyer(self, mimic_db, params):

@@ -393,16 +393,14 @@ class TestResultHelpers:
         engine.invalidate_plans()
         assert engine.plan("SELECT * FROM t") is not plan1
 
-    def test_unlexable_text_keys_on_its_raw_text(self, engine):
-        """The text memo lives in ``canonical_sql``; what the engine keeps
-        is the fallback: an unlexable text is its own key, and planning
-        it still raises the real error."""
+    def test_unlexable_text_is_never_prepared(self, engine):
+        """An unlexable text has no shape: planning it raises the real
+        error every time and leaves no cache entry behind."""
         text = "SELECT 'unterminated FROM t"
-        assert Engine._canonical_key(text) == text
-        with pytest.raises(LexError):
-            engine.plan(text)
-        with pytest.raises(LexError):
-            engine.plan(text)
+        for _ in range(2):
+            with pytest.raises(LexError):
+                engine.plan(text)
+        assert len(engine._prepared) == 0 and len(engine._kept) == 0
 
     def test_schema_change_replans_through_invalidate_plans(self):
         database = Database()
@@ -428,10 +426,11 @@ class TestResultHelpers:
         hot_plan = engine.plan(hot)
         for n in range(300):
             engine.plan(parse(f"SELECT b FROM t WHERE c > {n}"))
-            engine.plan(f"SELECT a FROM t WHERE c > {n}")
+            # A select-list literal stays in the shape: 300 entries.
+            engine.plan(f"SELECT a, {n} FROM t")
             assert engine.plan(hot) is hot_plan  # in use: never the victim
         assert len(engine._ast_plan_cache) <= 256
-        assert len(engine._plan_cache) <= 256
+        assert len(engine._prepared) <= 256
         late = parse("SELECT a, b FROM t")
         before = engine.plan_cache_hits
         assert engine.plan(late) is engine.plan(late)

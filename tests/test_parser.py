@@ -6,7 +6,17 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.errors import LexError, ParseError
-from repro.sql import Parser, ast, canonical_sql, parse, parse_expression, parse_select
+from repro.sql import (
+    Parser,
+    Statement,
+    ast,
+    canonical_sql,
+    parse,
+    parse_expression,
+    parse_select,
+    statement,
+    tokenize,
+)
 
 
 class TestSelectBasics:
@@ -320,7 +330,8 @@ class TestAstHelpers:
 
 class TestTextMemo:
     """``parse`` and ``canonical_sql`` are pure functions of the text,
-    memoized by exact text in bounded LRUs."""
+    read off one bounded LRU memo of lexed statements keyed by exact
+    text."""
 
     def test_repeated_text_shares_one_ast(self):
         text = "SELECT a, COUNT(*) FROM memo_t WHERE b > 7 GROUP BY a"
@@ -329,8 +340,9 @@ class TestTextMemo:
 
     def test_repeated_text_shares_one_canonical_form(self):
         text = "select  A from memo_t  -- hot"
+        assert statement(text) is statement(text)
         assert canonical_sql(text) is canonical_sql(text)
-        assert canonical_sql(text) == canonical_sql.__wrapped__(text)
+        assert canonical_sql(text) == Statement(tokenize(text)).canonical
 
     @pytest.mark.parametrize(
         ("memo", "text", "error"),
@@ -341,20 +353,25 @@ class TestTextMemo:
         ],
     )
     def test_failing_text_is_not_cached(self, memo, text, error):
-        before = memo.cache_info()
+        before = statement.cache_info()
         for _ in range(2):
             with pytest.raises(error):
                 memo(text)
-        after = memo.cache_info()
-        assert after.hits == before.hits
-        assert after.misses == before.misses + 2
+        after = statement.cache_info()
+        if error is LexError:
+            # Nothing lexed, so nothing memoized.
+            assert after.hits == before.hits
+            assert after.misses == before.misses + 2
+        else:
+            # The tokens are memoized; the failed parse keeps no tree.
+            assert statement(text).query is None
 
     @pytest.mark.parametrize("memo", [parse, canonical_sql])
     def test_memo_is_bounded(self, memo):
-        maxsize = memo.cache_info().maxsize
+        maxsize = statement.cache_info().maxsize
         for n in range(maxsize + 50):
             memo(f"SELECT a FROM memo_bound WHERE b = {n}")
-        assert memo.cache_info().currsize <= maxsize
+        assert statement.cache_info().currsize <= maxsize
 
     def test_concurrent_parses_agree(self):
         texts = [f"SELECT a FROM memo_threads WHERE b = {n} OR c < {n}" for n in range(40)]

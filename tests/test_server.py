@@ -192,6 +192,14 @@ class TestPolicyEndpoints:
 
 
 class TestMisc:
+    def test_taken_port_raises_the_bind_error(self, server):
+        """Binding a port another server holds is the bind's own
+        OSError, not an error from closing a half-built server."""
+        port = server.server_address[1]
+        enforcer = Enforcer(Database(), [], clock=SimulatedClock(default_step_ms=10))
+        with pytest.raises(OSError):
+            serve(enforcer, port=port)
+
     def test_health(self, server):
         status, body = request(server, "GET", "/health")
         assert status == 200 and body["status"] == "ok"

@@ -334,14 +334,13 @@ class Enforcer:
     # Offline phase (§4.4)
     # ------------------------------------------------------------------
 
-    def add_policy(self, policy: Policy, floor: Optional[int] = None) -> None:
-        """Register a policy mid-stream; its history starts after
-        ``floor`` (default: now).
+    def add_policy(self, policy: Policy) -> None:
+        """Register a policy mid-stream.
 
         Per the paper (§4.1.2 footnote), the new policy only sees log
-        entries from the current time onward
-        (:func:`~repro.analysis.floor_history`). The global tier passes
-        the floor a previous incarnation recorded.
+        entries from the current time onward: the floor is conjoined
+        into its select (:func:`~repro.analysis.floor_history`), so its
+        text — what checkpoints store — carries it.
 
         A policy that does not bind against the catalog (unknown table
         or column) is refused here, before anything changes — the
@@ -351,9 +350,7 @@ class Enforcer:
         facts = analyze_structure(policy.select, self.registry, self.database)
         policy = replace(
             policy,
-            select=floor_history(
-                facts, self.clock.now() if floor is None else floor
-            ),
+            select=floor_history(facts, self.clock.now()),
         )
         self.engine.plan(policy.select)
         self.policies.append(policy)

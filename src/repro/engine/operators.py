@@ -65,7 +65,7 @@ from .columnar import (
 from .database import Database
 from .expressions import RowFn
 from .table import Table
-from .types import SqlValue, sort_key
+from .types import SqlValue, exact_keys, sort_key
 
 #: A stream: non-empty column batches.
 ColumnStream = Iterator[ColumnBatch]
@@ -292,10 +292,13 @@ class HashJoinOp(Operator):
     # -- probe side ---------------------------------------------------------
 
     @staticmethod
-    def _key_column(columns: list, positions: "list[int]") -> list:
-        if len(positions) == 1:
-            return columns[positions[0]]
-        return list(zip(*(columns[p] for p in positions)))
+    def _key_column(cbatch: ColumnBatch, positions: "list[int]") -> list:
+        """Each row's join key, matching as ``compare_eq`` does: a bool
+        never meets a number (clean numeric columns hold no bool)."""
+        keys = [exact_keys(cbatch.columns[p], cbatch.clean[p]) for p in positions]
+        if len(keys) == 1:
+            return keys[0]
+        return list(zip(*keys))
 
     def _build_side(self, database: Database, lineage: bool) -> tuple:
         """``(right batch, buckets, unique map)`` for the build side.
@@ -332,7 +335,7 @@ class HashJoinOp(Operator):
     def _buckets(self, right: Optional[ColumnBatch]) -> tuple:
         positions = self.right_positions
         single = len(positions) == 1
-        keys = self._key_column(right.columns, positions) if right is not None else []
+        keys = self._key_column(right, positions) if right is not None else []
         buckets: dict = {}
         unique = True
         if single:
@@ -378,8 +381,7 @@ class HashJoinOp(Operator):
         left_positions = self.left_positions
         needed = self.out_needed
         for cbatch in left_cbatches:
-            columns = cbatch.columns
-            keys = self._key_column(columns, left_positions)
+            keys = self._key_column(cbatch, left_positions)
             if unique_map is not None:
                 matches = list(map(unique_map.get, keys))
                 if None not in matches:

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ..errors import EngineError
 from .columnar import ColumnVector
 from .schema import TableSchema, make_schema
-from .types import SqlValue
+from .types import SqlValue, exact_key, exact_keys
 
 Row = tuple  # tuple[SqlValue, ...], kept short for signature readability
 
@@ -163,19 +163,22 @@ class Table:
         (do not mutate the returned sequence).
 
         Builds a hash index on first use; mutations invalidate it. NULL is
-        never indexed (SQL equality with NULL is unknown).
+        never indexed (SQL equality with NULL is unknown), and keys match
+        as :func:`~repro.engine.types.compare_eq` does (``TRUE <> 1``).
         """
         index = self._indexes.get(column)
         if index is None:
             index = {}
-            for position, key in enumerate(self.column_values(column)):
+            vector = self._columns[column]
+            keys = exact_keys(vector.values(), vector.is_clean_numeric())
+            for position, key in enumerate(keys):
                 if key is not None:
                     index.setdefault(key, []).append(position)
             self._indexes[column] = index
         if value is None:
             return ()
         try:
-            return index.get(value, ())
+            return index.get(exact_key(value), ())
         except TypeError:  # unhashable probe value
             return ()
 
@@ -215,8 +218,11 @@ class Table:
             }
             self._indexes_owned = True
         for column, index in self._indexes.items():
-            for offset, row in enumerate(added):
-                key = row[column]
+            keys = exact_keys(
+                [row[column] for row in added],
+                self._columns[column].is_clean_numeric(),
+            )
+            for offset, key in enumerate(keys):
                 if key is not None:
                     index.setdefault(key, []).append(base + offset)
 

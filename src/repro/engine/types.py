@@ -101,6 +101,21 @@ def compare(op: str, left: SqlValue, right: SqlValue) -> SqlBool:
 # specialization bit-identical to ``compare`` over a value matrix.
 
 
+def exact_key(value: SqlValue):
+    """``value`` as a dict key that meets only what :func:`compare_eq`
+    equates it with. Python's ``True == 1`` (and ``hash(True) ==
+    hash(1)``) would let a bool meet a number, so a bool is tagged."""
+    return (bool, value) if value.__class__ is bool else value
+
+
+def exact_keys(values: list, clean: bool = False) -> list:
+    """:func:`exact_key` over a column; ``clean`` (NULL-free exact
+    numerics, so no bool) and bool-free columns come back as they are."""
+    if clean or bool not in set(map(type, values)):
+        return values
+    return [exact_key(value) for value in values]
+
+
 def compare_eq(left: SqlValue, right: SqlValue) -> SqlBool:
     if left is None or right is None:
         return None

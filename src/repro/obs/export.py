@@ -66,7 +66,7 @@ Metric names and labels (all prefixed ``repro_``):
 The WAL families appear only on durable deployments (``--data-dir``);
 the ``repro_process_*`` families only in ``workers_mode=process``, where
 each shard is a worker process and the collector gathers every child's
-counters into this one scrape (shards answer an ``export`` RPC; a shard
+counters into this one scrape (shards answer an ``export_state`` call; a shard
 mid-respawn contributes an idle stub so the scrape never blocks on a
 dead pipe); the ``repro_global_*`` families only when a global policy
 tier is active (``--global-tier async|strict`` with ``--shards`` > 1,

@@ -113,10 +113,10 @@ class ShardedEnforcerService:
             self._abort_startup()
             raise
 
-        reference = self._reference
-        placements = self._placements_of(reference.policies)
         try:
-            self._check_placements(placements)
+            self._check_placements(
+                self._placements_of(self._reference.policies)
+            )
             if self._tier is not None:
                 self._connect_tier()
         except ReproError:
@@ -127,7 +127,7 @@ class ShardedEnforcerService:
         self.metrics_registry = build_service_registry(self)
         #: Immutable snapshot read lock-free by GET /v1/policies and /v1/health.
         self._policy_snapshot: tuple = ()
-        self._refresh_snapshot(reference.policies, placements)
+        self._refresh_snapshot()
 
     def _init_global_tier(self, prototype: Enforcer) -> None:
         """Build the tier, adopt the global policies, and strip them from
@@ -574,8 +574,7 @@ class ShardedEnforcerService:
                     shard.set_epoch(self._epoch)
                 except ReproError:  # dead shard: re-synced on respawn
                     pass
-        policies = self._reference.policies
-        self._refresh_snapshot(policies, self._placements_of(policies))
+        self._refresh_snapshot()
         return self._epoch
 
     def _all_shard_locks(self) -> ExitStack:
@@ -617,34 +616,14 @@ class ShardedEnforcerService:
             f"these need --global-tier strict: {details}"
         )
 
-    def _refresh_snapshot(self, policies, placements) -> None:
-        # Per-policy incremental classification from the reference
-        # enforcer (the offline phase is identical on every shard);
-        # unified groups report the same verdict for each member policy.
-        classifications: dict = {}
-        for entry in self._reference.incremental_report():
-            verdict = {
-                "incrementalizable": entry["incrementalizable"],
-                "reason": entry["reason"],
-            }
-            for member in entry["policies"]:
-                classifications[member] = verdict
-        entries = [
-            {
-                "name": policy.name,
-                "sql": policy.sql,
-                "message": policy.message,
-                "description": policy.description,
-                "placement": placement.scope,
-                "classification": classifications.get(
-                    policy.name,
-                    {"incrementalizable": False, "reason": "unclassified"},
-                ),
-            }
-            for policy, placement in zip(policies, placements)
-        ]
-        if self._tier is not None:
-            entries.extend(self._tier.snapshot_entries())
+    def _refresh_snapshot(self) -> None:
+        reference = self._reference
+        entries = policy_listing(
+            reference, self._placements_of(reference.policies)
+        )
+        tier = self._tier
+        if tier is not None:
+            entries.extend(policy_listing(tier.enforcer, tier.placements()))
         self._policy_snapshot = tuple(entries)
 
     # ------------------------------------------------------------------
@@ -665,7 +644,7 @@ class ShardedEnforcerService:
     def stats(self) -> dict:
         """The service metrics surface (never blocks behind a query:
         thread shards snapshot counters lock-free, process shards
-        answer a stats RPC on their IPC thread)."""
+        answer a ``stats_entry`` call on their IPC thread)."""
         shard_stats = [
             shard.stats_entry(self.config.queue_depth)
             for shard in self.shards
@@ -769,3 +748,32 @@ class ShardedEnforcerService:
     @property
     def closed(self) -> bool:
         return self._closed
+
+
+def policy_listing(enforcer: Enforcer, placements) -> "list[dict]":
+    """``enforcer``'s policies as ``GET /v1/policies`` entries, beside
+    their placements (in the same order). The classification is the
+    incremental classifier's, from the enforcer's own offline phase;
+    unified groups report the same verdict for each member policy."""
+    classifications: dict = {}
+    for entry in enforcer.incremental_report():
+        verdict = {
+            "incrementalizable": entry["incrementalizable"],
+            "reason": entry["reason"],
+        }
+        for member in entry["policies"]:
+            classifications[member] = verdict
+    return [
+        {
+            "name": policy.name,
+            "sql": policy.sql,
+            "message": policy.message,
+            "description": policy.description,
+            "placement": placement.scope,
+            "classification": classifications.get(
+                policy.name,
+                {"incrementalizable": False, "reason": "unclassified"},
+            ),
+        }
+        for policy, placement in zip(enforcer.policies, placements)
+    ]

@@ -37,7 +37,9 @@ order a single-shard oracle would assign.
 **Durability.** ``global/global.wal`` records the timestamps tier
 denials consumed; ``global/state.json`` (fsynced, then renamed, then the
 WAL reset; unusable is a :class:`~repro.storage.format.StorageError`)
-holds the clock, the global policy set and history floors. The log is
+holds the clock and the global policy set. As in a shard's manifest, a
+runtime-added policy is stored as its floored text (the §4.1.2 history
+floor lives in its SQL), so a restart installs it unchanged. The log is
 reloaded on startup: shards retain the tier's relations in full
 (``Enforcer.extra_persist_relations``), bootstrap loads their recovered
 images into the store and the enforcer's maintainer folds them.
@@ -54,7 +56,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from ..core.enforcer import Check, EnforcerOptions
-from ..core.policy import Policy, Violation  # noqa: F401 - Policy re-exported
+from ..core.policy import Policy, Violation
 from ..errors import ReproError
 from ..storage.format import StorageError
 from ..storage.wal import WriteAheadLog, _fsync_dir, read_wal
@@ -128,9 +130,6 @@ class GlobalTier:
         self.admission_lock = threading.RLock()
         self._lock = threading.RLock()
         self._placements: dict[str, PolicyPlacement] = {}
-        #: Per policy, the timestamp its history starts after (None: the
-        #: whole log); the checkpointed ones until :meth:`install`.
-        self._floors: dict[str, Optional[int]] = {}
         #: Why the store is missing rows (a delta frame failed to
         #: commit); every check fails closed until the next bootstrap.
         self._incomplete: Optional[str] = None
@@ -180,31 +179,20 @@ class GlobalTier:
 
     def install(self, entries: "Sequence[tuple[Policy, PolicyPlacement]]") -> None:
         """Adopt the startup global set, before :meth:`bootstrap`. A
-        policy a previous incarnation added at runtime keeps its
-        checkpointed history floor; the rest see the whole log."""
+        policy a previous incarnation added at runtime carries its history
+        floor in its text."""
         with self._lock:
-            floors = {
-                policy.name: self._floors.get(policy.name) for policy, _ in entries
-            }
-            enforcer = self.enforcer.clone(
-                clock=self.clock,
-                policies=[p for p, _ in entries if floors[p.name] is None],
+            self.enforcer = self.enforcer.clone(
+                clock=self.clock, policies=[policy for policy, _ in entries]
             )
-            for policy, _ in entries:
-                if floors[policy.name] is not None:
-                    enforcer.add_policy(policy, floor=floors[policy.name])
-            self.enforcer = enforcer
             self._placements = {policy.name: pl for policy, pl in entries}
-            self._floors = floors
             self._persist_log_relations()
 
     def add_policy(self, policy: Policy, placement: PolicyPlacement) -> None:
         """Runtime add: the policy's history starts now."""
         with self._lock:
-            floor = self.clock.now()
-            self.enforcer.add_policy(policy, floor=floor)
+            self.enforcer.add_policy(policy)
             self._placements[policy.name] = placement
-            self._floors[policy.name] = floor
             self._persist_log_relations()
             self.enforcer.warm_incremental()
         self.write_checkpoint()
@@ -213,7 +201,6 @@ class GlobalTier:
         with self._lock:
             self.enforcer.remove_policy(name)
             self._placements.pop(name, None)
-            self._floors.pop(name, None)
             self._persist_log_relations()
             self.enforcer.warm_incremental()
         self.write_checkpoint()
@@ -234,29 +221,6 @@ class GlobalTier:
     def placements(self) -> "list[PolicyPlacement]":
         with self._lock:
             return list(self._placements.values())
-
-    def snapshot_entries(self) -> "list[dict]":
-        """Tier policies in the ``GET /v1/policies`` snapshot shape."""
-        with self._lock:
-            policies = {policy.name: policy for policy in self.enforcer.policies}
-            planned = {
-                entry["runtime"]: entry["incrementalizable"]
-                for entry in self.enforcer.incremental_report()
-            }
-            return [
-                {
-                    "name": name,
-                    "sql": policies[name].sql,
-                    "message": policies[name].message,
-                    "description": policies[name].description,
-                    "placement": placement.scope,
-                    "classification": {
-                        "incrementalizable": planned[name],
-                        "reason": placement.reason,
-                    },
-                }
-                for name, placement in self._placements.items()
-            ]
 
     def extra_persist_relations(self) -> set[str]:
         """Relations every shard must commit (and retain) for the tier."""
@@ -417,10 +381,10 @@ class GlobalTier:
         self.start()
 
     def _load_checkpoint(self) -> int:
-        """Adopt the checkpointed clock, global policy set and history
-        floors; returns the clock floor (0 without a checkpoint). One that
-        is present but unusable raises :class:`StorageError`: ignoring it
-        would drop runtime-added policies and their floors."""
+        """Adopt the checkpointed clock and global policy set; returns the
+        clock floor (0 without a checkpoint). One that is present but
+        unusable raises :class:`StorageError`: ignoring it would drop
+        runtime-added policies."""
         path = self._dir / "state.json"
         if not path.exists():
             return 0
@@ -439,10 +403,7 @@ class GlobalTier:
                 records, list
             ):
                 raise ValueError("ill-typed clock, wal_last_seq or policies")
-            for record in records:
-                policy, floor = _policy_record(record)
-                self._checkpoint_policies.append(policy)
-                self._floors[policy.name] = floor
+            self._checkpoint_policies = [_policy_record(r) for r in records]
         except (OSError, ValueError, KeyError, ReproError) as exc:
             raise StorageError(
                 f"unusable global tier checkpoint {path}: {exc}"
@@ -457,7 +418,7 @@ class GlobalTier:
         return list(self._checkpoint_policies)
 
     def write_checkpoint(self) -> None:
-        """Atomically persist the clock + history floors beside the WAL:
+        """Atomically persist the clock + policy texts beside the WAL:
         the file is synced before the rename, the rename (and its
         directory) before the WAL is reset."""
         if self._dir is None:
@@ -471,7 +432,6 @@ class GlobalTier:
                         "name": policy.name,
                         "sql": policy.sql,
                         "description": policy.description,
-                        "floor": self._floors[policy.name],
                     }
                     for policy in self.enforcer.policies
                 ],
@@ -535,8 +495,9 @@ class GlobalTier:
             }
 
 
-def _policy_record(record) -> "tuple[Policy, Optional[int]]":
-    """One checkpointed ``{name, sql, description, floor}`` record."""
+def _policy_record(record) -> Policy:
+    """One checkpointed ``{name, sql, description}`` record; an older
+    file's ``floor`` (already in its SQL) is type-checked and ignored."""
     if not isinstance(record, dict):
         raise ValueError(f"ill-typed policy record {record!r}")
     texts = (record.get("name"), record.get("sql"), record.get("description", ""))
@@ -545,4 +506,4 @@ def _policy_record(record) -> "tuple[Policy, Optional[int]]":
         floor is None or type(floor) is int
     ):
         raise ValueError(f"ill-typed policy record {record!r}")
-    return Policy.from_sql(*texts), floor
+    return Policy.from_sql(*texts)

@@ -18,24 +18,13 @@ coordinator → worker
                           timestamp}`` — ``timestamp`` is the
                           coordinator-assigned logical time when a
                           global tier owns the clock (else ``null``)
-``policy``                ``{id, action: add|remove, name, sql,
-                          description, epoch}`` — applied atomically
-                          per shard, checkpointed when durable
-``set_epoch``             ``{id, epoch}`` — post-respawn resync
-``stats`` / ``export`` /  inspection RPCs answering with the same
-``log_sizes`` / ``slow``  shapes the thread-backed shard produces
-/ ``durability`` /
-``policies``
-``explain_analyze``       ``{id, sql}`` → rendered per-operator plan
-``explain_decision``      ``{id, sql, uid, timestamp, violations}`` →
-                          evidence tuples for a rejected decision
-``extras``                ``{id, relations}`` — replace the worker's
-                          extra-persist relation set (log relations
-                          the global tier needs retained + streamed)
-``logdump``               ``{id, relations}`` → ``{rows, clock}``:
-                          committed rows of those relations plus the
-                          shard clock, for aggregator bootstrap
-``ping``                  liveness probe (responds with the pid)
+``call``                  ``{id, method, args}`` — run
+                          ``Shard.<method>(*args)`` in the worker for
+                          a name in :data:`~repro.service.shard.FORWARDED`
+                          (policy changes, epoch, extras, log dumps,
+                          stats/export and the other inspections,
+                          explain); the result carries its ``value``,
+                          and any other name is refused
 ``drain``                 flush the backlog, checkpoint, exit
 ========================  ============================================
 
@@ -45,7 +34,7 @@ worker → coordinator
 ``hello``                 one per boot: ``{pid, policies, recovery}``
                           (or ``{error}`` when the enforcer could not
                           be built — the spawn fails loudly)
-``result``                ``{id, ok: true, ...payload}`` or
+``result``                ``{id, ok: true, decision | value}`` or
                           ``{id, ok: false, kind, error}`` with
                           ``kind`` ∈ overloaded/closed/crash/repro/
                           internal mapped back onto the matching

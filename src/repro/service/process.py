@@ -1,12 +1,17 @@
 """Process-backed shards: the coordinator side of the IPC admission layer.
 
 A :class:`ProcessShard` is the second transport for the one shard
-surface: every method here — ``offer_query``, the control operations,
-stats/export/slow/durability inspection, ``drain`` — forwards to the
-method of the same name on the :class:`~repro.service.shard.Shard` a
-``multiprocessing`` worker process hosts (:mod:`repro.service.worker`),
-so CPU-bound policy checks on different shards can run on different
-cores instead of serializing on the GIL.
+surface (:class:`~repro.service.shard.Shard`), hosted by a
+``multiprocessing`` worker process (:mod:`repro.service.worker`) so
+CPU-bound policy checks on different shards can run on different cores
+instead of serializing on the GIL. Checks cross the pipe as ``query``
+messages. Every admin or inspection method named in
+:data:`~repro.service.shard.FORWARDED` crosses as one ``call`` message
+(:meth:`ProcessShard._call`), and the worker runs the method of that
+name. Methods are written out here only where the parent adds
+something: the epoch mirror, the respawn spec in ``apply_extras``, idle
+answers while a worker respawns, the parent's counters in stats and
+export, and encoding ``explain_evidence``'s decision.
 
 Admission is a *bounded in-flight window*: the coordinator tracks how
 many checks it has posted to the worker without a response and rejects
@@ -32,6 +37,7 @@ re-synced before new checks flow.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import threading
@@ -50,7 +56,7 @@ from ..errors import (
 )
 from .ipc import recv_message, send_message
 from .metrics import LATENCY_WINDOW, ShardCounters
-from .shard import ENGINE_COUNTERS
+from .shard import ENGINE_COUNTERS, FORWARDED
 from .worker import decision_from_json, decision_to_json, worker_main
 
 #: Fallback Retry-After hint (seconds) before any latency samples exist,
@@ -60,7 +66,7 @@ _DEFAULT_RETRY_AFTER = 0.05
 #: Seconds to wait for a worker's hello before declaring the boot dead.
 _HELLO_TIMEOUT = 120.0
 
-#: Default seconds to wait on a control RPC round trip.
+#: Default seconds to wait on a forwarded call's round trip.
 _RPC_TIMEOUT = 60.0
 
 _preload_done = False
@@ -440,7 +446,7 @@ class ProcessShard:
         if self._respawn_enabled:
             self._respawn()
 
-    # -- control RPCs ------------------------------------------------------
+    # -- forwarded calls ---------------------------------------------------
 
     def _request(self, message: dict, timeout: float = _RPC_TIMEOUT) -> dict:
         future: Future = Future()
@@ -462,6 +468,26 @@ class ProcessShard:
                 ) from None
         return future.result(timeout=timeout)
 
+    def _call(self, method: str, *args):
+        """Run ``Shard.<method>(*args)`` in the worker; its return value."""
+        return self._request(
+            {"type": "call", "method": method, "args": list(args)}
+        )["value"]
+
+    def _inspect(self, method: str, idle, *args):
+        """An inspection call, answering ``idle`` while the worker is
+        down (respawning) instead of failing the scrape."""
+        try:
+            return self._call(method, *args)
+        except (ServiceError, WorkerCrashError, FutureTimeout):
+            return idle
+
+    def __getattr__(self, name: str):
+        # Every forwarded Shard method without parent-side logic below.
+        if name not in FORWARDED:
+            raise AttributeError(name)
+        return functools.partial(self._call, name)
+
     def apply_policy_change(
         self,
         action: str,
@@ -472,18 +498,11 @@ class ProcessShard:
     ) -> None:
         """Install or remove one policy on the worker (checkpointed when
         durable); the shard's epoch mirror advances with the broadcast."""
-        self._request({
-            "type": "policy",
-            "action": action,
-            "name": name,
-            "sql": sql,
-            "description": description,
-            "epoch": epoch,
-        })
+        self._call("apply_policy_change", action, name, sql, description, epoch)
         self.epoch = epoch
 
     def set_epoch(self, epoch: int) -> None:
-        self._request({"type": "set_epoch", "epoch": epoch})
+        self._call("set_epoch", epoch)
         self.epoch = epoch
 
     def apply_extras(self, relations: "list[str]") -> None:
@@ -491,68 +510,32 @@ class ProcessShard:
         relations the global tier needs retained and streamed) — and
         the one a respawned worker boots with."""
         self._spec["extra_persist"] = list(relations)
-        self._request({"type": "extras", "relations": list(relations)})
-
-    def log_dump(self, relations: "list[str]") -> dict:
-        """The worker's committed rows for ``relations`` plus its clock,
-        for tier bootstrap: ``{"rows": {name: [[ts, ...], ...]}, "clock": N}``.
-        """
-        return self._request(
-            {"type": "logdump", "relations": list(relations)}
-        )["dump"]
-
-    # -- inspection (uniform shard surface) --------------------------------
-
-    def policies(self) -> "list[dict]":
-        return self._request({"type": "policies"})["policies"]
-
-    def policy_names(self) -> "list[str]":
-        return [entry["name"] for entry in self.policies()]
+        self._call("apply_extras", list(relations))
 
     def log_sizes(self) -> "dict[str, int]":
-        try:
-            return self._request({"type": "log_sizes"})["sizes"]
-        except (ServiceError, WorkerCrashError, FutureTimeout):
-            return {}
+        return self._inspect("log_sizes", {})
 
     def slow_entries(self) -> "list[dict]":
-        try:
-            return self._request({"type": "slow"})["entries"]
-        except (ServiceError, WorkerCrashError, FutureTimeout):
-            return []
+        return self._inspect("slow_entries", [])
 
     def durability_state(self) -> Optional[dict]:
-        try:
-            return self._request({"type": "durability"})["status"]
-        except (ServiceError, WorkerCrashError, FutureTimeout):
-            return None
+        return self._inspect("durability_state", None)
 
     def stats_entry(self, queue_capacity: int) -> dict:
-        try:
-            entry = self._request(
-                {"type": "stats", "queue_capacity": queue_capacity}
-            )["stats"]
-        except (ServiceError, WorkerCrashError, FutureTimeout):
+        entry = self._inspect("stats_entry", None, queue_capacity)
+        if entry is None:
             entry = ShardCounters().snapshot()
             entry["shard"] = self.index
             entry["epoch"] = self.epoch
             entry["queue_depth"] = self.queue_depth()
             entry["queue_capacity"] = queue_capacity
+        entry["process"] = self.process_state()
         with self._state_lock:
             entry["rejected"] = entry.get("rejected", 0) + self._rejected
-            entry["process"] = {
-                "pid": self.pid,
-                "alive": self._alive,
-                "restarts": self.restarts,
-                "inflight": self._inflight,
-            }
         return entry
 
     def export_state(self) -> dict:
-        try:
-            state = self._request({"type": "export"})["state"]
-        except (ServiceError, WorkerCrashError, FutureTimeout):
-            state = _empty_export_state()
+        state = self._inspect("export_state", None) or _empty_export_state()
         with self._state_lock:
             state["prom"]["rejected"] = (
                 state["prom"].get("rejected", 0) + self._rejected
@@ -569,14 +552,8 @@ class ProcessShard:
                 "pid": self.pid,
             }
 
-    def explain_analyze(self, sql: str) -> str:
-        return self._request({"type": "explain_analyze", "sql": sql})["plan"]
-
     def explain_evidence(self, decision) -> "list[dict]":
-        return self._request({
-            "type": "explain_decision",
-            "decision": decision_to_json(decision),
-        })["evidence"]
+        return self._call("explain_evidence", decision_to_json(decision))
 
 
 def _empty_export_state() -> dict:

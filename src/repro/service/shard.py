@@ -11,8 +11,9 @@ in admission order and completes each job's future.
 :func:`open_shard` is the one way a shard comes to exist, whether the
 coordinator holds it directly (thread mode) or a worker process hosts it
 behind a pipe (:mod:`repro.service.worker`); the admin operations the
-coordinator runs outside the admission path are :class:`Shard` methods
-under the names :class:`~repro.service.process.ProcessShard` forwards.
+coordinator runs outside the admission path are the :class:`Shard`
+methods named in :data:`FORWARDED`, which
+:class:`~repro.service.process.ProcessShard` forwards by name.
 """
 
 from __future__ import annotations
@@ -64,6 +65,18 @@ ENGINE_COUNTERS = {
     "dag_shared_nodes": lambda engine: engine.dag_shared_nodes,
     "dag_saved_execs": lambda engine: engine.dag_saved_execs,
 }
+
+
+#: The :class:`Shard` methods a process shard reaches by name: each call
+#: crosses the pipe as one ``{"type": "call", "method", "args"}`` message
+#: and the worker runs ``getattr(shard, method)(*args)``, refusing any
+#: name outside this set. Arguments and results are JSON-shaped.
+FORWARDED = frozenset({
+    "apply_policy_change", "set_epoch", "apply_extras", "log_dump",
+    "policies", "policy_names", "log_sizes", "slow_entries",
+    "durability_state", "stats_entry", "export_state",
+    "explain_analyze", "explain_evidence",
+})
 
 
 def policy_entry(policy: Policy) -> dict:
@@ -242,11 +255,10 @@ class Shard:
 
     # -- uniform inspection surface ---------------------------------------
     #
-    # Everything the coordinator, /v1/stats, and /v1/metrics need from a shard,
-    # behind methods both this thread-backed Shard and the process-backed
-    # ProcessShard implement. The builders live here so a worker process
-    # (which hosts a real Shard internally) answers inspection RPCs with
-    # exactly the shapes the thread path produces.
+    # Everything the coordinator, /v1/stats, and /v1/metrics need from a shard.
+    # A ProcessShard forwards these calls by name to the real Shard its
+    # worker process hosts, so both flavours answer with exactly the
+    # shapes built here.
 
     def policy_names(self) -> "list[str]":
         with self.lock:

@@ -12,11 +12,11 @@ cadence, the slow-query ring and every admin operation behave exactly
 as in thread mode.
 
 The main thread is the IPC loop: it reads framed requests
-(:mod:`repro.service.ipc`) and dispatches them onto the shard's own
-methods. Query checks run on the shard's worker thread and answer from
-future callbacks (a shared send lock serializes the pipe), so control
-messages — policy broadcasts, stats scrapes, drain — are never stuck
-behind a slow check. EOF on the
+(:mod:`repro.service.ipc`) — a ``query``, a ``call`` naming one of the
+shard's forwarded methods, or ``drain``. Query checks run on the shard's
+worker thread and answer from future callbacks (a shared send lock
+serializes the pipe), so calls — policy broadcasts, stats scrapes — and
+drain are never stuck behind a slow check. EOF on the
 pipe means the coordinator is gone; the worker drains and exits.
 """
 
@@ -38,7 +38,7 @@ from ..errors import (
 from ..log import LogicalClock, SimulatedClock
 from ..storage.snapshot import restore_enforcer
 from .ipc import recv_message, send_message
-from .shard import Shard, open_shard
+from .shard import FORWARDED, Shard, open_shard
 
 
 def clock_spec(clock) -> Optional[dict]:
@@ -104,7 +104,7 @@ def decision_from_json(payload: dict) -> Decision:
     Trace spans and phase metrics do not cross the process boundary
     (``span``/``metrics`` are ``None``); the worker already folded them
     into its own counters, which the coordinator aggregates via the
-    stats/export RPCs instead.
+    forwarded ``stats_entry`` / ``export_state`` calls instead.
     """
     result = None
     if payload.get("result") is not None:
@@ -181,45 +181,22 @@ def _handle_query(shard: Shard, msg: dict, reply) -> None:
 
 
 def _handle_control(shard: Shard, msg: dict) -> dict:
-    """Decode one control message onto the shard method of that name."""
-    mtype = msg["type"]
-    if mtype == "policy":
-        shard.apply_policy_change(
-            msg["action"],
-            msg["name"],
-            sql=msg.get("sql", ""),
-            description=msg.get("description", ""),
-            epoch=msg["epoch"],
-        )
-        return {"ok": True, "epoch": shard.epoch}
-    if mtype == "set_epoch":
-        shard.set_epoch(msg["epoch"])
-        return {"ok": True}
-    if mtype == "stats":
-        return {"ok": True, "stats": shard.stats_entry(msg["queue_capacity"])}
-    if mtype == "export":
-        return {"ok": True, "state": shard.export_state()}
-    if mtype == "log_sizes":
-        return {"ok": True, "sizes": shard.log_sizes()}
-    if mtype == "slow":
-        return {"ok": True, "entries": shard.slow_entries()}
-    if mtype == "durability":
-        return {"ok": True, "status": shard.durability_state()}
-    if mtype == "policies":
-        return {"ok": True, "policies": shard.policies()}
-    if mtype == "explain_analyze":
-        return {"ok": True, "plan": shard.explain_analyze(msg["sql"])}
-    if mtype == "explain_decision":
-        decision = decision_from_json(msg["decision"])
-        return {"ok": True, "evidence": shard.explain_evidence(decision)}
-    if mtype == "extras":
-        shard.apply_extras(msg.get("relations", []))
-        return {"ok": True}
-    if mtype == "logdump":
-        return {"ok": True, "dump": shard.log_dump(msg.get("relations", []))}
-    if mtype == "ping":
-        return {"ok": True, "pid": os.getpid()}
-    return {"ok": False, "kind": "internal", "error": f"unknown type {mtype!r}"}
+    """Run one ``call`` message on the shard method it names.
+
+    Only the declared surface (:data:`~repro.service.shard.FORWARDED`)
+    is reachable; any other name — ``drain``, a private method — is
+    refused and the worker keeps serving.
+    """
+    method = msg.get("method")
+    if msg.get("type") != "call" or method not in FORWARDED:
+        return {
+            "ok": False, "kind": "internal",
+            "error": f"not a forwarded shard method: {method!r}",
+        }
+    args = list(msg.get("args", []))
+    if method == "explain_evidence":  # the Decision crossed as JSON
+        args[0] = decision_from_json(args[0])
+    return {"ok": True, "value": getattr(shard, method)(*args)}
 
 
 # ---------------------------------------------------------------------------

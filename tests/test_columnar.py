@@ -11,7 +11,7 @@ import dataclasses
 import sqlite3
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import Answer, assert_matches, evaluate
 from oracle_engines import CheckedEngine, oracle_enforcer
@@ -209,6 +209,11 @@ class TestColumnarEqualsOracleEqualsSqlite:
 
     @settings(max_examples=150, deadline=None)
     @given(rows_r, rows_s, cases)
+    # TRUE is not 1 (``compare_eq``): not through an index probe, nor
+    # through a hash join with the bools on either side.
+    @example([(True, 1), (False, 2)], [], CASES[0])
+    @example([(True, 1), (False, 2)], [(1, 5), (0, 6)], CASES[3])
+    @example([(1, 1), (0, 2)], [(True, 5), (False, 6)], CASES[3])
     def test_lineage_mode_identical(self, r_rows, s_rows, case):
         """Rows *and* provenance of a lineage execution are an answer
         the oracle admits, and its rows are the lineage-free run's."""
@@ -251,6 +256,16 @@ class TestColumnarEqualsOracleEqualsSqlite:
         db.table("r").insert((2, 2))
         db.table("s").insert((2, 1))
         agree()
+
+    def test_bool_appended_under_a_built_index(self):
+        """An index is extended in place on append: an appended TRUE
+        must not join the rows under the key 1."""
+        engine = build_engine([(1, 0)], [])
+        assert run_case(engine, CASES[0]).rows == [(1, 0)]
+        engine.database.table("r").insert((True, 5))
+        got = run_case(engine, CASES[0], lineage=True)
+        assert_case_matches(engine.database, CASES[0], got)
+        assert got.rows == [(1, 0)]
 
     @settings(max_examples=20, deadline=None)
     @given(rows_r, rows_s)

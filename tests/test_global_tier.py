@@ -481,6 +481,100 @@ class TestTierDurability:
             service.drain()
 
 
+class TestRuntimeFloorLivesInTheText:
+    """A runtime-added global policy is checkpointed as its floored text,
+    as shards store theirs. The tier used to keep a separate floor and
+    apply it again on every restart, so each restart conjoined one more
+    ``p.ts > F`` into the policy."""
+
+    QUOTA = "quota-items"
+    ITEMS = "SELECT id FROM items"
+
+    def make(self, tier, data_dir=None):
+        from repro.engine import Database
+
+        db = Database()
+        db.load_table("items", ["id", "price"], [(1, 10), (2, 20), (3, 30)])
+        return make_service(
+            Enforcer(db, [], clock=SimulatedClock(default_step_ms=10)),
+            2, tier, data_dir=data_dir, wal_sync=False,
+        )
+
+    def quota_sql(self, service):
+        [entry] = [p for p in service.policies() if p["name"] == self.QUOTA]
+        return entry["sql"]
+
+    def run(self, service, uids):
+        decisions = []
+        for uid in uids:
+            decision = service.submit(self.ITEMS, uid=uid)
+            service.flush_global()
+            decisions.append(
+                (decision.allowed, decision.timestamp,
+                 [v.policy_name for v in decision.violations])
+            )
+        return decisions
+
+    def start(self, tier, data_dir=None):
+        """Two queries of history, then the quota (7 queries of 3 tuples
+        cross it); returns the live service and the floored text."""
+        service = self.make(tier, data_dir)
+        self.run(service, [1, 2])
+        service.add_policy(monthly_quota("items", 20, 10_000_000))
+        return service, self.quota_sql(service)
+
+    @pytest.mark.parametrize("tier", ["async", "strict"])
+    def test_three_restarts_keep_text_and_decisions(self, tier, tmp_path):
+        chunks = [[1, 2, 3], [4, 1, 2], [3, 4, 1]]
+        service, sql = self.start(tier)
+        try:
+            want = self.run(service, [uid for chunk in chunks for uid in chunk])
+        finally:
+            service.drain()
+        assert want[-1][0] is False  # the quota fires inside the stream
+
+        service, durable_sql = self.start(tier, str(tmp_path))
+        service.drain()
+        assert durable_sql == sql
+        got = []
+        for chunk in chunks:
+            service = self.make(tier, str(tmp_path))
+            try:
+                assert self.quota_sql(service) == sql
+                got.extend(self.run(service, chunk))
+            finally:
+                service.drain()
+        assert got == want
+
+    def test_a_checkpoint_with_floor_fields_restores(self, tmp_path):
+        """Older versions wrote ``floor`` beside the (already floored)
+        text; such a file restores the same policy and decisions."""
+        import json
+        import shutil
+
+        service, sql = self.start("async", str(tmp_path / "new"))
+        floor = service.global_tier.clock.now()
+        service.drain()
+        shutil.copytree(tmp_path / "new", tmp_path / "old")
+        state_path = tmp_path / "old" / "global" / "state.json"
+        state = json.loads(state_path.read_text())
+        for record in state["policies"]:
+            record["floor"] = floor
+        state_path.write_text(json.dumps(state))
+
+        answers = {}
+        for name in ("new", "old"):
+            service = self.make("async", str(tmp_path / name))
+            try:
+                answers[name] = (
+                    self.quota_sql(service), self.run(service, [1, 2, 3, 4] * 2)
+                )
+            finally:
+                service.drain()
+        assert answers["old"] == answers["new"]
+        assert answers["new"][0] == sql
+
+
 class TestRespawnKeepsTierRelations:
     """A relation the tier started needing at *runtime* (a global policy
     added after startup) must survive a worker crash: the respawned
@@ -677,8 +771,9 @@ class TestTierCheckpoint:
             '{"format": 99, "clock": 0, "wal_last_seq": 0, "policies": []}',
             "[]",
             '{"format": 1, "clock": "x", "wal_last_seq": 0, "policies": []}',
-            '{"format": 1, "clock": 0, "wal_last_seq": 0, '
-            '"policies": [{"name": "q", "sql": "SELECT 1", "floor": "x"}]}',
+            # A valid policy text: only the ill-typed floor refuses it.
+            '{"format": 1, "clock": 0, "wal_last_seq": 0, "policies": '
+            '[{"name": "q", "sql": "SELECT \'x\' FROM users u", "floor": "x"}]}',
         ],
         ids=["garbage", "wrong-format", "top-level-list", "clock", "floor"],
     )

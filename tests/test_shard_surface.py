@@ -22,6 +22,7 @@ from repro.engine import Database
 from repro.errors import ReproError, ServiceError
 from repro.log import SimulatedClock
 from repro.service import ServiceConfig, ShardedEnforcerService, coordinator
+from repro.service.shard import FORWARDED, Shard, policy_entry
 
 MODES = ["thread", "process"]
 RATE_LIMIT = "rate-limit-1-2-10000"
@@ -148,34 +149,57 @@ class TestUnbindablePolicyIsRefusedAtInstall:
 
 
 def drive(service):
-    """One stream; the admin answers of the shard that served it."""
+    """One stream; the answer of every forwarded method, by name, from
+    the shard that served it (a durable one that logs every check as
+    slow, so no answer is empty)."""
     decisions = [
         service.submit("SELECT id FROM items", uid=1) for _ in range(3)
     ]
     assert [d.allowed for d in decisions] == [True, True, False]
     shard = service.shards[service.shard_for(1)]
-    shard.apply_extras(["Schema"])
+    answers = {"apply_extras": shard.apply_extras(["Schema"])}
     assert service.submit("SELECT id FROM extras", uid=3).allowed
     plan = shard.explain_analyze("SELECT id FROM items WHERE price > 10")
-    return {
+    durability = shard.durability_state()
+    stats = shard.stats_entry(service.config.queue_depth)
+    answers.update({
         "log_dump": shard.log_dump(["users", "schema", "provenance"]),
         "explain_analyze": re.sub(r"time=[0-9.]+ ms", "time=_", plan),
         "explain_evidence": shard.explain_evidence(decisions[-1]),
         "policies": shard.policies(),
         "log_sizes": shard.log_sizes(),
-    }
+        "slow_entries": [
+            (e["shard"], e["uid"], e["timestamp"], e["sql"], e["allowed"])
+            for e in shard.slow_entries()
+        ],
+        "durability_state": (
+            sorted(durability), durability["last_seq"], durability["sync"]
+        ),
+        "stats_entry": (sorted(set(stats) - {"process"}), stats["completed"]),
+        "export_state": sorted(shard.export_state()),
+        "apply_policy_change": shard.apply_policy_change(
+            "add", epoch=5, **policy_entry(fence())
+        ),
+        "policy_names": shard.policy_names(),
+        "set_epoch": shard.set_epoch(6),
+    })
+    assert shard.stats_entry(service.config.queue_depth)["epoch"] == 6
+    return answers
 
 
 class TestSameAnswersFromBothFlavours:
-    def test_control_operations_return_equal_json(self):
+    def test_control_operations_return_equal_json(self, tmp_path):
         answers = {}
         for mode in MODES:
-            service = make_service(mode)
+            service = make_service(
+                mode, data_dir=str(tmp_path / mode), slow_query_seconds=1e-9
+            )
             try:
                 answers[mode] = drive(service)
             finally:
                 service.drain()
         assert answers["process"] == answers["thread"]
+        assert set(answers["thread"]) == FORWARDED
         dump = answers["thread"]["log_dump"]
         assert dump["clock"] == 40
         assert dump["rows"]["users"] == [[10, 1], [20, 1]]
@@ -194,6 +218,41 @@ class TestSameAnswersFromBothFlavours:
         assert [
             (t["relation"], t["values"]) for t in evidence["tuples"]
         ] == [("users", {"ts": ts, "uid": 1}) for ts in (10, 20, 30)]
+        assert [entry[2] for entry in answers["thread"]["slow_entries"]] == [
+            10, 20, 30, 40,
+        ]
+        assert answers["thread"]["policy_names"] == [RATE_LIMIT, "fence"]
+
+
+class TestForwardedSurface:
+    """A process shard reaches the worker's shard through one ``call``
+    message naming a method of :data:`FORWARDED`, and nothing else."""
+
+    def test_every_name_is_a_shard_method_and_resolves(self):
+        service = make_service("process")
+        try:
+            shard = service.shards[0]
+            for name in FORWARDED:
+                assert inspect.isfunction(getattr(Shard, name)), name
+                assert callable(getattr(shard, name)), name
+            with pytest.raises(AttributeError):
+                shard.offer  # a Shard method that is not forwarded
+        finally:
+            service.drain()
+
+    @pytest.mark.parametrize("method", ["drain", "_run", "offer", "nosuch"])
+    def test_undeclared_method_is_refused_and_the_worker_serves_on(
+        self, method
+    ):
+        service = make_service("process")
+        try:
+            shard = service.shards[service.shard_for(2)]
+            with pytest.raises(ServiceError, match="not a forwarded"):
+                shard._call(method)
+            assert service.submit("SELECT id FROM items", uid=2).allowed
+            assert shard.process_state()["restarts"] == 0
+        finally:
+            service.drain()
 
 
 class TestThreadInstallTakesEveryLockFirst:
@@ -279,6 +338,15 @@ class TestCoordinatorHasNoFlavourFork:
         source = inspect.getsource(worker._handle_control)
         assert "enforcer" not in source
         assert "shard.lock" not in source
+        # One getattr dispatch, not a branch per message type.
+        compared = {
+            node.value
+            for comparison in ast.walk(ast.parse(source))
+            if isinstance(comparison, ast.Compare)
+            for node in (comparison.left, *comparison.comparators)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert compared <= {"call", "explain_evidence"}
 
 
 class TestDivergedRecoveredSetsRefuseToServe:

@@ -448,7 +448,7 @@ def _join_batch(
             out_clean.append(False)
         else:
             out_columns.append([col[j] for j in right_index])
-            out_clean.append(False)
+            out_clean.append(right.clean[offset])
     return ColumnBatch(
         out_columns,
         len(right_index),

@@ -29,17 +29,26 @@ so non-Python clients can submit queries:
 Requests for different users run in parallel (one enforcer shard per
 uid-hash bucket); requests for the same user serialize on their shard.
 
+Connections: one request per HTTP/1.0 connection, closed after the
+reply. An accepted connection goes to a parked handler thread through
+one ``SimpleQueue`` handoff; a thread is spawned only when none is
+parked, so the thread count tracks peak concurrent connections and
+needs no size knob (a slow or silent client holds only its own thread).
+Each connection runs through the inherited
+``ThreadingMixIn.process_request_thread``, which the e2e tracer wraps as
+its ``http.request`` span. The handler reads the head itself within
+``http.server``'s bounds and writes each response with one ``sendall``.
+
 Versioning (see ``docs/api_v1.md``): every response but one is wrapped
 in the versioned envelope ::
 
     {"api_version": 1, "data": ...}                          # success
     {"api_version": 1, "error": {"code": ..., "message": ...}}
 
-Error codes: ``invalid_request`` (400), ``not_found`` (404),
-``conflict`` (409), ``overloaded`` (429), ``draining`` (503). A policy
-denial (403) is a *decision*, not an error — it arrives under ``data``
-with ``allowed: false`` and its violations. ``GET /v1/metrics`` is the
-one exception to the envelope: it stays Prometheus text exposition. Any
+:data:`ERROR_CODES` maps each error status to its code. A policy denial
+(403) is a *decision*, not an error — it arrives under ``data`` with
+``allowed: false`` and its violations. ``GET /v1/metrics`` is the one
+exception to the envelope: it stays Prometheus text exposition. Any
 path outside ``/v1/`` is a 404.
 """
 
@@ -47,7 +56,12 @@ from __future__ import annotations
 
 import json
 import math
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import socketserver
+import threading
+from email.utils import formatdate
+from http import HTTPStatus
+from http.server import ThreadingHTTPServer
+from queue import SimpleQueue
 from typing import Optional, Union
 
 from .core import Enforcer, Policy
@@ -55,7 +69,6 @@ from .core.metrics import PHASE_PROVENANCE, PHASE_QUERY
 from .engine.explain import render_analyzed
 from .errors import (
     PolicyError,
-    PolicyPlacementError,
     ReproError,
     ServiceClosedError,
     ServiceOverloadedError,
@@ -71,9 +84,21 @@ ERROR_CODES = {
     400: "invalid_request",
     404: "not_found",
     409: "conflict",
+    414: "uri_too_long",
     429: "overloaded",
+    431: "headers_too_large",
+    501: "not_implemented",
     503: "draining",
 }
+
+#: ``http.server``'s bounds on a request head: bytes per line, headers.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+JSON_CONTENT_TYPE = "application/json"
+
+#: HTTP status → the reason phrase of the status line.
+REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 def versioned_envelope(status: int, body: dict) -> dict:
@@ -165,7 +190,12 @@ class EnforcerService:
                 for v in decision.violations
             ]
             if want_explain:
-                body["evidence"] = self._explain(decision, uid)
+                # Re-run the violated policies with lineage on the routed
+                # shard, outside admission: explanation is admin-grade
+                # and must not consume an admission slot.
+                body["evidence"] = self.service.explain_evidence(
+                    uid, decision
+                )
         status = 200 if decision.allowed else 403
         return status, body
 
@@ -189,18 +219,6 @@ class EnforcerService:
                     return render_analyzed(child)
         return self.service.analyzed_plan(uid, sql)
 
-    def _explain(self, decision, uid: int) -> "list[dict]":
-        """Re-run the violated policies with lineage on the same shard.
-
-        Explanation reads the shard's current log state; the service
-        runs it on the routed shard outside the admission path (the
-        shard's own ``explain_evidence`` under its lock, reached over
-        the control channel when a worker process hosts it — explain is
-        an admin-grade operation, not a policy check, and must not
-        consume an admission slot).
-        """
-        return self.service.explain_evidence(uid, decision)
-
     def list_policies(self) -> "tuple[int, dict]":
         return 200, {"policies": self.service.policies()}
 
@@ -214,9 +232,7 @@ class EnforcerService:
         try:
             policy = Policy.from_sql(name, sql, payload.get("description", ""))
             epoch = self.service.add_policy(policy)
-        except PolicyPlacementError as error:
-            return 400, {"error": str(error)}
-        except ReproError as error:
+        except ReproError as error:  # a placement refusal included
             return 400, {"error": str(error)}
         return 201, {"registered": name, "epoch": epoch}
 
@@ -252,65 +268,84 @@ class EnforcerService:
 def make_handler(service: EnforcerService):
     """Build the request-handler class bound to one service."""
 
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, format, *args):  # noqa: A002 - stdlib name
-            pass  # keep tests quiet
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self) -> None:
+            line = self.rfile.readline(MAX_LINE + 1)
+            if not line:
+                return  # the client closed without sending a request
+            failure = self._read_head(line)
+            if failure is not None:
+                self._reply(failure[0], {"error": failure[1]})
+            else:
+                getattr(self, "do_" + self.command)()
 
-        def _send(
-            self, status: int, body: dict, headers: Optional[dict] = None
-        ) -> None:
-            data = json.dumps(body).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
+        def _read_head(self, line: bytes) -> Optional["tuple[int, str]"]:
+            """Parse the request line and headers (``http.server``'s
+            bounds); ``(status, message)`` when the head is refused."""
+            if len(line) > MAX_LINE:
+                return 414, "request line too long"
+            words = line.decode("iso-8859-1").split()
+            if len(words) != 3 or not words[2].startswith("HTTP/"):
+                return 400, "bad request line"
+            self.command, self.path, _ = words
+            self.headers = {}
+            for _ in range(MAX_HEADERS + 1):
+                line = self.rfile.readline(MAX_LINE + 1)
+                if len(line) > MAX_LINE:
+                    return 431, "header line too long"
+                if line in (b"\r\n", b"\n", b""):
+                    if self.command not in ("GET", "POST", "DELETE"):
+                        return 501, f"unsupported method {self.command!r}"
+                    return None
+                name, colon, value = line.decode("iso-8859-1").partition(":")
+                if not (colon and name.strip()):
+                    return 400, "bad header line"
+                self.headers[name.strip().lower()] = value.strip()
+            return 431, "too many headers"
 
-        def _send_text(
-            self, status: int, text: str, content_type: str
-        ) -> None:
-            data = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
+        def _send(self, status, data, content_type=JSON_CONTENT_TYPE, headers=None):
+            """The status line, headers and body in one write."""
+            extra = "".join(f"{k}: {v}\r\n" for k, v in (headers or {}).items())
+            head = (
+                f"HTTP/1.0 {status} {REASONS[status]}\r\n"
+                f"Date: {formatdate(usegmt=True)}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(data)}\r\n{extra}\r\n"
+            )
+            self.request.sendall(head.encode("latin-1") + data)
 
-        def _route(self) -> Optional[str]:
-            """The endpoint path under ``/v1``; None for any other path."""
-            if self.path.startswith("/v1/"):
-                return self.path[len("/v1"):]
-            return None
-
-        def _reply(
-            self, status: int, body: dict, headers: Optional[dict] = None
-        ) -> None:
-            self._send(status, versioned_envelope(status, body), headers)
+        def _reply(self, status: int, body: dict, headers=None) -> None:
+            data = json.dumps(versioned_envelope(status, body)).encode()
+            self._send(status, data, headers=headers)
 
         def _read_json(self) -> Union[dict, str, None]:
             """The parsed body, or an error string for a 400 response."""
-            raw_length = self.headers.get("Content-Length", "0") or "0"
             try:
-                length = int(raw_length)
+                length = int(self.headers.get("content-length") or 0)
             except ValueError:
-                return "invalid Content-Length header"
+                length = -1
             if length < 0:
                 return "invalid Content-Length header"
             raw = self.rfile.read(length) if length else b"{}"
+            if len(raw) < length:
+                return "request body shorter than its Content-Length"
             try:
-                payload = json.loads(raw or b"{}")
+                payload = json.loads(raw)
             except json.JSONDecodeError:
                 return None
             return payload if isinstance(payload, dict) else None
 
-        def do_GET(self):  # noqa: N802 - stdlib casing
+        def _route(self) -> Optional[str]:
+            """The endpoint path under ``/v1``; None for any other path."""
+            return self.path[3:] if self.path.startswith("/v1/") else None
+
+        def do_GET(self):  # noqa: N802 - HTTP method casing
             path = self._route()
             if path == "/metrics":
                 # Prometheus text: the envelope would break scrapers, so
                 # /v1/metrics is documented as unwrapped.
-                self._send_text(200, service.metrics(), METRICS_CONTENT_TYPE)
+                text = service.metrics().encode("utf-8")
+                self._send(200, text, METRICS_CONTENT_TYPE)
             elif path == "/health":
                 self._reply(200, {"status": "ok"})
             elif path == "/policies":
@@ -343,11 +378,8 @@ def make_handler(service: EnforcerService):
                     # under-wait the precise JSON hint (a 2.5 s hint as
                     # "Retry-After: 2" sends well-behaved clients back
                     # into a still-full window).
-                    headers = {
-                        "Retry-After": str(
-                            max(1, math.ceil(body.get("retry_after", 1)))
-                        )
-                    }
+                    wait = max(1, math.ceil(body.get("retry_after", 1)))
+                    headers = {"Retry-After": str(wait)}
                 self._reply(status, body, headers)
             elif path == "/policies":
                 self._reply(*service.add_policy(payload))
@@ -369,13 +401,50 @@ def make_handler(service: EnforcerService):
 
 
 class EnforcementHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server that drains its service on close."""
+    """A threading HTTP server over parked handler threads that drains
+    its service on close."""
 
     #: Set by :func:`serve` once the socket is bound. A failed bind
     #: closes the server before that, and must surface its own error.
     service: Optional[ShardedEnforcerService] = None
 
+    def __init__(self, *args, **kwargs):
+        self._parked: list = []  # the inboxes of idle handler threads
+        self._park_lock = threading.Lock()
+        self._closed = False
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        """Hand the connection to a parked thread; spawn one if none is."""
+        job = (request, client_address)
+        try:
+            inbox = self._parked.pop()  # the most recently parked
+        except IndexError:
+            threading.Thread(
+                target=self._handle_connections,
+                args=(SimpleQueue(), job),
+                name=f"http-handler-{self.server_address[1]}",
+                daemon=True,
+            ).start()
+        else:
+            inbox.put(job)
+
+    def _handle_connections(self, inbox: SimpleQueue, job) -> None:
+        while job is not None:
+            # Inherited: handles, reports and closes one connection.
+            self.process_request_thread(*job)
+            with self._park_lock:
+                if self._closed:
+                    return
+                self._parked.append(inbox)
+            job = inbox.get()
+
     def server_close(self) -> None:
+        with self._park_lock:
+            self._closed = True
+            parked, self._parked = self._parked, []
+        for inbox in parked:
+            inbox.put(None)
         if self.service is not None:
             self.service.drain()
         super().server_close()

@@ -105,7 +105,10 @@ class TestEnvelopeUnit:
             400: "invalid_request",
             404: "not_found",
             409: "conflict",
+            414: "uri_too_long",
             429: "overloaded",
+            431: "headers_too_large",
+            501: "not_implemented",
             503: "draining",
         }
 

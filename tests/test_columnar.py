@@ -336,6 +336,18 @@ class TestJoinBuildCache:
         assert db.join_build_misses == 1
         assert first.rows == second.rows
 
+    def test_join_keeps_both_sides_clean_flags(self):
+        """Gathering clean numeric columns keeps them clean, on the
+        build side as on the probe side (the build side used to come
+        out unclean and lose the aggregate and join-key fast paths)."""
+        _, db = self.setup_pair()
+        join = operators.HashJoinOp(
+            operators.ScanOp("r"), operators.ScanOp("s"), [0], [0]
+        )
+        batches = list(join.execute(db, False))
+        assert sum(batch.length for batch in batches) == 40
+        assert all(batch.clean == [True] * 4 for batch in batches)
+
     def test_build_side_mutation_invalidates(self):
         engine, db = self.setup_pair()
         sql = "SELECT r.b, s.c FROM r, s WHERE r.a = s.a"

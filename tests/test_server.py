@@ -1,8 +1,11 @@
 """HTTP middleware tests (stdlib client against an in-process server)."""
 
 import json
+import socket
 import threading
 from http.client import HTTPConnection
+
+from unittest.mock import ANY
 
 import pytest
 from holds import held, wait_in_hand, wait_until
@@ -386,3 +389,162 @@ class TestOverloadedGateway:
             httpd.shutdown()
             httpd.server_close()
             thread.join(timeout=5)
+
+
+def handler_threads(httpd) -> "list[threading.Thread]":
+    """The live handler threads of one gateway (named after its port)."""
+    name = f"http-handler-{httpd.server_address[1]}"
+    return [t for t in threading.enumerate() if t.name == name]
+
+
+def exchange(httpd, raw: bytes) -> "tuple[int, dict]":
+    """Send raw bytes, read the reply to EOF: ``(status, envelope)``."""
+    with socket.create_connection(httpd.server_address) as sock:
+        sock.sendall(raw)
+        chunks = []
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:  # unread request bytes at close
+            pass
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head[9:12]), json.loads(body)
+
+
+QUERY = {"sql": "SELECT id FROM navteq", "uid": 1}
+
+
+class TestConnectionModel:
+    def test_sequential_queries_reuse_parked_threads(self, server):
+        for _ in range(200):
+            status, _ = request(server, "POST", "/query", QUERY)
+            assert status == 200
+        assert 1 <= len(handler_threads(server)) <= 2
+
+    def test_held_requests_get_own_threads_then_reuse_them(self):
+        httpd, thread = make_sharded_server(ServiceConfig(shards=1))
+        try:
+            statuses = []
+            clients = [
+                threading.Thread(
+                    target=lambda: statuses.append(
+                        request(httpd, "POST", "/query", QUERY)[0]
+                    )
+                )
+                for _ in range(3)
+            ]
+            shard = httpd.service.shards[0]
+            with held(shard):
+                clients[0].start()
+                wait_in_hand(shard)
+                for client in clients[1:]:
+                    client.start()
+                wait_until(lambda: shard.queue_depth() == 2)
+                assert len(handler_threads(httpd)) == 3
+            for client in clients:
+                client.join(timeout=30)
+            assert statuses == [200, 200, 200]
+            wait_until(lambda: len(httpd._parked) == 3)
+            threads = set(handler_threads(httpd))
+            for _ in range(10):
+                assert request(httpd, "POST", "/query", QUERY)[0] == 200
+            assert set(handler_threads(httpd)) == threads
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join(timeout=5)
+
+    def test_health_answers_beside_a_silent_connection(self, server):
+        with socket.create_connection(server.server_address):
+            wait_until(lambda: len(handler_threads(server)) == 1)
+            assert request(server, "GET", "/health") == (200, {"status": "ok"})
+
+    def test_close_leaves_no_handler_thread(self):
+        httpd, thread = make_sharded_server(ServiceConfig(shards=1))
+        for _ in range(3):
+            assert request(httpd, "GET", "/health")[0] == 200
+        idle = len(handler_threads(httpd))
+        wait_until(lambda: len(httpd._parked) == idle)
+        # A connection still sending its head when the server closes.
+        sock = socket.create_connection(httpd.server_address)
+        sock.sendall(b"POST /v1/query HTTP/1.0\r\n")
+        wait_until(lambda: len(httpd._parked) == idle - 1)
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+        sock.sendall(b"Content-Length: 2\r\n\r\n{}")
+        reply = sock.makefile("rb").read()
+        sock.close()
+        assert reply.startswith(b"HTTP/1.0 400 ")  # it finished its request
+        wait_until(lambda: not handler_threads(httpd))
+
+
+class TestHostileHeads:
+    @pytest.mark.parametrize(
+        "raw, status, code",
+        [
+            (b"GARBAGE\r\n\r\n", 400, "invalid_request"),
+            (b"GET /v1/health HTTP/1.0\r\nno colon here\r\n\r\n",
+             400, "invalid_request"),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.0\r\n\r\n",
+             414, "uri_too_long"),
+            (b"GET /v1/health HTTP/1.0\r\nX-Long: " + b"a" * 70_000
+             + b"\r\n\r\n", 431, "headers_too_large"),
+            (b"GET /v1/health HTTP/1.0\r\n"
+             + b"".join(b"X-%d: v\r\n" % i for i in range(101)) + b"\r\n",
+             431, "headers_too_large"),
+            (b"PATCH /v1/query HTTP/1.0\r\n\r\n", 501, "not_implemented"),
+        ],
+        ids=["garbage", "no-colon", "long-line", "long-header",
+             "101-headers", "patch"],
+    )
+    def test_refused_in_the_envelope(self, server, raw, status, code):
+        assert exchange(server, raw) == (
+            status,
+            {"api_version": 1, "error": {"code": code, "message": ANY}},
+        )
+        assert request(server, "GET", "/health")[0] == 200
+
+    def test_hundred_headers_are_accepted(self, server):
+        head = b"".join(b"X-%d: v\r\n" % i for i in range(100))
+        raw = b"GET /v1/health HTTP/1.0\r\n" + head + b"\r\n"
+        assert exchange(server, raw)[0] == 200
+
+    def test_short_body_then_close_frees_the_thread(self, server):
+        request(server, "GET", "/health")
+        wait_until(lambda: len(server._parked) == 1)
+        with socket.create_connection(server.server_address) as sock:
+            sock.sendall(
+                b"POST /v1/query HTTP/1.0\r\nContent-Length: 100\r\n\r\n{"
+            )
+            wait_until(lambda: not server._parked)
+        wait_until(lambda: len(server._parked) == 1)
+        assert len(handler_threads(server)) == 1
+        assert request(server, "POST", "/query", QUERY)[0] == 200
+
+    def test_mixed_case_content_length_is_honoured(self, server):
+        body = json.dumps(QUERY).encode()
+        status, envelope = exchange(
+            server,
+            b"POST /v1/query HTTP/1.0\r\ncOnTeNt-LeNgTh: %d\r\n\r\n%s"
+            % (len(body), body),
+        )
+        assert status == 200
+        assert envelope["data"]["rows"] == [[1], [2]]
+
+    def test_one_write_per_response(self, server, monkeypatch):
+        writes = []
+        original = socket.socket.sendall
+
+        def counting(sock, data, *args):
+            if sock.getsockname() == server.server_address:
+                writes.append(data)
+            return original(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting)
+        status, body = request(server, "POST", "/query", QUERY)
+        assert status == 200
+        assert len(writes) == 1
+        head, _, payload = writes[0].partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == b"HTTP/1.0 200 OK"
+        assert b"Content-Length: %d" % len(payload) in head

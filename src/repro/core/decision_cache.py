@@ -293,6 +293,11 @@ class DecisionCacheStats:
         }
 
 
+#: Verdicts one cache holds (an LRU bound in entries, not bytes); the
+#: gateway's ``market_adhoc`` workload is sized to overflow it.
+CAPACITY = 1024
+
+
 class DecisionCache:
     """An LRU of whole-check verdicts for one enforcer.
 
@@ -301,7 +306,7 @@ class DecisionCache:
     from the metrics scraper without synchronization.
     """
 
-    def __init__(self, capacity: int = 1024):
+    def __init__(self, capacity: int = CAPACITY):
         if capacity < 1:
             raise ValueError("decision cache capacity must be >= 1")
         self.capacity = capacity

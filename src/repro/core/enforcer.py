@@ -116,8 +116,6 @@ class EnforcerOptions:
     #: the paper's ablation benchmarks measure what they claim to; the
     #: sharded service turns it on for its hot path.
     decision_cache: bool = False
-    #: LRU capacity of the decision cache (entries, not bytes).
-    decision_cache_size: int = 1024
     #: Maintain per-group running aggregates for incrementalizable policies
     #: (see :mod:`repro.incremental`) so their checks cost O(delta) instead
     #: of a full-log scan. Decisions are bit-identical either way. Off by
@@ -668,9 +666,7 @@ class Enforcer:
         if not self.options.decision_cache:
             return None
         if self._decision_cache is None:
-            self._decision_cache = DecisionCache(
-                self.options.decision_cache_size
-            )
+            self._decision_cache = DecisionCache()
         return self._decision_cache
 
     @property

@@ -4,8 +4,10 @@
 :class:`~repro.obs.prom.Registry` to one
 :class:`~repro.service.ShardedEnforcerService`. Collection is
 scrape-time and lock-free in the same sense as ``GET /v1/stats``: it reads
-each shard's counter snapshot (tiny counter mutex, never the shard
-lock), the queue sizes, and the WAL's append/fsync tallies.
+each shard's one state (:func:`repro.service.shard.shard_state`: the
+counter snapshot under a tiny counter mutex, never the shard lock, the
+queue sizes, and the WAL's append/fsync tallies) — the same dict
+``GET /v1/stats`` and ``GET /v1/durability`` project from.
 
 Metric names and labels (all prefixed ``repro_``):
 
@@ -66,8 +68,9 @@ Metric names and labels (all prefixed ``repro_``):
 The WAL families appear only on durable deployments (``--data-dir``);
 the ``repro_process_*`` families only in ``workers_mode=process``, where
 each shard is a worker process and the collector gathers every child's
-counters into this one scrape (shards answer an ``export_state`` call; a shard
-mid-respawn contributes an idle stub so the scrape never blocks on a
+counters into this one scrape (shards answer a forwarded ``state`` call,
+carrying the parent's worker gauges under ``"process"``; a shard
+mid-respawn contributes an idle state so the scrape never blocks on a
 dead pipe); the ``repro_global_*`` families only when a global policy
 tier is active (``--global-tier async|strict`` with ``--shards`` > 1,
 see :mod:`repro.service.global_tier`).
@@ -80,7 +83,7 @@ from .prom import HistogramSnapshot, MetricFamily, Registry
 
 #: The per-shard engine families, one per key of
 #: :data:`repro.service.shard.ENGINE_COUNTERS`:
-#: ``(export_state()["engine"] key, family name, kind, help)``.
+#: ``(shard_state(...)["engine"] key, family name, kind, help)``.
 _ENGINE_FAMILIES = (
     (
         "plan_hits", "repro_plan_cache_hits_total", "counter",
@@ -264,28 +267,29 @@ def collect_service(service) -> "list[MetricFamily]":
     any_process = False
     for shard in service.shards:
         label = {"shard": str(shard.index)}
-        # The uniform shard surface: thread shards snapshot in-process,
-        # process shards answer an RPC (or an idle stub mid-respawn).
-        state = shard.export_state()
-        snap = state["prom"]
-        admitted.add(label, snap["admitted"])
-        rejected.add(label, snap["rejected"])
-        for outcome in ("allowed", "denied", "error"):
+        # One state per shard: a thread shard builds it in-process, a
+        # process shard answers a forwarded call (or an idle state
+        # mid-respawn) and adds its worker gauges.
+        state = shard.state()
+        admitted.add(label, state["admitted"])
+        rejected.add(label, state["rejected"])
+        for outcome, key in (
+            ("allowed", "allowed"), ("denied", "denied"), ("error", "errors"),
+        ):
             completed.add(
-                {"shard": str(shard.index), "outcome": outcome},
-                snap["completed"][outcome],
+                {"shard": str(shard.index), "outcome": outcome}, state[key]
             )
         queue_depth.add(label, state["queue_depth"])
         queue_capacity.add(label, config.queue_depth)
         busy.add(label, state["busy_workers"])
-        slow.add(label, snap["slow"])
+        slow.add(label, state["slow"])
         for family, key in (
             (check_hist, "check_hist"),
             (wait_hist, "wait_hist"),
             (batch_hist, "batch_hist"),
         ):
             family.add_histogram(
-                label, HistogramSnapshot.from_dict(snap[key])
+                label, HistogramSnapshot.from_dict(state[key])
             )
         cache = state["decision_cache"]
         if cache is not None:
@@ -301,16 +305,16 @@ def collect_service(service) -> "list[MetricFamily]":
             inc_entries.add(label, incremental["state_entries"])
         for key, family in engine_families.items():
             family.add(label, state["engine"][key])
-        for policy, hist_snap in sorted(snap["policy_eval"].items()):
+        for policy, hist_snap in sorted(state["policy_eval"].items()):
             policy_hist.add_histogram(
                 {"shard": str(shard.index), "policy": policy},
                 HistogramSnapshot.from_dict(hist_snap),
             )
-        for policy, count in sorted(snap["policy_violations"].items()):
+        for policy, count in sorted(state["policy_violations"].items()):
             violations.add(
                 {"shard": str(shard.index), "policy": policy}, count
             )
-        for phase, seconds in sorted(snap["phase_totals"].items()):
+        for phase, seconds in sorted(state["phase_totals"].items()):
             phases.add({"shard": str(shard.index), "phase": phase}, seconds)
 
         wal = state["wal"]
@@ -318,13 +322,12 @@ def collect_service(service) -> "list[MetricFamily]":
             durable = True
             wal_appends.add(label, wal["appends"])
             wal_fsyncs.add(label, wal["fsyncs"])
-            wal_bytes.add(label, wal["bytes"])
+            wal_bytes.add(label, wal["wal_bytes"])
             wal_seq.add(label, wal["last_seq"])
 
-        process_state = getattr(shard, "process_state", None)
-        if process_state is not None:
+        process = state.get("process")
+        if process is not None:
             any_process = True
-            process = process_state()
             proc_alive.add(label, 1 if process["alive"] else 0)
             proc_restarts.add(label, process["restarts"])
             proc_inflight.add(label, process["inflight"])

@@ -37,7 +37,8 @@ needs no size knob (a slow or silent client holds only its own thread).
 Each connection runs through the inherited
 ``ThreadingMixIn.process_request_thread``, which the e2e tracer wraps as
 its ``http.request`` span. The handler reads the head itself within
-``http.server``'s bounds and writes each response with one ``sendall``.
+``http.server``'s bounds, reads no body longer than :data:`MAX_BODY`
+(a 413) and writes each response with one ``sendall``.
 
 Versioning (see ``docs/api_v1.md``): every response but one is wrapped
 in the versioned envelope ::
@@ -84,6 +85,7 @@ ERROR_CODES = {
     400: "invalid_request",
     404: "not_found",
     409: "conflict",
+    413: "payload_too_large",
     414: "uri_too_long",
     429: "overloaded",
     431: "headers_too_large",
@@ -94,6 +96,10 @@ ERROR_CODES = {
 #: ``http.server``'s bounds on a request head: bytes per line, headers.
 MAX_LINE = 65536
 MAX_HEADERS = 100
+#: The longest request body read; a longer declared one is a 413, unread.
+MAX_BODY = 1 << 20
+#: Result rows a ``POST /v1/query`` answer carries (``truncated`` beyond).
+MAX_RESULT_ROWS = 1000
 
 JSON_CONTENT_TYPE = "application/json"
 
@@ -131,17 +137,8 @@ class EnforcerService:
     ``/v1/stats``) never wait behind query admission.
     """
 
-    def __init__(
-        self,
-        service: ShardedEnforcerService,
-        max_result_rows: Optional[int] = None,
-    ):
+    def __init__(self, service: ShardedEnforcerService):
         self.service = service
-        self.max_result_rows = (
-            service.config.max_result_rows
-            if max_result_rows is None
-            else max_result_rows
-        )
 
     # -- request handlers -------------------------------------------------
 
@@ -177,7 +174,7 @@ class EnforcerService:
             "shard": self.service.shard_for(uid),
         }
         if decision.allowed and decision.result is not None:
-            rows = decision.result.rows[: self.max_result_rows]
+            rows = decision.result.rows[:MAX_RESULT_ROWS]
             body["columns"] = decision.result.columns
             body["rows"] = [list(row) for row in rows]
             body["row_count"] = len(decision.result.rows)
@@ -318,22 +315,26 @@ def make_handler(service: EnforcerService):
             data = json.dumps(versioned_envelope(status, body)).encode()
             self._send(status, data, headers=headers)
 
-        def _read_json(self) -> Union[dict, str, None]:
-            """The parsed body, or an error string for a 400 response."""
+        def _read_json(self) -> "Union[dict, tuple[int, str]]":
+            """The parsed body, or the ``(status, message)`` refusing it."""
             try:
                 length = int(self.headers.get("content-length") or 0)
             except ValueError:
                 length = -1
             if length < 0:
-                return "invalid Content-Length header"
+                return 400, "invalid Content-Length header"
+            if length > MAX_BODY:
+                return 413, f"request body longer than {MAX_BODY} bytes"
             raw = self.rfile.read(length) if length else b"{}"
             if len(raw) < length:
-                return "request body shorter than its Content-Length"
+                return 400, "request body shorter than its Content-Length"
             try:
                 payload = json.loads(raw)
             except json.JSONDecodeError:
-                return None
-            return payload if isinstance(payload, dict) else None
+                payload = None
+            if not isinstance(payload, dict):
+                return 400, "invalid JSON body"
+            return payload
 
         def _route(self) -> Optional[str]:
             """The endpoint path under ``/v1``; None for any other path."""
@@ -366,10 +367,8 @@ def make_handler(service: EnforcerService):
             payload = self._read_json()
             if path is None:
                 self._not_found()
-            elif isinstance(payload, str):
-                self._reply(400, {"error": payload})
-            elif payload is None:
-                self._reply(400, {"error": "invalid JSON body"})
+            elif isinstance(payload, tuple):
+                self._reply(payload[0], {"error": payload[1]})
             elif path == "/query":
                 status, body = service.submit(payload)
                 headers = None

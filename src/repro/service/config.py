@@ -52,7 +52,6 @@ class ServiceConfig:
       is the hot path where repeated queries dominate. The core
       :class:`~repro.core.EnforcerOptions` default stays off so the
       paper-ablation benchmarks are unaffected.
-    - ``decision_cache_size`` — LRU entries per shard.
     - ``incremental`` — maintain per-group running aggregates for
       incrementalizable policies (see :mod:`repro.incremental`) so their
       checks stop scanning the full usage log. On by default here, same
@@ -87,14 +86,12 @@ class ServiceConfig:
 
     shards: int = 1
     queue_depth: int = 32
-    max_result_rows: int = 1000
     routing: str = "hash"
     data_dir: Optional[str] = None
     wal_sync: bool = True
     checkpoint_every: int = 0
     batch_size: int = 1
     decision_cache: bool = True
-    decision_cache_size: int = 1024
     incremental: bool = True
     tracing: bool = True
     slow_query_seconds: float = 0.0
@@ -113,8 +110,6 @@ class ServiceConfig:
             raise ServiceError("queue_depth must be >= 1")
         if self.batch_size < 1:
             raise ServiceError("batch_size must be >= 1")
-        if self.decision_cache_size < 1:
-            raise ServiceError("decision_cache_size must be >= 1")
         if self.routing not in ("hash", "modulo"):
             raise ServiceError(f"unknown routing strategy {self.routing!r}")
         if self.checkpoint_every < 0:

@@ -24,7 +24,8 @@ tier** (``ServiceConfig(global_tier="async"|"strict")``, see
 assigns every query's timestamp from the tier's clock and asks the
 tier's one entry point (:meth:`GlobalTier.admit`) before enqueueing; in
 strict mode the tier's staged increment is settled once the shard
-answers. Shards stream their committed log increments back to the tier.
+answers. Shards stream their committed log increments back to an async
+tier.
 """
 
 from __future__ import annotations
@@ -184,9 +185,11 @@ class ShardedEnforcerService:
         )
 
     def _delta_sink_for(self, index: int):
-        """Where shard ``index`` streams its committed log increments
-        (None without a tier)."""
-        if self._tier is None:
+        """Where shard ``index`` streams its committed log increments:
+        None unless the tier is async (strict writes its store from its
+        own reservations, so a frame would only be dropped — or, were it
+        committed, sweep an open reservation's staged rows with it)."""
+        if self._tier is None or self._tier.mode != "async":
             return None
 
         def sink(timestamp: int, rows: dict) -> None:
@@ -242,7 +245,6 @@ class ShardedEnforcerService:
             "options": {
                 "tracing": config.tracing,
                 "decision_cache": config.decision_cache,
-                "decision_cache_size": config.decision_cache_size,
                 "incremental": config.incremental,
             },
             "extra_persist": (
@@ -643,18 +645,15 @@ class ShardedEnforcerService:
 
     def stats(self) -> dict:
         """The service metrics surface (never blocks behind a query:
-        thread shards snapshot counters lock-free, process shards
-        answer a ``stats_entry`` call on their IPC thread)."""
+        every shard answers :meth:`~repro.service.shard.Shard.state`
+        from its counters, a process shard on its IPC thread)."""
         shard_stats = [
-            shard.stats_entry(self.config.queue_depth)
+            _stats_row(shard.state(), self.config.queue_depth)
             for shard in self.shards
         ]
         totals = {
             key: sum(entry[key] for entry in shard_stats)
-            for key in (
-                "admitted", "rejected", "completed",
-                "allowed", "denied", "errors", "slow",
-            )
+            for key in _COUNTS
         }
         entry = {
             "epoch": self._epoch,
@@ -720,11 +719,9 @@ class ShardedEnforcerService:
                 report.as_dict() for report in self.recovery_reports
             ],
             "per_shard": [
-                status
-                for status in (
-                    shard.durability_state() for shard in self.shards
-                )
-                if status is not None
+                {key: state["wal"][key] for key in _DURABILITY_KEYS}
+                for state in (shard.state() for shard in self.shards)
+                if state["wal"] is not None
             ],
         }
 
@@ -748,6 +745,31 @@ class ShardedEnforcerService:
     @property
     def closed(self) -> bool:
         return self._closed
+
+
+#: A ``GET /v1/stats`` row's counts (summed into ``totals``), the rest
+#: of its keys, and a ``GET /v1/durability`` row's keys: each copied
+#: from the shard's :func:`~repro.service.shard.shard_state`.
+_COUNTS = (
+    "admitted", "rejected", "completed", "allowed", "denied", "errors", "slow",
+)
+_STATS_KEYS = _COUNTS + (
+    "shard", "epoch", "queue_depth",
+    "p50_ms", "p95_ms", "queue_wait_p95_ms", "phase_mean_ms",
+)
+_DURABILITY_KEYS = (
+    "directory", "last_seq", "checkpoint_every", "since_checkpoint",
+    "wal_bytes", "sync",
+)
+
+
+def _stats_row(state: dict, queue_capacity: int) -> dict:
+    row = {key: state[key] for key in _STATS_KEYS}
+    row["queue_capacity"] = queue_capacity
+    for key in ("decision_cache", "incremental", "process"):
+        if state.get(key) is not None:
+            row[key] = state[key]
+    return row
 
 
 def policy_listing(enforcer: Enforcer, placements) -> "list[dict]":

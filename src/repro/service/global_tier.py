@@ -27,7 +27,7 @@ and caches nothing. The modes differ only in who writes the store:
   and :meth:`~repro.core.Enforcer.finish` commits the increment when the
   shard allows the query or discards it otherwise. Admissions serialize
   end to end, the price of being bit-identical to a single-shard oracle.
-  Strict ignores deltas.
+  Strict receives no deltas: no shard streams to it.
 
 Only a delta frame the store failed to commit fails closed: every check
 then denies, naming why, until the next bootstrap. The coordinator takes
@@ -299,13 +299,12 @@ class GlobalTier:
             self._folder.start()
 
     def enqueue_delta(self, shard_index: int, timestamp: int, rows) -> None:
-        """A shard committed an increment; async commits it into the
-        store off the admission path."""
+        """A shard committed an increment: commit it into the store off
+        the admission path (async only — no shard streams to strict)."""
         if self._closed:
             return
         self.delta_frames += 1
-        if self.mode == "async":
-            self._queue.put((timestamp, rows))
+        self._queue.put((timestamp, rows))
 
     def _fold_loop(self) -> None:
         while True:

@@ -1,4 +1,4 @@
-"""Per-shard service counters, latency percentiles, and export state.
+"""Per-shard service counters and latency percentiles.
 
 The per-query phase buckets still come from :mod:`repro.core.metrics`
 (every decision carries its :class:`~repro.core.QueryMetrics`); this
@@ -134,11 +134,13 @@ class ShardCounters:
         return sum(window) / len(window) if window else 0.0
 
     def snapshot(self) -> dict:
+        """Every counter in one lock hold, as a JSON-safe dict
+        (histograms as :meth:`~repro.obs.prom.HistogramSnapshot.as_dict`)."""
         with self._lock:
             latencies = list(self._check_latencies)
             waits = list(self._queue_waits)
             phase_detail = dict(self._phase_detail)
-            counts = {
+            snapshot = {
                 "admitted": self.admitted,
                 "rejected": self.rejected,
                 "completed": self.completed,
@@ -146,8 +148,16 @@ class ShardCounters:
                 "denied": self.denied,
                 "errors": self.errors,
                 "slow": self.slow,
+                "check_hist": self._check_hist.snapshot().as_dict(),
+                "wait_hist": self._wait_hist.snapshot().as_dict(),
+                "batch_hist": self._batch_hist.snapshot().as_dict(),
+                "policy_eval": {
+                    name: hist.snapshot().as_dict()
+                    for name, hist in self._policy_eval.items()
+                },
+                "policy_violations": dict(self._policy_violations),
+                "phase_totals": phase_detail,
             }
-        snapshot = dict(counts)
         snapshot["p50_ms"] = percentile(latencies, 0.50) * 1000
         snapshot["p95_ms"] = percentile(latencies, 0.95) * 1000
         snapshot["queue_wait_p95_ms"] = percentile(waits, 0.95) * 1000
@@ -155,33 +165,10 @@ class ShardCounters:
         # totals at read time.
         buckets = QueryMetrics(seconds=phase_detail).breakdown()
         snapshot["phase_mean_ms"] = {
-            bucket: total / counts["completed"] * 1000
+            bucket: total / snapshot["completed"] * 1000
             for bucket, total in sorted(buckets.items())
         } if phase_detail else {}
         return snapshot
-
-    def prom_snapshot(self) -> dict:
-        """Everything :mod:`repro.obs.export` needs, in one lock hold."""
-        with self._lock:
-            return {
-                "admitted": self.admitted,
-                "rejected": self.rejected,
-                "completed": {
-                    "allowed": self.allowed,
-                    "denied": self.denied,
-                    "error": self.errors,
-                },
-                "slow": self.slow,
-                "check_hist": self._check_hist.snapshot(),
-                "wait_hist": self._wait_hist.snapshot(),
-                "batch_hist": self._batch_hist.snapshot(),
-                "policy_eval": {
-                    name: hist.snapshot()
-                    for name, hist in self._policy_eval.items()
-                },
-                "policy_violations": dict(self._policy_violations),
-                "phase_totals": dict(self._phase_detail),
-            }
 
     def slow_entries(self) -> "list[dict]":
         with self._lock:

@@ -10,8 +10,8 @@ messages. Every admin or inspection method named in
 (:meth:`ProcessShard._call`), and the worker runs the method of that
 name. Methods are written out here only where the parent adds
 something: the epoch mirror, the respawn spec in ``apply_extras``, idle
-answers while a worker respawns, the parent's counters in stats and
-export, and encoding ``explain_evidence``'s decision.
+answers while a worker respawns, the parent's rejections and worker
+gauges in ``state``, and encoding ``explain_evidence``'s decision.
 
 Admission is a *bounded in-flight window*: the coordinator tracks how
 many checks it has posted to the worker without a response and rejects
@@ -56,7 +56,7 @@ from ..errors import (
 )
 from .ipc import recv_message, send_message
 from .metrics import LATENCY_WINDOW, ShardCounters
-from .shard import ENGINE_COUNTERS, FORWARDED
+from .shard import FORWARDED, shard_state
 from .worker import decision_from_json, decision_to_json, worker_main
 
 #: Fallback Retry-After hint (seconds) before any latency samples exist,
@@ -518,28 +518,16 @@ class ProcessShard:
     def slow_entries(self) -> "list[dict]":
         return self._inspect("slow_entries", [])
 
-    def durability_state(self) -> Optional[dict]:
-        return self._inspect("durability_state", None)
-
-    def stats_entry(self, queue_capacity: int) -> dict:
-        entry = self._inspect("stats_entry", None, queue_capacity)
-        if entry is None:
-            entry = ShardCounters().snapshot()
-            entry["shard"] = self.index
-            entry["epoch"] = self.epoch
-            entry["queue_depth"] = self.queue_depth()
-            entry["queue_capacity"] = queue_capacity
-        entry["process"] = self.process_state()
+    def state(self) -> dict:
+        """The worker shard's :func:`~repro.service.shard.shard_state` —
+        an idle one while the worker respawns — plus the checks this
+        parent's window rejected and :meth:`process_state`."""
+        state = self._inspect("state", None) or shard_state(
+            ShardCounters(), self.index, self.epoch
+        )
+        state["process"] = self.process_state()
         with self._state_lock:
-            entry["rejected"] = entry.get("rejected", 0) + self._rejected
-        return entry
-
-    def export_state(self) -> dict:
-        state = self._inspect("export_state", None) or _empty_export_state()
-        with self._state_lock:
-            state["prom"]["rejected"] = (
-                state["prom"].get("rejected", 0) + self._rejected
-            )
+            state["rejected"] += self._rejected
         return state
 
     def process_state(self) -> dict:
@@ -554,22 +542,3 @@ class ProcessShard:
 
     def explain_evidence(self, decision) -> "list[dict]":
         return self._call("explain_evidence", decision_to_json(decision))
-
-
-def _empty_export_state() -> dict:
-    """The export shape of an idle shard, for scrapes during a respawn."""
-    counters = ShardCounters()
-    snap = counters.prom_snapshot()
-    prom = dict(snap)
-    for key in ("check_hist", "wait_hist", "batch_hist"):
-        prom[key] = snap[key].as_dict()
-    prom["policy_eval"] = {}
-    return {
-        "prom": prom,
-        "queue_depth": 0,
-        "busy_workers": 0,
-        "decision_cache": None,
-        "incremental": None,
-        "engine": dict.fromkeys(ENGINE_COUNTERS, 0),
-        "wal": None,
-    }

@@ -49,10 +49,10 @@ _DEFAULT_RETRY_AFTER = 0.05
 #: Slow checks are logged here (and kept in the shard's slow ring).
 slow_log = logging.getLogger("repro.service.slowlog")
 
-#: The counters of ``export_state()["engine"]``: state key → how to read
-#: it off the shard's engine. Named once — the idle stub of a respawning
-#: process shard zeroes these keys and :mod:`repro.obs.export` declares
-#: one Prometheus family per key.
+#: The counters of ``shard_state(...)["engine"]``: state key → how to
+#: read it off the shard's engine. Named once — the idle answer of a
+#: respawning process shard zeroes these keys and :mod:`repro.obs.export`
+#: declares one Prometheus family per key.
 ENGINE_COUNTERS = {
     "plan_hits": lambda engine: engine.plan_cache_hits,
     "plan_misses": lambda engine: engine.plan_cache_misses,
@@ -73,8 +73,7 @@ ENGINE_COUNTERS = {
 #: name outside this set. Arguments and results are JSON-shaped.
 FORWARDED = frozenset({
     "apply_policy_change", "set_epoch", "apply_extras", "log_dump",
-    "policies", "policy_names", "log_sizes", "slow_entries",
-    "durability_state", "stats_entry", "export_state",
+    "policies", "policy_names", "log_sizes", "slow_entries", "state",
     "explain_analyze", "explain_evidence",
 })
 
@@ -110,37 +109,83 @@ class ShardDurability:
         self.wal = wal
         self.checkpoint_every = checkpoint_every
         self.sync = sync
-        self._since_checkpoint = 0
+        self.since_checkpoint = 0
 
     def note_queries(self, enforcer: Enforcer, count: int) -> None:
         """Count a batch of processed queries; checkpoint when the
         cadence hits. Called at batch boundaries — never inside a WAL
         group-commit window, where the checkpoint's WAL reset would
         drop buffered frames."""
-        self._since_checkpoint += count
+        self.since_checkpoint += count
         if self.checkpoint_every and (
-            self._since_checkpoint >= self.checkpoint_every
+            self.since_checkpoint >= self.checkpoint_every
         ):
             self.checkpoint(enforcer)
 
     def checkpoint(self, enforcer: Enforcer) -> None:
         checkpoint(enforcer, self.directory, self.wal, sync=self.sync)
-        self._since_checkpoint = 0
-
-    def status(self) -> dict:
-        return {
-            "directory": str(self.directory),
-            "last_seq": self.wal.last_seq,
-            "checkpoint_every": self.checkpoint_every,
-            "since_checkpoint": self._since_checkpoint,
-            "wal_bytes": (
-                self.wal.path.stat().st_size if self.wal.path.exists() else 0
-            ),
-            "sync": self.sync,
-        }
+        self.since_checkpoint = 0
 
     def close(self) -> None:
         self.wal.close()
+
+
+def shard_state(
+    counters: ShardCounters,
+    index: int,
+    epoch: int,
+    queue_depth: int = 0,
+    busy_workers: int = 0,
+    enforcer: Optional[Enforcer] = None,
+    durability: Optional[ShardDurability] = None,
+) -> dict:
+    """One shard's state, one JSON-safe dict: ``GET /v1/stats``,
+    ``GET /v1/metrics`` and ``GET /v1/durability`` each project from it.
+
+    The counter snapshot plus the shard's identity and queue gauges, the
+    decision cache's and incremental maintainer's stats and the WAL's
+    (``None`` when off), and the :data:`ENGINE_COUNTERS`. With no
+    enforcer it is an idle shard's answer. Lock-free: the counter mutex
+    only, never the shard lock (plain-int reads cannot tear).
+    """
+    state = counters.snapshot()
+    state.update(
+        shard=index,
+        epoch=epoch,
+        queue_depth=queue_depth,
+        busy_workers=busy_workers,
+        decision_cache=None,
+        incremental=None,
+        engine=dict.fromkeys(ENGINE_COUNTERS, 0),
+        wal=None,
+    )
+    if enforcer is not None:
+        cache = enforcer.decision_cache
+        if cache is not None:
+            state["decision_cache"] = cache.stats.as_dict()
+        maintainer = enforcer.incremental
+        if maintainer is not None:
+            state["incremental"] = dict(
+                maintainer.stats.as_dict(),
+                state_entries=maintainer.state_entries(),
+            )
+        engine = enforcer.engine
+        state["engine"] = {
+            key: read(engine) for key, read in ENGINE_COUNTERS.items()
+        }
+    if durability is not None:
+        wal = durability.wal
+        state["wal"] = {
+            "directory": str(durability.directory),
+            "last_seq": wal.last_seq,
+            "checkpoint_every": durability.checkpoint_every,
+            "since_checkpoint": durability.since_checkpoint,
+            "wal_bytes": wal.path.stat().st_size if wal.path.exists() else 0,
+            "sync": durability.sync,
+            "appends": wal.appends,
+            "fsyncs": wal.fsyncs,
+        }
+    return state
 
 
 class Shard:
@@ -276,84 +321,17 @@ class Shard:
     def slow_entries(self) -> "list[dict]":
         return self.counters.slow_entries()
 
-    def durability_state(self) -> Optional[dict]:
-        durability = self.durability
-        return durability.status() if durability is not None else None
-
-    def stats_entry(self, queue_capacity: int) -> dict:
-        """One shard's row of the ``GET /v1/stats`` surface (lock-free)."""
-        snapshot = self.counters.snapshot()
-        snapshot["shard"] = self.index
-        snapshot["epoch"] = self.epoch
-        snapshot["queue_depth"] = self.queue_depth()
-        snapshot["queue_capacity"] = queue_capacity
-        cache = self.enforcer.decision_cache
-        if cache is not None:
-            snapshot["decision_cache"] = cache.stats.as_dict()
-        maintainer = self.enforcer.incremental
-        if maintainer is not None:
-            incremental = maintainer.stats.as_dict()
-            incremental["state_entries"] = maintainer.state_entries()
-            snapshot["incremental"] = incremental
-        return snapshot
-
-    def export_state(self) -> dict:
-        """Everything ``GET /v1/metrics`` needs, as one JSON-safe dict.
-
-        Histograms are shipped as plain dicts
-        (:meth:`~repro.obs.prom.HistogramSnapshot.as_dict`) so a process
-        shard can answer this over the IPC pipe; the export collector
-        rebuilds snapshots on the other side. Reads are lock-free in the
-        same sense as ``GET /v1/stats`` (counter mutex only, never the
-        shard lock; plain-int reads of enforcer counters cannot tear).
-        """
-        snap = self.counters.prom_snapshot()
-        prom = dict(snap)
-        for key in ("check_hist", "wait_hist", "batch_hist"):
-            prom[key] = snap[key].as_dict()
-        prom["policy_eval"] = {
-            name: hist.as_dict() for name, hist in snap["policy_eval"].items()
-        }
-        state: dict = {
-            "prom": prom,
-            "queue_depth": self.queue_depth(),
-            "busy_workers": self.busy_workers(),
-            "decision_cache": None,
-            "incremental": None,
-            "wal": None,
-        }
-        cache = self.enforcer.decision_cache
-        if cache is not None:
-            state["decision_cache"] = {
-                "hits": cache.stats.hits,
-                "misses": cache.stats.misses,
-                "invalidations": cache.stats.invalidations,
-                "entries": cache.stats.entries,
-            }
-        maintainer = self.enforcer.incremental
-        if maintainer is not None:
-            state["incremental"] = {
-                "hits": maintainer.stats.hits,
-                "fallbacks": maintainer.stats.fallbacks,
-                "folds": maintainer.stats.folds,
-                "state_entries": maintainer.state_entries(),
-            }
-        engine = self.enforcer.engine
-        state["engine"] = {
-            key: read(engine) for key, read in ENGINE_COUNTERS.items()
-        }
-        durability = self.durability
-        if durability is not None:
-            wal = durability.wal
-            state["wal"] = {
-                "appends": wal.appends,
-                "fsyncs": wal.fsyncs,
-                "bytes": (
-                    wal.path.stat().st_size if wal.path.exists() else 0
-                ),
-                "last_seq": wal.last_seq,
-            }
-        return state
+    def state(self) -> dict:
+        """This shard's :func:`shard_state`."""
+        return shard_state(
+            self.counters,
+            self.index,
+            self.epoch,
+            self.queue_depth(),
+            self.busy_workers(),
+            self.enforcer,
+            self.durability,
+        )
 
     # -- control surface --------------------------------------------------
     #

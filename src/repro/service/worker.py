@@ -104,7 +104,7 @@ def decision_from_json(payload: dict) -> Decision:
     Trace spans and phase metrics do not cross the process boundary
     (``span``/``metrics`` are ``None``); the worker already folded them
     into its own counters, which the coordinator aggregates via the
-    forwarded ``stats_entry`` / ``export_state`` calls instead.
+    forwarded ``state`` call instead.
     """
     result = None
     if payload.get("result") is not None:

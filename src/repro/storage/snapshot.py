@@ -36,8 +36,10 @@ FORMAT_VERSION = 1
 ENFORCER_KEYS = ("tables", "policies", "options", "clock_now")
 #: Options older manifests carry that no longer exist, dropped (whatever
 #: their value) before the rest are validated. ``engine`` selected the
-#: removed row interpreter; decisions never depended on it.
-RETIRED_OPTIONS = frozenset({"engine"})
+#: removed row interpreter; ``decision_cache_size`` sized a cache that
+#: starts empty on every restore (now ``decision_cache.CAPACITY``).
+#: Decisions never depended on either.
+RETIRED_OPTIONS = frozenset({"engine", "decision_cache_size"})
 
 
 def save_database(database: Database, directory: Path) -> None:

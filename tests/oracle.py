@@ -194,8 +194,10 @@ def _from_where(select: ast.Select, database) -> tuple:
 
     def where(pairs, applied, over):
         pending.difference_update(applied)
-        return [(row, lin) for row, lin in pairs if all(
-            is_truthy(_eval(conjuncts[i], over.row_leaf(row))) for i in applied)]
+        # Every applied conjunct is evaluated, as the engine's AND does:
+        # one that raises raises although another drops the row.
+        return [(row, lin) for row, lin in pairs if all([
+            is_truthy(_eval(conjuncts[i], over.row_leaf(row))) for i in applied])]
 
     pairs = [((), _EMPTY)]
     for bound, item_pairs in items:

@@ -105,6 +105,7 @@ class TestEnvelopeUnit:
             400: "invalid_request",
             404: "not_found",
             409: "conflict",
+            413: "payload_too_large",
             414: "uri_too_long",
             429: "overloaded",
             431: "headers_too_large",

@@ -158,9 +158,9 @@ class TestShardBatching:
                     futures.append(shard.offer(job))
             decisions = [f.result(timeout=10) for f in futures]
             assert all(d.allowed for d in decisions)
-            snap = shard.counters.prom_snapshot()["batch_hist"]
-            assert snap.count == 2
-            assert snap.sum == 5.0
+            snap = shard.counters.snapshot()["batch_hist"]
+            assert snap["count"] == 2
+            assert snap["sum"] == 5.0
         finally:
             shard.drain(timeout=10)
 
@@ -254,11 +254,9 @@ class TestServiceEquivalence:
             batch_wal = batch_service.shards[0].durability.wal
             assert plain_wal.appends == batch_wal.appends
             assert batch_wal.fsyncs < plain_wal.fsyncs
-            snap = batch_service.shards[0].counters.prom_snapshot()[
-                "batch_hist"
-            ]
-            assert snap.sum == float(len(self.UIDS))
-            assert snap.count < len(self.UIDS)
+            snap = batch_service.shards[0].counters.snapshot()["batch_hist"]
+            assert snap["sum"] == float(len(self.UIDS))
+            assert snap["count"] < len(self.UIDS)
             assert (
                 plain_service.log_sizes() == batch_service.log_sizes()
             )

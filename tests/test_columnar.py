@@ -1046,8 +1046,8 @@ class TestTwoDisciplines:
             ServiceConfig(engine=name)
         with pytest.raises(TypeError, match="engine"):
             IncrementalMaintainer(Database(), None, None, {}, engine=name)
-        assert len(dataclasses.fields(ServiceConfig)) == 15
-        assert len(dataclasses.fields(EnforcerOptions)) == 15
+        assert len(dataclasses.fields(ServiceConfig)) == 13
+        assert len(dataclasses.fields(EnforcerOptions)) == 14
         for command in ("check", "explain", "serve"):
             with pytest.raises(SystemExit):
                 cli_parse(command, "--engine", name)
@@ -1103,21 +1103,23 @@ class TestServiceEngineSurface:
             service.drain()
 
     def test_engine_counters_are_named_once(self):
-        """A live shard, the idle stub of a respawning process shard and
-        the Prometheus family table all follow ``ENGINE_COUNTERS``."""
+        """A live shard, the idle state a respawning process shard
+        answers and the Prometheus family table all follow
+        ``ENGINE_COUNTERS``."""
         from repro.obs.export import _ENGINE_FAMILIES
-        from repro.service.process import _empty_export_state
-        from repro.service.shard import ENGINE_COUNTERS
+        from repro.service.metrics import ShardCounters
+        from repro.service.shard import ENGINE_COUNTERS, shard_state
 
         service = ShardedEnforcerService(
             make_service_enforcer(), ServiceConfig(shards=1)
         )
         try:
-            live = service.shards[0].export_state()["engine"]
+            live = service.shards[0].state()["engine"]
         finally:
             service.drain()
         assert list(live) == list(ENGINE_COUNTERS)
-        assert list(_empty_export_state()["engine"]) == list(live)
+        idle = shard_state(ShardCounters(), 0, 0)["engine"]
+        assert idle == dict.fromkeys(live, 0)
         assert [key for key, *_ in _ENGINE_FAMILIES] == list(ENGINE_COUNTERS)
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
@@ -1132,7 +1134,7 @@ class TestServiceEngineSurface:
         try:
             for uid in (0, 1, 0, 1):
                 assert service.submit("SELECT n.id FROM navteq n", uid=uid).allowed
-            states = [shard.export_state()["engine"] for shard in service.shards]
+            states = [shard.state()["engine"] for shard in service.shards]
         finally:
             service.drain()
         assert all(state["plan_misses"] for state in states)  # both executed

@@ -302,6 +302,21 @@ class TestStrictOracleEquivalence:
         finally:
             service.drain()
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_no_shard_streams_to_a_strict_tier(self, mode):
+        """Strict writes its store from its own reservations: a streamed
+        frame was received only to be dropped (one per allowed query)."""
+        service = make_service(
+            mimic_enforcer(), 2, "strict", workers_mode=mode
+        )
+        try:
+            stream = [(HR_COUNT, uid) for uid in GROUP_X * 2]
+            decisions = decisions_of(service, stream)
+            assert any(allowed for allowed, _, _ in decisions)
+            assert service.stats()["global"]["delta_frames"] == 0
+        finally:
+            service.drain()
+
     @settings(max_examples=6, deadline=None)
     @given(st.lists(st.integers(min_value=2, max_value=6),
                     min_size=1, max_size=16))

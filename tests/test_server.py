@@ -14,7 +14,7 @@ from v1 import request, unwrap
 from repro.core import Enforcer, EnforcerOptions, Policy
 from repro.engine import Database
 from repro.log import SimulatedClock
-from repro.server import serve
+from repro.server import MAX_BODY, serve
 from repro.service import ServiceConfig
 
 
@@ -504,6 +504,36 @@ class TestHostileHeads:
             {"api_version": 1, "error": {"code": code, "message": ANY}},
         )
         assert request(server, "GET", "/health")[0] == 200
+
+    def test_oversized_body_is_refused_unread(self, server):
+        # The declared length used to be allocated up front: a MemoryError
+        # in the handler thread, and no reply at all.
+        raw = (
+            b"POST /v1/query HTTP/1.0\r\n"
+            b"Content-Length: 1000000000000\r\n\r\n"
+        )
+        assert exchange(server, raw) == (
+            413,
+            {
+                "api_version": 1,
+                "error": {"code": "payload_too_large", "message": ANY},
+            },
+        )
+        assert request(server, "POST", "/query", QUERY)[0] == 200
+
+    def test_body_of_exactly_max_body_bytes_is_accepted(self, server):
+        body = json.dumps(dict(QUERY, pad="")).encode()
+        body = json.dumps(
+            dict(QUERY, pad="x" * (MAX_BODY - len(body)))
+        ).encode()
+        assert len(body) == MAX_BODY
+        status, envelope = exchange(
+            server,
+            b"POST /v1/query HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(body), body),
+        )
+        assert status == 200
+        assert envelope["data"]["allowed"] is True
 
     def test_hundred_headers_are_accepted(self, server):
         head = b"".join(b"X-%d: v\r\n" % i for i in range(100))

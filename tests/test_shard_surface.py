@@ -160,8 +160,7 @@ def drive(service):
     answers = {"apply_extras": shard.apply_extras(["Schema"])}
     assert service.submit("SELECT id FROM extras", uid=3).allowed
     plan = shard.explain_analyze("SELECT id FROM items WHERE price > 10")
-    durability = shard.durability_state()
-    stats = shard.stats_entry(service.config.queue_depth)
+    state = shard.state()
     answers.update({
         "log_dump": shard.log_dump(["users", "schema", "provenance"]),
         "explain_analyze": re.sub(r"time=[0-9.]+ ms", "time=_", plan),
@@ -172,18 +171,20 @@ def drive(service):
             (e["shard"], e["uid"], e["timestamp"], e["sql"], e["allowed"])
             for e in shard.slow_entries()
         ],
-        "durability_state": (
-            sorted(durability), durability["last_seq"], durability["sync"]
+        "state": (
+            sorted(set(state) - {"process"}),
+            state["completed"],
+            sorted(state["wal"]),
+            state["wal"]["last_seq"],
+            state["wal"]["sync"],
         ),
-        "stats_entry": (sorted(set(stats) - {"process"}), stats["completed"]),
-        "export_state": sorted(shard.export_state()),
         "apply_policy_change": shard.apply_policy_change(
             "add", epoch=5, **policy_entry(fence())
         ),
         "policy_names": shard.policy_names(),
         "set_epoch": shard.set_epoch(6),
     })
-    assert shard.stats_entry(service.config.queue_depth)["epoch"] == 6
+    assert shard.state()["epoch"] == 6
     return answers
 
 
@@ -251,6 +252,29 @@ class TestForwardedSurface:
                 shard._call(method)
             assert service.submit("SELECT id FROM items", uid=2).allowed
             assert shard.process_state()["restarts"] == 0
+        finally:
+            service.drain()
+
+
+class TestDownWorkerAnswersAnIdleState:
+    def test_every_surface_reads_the_idle_state(self):
+        """A process shard whose worker is down answers the idle state,
+        ``shard_state`` with no enforcer, plus its worker gauges; the
+        surfaces that project from it keep answering."""
+        from repro.service.metrics import ShardCounters
+        from repro.service.shard import shard_state
+
+        service = make_service("process")
+        try:
+            shard = service.shards[0]
+            assert service.submit("SELECT id FROM items", uid=0).allowed
+            shard.force_stop()
+            wait_until(lambda: not shard.process_state()["alive"])
+            state = shard.state()
+            assert state.pop("process")["alive"] is False
+            assert state == shard_state(ShardCounters(), 0, shard.epoch)
+            assert service.stats()["per_shard"][0]["completed"] == 0
+            assert 'repro_process_alive{shard="0"} 0' in service.render_metrics()
         finally:
             service.drain()
 
@@ -363,3 +387,138 @@ class TestDivergedRecoveredSetsRefuseToServe:
         for mode in MODES:
             with pytest.raises(ServiceError, match="policy sets diverge"):
                 make_service(mode, data_dir=str(tmp_path))
+
+
+#: ``GET /v1/stats``, ``/v1/durability`` and ``/v1/metrics`` as a durable
+#: 2-shard service with an async global tier shows them; every shard
+#: surface projects from one ``shard_state``, and these shapes are the
+#: ones the surfaces had before it did.
+STATS_ROW_KEYS = [
+    "admitted", "allowed", "completed", "decision_cache", "denied", "epoch",
+    "errors", "incremental", "p50_ms", "p95_ms", "phase_mean_ms",
+    "queue_capacity", "queue_depth", "queue_wait_p95_ms", "rejected",
+    "shard", "slow",
+]
+STATS_NESTED_KEYS = {
+    "decision_cache": [
+        "entries", "evictions", "hits", "invalidations", "misses", "stores",
+    ],
+    "incremental": [
+        "discards", "fallback_reasons", "fallbacks", "folds", "hits",
+        "rebuilds", "state_entries",
+    ],
+    "phase_mean_ms": ["compaction", "policy_eval", "query", "tracking"],
+}
+PROCESS_KEYS = ["alive", "inflight", "pid", "restarts"]
+DURABILITY_ROW_KEYS = [
+    "checkpoint_every", "directory", "last_seq", "since_checkpoint", "sync",
+    "wal_bytes",
+]
+_SHARD = {("shard",)}
+METRIC_FAMILIES = {
+    "repro_epoch": ("gauge", {()}),
+    "repro_shards": ("gauge", {()}),
+    "repro_shard_admitted_total": ("counter", _SHARD),
+    "repro_shard_rejected_total": ("counter", _SHARD),
+    "repro_shard_completed_total": ("counter", {("outcome", "shard")}),
+    "repro_shard_queue_depth": ("gauge", _SHARD),
+    "repro_shard_queue_capacity": ("gauge", _SHARD),
+    "repro_shard_busy_workers": ("gauge", _SHARD),
+    "repro_slow_queries_total": ("counter", _SHARD),
+    "repro_check_seconds": ("histogram", _SHARD),
+    "repro_queue_wait_seconds": ("histogram", _SHARD),
+    "repro_batch_size": ("histogram", _SHARD),
+    "repro_policy_eval_seconds": ("histogram", {("policy", "shard")}),
+    "repro_policy_violations_total": ("counter", {("policy", "shard")}),
+    "repro_phase_seconds_total": ("counter", {("phase", "shard")}),
+    "repro_decision_cache_hits_total": ("counter", _SHARD),
+    "repro_decision_cache_misses_total": ("counter", _SHARD),
+    "repro_decision_cache_invalidations_total": ("counter", _SHARD),
+    "repro_decision_cache_entries": ("gauge", _SHARD),
+    "repro_incremental_hits_total": ("counter", _SHARD),
+    "repro_incremental_fallbacks_total": ("counter", _SHARD),
+    "repro_incremental_folds_total": ("counter", _SHARD),
+    "repro_incremental_state_entries": ("gauge", _SHARD),
+    "repro_plan_cache_hits_total": ("counter", _SHARD),
+    "repro_plan_cache_misses_total": ("counter", _SHARD),
+    "repro_join_build_cache_hits_total": ("counter", _SHARD),
+    "repro_join_build_cache_misses_total": ("counter", _SHARD),
+    "repro_columnar_batches_total": ("counter", _SHARD),
+    "repro_columnar_rows_total": ("counter", _SHARD),
+    "repro_lineage_executions_total": ("counter", _SHARD),
+    "repro_lineage_rows_total": ("counter", _SHARD),
+    "repro_dag_shared_nodes": ("gauge", _SHARD),
+    "repro_dag_saved_execs_total": ("counter", _SHARD),
+    "repro_wal_appends_total": ("counter", _SHARD),
+    "repro_wal_fsyncs_total": ("counter", _SHARD),
+    "repro_wal_bytes": ("gauge", _SHARD),
+    "repro_wal_last_seq": ("gauge", _SHARD),
+    "repro_global_checks_total": ("counter", {("mode",)}),
+    "repro_global_denials_total": ("counter", {("mode",)}),
+    "repro_global_reservations_total": ("counter", {()}),
+    "repro_global_reservations_active": ("gauge", {()}),
+    "repro_global_delta_frames_total": ("counter", {()}),
+    "repro_global_folds_total": ("counter", {()}),
+    "repro_global_delta_lag": ("gauge", {()}),
+    "repro_global_staleness_seconds": ("gauge", {()}),
+    "repro_global_policy_entries": ("gauge", {("policy",)}),
+    "repro_global_fallbacks_total": ("counter", set()),
+}
+PROCESS_FAMILIES = {
+    "repro_process_alive": ("gauge", _SHARD),
+    "repro_process_restarts_total": ("counter", _SHARD),
+    "repro_process_inflight": ("gauge", _SHARD),
+}
+
+
+class TestSurfacesKeepTheirShape:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stats_durability_and_metrics(self, mode, tmp_path):
+        from test_obs import parse_exposition
+
+        service = make_service(
+            mode, data_dir=str(tmp_path), global_tier="async"
+        )
+        try:
+            service.add_policy(Policy.from_sql(
+                "crowd",
+                "SELECT 'crowd' FROM users u HAVING COUNT(DISTINCT u.uid) > 3",
+            ))
+            for uid in (1, 1, 1, 2, 3):
+                service.submit("SELECT id FROM items", uid=uid)
+            service.flush_global()
+            stats = service.stats()
+            durability = service.durability_status()
+            families = parse_exposition(service.render_metrics())
+        finally:
+            service.drain()
+
+        process = {"process"} if mode == "process" else set()
+        for row in stats["per_shard"]:
+            assert sorted(row) == sorted(STATS_ROW_KEYS + list(process))
+            for key, keys in STATS_NESTED_KEYS.items():
+                assert sorted(row[key]) == keys, key
+            if process:
+                assert sorted(row["process"]) == PROCESS_KEYS
+        assert stats["totals"]["denied"] == 1
+        assert len(durability["per_shard"]) == 2
+        for row in durability["per_shard"]:
+            assert sorted(row) == DURABILITY_ROW_KEYS
+
+        def label_names(labels):
+            return tuple(sorted(
+                pair.split("=")[0]
+                for pair in (labels or "").split(",")
+                if pair and not pair.startswith("le=")
+            ))
+
+        expected = dict(METRIC_FAMILIES)
+        if process:
+            expected.update(PROCESS_FAMILIES)
+        assert {
+            name: (
+                family["type"],
+                {label_names(labels) for _, labels, _ in family["samples"]},
+            )
+            for name, family in families.items()
+        } == expected

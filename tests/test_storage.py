@@ -266,18 +266,17 @@ class TestUnreadableManifest:
 
 
 class TestRetiredOptions:
-    @pytest.mark.parametrize("engine", [None, "columnar", "row"])
-    def test_engine_option_is_dropped(self, tmp_path, engine):
-        """Manifests written while an ``engine`` option existed carry it.
-        It is dropped whatever its value (decisions never depended on
-        it), and the restored enforcer's next 20 decisions are those of
-        a twin that never restarted."""
+    @staticmethod
+    def assert_restores_like_a_twin(tmp_path, **retired):
+        """Save, write ``retired`` into the manifest's options, restore:
+        the restored enforcer's next 20 decisions are those of a twin
+        that never restarted."""
         original, twin = make_enforcer(), make_enforcer()
         for enforcer in (original, twin):
             enforcer.submit("SELECT * FROM items WHERE k = 1", uid=1, execute=False)
         save_enforcer_state(original, tmp_path)
         edit_manifest(
-            tmp_path, lambda manifest: manifest["options"].update(engine=engine)
+            tmp_path, lambda manifest: manifest["options"].update(retired)
         )
         restored = restore_enforcer(tmp_path)
         stream = [(f"SELECT * FROM items WHERE k = {i % 8}", 1 + i % 3) for i in range(20)]
@@ -288,6 +287,20 @@ class TestRetiredOptions:
             twin.submit(sql, uid=uid, execute=False).allowed for sql, uid in stream
         ]
         assert not all(decisions)
+
+    @pytest.mark.parametrize("engine", [None, "columnar", "row"])
+    def test_engine_option_is_dropped(self, tmp_path, engine):
+        """Manifests written while an ``engine`` option existed carry it.
+        It is dropped whatever its value (decisions never depended on
+        it)."""
+        self.assert_restores_like_a_twin(tmp_path, engine=engine)
+
+    @pytest.mark.parametrize("size", [1, 1024, "big"])
+    def test_decision_cache_size_option_is_dropped(self, tmp_path, size):
+        """Manifests written while the cache size was an option carry
+        it. It is dropped whatever its value: the cache starts empty on
+        every restore and holds ``decision_cache.CAPACITY`` verdicts."""
+        self.assert_restores_like_a_twin(tmp_path, decision_cache_size=size)
 
 
 class TestSnapshotEquivalenceProperty:
